@@ -42,13 +42,8 @@ func main() {
 	asJSON := flag.Bool("json", false, "emit the metrics as JSON")
 	profileOut := flag.String("profile", "", "write the hierarchy bottleneck profile JSON to this file (\"-\" for stdout)")
 	list := flag.Bool("list", false, "list benchmarks and configurations")
-	engine := flag.String("engine", "event", "simulation engine: event (calendar-queue) or tick (reference loop); results are byte-identical")
 	profiles := prof.AddFlags()
 	flag.Parse()
-	if err := gpumembw.SetEngine(*engine); err != nil {
-		fmt.Fprintln(os.Stderr, "gpusim:", err)
-		os.Exit(2)
-	}
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if *specPath != "" && explicit["bench"] {

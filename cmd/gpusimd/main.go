@@ -200,7 +200,6 @@ func runCoordinator(addr string, workers []string, probeInterval, probeTimeout t
 		ProbeInterval: probeInterval,
 		ProbeTimeout:  probeTimeout,
 		ProbeFails:    probeFails,
-		ErrLog:        os.Stderr,
 		Logger:        logger,
 	})
 	if err != nil {

@@ -136,21 +136,6 @@ func Run(cfg Config, wl *Workload) (Metrics, error) {
 	return core.RunWorkload(cfg, wl)
 }
 
-// SetEngine selects the process-wide simulation engine by name: "event"
-// (the calendar-queue engine, the default) or "tick" (the reference
-// tick-everything loop). Both produce byte-identical metrics and
-// profiles for every cell; the escape hatch exists for bisecting should
-// an engine-parity diff ever appear. Call before building schedulers or
-// running simulations; it is not synchronized.
-func SetEngine(name string) error {
-	e, err := core.ParseEngine(name)
-	if err != nil {
-		return err
-	}
-	core.SetDefaultEngine(e)
-	return nil
-}
-
 // Profile is the hierarchy bottleneck profile of a profiled run: a
 // windowed time series of per-level gauges (L1 miss queues and MSHRs,
 // crossbar port contention, L2 bank occupancy, DRAM channel and
@@ -272,7 +257,7 @@ func SpecByName(name string) (WorkloadSpec, error) { return trace.SpecByName(nam
 // (config, spec) cell: a scheduler memo hit, a daemon job and `gpusim
 // -spec` all share content-addressed cell identity (trace.Spec.SpecID).
 func RunSpec(cfg Config, sp WorkloadSpec) (Metrics, error) {
-	return exp.NewScheduler().RunSpec(cfg, sp)
+	return exp.NewScheduler().RunJob(exp.SpecJob(cfg, sp))
 }
 
 // Sweep runs the configurations × workloads cross product on a fresh

@@ -194,15 +194,6 @@ func (m *MSHR[T]) Allocate(addr uint64, item T) AllocResult {
 	return AllocNew
 }
 
-// Waiters returns the requesters currently merged on addr without
-// releasing them (primary first, in allocation order).
-func (m *MSHR[T]) Waiters(addr uint64) []T {
-	if i, ok := m.lookup(addr); ok {
-		return m.slots[i].waiters
-	}
-	return nil
-}
-
 // Release completes the miss on addr, removing the entry and returning
 // every waiter (primary first, in allocation order).
 //

@@ -270,16 +270,3 @@ func (t *TagArray) Fill(addr uint64) Victim {
 	t.Fill(addr)
 	return v
 }
-
-// ReservedCount returns the number of reserved lines in the set for addr
-// (used by tests and congestion diagnostics).
-func (t *TagArray) ReservedCount(addr uint64) int {
-	set := t.set(t.LineAddr(addr))
-	n := 0
-	for i := range set {
-		if set[i].state == Reserved {
-			n++
-		}
-	}
-	return n
-}

@@ -5,68 +5,34 @@ import (
 	"math/bits"
 
 	"gpumembw/internal/config"
-	"gpumembw/internal/dram"
-	"gpumembw/internal/icnt"
-	"gpumembw/internal/l2"
 	"gpumembw/internal/sched"
-	"gpumembw/internal/smcore"
 )
 
 // Engine selects the simulation loop that advances a GPU. The choice is
 // pure mechanics: both engines produce byte-identical metrics and
 // profiles for every cell (the parity tests and the CI determinism job
 // enforce it), so the engine is deliberately NOT part of the cell
-// identity and never bumps SimVersion.
+// identity and never bumps SimVersion. No shipped binary selects one:
+// everything runs EngineEvent, and EngineTick is reachable only through
+// WithEngine, for the tests that hold the event engine to it.
 type Engine uint8
 
 const (
-	// EngineEvent is the calendar-queue event engine: every unit
-	// registers its next-wake cycle under the sched.Wakeable contract and
-	// the loop advances straight to the earliest pending event, skipping
-	// the ticks in between. The default.
+	// EngineEvent is the calendar-queue event engine: every core reports
+	// its next-wake cycle (smcore.Core.NextWake) and the loop advances
+	// straight to the earliest pending event, skipping the ticks in
+	// between. What New builds unless told otherwise.
 	EngineEvent Engine = iota
 	// EngineTick is the reference tick-everything loop — slow, simple,
-	// and skip-free. It exists as a one-flag bisect target should an
-	// engine-parity diff ever appear in the field.
+	// and skip-free: the oracle the parity tests compare against.
 	EngineTick
 )
-
-// String returns the engine's flag spelling ("event" or "tick").
-func (e Engine) String() string {
-	if e == EngineTick {
-		return "tick"
-	}
-	return "event"
-}
-
-// ParseEngine converts a -engine flag value into an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "event":
-		return EngineEvent, nil
-	case "tick":
-		return EngineTick, nil
-	}
-	return EngineEvent, fmt.Errorf("core: unknown engine %q (want \"event\" or \"tick\")", s)
-}
-
-// defaultEngine is the engine New uses when no WithEngine option is
-// given; SetDefaultEngine lets front ends (gpusim -engine) steer every
-// run of a process without threading an option through each layer.
-var defaultEngine = EngineEvent
-
-// DefaultEngine returns the process-wide default engine.
-func DefaultEngine() Engine { return defaultEngine }
-
-// SetDefaultEngine changes the process-wide default engine. Call it
-// before building schedulers or GPUs; it is not synchronized.
-func SetDefaultEngine(e Engine) { defaultEngine = e }
 
 // Option configures a GPU at construction (New).
 type Option func(*GPU)
 
-// WithEngine selects the simulation engine for one GPU, overriding the
-// process default.
+// WithEngine selects the simulation engine for one GPU. Only parity
+// tests and the benchmark's traced run pass EngineTick.
 func WithEngine(e Engine) Option { return func(g *GPU) { g.engine = e } }
 
 // wheelHorizon is the calendar wheel's span in core cycles. It exceeds
@@ -74,44 +40,6 @@ func WithEngine(e Engine) Option { return func(g *GPU) { g.engine = e } }
 // cycles, the heavy-ALU reservation 8), so in practice no wake is ever
 // clamped to the horizon.
 const wheelHorizon = 4096
-
-// Compile-time checks that every scheduled unit honors the contract.
-var (
-	_ sched.Wakeable = (*smcore.Core)(nil)
-	_ sched.Wakeable = (*l2.Partition)(nil)
-	_ sched.Wakeable = (*dram.Channel)(nil)
-	_ sched.Wakeable = (*icnt.Network)(nil)
-	_ sched.Wakeable = (*GPU)(nil) // the GPU aggregates its units' wakes
-)
-
-// NextWake implements sched.Wakeable for the assembled GPU: the earliest
-// wake over every unit, ok only when every unit is parked. It is the
-// whole-GPU idle test the event engine's bulk jump uses, and what a
-// multi-GPU simulation would register with an outer scheduler.
-func (g *GPU) NextWake() (int64, bool) {
-	if g.icntWork {
-		return 0, false
-	}
-	for _, p := range g.parts {
-		if _, ok := p.NextWake(); !ok {
-			return 0, false
-		}
-		if _, ok := p.DRAM.NextWake(); !ok {
-			return 0, false
-		}
-	}
-	wake := sched.Never
-	for _, c := range g.cores {
-		w, ok := c.NextWake()
-		if !ok {
-			return 0, false
-		}
-		if w < wake {
-			wake = w
-		}
-	}
-	return wake, true
-}
 
 // runEvent is the calendar-queue event engine. Each core registers its
 // next-wake cycle on a calendar wheel (ties break in ascending core ID —
@@ -244,7 +172,7 @@ func (g *GPU) runEvent() (Metrics, error) {
 				if !dramBusy {
 					// TickL2 may have pushed a miss into a DRAM channel.
 					for _, p := range g.parts {
-						if _, ok := p.DRAM.NextWake(); !ok {
+						if !p.DRAM.Idle() {
 							dramBusy = true
 							break
 						}
@@ -267,7 +195,7 @@ func (g *GPU) runEvent() (Metrics, error) {
 				idle := true
 				for _, p := range g.parts {
 					p.DRAM.Tick()
-					if _, ok := p.DRAM.NextWake(); !ok {
+					if !p.DRAM.Idle() {
 						idle = false
 					}
 				}
@@ -412,7 +340,7 @@ func clampTarget(maxCycles, lastProgress, target int64) int64 {
 // for the 700 MHz domain. Callers have already checked the crossbars.
 func (g *GPU) anyPartitionIcntWork() bool {
 	for _, p := range g.parts {
-		if _, ok := p.NextWake(); !ok {
+		if p.HasL2Work() {
 			return true
 		}
 	}

@@ -211,19 +211,3 @@ func TestEngineClockAccumulators(t *testing.T) {
 		t.Errorf("DRAM stats diverged: %+v vs %+v", a, b)
 	}
 }
-
-// TestParseEngine pins the flag spellings of the escape hatch.
-func TestParseEngine(t *testing.T) {
-	for s, want := range map[string]Engine{"event": EngineEvent, "tick": EngineTick} {
-		got, err := ParseEngine(s)
-		if err != nil || got != want {
-			t.Errorf("ParseEngine(%q) = %v, %v; want %v", s, got, err, want)
-		}
-		if got.String() != s {
-			t.Errorf("Engine(%v).String() = %q; want %q", got, got.String(), s)
-		}
-	}
-	if _, err := ParseEngine("warp-speed"); err == nil {
-		t.Error("ParseEngine accepted an unknown engine name")
-	}
-}

@@ -84,7 +84,7 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 	if wl.Addr == nil {
 		return nil, fmt.Errorf("core: workload %q has no address generator", wl.Name)
 	}
-	g := &GPU{cfg: cfg, wl: wl, amap: dram.NewAddrMap(&cfg), pool: &mem.FetchPool{}, engine: DefaultEngine()}
+	g := &GPU{cfg: cfg, wl: wl, amap: dram.NewAddrMap(&cfg), pool: &mem.FetchPool{}, engine: EngineEvent}
 	for _, opt := range opts {
 		opt(g)
 	}
@@ -168,13 +168,10 @@ func (g *GPU) idealLatency(addr uint64) int64 {
 	return int64(g.cfg.IdealMemLatency)
 }
 
-// Cycle returns the current core-clock cycle.
-func (g *GPU) Cycle() int64 { return g.cycle }
-
 // Run simulates until every core drains, MaxCycles elapses, or progress
-// stops. It returns the collected metrics. The engine option selects how
-// the simulation advances — the calendar-queue event engine (default) or
-// the reference tick loop — never what it produces: both engines emit
+// stops. It returns the collected metrics. The engine selects how the
+// simulation advances — the calendar-queue event engine, or the reference
+// tick loop under test — never what it produces: both engines emit
 // byte-identical metrics and profiles for every cell.
 func (g *GPU) Run() (Metrics, error) {
 	if g.engine == EngineTick {
@@ -185,8 +182,8 @@ func (g *GPU) Run() (Metrics, error) {
 
 // runTick is the reference tick-everything loop: every unit of the
 // hierarchy advances every cycle, with no skip heuristics of any kind.
-// It exists as the one-flag bisect target (`gpusim -engine=tick`) and as
-// the oracle the event-engine parity tests compare against.
+// It is the oracle the event-engine parity tests compare against
+// (WithEngine(EngineTick)); no shipped binary selects it.
 func (g *GPU) runTick() (Metrics, error) {
 	icntRatio := g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
 	dramRatio := g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz

@@ -166,25 +166,14 @@ func (c *Channel) SetFetchPool(p *mem.FetchPool) { c.pool = p }
 // A full scheduler queue is what backs up the L2 miss queue (bp-DRAM).
 func (c *Channel) Full() bool { return c.sched.Full() }
 
-// QueueLen returns the current scheduler-queue occupancy.
-func (c *Channel) QueueLen() int { return c.sched.Len() }
-
 // Idle reports whether the channel holds no queued, in-flight or
-// unconsumed work.
+// unconsumed work. It is also the channel's whole wake answer to the
+// event engine: a channel with pending work must tick every command
+// cycle — FR-FCFS scheduling decisions and the pending/bus-busy
+// statistics are per-cycle — and an idle one sleeps until a pushed
+// request gives it work.
 func (c *Channel) Idle() bool {
 	return c.sched.Empty() && len(c.inflight) == 0 && c.ret.Empty()
-}
-
-// NextWake implements the event engine's sched.Wakeable contract, in
-// command-clock cycles. A channel with pending work must tick every
-// cycle — FR-FCFS scheduling decisions and the pending/bus-busy
-// statistics are per-cycle — so it reports ok=false until it drains,
-// then sleeps until a pushed request reschedules it.
-func (c *Channel) NextWake() (int64, bool) {
-	if !c.Idle() {
-		return 0, false
-	}
-	return math.MaxInt64, true
 }
 
 // Push enqueues a request. It returns false when the scheduler queue is

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gpumembw/internal/config"
+	"gpumembw/internal/trace"
 )
 
 // leukocyte is the cheapest Table II benchmark; every test here runs it
@@ -193,6 +194,47 @@ func TestInvalidConfigNeverPoisonsValidTwin(t *testing.T) {
 	}
 }
 
+// TestUnresolvableJobsGetNoCell extends the poisoning rule to every way a
+// job can fail to resolve: it errors from RunJob, its CellID aliases no
+// valid cell, and it never enters the memo — in particular a spelling
+// invalid only in a dead field, whose canonical identity IS its valid
+// twin's, neither poisons that cell nor is served from it.
+func TestUnresolvableJobsGetNoCell(t *testing.T) {
+	valid := SpecJob(config.Baseline(), leukSpec(t)) // PatRandomWS: StridePages is pattern-dead
+	deadInvalid := leukSpec(t)
+	deadInvalid.StridePages = -5 // rejected by Validate, zeroed by Identity
+	cfg := config.Baseline()
+
+	s := NewScheduler()
+	if _, err := s.RunJob(valid); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		job  Job
+	}{
+		{"invalid only in a pattern-dead field", SpecJob(config.Baseline(), deadInvalid)},
+		{"two config ref kinds", Job{Config: ConfigRef{Preset: "baseline", Config: &cfg}, Workload: valid.Workload}},
+		{"unknown preset", Job{Config: PresetRef("nope"), Workload: valid.Workload}},
+	} {
+		if _, err := s.RunJob(tc.job); err == nil {
+			t.Errorf("%s: RunJob accepted it", tc.name)
+		}
+		if _, err := tc.job.Resolve(); err == nil {
+			t.Errorf("%s: resolved", tc.name)
+		}
+		if tc.job.CellID() == valid.CellID() {
+			t.Errorf("%s: aliases the valid cell's ID %s", tc.name, valid.CellID())
+		}
+		if n := len(s.cells); n != 1 {
+			t.Errorf("%s: memo holds %d cells, want only the valid one", tc.name, n)
+		}
+	}
+	if st := s.Stats(); st.Simulated != 1 {
+		t.Fatalf("simulated = %d, want 1", st.Simulated)
+	}
+}
+
 func TestSweepOverConfigRefAxes(t *testing.T) {
 	s := NewScheduler()
 	var p config.Patch
@@ -224,5 +266,41 @@ func TestSweepOverConfigRefAxes(t *testing.T) {
 	}
 	if res.Cells[0][2].Cycles == res.Cells[0][0].Cycles {
 		t.Fatal("patched column aliased the baseline column")
+	}
+}
+
+// TestCellIDGolden pins the cell content-address schema end to end — the
+// exp-level twin of trace's SpecID and config's ConfigID golden tables.
+// Job IDs, disk-cache filenames and the benchmark's goldens are keyed on
+// these hashes, so they may only change together with a core.SimVersion
+// bump. Every spelling of one cell must land on the same ID.
+func TestCellIDGolden(t *testing.T) {
+	patch := func(doc string) ConfigRef {
+		var p config.Patch
+		if err := json.Unmarshal([]byte(doc), &p); err != nil {
+			t.Fatal(err)
+		}
+		return PatchRef(p)
+	}
+	mm, err := trace.SpecByName("mm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const baselineMM = "4b07e5406195159b"
+	for _, tc := range []struct {
+		name string
+		job  Job
+		want string
+	}{
+		{"preset", Job{Config: PresetRef("baseline"), Workload: BenchRef("mm")}, baselineMM},
+		{"inline twin", BenchJob(config.Baseline(), "mm"), baselineMM},
+		{"empty-patch twin", Job{Config: patch(`{"base":"baseline"}`), Workload: BenchRef("mm")}, baselineMM},
+		{"inline-spec twin", Job{Config: PresetRef("baseline"), Workload: SpecRef(mm)}, baselineMM},
+		{"patched L1", Job{Config: patch(`{"base":"baseline","L1":{"MSHREntries":64}}`), Workload: BenchRef("mm")}, "3c8d21b5b70c54a9"},
+		{"patched preset", Job{Config: patch(`{"base":"cost-effective-16+68","L2":{"MissQueueEntries":16}}`), Workload: BenchRef("dwt2d")}, "cda7b7004ee7dfc1"},
+	} {
+		if got := tc.job.CellID(); got != tc.want {
+			t.Errorf("%s: CellID = %q, want %q (cell-identity schema changed — bump core.SimVersion)", tc.name, got, tc.want)
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"gpumembw/internal/core"
 	"gpumembw/internal/metrics"
 	"gpumembw/internal/obsv"
-	"gpumembw/internal/smcore"
 	"gpumembw/internal/trace"
 )
 
@@ -77,21 +76,6 @@ func (r ConfigRef) named() config.Config {
 	return cfg
 }
 
-// refCount counts how many of the ref's three forms are set.
-func (r ConfigRef) refCount() int {
-	n := 0
-	if r.Preset != "" {
-		n++
-	}
-	if r.Config != nil {
-		n++
-	}
-	if r.Patch != nil {
-		n++
-	}
-	return n
-}
-
 // Label returns the configuration's display name: the preset name, the
 // inline config's name (or the unnamed-inline default), or the patch's
 // applied name ("<base>-patched" unless the delta renames it).
@@ -114,59 +98,31 @@ func (r ConfigRef) Label() string {
 	return ""
 }
 
-// Validate rejects refs that name no configuration, name more than one
-// kind, name an unknown preset, carry a patch that does not apply, or
-// resolve to a configuration config.Validate rejects. The error is
-// user-facing (server handlers return it as 400 detail).
-func (r ConfigRef) Validate() error {
-	cfg, err := r.Resolve()
-	if err != nil {
-		return err
-	}
-	return cfg.Validate()
-}
-
-// resolveConfig returns the ref's concrete configuration. ok is false
-// for the ref shapes that cannot name hardware at all — unknown preset
-// names, patches that fail to apply, refs naming several kinds or none —
-// so their memoized errors key on the raw ref spelling, never on a
-// config identity a valid job could share.
-func (r ConfigRef) resolveConfig() (config.Config, bool) {
-	cfg, err := r.Resolve()
-	return cfg, err == nil
-}
-
-// Resolve returns the concrete configuration through the error-returning
-// path — malformed refs produce an error a daemon can report, never a
-// panic.
+// Resolve returns the concrete configuration the ref names, validated:
+// refs that name no configuration, name more than one kind, name an
+// unknown preset, carry a patch that does not apply, or resolve to a
+// configuration config.Validate rejects are errors. The error is
+// user-facing (server handlers return it as 400 detail) — malformed refs
+// never panic.
 func (r ConfigRef) Resolve() (config.Config, error) {
-	if r.refCount() > 1 {
-		return config.Config{}, fmt.Errorf("preset, config and patch are mutually exclusive")
-	}
+	var cfg config.Config
+	var err error
 	switch {
+	case r.Preset != "" && (r.Config != nil || r.Patch != nil), r.Config != nil && r.Patch != nil:
+		return cfg, fmt.Errorf("preset, config and patch are mutually exclusive")
 	case r.Preset != "":
-		return config.ByName(r.Preset)
+		cfg, err = config.ByName(r.Preset)
 	case r.Config != nil:
-		return r.named(), nil
+		cfg = r.named()
 	case r.Patch != nil:
-		return r.Patch.Apply()
+		cfg, err = r.Patch.Apply()
 	default:
-		return config.Config{}, fmt.Errorf("one of preset, config or patch is required (known presets: %v)", config.Names())
+		return cfg, fmt.Errorf("one of preset, config or patch is required (known presets: %v)", config.Names())
 	}
-}
-
-// rawKey returns the ref's unresolvable raw spelling for cell keying:
-// the preset name and, for patches, their canonical JSON form. Only
-// called for refs resolveConfig rejected.
-func (r ConfigRef) rawKey() (preset, patchRaw string) {
-	if r.Patch != nil {
-		if b, err := json.Marshal(r.Patch); err == nil {
-			patchRaw = string(b)
-		} else {
-			patchRaw = fmt.Sprintf("%#v", *r.Patch)
-		}
+	if err == nil {
+		err = cfg.Validate()
 	}
-	return r.Preset, patchRaw
+	return cfg, err
 }
 
 // named returns the ref's spec with the unnamed-inline default applied.
@@ -187,52 +143,22 @@ func (r WorkloadRef) Label() string {
 	return r.Bench
 }
 
-// Validate rejects refs that name no workload, name both kinds, name an
-// unknown benchmark, or carry a malformed inline spec. The error is
-// user-facing (server handlers return it as 400 detail).
-func (r WorkloadRef) Validate() error {
+// Resolve returns the workload spec the ref names, validated: the inline
+// spec (with the unnamed-inline default applied) or the registered spec
+// of the named benchmark. Refs that name no workload, name both kinds,
+// name an unknown benchmark or carry a malformed inline spec are errors,
+// user-facing like ConfigRef.Resolve's.
+func (r WorkloadRef) Resolve() (trace.Spec, error) {
 	switch {
 	case r.Bench != "" && r.Spec != nil:
-		return fmt.Errorf("bench and spec are mutually exclusive")
+		return trace.Spec{}, fmt.Errorf("bench and spec are mutually exclusive")
 	case r.Spec != nil:
-		return r.named().Validate()
+		sp := r.named()
+		return sp, sp.Validate()
 	case r.Bench == "":
-		return fmt.Errorf("one of bench or spec is required (known benchmarks: %v)", trace.Names())
-	default:
-		if !trace.Exists(r.Bench) {
-			return fmt.Errorf("unknown benchmark %q (known: %v)", r.Bench, trace.Names())
-		}
-		return nil
+		return trace.Spec{}, fmt.Errorf("one of bench or spec is required (known benchmarks: %v)", trace.Names())
 	}
-}
-
-// resolve returns the ref's workload spec: the inline spec (with the
-// unnamed-inline default applied) or the registered spec of the named
-// benchmark. ok is false for the two ref shapes Build rejects — unknown
-// benchmark names and refs naming both kinds — so their memoized errors
-// key on the name, never on a spec identity a valid job could share.
-func (r WorkloadRef) resolve() (trace.Spec, bool) {
-	if r.Bench != "" && r.Spec != nil {
-		return trace.Spec{}, false
-	}
-	if r.Spec != nil {
-		return r.named(), true
-	}
-	sp, err := trace.SpecByName(r.Bench)
-	return sp, err == nil
-}
-
-// Build compiles the referenced workload through the error-returning
-// spec path — malformed refs produce an error a daemon can report, never
-// a panic.
-func (r WorkloadRef) Build() (*smcore.Workload, error) {
-	if r.Bench != "" && r.Spec != nil {
-		return nil, fmt.Errorf("bench and spec are mutually exclusive")
-	}
-	if r.Spec != nil {
-		return r.named().Build()
-	}
-	return trace.ByName(r.Bench)
+	return trace.SpecByName(r.Bench)
 }
 
 // Job is one deduplicatable unit of simulation work: a (configuration,
@@ -240,9 +166,16 @@ func (r WorkloadRef) Build() (*smcore.Workload, error) {
 // the configuration is a preset name, an inline config.Config or a
 // mitigation-knob Patch, and the workload is a paper benchmark by name
 // or any custom workload as an inline spec.
+//
+// Resolve turns the refs into the cell they name, once; the returned Job
+// carries that resolution through every layer it is handed to (scheduler,
+// result cache, daemon job record), so none of them derives it again. A
+// resolved Job's refs must not be reassigned.
 type Job struct {
 	Config   ConfigRef
 	Workload WorkloadRef
+
+	res *resolution
 }
 
 // BenchJob builds the common config-value × preset-benchmark job.
@@ -255,96 +188,112 @@ func SpecJob(cfg config.Config, sp trace.Spec) Job {
 	return Job{Config: InlineConfig(cfg), Workload: SpecRef(sp)}
 }
 
-// cellKey identifies a cell for memoization. Every half is a plain value
-// type (comparable) covering every knob that affects the simulation:
-// two configs or specs that differ in any live field memoize separately,
-// and callers may mutate presets without renaming them. Labels and
-// mode-dead fields are excluded — config.Config via Identity, and
-// trace.Spec's Name/Suite via Identity — so identical silicon or kernels
-// under different labels share one cell, and the cached Metrics may
-// carry the labels of whichever job simulated first. Preset config and
-// benchmark names, and config patches, resolve to their concrete
-// identities; preset/patchRaw/bench are set only for unresolvable refs
-// (unknown names, patches that fail to apply), whose errors memoize
-// under the raw spelling itself.
+// cellKey identifies a cell for memoization: the configuration's and the
+// workload's canonical identities, plain comparable values covering every
+// knob that affects the simulation. Two configs or specs that differ in
+// any live field memoize separately, and callers may mutate presets
+// without renaming them. Labels and mode-/pattern-dead fields are
+// excluded (config.Config.Identity, trace.Spec.Identity), so identical
+// silicon or kernels under different labels share one cell, and the
+// cached Metrics may carry the labels of whichever job simulated first.
 //
-// Refs that cannot simulate are kept out of valid cells: an INVALID
-// inline spec or config is keyed on its raw form (labels intact — raw
-// values carry a name, canonical identities never do, so the key spaces
-// are disjoint). Canonicalization zeroes pattern-/mode-dead fields, so
-// without this split a value invalid only in a dead field would alias
-// its valid twin's identity and poison that cell with a memoized error.
+// Only a job that resolved has a key. Canonicalization zeroes dead
+// fields, so a value invalid only in a dead field would otherwise alias
+// its valid twin's identity; validating before keying is what keeps such
+// a job from ever being served (or poisoning) the valid cell.
 type cellKey struct {
-	preset   string        // unknown preset names only
-	patchRaw string        // unresolvable patches only (raw JSON spelling)
-	cfg      config.Config // canonical config identity; raw for invalid configs
-	bench    string        // unknown benchmark names only
-	spec     trace.Spec    // canonical workload identity; raw for invalid specs
+	cfg  config.Config
+	spec trace.Spec
 }
 
-func (j Job) key() cellKey {
-	var k cellKey
-	cfg, ok := j.Config.resolveConfig()
-	switch {
-	case !ok:
-		k.preset, k.patchRaw = j.Config.rawKey()
-	case cfg.Validate() != nil:
-		k.cfg = cfg
-	default:
-		k.cfg = cfg.Identity()
-	}
-	sp, ok := j.Workload.resolve()
-	switch {
-	case !ok:
-		k.bench = j.Workload.Bench
-	case sp.Validate() != nil:
-		k.spec = sp
-	default:
-		k.spec = sp.Identity()
-	}
-	return k
+// resolution is what a Job's refs name: the concrete, validated
+// configuration and workload spec (labels intact), the memo key derived
+// from them, and — on first use — the content-addressed cell ID.
+type resolution struct {
+	cfg  config.Config
+	spec trace.Spec
+	key  cellKey
+
+	idOnce sync.Once
+	id     string
 }
 
-// CellID returns a stable, content-addressed identifier of the job's
-// memo cell: a hash over the canonical JSON of exactly the identity
-// key() memoizes on — the configuration's canonical identity
+// Resolve is the single resolution step: refs → concrete config.Config
+// and trace.Spec, validated, canonicalized and keyed. Job identity, memo
+// identity and disk-cache identity are this one decision. Resolving a
+// resolved Job is free.
+func (j Job) Resolve() (Job, error) {
+	if j.res != nil {
+		return j, nil
+	}
+	cfg, err := j.Config.Resolve()
+	if err != nil {
+		return j, err
+	}
+	sp, err := j.Workload.Resolve()
+	if err != nil {
+		return j, err
+	}
+	j.res = &resolution{cfg: cfg, spec: sp, key: cellKey{cfg: cfg.Identity(), spec: sp.Identity()}}
+	return j, nil
+}
+
+// Resolved returns the concrete configuration and workload spec the job
+// names (resolving it first if Resolve has not been called).
+func (j Job) Resolved() (config.Config, trace.Spec, error) {
+	j, err := j.Resolve()
+	if err != nil {
+		return config.Config{}, trace.Spec{}, err
+	}
+	return j.res.cfg, j.res.spec, nil
+}
+
+// noCellID is the CellID of a job that does not resolve. It is not a
+// hex string, so it can never alias a cell.
+const noCellID = "invalid"
+
+// CellID returns the stable, content-addressed identifier of the job's
+// memo cell: a hash over the canonical JSON of exactly the identity the
+// scheduler memoizes on — the configuration's canonical identity
 // (config.Config.Identity) plus the workload's canonical spec identity
 // (trace.Spec.Identity). gpusimd uses it for job IDs and disk-cache
 // filenames, so job identity and memo identity can never diverge, and an
-// inline config or spec equal to a preset lands on the preset's cell.
+// inline config or spec equal to a preset lands on the preset's cell. A
+// job that does not resolve names no cell and returns "invalid".
 func (j Job) CellID() string {
-	k := j.key()
-	payload := struct {
-		Config   config.Config `json:"config"`
-		Preset   string        `json:"preset,omitempty"`
-		PatchRaw string        `json:"patchRaw,omitempty"`
-		Bench    string        `json:"bench,omitempty"`
-		Spec     *trace.Spec   `json:"spec,omitempty"`
-	}{Config: k.cfg, Preset: k.preset, PatchRaw: k.patchRaw, Bench: k.bench}
-	if k.bench == "" {
-		payload.Spec = &k.spec
-	}
-	b, err := json.Marshal(payload)
+	j, err := j.Resolve()
 	if err != nil {
-		// Only non-finite floats (which validation rejects) can defeat
-		// Marshal; hash a deterministic textual form of the (all-value)
-		// key instead so CellID is total and never panics on garbage.
-		b = []byte(fmt.Sprintf("%#v", k))
+		return noCellID
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:8])
+	r := j.res
+	r.idOnce.Do(func() {
+		// Validated values hold no non-finite floats, the only thing
+		// that defeats Marshal.
+		b, _ := json.Marshal(struct {
+			Config config.Config `json:"config"`
+			Spec   trace.Spec    `json:"spec"`
+		}{r.key.cfg, r.key.spec})
+		sum := sha256.Sum256(b)
+		r.id = hex.EncodeToString(sum[:8])
+	})
+	return r.id
 }
 
-// dedupeJobs drops jobs whose cell already appeared earlier in the
-// slice, preserving first-occurrence order.
+// dedupeJobs resolves every job and drops those whose cell already
+// appeared earlier in the slice, preserving first-occurrence order. A job
+// that does not resolve stays, so RunJobs reports its error in job order.
 func dedupeJobs(jobs []Job) []Job {
 	seen := make(map[cellKey]bool, len(jobs))
 	uniq := jobs[:0:0]
 	for _, j := range jobs {
-		if k := j.key(); !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, j)
+		j, err := j.Resolve()
+		if err == nil {
+			if seen[j.res.key] {
+				continue
+			}
+			seen[j.res.key] = true
 		}
+		uniq = append(uniq, j)
 	}
 	return uniq
 }
@@ -426,6 +375,7 @@ type Scheduler struct {
 	mu        sync.Mutex
 	cells     map[cellKey]*cell
 	results   ResultCache
+	profiles  ProfileCache // results, when it also stores profiles
 	simulated atomic.Int64
 	hits      atomic.Int64
 	diskHits  atomic.Int64
@@ -458,7 +408,10 @@ func ValidateWorkers(n int) error {
 // WithResultCache attaches a second-level result store (e.g. gpusimd's
 // disk cache) consulted before simulating and filled after success.
 func WithResultCache(c ResultCache) Option {
-	return func(s *Scheduler) { s.results = c }
+	return func(s *Scheduler) {
+		s.results = c
+		s.profiles, _ = c.(ProfileCache)
+	}
 }
 
 // WithProgress directs one line per completed simulation to w. Writes are
@@ -511,63 +464,44 @@ func (s *Scheduler) RegisterMetrics(r *metrics.Registry, prefix string) {
 		func() float64 { return float64(s.simCycles.Load()) })
 }
 
-// Run executes (or recalls) one preset-benchmark simulation. If the cell
-// is already being simulated by another goroutine, Run waits for that
-// result rather than duplicating the work.
+// Run executes (or recalls) one preset-benchmark simulation; see RunJob.
 func (s *Scheduler) Run(cfg config.Config, bench string) (core.Metrics, error) {
-	return s.RunJobContext(context.Background(), BenchJob(cfg, bench))
+	return s.RunJob(BenchJob(cfg, bench))
 }
 
-// RunSpec executes (or recalls) one inline-spec simulation. A spec equal
-// to a registered benchmark (labels aside) shares that benchmark's cell.
-func (s *Scheduler) RunSpec(cfg config.Config, sp trace.Spec) (core.Metrics, error) {
-	return s.RunJobContext(context.Background(), SpecJob(cfg, sp))
-}
-
-// RunContext is Run with cancellation; see RunJobContext.
-func (s *Scheduler) RunContext(ctx context.Context, cfg config.Config, bench string) (core.Metrics, error) {
-	return s.RunJobContext(ctx, BenchJob(cfg, bench))
-}
-
-// RunJob executes (or recalls) one simulation cell.
+// RunJob executes (or recalls) one simulation cell. If the cell is
+// already being simulated by another goroutine, RunJob waits for that
+// result rather than duplicating the work.
 func (s *Scheduler) RunJob(j Job) (core.Metrics, error) {
-	return s.RunJobContext(context.Background(), j)
-}
-
-// RunJobContext is RunJob with cancellation: it returns ctx.Err() if ctx
-// is done before the work starts, and stops waiting on another
-// goroutine's in-flight cell when ctx is canceled. A simulation this call
-// itself has begun is not aborted mid-flight — the cycle engine is not
-// preemptible — so cancellation is effective for queued (not-yet-started)
-// work, which is exactly what gpusimd's DELETE /v1/jobs/{id} needs.
-func (s *Scheduler) RunJobContext(ctx context.Context, j Job) (core.Metrics, error) {
-	r, err := s.RunJobEx(ctx, j, false)
+	r, err := s.RunJobEx(context.Background(), j, false)
 	return r.Metrics, err
 }
 
-// RunJobEx is RunJobContext plus observability: when profile is true the
-// cell runs (or re-runs) with the bottleneck profiler attached, and the
-// result reports which cache tier served the request. Profiling never
-// changes cell identity or metrics — a profiled and an unprofiled
-// request share one cell, and a cell first computed without a profile is
-// deterministically re-simulated once to backfill it (the metrics are
-// provably identical, so only the profile is new information).
+// RunJobEx is RunJob with cancellation and observability. It returns
+// ctx.Err() if ctx is done before the work starts, and stops waiting on
+// another goroutine's in-flight cell when ctx is canceled; a simulation
+// this call itself has begun is not aborted mid-flight — the cycle engine
+// is not preemptible — so cancellation is effective for queued
+// (not-yet-started) work, which is exactly what gpusimd's DELETE
+// /v1/jobs/{id} needs. When profile is true the cell runs (or re-runs)
+// with the bottleneck profiler attached, and the result reports which
+// cache tier served the request. Profiling never changes cell identity or
+// metrics — a profiled and an unprofiled request share one cell, and a
+// cell first computed without a profile is deterministically re-simulated
+// once to backfill it (the metrics are provably identical, so only the
+// profile is new information).
 func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
 	}
-	// Fail fast on jobs that could never simulate, BEFORE touching the
-	// memo: validation errors need no memoization (re-validating is
-	// cheap), and keeping garbage out of s.cells means a key containing
-	// a non-finite float — which no map lookup would ever match again —
-	// cannot leak an unreachable cell per call.
-	if err := j.Config.Validate(); err != nil {
+	// Only a job that resolves gets a memo cell: resolution errors need no
+	// memoization (re-resolving is cheap), and a validated key holds no
+	// non-finite float, which no map lookup would ever match again.
+	j, err := j.Resolve()
+	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: %w", err)
 	}
-	if err := j.Workload.Validate(); err != nil {
-		return RunResult{}, fmt.Errorf("exp: %w", err)
-	}
-	key := j.key()
+	key := j.res.key
 	s.mu.Lock()
 	c, ok := s.cells[key]
 	if ok {
@@ -593,34 +527,19 @@ func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResul
 	s.cells[key] = c
 	s.mu.Unlock()
 
-	if s.results != nil {
-		if pc, ok := s.results.(ProfileCache); ok && profile {
-			// A profiled request only counts a disk hit when the entry
-			// already carries a profile; metrics-only entries still need
-			// the profiled re-simulation below.
-			if m, p, ok := pc.GetProfile(j); ok && p != nil {
-				s.diskHits.Add(1)
-				c.m = m
-				s.mu.Lock()
-				c.prof = p
-				s.mu.Unlock()
-				close(c.done)
-				return RunResult{Metrics: m, Profile: p, Tier: TierDisk}, nil
-			}
-		} else if !profile {
-			if m, ok := s.results.Get(j); ok {
-				s.diskHits.Add(1)
-				c.m = m
-				close(c.done)
-				return RunResult{Metrics: m, Tier: TierDisk}, nil
-			}
-		}
+	if m, p, ok := s.cached(j, profile); ok {
+		c.m = m
+		s.mu.Lock()
+		c.prof = p
+		s.mu.Unlock()
+		close(c.done)
+		return RunResult{Metrics: m, Profile: p, Tier: TierDisk}, nil
 	}
 	var p *obsv.Profile
 	c.m, p, c.err = s.simulate(j, profile)
 	if c.err == nil && s.results != nil {
-		if pc, ok := s.results.(ProfileCache); ok && p != nil {
-			pc.PutProfile(j, c.m, p)
+		if p != nil && s.profiles != nil {
+			s.profiles.PutProfile(j, c.m, p)
 		} else {
 			s.results.Put(j, c.m)
 		}
@@ -662,21 +581,14 @@ func (s *Scheduler) upgradeProfile(ctx context.Context, j Job, c *cell) (RunResu
 		}
 	}
 
-	var p *obsv.Profile
+	tier := TierDisk
+	_, p, ok := s.cached(j, true)
 	var err error
-	tier := TierSimulated
-	if pc, ok := s.results.(ProfileCache); ok && s.results != nil {
-		if _, dp, ok := pc.GetProfile(j); ok && dp != nil {
-			s.diskHits.Add(1)
-			p, tier = dp, TierDisk
-		}
-	}
-	if p == nil {
+	if !ok {
+		tier = TierSimulated
 		_, p, err = s.simulate(j, true)
-		if err == nil {
-			if pc, ok := s.results.(ProfileCache); ok && s.results != nil {
-				pc.PutProfile(j, c.m, p)
-			}
+		if err == nil && s.profiles != nil {
+			s.profiles.PutProfile(j, c.m, p)
 		}
 	}
 	s.mu.Lock()
@@ -686,24 +598,36 @@ func (s *Scheduler) upgradeProfile(ctx context.Context, j Job, c *cell) (RunResu
 	return RunResult{Metrics: c.m, Profile: p, Tier: tier}, err
 }
 
-// simulate runs one cell for real. The configuration resolves through
-// the error-returning ref path (preset lookup, patch application,
-// config.Validate) and the workload through the error-returning spec
-// path, so malformed user input — an inline spec, config or patch a
-// daemon accepted over the wire — surfaces as a job error, never a panic.
+// cached consults the second-level result cache, counting a hit. A
+// profiled request is only a hit when the entry already carries a
+// profile; metrics-only entries still need the profiled re-simulation.
+func (s *Scheduler) cached(j Job, profile bool) (core.Metrics, *obsv.Profile, bool) {
+	var m core.Metrics
+	var p *obsv.Profile
+	ok := false
+	switch {
+	case s.results == nil:
+	case !profile:
+		m, ok = s.results.Get(j)
+	case s.profiles != nil:
+		m, p, ok = s.profiles.GetProfile(j)
+		ok = ok && p != nil
+	}
+	if ok {
+		s.diskHits.Add(1)
+	}
+	return m, p, ok
+}
+
+// simulate runs one resolved cell for real. Building the workload goes
+// through the error-returning spec path, so nothing a daemon accepted
+// over the wire can panic here.
 func (s *Scheduler) simulate(j Job, profile bool) (core.Metrics, *obsv.Profile, error) {
-	cfg, err := j.Config.Resolve()
+	cfg, label := j.res.cfg, j.res.spec.Name
+	wl, err := j.res.spec.Build()
 	if err != nil {
 		return core.Metrics{}, nil, fmt.Errorf("exp: %w", err)
 	}
-	if err := cfg.Validate(); err != nil {
-		return core.Metrics{}, nil, fmt.Errorf("exp: %w", err)
-	}
-	wl, err := j.Workload.Build()
-	if err != nil {
-		return core.Metrics{}, nil, fmt.Errorf("exp: %w", err)
-	}
-	label := j.Workload.Label()
 	s.simulated.Add(1)
 	var m core.Metrics
 	var p *obsv.Profile
@@ -784,71 +708,4 @@ func (s *Scheduler) RunJobs(jobs []Job) error {
 		}
 	}
 	return nil
-}
-
-// JobsFor expands the requested report sections (nil or empty = all) into
-// the deduplicated list of simulation cells they need, in deterministic
-// paper order. Sections that need no simulation (tableI, tableIII, area)
-// contribute nothing. Derived design points (Fig. 3's fixed latencies,
-// Fig. 11's core clocks) come from the shared config builders, so the
-// cells scheduled here and the cells the figure assemblers request carry
-// the same names and memo keys.
-func JobsFor(sections []string) []Job {
-	want := sectionSet(sections)
-	var jobs []Job
-	addAll := func(cfg config.Config, benches []string) {
-		for _, b := range benches {
-			jobs = append(jobs, BenchJob(cfg, b))
-		}
-	}
-
-	// The baseline × all-benchmark row underlies Figs. 1, 4, 5, 7, 8, 9
-	// and every speedup denominator of Figs. 10 and 12.
-	if want["fig1"] || want["fig4"] || want["fig5"] || want["fig7"] ||
-		want["fig8"] || want["fig9"] || want["fig10"] || want["fig12"] {
-		addAll(config.Baseline(), Benches())
-	}
-	if want["tableII"] {
-		addAll(config.Baseline(), trace.Names())
-		addAll(config.InfiniteBW(), trace.Names())
-		addAll(config.InfiniteDRAM(), trace.Names())
-	}
-	if want["fig3"] {
-		addAll(config.Baseline(), Fig3Benches())
-		for _, lat := range Fig3Latencies {
-			addAll(config.FixedL1MissLatency(lat), Fig3Benches())
-		}
-	}
-	if want["fig10"] {
-		for _, cfg := range Fig10Configs() {
-			addAll(cfg, Benches())
-		}
-	}
-	if want["fig11"] {
-		addAll(config.Baseline(), Fig11Benches())
-		for _, mhz := range Fig11Clocks {
-			addAll(config.WithCoreClock(config.Baseline(), mhz), Fig11Benches())
-		}
-	}
-	if want["fig12"] {
-		for _, cfg := range Fig12Configs() {
-			addAll(cfg, Benches())
-		}
-		addAll(config.AsymmetricOnly(), Benches())
-	}
-	// Deduplicate across sections (e.g. tableII and fig3 both want
-	// baseline cells) so callers can size progress reporting off len().
-	return dedupeJobs(jobs)
-}
-
-// sectionSet normalizes a section selection: nil or empty means all.
-func sectionSet(sections []string) map[string]bool {
-	want := make(map[string]bool, len(Sections))
-	if len(sections) == 0 {
-		sections = Sections
-	}
-	for _, s := range sections {
-		want[s] = true
-	}
-	return want
 }

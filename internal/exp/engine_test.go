@@ -137,12 +137,12 @@ func TestJobsForDeduplicatesAndOrders(t *testing.T) {
 	}
 	// The full report is bounded and deduplicated.
 	all := JobsFor(nil)
-	keys := map[cellKey]bool{}
+	ids := map[string]bool{}
 	for _, j := range all {
-		if keys[j.key()] {
+		if ids[j.CellID()] {
 			t.Fatalf("duplicate job %s/%s in full expansion", j.Config.Label(), j.Workload.Label())
 		}
-		keys[j.key()] = true
+		ids[j.CellID()] = true
 	}
 }
 
@@ -159,10 +159,10 @@ func TestJobsForMatchesFigureCacheKeys(t *testing.T) {
 		{"fig11", config.WithCoreClock(config.Baseline(), Fig11Clocks[0]), Fig11Benches()[0]},
 		{"fig12", config.AsymmetricOnly(), Benches()[0]},
 	} {
-		want := BenchJob(tc.cfg, tc.bench).key()
+		want := BenchJob(tc.cfg, tc.bench).CellID()
 		found := false
 		for _, j := range JobsFor([]string{tc.section}) {
-			if j.key() == want {
+			if j.CellID() == want {
 				found = true
 				break
 			}

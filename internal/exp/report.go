@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"gpumembw/internal/config"
+	"gpumembw/internal/trace"
 )
 
 // Sections are the report section names accepted by Collect, Report and
@@ -54,6 +57,73 @@ func validateSections(sections []string) error {
 		}
 	}
 	return nil
+}
+
+// JobsFor expands the requested report sections (nil or empty = all) into
+// the deduplicated list of simulation cells they need, in deterministic
+// paper order. Sections that need no simulation (tableI, tableIII, area)
+// contribute nothing. Derived design points (Fig. 3's fixed latencies,
+// Fig. 11's core clocks) come from the shared config builders, so the
+// cells scheduled here and the cells the figure assemblers request carry
+// the same names and memo keys.
+func JobsFor(sections []string) []Job {
+	want := sectionSet(sections)
+	var jobs []Job
+	addAll := func(cfg config.Config, benches []string) {
+		for _, b := range benches {
+			jobs = append(jobs, BenchJob(cfg, b))
+		}
+	}
+
+	// The baseline × all-benchmark row underlies Figs. 1, 4, 5, 7, 8, 9
+	// and every speedup denominator of Figs. 10 and 12.
+	if want["fig1"] || want["fig4"] || want["fig5"] || want["fig7"] ||
+		want["fig8"] || want["fig9"] || want["fig10"] || want["fig12"] {
+		addAll(config.Baseline(), Benches())
+	}
+	if want["tableII"] {
+		addAll(config.Baseline(), trace.Names())
+		addAll(config.InfiniteBW(), trace.Names())
+		addAll(config.InfiniteDRAM(), trace.Names())
+	}
+	if want["fig3"] {
+		addAll(config.Baseline(), Fig3Benches())
+		for _, lat := range Fig3Latencies {
+			addAll(config.FixedL1MissLatency(lat), Fig3Benches())
+		}
+	}
+	if want["fig10"] {
+		for _, cfg := range Fig10Configs() {
+			addAll(cfg, Benches())
+		}
+	}
+	if want["fig11"] {
+		addAll(config.Baseline(), Fig11Benches())
+		for _, mhz := range Fig11Clocks {
+			addAll(config.WithCoreClock(config.Baseline(), mhz), Fig11Benches())
+		}
+	}
+	if want["fig12"] {
+		for _, cfg := range Fig12Configs() {
+			addAll(cfg, Benches())
+		}
+		addAll(config.AsymmetricOnly(), Benches())
+	}
+	// Deduplicate across sections (e.g. tableII and fig3 both want
+	// baseline cells) so callers can size progress reporting off len().
+	return dedupeJobs(jobs)
+}
+
+// sectionSet normalizes a section selection: nil or empty means all.
+func sectionSet(sections []string) map[string]bool {
+	want := make(map[string]bool, len(Sections))
+	if len(sections) == 0 {
+		sections = Sections
+	}
+	for _, s := range sections {
+		want[s] = true
+	}
+	return want
 }
 
 // Collect runs the requested experiment sections (nil = all) and returns

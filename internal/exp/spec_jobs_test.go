@@ -30,7 +30,7 @@ func TestInlineSpecSharesPresetCell(t *testing.T) {
 	sp := leukSpec(t)
 	sp.Name = "my-kernel" // labels are excluded from identity
 	sp.LinesPerAccess = 1 // explicit build-time default
-	m, err := s.RunSpec(config.Baseline(), sp)
+	m, err := s.RunJob(SpecJob(config.Baseline(), sp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestConcurrentInlineSpecDedup(t *testing.T) {
 			if i%2 == 1 {
 				sp.LinesPerAccess = 1 // equivalent explicit default
 			}
-			m, err := s.RunSpec(config.Baseline(), sp)
+			m, err := s.RunJob(SpecJob(config.Baseline(), sp))
 			cycles[i], errs[i] = m.Cycles, err
 		}(i)
 	}
@@ -105,7 +105,7 @@ func TestMalformedJobsFailWithoutPanic(t *testing.T) {
 	// the error-returning Build path (the gpusimd regression: a malformed
 	// spec reaching a worker must never panic the daemon).
 	bad := trace.Spec{Name: "bad", Iters: 0, LoadsPerIter: 1, Pattern: trace.PatStream}
-	if _, err := s.RunSpec(config.Baseline(), bad); err == nil || !strings.Contains(err.Error(), "Iters") {
+	if _, err := s.RunJob(SpecJob(config.Baseline(), bad)); err == nil || !strings.Contains(err.Error(), "Iters") {
 		t.Fatalf("err = %v, want Iters validation detail", err)
 	}
 	// Ref naming both kinds is rejected, not silently resolved — and its
@@ -119,7 +119,7 @@ func TestMalformedJobsFailWithoutPanic(t *testing.T) {
 	if both.CellID() == SpecJob(config.Baseline(), sp).CellID() {
 		t.Fatal("invalid both-set ref shares the valid spec's cell identity")
 	}
-	if _, err := s.RunSpec(config.Baseline(), sp); err != nil {
+	if _, err := s.RunJob(SpecJob(config.Baseline(), sp)); err != nil {
 		t.Fatalf("valid spec run poisoned by earlier both-set ref: %v", err)
 	}
 	// Invalid configs fail validation instead of simulating garbage.
@@ -143,20 +143,20 @@ func TestInvalidSpellingNeverAliasesValidCell(t *testing.T) {
 
 	// Invalid first: its memoized error must not poison the valid cell.
 	s := NewScheduler()
-	if _, err := s.RunSpec(config.Baseline(), invalid); err == nil {
+	if _, err := s.RunJob(SpecJob(config.Baseline(), invalid)); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
-	if _, err := s.RunSpec(config.Baseline(), valid); err != nil {
+	if _, err := s.RunJob(SpecJob(config.Baseline(), valid)); err != nil {
 		t.Fatalf("valid spec poisoned by invalid spelling: %v", err)
 	}
 
 	// Valid first: the invalid spelling must error, not be served the
 	// valid cell's metrics.
 	s2 := NewScheduler()
-	if _, err := s2.RunSpec(config.Baseline(), valid); err != nil {
+	if _, err := s2.RunJob(SpecJob(config.Baseline(), valid)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s2.RunSpec(config.Baseline(), invalid); err == nil {
+	if _, err := s2.RunJob(SpecJob(config.Baseline(), invalid)); err == nil {
 		t.Fatal("invalid spec served the valid cell's metrics")
 	}
 }
@@ -168,11 +168,8 @@ func TestUnnamedInlineSpecDefaultsLabel(t *testing.T) {
 	if ref.Label() != "custom" {
 		t.Fatalf("label = %q, want custom", ref.Label())
 	}
-	if err := ref.Validate(); err != nil {
-		t.Fatalf("unnamed inline spec rejected: %v", err)
-	}
-	if _, err := ref.Build(); err != nil {
-		t.Fatalf("unnamed inline spec failed to build: %v", err)
+	if sp, err := ref.Resolve(); err != nil || sp.Name != "custom" {
+		t.Fatalf("unnamed inline spec resolved to %q, %v", sp.Name, err)
 	}
 	// The default label does not perturb identity.
 	named := leukSpec(t)

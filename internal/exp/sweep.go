@@ -37,7 +37,7 @@ func (r *SweepResult) Speedups(baseCol int) [][]float64 {
 // hardware axes (MSHR entries, miss-queue depth, L2 banking, DRAM
 // scaling, ...) exactly like workload axes. Cells that collapse to the
 // same identity — within the sweep or against the memo cache — simulate
-// once; every ref is validated before any simulation starts.
+// once; every cell is resolved before any simulation starts.
 func (s *Scheduler) Sweep(cfgs []ConfigRef, workloads []WorkloadRef) (*SweepResult, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("exp: sweep needs at least one configuration")
@@ -45,27 +45,20 @@ func (s *Scheduler) Sweep(cfgs []ConfigRef, workloads []WorkloadRef) (*SweepResu
 	if len(workloads) == 0 {
 		return nil, fmt.Errorf("exp: sweep needs at least one workload")
 	}
-	for i, cref := range cfgs {
-		if err := cref.Validate(); err != nil {
-			return nil, fmt.Errorf("exp: sweep config %d: %w", i, err)
-		}
-	}
-	for i, ref := range workloads {
-		if err := ref.Validate(); err != nil {
-			return nil, fmt.Errorf("exp: sweep workload %d: %w", i, err)
-		}
-	}
-
 	res := &SweepResult{
 		Configs:   make([]string, len(cfgs)),
 		Workloads: make([]string, len(workloads)),
 		Cells:     make([][]core.Metrics, len(workloads)),
 	}
-	var jobs []Job
+	jobs := make([]Job, 0, len(workloads)*len(cfgs))
 	for w, ref := range workloads {
 		res.Workloads[w] = ref.Label()
-		for _, cref := range cfgs {
-			jobs = append(jobs, Job{Config: cref, Workload: ref})
+		for c, cref := range cfgs {
+			j, err := Job{Config: cref, Workload: ref}.Resolve()
+			if err != nil {
+				return nil, fmt.Errorf("exp: sweep cell (config %d, workload %d): %w", c, w, err)
+			}
+			jobs = append(jobs, j)
 		}
 	}
 	for c, cref := range cfgs {
@@ -78,15 +71,15 @@ func (s *Scheduler) Sweep(cfgs []ConfigRef, workloads []WorkloadRef) (*SweepResu
 	// deterministic for any worker count. Each job's labels are restamped
 	// so a cell shared with a differently-named twin still reports this
 	// sweep's names.
-	for w, ref := range workloads {
+	for w := range workloads {
 		res.Cells[w] = make([]core.Metrics, len(cfgs))
-		for c, cref := range cfgs {
-			m, err := s.RunJob(Job{Config: cref, Workload: ref})
+		for c := range cfgs {
+			m, err := s.RunJob(jobs[w*len(cfgs)+c])
 			if err != nil {
 				return nil, err
 			}
-			m.Config = cref.Label()
-			m.Benchmark = ref.Label()
+			m.Config = res.Configs[c]
+			m.Benchmark = res.Workloads[w]
 			res.Cells[w][c] = m
 		}
 	}

@@ -47,7 +47,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	s := NewScheduler()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := s.RunContext(ctx, config.Baseline(), "dwt2d")
+	_, err := s.RunJobEx(ctx, BenchJob(config.Baseline(), "dwt2d"), false)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -65,15 +65,18 @@ func TestRunContextStopsWaitingOnCancel(t *testing.T) {
 	s := NewScheduler()
 	// Plant an in-flight cell that never completes, as if another
 	// goroutine were mid-simulation.
-	j := BenchJob(config.Baseline(), "dwt2d")
+	j, err := BenchJob(config.Baseline(), "dwt2d").Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s.mu.Lock()
-	s.cells[j.key()] = &cell{done: make(chan struct{})}
+	s.cells[j.res.key] = &cell{done: make(chan struct{})}
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.RunJobContext(ctx, j)
+		_, err := s.RunJobEx(ctx, j, false)
 		errc <- err
 	}()
 	cancel()
@@ -91,23 +94,23 @@ func TestRunContextStopsWaitingOnCancel(t *testing.T) {
 // disk cache.
 type memCache struct {
 	mu   sync.Mutex
-	m    map[cellKey]core.Metrics
+	m    map[string]core.Metrics
 	puts int
 }
 
-func newMemCache() *memCache { return &memCache{m: make(map[cellKey]core.Metrics)} }
+func newMemCache() *memCache { return &memCache{m: make(map[string]core.Metrics)} }
 
 func (c *memCache) Get(j Job) (core.Metrics, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m, ok := c.m[j.key()]
+	m, ok := c.m[j.CellID()]
 	return m, ok
 }
 
 func (c *memCache) Put(j Job, m core.Metrics) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[j.key()] = m
+	c.m[j.CellID()] = m
 	c.puts++
 }
 

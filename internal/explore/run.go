@@ -61,14 +61,14 @@ func Compile(req api.ExploreRequest) (*Plan, error) {
 	var workloads []exp.WorkloadRef
 	for _, b := range req.Benchmarks {
 		ref := exp.BenchRef(b)
-		if err := ref.Validate(); err != nil {
+		if _, err := ref.Resolve(); err != nil {
 			return nil, fmt.Errorf("explore: %w", err)
 		}
 		workloads = append(workloads, ref)
 	}
 	for i, sp := range req.InlineSpecs {
 		ref := exp.SpecRef(sp)
-		if err := ref.Validate(); err != nil {
+		if _, err := ref.Resolve(); err != nil {
 			return nil, fmt.Errorf("explore: inline spec %d: %w", i, err)
 		}
 		workloads = append(workloads, ref)
@@ -157,37 +157,42 @@ type EvalResult struct {
 // out across its workers.
 type EvalBatch func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error)
 
-// SchedulerEval runs probe batches on an exp.Scheduler, one goroutine
-// per cell bounded by the scheduler's worker count, so a round's probes
-// exploit the same parallelism a sweep would.
-func SchedulerEval(s *exp.Scheduler) EvalBatch {
+// EvalEach builds an EvalBatch from a per-cell evaluator: one goroutine
+// per cell, at most limit inside eval at once, results in job order, the
+// first error in job order reported.
+func EvalEach(limit int, eval func(ctx context.Context, j exp.Job) (EvalResult, error)) EvalBatch {
 	return func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error) {
 		outs := make([]EvalResult, len(jobs))
-		sem := make(chan struct{}, s.Workers())
+		errs := make([]error, len(jobs))
+		sem := make(chan struct{}, limit)
 		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
 		for i, j := range jobs {
 			wg.Add(1)
 			go func(i int, j exp.Job) {
 				defer wg.Done()
 				sem <- struct{}{}
 				defer func() { <-sem }()
-				r, err := s.RunJobEx(ctx, j, false)
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-					return
-				}
-				outs[i] = EvalResult{Metrics: r.Metrics, Tier: r.Tier}
+				outs[i], errs[i] = eval(ctx, j)
 			}(i, j)
 		}
 		wg.Wait()
-		return outs, firstErr
+		for _, err := range errs {
+			if err != nil {
+				return outs, err
+			}
+		}
+		return outs, nil
 	}
+}
+
+// SchedulerEval runs probe batches on an exp.Scheduler, bounded by the
+// scheduler's worker count, so a round's probes exploit the same
+// parallelism a sweep would.
+func SchedulerEval(s *exp.Scheduler) EvalBatch {
+	return EvalEach(s.Workers(), func(ctx context.Context, j exp.Job) (EvalResult, error) {
+		r, err := s.RunJobEx(ctx, j, false)
+		return EvalResult{Metrics: r.Metrics, Tier: r.Tier}, err
+	})
 }
 
 // Status is the driver's published progress: completed rounds, distinct

@@ -21,7 +21,6 @@ package icnt
 
 import (
 	"fmt"
-	"math"
 	"math/bits"
 
 	"gpumembw/internal/mem"
@@ -119,9 +118,6 @@ func NewNetwork(name string, sources, dests, flitBytes, inCapFlits, outCapPacket
 	}
 	return n
 }
-
-// FlitBytes returns the network's flit size.
-func (n *Network) FlitBytes() int { return n.flitBytes }
 
 // DrainStamp returns a counter that advances whenever a flit leaves source
 // src's injection FIFO. A caller whose Inject failed on backpressure can
@@ -320,18 +316,6 @@ func (n *Network) arbitrate(d int) int {
 // (injected but not yet consumed), used by drain checks in tests.
 func (n *Network) InFlight() int64 {
 	return n.Stats.PacketsInjected - n.Stats.PacketsDelivered
-}
-
-// NextWake implements the event engine's sched.Wakeable contract, in the
-// network's own clock domain. A crossbar holding packets may move flits
-// (and records busy-output statistics) every cycle, so it reports
-// ok=false while any packet is in flight; drained, it sleeps until an
-// injection reschedules it.
-func (n *Network) NextWake() (int64, bool) {
-	if n.InFlight() != 0 {
-		return 0, false
-	}
-	return math.MaxInt64, true
 }
 
 // PortOcc reports output-port activity for the profiler: busy counts

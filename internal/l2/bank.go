@@ -68,11 +68,6 @@ type BankStats struct {
 	AccessOccupancy stats.OccupancyHist   // the Fig. 4 histogram
 }
 
-// MissRate returns misses (including merges) over accesses.
-func (s *BankStats) MissRate() float64 {
-	return stats.Ratio(s.Misses+s.Merged, s.Accesses)
-}
-
 // Bank is one L2 cache bank.
 type Bank struct {
 	ID  int // global bank index
@@ -139,9 +134,6 @@ func (b *Bank) Accept(f *mem.Fetch) bool {
 	f.L2ArriveCycle = b.now
 	return b.accessQ.Push(f)
 }
-
-// AccessQueueLen returns the current access-queue occupancy (Fig. 4 data).
-func (b *Bank) AccessQueueLen() int { return b.accessQ.Len() }
 
 // CanFill reports whether a DRAM fill for f can be applied this cycle:
 // the data port must be free and the previous fill's replies fully drained.

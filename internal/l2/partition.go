@@ -1,8 +1,6 @@
 package l2
 
 import (
-	"math"
-
 	"gpumembw/internal/config"
 	"gpumembw/internal/dram"
 	"gpumembw/internal/mem"
@@ -148,24 +146,24 @@ func (p *Partition) SkipTicks(n int64) {
 	}
 }
 
-// NextWake implements the event engine's sched.Wakeable contract for the
-// partition's 700 MHz half: the L2 banks and their network hand-offs. It
-// reports ok=false while any bank queue holds work or a DRAM fill waits
-// for delivery — every such cycle does real work or records stall
-// attribution — and sleeps otherwise (a request ejection or a completed
-// DRAM burst wakes it). The DRAM channel is its own Wakeable: it ticks
-// on a different clock.
-func (p *Partition) NextWake() (int64, bool) {
+// HasL2Work is the wake answer of the partition's 700 MHz half — the L2
+// banks and their network hand-offs — and it is a boolean: true while any
+// bank queue holds work or a DRAM fill waits for delivery (every such
+// cycle does real work or records stall attribution), false otherwise,
+// when only an external input — a request ejection or a completed DRAM
+// burst — can give it something to do. The DRAM channel answers for
+// itself (Channel.Idle): it ticks on a different clock.
+func (p *Partition) HasL2Work() bool {
 	if _, ok := p.DRAM.PeekResponse(); ok {
-		return 0, false
+		return true
 	}
 	for _, b := range p.Banks {
 		if b.accessQ.Len() != 0 || len(b.fillPending) != 0 ||
 			b.missQ.Len() != 0 || b.respQ.Len() != 0 {
-			return 0, false
+			return true
 		}
 	}
-	return math.MaxInt64, true
+	return false
 }
 
 // Idle reports whether the partition holds no work in any queue, MSHR or

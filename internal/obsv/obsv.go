@@ -61,9 +61,6 @@ func NewProfiler(defs []GaugeDef) *Profiler {
 	}
 }
 
-// NumGauges returns the width of the vectors Record expects.
-func (p *Profiler) NumGauges() int { return len(p.defs) }
-
 // Cycles returns the total number of cycles recorded so far.
 func (p *Profiler) Cycles() int64 { return p.cycles }
 

@@ -1,8 +1,9 @@
-// Package sched provides the scheduling primitives of the calendar-queue
-// event engine: the Wakeable contract every simulated unit implements, and
-// a calendar wheel ordering unit wake-ups by cycle with a deterministic
-// tie-break, so the engine advances straight to the earliest pending event
-// instead of ticking every unit every cycle.
+// Package sched provides the scheduling primitive of the calendar-queue
+// event engine: a calendar wheel ordering unit wake-ups by cycle with a
+// deterministic tie-break, so the engine advances straight to the earliest
+// pending event instead of ticking every unit every cycle. What a unit
+// answers when asked for its wake is the unit's own business
+// (smcore.Core.NextWake is the one answer that is a cycle).
 package sched
 
 import "math"
@@ -12,23 +13,6 @@ import "math"
 // reschedules it, or forever.
 const Never = int64(math.MaxInt64)
 
-// Wakeable is the uniform next-wake contract of the event engine, the
-// generalization of the idle fast-forward's core-only protocol to every
-// unit of the hierarchy.
-type Wakeable interface {
-	// NextWake reports whether the unit's state provably cannot change
-	// before some future cycle, and that cycle (in the unit's own clock
-	// domain). ok=false means the unit may make progress — or must record
-	// statistics that depend on downstream state — on the very next tick,
-	// so the engine keeps ticking it cycle by cycle. A unit that can never
-	// act again on its own returns (Never, true).
-	//
-	// The contract is one-sided: answering earlier than the true wake is
-	// always safe (a unit woken early observes no event and reschedules),
-	// answering later never is.
-	NextWake() (cycle int64, ok bool)
-}
-
 // Wheel is a calendar queue over small integer unit IDs. Each bucket
 // collects the IDs scheduled for one cycle residue; Due drains the current
 // cycle's bucket in ascending ID order, which is the engine's deterministic
@@ -37,7 +21,8 @@ type Wakeable interface {
 // Rescheduling is lazy: Schedule overwrites the authoritative per-ID wake
 // cycle and appends a fresh bucket entry; stale entries are dropped when
 // their bucket drains. Wakes beyond the wheel's horizon are clamped to it —
-// safe under the Wakeable contract, since a unit woken early reschedules.
+// safe under the one-sided wake contract, since a unit woken early
+// reschedules.
 type Wheel struct {
 	buckets [][]int32
 	mask    int64
@@ -73,7 +58,7 @@ func (w *Wheel) Live() int { return w.live }
 func (w *Wheel) ScheduledAt(id int32) int64 { return w.wake[id] }
 
 // Schedule (re)schedules id to wake at cycle. Cycles beyond the wheel's
-// horizon are clamped to its edge (an early wake, which the Wakeable
+// horizon are clamped to its edge (an early wake, which the one-sided wake
 // contract makes harmless). Scheduling at an id's current wake cycle is a
 // no-op; Never unschedules the id.
 func (w *Wheel) Schedule(id int32, cycle int64) {

@@ -73,7 +73,7 @@ func TestWheelMin(t *testing.T) {
 }
 
 // TestWheelHorizonClamp verifies that a wake beyond the wheel's horizon is
-// clamped to its edge — an early wake, which the Wakeable contract makes
+// clamped to its edge — an early wake, which the one-sided wake contract makes
 // harmless — instead of aliasing into a past bucket.
 func TestWheelHorizonClamp(t *testing.T) {
 	w := NewWheel(8, 2)

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"fmt"
 	"io"
-	"strings"
 
 	"gpumembw/internal/exp"
 )
@@ -27,8 +25,8 @@ type CacheStats struct {
 // built-in backend today; pointing several workers at one directory on a
 // shared volume gives a whole cluster a single cache namespace (entry
 // writes are atomic temp-file + rename, so concurrent writers are safe —
-// the LRU recency journal is advisory and per-process). Backends for
-// object stores register new schemes in OpenCache.
+// the LRU recency journal is advisory and per-process). Other stores plug
+// in through Options.Cache.
 //
 // Get and Put implement exp.ResultCache and may be called concurrently;
 // a Get miss must degrade gracefully (the cell re-simulates), never
@@ -50,22 +48,4 @@ type CacheBackend interface {
 // non-nil, receives I/O warnings.
 func NewDirCache(dir string, maxBytes int64, errlog io.Writer) (CacheBackend, error) {
 	return newDiskCache(dir, maxBytes, errlog)
-}
-
-// OpenCache opens the backend named by spec: "dir:<path>" — or a bare
-// path, the -cache-dir shorthand — opens the local spill directory.
-// Future backends (shared object stores) claim new schemes here, so
-// every entry point that accepts a cache location gains them at once.
-func OpenCache(spec string, maxBytes int64, errlog io.Writer) (CacheBackend, error) {
-	scheme, rest, ok := strings.Cut(spec, ":")
-	if !ok || strings.ContainsAny(scheme, "/.") {
-		// No scheme (or a path like ./cache, /var/cache): a bare directory.
-		return NewDirCache(spec, maxBytes, errlog)
-	}
-	switch scheme {
-	case "dir":
-		return NewDirCache(rest, maxBytes, errlog)
-	default:
-		return nil, fmt.Errorf("server: unknown cache backend scheme %q (known: dir)", scheme)
-	}
 }

@@ -38,11 +38,11 @@ func TestCancelStateMachine(t *testing.T) {
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 
-			cref, ref, err := resolveSpec(api.JobSpec{Config: "baseline", Bench: testBench})
+			cell, err := resolveSpec(api.JobSpec{Config: "baseline", Bench: testBench})
 			if err != nil {
 				t.Fatal(err)
 			}
-			j, _, err := srv.submit(api.JobSpec{Config: "baseline", Bench: testBench}, cref, ref, "test", "")
+			j, _, err := srv.submit(api.JobSpec{Config: "baseline", Bench: testBench}, cell, "test", "")
 			if err != nil {
 				t.Fatal(err)
 			}

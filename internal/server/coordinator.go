@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/json"
@@ -9,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"gpumembw/internal/api"
+	"gpumembw/internal/explore"
 	"gpumembw/internal/metrics"
 )
 
@@ -33,22 +34,15 @@ type CoordinatorOptions struct {
 	// ProbeFails is how many consecutive probe failures mark a worker
 	// unhealthy (its cells move to healthy peers); 0 selects 2.
 	ProbeFails int
-	// ErrLog, when non-nil, receives reassignment and probe warnings.
-	ErrLog io.Writer
 	// Logger, when non-nil, receives structured lifecycle events (worker
 	// health transitions, reassignments). nil disables structured logging
 	// (tests); cmd/gpusimd always wires one.
 	Logger *slog.Logger
 }
 
-// coordWorker is one worker's membership record.
-type coordWorker struct {
-	addr      string
-	healthy   bool
-	draining  bool
-	fails     int
-	lastProbe time.Time
-}
+// coordWorker is one worker's membership record, kept in the form GET
+// /v1/cluster serves it (Jobs is filled in per snapshot).
+type coordWorker struct{ api.WorkerStatus }
 
 // coordJob is the coordinator's placement record for one cell: enough
 // to re-route the cell to a new worker (the spec and the submitting
@@ -79,12 +73,10 @@ type coordJob struct {
 // and it stops receiving placements until it answers probes again.
 // POST /v1/cluster/drain does the same handover administratively.
 type Coordinator struct {
-	opts       CoordinatorOptions
-	probeFails int
-	proxy      *http.Client // no timeout: carries ?wait= long-polls
-	probe      *http.Client // ProbeTimeout per probe
-	errlog     io.Writer
-	log        *slog.Logger
+	probeFails   int
+	probeTimeout time.Duration
+	proxy        *http.Client // no timeout: carries ?wait= long-polls
+	log          *slog.Logger
 
 	mu         sync.Mutex
 	workers    []*coordWorker
@@ -107,101 +99,80 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 	if len(opts.Workers) == 0 {
 		return nil, errors.New("server: coordinator needs at least one -worker address")
 	}
-	interval := opts.ProbeInterval
-	if interval == 0 {
-		interval = time.Second
-	}
-	timeout := opts.ProbeTimeout
-	if timeout == 0 {
-		timeout = 2 * time.Second
-	}
-	fails := opts.ProbeFails
-	if fails == 0 {
-		fails = 2
-	}
 	co := &Coordinator{
-		opts:       opts,
-		probeFails: fails,
-		proxy:      &http.Client{},
-		probe:      &http.Client{Timeout: timeout},
-		errlog:     opts.ErrLog,
-		jobs:       make(map[string]*coordJob),
-		sweeps:     make(map[string]*sweepRec),
-		stop:       make(chan struct{}),
-	}
-	co.log = opts.Logger
-	if co.log == nil {
-		co.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+		probeFails:   cmp.Or(opts.ProbeFails, 2),
+		probeTimeout: cmp.Or(opts.ProbeTimeout, 2*time.Second),
+		proxy:        &http.Client{},
+		jobs:         make(map[string]*coordJob),
+		sweeps:       make(map[string]*sweepRec),
+		stop:         make(chan struct{}),
+		log:          loggerOrDiscard(opts.Logger),
 	}
 	seen := make(map[string]bool)
 	for _, addr := range opts.Workers {
-		addr = strings.TrimRight(addr, "/")
-		if !strings.Contains(addr, "://") {
-			addr = "http://" + addr
-		}
+		addr = workerURL(addr)
 		if seen[addr] {
 			return nil, fmt.Errorf("server: duplicate worker address %q", addr)
 		}
 		seen[addr] = true
 		// Workers start healthy — optimistically routable — and the first
 		// probes correct the record within ProbeFails*ProbeInterval.
-		co.workers = append(co.workers, &coordWorker{addr: addr, healthy: true})
+		co.workers = append(co.workers, &coordWorker{api.WorkerStatus{Addr: addr, Healthy: true}})
 	}
 	co.initMetrics()
 	// Coordinator explorations fan probe cells out across the fleet; the
 	// workers' shared disk cache (not a coordinator journal) is what makes
 	// re-running a search free, so the hub runs unjournaled here.
-	co.explorer, _ = newExploreHub("", co.exploreEval, co.log) // dir "" never errors
+	co.explorer, _ = newExploreHub("", explore.EvalEach(exploreEvalConcurrency, co.exploreCell), co.log) // dir "" never errors
 	co.wg.Add(1)
-	go co.prober(interval)
+	go co.prober(cmp.Or(opts.ProbeInterval, time.Second))
 	return co, nil
 }
 
+// initMetrics builds the /metrics registry; the cluster series read the
+// same snapshot GET /v1/cluster serves.
 func (co *Coordinator) initMetrics() {
 	r := metrics.NewRegistry()
 	co.registry = r
-	co.httpRequests = r.CounterVec("gpusimd_http_requests_total",
-		"HTTP requests served, by route pattern and status code.", "endpoint", "code")
-	co.httpLatency = r.HistogramVec("gpusimd_http_request_seconds",
-		"HTTP request latency in seconds, by route pattern.", []string{"endpoint"}, metrics.DefBuckets)
+	co.httpRequests, co.httpLatency = httpMetrics(r)
 	r.GaugeFunc("gpusimd_cluster_workers", "Workers configured on the coordinator.",
-		func() float64 { co.mu.Lock(); defer co.mu.Unlock(); return float64(len(co.workers)) })
+		func() float64 { return float64(len(co.clusterStats().Workers)) })
 	r.GaugeFunc("gpusimd_cluster_workers_healthy", "Workers currently healthy and not draining.",
-		func() float64 {
-			co.mu.Lock()
-			defer co.mu.Unlock()
-			n := 0
-			for _, w := range co.workers {
-				if w.healthy && !w.draining {
-					n++
-				}
-			}
-			return float64(n)
-		})
+		func() float64 { return float64(co.clusterStats().Healthy) })
 	r.GaugeFunc("gpusimd_cluster_tracked_jobs", "Cells the coordinator has placed.",
-		func() float64 { co.mu.Lock(); defer co.mu.Unlock(); return float64(len(co.jobs)) })
+		func() float64 { return float64(co.clusterStats().TrackedJobs) })
 	r.CounterFunc("gpusimd_cluster_reassigned_jobs_total",
 		"Cells re-routed after their worker became unhealthy or was drained.",
-		func() float64 { co.mu.Lock(); defer co.mu.Unlock(); return float64(co.reassigned) })
+		func() float64 { return float64(co.clusterStats().ReassignedJobs) })
 }
 
-func (co *Coordinator) warnf(format string, args ...any) {
-	if co.errlog != nil {
-		fmt.Fprintf(co.errlog, format+"\n", args...)
+// workerURL normalizes a worker address as configured or named in a
+// drain request: no trailing slash, http scheme unless one is given.
+func workerURL(addr string) string {
+	addr = strings.TrimRight(addr, "/")
+	if !strings.Contains(addr, "://") {
+		addr = "http://" + addr
 	}
+	return addr
+}
+
+// workerAddrs snapshots the configured worker addresses, in order.
+func (co *Coordinator) workerAddrs() []string {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	addrs := make([]string, len(co.workers))
+	for i, w := range co.workers {
+		addrs[i] = w.Addr
+	}
+	return addrs
 }
 
 // Handler returns the coordinator's route table — the daemon's API plus
 // the /v1/cluster membership routes.
 func (co *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		co.registry.WritePrometheus(w) //nolint:errcheck // response committed
-	})
+	mux.HandleFunc("GET /healthz", handleHealth)
+	mux.HandleFunc("GET /metrics", handleMetrics(co.registry))
 	mux.HandleFunc("GET /v1/stats", co.handleStats)
 	mux.HandleFunc("POST /v1/jobs", co.handleSubmit)
 	mux.HandleFunc("GET /v1/jobs", co.handleList)
@@ -246,10 +217,10 @@ func (co *Coordinator) pickLocked(cellID string, exclude map[string]bool) *coord
 	var best *coordWorker
 	var bestScore [sha256.Size]byte
 	for _, w := range co.workers {
-		if !w.healthy || w.draining || exclude[w.addr] {
+		if !w.Healthy || w.Draining || exclude[w.Addr] {
 			continue
 		}
-		score := sha256.Sum256([]byte(w.addr + "|" + cellID))
+		score := sha256.Sum256([]byte(w.Addr + "|" + cellID))
 		if best == nil || bytes.Compare(score[:], bestScore[:]) > 0 {
 			best, bestScore = w, score
 		}
@@ -258,36 +229,54 @@ func (co *Coordinator) pickLocked(cellID string, exclude map[string]bool) *coord
 }
 
 // errNoWorkers is the 503 returned when no worker can take a placement.
-func errNoWorkers() *httpError {
-	return &httpError{
-		status:     http.StatusServiceUnavailable,
-		retryAfter: time.Second,
-		msg:        "server: no healthy workers available",
-	}
+var errNoWorkers = &httpError{
+	status:     http.StatusServiceUnavailable,
+	retryAfter: time.Second,
+	msg:        "server: no healthy workers available",
 }
 
 // forwardIdentity is the client identity the coordinator forwards to
 // workers as the X-API-Key header, so per-client rate limits and
 // inflight quotas keep binding to the original client — not to the
-// coordinator's own address — across the fleet. Clients that present
-// an API key keep it; others are identified by their host.
+// coordinator's own address — across the fleet. It is the bare form of
+// the daemon's own clientKey: clients that present an API key keep it;
+// others are identified by their host.
 func forwardIdentity(r *http.Request) string {
-	if key := r.Header.Get("X-API-Key"); key != "" {
-		return key
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		host = r.RemoteAddr
-	}
-	return host
+	_, id, _ := strings.Cut(clientKey(r), ":")
+	return id
 }
 
-// forward issues one request to a worker. pathAndQuery carries the
-// original query string (wait, state, ...); identity rides X-API-Key.
-// A non-nil error is a transport failure — the worker never answered —
-// as opposed to a worker-sent HTTP error, which comes back as a
-// response to be proxied verbatim.
-func (co *Coordinator) forward(ctx context.Context, workerAddr, method, pathAndQuery, identity string, body []byte) (*http.Response, error) {
+// upstream is one worker's complete answer: status, headers and the
+// (bounded) body, read and closed.
+type upstream struct {
+	status int
+	header http.Header
+	body   []byte
+}
+
+func (u *upstream) ok() bool { return u.status >= 200 && u.status <= 299 }
+
+// relay copies the worker's answer to the client byte-for-byte — status,
+// error envelope and Retry-After included — so a client cannot tell a
+// coordinator's answer from the worker's own.
+func (u *upstream) relay(w http.ResponseWriter) {
+	for _, h := range []string{"Content-Type", "Retry-After", longPollHeader} {
+		if v := u.header.Get(h); v != "" {
+			w.Header().Set(h, v)
+		}
+	}
+	w.WriteHeader(u.status)
+	w.Write(u.body) //nolint:errcheck // response committed
+}
+
+// call is the one way the coordinator talks to a worker: issue the
+// request, read the bounded body, close it, and decode a 2xx answer into
+// out when non-nil (best effort: out is bookkeeping, the raw bytes are
+// what clients see). pathAndQuery carries the original query string;
+// identity rides X-API-Key. A non-nil error means the worker never
+// delivered an answer — a worker-sent HTTP error comes back as an
+// upstream, to be proxied verbatim.
+func (co *Coordinator) call(ctx context.Context, workerAddr, method, pathAndQuery, identity string, body []byte, out any) (*upstream, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -300,7 +289,7 @@ func (co *Coordinator) forward(ctx context.Context, workerAddr, method, pathAndQ
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if identity != "" {
-		req.Header.Set("X-API-Key", identity)
+		req.Header.Set(apiKeyHeader, identity)
 	}
 	// Propagate the request's trace ID to the worker, so one X-Trace-Id
 	// follows a submission from the fleet entry point to the simulating
@@ -308,70 +297,101 @@ func (co *Coordinator) forward(ctx context.Context, workerAddr, method, pathAndQ
 	if id := traceIDFrom(ctx); id != "" {
 		req.Header.Set(api.TraceHeader, id)
 	}
-	return co.proxy.Do(req)
-}
-
-// relay copies a worker response to the client byte-for-byte — status,
-// error envelope and Retry-After included — so a client cannot tell a
-// coordinator's answer from the worker's own. It returns the decoded
-// body for the coordinator's own bookkeeping when out is non-nil.
-func relay(w http.ResponseWriter, resp *http.Response, out any) []byte {
+	resp, err := co.proxy.Do(req)
+	if err != nil {
+		return nil, err
+	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		writeError(w, fmt.Errorf("server: reading worker response: %w", err))
-		return nil
+		return nil, fmt.Errorf("server: reading worker response: %w", err)
 	}
-	for _, h := range []string{"Content-Type", "Retry-After", longPollHeader} {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	w.Write(data) //nolint:errcheck // response committed
-	if out != nil && resp.StatusCode >= 200 && resp.StatusCode <= 299 {
+	up := &upstream{status: resp.StatusCode, header: resp.Header, body: data}
+	if out != nil && up.ok() {
 		json.Unmarshal(data, out) //nolint:errcheck // bookkeeping only
 	}
-	return data
+	return up, nil
+}
+
+// workerLocked finds a configured worker by address; callers hold co.mu.
+func (co *Coordinator) workerLocked(addr string) *coordWorker {
+	for _, w := range co.workers {
+		if w.Addr == addr {
+			return w
+		}
+	}
+	return nil
+}
+
+// pendingOnLocked lists the non-terminal cells placed on addr — the
+// reassignment workload of losing or draining it. Callers hold co.mu.
+func (co *Coordinator) pendingOnLocked(addr string) []*coordJob {
+	var pending []*coordJob
+	for _, j := range co.jobs {
+		if j.worker == addr && !j.snap.State.Terminal() {
+			pending = append(pending, j)
+		}
+	}
+	return pending
+}
+
+// noteWorker folds one observation of a worker into its health record —
+// the single place a worker changes health. A probe counts toward the
+// ProbeFails threshold and readmits on success; a transport failure on
+// the request path (probe=false) is conclusive at once. Each transition,
+// either way, logs one line. lost reports that this call took the worker
+// out; the caller moves its cells.
+func (co *Coordinator) noteWorker(addr string, ok, probe bool, cause error) (lost bool) {
+	co.mu.Lock()
+	w := co.workerLocked(addr)
+	if w == nil {
+		co.mu.Unlock()
+		return false
+	}
+	was, fails := w.Healthy, w.ConsecutiveFailures
+	switch {
+	case ok:
+		w.ConsecutiveFailures, w.Healthy = 0, true
+	case probe:
+		w.ConsecutiveFailures++
+		w.Healthy = was && w.ConsecutiveFailures < co.probeFails
+	default:
+		w.ConsecutiveFailures, w.Healthy = max(w.ConsecutiveFailures, co.probeFails), false
+	}
+	if probe {
+		w.LastProbe = time.Now()
+	}
+	now, moving := w.Healthy, 0
+	if !ok {
+		fails = w.ConsecutiveFailures
+	}
+	if was && !now {
+		moving = len(co.pendingOnLocked(addr))
+	}
+	co.mu.Unlock()
+	if was != now {
+		state := map[bool]string{true: "healthy", false: "unhealthy"}
+		level, attrs := slog.LevelInfo, []any{"worker", addr, "oldState", state[was], "newState", state[now],
+			"consecutiveFailures", fails, "reassignedCells", moving}
+		if !now {
+			level = slog.LevelWarn
+			if cause != nil {
+				attrs = append(attrs, "cause", cause.Error())
+			}
+		}
+		co.log.Log(context.Background(), level, "worker health transition", attrs...)
+	}
+	return was && !now
 }
 
 // markWorkerFailed records a transport failure on addr: the worker is
 // immediately unhealthy (probes will readmit it) and its cells are
-// handed to the remaining workers in the background.
+// handed to the remaining workers in the background. A request that
+// failed because its own client went away says nothing about the worker.
 func (co *Coordinator) markWorkerFailed(addr string, cause error) {
-	co.mu.Lock()
-	var failed *coordWorker
-	fails := 0
-	for _, w := range co.workers {
-		if w.addr == addr && w.healthy {
-			w.healthy = false
-			w.fails = max(w.fails, co.probeFails)
-			failed = w
-			fails = w.fails
-		}
-	}
-	pending := co.pendingCellsLocked(addr)
-	co.mu.Unlock()
-	if failed != nil {
-		co.warnf("worker %s unreachable (%v); reassigning its cells", addr, cause)
-		co.log.Warn("worker health transition", "worker", addr,
-			"oldState", "healthy", "newState", "unhealthy",
-			"consecutiveFailures", fails, "reassignedCells", pending,
-			"cause", cause.Error())
+	if !errors.Is(cause, context.Canceled) && co.noteWorker(addr, false, false, cause) {
 		go co.reassignWorker(addr)
 	}
-}
-
-// pendingCellsLocked counts the non-terminal cells placed on addr — the
-// reassignment workload a health transition implies. Callers hold co.mu.
-func (co *Coordinator) pendingCellsLocked(addr string) int {
-	n := 0
-	for _, j := range co.jobs {
-		if j.worker == addr && !j.snap.State.Terminal() {
-			n++
-		}
-	}
-	return n
 }
 
 // reassignWorker re-submits every non-terminal cell placed on addr to a
@@ -380,23 +400,15 @@ func (co *Coordinator) pendingCellsLocked(addr string) int {
 // or serves them from a shared cache.
 func (co *Coordinator) reassignWorker(addr string) {
 	co.mu.Lock()
-	var moving []*coordJob
-	for _, j := range co.jobs {
-		if j.worker == addr && !j.snap.State.Terminal() {
-			moving = append(moving, j)
-		}
-	}
+	moving := co.pendingOnLocked(addr)
 	co.mu.Unlock()
 	moved, failed := 0, 0
 	for _, j := range moving {
-		if _, err := co.placeJob(context.Background(), j.id, j.spec, j.owner, map[string]bool{addr: true}); err != nil {
-			co.warnf("reassign %s off %s: %v", j.id, addr, err)
+		if _, _, err := co.placeJob(context.Background(), j.id, j.spec, j.owner, map[string]bool{addr: true}); err != nil {
+			co.log.Warn("cell reassignment failed", "job", j.id, "worker", addr, "err", err)
 			failed++
 			continue
 		}
-		co.mu.Lock()
-		co.reassigned++
-		co.mu.Unlock()
 		moved++
 	}
 	if moved > 0 || failed > 0 {
@@ -406,38 +418,41 @@ func (co *Coordinator) reassignWorker(addr string) {
 
 // placeJob submits one cell to its rendezvous worker (excluding any in
 // exclude), walking down the preference order as transport failures
-// knock workers out. On success the placement is tracked and the
-// worker's raw response returned.
-func (co *Coordinator) placeJob(ctx context.Context, id string, spec api.JobSpec, identity string, exclude map[string]bool) (*http.Response, error) {
+// knock workers out. On success the placement is tracked — counted as a
+// reassignment when it moved the cell off another worker — the worker's
+// snapshot observed, and both returned.
+func (co *Coordinator) placeJob(ctx context.Context, id string, spec api.JobSpec, identity string, exclude map[string]bool) (*upstream, api.Job, error) {
 	if exclude == nil {
 		exclude = make(map[string]bool)
 	}
 	body, err := json.Marshal(spec)
 	if err != nil {
-		return nil, err
+		return nil, api.Job{}, err
 	}
 	for {
 		co.mu.Lock()
 		w := co.pickLocked(id, exclude)
 		co.mu.Unlock()
 		if w == nil {
-			return nil, errNoWorkers()
+			return nil, api.Job{}, errNoWorkers
 		}
 		placed := time.Now()
-		resp, err := co.forward(ctx, w.addr, http.MethodPost, "/v1/jobs", identity, body)
+		var snap api.Job
+		up, err := co.call(ctx, w.Addr, http.MethodPost, "/v1/jobs", identity, body, &snap)
 		if err != nil {
-			exclude[w.addr] = true
-			co.markWorkerFailed(w.addr, err)
+			exclude[w.Addr] = true
+			co.markWorkerFailed(w.Addr, err)
 			continue
 		}
-		co.trackJob(id, spec, w.addr, identity, placed)
-		return resp, nil
+		co.trackJob(id, spec, w.Addr, identity, placed)
+		co.observe(snap, up.body)
+		return up, snap, nil
 	}
 }
 
 // trackJob records (or moves) a cell's placement. placed is taken before
 // the placement forward so the coordinator's span precedes the worker's.
-func (co *Coordinator) trackJob(id string, spec api.JobSpec, workerAddr, identity string, placed time.Time) *coordJob {
+func (co *Coordinator) trackJob(id string, spec api.JobSpec, workerAddr, identity string, placed time.Time) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	j, ok := co.jobs[id]
@@ -445,10 +460,11 @@ func (co *Coordinator) trackJob(id string, spec api.JobSpec, workerAddr, identit
 		j = &coordJob{id: id, spec: spec, owner: identity}
 		j.snap = api.Job{ID: id, State: api.JobQueued, Spec: spec}
 		co.jobs[id] = j
+	} else if j.worker != workerAddr {
+		co.reassigned++
 	}
 	j.worker = workerAddr
 	j.placedAt = placed
-	return j
 }
 
 // observe folds a fresh worker snapshot into the placement record,
@@ -465,11 +481,104 @@ func (co *Coordinator) observe(snap api.Job, raw []byte) {
 		return
 	}
 	j.snap = snap
-	if snap.State.Terminal() && j.terminal == nil && raw != nil {
-		j.terminal = raw
-	}
 	if !snap.State.Terminal() {
 		j.terminal = nil // canceled jobs can be re-enqueued
+	} else if j.terminal == nil {
+		j.terminal = raw
+	}
+}
+
+// tracked returns a copy of cell id's placement record, if this
+// coordinator placed it.
+func (co *Coordinator) tracked(id string) (coordJob, bool) {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	j, ok := co.jobs[id]
+	if !ok {
+		return coordJob{}, false
+	}
+	return *j, true
+}
+
+// errUntracked reports a per-cell request for a cell this coordinator
+// never placed.
+var errUntracked = errors.New("server: untracked job")
+
+// cellRequest performs one per-cell verb — GET job, profile, trace,
+// DELETE, the sweep-wait refresh, the explore probe's poll — against the
+// worker that owns a tracked cell; pathAndQuery continues
+// "/v1/jobs/{id}". One fail-over rule serves every verb: a transport
+// failure marks the worker failed (its cells move off in the background)
+// and answers 503 "worker unreachable". A read of the job's own snapshot
+// (jobRead) goes further, because any worker can reproduce a
+// deterministic cell while a cancel or a profile belongs to the lost
+// run: the cell is re-placed synchronously and the read retried there,
+// and a finished cell is answered from its cached terminal bytes.
+func (co *Coordinator) cellRequest(ctx context.Context, id, method, pathAndQuery, identity string, jobRead bool, out any) (*upstream, error) {
+	for attempt := 0; ; attempt++ {
+		j, ok := co.tracked(id)
+		if !ok {
+			return nil, errUntracked
+		}
+		if j.terminal != nil && jobRead {
+			if out != nil {
+				json.Unmarshal(j.terminal, out) //nolint:errcheck // bookkeeping only
+			}
+			return &upstream{status: http.StatusOK, header: http.Header{"Content-Type": {"application/json"}}, body: j.terminal}, nil
+		}
+		up, err := co.call(ctx, j.worker, method, "/v1/jobs/"+id+pathAndQuery, identity, nil, out)
+		if err == nil {
+			return up, nil
+		}
+		if ctx.Err() != nil {
+			return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server: client canceled"}
+		}
+		co.markWorkerFailed(j.worker, err)
+		if !jobRead {
+			return nil, &httpError{status: http.StatusServiceUnavailable,
+				msg: fmt.Sprintf("server: worker %s unreachable: %v", j.worker, err)}
+		}
+		if attempt >= len(co.workers) { // the slice itself never changes after New
+			return nil, errNoWorkers
+		}
+		if _, _, err := co.placeJob(ctx, id, j.spec, j.owner, map[string]bool{j.worker: true}); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// cellAnswer fetches the owning worker's answer to one per-cell route
+// (decoded into out when 2xx). When there is none to relay it writes the
+// response itself and returns nil: cells placed elsewhere (a peer entry
+// point, a direct client) are looked for on every worker when the verb
+// is a read, a cancel of an untracked cell is a 404, and a lost worker
+// is cellRequest's 503.
+func (co *Coordinator) cellAnswer(w http.ResponseWriter, r *http.Request, method, suffix string, out any) *upstream {
+	id := r.PathValue("id")
+	pq := suffix
+	if r.URL.RawQuery != "" {
+		pq += "?" + r.URL.RawQuery
+	}
+	jobRead := method == http.MethodGet && suffix == ""
+	up, err := co.cellRequest(r.Context(), id, method, pq, forwardIdentity(r), jobRead, out)
+	switch {
+	case errors.Is(err, errUntracked) && method == http.MethodGet:
+		co.fanoutGet(w, r, "/v1/jobs/"+id+suffix)
+	case errors.Is(err, errUntracked):
+		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown job %q", id)})
+	case err != nil:
+		writeError(w, err)
+	}
+	return up
+}
+
+// relayJob relays a verb whose answer is the job's own snapshot (GET,
+// DELETE) and folds that snapshot into the placement record.
+func (co *Coordinator) relayJob(w http.ResponseWriter, r *http.Request, method string) {
+	var snap api.Job
+	if up := co.cellAnswer(w, r, method, "", &snap); up != nil {
+		up.relay(w)
+		co.observe(snap, up.body)
 	}
 }
 
@@ -481,20 +590,17 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("decode job spec: %v", err))
 		return
 	}
-	cref, ref, err := resolveSpec(spec)
+	cell, err := resolveSpec(spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	id := cellID(cref, ref)
-	resp, err := co.placeJob(r.Context(), id, spec, forwardIdentity(r), nil)
+	up, _, err := co.placeJob(r.Context(), cell.CellID(), spec, forwardIdentity(r), nil)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	var snap api.Job
-	raw := relay(w, resp, &snap)
-	co.observe(snap, raw)
+	up.relay(w)
 }
 
 func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -503,185 +609,58 @@ func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he)
 		return
 	}
-	id := r.PathValue("id")
-	co.mu.Lock()
-	j, tracked := co.jobs[id]
-	var cached []byte
-	var worker string
-	if tracked {
-		cached, worker = j.terminal, j.worker
-	}
-	co.mu.Unlock()
-
-	if cached != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(cached) //nolint:errcheck // response committed
-		return
-	}
-	if !tracked {
-		// Not placed through this coordinator: ask every worker (a peer
-		// entry point or a direct client may have placed it).
-		co.fanoutGet(w, r, "/v1/jobs/"+id)
-		return
-	}
-	pq := "/v1/jobs/" + id
-	if r.URL.RawQuery != "" {
-		pq += "?" + r.URL.RawQuery
-	}
-	identity := forwardIdentity(r)
-	for attempt := 0; ; attempt++ {
-		resp, err := co.forward(r.Context(), worker, http.MethodGet, pq, identity, nil)
-		if err != nil {
-			if r.Context().Err() != nil {
-				writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: "server: client canceled"})
-				return
-			}
-			co.markWorkerFailed(worker, err)
-			// Replace the placement synchronously so this read (and the
-			// retried forward) lands on the live worker.
-			resp2, perr := co.placeJob(r.Context(), id, j.spec, j.owner, map[string]bool{worker: true})
-			if perr != nil {
-				writeError(w, perr)
-				return
-			}
-			resp2.Body.Close()
-			co.mu.Lock()
-			co.reassigned++
-			worker = co.jobs[id].worker
-			co.mu.Unlock()
-			if attempt >= len(co.opts.Workers) {
-				writeError(w, errNoWorkers())
-				return
-			}
-			continue
-		}
-		var snap api.Job
-		raw := relay(w, resp, &snap)
-		co.observe(snap, raw)
-		return
-	}
+	co.relayJob(w, r, http.MethodGet)
 }
 
-// handleJobProfile relays GET /v1/jobs/{id}/profile from the owning
-// worker (or by fanout for cells placed elsewhere). The worker's payload
+// handleJobProfile relays GET /v1/jobs/{id}/profile. The worker's payload
 // — profile or 404 envelope — is proxied verbatim: profiles are
 // deterministic artifacts, identical whichever worker produced them.
 func (co *Coordinator) handleJobProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	co.mu.Lock()
-	j, tracked := co.jobs[id]
-	var worker string
-	if tracked {
-		worker = j.worker
+	if up := co.cellAnswer(w, r, http.MethodGet, "/profile", nil); up != nil {
+		up.relay(w)
 	}
-	co.mu.Unlock()
-	path := "/v1/jobs/" + id + "/profile"
-	if !tracked {
-		co.fanoutGet(w, r, path)
-		return
-	}
-	resp, err := co.forward(r.Context(), worker, http.MethodGet, path, forwardIdentity(r), nil)
-	if err != nil {
-		co.markWorkerFailed(worker, err)
-		writeError(w, &httpError{status: http.StatusServiceUnavailable,
-			msg: fmt.Sprintf("server: worker %s unreachable: %v", worker, err)})
-		return
-	}
-	relay(w, resp, nil)
+}
+
+func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
+	co.relayJob(w, r, http.MethodDelete)
 }
 
 // handleJobTrace relays GET /v1/jobs/{id}/trace from the owning worker,
 // prepending the coordinator's own placement marker so the timeline
 // shows the fleet hop in front of the worker's lifecycle spans.
 func (co *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	co.mu.Lock()
-	j, tracked := co.jobs[id]
-	var worker string
-	var placedAt time.Time
-	if tracked {
-		worker, placedAt = j.worker, j.placedAt
-	}
-	co.mu.Unlock()
-	path := "/v1/jobs/" + id + "/trace"
-	if !tracked {
-		co.fanoutGet(w, r, path)
-		return
-	}
-	resp, err := co.forward(r.Context(), worker, http.MethodGet, path, forwardIdentity(r), nil)
-	if err != nil {
-		co.markWorkerFailed(worker, err)
-		writeError(w, &httpError{status: http.StatusServiceUnavailable,
-			msg: fmt.Sprintf("server: worker %s unreachable: %v", worker, err)})
-		return
-	}
-	defer resp.Body.Close()
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if rerr != nil {
-		writeError(w, fmt.Errorf("server: reading worker response: %w", rerr))
+	j, _ := co.tracked(r.PathValue("id"))
+	up := co.cellAnswer(w, r, http.MethodGet, "/trace", nil)
+	if up == nil {
 		return
 	}
 	var tr api.Trace
-	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &tr) != nil {
+	if up.status != http.StatusOK || json.Unmarshal(up.body, &tr) != nil {
 		// Not a trace payload (error envelope, decode failure): proxy it
 		// byte-for-byte like any other worker response.
-		if ct := resp.Header.Get("Content-Type"); ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(resp.StatusCode)
-		w.Write(data) //nolint:errcheck // response committed
+		up.relay(w)
 		return
 	}
-	end := placedAt
-	placed := api.Span{Name: "placed", Start: placedAt, End: &end,
-		Attrs: map[string]string{"worker": worker}}
+	end := j.placedAt
+	placed := api.Span{Name: "placed", Start: j.placedAt, End: &end,
+		Attrs: map[string]string{"worker": j.worker}}
 	tr.Spans = append([]api.Span{placed}, tr.Spans...)
 	writeJSON(w, http.StatusOK, tr)
 }
 
 // fanoutGet proxies a GET to every worker until one answers non-404;
-// otherwise the last (or a synthesized) 404 is relayed.
+// otherwise a 404 is synthesized.
 func (co *Coordinator) fanoutGet(w http.ResponseWriter, r *http.Request, path string) {
-	co.mu.Lock()
-	workers := make([]string, 0, len(co.workers))
-	for _, wk := range co.workers {
-		workers = append(workers, wk.addr)
-	}
-	co.mu.Unlock()
 	identity := forwardIdentity(r)
-	for _, addr := range workers {
-		resp, err := co.forward(r.Context(), addr, http.MethodGet, path, identity, nil)
-		if err != nil {
+	for _, addr := range co.workerAddrs() {
+		up, err := co.call(r.Context(), addr, http.MethodGet, path, identity, nil, nil)
+		if err != nil || up.status == http.StatusNotFound {
 			continue
 		}
-		if resp.StatusCode == http.StatusNotFound {
-			resp.Body.Close()
-			continue
-		}
-		relay(w, resp, nil)
+		up.relay(w)
 		return
 	}
 	writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown resource %q on any worker", path)})
-}
-
-func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	co.mu.Lock()
-	j, tracked := co.jobs[id]
-	co.mu.Unlock()
-	if !tracked {
-		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown job %q", id)})
-		return
-	}
-	resp, err := co.forward(r.Context(), j.worker, http.MethodDelete, "/v1/jobs/"+id, forwardIdentity(r), nil)
-	if err != nil {
-		co.markWorkerFailed(j.worker, err)
-		writeError(w, &httpError{status: http.StatusServiceUnavailable, msg: fmt.Sprintf("server: worker %s unreachable: %v", j.worker, err)})
-		return
-	}
-	var snap api.Job
-	raw := relay(w, resp, &snap)
-	co.observe(snap, raw)
 }
 
 func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -695,184 +674,134 @@ func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
+	byID, rejected, err := co.admitSweep(r.Context(), ex.cells, forwardIdentity(r))
+	if rejected != nil {
+		rejected.relay(w) // the rejecting worker's own envelope, verbatim
+		return
+	}
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	// Merge the shard responses in the request's cell order — the same
+	// order a single daemon returns — and register the sweep resource.
 	id := sweepID(ex.cells)
-	identity := forwardIdentity(r)
-
-	// Shard the cells by rendezvous placement, then admit shard by
-	// shard. Admission is all-or-nothing per worker already (the
-	// daemon's atomic sweep admission); across workers the coordinator
-	// compensates — if a later shard is rejected, the queued jobs of
-	// admitted shards are canceled best-effort and the worker's own
-	// error envelope is relayed, so the client retries one all-or-
-	// nothing operation, never reasons about half a sweep.
-	type shard struct {
-		addr  string
-		cells []resolvedCell
+	out := api.SweepResponse{ID: id, Requested: ex.requested, Deduped: ex.requested - len(ex.cells)}
+	for _, c := range ex.cells {
+		out.Jobs = append(out.Jobs, byID[c.id])
 	}
-	byID := make(map[string]api.Job, len(ex.cells))
-	var admitted []shard
-	rollback := func() {
-		for _, sh := range admitted {
-			for _, c := range sh.cells {
-				if j, ok := byID[c.id]; ok && j.State == api.JobQueued {
-					if resp, derr := co.forward(context.Background(), sh.addr, http.MethodDelete, "/v1/jobs/"+c.id, identity, nil); derr == nil {
-						resp.Body.Close()
-					}
-				}
-			}
+	co.mu.Lock()
+	registerSweep(co.sweeps, id, ex)
+	co.mu.Unlock()
+	writeJSON(w, http.StatusOK, out)
+}
+
+// admitSweep shards cells by rendezvous placement and admits shard by
+// shard, returning every cell's snapshot. Admission is all-or-nothing per
+// worker already (the daemon's atomic sweep admission); across workers
+// the coordinator compensates — if a later shard is rejected (queue full,
+// quota, drain: returned as rejected) or cannot be placed, the jobs
+// earlier shards queued are canceled best-effort, so the client retries
+// one all-or-nothing operation, never reasons about half a sweep.
+func (co *Coordinator) admitSweep(ctx context.Context, cells []resolvedCell, identity string) (byID map[string]api.Job, rejected *upstream, err error) {
+	byID = make(map[string]api.Job, len(cells))
+	var queued [][2]string // (worker, job ID) this sweep enqueued so far
+	defer func() {
+		if rejected == nil && err == nil {
+			return
 		}
-	}
-
-	pending := ex.cells
+		for _, q := range queued {
+			co.call(context.Background(), q[0], http.MethodDelete, "/v1/jobs/"+q[1], identity, nil, nil) //nolint:errcheck // best-effort undo
+		}
+	}()
 	excluded := make(map[string]bool)
-	for len(pending) > 0 {
+	for pending := cells; len(pending) > 0; {
 		// Partition what's left over the currently routable workers.
 		co.mu.Lock()
 		parts := make(map[string][]resolvedCell)
-		routable := false
 		for _, c := range pending {
 			if wk := co.pickLocked(c.id, excluded); wk != nil {
-				parts[wk.addr] = append(parts[wk.addr], c)
-				routable = true
+				parts[wk.Addr] = append(parts[wk.Addr], c)
 			}
 		}
 		co.mu.Unlock()
-		if !routable {
-			rollback()
-			writeError(w, errNoWorkers())
-			return
+		if len(parts) == 0 {
+			return nil, nil, errNoWorkers
 		}
 		addrs := make([]string, 0, len(parts))
 		for addr := range parts {
 			addrs = append(addrs, addr)
 		}
 		sort.Strings(addrs)
-		var retry []resolvedCell
+		pending = nil
 		for _, addr := range addrs {
-			cells := parts[addr]
-			specs := make([]api.JobSpec, len(cells))
-			for i, c := range cells {
+			shard := parts[addr]
+			specs := make([]api.JobSpec, len(shard))
+			for i, c := range shard {
 				specs[i] = c.spec
 			}
-			body, merr := json.Marshal(api.SweepRequest{Cells: specs})
-			if merr != nil {
-				rollback()
-				writeError(w, merr)
-				return
+			body, err := json.Marshal(api.SweepRequest{Cells: specs})
+			if err != nil {
+				return nil, nil, err
 			}
 			placed := time.Now()
-			resp, ferr := co.forward(r.Context(), addr, http.MethodPost, "/v1/sweeps", identity, body)
-			if ferr != nil {
+			var sr api.SweepResponse
+			up, err := co.call(ctx, addr, http.MethodPost, "/v1/sweeps", identity, body, &sr)
+			if err != nil {
 				// Transport failure: the shard moves to the next pick.
 				excluded[addr] = true
-				co.markWorkerFailed(addr, ferr)
-				retry = append(retry, cells...)
+				co.markWorkerFailed(addr, err)
+				pending = append(pending, shard...)
 				continue
 			}
-			if resp.StatusCode < 200 || resp.StatusCode > 299 {
-				// The worker rejected the shard (queue full, quota, drain):
-				// undo the admitted shards and relay its envelope verbatim.
-				rollback()
-				relay(w, resp, nil)
-				return
+			if !up.ok() {
+				return nil, up, nil
 			}
-			var sr api.SweepResponse
-			data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			resp.Body.Close()
-			if rerr != nil || json.Unmarshal(data, &sr) != nil {
-				rollback()
-				writeError(w, fmt.Errorf("server: worker %s sweep response unreadable: %v", addr, rerr))
-				return
+			if len(sr.Jobs) != len(shard) {
+				return nil, nil, fmt.Errorf("server: worker %s sweep response unreadable", addr)
 			}
 			for i, job := range sr.Jobs {
 				byID[job.ID] = job
-				co.trackJob(job.ID, cells[i].spec, addr, identity, placed)
+				co.trackJob(job.ID, shard[i].spec, addr, identity, placed)
 				co.observe(job, nil)
+				if job.State == api.JobQueued {
+					queued = append(queued, [2]string{addr, job.ID})
+				}
 			}
-			admitted = append(admitted, shard{addr: addr, cells: cells})
 		}
-		pending = retry
 	}
-
-	// Merge the shard responses in the request's cell order — the same
-	// order a single daemon returns — and register the sweep resource.
-	out := api.SweepResponse{ID: id, Requested: ex.requested, Deduped: ex.requested - len(ex.cells)}
-	for _, c := range ex.cells {
-		out.Jobs = append(out.Jobs, byID[c.id])
-	}
-	co.mu.Lock()
-	if rec, known := co.sweeps[id]; !known {
-		rec = &sweepRec{
-			id:          id,
-			submittedAt: time.Now(),
-			requested:   ex.requested,
-			deduped:     ex.requested - len(ex.cells),
-			jobIDs:      make([]string, len(ex.cells)),
-			configs:     ex.configs,
-			workloads:   ex.workloads,
-			grid:        ex.grid,
-		}
-		for i, c := range ex.cells {
-			rec.jobIDs[i] = c.id
-		}
-		co.sweeps[id] = rec
-	} else if rec.grid == nil && ex.grid != nil {
-		rec.configs, rec.workloads, rec.grid = ex.configs, ex.workloads, ex.grid
-	}
-	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
+	return byID, nil, nil
 }
 
 // refreshJob fetches one cell's current snapshot from its worker,
-// long-polling up to wait. Transport failures trigger an inline
-// reassignment so a mid-sweep worker loss heals on the read path too,
+// long-polling up to wait. Transport failures re-place the cell inline
+// (cellRequest), so a mid-sweep worker loss heals on the read path too,
 // not only via the prober.
 func (co *Coordinator) refreshJob(ctx context.Context, id string, wait time.Duration) (api.Job, error) {
-	for attempt := 0; ; attempt++ {
-		co.mu.Lock()
-		j, ok := co.jobs[id]
-		if !ok {
-			co.mu.Unlock()
-			return api.Job{}, fmt.Errorf("server: untracked job %q", id)
-		}
-		snap, worker := j.snap, j.worker
-		spec, owner := j.spec, j.owner
-		co.mu.Unlock()
-		if snap.State.Terminal() {
-			return snap, nil
-		}
-		pq := "/v1/jobs/" + id
-		if wait > 0 {
-			pq += "?wait=" + wait.String()
-		}
-		resp, err := co.forward(ctx, worker, http.MethodGet, pq, owner, nil)
-		if err != nil {
-			if ctx.Err() != nil {
-				return snap, nil
-			}
-			co.markWorkerFailed(worker, err)
-			resp2, perr := co.placeJob(ctx, id, spec, owner, map[string]bool{worker: true})
-			if perr != nil {
-				return snap, perr
-			}
-			resp2.Body.Close()
-			co.mu.Lock()
-			co.reassigned++
-			co.mu.Unlock()
-			if attempt >= len(co.opts.Workers) {
-				return snap, errNoWorkers()
-			}
-			continue
-		}
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		var fresh api.Job
-		if rerr != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(data, &fresh) != nil {
-			return snap, nil // stale snapshot beats a failed read
-		}
-		co.observe(fresh, data)
-		return fresh, nil
+	j, ok := co.tracked(id)
+	if !ok {
+		return api.Job{}, fmt.Errorf("server: untracked job %q", id)
 	}
+	snap := j.snap
+	if snap.State.Terminal() {
+		return snap, nil
+	}
+	query := ""
+	if wait > 0 {
+		query = "?wait=" + wait.String()
+	}
+	var fresh api.Job
+	up, err := co.cellRequest(ctx, id, http.MethodGet, query, j.owner, true, &fresh)
+	switch {
+	case ctx.Err() != nil:
+		return snap, nil
+	case err != nil:
+		return snap, err
+	case up.status != http.StatusOK || fresh.ID == "":
+		return snap, nil // stale snapshot beats a failed read
+	}
+	co.observe(fresh, up.body)
+	return fresh, nil
 }
 
 func (co *Coordinator) handleSweepGet(w http.ResponseWriter, r *http.Request) {
@@ -930,110 +859,50 @@ func (co *Coordinator) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // waitRound caps one upstream long-poll leg of a coordinator sweep wait.
 const waitRound = 30 * time.Second
 
+// gather GETs pathAndQuery from every worker and hands fn each 200
+// answer, decoded into a fresh T. A worker that does not answer is marked
+// failed and skipped.
+func gather[T any](co *Coordinator, r *http.Request, pathAndQuery string, fn func(addr string, v T)) {
+	identity := forwardIdentity(r)
+	for _, addr := range co.workerAddrs() {
+		var v T
+		up, err := co.call(r.Context(), addr, http.MethodGet, pathAndQuery, identity, nil, &v)
+		if err != nil {
+			co.markWorkerFailed(addr, err)
+		} else if up.status == http.StatusOK {
+			fn(addr, v)
+		}
+	}
+}
+
+// handleList fans the identical query out to every worker (the shared
+// token format makes a client cursor valid fleet-wide) and merges the
+// pages. A reassigned cell exists on two workers; the currently tracked
+// placement wins.
 func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	lq, he := parseListQuery(r.URL.Query())
 	if he != nil {
 		writeError(w, he)
 		return
 	}
-	co.mu.Lock()
-	workers := make([]string, 0, len(co.workers))
-	for _, wk := range co.workers {
-		workers = append(workers, wk.addr)
-	}
-	co.mu.Unlock()
-
-	// Fan the identical query out to every worker (the shared token
-	// format makes a client cursor valid fleet-wide), then k-way merge:
-	// union, dedup by ID — a reassigned cell exists on two workers;
-	// the currently tracked placement wins — re-sort, re-cut. A worker
-	// that truncated its page has revealed its jobs only up to its last
-	// returned key, so the merged page must not emit past the minimum
-	// such horizon (items beyond it could interleave with the hidden
-	// remainder) and must carry a token even when the visible union
-	// fits the limit — otherwise a walk stops early whenever the tail
-	// of the listing lives on a single worker.
-	identity := forwardIdentity(r)
 	pq := "/v1/jobs"
 	if r.URL.RawQuery != "" {
 		pq += "?" + r.URL.RawQuery
 	}
-	merged := make(map[string]api.Job)
-	var horizon *listKey
-	for _, addr := range workers {
-		resp, err := co.forward(r.Context(), addr, http.MethodGet, pq, identity, nil)
-		if err != nil {
-			co.markWorkerFailed(addr, err)
-			continue
-		}
-		var page api.JobList
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK {
-			continue
-		}
-		if json.Unmarshal(data, &page) != nil {
-			continue
-		}
-		if page.NextPageToken != "" && len(page.Jobs) > 0 {
-			k := jobListKey(page.Jobs[len(page.Jobs)-1])
-			if horizon == nil || k.less(*horizon) {
-				horizon = &k
-			}
-		}
-		for _, j := range page.Jobs {
-			co.mu.Lock()
-			tracked, ok := co.jobs[j.ID]
-			preferred := !ok || tracked.worker == addr
-			co.mu.Unlock()
-			if _, have := merged[j.ID]; !have || preferred {
-				merged[j.ID] = j
-			}
-		}
-	}
-	jobs := make([]api.Job, 0, len(merged))
-	for _, j := range merged {
-		if horizon != nil && horizon.less(jobListKey(j)) {
-			continue // beyond a truncated worker's view; next round re-fetches it
-		}
-		jobs = append(jobs, j)
-	}
-	list := paginate(jobs, lq)
-	if horizon != nil && list.NextPageToken == "" {
-		// Some worker has more past the horizon: keep the walk going from
-		// the last emitted key (or the horizon itself if the state filter
-		// emptied this page).
-		k := *horizon
-		if n := len(list.Jobs); n > 0 {
-			k = jobListKey(list.Jobs[n-1])
-		}
-		list.NextPageToken = encodePageToken(k)
-	}
-	writeJSON(w, http.StatusOK, list)
+	var pages []workerPage
+	gather(co, r, pq, func(addr string, list api.JobList) {
+		pages = append(pages, workerPage{addr: addr, list: list})
+	})
+	writeJSON(w, http.StatusOK, mergePages(pages, func(id string) (string, bool) {
+		j, ok := co.tracked(id)
+		return j.worker, ok
+	}, lq))
 }
 
 func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	co.mu.Lock()
-	workers := make([]string, 0, len(co.workers))
-	for _, wk := range co.workers {
-		workers = append(workers, wk.addr)
-	}
-	co.mu.Unlock()
 	var merged api.Stats
 	merged.Jobs = make(map[api.JobState]int)
-	identity := forwardIdentity(r)
-	for _, addr := range workers {
-		resp, err := co.forward(r.Context(), addr, http.MethodGet, "/v1/stats", identity, nil)
-		if err != nil {
-			co.markWorkerFailed(addr, err)
-			continue
-		}
-		var st api.Stats
-		data, rerr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK || json.Unmarshal(data, &st) != nil {
-			continue
-		}
+	gather(co, r, "/v1/stats", func(_ string, st api.Stats) {
 		merged.Scheduler.Simulated += st.Scheduler.Simulated
 		merged.Scheduler.CacheHits += st.Scheduler.CacheHits
 		merged.Scheduler.DiskHits += st.Scheduler.DiskHits
@@ -1049,7 +918,7 @@ func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		merged.DiskCacheEntries += st.DiskCacheEntries
 		merged.DiskCacheBytes += st.DiskCacheBytes
 		merged.DiskCacheEvictions += st.DiskCacheEvictions
-	}
+	})
 	merged.Cluster = co.clusterStats()
 	writeJSON(w, http.StatusOK, merged)
 }
@@ -1067,15 +936,10 @@ func (co *Coordinator) clusterStats() *api.ClusterStats {
 		perWorker[j.worker]++
 	}
 	for _, wk := range co.workers {
-		cs.Workers = append(cs.Workers, api.WorkerStatus{
-			Addr:                wk.addr,
-			Healthy:             wk.healthy,
-			Draining:            wk.draining,
-			ConsecutiveFailures: wk.fails,
-			Jobs:                perWorker[wk.addr],
-			LastProbe:           wk.lastProbe,
-		})
-		if wk.healthy && !wk.draining {
+		ws := wk.WorkerStatus
+		ws.Jobs = perWorker[wk.Addr]
+		cs.Workers = append(cs.Workers, ws)
+		if wk.Healthy && !wk.Draining {
 			cs.Healthy++
 		}
 	}
@@ -1092,33 +956,27 @@ func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("decode drain request: %v", err))
 		return
 	}
-	addr := strings.TrimRight(req.Addr, "/")
-	if !strings.Contains(addr, "://") {
-		addr = "http://" + addr
-	}
+	addr := workerURL(req.Addr)
 	co.mu.Lock()
-	var target *coordWorker
-	for _, wk := range co.workers {
-		if wk.addr == addr {
-			target = wk
-		}
-	}
+	target := co.workerLocked(addr)
 	if target == nil {
 		co.mu.Unlock()
 		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown worker %q", req.Addr)})
 		return
 	}
-	changed := target.draining != req.Drain
-	target.draining = req.Drain
+	changed := target.Draining != req.Drain
+	target.Draining = req.Drain
 	co.mu.Unlock()
 	if changed && req.Drain {
 		co.reassignWorker(addr)
 	}
-	writeJSON(w, http.StatusOK, api.ClusterStatus{Workers: co.clusterStats().Workers})
+	co.handleCluster(w, r)
 }
 
 // ---- health probing ----
 
+// prober probes every worker's /healthz each interval until Shutdown; a
+// worker that crosses the failure threshold has its cells moved.
 func (co *Coordinator) prober(interval time.Duration) {
 	defer co.wg.Done()
 	t := time.NewTicker(interval)
@@ -1128,62 +986,14 @@ func (co *Coordinator) prober(interval time.Duration) {
 		case <-co.stop:
 			return
 		case <-t.C:
-			co.probeAll()
 		}
-	}
-}
-
-func (co *Coordinator) probeAll() {
-	co.mu.Lock()
-	workers := make([]*coordWorker, len(co.workers))
-	copy(workers, co.workers)
-	co.mu.Unlock()
-	for _, wk := range workers {
-		ok := co.probeOne(wk.addr)
-		var lost, recovered string
-		var lostPending, fails int
-		co.mu.Lock()
-		wk.lastProbe = time.Now()
-		if ok {
-			if !wk.healthy {
-				recovered = wk.addr
-				fails = wk.fails
-			}
-			wk.fails = 0
-			wk.healthy = true
-		} else {
-			wk.fails++
-			fails = wk.fails
-			if wk.healthy && wk.fails >= co.probeFails {
-				wk.healthy = false
-				lost = wk.addr
-				lostPending = co.pendingCellsLocked(wk.addr)
+		for _, addr := range co.workerAddrs() {
+			ctx, cancel := context.WithTimeout(context.Background(), co.probeTimeout)
+			up, err := co.call(ctx, addr, http.MethodGet, "/healthz", "", nil, nil)
+			cancel()
+			if co.noteWorker(addr, err == nil && up.status == http.StatusOK, true, err) {
+				co.reassignWorker(addr)
 			}
 		}
-		co.mu.Unlock()
-		if recovered != "" {
-			// The recovery transition is logged symmetrically with the loss:
-			// operators watching the stream see both edges, not just one.
-			co.log.Info("worker health transition", "worker", recovered,
-				"oldState", "unhealthy", "newState", "healthy",
-				"consecutiveFailures", fails, "reassignedCells", 0)
-		}
-		if lost != "" {
-			co.warnf("worker %s failed %d consecutive probes; reassigning its cells", lost, co.probeFails)
-			co.log.Warn("worker health transition", "worker", lost,
-				"oldState", "healthy", "newState", "unhealthy",
-				"consecutiveFailures", fails, "reassignedCells", lostPending)
-			co.reassignWorker(lost)
-		}
 	}
-}
-
-func (co *Coordinator) probeOne(addr string) bool {
-	resp, err := co.probe.Get(addr + "/healthz")
-	if err != nil {
-		return false
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<10)) //nolint:errcheck // drain for keep-alive
-	return resp.StatusCode == http.StatusOK
 }

@@ -231,10 +231,6 @@ func (c *diskCache) evictLocked() {
 	}
 }
 
-func (c *diskCache) path(j exp.Job) string {
-	return filepath.Join(c.dir, j.CellID()+".json")
-}
-
 func (c *diskCache) warnf(format string, args ...any) {
 	if c.errlog != nil {
 		fmt.Fprintf(c.errlog, format+"\n", args...)
@@ -364,27 +360,6 @@ func (c *diskCache) Stats() CacheStats {
 		MaxBytes:  c.maxBytes,
 		Evictions: c.evictions,
 	}
-}
-
-// Len reports the number of persisted entries without touching the disk.
-func (c *diskCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
-}
-
-// Bytes reports the accounted size of all persisted entries.
-func (c *diskCache) Bytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// Evictions reports how many entries the size bound has evicted.
-func (c *diskCache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
 }
 
 // Close releases the journal handle (tests; the daemon holds it for life).

@@ -37,7 +37,7 @@ func entrySize(t *testing.T) int64 {
 	}
 	defer probe.Close()
 	probe.Put(tinyJob(0), core.Metrics{Benchmark: "probe", Cycles: 1})
-	return probe.Bytes()
+	return probe.Stats().Bytes
 }
 
 func TestDiskCacheEvictsLRU(t *testing.T) {
@@ -69,14 +69,14 @@ func TestDiskCacheEvictsLRU(t *testing.T) {
 	if _, ok := cache.Get(tinyJob(2)); !ok {
 		t.Fatal("fresh entry 2 missing")
 	}
-	if n := cache.Evictions(); n != 1 {
+	if n := cache.Stats().Evictions; n != 1 {
 		t.Fatalf("evictions = %d, want 1", n)
 	}
-	if cache.Bytes() > 2*size+size/2 {
-		t.Fatalf("cache over bound: %d bytes", cache.Bytes())
+	if cache.Stats().Bytes > 2*size+size/2 {
+		t.Fatalf("cache over bound: %d bytes", cache.Stats().Bytes)
 	}
-	if cache.Len() != 2 {
-		t.Fatalf("entries = %d, want 2", cache.Len())
+	if cache.Stats().Entries != 2 {
+		t.Fatalf("entries = %d, want 2", cache.Stats().Entries)
 	}
 }
 
@@ -92,8 +92,8 @@ func TestDiskCacheKeepsOneOversizedEntry(t *testing.T) {
 	if _, ok := cache.Get(tinyJob(0)); !ok {
 		t.Fatal("sole oversized entry was evicted")
 	}
-	if cache.Len() != 1 {
-		t.Fatalf("entries = %d, want 1", cache.Len())
+	if cache.Stats().Entries != 1 {
+		t.Fatalf("entries = %d, want 1", cache.Stats().Entries)
 	}
 }
 
@@ -124,7 +124,7 @@ func TestDiskCacheJournalPersistsRecency(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
-	if n := reopened.Evictions(); n != 1 {
+	if n := reopened.Stats().Evictions; n != 1 {
 		t.Fatalf("evictions at load = %d, want 1", n)
 	}
 	if _, ok := reopened.Get(tinyJob(1)); ok {
@@ -158,11 +158,11 @@ func TestDiskCacheFaultInjection(t *testing.T) {
 			defer cache.Close()
 			j := tinyJob(0)
 			cache.Put(j, want)
-			valid, err := os.ReadFile(cache.path(j))
+			valid, err := os.ReadFile(filepath.Join(cache.dir, j.CellID()+".json"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.WriteFile(cache.path(j), corrupt(valid), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(cache.dir, j.CellID()+".json"), corrupt(valid), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if m, ok := cache.Get(j); ok {
@@ -186,7 +186,7 @@ func TestDamagedEntryResimulates(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	j := exp.BenchJob(config.Baseline(), testBench)
-	path := filepath.Join(dir, cellID(j.Config, j.Workload)+".json")
+	path := filepath.Join(dir, j.CellID()+".json")
 	if err := os.WriteFile(path, []byte(`{"schema":1,"simVersion":`), 0o644); err != nil {
 		t.Fatal(err)
 	}

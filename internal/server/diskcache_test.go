@@ -83,7 +83,7 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 	// Plant garbage under the exact cell path and make sure Get treats it
 	// as a miss instead of failing or returning junk.
 	j := exp.BenchJob(config.Baseline(), testBench)
-	path := filepath.Join(dir, cellID(j.Config, j.Workload)+".json")
+	path := filepath.Join(dir, j.CellID()+".json")
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestDiskCacheRejectsOtherSimVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(cache.path(j), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(cache.dir, j.CellID()+".json"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := cache.Get(j); ok {

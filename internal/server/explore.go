@@ -312,69 +312,22 @@ const exploreIdentity = "gpusimd-explore"
 // keeps in flight across the fleet at once.
 const exploreEvalConcurrency = 16
 
-// exploreEval is the coordinator's EvalBatch: each probe cell is placed
+// exploreCell is the coordinator's per-probe evaluator: the cell is placed
 // on its rendezvous worker — the identical per-cell placement sweeps use,
 // so probe cells shard and memoize fleet-wide — and polled to a terminal
 // state. The worker's cache-tier attribution rides back on api.Job.Tier.
-func (co *Coordinator) exploreEval(ctx context.Context, jobs []exp.Job) ([]explore.EvalResult, error) {
-	outs := make([]explore.EvalResult, len(jobs))
-	sem := make(chan struct{}, exploreEvalConcurrency)
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	for i, j := range jobs {
-		wg.Add(1)
-		go func(i int, j exp.Job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			res, err := co.exploreCell(ctx, j)
-			if err != nil {
-				fail(err)
-				return
-			}
-			outs[i] = res
-		}(i, j)
-	}
-	wg.Wait()
-	return outs, firstErr
-}
-
-// exploreCell submits one probe cell to its rendezvous worker and waits
-// for a terminal state.
 func (co *Coordinator) exploreCell(ctx context.Context, job exp.Job) (explore.EvalResult, error) {
 	id := job.CellID()
-	spec := api.JobSpec{Bench: job.Workload.Bench, InlineSpec: job.Workload.Spec}
-	switch {
-	case job.Config.Preset != "":
-		spec.Config = job.Config.Preset
-	case job.Config.Patch != nil:
-		spec.ConfigPatch = job.Config.Patch
-	case job.Config.Config != nil:
-		spec.InlineConfig = job.Config.Config
+	spec := api.JobSpec{
+		Config: job.Config.Preset, InlineConfig: job.Config.Config, ConfigPatch: job.Config.Patch,
+		Bench: job.Workload.Bench, InlineSpec: job.Workload.Spec,
 	}
-	resp, err := co.placeJob(ctx, id, spec, exploreIdentity, nil)
+	up, snap, err := co.placeJob(ctx, id, spec, exploreIdentity, nil)
 	if err != nil {
 		return explore.EvalResult{}, err
 	}
-	data, rerr := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	resp.Body.Close()
-	if rerr != nil {
-		return explore.EvalResult{}, fmt.Errorf("server: explore probe %s: reading worker response: %w", id, rerr)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return explore.EvalResult{}, fmt.Errorf("server: explore probe %s rejected: %s", id, strings.TrimSpace(string(data)))
-	}
-	var snap api.Job
-	if json.Unmarshal(data, &snap) == nil {
-		co.observe(snap, nil)
+	if !up.ok() {
+		return explore.EvalResult{}, fmt.Errorf("server: explore probe %s rejected: %s", id, strings.TrimSpace(string(up.body)))
 	}
 	for !snap.State.Terminal() {
 		if err := ctx.Err(); err != nil {

@@ -38,7 +38,7 @@ func FuzzJobSpecDecode(f *testing.F) {
 		if err := json.Unmarshal(data, &spec); err != nil {
 			return
 		}
-		cref, ref, err := resolveSpec(spec)
+		cell, err := resolveSpec(spec)
 		if err != nil {
 			var he *httpError
 			if !errors.As(err, &he) || he.status < 400 || he.status > 499 {
@@ -46,16 +46,16 @@ func FuzzJobSpecDecode(f *testing.F) {
 			}
 			return
 		}
-		id := cellID(cref, ref)
+		id := cell.CellID()
 		if id == "" {
 			t.Errorf("accepted spec produced an empty cell ID: %+v", spec)
 		}
 		// Resolution must be deterministic: the same wire bytes always
 		// land on the same content-addressed cell.
-		cref2, ref2, err := resolveSpec(spec)
+		cell2, err := resolveSpec(spec)
 		if err != nil {
 			t.Errorf("second resolve of an accepted spec failed: %v", err)
-		} else if id2 := cellID(cref2, ref2); id2 != id {
+		} else if id2 := cell2.CellID(); id2 != id {
 			t.Errorf("non-deterministic cell ID: %s vs %s for %s", id, id2, data)
 		}
 	})

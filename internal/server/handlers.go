@@ -10,6 +10,7 @@ import (
 
 	"gpumembw/internal/api"
 	"gpumembw/internal/config"
+	"gpumembw/internal/exp"
 	"gpumembw/internal/trace"
 )
 
@@ -38,8 +39,8 @@ import (
 // a throttled client's jobs stays cheap.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.HandleFunc("GET /healthz", handleHealth)
+	mux.HandleFunc("GET /metrics", handleMetrics(s.registry))
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("POST /v1/jobs", s.limited(s.handleSubmit))
 	mux.HandleFunc("GET /v1/jobs", s.handleList)
@@ -92,10 +93,6 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, api.Error{Code: code, Detail: err.Error(), RetryAfter: retrySecs})
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
-}
-
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
 }
@@ -106,12 +103,12 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("decode job spec: %v", err))
 		return
 	}
-	cref, ref, err := resolveSpec(spec)
+	cell, err := resolveSpec(spec)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	j, created, err := s.submit(spec, cref, ref, clientKey(r), traceIDFrom(r.Context()))
+	j, created, err := s.submit(spec, cell, clientKey(r), traceIDFrom(r.Context()))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -153,7 +150,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 	}
 	state := j.State
 	prof := j.profile
-	payload := api.JobProfile{JobID: j.ID, Config: j.cref.Label(), Bench: j.ref.Label(), Profile: prof}
+	payload := api.JobProfile{JobID: j.ID, Config: j.cell.Config.Label(), Bench: j.cell.Workload.Label(), Profile: prof}
 	s.mu.Unlock()
 	switch {
 	case prof != nil:
@@ -202,16 +199,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepExpansion is a POST /v1/sweeps request resolved into its unique
-// cells. Axis-form requests additionally carry the config/workload
-// labels and the [config][workload] cell-ID grid that let the sweep
-// resource assemble its merged speedup table; cell-list requests (the
-// coordinator's shard form) leave them nil.
+// cells; axis-form requests additionally carry their axes.
 type sweepExpansion struct {
 	cells     []resolvedCell
 	requested int
-	configs   []string
-	workloads []string
-	grid      [][]string
+	sweepAxes
 }
 
 // expandSweep validates and resolves a sweep request. Every cell is
@@ -219,21 +211,30 @@ type sweepExpansion struct {
 // the whole sweep instead of half-submitting it.
 func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 	ex := &sweepExpansion{}
+	seen := make(map[string]bool)
+	// add resolves one cell of the request and returns its ID, keeping
+	// the first occurrence of every distinct cell.
+	add := func(sp api.JobSpec) (string, exp.Job, error) {
+		cell, err := resolveSpec(sp)
+		if err != nil {
+			return "", cell, err
+		}
+		ex.requested++
+		id := cell.CellID()
+		if !seen[id] {
+			seen[id] = true
+			ex.cells = append(ex.cells, resolvedCell{id: id, spec: sp, cell: cell})
+		}
+		return id, cell, nil
+	}
 	axes := len(req.Benches)+len(req.InlineSpecs)+len(req.Configs)+len(req.InlineConfigs)+len(req.ConfigPatches) > 0
 	if len(req.Cells) > 0 {
 		if axes {
 			return nil, errBadRequest("sweep: cells and the config/workload axes are mutually exclusive")
 		}
-		seen := make(map[string]bool)
 		for _, sp := range req.Cells {
-			cref, ref, err := resolveSpec(sp)
-			if err != nil {
+			if _, _, err := add(sp); err != nil {
 				return nil, err
-			}
-			ex.requested++
-			if id := cellID(cref, ref); !seen[id] {
-				seen[id] = true
-				ex.cells = append(ex.cells, resolvedCell{id: id, spec: sp, cref: cref, ref: ref})
 			}
 		}
 		return ex, nil
@@ -255,28 +256,26 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 		workloads = append(workloads, api.JobSpec{InlineSpec: &req.InlineSpecs[i]})
 	}
 
-	seen := make(map[string]bool)
 	addConfig := func(spec api.JobSpec) error {
 		var row []string
 		for _, wl := range workloads {
 			sp := spec
 			sp.Bench, sp.InlineSpec = wl.Bench, wl.InlineSpec
-			cref, ref, err := resolveSpec(sp)
+			id, cell, err := add(sp)
 			if err != nil {
 				return err
 			}
-			ex.requested++
-			id := cellID(cref, ref)
 			row = append(row, id)
-			if !seen[id] {
-				seen[id] = true
-				ex.cells = append(ex.cells, resolvedCell{id: id, spec: sp, cref: cref, ref: ref})
-			}
 			if len(ex.grid) == 0 { // first config row names the workload axis
-				ex.workloads = append(ex.workloads, ref.Label())
+				ex.workloads = append(ex.workloads, cell.Workload.Label())
 			}
 			if len(row) == 1 {
-				ex.configs = append(ex.configs, cref.Label())
+				cfg, _, err := cell.Resolved()
+				if err != nil {
+					return err
+				}
+				ex.configs = append(ex.configs, cell.Config.Label())
+				ex.cfgs = append(ex.cfgs, cfg)
 			}
 		}
 		ex.grid = append(ex.grid, row)

@@ -123,6 +123,60 @@ func paginate(jobs []api.Job, lq listQuery) api.JobList {
 	return list
 }
 
+// workerPage is one worker's answer to a listing query a coordinator
+// forwarded.
+type workerPage struct {
+	addr string
+	list api.JobList
+}
+
+// mergePages k-way merges the workers' pages of one listing query into
+// the fleet-wide page: union, dedup by ID — a cell that moved exists on
+// two workers; the copy on its tracked placement wins — re-sort, re-cut.
+// A worker that truncated its page has revealed its jobs only up to its
+// last returned key, so the merged page must not emit past the minimum
+// such horizon (items beyond it could interleave with the hidden
+// remainder) and must carry a token even when the visible union fits the
+// limit — otherwise a walk stops early whenever the tail of the listing
+// lives on a single worker.
+func mergePages(pages []workerPage, placement func(id string) (worker string, tracked bool), lq listQuery) api.JobList {
+	merged := make(map[string]api.Job)
+	var horizon *listKey
+	for _, p := range pages {
+		if n := len(p.list.Jobs); p.list.NextPageToken != "" && n > 0 {
+			k := jobListKey(p.list.Jobs[n-1])
+			if horizon == nil || k.less(*horizon) {
+				horizon = &k
+			}
+		}
+		for _, j := range p.list.Jobs {
+			worker, tracked := placement(j.ID)
+			if _, have := merged[j.ID]; !have || !tracked || worker == p.addr {
+				merged[j.ID] = j
+			}
+		}
+	}
+	jobs := make([]api.Job, 0, len(merged))
+	for _, j := range merged {
+		if horizon != nil && horizon.less(jobListKey(j)) {
+			continue // beyond a truncated worker's view; next round re-fetches it
+		}
+		jobs = append(jobs, j)
+	}
+	list := paginate(jobs, lq)
+	if horizon != nil && list.NextPageToken == "" {
+		// Some worker has more past the horizon: keep the walk going from
+		// the last emitted key (or the horizon itself if the state filter
+		// emptied this page).
+		k := *horizon
+		if n := len(list.Jobs); n > 0 {
+			k = jobListKey(list.Jobs[n-1])
+		}
+		list.NextPageToken = encodePageToken(k)
+	}
+	return list
+}
+
 // listJobs assembles one page of GET /v1/jobs.
 func (s *Server) listJobs(lq listQuery) api.JobList {
 	s.mu.Lock()

@@ -22,10 +22,7 @@ func (s *Server) initMetrics() {
 	r := metrics.NewRegistry()
 	s.registry = r
 
-	s.httpRequests = r.CounterVec("gpusimd_http_requests_total",
-		"HTTP requests served, by route pattern and status code.", "endpoint", "code")
-	s.httpLatency = r.HistogramVec("gpusimd_http_request_seconds",
-		"HTTP request latency in seconds, by route pattern.", []string{"endpoint"}, metrics.DefBuckets)
+	s.httpRequests, s.httpLatency = httpMetrics(r)
 	s.rateLimited = r.Counter("gpusimd_rate_limited_total",
 		"Requests rejected with 429 by the per-client rate limit.")
 	s.quotaDenied = r.Counter("gpusimd_quota_denied_total",
@@ -76,9 +73,26 @@ func (s *Server) initMetrics() {
 	}
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.registry.WritePrometheus(w) //nolint:errcheck // the response is already committed
+// httpMetrics registers the per-endpoint request counter and latency
+// histogram that instrument feeds, identical on daemon and coordinator.
+func httpMetrics(r *metrics.Registry) (*metrics.CounterVec, *metrics.HistogramVec) {
+	return r.CounterVec("gpusimd_http_requests_total",
+			"HTTP requests served, by route pattern and status code.", "endpoint", "code"),
+		r.HistogramVec("gpusimd_http_request_seconds",
+			"HTTP request latency in seconds, by route pattern.", []string{"endpoint"}, metrics.DefBuckets)
+}
+
+// handleHealth and handleMetrics serve liveness and the Prometheus text
+// exposition on both entry points.
+func handleHealth(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
+}
+
+func handleMetrics(reg *metrics.Registry) http.HandlerFunc {
+	return func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		reg.WritePrometheus(w) //nolint:errcheck // the response is already committed
+	}
 }
 
 // statusRecorder captures the status code a handler committed so the

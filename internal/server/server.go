@@ -101,8 +101,7 @@ type Options struct {
 // job reaches a terminal state, exactly once.
 type job struct {
 	api.Job
-	cref    exp.ConfigRef
-	ref     exp.WorkloadRef
+	cell    exp.Job // resolved once, at submission
 	ctx     context.Context
 	cancel  context.CancelFunc
 	gen     uint64
@@ -228,10 +227,7 @@ func newServer(opts Options) (*Server, error) {
 	if opts.RateLimit > 0 {
 		s.limiter = newLimiter(opts.RateLimit, opts.RateBurst)
 	}
-	s.log = opts.Logger
-	if s.log == nil {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
+	s.log = loggerOrDiscard(opts.Logger)
 	s.cond = sync.NewCond(&s.mu)
 	s.initMetrics()
 	// Explorations score probe cells directly on the scheduler (sharing
@@ -249,6 +245,15 @@ func newServer(opts Options) (*Server, error) {
 	s.explorer = hub
 	s.explorer.reload()
 	return s, nil
+}
+
+// loggerOrDiscard is the Logger option's nil default on both entry
+// points: structured logging off.
+func loggerOrDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		l = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
+	return l
 }
 
 func (s *Server) startWorkers() {
@@ -293,10 +298,10 @@ func (s *Server) worker() {
 		ctx := j.ctx
 		s.mu.Unlock()
 		s.log.Info("job running", "job", j.ID, "trace", j.TraceID,
-			"config", j.cref.Label(), "bench", j.ref.Label(), "profile", profile)
+			"config", j.cell.Config.Label(), "bench", j.cell.Workload.Label(), "profile", profile)
 
 		s.running.Add(1)
-		res, err := s.sched.RunJobEx(ctx, exp.Job{Config: j.cref, Workload: j.ref}, profile)
+		res, err := s.sched.RunJobEx(ctx, j.cell, profile)
 		s.running.Add(-1)
 
 		s.mu.Lock()
@@ -321,8 +326,8 @@ func (s *Server) worker() {
 			// The memo and disk caches may have simulated this cell under
 			// different config/workload labels; the job answers with its own.
 			m := res.Metrics
-			m.Config = j.cref.Label()
-			m.Benchmark = j.ref.Label()
+			m.Config = j.cell.Config.Label()
+			m.Benchmark = j.cell.Workload.Label()
 			j.State = api.JobDone
 			j.Metrics = &m
 			j.profile = res.Profile
@@ -351,12 +356,6 @@ func (s *Server) broadcastLocked() {
 	s.waitCh = make(chan struct{})
 }
 
-// cellID content-addresses one simulation cell, delegating to the
-// scheduler's own memo-cell identity so the two can never diverge.
-func cellID(cref exp.ConfigRef, ref exp.WorkloadRef) string {
-	return exp.Job{Config: cref, Workload: ref}.CellID()
-}
-
 // httpError carries a status code out of the submit/resolve helpers;
 // retryAfter, when set, becomes a Retry-After header on the response
 // and the envelope's retryAfter field. code, when empty, defaults to
@@ -374,48 +373,38 @@ func errBadRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// resolveSpec validates a JobSpec and returns the configuration and
-// workload references. Every rejection is a 400 carrying validation
-// detail; nothing a client sends can reach a panicking build path (the
-// wire-decoder fuzz target leans on exactly this property).
-func resolveSpec(spec api.JobSpec) (exp.ConfigRef, exp.WorkloadRef, error) {
-	var cref exp.ConfigRef
-	var ref exp.WorkloadRef
-	switch {
-	case spec.Bench != "" && spec.InlineSpec != nil:
-		return cref, ref, errBadRequest("spec: bench and inlineSpec are mutually exclusive")
-	case spec.Bench == "" && spec.InlineSpec == nil:
-		return cref, ref, errBadRequest("spec: one of bench or inlineSpec is required (known benchmarks: %v)", trace.Names())
-	case spec.InlineSpec != nil:
-		ref = exp.SpecRef(*spec.InlineSpec)
-	default:
-		ref = exp.BenchRef(spec.Bench)
-	}
-	if err := ref.Validate(); err != nil {
-		return cref, ref, errBadRequest("spec: %v", err)
-	}
-	set := 0
-	for _, has := range []bool{spec.Config != "", spec.InlineConfig != nil, spec.ConfigPatch != nil} {
-		if has {
-			set++
+// resolveSpec turns a wire JobSpec into the resolved cell it names — the
+// one place a submitted spec is validated, canonicalized and keyed; the
+// result rides the job record from here to the scheduler and the disk
+// cache. Every rejection is a 400 carrying validation detail; nothing a
+// client sends can reach a panicking build path (the wire-decoder fuzz
+// target leans on exactly this property).
+func resolveSpec(spec api.JobSpec) (exp.Job, error) {
+	// Shape errors name the wire fields; the rest is exp's resolution.
+	configs := 0
+	for _, set := range []bool{spec.Config != "", spec.InlineConfig != nil, spec.ConfigPatch != nil} {
+		if set {
+			configs++
 		}
 	}
 	switch {
-	case set > 1:
-		return cref, ref, errBadRequest("spec: config, inlineConfig and configPatch are mutually exclusive")
-	case set == 0:
-		return cref, ref, errBadRequest("spec: one of config, inlineConfig or configPatch is required (known configs: %v)", config.Names())
-	case spec.Config != "":
-		cref = exp.PresetRef(spec.Config)
-	case spec.InlineConfig != nil:
-		cref = exp.InlineConfig(*spec.InlineConfig)
-	default:
-		cref = exp.PatchRef(*spec.ConfigPatch)
+	case spec.Bench != "" && spec.InlineSpec != nil:
+		return exp.Job{}, errBadRequest("spec: bench and inlineSpec are mutually exclusive")
+	case spec.Bench == "" && spec.InlineSpec == nil:
+		return exp.Job{}, errBadRequest("spec: one of bench or inlineSpec is required (known benchmarks: %v)", trace.Names())
+	case configs > 1:
+		return exp.Job{}, errBadRequest("spec: config, inlineConfig and configPatch are mutually exclusive")
+	case configs == 0:
+		return exp.Job{}, errBadRequest("spec: one of config, inlineConfig or configPatch is required (known configs: %v)", config.Names())
 	}
-	if err := cref.Validate(); err != nil {
-		return cref, ref, errBadRequest("spec: %v", err)
+	cell, err := exp.Job{
+		Config:   exp.ConfigRef{Preset: spec.Config, Config: spec.InlineConfig, Patch: spec.ConfigPatch},
+		Workload: exp.WorkloadRef{Bench: spec.Bench, Spec: spec.InlineSpec},
+	}.Resolve()
+	if err != nil {
+		return cell, errBadRequest("spec: %v", err)
 	}
-	return cref, ref, nil
+	return cell, nil
 }
 
 // quotaErrLocked reports whether owner may take on `extra` more inflight
@@ -465,8 +454,8 @@ func (s *Server) releaseQuotaLocked(j *job) {
 // It returns the job and true if this call created or re-enqueued it.
 // owner is the submitting client's quota identity; traceID is the
 // request's trace ID, adopted by jobs this call creates or revives.
-func (s *Server) submit(spec api.JobSpec, cref exp.ConfigRef, ref exp.WorkloadRef, owner, traceID string) (*job, bool, error) {
-	id := cellID(cref, ref)
+func (s *Server) submit(spec api.JobSpec, cell exp.Job, owner, traceID string) (*job, bool, error) {
+	id := cell.CellID()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if j, ok := s.jobs[id]; ok {
@@ -510,8 +499,7 @@ func (s *Server) submit(spec api.JobSpec, cref exp.ConfigRef, ref exp.WorkloadRe
 			SubmittedAt: time.Now(),
 			TraceID:     traceID,
 		},
-		cref: cref,
-		ref:  ref,
+		cell: cell,
 	}
 	if err := s.enqueueLocked(j); err != nil {
 		return nil, false, err
@@ -549,24 +537,56 @@ func (s *Server) enqueueLocked(j *job) error {
 type resolvedCell struct {
 	id   string
 	spec api.JobSpec
-	cref exp.ConfigRef
-	ref  exp.WorkloadRef
+	cell exp.Job
+}
+
+// sweepAxes is what an axis-form sweep knows beyond its cell set: the
+// config/workload labels, the [config][workload] cell-ID grid and each
+// config column's resolved value, which together let the sweep resource
+// assemble its merged speedup table with an area estimate per column.
+// Cell-list sweeps (the coordinator's shard form) leave it zero.
+type sweepAxes struct {
+	configs   []string
+	workloads []string
+	grid      [][]string
+	cfgs      []config.Config
 }
 
 // sweepRec is the server-side sweep resource: the unique cells a POST
-// /v1/sweeps request named (request order), plus — for axis-form sweeps
-// — the label grid that lets GET /v1/sweeps/{id} assemble the merged
-// speedup table once every cell is done. Like jobs, sweep records are
-// retained for the daemon's lifetime.
+// /v1/sweeps request named (request order), plus the axes of an
+// axis-form sweep. Like jobs, sweep records are retained for the daemon's
+// lifetime.
 type sweepRec struct {
 	id          string
 	submittedAt time.Time
 	requested   int
 	deduped     int
 	jobIDs      []string // unique cells, request order
-	configs     []string // axis labels; nil for cell-list sweeps
-	workloads   []string
-	grid        [][]string // [config][workload] cell IDs; nil when axes unknown
+	sweepAxes
+}
+
+// registerSweep finds or creates the sweep resource of an admitted
+// expansion, shared by the daemon and the coordinator. Callers hold the
+// lock guarding sweeps.
+func registerSweep(sweeps map[string]*sweepRec, id string, ex *sweepExpansion) {
+	rec, known := sweeps[id]
+	if !known {
+		rec = &sweepRec{
+			id:          id,
+			submittedAt: time.Now(),
+			requested:   ex.requested,
+			deduped:     ex.requested - len(ex.cells),
+			sweepAxes:   ex.sweepAxes,
+		}
+		for _, c := range ex.cells {
+			rec.jobIDs = append(rec.jobIDs, c.id)
+		}
+		sweeps[id] = rec
+	} else if rec.grid == nil {
+		// A cell-list twin registered first; adopt the axes so the
+		// resource can still serve speedups.
+		rec.sweepAxes = ex.sweepAxes
+	}
 }
 
 // sweepID content-addresses a sweep: the hash of its sorted unique cell
@@ -613,7 +633,7 @@ func (s *Server) submitSweep(ex *sweepExpansion, owner, traceID string) (api.Swe
 		j, ok := s.jobs[c.id]
 		if !ok || j.State == api.JobCanceled {
 			if !ok {
-				j = &job{Job: api.Job{ID: c.id, Spec: c.spec, SubmittedAt: time.Now(), TraceID: traceID}, cref: c.cref, ref: c.ref}
+				j = &job{Job: api.Job{ID: c.id, Spec: c.spec, SubmittedAt: time.Now(), TraceID: traceID}, cell: c.cell}
 			}
 			if err := s.enqueueLocked(j); err != nil {
 				return api.SweepResponse{}, err // draining flipped, or capacity bug
@@ -628,27 +648,7 @@ func (s *Server) submitSweep(ex *sweepExpansion, owner, traceID string) (api.Swe
 	}
 
 	id := sweepID(cells)
-	rec, known := s.sweeps[id]
-	if !known {
-		rec = &sweepRec{
-			id:          id,
-			submittedAt: time.Now(),
-			requested:   ex.requested,
-			deduped:     ex.requested - len(cells),
-			jobIDs:      make([]string, len(cells)),
-			configs:     ex.configs,
-			workloads:   ex.workloads,
-			grid:        ex.grid,
-		}
-		for i, c := range cells {
-			rec.jobIDs[i] = c.id
-		}
-		s.sweeps[id] = rec
-	} else if rec.grid == nil && ex.grid != nil {
-		// A shard-form twin registered first; adopt the axis labels so
-		// the resource can still serve speedups.
-		rec.configs, rec.workloads, rec.grid = ex.configs, ex.workloads, ex.grid
-	}
+	registerSweep(s.sweeps, id, ex)
 	return api.SweepResponse{
 		ID:        id,
 		Requested: ex.requested,
@@ -712,29 +712,12 @@ func (rec *sweepRec) speedups(snap func(id string) api.Job) *api.SweepSpeedups {
 			sp.Cells[w][c] = snap(rec.grid[c][w]).Metrics.Speedup(*base)
 		}
 	}
-	if baseCfg, err := specConfig(snap(rec.grid[0][0]).Spec); err == nil {
-		area2, overhead := make([]float64, len(rec.configs)), make([]float64, len(rec.configs))
-		for c := range rec.configs {
-			cfg, cerr := specConfig(snap(rec.grid[c][0]).Spec)
-			if cerr != nil {
-				return sp // a column without a resolvable config: omit the area row
-			}
-			est := area.Compare(&baseCfg, &cfg)
-			area2[c], overhead[c] = est.TotalMM2, est.OverheadFrac
-		}
-		sp.AreaMM2, sp.OverheadFrac = area2, overhead
+	sp.AreaMM2, sp.OverheadFrac = make([]float64, len(rec.cfgs)), make([]float64, len(rec.cfgs))
+	for c := range rec.cfgs {
+		est := area.Compare(&rec.cfgs[0], &rec.cfgs[c])
+		sp.AreaMM2[c], sp.OverheadFrac[c] = est.TotalMM2, est.OverheadFrac
 	}
 	return sp
-}
-
-// specConfig resolves the configuration value a job spec names, for the
-// sweep grid's per-column area estimates.
-func specConfig(spec api.JobSpec) (config.Config, error) {
-	cref, _, err := resolveSpec(spec)
-	if err != nil {
-		return config.Config{}, err
-	}
-	return cref.Resolve()
 }
 
 // sweepStatus assembles the GET /v1/sweeps/{id} resource view.

@@ -45,7 +45,7 @@ func TestInlineSpecJobParity(t *testing.T) {
 		t.Fatalf("job = %+v", job)
 	}
 
-	ref, err := exp.NewScheduler().RunSpec(config.Baseline(), spec)
+	ref, err := exp.NewScheduler().RunJob(exp.SpecJob(config.Baseline(), spec))
 	if err != nil {
 		t.Fatal(err)
 	}

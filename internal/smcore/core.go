@@ -987,9 +987,18 @@ func (c *Core) checkDone() {
 
 // NextWake reports whether the core's state provably cannot change before
 // some future cycle, and that cycle. It returns ok=false when the core may
-// make progress (or record different statistics) on the very next tick.
+// make progress — or must record statistics that depend on downstream
+// state — on the very next tick, so the engine keeps ticking it cycle by
+// cycle. A core that can never act again on its own (drained, or waiting
+// only on a reply in flight) returns (math.MaxInt64 = sched.Never, true).
 // The event engine uses it to park the core on its calendar wheel and jump
 // over runs of no-op cycles while every warp waits on completions.
+//
+// The contract is one-sided: answering earlier than the true wake is
+// always safe (a core woken early observes no event and reschedules),
+// answering later never is. The core is the only unit of the hierarchy
+// whose answer is a cycle; partitions, channels and crossbars answer with
+// a boolean (HasL2Work, Idle, InFlight).
 func (c *Core) NextWake() (int64, bool) {
 	if c.done {
 		// A drained core ticks as a no-op and keeps no statistics.

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"gpumembw/internal/smcore"
 )
@@ -418,15 +417,4 @@ func maxU64(a, b uint64) uint64 {
 		return a
 	}
 	return b
-}
-
-// SortedNames returns the names of byName in alphabetical order — a
-// stable iteration order for callers that hold only the workload map.
-func SortedNames(byName map[string]*smcore.Workload) []string {
-	names := make([]string, 0, len(byName))
-	for n := range byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -325,17 +325,6 @@ func Workloads() map[string]*smcore.Workload {
 	return out
 }
 
-// Exists reports whether name is a Table II benchmark, without building
-// its workload.
-func Exists(name string) bool {
-	for _, b := range Table() {
-		if b.Spec.Name == name {
-			return true
-		}
-	}
-	return false
-}
-
 // SpecByName returns the named Table II benchmark as its workload spec —
 // the registry behind every place a benchmark name is accepted. Callers
 // can use the returned Spec as a starting point for custom workloads:
