@@ -16,6 +16,7 @@ import (
 
 	"gpumembw"
 	"gpumembw/internal/config"
+	"gpumembw/internal/core"
 	"gpumembw/internal/exp"
 	"gpumembw/internal/stats"
 )
@@ -333,6 +334,22 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			return gpumembw.RunPatch(patch, "ii")
 		})
 	})
+}
+
+// BenchmarkNewGPU pins the construction cost of one simulated GPU on the
+// baseline configuration — what every cell pays before its first cycle,
+// and most of what a tiny service cell allocates at all.
+func BenchmarkNewGPU(b *testing.B) {
+	wl, err := gpumembw.WorkloadByName("mm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.New(config.Baseline(), wl); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchThroughput(b *testing.B, run func() (gpumembw.Metrics, error)) {

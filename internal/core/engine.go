@@ -36,9 +36,11 @@ type Option func(*GPU)
 func WithEngine(e Engine) Option { return func(g *GPU) { g.engine = e } }
 
 // wheelHorizon is the calendar wheel's span in core cycles. It exceeds
-// every wake distance a core can report (the completion ring holds 2048
-// cycles, the heavy-ALU reservation 8), so in practice no wake is ever
-// clamped to the horizon.
+// every wake distance the paper's configurations produce (the Fig. 3
+// sweep tops out at 800 cycles). A core's completions have no horizon of
+// their own, so a config with a longer latency reports a wake beyond the
+// wheel: Wheel.Schedule clamps it to the edge, the core wakes early, finds
+// nothing due and reschedules — harmless under the one-sided contract.
 const wheelHorizon = 4096
 
 // runEvent is the calendar-queue event engine. Each core registers its

@@ -148,7 +148,7 @@ func TestEngineMaxCyclesMidJump(t *testing.T) {
 // fires at the same cycle, with the same error, on both engines.
 func TestEngineLivelockWindow(t *testing.T) {
 	// A load generating more transactions than the memory pipeline can
-	// ever hold stalls str-MEM forever: no ring events, no progress.
+	// ever hold stalls str-MEM forever: no completions, no progress.
 	cfg := config.Baseline()
 	cfg.Core.NumCores = 1
 	cfg.Core.MemPipelineWidth = 2
@@ -209,5 +209,46 @@ func TestEngineClockAccumulators(t *testing.T) {
 	}
 	if a, b := g1.parts[0].DRAM.Stats, g2.parts[0].DRAM.Stats; !reflect.DeepEqual(a, b) {
 		t.Errorf("DRAM stats diverged: %+v vs %+v", a, b)
+	}
+}
+
+// TestLargeLatenciesMatchTick holds the rule that a config Validate admits
+// never panics: every in-core latency far beyond the event wheel's horizon
+// (and beyond any fixed completion window) must simulate, and the event
+// engine — whose wheel clamps such wakes early — must still match the tick
+// oracle on every metric.
+func TestLargeLatenciesMatchTick(t *testing.T) {
+	wl, err := trace.Spec{
+		Name: "large-lat", Iters: 3, WarpsPerCore: 4,
+		LoadsPerIter: 2, ALUPerIter: 3, DepDist: 1,
+		Pattern: trace.PatRandomWS, WorkingSetKB: 64, Seed: 7,
+	}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func(cfg config.Config, edit func(*config.Config)) config.Config {
+		cfg.Core.NumCores = 2
+		if edit != nil {
+			edit(&cfg)
+		}
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"alu-5000", small(config.Baseline(), func(c *config.Config) { c.Core.ALULatency = 5000 })},
+		{"l1-hit-3000", small(config.Baseline(), func(c *config.Config) { c.L1.HitLatency = 3000 })},
+		{"fixed-miss-7000", small(config.FixedL1MissLatency(7000), nil)},
+		{"p-inf-mem-5000", small(config.InfiniteBW(), func(c *config.Config) { c.IdealMemLatency = 5000 })},
+	}
+	for _, tc := range cases {
+		// New validates the config, and runEngine fails the test if it objects.
+		ev, evErr, _ := runEngine(t, tc.cfg, wl, EngineEvent)
+		tick, tickErr, _ := runEngine(t, tc.cfg, wl, EngineTick)
+		if evErr != nil || tickErr != nil {
+			t.Fatalf("%s: run errors: event %v, tick %v", tc.name, evErr, tickErr)
+		}
+		requireIdentical(t, tc.name, ev, tick, evErr, tickErr)
 	}
 }

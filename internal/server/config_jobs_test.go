@@ -341,3 +341,23 @@ func TestDiskCacheServesInlineConfigAcrossRestart(t *testing.T) {
 		t.Fatalf("warm stats = %+v, want 0 simulated / 1 disk hit", st.Scheduler)
 	}
 }
+
+// TestValidatedLatencyPatchNeverCrashesDaemon submits a patch Validate
+// admits but whose latency exceeds every fixed window inside the core:
+// the job must finish, because a simulation panic on a worker goroutine
+// would take the whole daemon down.
+func TestValidatedLatencyPatchNeverCrashesDaemon(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 1})
+	var p client.ConfigPatch
+	if err := json.Unmarshal([]byte(`{"base":"baseline","Core":{"ALULatency":4000}}`), &p); err != nil {
+		t.Fatal(err)
+	}
+	spec := testSpec()
+	job, err := c.Run(context.Background(), client.JobSpec{ConfigPatch: &p, InlineSpec: &spec}, 10*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.State != client.JobDone {
+		t.Fatalf("job = %+v, want done", job)
+	}
+}

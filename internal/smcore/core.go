@@ -41,14 +41,6 @@ const (
 	heavyALULatency  = 16
 )
 
-// ringSize bounds the completion ring; it must exceed every schedulable
-// in-core latency, including the largest Fig. 3 fixed miss latency (800),
-// and stay a power of two so the slot index is a mask, not a modulo.
-const ringSize = 2048
-
-// Compile-time check that ringSize is a power of two.
-var _ = [1]struct{}{}[ringSize&(ringSize-1)]
-
 const ibufCap = 2
 
 type warp struct {
@@ -77,8 +69,6 @@ type warp struct {
 	addrCacheFor int64
 }
 
-func (w *warp) aliveForIssue() bool { return w.issued < w.total }
-
 // tx is one coalesced memory transaction in the LSU pipeline.
 type tx struct {
 	warpID int32
@@ -92,13 +82,9 @@ const (
 	evtICacheFill
 )
 
-// ringSlotCap is the preallocated per-slot event capacity: one slab backs
-// every slot of the completion ring, so steady-state scheduling allocates
-// only when a single cycle completes more than ringSlotCap events (the
-// slot then grows individually and stays grown).
-const ringSlotCap = 4
-
-type ringEvt struct {
+// completion is one scheduled in-core event: a scoreboard register clear
+// or an L1I fill.
+type completion struct {
 	kind   uint8
 	isLoad bool
 	reg    int8
@@ -189,7 +175,9 @@ type Core struct {
 
 	respFIFO *mem.Queue[*mem.Fetch]
 
-	ring           [ringSize][]ringEvt
+	pending lanes        // scheduled completions
+	dueBuf  []completion // applyCompletions scratch
+
 	now            int64
 	heavyBusyUntil int64
 	injectToggle   bool // alternate data/instruction miss injection
@@ -217,14 +205,17 @@ type Core struct {
 	issueDirty bool
 	lastStall  int // cached classification; -1 when no stall was recorded
 
-	// aliveMask tracks warps with instructions left to issue; blockedMem
-	// and blockedALU mark warps whose head instruction hit a data hazard.
-	// A blocked warp's scoreboard and head instruction cannot change until
-	// a completion for that warp lands (applyCompletions clears its bits),
-	// so the scheduler scan skips it outright — with 48 warps mostly
-	// waiting on loads, the scan touches a handful of warps instead of all
-	// of them. The counts feed the stall classification for the skipped
-	// warps.
+	// hasInst is the ready set: warps with a non-empty i-buffer (set in
+	// fetchTick, cleared in tryIssue), the only ones the scheduler scan
+	// offers to tryIssue — a fetch-starved warp would bounce off it
+	// untouched. aliveCount counts warps with instructions left to issue.
+	// blockedMem and blockedALU mark warps whose head instruction hit a
+	// data hazard. A blocked warp's scoreboard and head instruction cannot
+	// change until a completion for that warp lands (applyCompletions
+	// clears its bits), so the scheduler scan skips it outright — with 48
+	// warps mostly waiting on loads, the scan touches a handful of warps
+	// instead of all of them. The counts feed the stall classification
+	// for the skipped warps.
 	//
 	// blockedStr and blockedHeavy park structural hazards the same way:
 	// a warp that found too little memory-pipeline space stays parked until
@@ -232,7 +223,7 @@ type Core struct {
 	// found the heavy pipe reserved stays parked until the reservation
 	// expires (checked at the top of each scan). Both conditions are frozen
 	// in between, so re-scanning those warps would fail identically.
-	aliveMask     []uint64
+	hasInst       []uint64
 	aliveCount    int
 	blockedMem    []uint64
 	blockedALU    []uint64
@@ -251,12 +242,6 @@ type Core struct {
 	// stall class without redoing the lookups.
 	lsuParked      bool
 	lsuParkedStall int
-
-	// evtCount and nextEvtHint summarize the completion ring for NextWake:
-	// how many events are scheduled and a lower bound on the next one's
-	// cycle (exact while it lies in the future).
-	evtCount    int
-	nextEvtHint int64
 
 	newFetch NewFetchFn
 	inject   InjectFn
@@ -302,10 +287,7 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 		memQ:     mem.NewQueue[tx](cfg.Core.MemPipelineWidth),
 		respFIFO: mem.NewQueue[*mem.Fetch](cfg.L1.ResponseFIFO),
 		newFetch: newFetch,
-	}
-	slab := make([]ringEvt, ringSize*ringSlotCap)
-	for i := range c.ring {
-		c.ring[i] = slab[i*ringSlotCap : i*ringSlotCap : (i+1)*ringSlotCap]
+		pending:  lanes{next: math.MaxInt64},
 	}
 	c.iLineShift = uint(bits.TrailingZeros64(uint64(cfg.L1.LineBytes)))
 	c.codeLineBase = c.icache.LineAddr(wl.Program.PCAddr(0)) >> c.iLineShift
@@ -320,9 +302,8 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 	for i := 0; i < nWarps; i++ {
 		c.fetchMask[i>>6] |= 1 << uint(i&63)
 	}
-	c.aliveMask = make([]uint64, (nWarps+63)/64)
+	c.hasInst = make([]uint64, (nWarps+63)/64)
 	if total > 0 {
-		copy(c.aliveMask, c.fetchMask)
 		c.aliveCount = nWarps
 	}
 	c.blockedMem = make([]uint64, (nWarps+63)/64)
@@ -431,36 +412,19 @@ func (c *Core) Tick() {
 	c.checkDone()
 }
 
-func (c *Core) schedule(delta int64, e ringEvt) {
-	if delta < 1 {
-		delta = 1
-	}
-	if delta >= ringSize {
-		panic(fmt.Sprintf("smcore: completion delta %d exceeds ring size", delta))
-	}
-	slot := (c.now + delta) & (ringSize - 1)
-	c.ring[slot] = append(c.ring[slot], e)
-	if abs := c.now + delta; c.evtCount == 0 || abs < c.nextEvtHint {
-		c.nextEvtHint = abs
-	}
-	c.evtCount++
+// schedule queues e to complete delta cycles from now (at least one).
+func (c *Core) schedule(delta int64, e completion) {
+	c.pending.push(c.now, max(delta, 1), e)
 }
 
+// applyCompletions fires every completion due this cycle.
 func (c *Core) applyCompletions() {
-	if c.evtCount == 0 || c.nextEvtHint > c.now {
-		// The hint tracks the exact earliest pending event (schedule
-		// min-updates it, the post-drain rescan below restores it), so
-		// cycles before it cannot fire anything.
-		return
-	}
-	slot := c.now & (ringSize - 1)
-	evts := c.ring[slot]
-	if len(evts) == 0 {
+	if c.pending.next > c.now {
 		return
 	}
 	c.issueDirty = true
-	c.evtCount -= len(evts)
-	for _, e := range evts {
+	c.dueBuf = c.pending.drain(c.now, c.dueBuf[:0])
+	for _, e := range c.dueBuf {
 		switch e.kind {
 		case evtRegClear:
 			w := &c.warps[e.warpID]
@@ -491,19 +455,6 @@ func (c *Core) applyCompletions() {
 			c.iPendingClear(e.line)
 		}
 	}
-	c.ring[slot] = evts[:0]
-	if c.evtCount > 0 {
-		// Restore the exact hint: the rescan steps to the next non-empty
-		// slot, so the cycles in between return on the hint compare alone.
-		// The total rescan work over a run is bounded by the cycles spent
-		// with events pending — no worse than checking the slot each cycle.
-		for d := int64(1); d < ringSize; d++ {
-			if len(c.ring[(c.now+d)&(ringSize-1)]) > 0 {
-				c.nextEvtHint = c.now + d
-				break
-			}
-		}
-	}
 }
 
 // consumeResponse retires one reply packet per cycle: L1I fills and L1D
@@ -528,7 +479,7 @@ func (c *Core) consumeResponse() {
 		}
 		c.l1.Fill(f.Addr)
 		for _, t := range c.mshr.Release(f.Addr) {
-			c.schedule(int64(c.cfg.L1.HitLatency), ringEvt{
+			c.schedule(int64(c.cfg.L1.HitLatency), completion{
 				kind: evtRegClear, isLoad: true, reg: t.reg, warpID: t.warpID,
 			})
 		}
@@ -576,7 +527,7 @@ func (c *Core) lsuTick() {
 	}
 	// Load.
 	if c.l1.Access(head.line) {
-		c.schedule(int64(c.cfg.L1.HitLatency), ringEvt{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
+		c.schedule(int64(c.cfg.L1.HitLatency), completion{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
 		c.memQ.Pop()
 		c.Stats.L1Accesses++
 		c.Stats.L1Hits++
@@ -636,7 +587,7 @@ func (c *Core) lsuIdeal(head tx) {
 		return
 	}
 	if c.l1.Access(head.line) {
-		c.schedule(int64(c.cfg.L1.HitLatency), ringEvt{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
+		c.schedule(int64(c.cfg.L1.HitLatency), completion{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
 		c.Stats.L1Hits++
 		return
 	}
@@ -651,23 +602,14 @@ func (c *Core) lsuIdeal(head tx) {
 	}
 	c.Stats.AML.Add(lat)
 	c.l1.Fill(head.line) // functional install
-	c.schedule(lat+int64(c.cfg.L1.HitLatency), ringEvt{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
+	c.schedule(lat+int64(c.cfg.L1.HitLatency), completion{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
 	c.Stats.L1Misses++
 }
 
-// issueScan carries the per-scan hazard observations of one issueTick.
-// Data hazards are not here: a data-blocked warp is parked in the
-// blockedMem/blockedALU bitsets and skipped until a completion frees it.
-type issueScan struct {
-	sawStrMem bool
-	sawStrALU bool
-	anyInst   bool
-}
-
 // issueTick implements the greedy-then-oldest scheduler and the Fig. 7
-// stall taxonomy. The scan iterates only live warps not parked on a data
-// hazard; the parked warps' stall contribution comes from the blocked
-// counts, which classify exactly as scanning them would have.
+// stall taxonomy. The scan iterates only the ready set minus the warps
+// parked on a hazard; the parked warps' stall contribution comes from the
+// blocked counts, which classify exactly as scanning them would have.
 func (c *Core) issueTick() {
 	if !c.issueDirty {
 		// Nothing changed since the last failed scan — unless a str-ALU
@@ -690,16 +632,14 @@ func (c *Core) issueTick() {
 		}
 		c.nBlockedHeavy = 0
 	}
-	var s issueScan
-
 	gWord, gBit := c.greedy>>6, uint64(1)<<uint(c.greedy&63)
-	if (c.blockedMem[gWord]|c.blockedALU[gWord]|c.blockedStr[gWord]|c.blockedHeavy[gWord])&gBit == 0 &&
-		c.tryIssue(&c.warps[c.greedy], &s) {
+	if c.hasInst[gWord]&^(c.blockedMem[gWord]|c.blockedALU[gWord]|c.blockedStr[gWord]|c.blockedHeavy[gWord])&gBit != 0 &&
+		c.tryIssue(&c.warps[c.greedy]) {
 		c.issueDirty = true
 		c.lastStall = -1
 		return
 	}
-	for wi, word := range c.aliveMask {
+	for wi, word := range c.hasInst {
 		cand := word &^ (c.blockedMem[wi] | c.blockedALU[wi] | c.blockedStr[wi] | c.blockedHeavy[wi])
 		for cand != 0 {
 			i := wi<<6 + bits.TrailingZeros64(cand)
@@ -707,7 +647,7 @@ func (c *Core) issueTick() {
 			if int32(i) == c.greedy {
 				continue
 			}
-			if c.tryIssue(&c.warps[i], &s) {
+			if c.tryIssue(&c.warps[i]) {
 				c.greedy = int32(i)
 				c.issueDirty = true
 				c.lastStall = -1
@@ -721,34 +661,29 @@ func (c *Core) issueTick() {
 	}
 	// Nothing issued: classify per §IV-A5 — structural beats data beats
 	// fetch. Parked warps classify exactly as scanning them would have:
-	// their hazard condition is frozen while they sit parked.
+	// their hazard condition is frozen while they sit parked. A ready
+	// warp that does not issue parks itself in one of the four sets, so
+	// with all four empty so was the ready set: every live warp awaits a
+	// fetch.
 	switch {
-	case s.sawStrMem || c.nBlockedStr > 0:
+	case c.nBlockedStr > 0:
 		c.lastStall = StallStrMem
-	case s.sawStrALU || c.nBlockedHeavy > 0:
+	case c.nBlockedHeavy > 0:
 		c.lastStall = StallStrALU
 	case c.nBlockedMem > 0:
 		c.lastStall = StallDataMem
 	case c.nBlockedALU > 0:
 		c.lastStall = StallDataALU
-	case !s.anyInst:
+	default:
 		c.lastStall = StallFetch
 	}
-	if c.lastStall >= 0 {
-		c.Stats.IssueStalls[c.lastStall]++
-	}
+	c.Stats.IssueStalls[c.lastStall]++
 }
 
-// tryIssue attempts to issue warp w's oldest buffered instruction,
-// recording any hazard it runs into in s.
-func (c *Core) tryIssue(w *warp, s *issueScan) bool {
-	if !w.aliveForIssue() {
-		return false
-	}
-	if w.ibufLen == 0 {
-		return false
-	}
-	s.anyInst = true
+// tryIssue attempts to issue warp w's oldest buffered instruction, parking
+// the warp on whichever hazard stops it. Callers offer only warps in the
+// ready set, so w's i-buffer is never empty here.
+func (c *Core) tryIssue(w *warp) bool {
 	in := w.ibuf[0]
 	mask := c.regMasks[w.bodyIdx]
 	if w.pendingLoad&mask != 0 {
@@ -786,7 +721,6 @@ func (c *Core) tryIssue(w *warp, s *issueScan) bool {
 				c.blockedStr[word] |= bit
 				c.nBlockedStr++
 			}
-			s.sawStrMem = true
 			return false
 		}
 		isStore := in.Kind == OpStore
@@ -806,18 +740,17 @@ func (c *Core) tryIssue(w *warp, s *issueScan) bool {
 				c.blockedHeavy[word] |= bit
 				c.nBlockedHeavy++
 			}
-			s.sawStrALU = true
 			return false
 		}
 		c.heavyBusyUntil = c.now + heavyALUInterval
 		if in.Dest >= 0 {
 			w.pendingALU |= uint64(1) << uint(in.Dest)
-			c.schedule(heavyALULatency, ringEvt{kind: evtRegClear, reg: in.Dest, warpID: int32(w.id)})
+			c.schedule(heavyALULatency, completion{kind: evtRegClear, reg: in.Dest, warpID: int32(w.id)})
 		}
 	case OpALU:
 		if in.Dest >= 0 {
 			w.pendingALU |= uint64(1) << uint(in.Dest)
-			c.schedule(int64(c.cfg.Core.ALULatency), ringEvt{kind: evtRegClear, reg: in.Dest, warpID: int32(w.id)})
+			c.schedule(int64(c.cfg.Core.ALULatency), completion{kind: evtRegClear, reg: in.Dest, warpID: int32(w.id)})
 		}
 	}
 	// Retire from the i-buffer.
@@ -828,6 +761,9 @@ func (c *Core) tryIssue(w *warp, s *issueScan) bool {
 		c.fetchParkedValid = false // the eligible-warp set changed
 	}
 	w.ibufLen--
+	if w.ibufLen == 0 {
+		c.hasInst[w.id>>6] &^= 1 << uint(w.id&63)
+	}
 	w.issued++
 	w.bodyIdx++
 	if w.bodyIdx == len(c.wl.Program.Body) {
@@ -835,7 +771,6 @@ func (c *Core) tryIssue(w *warp, s *issueScan) bool {
 		w.iter++
 	}
 	if w.issued == w.total {
-		c.aliveMask[w.id>>6] &^= 1 << uint(w.id&63)
 		c.aliveCount--
 	}
 	c.Stats.Issued++
@@ -889,6 +824,7 @@ func (c *Core) fetchTick() {
 	if c.icache.Access(addr) {
 		w.ibuf[w.ibufLen] = c.wl.Program.Body[pcIdx]
 		w.ibufLen++
+		c.hasInst[idx>>6] |= 1 << uint(idx&63)
 		w.fetched++
 		w.fetchIdx++
 		if w.fetchIdx == len(c.wl.Program.Body) {
@@ -913,7 +849,7 @@ func (c *Core) fetchTick() {
 			lat = c.idealLat(line)
 		}
 		c.iPendingSet(line)
-		c.schedule(lat, ringEvt{kind: evtICacheFill, line: line})
+		c.schedule(lat, completion{kind: evtICacheFill, line: line})
 		return
 	}
 	if c.iMissQ.Full() {
@@ -992,10 +928,14 @@ func (c *Core) checkDone() {
 // cycle. A core that can never act again on its own (drained, or waiting
 // only on a reply in flight) returns (math.MaxInt64 = sched.Never, true).
 // The event engine uses it to park the core on its calendar wheel and jump
-// over runs of no-op cycles while every warp waits on completions.
+// over runs of no-op cycles while every warp waits on completions. The
+// cycle is the earliest completion lane head (or the heavy-pipe
+// reservation's expiry, if a replayed str-ALU stall waits on it); it can
+// lie any distance ahead.
 //
 // The contract is one-sided: answering earlier than the true wake is
-// always safe (a core woken early observes no event and reschedules),
+// always safe (a core woken early observes no event and reschedules —
+// which is what happens to a wake the wheel clamps to its horizon),
 // answering later never is. The core is the only unit of the hierarchy
 // whose answer is a cycle; partitions, channels and crossbars answer with
 // a boolean (HasL2Work, Idle, InFlight).
@@ -1017,46 +957,22 @@ func (c *Core) NextWake() (int64, bool) {
 	if c.fetchable != 0 && !c.fetchParkedNow() {
 		return 0, false
 	}
-	wake := c.nextEventCycle()
+	wake := c.pending.next // math.MaxInt64 when no completion is pending
 	if c.lastStall == StallStrALU {
 		if c.heavyBusyUntil <= c.now {
 			return 0, false // the replay path re-scans on the next tick
 		}
 		// The replayed str-ALU stall re-scans once the heavy pipe frees.
-		if wake < 0 || c.heavyBusyUntil < wake {
-			wake = c.heavyBusyUntil
-		}
+		wake = min(wake, c.heavyBusyUntil)
 	}
-	if wake < 0 {
-		if c.mshr.Len() != 0 || c.iPendingCount != 0 {
-			// No scheduled completion, queues drained, fetch parked: the
-			// only thing the core is waiting on is a reply in flight. The
-			// engine parks the core off the wheel and re-schedules it the
-			// exact cycle a reply reaches its ejection port.
-			return math.MaxInt64, true
-		}
+	if wake == math.MaxInt64 && c.mshr.Len() == 0 && c.iPendingCount == 0 {
 		return 0, false
 	}
+	// With no scheduled completion, queues drained and fetch parked, the
+	// only thing the core is waiting on is a reply in flight: the answer
+	// is Never, the engine parks the core off the wheel and re-schedules
+	// it the exact cycle a reply reaches its ejection port.
 	return wake, true
-}
-
-// nextEventCycle returns the cycle of the earliest scheduled completion,
-// or -1 when the ring is empty.
-func (c *Core) nextEventCycle() int64 {
-	if c.evtCount == 0 {
-		return -1
-	}
-	if c.nextEvtHint > c.now {
-		return c.nextEvtHint
-	}
-	// The hint went stale when its slot fired; rescan from the next slot.
-	for d := int64(1); d < ringSize; d++ {
-		if len(c.ring[(c.now+d)&(ringSize-1)]) > 0 {
-			c.nextEvtHint = c.now + d
-			return c.nextEvtHint
-		}
-	}
-	return -1
 }
 
 // fetchParkedNow reports (memoized) whether every eligible warp's next

@@ -257,6 +257,13 @@ func TestFetchHazardWithTinyICache(t *testing.T) {
 	}
 }
 
+// fillIBuf hand-loads warp i's i-buffer, keeping the ready set in step.
+func (c *Core) fillIBuf(i int, insts ...Inst) {
+	w := &c.warps[i]
+	w.ibufLen = copy(w.ibuf[:], insts)
+	c.hasInst[i>>6] |= 1 << uint(i&63)
+}
+
 func TestGTOPrefersGreedyWarp(t *testing.T) {
 	// Pre-fill two warps' i-buffers by hand: the scheduler must keep
 	// issuing from the greedy warp while it has ready instructions, and
@@ -268,9 +275,7 @@ func TestGTOPrefersGreedyWarp(t *testing.T) {
 	c := NewCore(0, &cfg, wl, testFetchFn())
 	alu := Inst{Kind: OpALU, Dest: -1, Src1: -1, Src2: -1}
 	for i := range c.warps {
-		c.warps[i].ibuf[0] = alu
-		c.warps[i].ibuf[1] = alu
-		c.warps[i].ibufLen = 2
+		c.fillIBuf(i, alu, alu)
 	}
 	c.greedy = 1
 	before0, before1 := c.warps[0].issued, c.warps[1].issued
