@@ -91,7 +91,7 @@ type CoreConfig struct {
 	NumCores     int     // SMs in the GPU (15 on GTX 480)
 	WarpsPerCore int     // resident warps per SM (1536 threads / 32 = 48)
 	ClockMHz     float64 // core clock (1400 MHz baseline)
-	IssueWidth   int     // instructions issued per cycle per SM
+	IssueWidth   int     // instructions issued per cycle per SM; only 1 is modeled
 
 	// MemPipelineWidth is the number of in-flight memory transactions the
 	// load-store unit can buffer ("Memory pipeline width" in Table III;
@@ -148,7 +148,8 @@ type L2Config struct {
 	ResponseQueueEntries int // 8 baseline, 32 scaled/cost-effective
 	DataPortBytes        int // 32 B baseline, 128 B scaled
 	TagLatency           int // pipeline depth of an L2 access, in L2 cycles
-	ClockMHz             float64
+	// ClockMHz must equal Icnt.ClockMHz: the L2 ticks in the crossbar domain.
+	ClockMHz float64
 }
 
 // DRAMTiming holds GDDR5 timing constraints in DRAM command-clock cycles
@@ -308,7 +309,9 @@ func (c *Config) Validate() error {
 			"NumCores × WarpsPerCore must not exceed %d, got %d", maxTotalWarps, c.Core.NumCores*c.Core.WarpsPerCore)
 	}
 	clock(c.Core.ClockMHz, "core")
-	check(c.Core.IssueWidth > 0 && c.Core.IssueWidth <= maxWays, "IssueWidth must be in [1, %d], got %d", maxWays, c.Core.IssueWidth)
+	// The SM model is single-issue (smcore never reads the field); any other
+	// width would hash to a fresh cell with the baseline's metrics.
+	check(c.Core.IssueWidth == 1, "core.issue_width must be 1 (the SM model is single-issue), got %d", c.Core.IssueWidth)
 	check(c.Core.MemPipelineWidth > 0 && c.Core.MemPipelineWidth <= maxQueueEntries,
 		"MemPipelineWidth must be in [1, %d], got %d", maxQueueEntries, c.Core.MemPipelineWidth)
 	lat(c.Core.ALULatency, maxLatency, "ALULatency")
@@ -381,6 +384,10 @@ func (c *Config) validateHierarchy(check func(bool, string, ...any), clock func(
 		"L2 data port must be in [1, %d] bytes, got %d", maxQueueEntries, c.L2.DataPortBytes)
 	lat(c.L2.TagLatency, maxLatency, "L2 tag latency")
 	clock(c.L2.ClockMHz, "L2")
+	// The L2 ticks in the crossbar clock domain; it has no divider of its own.
+	check(c.L2.ClockMHz == c.Icnt.ClockMHz,
+		"l2.clock_mhz (%g) must equal icnt.clock_mhz (%g): the L2 ticks in the crossbar clock domain, so set icnt.clock_mhz to scale both and keep l2.clock_mhz equal to it",
+		c.L2.ClockMHz, c.Icnt.ClockMHz)
 
 	check(c.Icnt.ReqFlitBytes > 0 && c.Icnt.ReqFlitBytes <= maxFlitBytes,
 		"request flit size must be in [1, %d], got %d", maxFlitBytes, c.Icnt.ReqFlitBytes)

@@ -43,7 +43,7 @@ var knobBounds = map[string]knobBound{
 	"core.num_cores":            {1, maxCores},
 	"core.warps_per_core":       {1, maxWarps},
 	"core.clock_mhz":            {0, maxClockMHz},
-	"core.issue_width":          {1, maxWays},
+	"core.issue_width":          {1, 1},
 	"core.mem_pipeline_width":   {1, maxQueueEntries},
 	"core.alu_latency":          {0, maxLatency},
 	"l1.size_bytes":             {1, maxCacheBytes},

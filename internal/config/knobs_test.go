@@ -85,3 +85,48 @@ func TestKnobByPathFuzzy(t *testing.T) {
 		t.Error("KnobByPath accepted unknown knob")
 	}
 }
+
+// Two knobs name hardware the model does not implement: the SM is
+// single-issue and the L2 ticks in the crossbar's clock domain. Perturbing
+// either must be a Validate error naming the knob — not a second cell
+// with a fresh ID and the baseline's metrics.
+func TestUnmodeledKnobsRefuse(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		sets    []string
+		mode    Mode
+		wantErr string // "" means the config must validate
+	}{
+		{"dual issue", []string{"core.issue_width=2"}, ModeNormal, "core.issue_width"},
+		{"zero issue", []string{"core.issue_width=0"}, ModeNormal, "core.issue_width"},
+		{"dual issue under P-inf", []string{"core.issue_width=2"}, ModeInfiniteBW, "core.issue_width"},
+		{"L2 clock alone", []string{"l2.clock_mhz=1400"}, ModeNormal, "set icnt.clock_mhz to scale both"},
+		{"icnt clock alone", []string{"icnt.clock_mhz=1400"}, ModeNormal, "l2.clock_mhz"},
+		{"both clocks together", []string{"icnt.clock_mhz=1400", "l2.clock_mhz=1400"}, ModeNormal, ""},
+		{"L2 clock where the L2 is not timed", []string{"l2.clock_mhz=1400"}, ModeInfiniteBW, ""},
+	} {
+		cfg := Baseline()
+		cfg.Mode = tc.mode
+		for _, kv := range tc.sets {
+			if err := cfg.Set(kv); err != nil {
+				t.Fatalf("%s: Set(%s): %v", tc.name, kv, err)
+			}
+		}
+		err := cfg.Validate()
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.wantErr)
+		}
+	}
+	// Every cell that exists today is still valid.
+	for name, cfg := range Presets() {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("preset %s no longer validates: %v", name, err)
+		}
+	}
+	if k, err := KnobByPath("core.issue_width"); err != nil || k.Min != 1 || k.Max != 1 {
+		t.Errorf("GET /v1/knobs would advertise core.issue_width as %+v, want the single value 1", k)
+	}
+}

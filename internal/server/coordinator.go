@@ -586,7 +586,7 @@ func (co *Coordinator) relayJob(w http.ResponseWriter, r *http.Request, method s
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec api.JobSpec
-	if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&spec); err != nil {
+	if err := decodeBody(r, maxJobBody, &spec); err != nil {
 		writeError(w, errBadRequest("decode job spec: %v", err))
 		return
 	}
@@ -665,7 +665,7 @@ func (co *Coordinator) fanoutGet(w http.ResponseWriter, r *http.Request, path st
 
 func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r, maxSweepBody, &req); err != nil {
 		writeError(w, errBadRequest("decode sweep request: %v", err))
 		return
 	}
@@ -952,7 +952,7 @@ func (co *Coordinator) handleCluster(w http.ResponseWriter, _ *http.Request) {
 
 func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req api.DrainRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
+	if err := decodeBody(r, maxDrainBody, &req); err != nil {
 		writeError(w, errBadRequest("decode drain request: %v", err))
 		return
 	}

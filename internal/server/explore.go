@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -146,46 +145,26 @@ func (rec *exploreRec) view(id string) api.Exploration {
 	return rec.plan.Resource(id, rec.state, rec.status, rec.result, rec.errMsg)
 }
 
-// get returns the current resource snapshot.
-func (h *exploreHub) get(id string) (api.Exploration, bool) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	rec, ok := h.recs[id]
-	if !ok {
-		return api.Exploration{}, false
-	}
-	return rec.view(id), true
-}
-
 // wait blocks until the exploration is terminal, ctx is done, the hub
 // shuts down, or d elapses, then returns the current snapshot. ok is
 // false only when the id is unknown.
 func (h *exploreHub) wait(ctx context.Context, id string, d time.Duration) (api.Exploration, bool) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(h.ctx, cancel)() // a hub shutdown ends the wait like a departed client
+	known := true
+	v := await(ctx, d, func() (api.Exploration, <-chan struct{}, bool) {
 		h.mu.Lock()
+		defer h.mu.Unlock()
 		rec, ok := h.recs[id]
 		if !ok {
-			h.mu.Unlock()
-			return api.Exploration{}, false
+			known = false
+			return api.Exploration{}, nil, true
 		}
 		v := rec.view(id)
-		ch := h.waitCh
-		h.mu.Unlock()
-		if d <= 0 || v.State.Terminal() {
-			return v, true
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return h.get(id)
-		case <-ctx.Done():
-			return v, true
-		case <-h.ctx.Done():
-			return v, true
-		}
-	}
+		return v, h.waitCh, v.State.Terminal()
+	})
+	return v, known
 }
 
 // shutdown aborts running drivers and waits for them to exit.
@@ -256,7 +235,7 @@ func (h *exploreHub) reload() {
 func handleExploreSubmit(h *exploreHub) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req api.ExploreRequest
-		if err := json.NewDecoder(io.LimitReader(r.Body, 8<<20)).Decode(&req); err != nil {
+		if err := decodeBody(r, maxJobBody, &req); err != nil {
 			writeError(w, errBadRequest("decode explore request: %v", err))
 			return
 		}

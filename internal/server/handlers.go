@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -58,6 +59,22 @@ func (s *Server) Handler() http.Handler {
 	return withTrace(instrument(mux, s.httpRequests, s.httpLatency))
 }
 
+// Request-body caps, the same on the daemon and the coordinator: a job
+// spec or explore request (one inline config and workload at most), a
+// sweep (a cell list, or axes of inline values), a drain request.
+const (
+	maxJobBody   = 8 << 20
+	maxSweepBody = 64 << 20
+	maxDrainBody = 1 << 20
+)
+
+// decodeBody decodes a JSON request body into v, reading at most limit
+// bytes of it: a larger body fails to decode (callers answer 400) instead
+// of being buffered whole.
+func decodeBody(r *http.Request, limit int64, v any) error {
+	return json.NewDecoder(io.LimitReader(r.Body, limit)).Decode(v)
+}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -99,7 +116,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec api.JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := decodeBody(r, maxJobBody, &spec); err != nil {
 		writeError(w, errBadRequest("decode job spec: %v", err))
 		return
 	}
@@ -211,9 +228,10 @@ type sweepExpansion struct {
 // the whole sweep instead of half-submitting it.
 func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 	ex := &sweepExpansion{}
-	seen := make(map[string]bool)
+	seen := make(map[string]int) // cell ID -> index in ex.cells
 	// add resolves one cell of the request and returns its ID, keeping
-	// the first occurrence of every distinct cell.
+	// the first occurrence of every distinct cell; a cell asks for a
+	// profile if any of its occurrences does.
 	add := func(sp api.JobSpec) (string, exp.Job, error) {
 		cell, err := resolveSpec(sp)
 		if err != nil {
@@ -221,8 +239,10 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 		}
 		ex.requested++
 		id := cell.CellID()
-		if !seen[id] {
-			seen[id] = true
+		if i, dup := seen[id]; dup {
+			ex.cells[i].spec.Profile = ex.cells[i].spec.Profile || sp.Profile
+		} else {
+			seen[id] = len(ex.cells)
 			ex.cells = append(ex.cells, resolvedCell{id: id, spec: sp, cell: cell})
 		}
 		return id, cell, nil
@@ -301,7 +321,7 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeBody(r, maxSweepBody, &req); err != nil {
 		writeError(w, errBadRequest("decode sweep request: %v", err))
 		return
 	}

@@ -27,6 +27,7 @@ import (
 	"net/http"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -134,6 +135,7 @@ type Server struct {
 	inflight map[string]int       // client key -> queued+running jobs it owns
 	sweeps   map[string]*sweepRec // sweep resources by content-addressed ID
 	waitCh   chan struct{}        // closed+replaced on every terminal transition and on drain
+	logq     []func()             // log lines of transitions made under mu; unlock emits them
 	draining bool
 
 	running atomic.Int64 // workers currently inside a simulation
@@ -281,24 +283,9 @@ func (s *Server) worker() {
 			return
 		}
 		j := s.pending[0]
-		s.pending = s.pending[1:]
-		j.State = api.JobRunning
-		gen := j.gen
-		now := time.Now()
-		j.StartedAt = &now
-		// The queued span is the open tail span; measure queue latency from
-		// its start (not SubmittedAt, which a re-enqueue does not reset).
-		if n := len(j.spans); n > 0 && j.spans[n-1].End == nil {
-			s.stageLatency.With("queued").Observe(now.Sub(j.spans[n-1].Start).Seconds())
-		}
-		j.endSpan(now) // close the queued span
-		j.beginSpan("running", now, nil)
-		s.traceSpans.Add(1)
-		profile := j.Spec.Profile
-		ctx := j.ctx
-		s.mu.Unlock()
-		s.log.Info("job running", "job", j.ID, "trace", j.TraceID,
-			"config", j.cell.Config.Label(), "bench", j.cell.Workload.Label(), "profile", profile)
+		s.transitionLocked(j, api.JobRunning)
+		gen, profile, ctx := j.gen, j.Spec.Profile, j.ctx
+		s.unlock()
 
 		s.running.Add(1)
 		res, err := s.sched.RunJobEx(ctx, j.cell, profile)
@@ -309,42 +296,100 @@ func (s *Server) worker() {
 		// canceled (and possibly re-enqueued) while we simulated, the
 		// canceled state the client observed must stand everywhere —
 		// GET /v1/jobs/{id} and /v1/stats alike.
-		if j.gen != gen || j.State != api.JobRunning {
-			s.mu.Unlock()
-			continue
+		if j.gen == gen && j.State == api.JobRunning {
+			j.Tier = res.Tier
+			j.spanAttr("tier", res.Tier)
+			if err != nil {
+				j.Error = err.Error()
+				j.spanAttr("error", j.Error)
+				s.transitionLocked(j, api.JobFailed)
+			} else {
+				// The memo and disk caches may have simulated this cell under
+				// different config/workload labels; the job answers with its own.
+				m := res.Metrics
+				m.Config = j.cell.Config.Label()
+				m.Benchmark = j.cell.Workload.Label()
+				j.Metrics = &m
+				j.profile = res.Profile
+				s.transitionLocked(j, api.JobDone)
+			}
 		}
-		done := time.Now()
-		j.FinishedAt = &done
-		j.Tier = res.Tier
-		j.spanAttr("tier", res.Tier)
-		s.stageLatency.With("running").Observe(done.Sub(now).Seconds())
-		if err != nil {
-			j.State = api.JobFailed
-			j.Error = err.Error()
-			j.spanAttr("error", err.Error())
-		} else {
-			// The memo and disk caches may have simulated this cell under
-			// different config/workload labels; the job answers with its own.
-			m := res.Metrics
-			m.Config = j.cell.Config.Label()
-			m.Benchmark = j.cell.Workload.Label()
-			j.State = api.JobDone
-			j.Metrics = &m
-			j.profile = res.Profile
+		s.unlock()
+	}
+}
+
+// transitionLocked moves j to state `to` — the only place a job changes
+// state, so everything a state change records is recorded here, once,
+// whoever asks (admission, the worker's pop and finish, cancel, drain):
+//
+//   - the open span (queued or running) closes and its duration is
+//     observed in gpusimd_job_stage_seconds under the span's own name —
+//     measured from the span's start, not SubmittedAt, which a re-enqueue
+//     does not reset;
+//   - a span named after the new state opens — for a terminal state a
+//     zero-length marker, completing the queued → running → terminal
+//     timeline — and gpusimd_trace_spans_total counts it;
+//   - pending tracks the state: a job is in the FIFO exactly while queued;
+//   - StartedAt / FinishedAt are stamped on entering running / a terminal
+//     state, and a terminal state additionally aborts the job's context,
+//     refunds its owner's quota (so a terminal job never holds a charge)
+//     and wakes the long-poll waiters;
+//   - leaving queued logs one line, emitted once s.mu is released (unlock).
+//
+// Callers hold s.mu and have set whatever the new state reports (Tier,
+// Error, Metrics, profile) beforehand.
+func (s *Server) transitionLocked(j *job, to api.JobState) {
+	now := time.Now()
+	if n := len(j.spans); n > 0 && j.spans[n-1].End == nil {
+		open := &j.spans[n-1]
+		open.End = &now
+		s.stageLatency.With(open.Name).Observe(now.Sub(open.Start).Seconds())
+	}
+	if j.State == api.JobQueued {
+		if i := slices.Index(s.pending, j); i >= 0 {
+			s.pending = slices.Delete(s.pending, i, i+1)
 		}
-		j.markTerminal(j.State, done)
-		s.traceSpans.Add(1)
-		state, traceID := j.State, j.TraceID
+	}
+	j.State = to
+	span := api.Span{Name: string(to), Start: now}
+	level, attrs := slog.LevelInfo, []any{"job", j.ID, "trace", j.TraceID}
+	if to.Terminal() {
+		j.FinishedAt = &now
+		span.End = &now
+		j.cancel()
 		s.releaseQuotaLocked(j)
 		s.broadcastLocked()
-		s.mu.Unlock()
-		if err != nil {
-			s.log.Warn("job failed", "job", j.ID, "trace", traceID, "tier", res.Tier, "err", err)
-		} else {
-			s.log.Info("job "+string(state), "job", j.ID, "trace", traceID,
-				"tier", res.Tier, "cycles", res.Metrics.Cycles,
-				"wallMs", done.Sub(now).Milliseconds(), "profiled", res.Profile != nil)
-		}
+	}
+	switch to {
+	case api.JobQueued:
+		s.pending = append(s.pending, j)
+		s.cond.Signal()
+	case api.JobRunning:
+		j.StartedAt = &now
+		attrs = append(attrs, "config", j.cell.Config.Label(), "bench", j.cell.Workload.Label(), "profile", j.Spec.Profile)
+	case api.JobDone:
+		attrs = append(attrs, "tier", j.Tier, "cycles", j.Metrics.Cycles,
+			"wallMs", now.Sub(*j.StartedAt).Milliseconds(), "profiled", j.profile != nil)
+	case api.JobFailed:
+		level = slog.LevelWarn
+		attrs = append(attrs, "tier", j.Tier, "err", j.Error)
+	}
+	j.spans = append(j.spans, span)
+	s.traceSpans.Add(1)
+	if to != api.JobQueued {
+		s.logq = append(s.logq, func() { s.log.Log(context.Background(), level, "job "+string(to), attrs...) })
+	}
+}
+
+// unlock releases s.mu and then emits the lines the transitions made
+// under it logged: the Logger is the embedder's code and may block on its
+// sink, which must not stall the job table.
+func (s *Server) unlock() {
+	lines := s.logq
+	s.logq = nil
+	s.mu.Unlock()
+	for _, emit := range lines {
+		emit()
 	}
 }
 
@@ -425,17 +470,6 @@ func (s *Server) quotaErrLocked(owner string, extra int) error {
 	return nil
 }
 
-// chargeQuotaLocked makes owner pay for j until it reaches a terminal
-// state. Callers hold s.mu and have already passed quotaErrLocked.
-func (s *Server) chargeQuotaLocked(j *job, owner string) {
-	if j.charged { // re-enqueue raced a stale charge; never double-bill
-		s.releaseQuotaLocked(j)
-	}
-	j.owner = owner
-	j.charged = true
-	s.inflight[owner]++
-}
-
 // releaseQuotaLocked refunds j's owner exactly once, at the transition
 // to a terminal state (done, failed, canceled). Callers hold s.mu.
 func (s *Server) releaseQuotaLocked(j *job) {
@@ -450,87 +484,90 @@ func (s *Server) releaseQuotaLocked(j *job) {
 	}
 }
 
-// submit enqueues one resolved cell, deduplicating against the job table.
-// It returns the job and true if this call created or re-enqueued it.
+// submit admits one resolved cell — admitLocked's one-cell case. It
+// returns the job and true if this call created or re-enqueued it.
+func (s *Server) submit(spec api.JobSpec, cell exp.Job, owner, traceID string) (*job, bool, error) {
+	s.mu.Lock()
+	defer s.unlock()
+	jobs, enqueued, err := s.admitLocked([]resolvedCell{{id: cell.CellID(), spec: spec, cell: cell}}, owner, traceID)
+	if err != nil {
+		return nil, false, err
+	}
+	return jobs[0], enqueued[0], nil
+}
+
+// admitLocked is the one admission path, for one cell or a whole sweep:
+// it deduplicates cells (unique by id) against the job table and enqueues
+// the ones that need a run, all or none. Capacity — the client's inflight
+// quota and the queue's free slots — is checked for every such cell before
+// any is touched, so a sweep never leaves its client owning half its job
+// IDs. It returns each cell's job and whether this call enqueued it.
 // owner is the submitting client's quota identity; traceID is the
 // request's trace ID, adopted by jobs this call creates or revives.
-func (s *Server) submit(spec api.JobSpec, cell exp.Job, owner, traceID string) (*job, bool, error) {
-	id := cell.CellID()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		// Canceled jobs are re-enqueueable, and so is a done-but-unprofiled
-		// job resubmitted with Profile=true: the metrics are memoized, so
-		// the re-run only adds the profile. Everything else — including
-		// failed jobs: the simulator is deterministic and the scheduler
-		// memoizes errors, so a retry would reproduce the failure — is
-		// shared as-is.
-		revive := j.State == api.JobCanceled ||
-			(spec.Profile && j.State == api.JobDone && j.profile == nil)
-		if !revive {
-			if spec.Profile && j.State == api.JobQueued {
-				// Not yet popped: upgrade in place, the worker reads the
-				// flag at pop. (A running unprofiled job can be
-				// resubmitted once it's done.)
-				j.Spec.Profile = true
-			}
-			return j, false, nil
+// Callers hold s.mu.
+//
+// A cell needs a run when it is new, when its job was canceled, or when
+// its job is done but unprofiled and the cell now asks for a profile: the
+// metrics are memoized, so the re-run only adds the profile. Everything
+// else — including failed jobs: the simulator is deterministic and the
+// scheduler memoizes errors, so a retry would reproduce the failure — is
+// shared as-is.
+func (s *Server) admitLocked(cells []resolvedCell, owner, traceID string) ([]*job, []bool, error) {
+	run := make([]bool, len(cells))
+	needed := 0
+	for i, c := range cells {
+		j := s.jobs[c.id]
+		run[i] = j == nil || j.State == api.JobCanceled ||
+			(c.spec.Profile && j.State == api.JobDone && j.profile == nil)
+		if run[i] {
+			needed++
 		}
-		if err := s.quotaErrLocked(owner, 1); err != nil {
-			return nil, false, err
+	}
+	if err := s.quotaErrLocked(owner, needed); err != nil {
+		return nil, nil, err
+	}
+	if needed > 0 && s.draining {
+		return nil, nil, &httpError{status: http.StatusServiceUnavailable, msg: "server: draining, not accepting jobs"}
+	}
+	if free := s.maxQueue - len(s.pending); needed > free {
+		msg := fmt.Sprintf("server: sweep needs %d queue slots, %d free (queue bound %d)", needed, free, s.maxQueue)
+		if len(cells) == 1 {
+			msg = fmt.Sprintf("server: job queue full (%d entries)", s.maxQueue)
 		}
-		j.Spec.Profile = j.Spec.Profile || spec.Profile
+		return nil, nil, &httpError{status: http.StatusServiceUnavailable, msg: msg}
+	}
+
+	jobs := make([]*job, len(cells))
+	for i, c := range cells {
+		j := s.jobs[c.id]
+		if j == nil {
+			j = &job{Job: api.Job{ID: c.id, Spec: c.spec, SubmittedAt: time.Now(), TraceID: traceID}, cell: c.cell}
+			s.jobs[c.id] = j
+			s.order = append(s.order, c.id)
+		}
+		jobs[i] = j
+		// A still-queued job is upgraded in place: the worker reads the
+		// flag at pop. (A running unprofiled job can be resubmitted once
+		// it's done.)
+		if c.spec.Profile && (run[i] || j.State == api.JobQueued) {
+			j.Spec.Profile = true
+		}
+		if !run[i] {
+			continue
+		}
 		if j.TraceID == "" {
 			j.TraceID = traceID
 		}
-		if err := s.enqueueLocked(j); err != nil {
-			return nil, false, err
-		}
-		s.chargeQuotaLocked(j, owner)
-		return j, true, nil
+		// The client who enqueued pays until the job reaches a terminal state.
+		j.owner, j.charged = owner, true
+		s.inflight[owner]++
+		j.Error, j.Metrics, j.Tier = "", nil, ""
+		j.StartedAt, j.FinishedAt = nil, nil
+		j.ctx, j.cancel = context.WithCancel(context.Background())
+		j.gen++
+		s.transitionLocked(j, api.JobQueued)
 	}
-	if err := s.quotaErrLocked(owner, 1); err != nil {
-		return nil, false, err
-	}
-	j := &job{
-		Job: api.Job{
-			ID:          id,
-			Spec:        spec,
-			SubmittedAt: time.Now(),
-			TraceID:     traceID,
-		},
-		cell: cell,
-	}
-	if err := s.enqueueLocked(j); err != nil {
-		return nil, false, err
-	}
-	s.chargeQuotaLocked(j, owner)
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	return j, true, nil
-}
-
-// enqueueLocked resets j to queued and appends it to the bounded pending
-// FIFO. Callers hold s.mu.
-func (s *Server) enqueueLocked(j *job) error {
-	if s.draining {
-		return &httpError{status: http.StatusServiceUnavailable, msg: "server: draining, not accepting jobs"}
-	}
-	if len(s.pending) >= s.maxQueue {
-		return &httpError{status: http.StatusServiceUnavailable, msg: fmt.Sprintf("server: job queue full (%d entries)", s.maxQueue)}
-	}
-	j.State = api.JobQueued
-	j.Error = ""
-	j.Metrics = nil
-	j.Tier = ""
-	j.StartedAt, j.FinishedAt = nil, nil
-	j.ctx, j.cancel = context.WithCancel(context.Background())
-	j.gen++
-	j.beginSpan("queued", time.Now(), nil)
-	s.traceSpans.Add(1)
-	s.pending = append(s.pending, j)
-	s.cond.Signal()
-	return nil
+	return jobs, run, nil
 }
 
 // resolvedCell is one validated sweep cell (unique by id).
@@ -602,52 +639,22 @@ func sweepID(cells []resolvedCell) string {
 	return "sw-" + hex.EncodeToString(sum[:8])
 }
 
-// submitSweep enqueues a deduplicated sweep atomically: capacity — queue
-// slots and the client's inflight quota — for every cell that needs
-// enqueueing is checked under one lock acquisition, so the sweep either
-// submits whole or rejects whole — never leaving the client owning half
-// its job IDs. An admitted sweep is registered (or re-found) as a sweep
-// resource addressable at GET /v1/sweeps/{id}. owner is the submitting
-// client's quota identity.
+// submitSweep admits a deduplicated sweep atomically — it either submits
+// whole or rejects whole (admitLocked) — and registers (or re-finds) it as
+// a sweep resource addressable at GET /v1/sweeps/{id}. owner is the
+// submitting client's quota identity.
 func (s *Server) submitSweep(ex *sweepExpansion, owner, traceID string) (api.SweepResponse, error) {
-	cells := ex.cells
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	needed := 0
-	for _, c := range cells {
-		if j, ok := s.jobs[c.id]; !ok || j.State == api.JobCanceled {
-			needed++
-		}
-	}
-	if free := s.maxQueue - len(s.pending); needed > free {
-		return api.SweepResponse{}, &httpError{
-			status: http.StatusServiceUnavailable,
-			msg:    fmt.Sprintf("server: sweep needs %d queue slots, %d free (queue bound %d)", needed, free, s.maxQueue),
-		}
-	}
-	if err := s.quotaErrLocked(owner, needed); err != nil {
+	defer s.unlock()
+	admitted, _, err := s.admitLocked(ex.cells, owner, traceID)
+	if err != nil {
 		return api.SweepResponse{}, err
 	}
-	jobs := make([]api.Job, 0, len(cells))
-	for _, c := range cells {
-		j, ok := s.jobs[c.id]
-		if !ok || j.State == api.JobCanceled {
-			if !ok {
-				j = &job{Job: api.Job{ID: c.id, Spec: c.spec, SubmittedAt: time.Now(), TraceID: traceID}, cell: c.cell}
-			}
-			if err := s.enqueueLocked(j); err != nil {
-				return api.SweepResponse{}, err // draining flipped, or capacity bug
-			}
-			s.chargeQuotaLocked(j, owner)
-			if _, known := s.jobs[c.id]; !known {
-				s.jobs[c.id] = j
-				s.order = append(s.order, c.id)
-			}
-		}
-		jobs = append(jobs, j.Job)
+	jobs := make([]api.Job, len(admitted))
+	for i, j := range admitted {
+		jobs[i] = j.Job
 	}
-
-	id := sweepID(cells)
+	id := sweepID(ex.cells)
 	registerSweep(s.sweeps, id, ex)
 	return api.SweepResponse{
 		ID:        id,
@@ -720,17 +727,6 @@ func (rec *sweepRec) speedups(snap func(id string) api.Job) *api.SweepSpeedups {
 	return sp
 }
 
-// sweepStatus assembles the GET /v1/sweeps/{id} resource view.
-func (s *Server) sweepStatus(id string) (api.Sweep, *httpError) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rec, ok := s.sweeps[id]
-	if !ok {
-		return api.Sweep{}, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown sweep %q", id)}
-	}
-	return rec.view(func(jid string) api.Job { return s.jobs[jid].Job }), nil
-}
-
 // cancelJob implements DELETE /v1/jobs/{id}. The state machine is pinned
 // by TestCancelStateMachine:
 //
@@ -746,48 +742,19 @@ func (s *Server) sweepStatus(id string) (api.Sweep, *httpError) {
 //	unknown  -> 404.
 func (s *Server) cancelJob(id string) (*job, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock()
 	j, ok := s.jobs[id]
 	if !ok {
 		return nil, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown job %q", id)}
 	}
 	switch j.State {
-	case api.JobQueued:
-		s.cancelQueuedLocked(j)
-		return j, nil
-	case api.JobRunning:
-		s.cancelLocked(j)
+	case api.JobQueued, api.JobRunning:
+		s.transitionLocked(j, api.JobCanceled)
 		return j, nil
 	case api.JobCanceled:
 		return j, nil
 	default:
 		return nil, &httpError{status: http.StatusConflict, msg: fmt.Sprintf("server: job %q is %s, only queued or running jobs can be canceled", id, j.State)}
-	}
-}
-
-// cancelLocked marks j canceled, stamps its finish time, aborts its
-// context and refunds its owner's quota. Callers hold s.mu.
-func (s *Server) cancelLocked(j *job) {
-	j.State = api.JobCanceled
-	now := time.Now()
-	j.FinishedAt = &now
-	j.markTerminal(api.JobCanceled, now)
-	s.traceSpans.Add(1)
-	j.cancel()
-	s.releaseQuotaLocked(j)
-	s.broadcastLocked()
-	s.log.Info("job canceled", "job", j.ID, "trace", j.TraceID)
-}
-
-// cancelQueuedLocked additionally removes j from the pending FIFO,
-// freeing its queue slot immediately. Callers hold s.mu.
-func (s *Server) cancelQueuedLocked(j *job) {
-	s.cancelLocked(j)
-	for i, p := range s.pending {
-		if p == j {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
 	}
 }
 
@@ -831,63 +798,68 @@ func (s *Server) Stats() api.Stats {
 	return st
 }
 
-// waitJob blocks until job id is terminal, the daemon starts draining,
-// ctx is done, or d elapses, then returns the job's current snapshot.
-// ok is false only when the id is unknown. With d <= 0 it returns the
-// snapshot immediately — GET without ?wait= is exactly waitJob(ctx, id, 0).
-func (s *Server) waitJob(ctx context.Context, id string, d time.Duration) (api.Job, bool) {
+// await is the one long-poll loop, behind every ?wait= GET. poll snapshots
+// the resource under its owner's lock and reports the channel that closes
+// when it may have changed and whether it is settled (terminal, unknown,
+// or its owner draining). await returns the latest snapshot once poll
+// settles, d elapses, or ctx is done — at once, arming no timer, when the
+// first poll settles or d <= 0, which is a GET without ?wait=.
+func await[T any](ctx context.Context, d time.Duration, poll func() (v T, wake <-chan struct{}, settled bool)) T {
+	v, wake, settled := poll()
+	if settled || d <= 0 {
+		return v
+	}
 	timer := time.NewTimer(d)
 	defer timer.Stop()
-	for {
-		s.mu.Lock()
-		j, ok := s.jobs[id]
-		if !ok {
-			s.mu.Unlock()
-			return api.Job{}, false
-		}
-		snap := j.Job
-		ch := s.waitCh
-		draining := s.draining
-		s.mu.Unlock()
-		if d <= 0 || snap.State.Terminal() || draining {
-			return snap, true
-		}
+	for !settled {
 		select {
-		case <-ch:
+		case <-wake:
+			v, wake, settled = poll()
 		case <-timer.C:
-			return s.snapshot(j), true
+			v, _, _ = poll()
+			return v
 		case <-ctx.Done():
-			return snap, true
+			return v
 		}
 	}
+	return v
+}
+
+// waitJob blocks until job id is terminal, the daemon starts draining,
+// ctx is done, or d elapses, then returns the job's current snapshot.
+// ok is false only when the id is unknown.
+func (s *Server) waitJob(ctx context.Context, id string, d time.Duration) (api.Job, bool) {
+	known := true
+	snap := await(ctx, d, func() (api.Job, <-chan struct{}, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		j, ok := s.jobs[id]
+		if !ok {
+			known = false
+			return api.Job{}, nil, true
+		}
+		return j.Job, s.waitCh, j.State.Terminal() || s.draining
+	})
+	return snap, known
 }
 
 // waitSweep is waitJob's sweep twin: it blocks until the sweep is
 // terminal, the daemon drains, ctx is done, or d elapses, then returns
 // the current aggregate.
 func (s *Server) waitSweep(ctx context.Context, id string, d time.Duration) (api.Sweep, *httpError) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for {
+	var he *httpError
+	sw := await(ctx, d, func() (api.Sweep, <-chan struct{}, bool) {
 		s.mu.Lock()
-		ch := s.waitCh
-		draining := s.draining
-		s.mu.Unlock()
-		sw, he := s.sweepStatus(id)
-		if he != nil {
-			return api.Sweep{}, he
+		defer s.mu.Unlock()
+		rec, ok := s.sweeps[id]
+		if !ok {
+			he = &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown sweep %q", id)}
+			return api.Sweep{}, nil, true
 		}
-		if d <= 0 || sw.State.Terminal() || draining {
-			return sw, nil
-		}
-		select {
-		case <-ch:
-		case <-timer.C:
-			return s.sweepStatus(id)
-		case <-ctx.Done():
-			return sw, nil
-		}
-	}
+		sw := rec.view(func(jid string) api.Job { return s.jobs[jid].Job })
+		return sw, s.waitCh, sw.State.Terminal() || s.draining
+	})
+	return sw, he
 }
 
 // Shutdown stops accepting submissions, cancels still-queued jobs, and
@@ -901,12 +873,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining = true
 	for _, j := range s.jobs {
 		if j.State == api.JobQueued {
-			s.cancelQueuedLocked(j)
+			s.transitionLocked(j, api.JobCanceled)
 		}
 	}
 	s.cond.Broadcast()
 	s.broadcastLocked() // long-poll waiters return promptly during drain
-	s.mu.Unlock()
+	s.unlock()
 	s.explorer.cancel() // abort exploration drivers; journals survive for resume
 
 	done := make(chan struct{})

@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"net/http"
-	"time"
 
 	"gpumembw/internal/api"
 )
@@ -74,25 +73,8 @@ func traceIDFrom(ctx context.Context) string {
 	return id
 }
 
-// beginSpan opens a lifecycle span on the job record. Callers hold
-// Server.mu.
-func (j *job) beginSpan(name string, t time.Time, attrs map[string]string) {
-	j.spans = append(j.spans, api.Span{Name: name, Start: t, Attrs: attrs})
-}
-
-// endSpan closes the most recent still-open span, if any. Callers hold
-// Server.mu.
-func (j *job) endSpan(t time.Time) {
-	for i := len(j.spans) - 1; i >= 0; i-- {
-		if j.spans[i].End == nil {
-			end := t
-			j.spans[i].End = &end
-			return
-		}
-	}
-}
-
-// spanAttr annotates the most recent span. Callers hold Server.mu.
+// spanAttr annotates the most recent span of the lifecycle timeline
+// transitionLocked records. Callers hold Server.mu.
 func (j *job) spanAttr(key, val string) {
 	if len(j.spans) == 0 {
 		return
@@ -102,15 +84,6 @@ func (j *job) spanAttr(key, val string) {
 		sp.Attrs = make(map[string]string)
 	}
 	sp.Attrs[key] = val
-}
-
-// markTerminal closes any open span and appends the zero-length terminal
-// marker (done/failed/canceled), completing the queued → running →
-// terminal timeline. Callers hold Server.mu.
-func (j *job) markTerminal(state api.JobState, t time.Time) {
-	j.endSpan(t)
-	end := t
-	j.spans = append(j.spans, api.Span{Name: string(state), Start: t, End: &end})
 }
 
 // traceView assembles the wire Trace for GET /v1/jobs/{id}/trace. Attrs
