@@ -352,6 +352,19 @@ func BenchmarkNewGPU(b *testing.B) {
 	}
 }
 
+// BenchmarkConfigValidate pins the cost of validating a valid
+// configuration — paid once per job resolution, 266 times per warm
+// report — and that it allocates nothing.
+func BenchmarkConfigValidate(b *testing.B) {
+	cfg := config.Baseline()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := cfg.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func benchThroughput(b *testing.B, run func() (gpumembw.Metrics, error)) {
 	b.Helper()
 	var cycles int64

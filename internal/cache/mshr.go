@@ -145,6 +145,9 @@ func (m *MSHR[T]) remove(i uint64) {
 // Len returns the number of live entries.
 func (m *MSHR[T]) Len() int { return m.count }
 
+// Cap returns the configured entry limit (0 when unbounded).
+func (m *MSHR[T]) Cap() int { return m.maxEntries }
+
 // Full reports whether a new (non-merging) allocation would fail.
 func (m *MSHR[T]) Full() bool {
 	return m.maxEntries > 0 && m.count >= m.maxEntries

@@ -7,61 +7,74 @@ import (
 	"fmt"
 )
 
-// Canonical returns the configuration in canonical form: fields the
-// simulator never consults under this configuration's mode are zeroed.
-// Two configurations with equal canonical forms assemble behaviorally
-// identical GPUs, so different spellings of the same silicon — a
-// fixed-latency design point dragging along the baseline's L2 and DRAM
-// tables, a P∞ config with leftover crossbar buffers — collapse to one
-// value. ConfigID (and therefore every memo cell, job ID and disk-cache
-// entry keyed on it) hashes exactly this form.
-//
-// The zeroing map mirrors core.New and smcore.NewCore field by field:
-//
-//   - ModeNormal runs the full hierarchy; only the ideal-mode latencies
-//     (FixedL1MissLatency, IdealL2HitLatency, IdealMemLatency) are dead,
-//     plus either the FR-FCFS machinery (when DRAM.Infinite replaces the
-//     channel with a fixed-latency pipe) or InfiniteLatency (when it
-//     does not).
-//   - ModeInfiniteBW removes every structural limit: the L1 miss path
-//     (MSHRs, miss queue, response FIFO), the crossbars and the DRAM are
-//     never built; of the L2 only the functional tag-array geometry
-//     backing the latency oracle remains.
-//   - ModeFixedL1MissLat services every L1 miss at a constant latency:
-//     everything beyond the L1 is dead. L2.LineBytes survives only
-//     because Validate ties it to the live L1 line size.
-func (c Config) Canonical() Config {
-	out := c
-	switch c.Mode {
-	case ModeNormal:
-		out.FixedL1MissLatency = 0
-		out.IdealL2HitLatency, out.IdealMemLatency = 0, 0
-		if c.DRAM.Infinite {
-			out.DRAM.Timing = DRAMTiming{}
-			out.DRAM.SchedQueueEntries = 0
-			out.DRAM.ReturnQueueEntries = 0
-			out.DRAM.BanksPerChip = 0
-			out.DRAM.RowBytes = 0
-			out.DRAM.CtrlLatency = 0
-		} else {
-			out.DRAM.InfiniteLatency = 0
-		}
-	case ModeInfiniteBW:
-		out.FixedL1MissLatency = 0
-		out.L1.MSHREntries, out.L1.MSHRMaxMerge = 0, 0
-		out.L1.MissQueueEntries, out.L1.ResponseFIFO = 0, 0
-		out.Icnt = IcntConfig{}
-		out.L2 = L2Config{SizeBytes: c.L2.SizeBytes, LineBytes: c.L2.LineBytes, Ways: c.L2.Ways}
-		out.DRAM = DRAMConfig{}
-	case ModeFixedL1MissLat:
-		out.IdealL2HitLatency, out.IdealMemLatency = 0, 0
-		out.L1.MSHREntries, out.L1.MSHRMaxMerge = 0, 0
-		out.L1.MissQueueEntries, out.L1.ResponseFIFO = 0, 0
-		out.Icnt = IcntConfig{}
-		out.L2 = L2Config{LineBytes: c.L2.LineBytes}
-		out.DRAM = DRAMConfig{}
+// liveness is the set of regimes in which the simulator reads a knob. A
+// configuration is in exactly one regime (see regime); each row of the
+// knob table names the regimes it is live in. A knob is range-checked by
+// Validate and hashed by ConfigID exactly where it is live, and core.New
+// and smcore.NewCore read no field where it is dead.
+type liveness uint8
+
+const (
+	// The four regimes. ModeNormal builds the full bandwidth-limited
+	// hierarchy and splits on DRAM.Infinite: either the FR-FCFS channels
+	// (banks, rows, scheduler and return queues, timing) exist, or a
+	// fixed-latency pipe (the paper's P_DRAM) replaces them and only its
+	// latency is read.
+	frfcfs liveness = 1 << iota
+	infiniteDRAM
+	// ModeInfiniteBW (P∞) removes every structural limit: the L1 miss
+	// path, the crossbars and the DRAM are never built. Its own knobs are
+	// the latency oracle's two minimum latencies.
+	infiniteBW
+	// ModeFixedL1MissLat services every L1 miss at one constant latency:
+	// everything beyond the L1 is dead.
+	fixedLatency
+
+	// hierarchy: the L1 miss path (MSHRs, miss queue, response FIFO), both
+	// crossbars, the L2 banks and the DRAM bus — all of ModeNormal.
+	hierarchy = frfcfs | infiniteDRAM
+	// functionalL2: the L2 tag-array geometry — timed under ModeNormal,
+	// and all that remains of the L2 under P∞, where a functional tag
+	// array backs the oracle's hit-or-miss decision.
+	functionalL2 = hierarchy | infiniteBW
+	// always: the cores, the L1/L1I tag arrays and the memory pipeline run
+	// even under the ideal memory systems.
+	always = ^liveness(0)
+)
+
+// regime returns the one regime c is in. An unknown mode is in none of
+// the four, which leaves only the always-live rows — the mode among
+// them — for Validate to reject.
+func (c *Config) regime() liveness {
+	switch {
+	case c.Mode == ModeNormal && !c.DRAM.Infinite:
+		return frfcfs
+	case c.Mode == ModeNormal:
+		return infiniteDRAM
+	case c.Mode == ModeInfiniteBW:
+		return infiniteBW
+	case c.Mode == ModeFixedL1MissLat:
+		return fixedLatency
 	}
-	return out
+	return always &^ (functionalL2 | fixedLatency)
+}
+
+// Canonical returns the configuration in canonical form: every knob that
+// is dead in this configuration's regime is zeroed. Two configurations
+// with equal canonical forms assemble behaviorally identical GPUs, so
+// different spellings of the same silicon — a fixed-latency design point
+// dragging along the baseline's L2 and DRAM tables, a P∞ config with
+// leftover crossbar buffers — collapse to one value. ConfigID (and
+// therefore every memo cell, job ID and disk-cache entry keyed on it)
+// hashes exactly this form.
+func (c Config) Canonical() Config {
+	rows, in := knobTable(&c), c.regime()
+	for i := range rows {
+		if rows[i].live&in == 0 {
+			rows[i].zero()
+		}
+	}
+	return c
 }
 
 // Identity returns the canonical configuration with its provenance label

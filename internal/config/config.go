@@ -8,6 +8,38 @@
 // scaled design points of Fig. 10, the cost-effective asymmetric-crossbar
 // configurations of Fig. 12, the ideal memory systems of Table II (P∞ and
 // P_DRAM), and the fixed-L1-miss-latency mode of Fig. 3.
+//
+// # A knob's facts
+//
+// Every leaf of Config is a knob, and everything the package knows about
+// a knob is one row of the knob table (knobTable, knobs.go):
+//
+//   - its path — the canonical dotted spelling (l1.mshr_entries) that
+//     -set flags, GET /v1/knobs, the explorer and range errors use;
+//   - its type, read off the field itself (int, float, bool, string, mode);
+//   - its range — inclusive [min, max] caps against hostile input, max 0
+//     for the unbounded few; a float is a clock and excludes zero and NaN;
+//   - its liveness — the named set of regimes (canonical.go) in which the
+//     simulator reads the field at all.
+//
+// Three loops over the table are the package's behaviour: Validate
+// range-checks the live rows, Canonical zeroes the dead ones (and ConfigID
+// hashes what is left), Knobs lists them all. So the rule
+//
+//	validated ⇔ live ⇔ hashed
+//
+// holds by construction: a knob the mode ignores is neither checked nor
+// part of the identity, may hold anything, and is never read by core.New
+// or smcore.NewCore (internal/core's TestDeadKnobsAreUnread holds the
+// simulator to that); a knob the mode reads is bounded and any change to
+// it is a different cell. Adding a Config field means adding its row —
+// TestKnobBoundsComplete fails until the table covers the struct.
+//
+// What the table cannot state are relations between knobs: power-of-two
+// and matching line sizes, whole sets per cache, cores × warps, L2 banks
+// per partition and per crossbar port, the L2 sharing the crossbar's
+// clock, the clock ratios, the bus split across partitions. Those stay
+// hand-written in Validate, after the loop, each once.
 package config
 
 import (
@@ -280,161 +312,85 @@ const (
 )
 
 // Validate reports an error if the configuration is internally
-// inconsistent or exceeds the hostile-config caps above. Checks are
-// mode-aware: only fields the simulator consults under c.Mode are
-// constrained, so the canonical form of a valid configuration (mode-dead
-// fields zeroed, see Canonical) is itself valid.
+// inconsistent or exceeds the hostile-config caps above. It range-checks
+// exactly the knob-table rows that are live in c's regime, so the
+// canonical form of a valid configuration (dead knobs zeroed, see
+// Canonical) is itself valid and a dead knob can hold anything. What
+// follows the loop are the cross-field constraints — relations between
+// two or more knobs, which no single row can state — each applied where
+// its operands are live.
 func (c *Config) Validate() error {
 	var errs []error
-	check := func(ok bool, format string, args ...any) {
-		if !ok {
-			errs = append(errs, fmt.Errorf(format, args...))
+	// fail is only ever called on a failed check: a valid configuration
+	// boxes no argument and allocates nothing.
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf(format, args...))
+	}
+	rows, in := knobTable(c), c.regime()
+	for i := range rows {
+		if rows[i].live&in == 0 {
+			continue
+		}
+		if err := rows[i].rangeErr(); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	clock := func(mhz float64, what string) {
-		// !(x > 0) also rejects NaN.
-		check(mhz > 0 && mhz <= maxClockMHz, "%s clock must be in (0, %g] MHz, got %g", what, maxClockMHz, mhz)
-	}
-	lat := func(v int, bound int, what string) {
-		check(v >= 0 && v <= bound, "%s must be in [0, %d], got %d", what, bound, v)
-	}
 
-	// Fields consulted in every mode: the cores, the L1/L1I tag arrays and
-	// the memory pipeline run even under the ideal memory systems.
-	check(c.Mode <= ModeFixedL1MissLat, "unknown mode %d (known: normal, infinite-bw, fixed-l1-miss-latency)", uint8(c.Mode))
-	check(c.Core.NumCores > 0 && c.Core.NumCores <= maxCores, "NumCores must be in [1, %d], got %d", maxCores, c.Core.NumCores)
-	check(c.Core.WarpsPerCore > 0 && c.Core.WarpsPerCore <= maxWarps, "WarpsPerCore must be in [1, %d], got %d", maxWarps, c.Core.WarpsPerCore)
-	if c.Core.NumCores > 0 && c.Core.WarpsPerCore > 0 {
-		check(c.Core.NumCores*c.Core.WarpsPerCore <= maxTotalWarps,
-			"NumCores × WarpsPerCore must not exceed %d, got %d", maxTotalWarps, c.Core.NumCores*c.Core.WarpsPerCore)
+	l1, l2, dram := &c.L1, &c.L2, &c.DRAM
+	if !isPow2(l1.LineBytes) {
+		fail("L1 line size must be a power of two, got %d", l1.LineBytes)
 	}
-	clock(c.Core.ClockMHz, "core")
-	// The SM model is single-issue (smcore never reads the field); any other
-	// width would hash to a fresh cell with the baseline's metrics.
-	check(c.Core.IssueWidth == 1, "core.issue_width must be 1 (the SM model is single-issue), got %d", c.Core.IssueWidth)
-	check(c.Core.MemPipelineWidth > 0 && c.Core.MemPipelineWidth <= maxQueueEntries,
-		"MemPipelineWidth must be in [1, %d], got %d", maxQueueEntries, c.Core.MemPipelineWidth)
-	lat(c.Core.ALULatency, maxLatency, "ALULatency")
-	check(c.L1.LineBytes > 0 && c.L1.LineBytes <= maxLineBytes && isPow2(c.L1.LineBytes),
-		"L1 line size must be a power of two in [1, %d], got %d", maxLineBytes, c.L1.LineBytes)
-	check(c.L1.LineBytes == c.L2.LineBytes, "L1 and L2 line sizes must match (%d vs %d)", c.L1.LineBytes, c.L2.LineBytes)
-	cacheGeometry := func(size, ways int, what string) {
-		check(size > 0 && size <= maxCacheBytes, "%s size must be in [1, %d], got %d", what, maxCacheBytes, size)
-		check(ways > 0 && ways <= maxWays, "%s ways must be in [1, %d], got %d", what, maxWays, ways)
-		if size > 0 && ways > 0 && c.L1.LineBytes > 0 {
-			check(size%(c.L1.LineBytes*ways) == 0,
-				"%s size %d not divisible by line*ways %d", what, size, c.L1.LineBytes*ways)
+	if l1.LineBytes != l2.LineBytes {
+		fail("L1 and L2 line sizes must match (%d vs %d)", l1.LineBytes, l2.LineBytes)
+	}
+	if cores, warps := c.Core.NumCores, c.Core.WarpsPerCore; cores > 0 && warps > 0 && cores*warps > maxTotalWarps {
+		fail("NumCores × WarpsPerCore must not exceed %d, got %d", maxTotalWarps, cores*warps)
+	}
+	// divides reports d | n. A divisor that is zero, negative or an
+	// overflowed product comes from a knob the loop above already
+	// reported; it must not panic the check, so it passes.
+	divides := func(d, n int) bool { return d <= 0 || n%d == 0 }
+	wholeSets := func(size, ways int, what string) {
+		if size > 0 && !divides(l1.LineBytes*ways, size) {
+			fail("%s size %d not divisible by line*ways %d", what, size, l1.LineBytes*ways)
 		}
 	}
-	cacheGeometry(c.L1.SizeBytes, c.L1.Ways, "L1")
-	cacheGeometry(c.L1.ICacheSizeBytes, c.L1.ICacheWays, "L1I")
-	lat(c.L1.HitLatency, maxLatency, "L1 hit latency")
-	lat(c.L1.MSHRMaxMerge, maxQueueEntries, "L1 MSHR max merge")
-	lat(c.L1.MissQueueEntries, maxQueueEntries, "L1 miss queue entries")
-	lat(c.L1.ResponseFIFO, maxQueueEntries, "L1 response FIFO entries")
-	check(c.Mode != ModeNormal || (c.L1.MSHREntries > 0 && c.L1.MSHREntries <= maxQueueEntries),
-		"L1 MSHR entries must be in [1, %d], got %d", maxQueueEntries, c.L1.MSHREntries)
-	check(c.Mode == ModeNormal || c.L1.MSHREntries >= 0, "L1 MSHR entries must be non-negative, got %d", c.L1.MSHREntries)
-	check(c.MaxCycles >= 0, "MaxCycles must be non-negative, got %d", c.MaxCycles)
-
-	switch c.Mode {
-	case ModeNormal:
-		c.validateHierarchy(check, clock, lat)
-	case ModeInfiniteBW:
-		// Only the functional L2 of the P∞ latency oracle is consulted.
-		cacheGeometry(c.L2.SizeBytes, c.L2.Ways, "L2")
-		lat(c.IdealL2HitLatency, maxIdealLatency, "IdealL2HitLatency")
-		lat(c.IdealMemLatency, maxIdealLatency, "IdealMemLatency")
-	case ModeFixedL1MissLat:
-		lat(c.FixedL1MissLatency, maxIdealLatency, "FixedL1MissLatency")
+	wholeSets(l1.SizeBytes, l1.Ways, "L1")
+	wholeSets(l1.ICacheSizeBytes, l1.ICacheWays, "L1I")
+	if in == infiniteBW {
+		wholeSets(l2.SizeBytes, l2.Ways, "L2") // the P∞ oracle's functional tag array
+	}
+	if in&hierarchy != 0 {
+		banks, parts := l2.NumBanks, dram.NumPartitions
+		if banks > 0 && !divides(parts, banks) {
+			fail("L2 banks (%d) must be a multiple of DRAM partitions (%d)", banks, parts)
+		}
+		if c.Core.NumCores > 0 && banks > 0 && c.Core.NumCores*banks > maxPortBanks {
+			fail("NumCores × L2 banks must not exceed %d crossbar ports, got %d", maxPortBanks, c.Core.NumCores*banks)
+		}
+		if l2.SizeBytes > 0 && !divides(banks*l2.Ways*l2.LineBytes, l2.SizeBytes) {
+			fail("L2 size %d not divisible across %d banks × %d ways", l2.SizeBytes, banks, l2.Ways)
+		}
+		// The L2 ticks in the crossbar clock domain; it has no divider of its own.
+		if l2.ClockMHz != c.Icnt.ClockMHz {
+			fail("l2.clock_mhz (%g) must equal icnt.clock_mhz (%g): the L2 ticks in the crossbar clock domain, so set icnt.clock_mhz to scale both and keep l2.clock_mhz equal to it",
+				l2.ClockMHz, c.Icnt.ClockMHz)
+		}
+		// A runaway ratio would tick a memory domain millions of times per core cycle.
+		if c.Core.ClockMHz > 0 && c.Icnt.ClockMHz/c.Core.ClockMHz > maxClockRatio {
+			fail("icnt:core clock ratio must not exceed %d", maxClockRatio)
+		}
+		if c.Core.ClockMHz > 0 && dram.ClockMHz/c.Core.ClockMHz > maxClockRatio {
+			fail("DRAM:core clock ratio must not exceed %d", maxClockRatio)
+		}
+		if !divides(parts*8, dram.BusWidthBits) {
+			fail("DRAM bus width %d bits must divide evenly across %d partitions", dram.BusWidthBits, parts)
+		}
 	}
 	if len(errs) == 0 {
 		return nil
 	}
 	return fmt.Errorf("config %q: %w", c.Name, errors.Join(errs...))
-}
-
-// validateHierarchy checks the interconnect, L2 and DRAM knobs — the
-// fields only ModeNormal consults.
-func (c *Config) validateHierarchy(check func(bool, string, ...any), clock func(float64, string), lat func(int, int, string)) {
-	check(c.L2.SizeBytes > 0 && c.L2.SizeBytes <= maxCacheBytes, "L2 size must be in [1, %d], got %d", maxCacheBytes, c.L2.SizeBytes)
-	check(c.L2.Ways > 0 && c.L2.Ways <= maxWays, "L2 ways must be in [1, %d], got %d", maxWays, c.L2.Ways)
-	check(c.L2.NumBanks > 0 && c.L2.NumBanks <= maxBanks, "L2 banks must be in [1, %d], got %d", maxBanks, c.L2.NumBanks)
-	check(c.DRAM.NumPartitions > 0 && c.DRAM.NumPartitions <= maxPartitions,
-		"DRAM partitions must be in [1, %d], got %d", maxPartitions, c.DRAM.NumPartitions)
-	if c.L2.NumBanks > 0 && c.DRAM.NumPartitions > 0 {
-		check(c.L2.NumBanks%c.DRAM.NumPartitions == 0,
-			"L2 banks (%d) must be a multiple of DRAM partitions (%d)", c.L2.NumBanks, c.DRAM.NumPartitions)
-	}
-	if c.Core.NumCores > 0 && c.L2.NumBanks > 0 {
-		check(c.Core.NumCores*c.L2.NumBanks <= maxPortBanks,
-			"NumCores × L2 banks must not exceed %d crossbar ports, got %d", maxPortBanks, c.Core.NumCores*c.L2.NumBanks)
-	}
-	if c.L2.SizeBytes > 0 && c.L2.NumBanks > 0 && c.L2.Ways > 0 && c.L2.LineBytes > 0 {
-		check(c.L2.SizeBytes%(c.L2.NumBanks*c.L2.Ways*c.L2.LineBytes) == 0,
-			"L2 size %d not divisible across %d banks × %d ways", c.L2.SizeBytes, c.L2.NumBanks, c.L2.Ways)
-	}
-	check(c.L2.MSHREntries > 0 && c.L2.MSHREntries <= maxQueueEntries,
-		"L2 MSHR entries must be in [1, %d], got %d", maxQueueEntries, c.L2.MSHREntries)
-	lat(c.L2.MSHRMaxMerge, maxQueueEntries, "L2 MSHR max merge")
-	lat(c.L2.MissQueueEntries, maxQueueEntries, "L2 miss queue entries")
-	lat(c.L2.AccessQueueEntries, maxQueueEntries, "L2 access queue entries")
-	lat(c.L2.ResponseQueueEntries, maxQueueEntries, "L2 response queue entries")
-	check(c.L2.DataPortBytes > 0 && c.L2.DataPortBytes <= maxQueueEntries,
-		"L2 data port must be in [1, %d] bytes, got %d", maxQueueEntries, c.L2.DataPortBytes)
-	lat(c.L2.TagLatency, maxLatency, "L2 tag latency")
-	clock(c.L2.ClockMHz, "L2")
-	// The L2 ticks in the crossbar clock domain; it has no divider of its own.
-	check(c.L2.ClockMHz == c.Icnt.ClockMHz,
-		"l2.clock_mhz (%g) must equal icnt.clock_mhz (%g): the L2 ticks in the crossbar clock domain, so set icnt.clock_mhz to scale both and keep l2.clock_mhz equal to it",
-		c.L2.ClockMHz, c.Icnt.ClockMHz)
-
-	check(c.Icnt.ReqFlitBytes > 0 && c.Icnt.ReqFlitBytes <= maxFlitBytes,
-		"request flit size must be in [1, %d], got %d", maxFlitBytes, c.Icnt.ReqFlitBytes)
-	check(c.Icnt.ReplyFlitBytes > 0 && c.Icnt.ReplyFlitBytes <= maxFlitBytes,
-		"reply flit size must be in [1, %d], got %d", maxFlitBytes, c.Icnt.ReplyFlitBytes)
-	lat(c.Icnt.InputBufFlits, maxQueueEntries, "icnt input buffer flits")
-	lat(c.Icnt.OutputBufPackets, maxQueueEntries, "icnt output buffer packets")
-	lat(c.Icnt.LatencyCycles, maxLatency, "icnt latency")
-	clock(c.Icnt.ClockMHz, "icnt")
-	clock(c.DRAM.ClockMHz, "DRAM")
-	if c.Core.ClockMHz > 0 {
-		check(!(c.Icnt.ClockMHz/c.Core.ClockMHz > maxClockRatio),
-			"icnt:core clock ratio must not exceed %d", maxClockRatio)
-		check(!(c.DRAM.ClockMHz/c.Core.ClockMHz > maxClockRatio),
-			"DRAM:core clock ratio must not exceed %d", maxClockRatio)
-	}
-	check(c.DRAM.BusWidthBits > 0 && c.DRAM.BusWidthBits <= maxBusBits,
-		"DRAM bus width must be in [1, %d] bits, got %d", maxBusBits, c.DRAM.BusWidthBits)
-	check(c.DRAM.DataRate > 0 && c.DRAM.DataRate <= maxDataRate,
-		"DRAM data rate must be in [1, %d], got %d", maxDataRate, c.DRAM.DataRate)
-	if c.DRAM.NumPartitions > 0 {
-		check(c.DRAM.BusWidthBits%(c.DRAM.NumPartitions*8) == 0,
-			"DRAM bus width %d bits must divide evenly across %d partitions", c.DRAM.BusWidthBits, c.DRAM.NumPartitions)
-	}
-	if c.DRAM.Infinite {
-		lat(c.DRAM.InfiniteLatency, maxIdealLatency, "DRAM infinite latency")
-		return
-	}
-	check(c.DRAM.BanksPerChip > 0 && c.DRAM.BanksPerChip <= maxBanks,
-		"DRAM banks/chip must be in [1, %d], got %d", maxBanks, c.DRAM.BanksPerChip)
-	check(c.DRAM.RowBytes > 0 && c.DRAM.RowBytes <= maxRowBytes,
-		"DRAM row size must be in [1, %d] bytes, got %d", maxRowBytes, c.DRAM.RowBytes)
-	lat(c.DRAM.SchedQueueEntries, maxQueueEntries, "DRAM scheduler queue entries")
-	lat(c.DRAM.ReturnQueueEntries, maxQueueEntries, "DRAM return queue entries")
-	lat(c.DRAM.CtrlLatency, maxLatency, "DRAM controller latency")
-	for _, t := range []struct {
-		name string
-		v    int
-	}{
-		{"tCCD", c.DRAM.Timing.CCD}, {"tRRD", c.DRAM.Timing.RRD},
-		{"tRCD", c.DRAM.Timing.RCD}, {"tRAS", c.DRAM.Timing.RAS},
-		{"tRP", c.DRAM.Timing.RP}, {"tRC", c.DRAM.Timing.RC},
-		{"CL", c.DRAM.Timing.CL}, {"WL", c.DRAM.Timing.WL},
-		{"tCDLR", c.DRAM.Timing.CDLR}, {"tWR", c.DRAM.Timing.WR},
-	} {
-		lat(t.v, maxLatency, t.name)
-	}
 }
 
 func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }

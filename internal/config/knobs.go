@@ -2,10 +2,7 @@ package config
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
-	"strings"
-	"unicode"
 )
 
 // Knob describes one patchable configuration field: the canonical dotted
@@ -15,15 +12,16 @@ import (
 // put in a -set flag or a configPatch" — GET /v1/knobs serves it, and
 // the design-space explorer derives its search lattice from it.
 type Knob struct {
-	// Path is the canonical dotted knob path, e.g. "l1.mshr_entries".
-	// Set matches paths case-insensitively ignoring underscores and
-	// dashes, so any respelling of Path names the same knob.
+	// Path is the canonical dotted knob path (lower snake case, one
+	// segment per struct level). Set matches paths case-insensitively
+	// ignoring underscores and dashes, so any respelling of Path names
+	// the same knob.
 	Path string `json:"path"`
 	// Type is the value class: "int", "float", "bool", "string" or
 	// "mode" (the Mode enum, set by name).
 	Type string `json:"type"`
-	// Min and Max bound numeric knobs, mirroring Validate's
-	// hostile-config caps. Max is omitted (0) for the few unbounded
+	// Min and Max bound numeric knobs: Validate enforces exactly these
+	// wherever the knob is live. Max is omitted (0) for the few unbounded
 	// knobs; clock knobs exclude zero. Cross-field constraints (bank
 	// divisibility, matching line sizes, ...) still apply on top.
 	Min float64 `json:"min,omitempty"`
@@ -32,214 +30,223 @@ type Knob struct {
 	Baseline string `json:"baseline"`
 }
 
-// knobBound mirrors one Validate cap for the knob table. max 0 means
-// unbounded (only MaxCycles).
-type knobBound struct{ min, max float64 }
-
-// knobBounds maps canonical knob paths to the bounds Validate enforces.
-// Every numeric knob must have an entry — TestKnobBoundsComplete pins
-// that, so adding a Config field without deciding its bounds fails fast.
-var knobBounds = map[string]knobBound{
-	"core.num_cores":            {1, maxCores},
-	"core.warps_per_core":       {1, maxWarps},
-	"core.clock_mhz":            {0, maxClockMHz},
-	"core.issue_width":          {1, 1},
-	"core.mem_pipeline_width":   {1, maxQueueEntries},
-	"core.alu_latency":          {0, maxLatency},
-	"l1.size_bytes":             {1, maxCacheBytes},
-	"l1.line_bytes":             {1, maxLineBytes},
-	"l1.ways":                   {1, maxWays},
-	"l1.mshr_entries":           {1, maxQueueEntries},
-	"l1.mshr_max_merge":         {0, maxQueueEntries},
-	"l1.miss_queue_entries":     {0, maxQueueEntries},
-	"l1.hit_latency":            {0, maxLatency},
-	"l1.response_fifo":          {0, maxQueueEntries},
-	"l1.icache_size_bytes":      {1, maxCacheBytes},
-	"l1.icache_ways":            {1, maxWays},
-	"icnt.req_flit_bytes":       {1, maxFlitBytes},
-	"icnt.reply_flit_bytes":     {1, maxFlitBytes},
-	"icnt.input_buf_flits":      {0, maxQueueEntries},
-	"icnt.output_buf_packets":   {0, maxQueueEntries},
-	"icnt.latency_cycles":       {0, maxLatency},
-	"icnt.clock_mhz":            {0, maxClockMHz},
-	"l2.size_bytes":             {1, maxCacheBytes},
-	"l2.line_bytes":             {1, maxLineBytes},
-	"l2.ways":                   {1, maxWays},
-	"l2.num_banks":              {1, maxBanks},
-	"l2.mshr_entries":           {1, maxQueueEntries},
-	"l2.mshr_max_merge":         {0, maxQueueEntries},
-	"l2.miss_queue_entries":     {0, maxQueueEntries},
-	"l2.access_queue_entries":   {0, maxQueueEntries},
-	"l2.response_queue_entries": {0, maxQueueEntries},
-	"l2.data_port_bytes":        {1, maxQueueEntries},
-	"l2.tag_latency":            {0, maxLatency},
-	"l2.clock_mhz":              {0, maxClockMHz},
-	"dram.num_partitions":       {1, maxPartitions},
-	"dram.bus_width_bits":       {1, maxBusBits},
-	"dram.data_rate":            {1, maxDataRate},
-	"dram.banks_per_chip":       {1, maxBanks},
-	"dram.row_bytes":            {1, maxRowBytes},
-	"dram.sched_queue_entries":  {0, maxQueueEntries},
-	"dram.return_queue_entries": {0, maxQueueEntries},
-	"dram.ctrl_latency":         {0, maxLatency},
-	"dram.clock_mhz":            {0, maxClockMHz},
-	"dram.timing.ccd":           {0, maxLatency},
-	"dram.timing.rrd":           {0, maxLatency},
-	"dram.timing.rcd":           {0, maxLatency},
-	"dram.timing.ras":           {0, maxLatency},
-	"dram.timing.rp":            {0, maxLatency},
-	"dram.timing.rc":            {0, maxLatency},
-	"dram.timing.cl":            {0, maxLatency},
-	"dram.timing.wl":            {0, maxLatency},
-	"dram.timing.cdlr":          {0, maxLatency},
-	"dram.timing.wr":            {0, maxLatency},
-	"dram.infinite_latency":     {0, maxIdealLatency},
-	"fixed_l1_miss_latency":     {0, maxIdealLatency},
-	"ideal_l2_hit_latency":      {0, maxIdealLatency},
-	"ideal_mem_latency":         {0, maxIdealLatency},
-	"max_cycles":                {0, 0},
+// knob is one row of the knob table: every fact the package holds about
+// one Config leaf (see "A knob's facts" in the package comment).
+type knob struct {
+	path  string // canonical dotted path, the spelling -set accepts
+	field any    // the leaf's address: *int, *int64, *float64, *bool, *string or *Mode
+	// min and max are the numeric range, inclusive; max 0 means
+	// unbounded. A *float64 is a clock: its min is exclusive (and NaN is
+	// out of range), so a zero clock can never divide a ratio.
+	min, max float64
+	live     liveness // the regimes in which the simulator reads the field
 }
 
-// Knobs enumerates every patchable knob in Config's type tree, in field
-// declaration order, with canonical dotted paths, types, Validate bounds
-// and baseline values. The walk is the same reflect traversal Set's
-// insertKnob performs, so the two can never disagree about what exists.
+// knobTable is the knob table, bound to c: one row per Config leaf, in
+// declaration order. Validate, Canonical, Knobs, KnobByPath and KnobValue
+// are loops over it, so a knob's path, range and liveness are each stated
+// here and nowhere else. It is a function returning an array rather than
+// a package-level slice of accessor closures because a pointer handed to
+// a func value escapes: Validate and Identity sit on every job resolution
+// and must not allocate, and the array lives on the caller's stack.
+func knobTable(c *Config) [61]knob {
+	d, t := &c.DRAM, &c.DRAM.Timing
+	return [...]knob{
+		{"name", &c.Name, 0, 0, always},
+
+		{"core.num_cores", &c.Core.NumCores, 1, maxCores, always},
+		{"core.warps_per_core", &c.Core.WarpsPerCore, 1, maxWarps, always},
+		{"core.clock_mhz", &c.Core.ClockMHz, 0, maxClockMHz, always},
+		// The SM model is single-issue (smcore never reads the field); any
+		// other width would hash to a fresh cell with the baseline's metrics.
+		{"core.issue_width", &c.Core.IssueWidth, 1, 1, always},
+		{"core.mem_pipeline_width", &c.Core.MemPipelineWidth, 1, maxQueueEntries, always},
+		{"core.alu_latency", &c.Core.ALULatency, 0, maxLatency, always},
+
+		{"l1.size_bytes", &c.L1.SizeBytes, 1, maxCacheBytes, always},
+		{"l1.line_bytes", &c.L1.LineBytes, 1, maxLineBytes, always},
+		{"l1.ways", &c.L1.Ways, 1, maxWays, always},
+		{"l1.mshr_entries", &c.L1.MSHREntries, 1, maxQueueEntries, hierarchy},
+		{"l1.mshr_max_merge", &c.L1.MSHRMaxMerge, 0, maxQueueEntries, hierarchy},
+		{"l1.miss_queue_entries", &c.L1.MissQueueEntries, 0, maxQueueEntries, hierarchy},
+		{"l1.hit_latency", &c.L1.HitLatency, 0, maxLatency, always},
+		{"l1.response_fifo", &c.L1.ResponseFIFO, 0, maxQueueEntries, hierarchy},
+		{"l1.icache_size_bytes", &c.L1.ICacheSizeBytes, 1, maxCacheBytes, always},
+		{"l1.icache_ways", &c.L1.ICacheWays, 1, maxWays, always},
+
+		{"icnt.req_flit_bytes", &c.Icnt.ReqFlitBytes, 1, maxFlitBytes, hierarchy},
+		{"icnt.reply_flit_bytes", &c.Icnt.ReplyFlitBytes, 1, maxFlitBytes, hierarchy},
+		{"icnt.input_buf_flits", &c.Icnt.InputBufFlits, 0, maxQueueEntries, hierarchy},
+		{"icnt.output_buf_packets", &c.Icnt.OutputBufPackets, 0, maxQueueEntries, hierarchy},
+		{"icnt.latency_cycles", &c.Icnt.LatencyCycles, 0, maxLatency, hierarchy},
+		{"icnt.clock_mhz", &c.Icnt.ClockMHz, 0, maxClockMHz, hierarchy},
+
+		{"l2.size_bytes", &c.L2.SizeBytes, 1, maxCacheBytes, functionalL2},
+		// Live everywhere only because it must equal the live L1 line size.
+		{"l2.line_bytes", &c.L2.LineBytes, 1, maxLineBytes, always},
+		{"l2.ways", &c.L2.Ways, 1, maxWays, functionalL2},
+		{"l2.num_banks", &c.L2.NumBanks, 1, maxBanks, hierarchy},
+		{"l2.mshr_entries", &c.L2.MSHREntries, 1, maxQueueEntries, hierarchy},
+		{"l2.mshr_max_merge", &c.L2.MSHRMaxMerge, 0, maxQueueEntries, hierarchy},
+		{"l2.miss_queue_entries", &c.L2.MissQueueEntries, 0, maxQueueEntries, hierarchy},
+		{"l2.access_queue_entries", &c.L2.AccessQueueEntries, 0, maxQueueEntries, hierarchy},
+		{"l2.response_queue_entries", &c.L2.ResponseQueueEntries, 0, maxQueueEntries, hierarchy},
+		{"l2.data_port_bytes", &c.L2.DataPortBytes, 1, maxQueueEntries, hierarchy},
+		{"l2.tag_latency", &c.L2.TagLatency, 0, maxLatency, hierarchy},
+		{"l2.clock_mhz", &c.L2.ClockMHz, 0, maxClockMHz, hierarchy},
+
+		{"dram.num_partitions", &d.NumPartitions, 1, maxPartitions, hierarchy},
+		{"dram.bus_width_bits", &d.BusWidthBits, 1, maxBusBits, hierarchy},
+		{"dram.data_rate", &d.DataRate, 1, maxDataRate, hierarchy},
+		{"dram.banks_per_chip", &d.BanksPerChip, 1, maxBanks, frfcfs},
+		{"dram.row_bytes", &d.RowBytes, 1, maxRowBytes, frfcfs},
+		{"dram.sched_queue_entries", &d.SchedQueueEntries, 0, maxQueueEntries, frfcfs},
+		{"dram.return_queue_entries", &d.ReturnQueueEntries, 0, maxQueueEntries, frfcfs},
+		{"dram.ctrl_latency", &d.CtrlLatency, 0, maxLatency, frfcfs},
+		{"dram.clock_mhz", &d.ClockMHz, 0, maxClockMHz, hierarchy},
+		{"dram.timing.ccd", &t.CCD, 0, maxLatency, frfcfs},
+		{"dram.timing.rrd", &t.RRD, 0, maxLatency, frfcfs},
+		{"dram.timing.rcd", &t.RCD, 0, maxLatency, frfcfs},
+		{"dram.timing.ras", &t.RAS, 0, maxLatency, frfcfs},
+		{"dram.timing.rp", &t.RP, 0, maxLatency, frfcfs},
+		{"dram.timing.rc", &t.RC, 0, maxLatency, frfcfs},
+		{"dram.timing.cl", &t.CL, 0, maxLatency, frfcfs},
+		{"dram.timing.wl", &t.WL, 0, maxLatency, frfcfs},
+		{"dram.timing.cdlr", &t.CDLR, 0, maxLatency, frfcfs},
+		{"dram.timing.wr", &t.WR, 0, maxLatency, frfcfs},
+		{"dram.infinite", &d.Infinite, 0, 0, hierarchy},
+		{"dram.infinite_latency", &d.InfiniteLatency, 0, maxIdealLatency, infiniteDRAM},
+
+		{"mode", &c.Mode, 0, 0, always},
+		{"fixed_l1_miss_latency", &c.FixedL1MissLatency, 0, maxIdealLatency, fixedLatency},
+		{"ideal_l2_hit_latency", &c.IdealL2HitLatency, 0, maxIdealLatency, infiniteBW},
+		{"ideal_mem_latency", &c.IdealMemLatency, 0, maxIdealLatency, infiniteBW},
+		// A safety net, not hardware: 0 disables it and no cap is needed.
+		{"max_cycles", &c.MaxCycles, 0, 0, always},
+	}
+}
+
+// rangeErr returns nil when the row's value lies in its range, else the
+// uniform range error naming the canonical path.
+func (k *knob) rangeErr() error {
+	switch p := k.field.(type) {
+	case *int:
+		return k.intRangeErr(int64(*p))
+	case *int64:
+		return k.intRangeErr(*p)
+	case *float64:
+		if !(*p > k.min && *p <= k.max) { // also rejects NaN
+			return fmt.Errorf("%s must be in (%g, %g], got %g", k.path, k.min, k.max, *p)
+		}
+	case *Mode:
+		if *p > ModeFixedL1MissLat {
+			return fmt.Errorf("unknown mode %d (known: normal, infinite-bw, fixed-l1-miss-latency)", uint8(*p))
+		}
+	}
+	return nil
+}
+
+func (k *knob) intRangeErr(v int64) error {
+	lo, hi := int64(k.min), int64(k.max)
+	switch {
+	case v >= lo && (hi == 0 || v <= hi):
+		return nil
+	case hi == 0:
+		return fmt.Errorf("%s must be at least %d, got %d", k.path, lo, v)
+	}
+	return fmt.Errorf("%s must be in [%d, %d], got %d", k.path, lo, hi, v)
+}
+
+// zero clears the row's field — Canonical's verdict on a dead knob.
+func (k *knob) zero() {
+	switch p := k.field.(type) {
+	case *int:
+		*p = 0
+	case *int64:
+		*p = 0
+	case *float64:
+		*p = 0
+	case *bool:
+		*p = false
+	case *string:
+		*p = ""
+	case *Mode:
+		*p = 0
+	}
+}
+
+// typeAndValue returns the row's Knob.Type and its current value in
+// Set's textual form.
+func (k *knob) typeAndValue() (typ, val string) {
+	switch p := k.field.(type) {
+	case *int:
+		return "int", strconv.Itoa(*p)
+	case *int64:
+		return "int", strconv.FormatInt(*p, 10)
+	case *float64:
+		return "float", strconv.FormatFloat(*p, 'g', -1, 64)
+	case *bool:
+		return "bool", strconv.FormatBool(*p)
+	case *string:
+		return "string", *p
+	case *Mode:
+		return "mode", p.String()
+	}
+	panic("config: knob " + k.path + " has an unsupported field type")
+}
+
+// describe renders the row as the public Knob; Baseline is the bound
+// configuration's current value.
+func (k *knob) describe() Knob {
+	typ, val := k.typeAndValue()
+	return Knob{Path: k.path, Type: typ, Min: k.min, Max: k.max, Baseline: val}
+}
+
+// Knobs enumerates every patchable knob — one per Config leaf, in field
+// declaration order — with canonical dotted paths, types, Validate bounds
+// and baseline values.
 func Knobs() []Knob {
 	base := Baseline()
-	var out []Knob
-	walkKnobs(reflect.TypeOf(Config{}), reflect.ValueOf(base), "", &out)
+	rows := knobTable(&base)
+	out := make([]Knob, len(rows))
+	for i := range rows {
+		out[i] = rows[i].describe()
+	}
 	return out
 }
 
-func walkKnobs(t reflect.Type, v reflect.Value, prefix string, out *[]Knob) {
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
+// findKnob returns the row named by path, matching with Set's fuzzy
+// rules (case, underscores and dashes ignored).
+func findKnob(rows []knob, path string) (*knob, error) {
+	want := normalizeKnob(path)
+	for i := range rows {
+		if normalizeKnob(rows[i].path) == want {
+			return &rows[i], nil
 		}
-		path := prefix + knobPathSegment(f.Name)
-		fv := v.Field(i)
-		if f.Type == reflect.TypeOf(Mode(0)) {
-			*out = append(*out, Knob{Path: path, Type: "mode", Baseline: fv.Interface().(Mode).String()})
-			continue
-		}
-		if f.Type.Kind() == reflect.Struct {
-			walkKnobs(f.Type, fv, path+".", out)
-			continue
-		}
-		k := Knob{Path: path}
-		switch f.Type.Kind() {
-		case reflect.Int, reflect.Int64:
-			k.Type = "int"
-			k.Baseline = strconv.FormatInt(fv.Int(), 10)
-		case reflect.Float64:
-			k.Type = "float"
-			k.Baseline = strconv.FormatFloat(fv.Float(), 'g', -1, 64)
-		case reflect.Bool:
-			k.Type = "bool"
-			k.Baseline = strconv.FormatBool(fv.Bool())
-		case reflect.String:
-			k.Type = "string"
-			k.Baseline = fv.String()
-		default:
-			// Set rejects such a field too; skip rather than lie.
-			continue
-		}
-		if b, ok := knobBounds[path]; ok {
-			k.Min, k.Max = b.min, b.max
-		}
-		*out = append(*out, k)
 	}
+	return nil, fmt.Errorf("config: unknown knob %q", path)
 }
 
-// KnobByPath returns the knob named by path, matching with Set's fuzzy
-// rules (case, underscores and dashes ignored per segment).
+// KnobByPath returns the knob named by path (any Set spelling).
 func KnobByPath(path string) (Knob, error) {
-	want := normalizeKnob(path)
-	for _, k := range Knobs() {
-		if normalizeKnob(k.Path) == want {
-			return k, nil
-		}
+	base := Baseline()
+	rows := knobTable(&base)
+	k, err := findKnob(rows[:], path)
+	if err != nil {
+		return Knob{}, err
 	}
-	return Knob{}, fmt.Errorf("config: unknown knob %q", path)
+	return k.describe(), nil
 }
 
 // KnobValue reads cfg's current value for the knob named by path (any
 // Set spelling), in Set's textual form — the inverse of Set for a single
 // knob.
 func KnobValue(cfg *Config, path string) (string, error) {
-	segs := strings.Split(path, ".")
-	t := reflect.TypeOf(*cfg)
-	v := reflect.ValueOf(*cfg)
-	for i, seg := range segs {
-		field, ok := fieldByFuzzyName(t, seg)
-		if !ok {
-			return "", fmt.Errorf("config: unknown knob %q in path %q (known here: %s)", seg, path, fieldNames(t))
-		}
-		v = v.FieldByIndex(field.Index)
-		t = field.Type
-		last := i == len(segs)-1
-		if t == reflect.TypeOf(Mode(0)) {
-			if !last {
-				return "", fmt.Errorf("config: knob %q in path %q is not a group", field.Name, path)
-			}
-			return v.Interface().(Mode).String(), nil
-		}
-		if t.Kind() == reflect.Struct {
-			if last {
-				return "", fmt.Errorf("config: path %q names a group, not a knob (members: %s)", path, fieldNames(t))
-			}
-			continue
-		}
-		if !last {
-			return "", fmt.Errorf("config: knob %q in path %q is not a group", field.Name, path)
-		}
+	rows := knobTable(cfg)
+	k, err := findKnob(rows[:], path)
+	if err != nil {
+		return "", err
 	}
-	switch t.Kind() {
-	case reflect.Int, reflect.Int64:
-		return strconv.FormatInt(v.Int(), 10), nil
-	case reflect.Float64:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64), nil
-	case reflect.Bool:
-		return strconv.FormatBool(v.Bool()), nil
-	case reflect.String:
-		return v.String(), nil
-	default:
-		return "", fmt.Errorf("config: knob %q has unsupported kind %v", path, t.Kind())
-	}
-}
-
-// knobPathSegment converts one Go field name to its canonical lower
-// snake-case path segment: word boundaries fall before an upper-case
-// rune that follows a lower-case rune or digit, and after an acronym of
-// at least two runes ("MSHREntries" → "mshr_entries", "ICacheSizeBytes"
-// → "icache_size_bytes", "ClockMHz" → "clock_mhz"). Any respelling
-// round-trips through Set's normalizeKnob, which ignores the
-// underscores again.
-func knobPathSegment(name string) string {
-	runes := []rune(name)
-	var words []string
-	start := 0
-	for i := 1; i < len(runes); i++ {
-		if !unicode.IsUpper(runes[i]) {
-			continue
-		}
-		prev := runes[i-1]
-		acronymEnd := unicode.IsUpper(prev) && i+1 < len(runes) && unicode.IsLower(runes[i+1]) && i-start >= 2
-		if unicode.IsLower(prev) || unicode.IsDigit(prev) || acronymEnd {
-			words = append(words, string(runes[start:i]))
-			start = i
-		}
-	}
-	words = append(words, string(runes[start:]))
-	seg := ""
-	for i, w := range words {
-		if i > 0 {
-			seg += "_"
-		}
-		for _, r := range w {
-			seg += string(unicode.ToLower(r))
-		}
-	}
-	return seg
+	_, val := k.typeAndValue()
+	return val, nil
 }

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -18,26 +19,50 @@ func TestKnobsRoundTripThroughSet(t *testing.T) {
 	}
 }
 
-// Every numeric knob must carry explicit bounds, so adding a Config
-// field without deciding its hostile-config cap fails here rather than
-// shipping an unbounded knob.
+// The knob table must cover Config exactly: one row per leaf, bound to
+// that leaf's address, in declaration order, under a path that is the Go
+// field path respelled — so adding a Config field without deciding its
+// range and liveness fails here rather than shipping an unchecked,
+// unhashed knob. Every numeric knob but max_cycles must also be capped.
 func TestKnobBoundsComplete(t *testing.T) {
-	for _, k := range Knobs() {
-		if k.Type != "int" && k.Type != "float" {
-			continue
-		}
-		if _, ok := knobBounds[k.Path]; !ok {
-			t.Errorf("numeric knob %s has no bounds entry", k.Path)
+	var cfg Config
+	rows := knobTable(&cfg)
+	var leaves []any
+	var names []string
+	var walk func(v reflect.Value, prefix string)
+	walk = func(v reflect.Value, prefix string) {
+		for i := 0; i < v.NumField(); i++ {
+			name := prefix + v.Type().Field(i).Name
+			if fv := v.Field(i); fv.Kind() == reflect.Struct {
+				walk(fv, name+".")
+			} else {
+				leaves = append(leaves, fv.Addr().Interface())
+				names = append(names, name)
+			}
 		}
 	}
-	// And no stale entries for knobs that no longer exist.
-	paths := map[string]bool{}
-	for _, k := range Knobs() {
-		paths[k.Path] = true
+	walk(reflect.ValueOf(&cfg).Elem(), "")
+	if len(leaves) != len(rows) {
+		t.Fatalf("Config has %d leaves but the knob table has %d rows", len(leaves), len(rows))
 	}
-	for p := range knobBounds {
-		if !paths[p] {
-			t.Errorf("knobBounds entry %s names no enumerated knob", p)
+	knobs := Knobs()
+	for i := range rows {
+		k := &rows[i]
+		if k.field != leaves[i] {
+			t.Errorf("row %d (%s) is not bound to leaf %d (%s)", i, k.path, i, names[i])
+		}
+		if normalizeKnob(k.path) != normalizeKnob(names[i]) || k.path != strings.ToLower(k.path) {
+			t.Errorf("row %d: path %q is not a lower-case respelling of %s", i, k.path, names[i])
+		}
+		if knobs[i].Path != k.path {
+			t.Errorf("Knobs()[%d] = %s, want row order (%s)", i, knobs[i].Path, k.path)
+		}
+		numeric := knobs[i].Type == "int" || knobs[i].Type == "float"
+		if numeric && k.max == 0 && k.path != "max_cycles" {
+			t.Errorf("numeric knob %s has no upper bound", k.path)
+		}
+		if !numeric && (k.min != 0 || k.max != 0) {
+			t.Errorf("non-numeric knob %s carries a range", k.path)
 		}
 	}
 }

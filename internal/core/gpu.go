@@ -332,7 +332,7 @@ func (g *GPU) sampleGauges() []float64 {
 	for _, c := range g.cores {
 		l, cp := c.MissQueueOcc()
 		l1mq += frac(l, cp)
-		l1mshr += frac(c.MSHROcc(), g.cfg.L1.MSHREntries)
+		l1mshr += frac(c.MSHROcc())
 	}
 	nc := float64(len(g.cores))
 	b[0], b[1] = l1mq/nc, l1mshr/nc

@@ -143,7 +143,7 @@ func TestMalformedConfigNeverCrashesDaemon(t *testing.T) {
 	}{
 		{"zero line size", func(c *config.Config) { c.L1.LineBytes, c.L2.LineBytes = 0, 0 }, "line size"},
 		{"non-divisible banking", func(c *config.Config) { c.L2.NumBanks = 7 }, "banks"},
-		{"negative queue", func(c *config.Config) { c.L1.MissQueueEntries = -8 }, "miss queue"},
+		{"negative queue", func(c *config.Config) { c.L1.MissQueueEntries = -8 }, "l1.miss_queue_entries"},
 		{"huge cache", func(c *config.Config) { c.L2.SizeBytes = 1 << 40 }, "L2 size"},
 		{"unknown mode", func(c *config.Config) { c.Mode = 77 }, "mode"},
 	} {

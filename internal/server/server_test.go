@@ -249,7 +249,7 @@ func TestMalformedSpecsRejected(t *testing.T) {
 		wantMsg string
 	}{
 		{"invalid inline config carries Validate detail",
-			client.JobSpec{InlineConfig: &bad, Bench: testBench}, http.StatusBadRequest, "NumCores"},
+			client.JobSpec{InlineConfig: &bad, Bench: testBench}, http.StatusBadRequest, "core.num_cores"},
 		{"unknown preset lists valid names",
 			client.JobSpec{Config: "nope", Bench: testBench}, http.StatusBadRequest, "baseline"},
 		{"unknown bench lists valid names",

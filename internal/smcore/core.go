@@ -274,18 +274,25 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 	if wl.WarpsPerCore > 0 && wl.WarpsPerCore < nWarps {
 		nWarps = wl.WarpsPerCore
 	}
+	// The ideal modes remove every structural limit in the memory system:
+	// their L1 miss path is unlimited (size 0), and its four knobs are dead
+	// there — Validate does not bound them, so they are never read.
+	missPath := cfg.L1
+	if cfg.Mode != config.ModeNormal {
+		missPath.MSHREntries, missPath.MSHRMaxMerge, missPath.MissQueueEntries, missPath.ResponseFIFO = 0, 0, 0, 0
+	}
 	c := &Core{
 		ID:       id,
 		cfg:      cfg,
 		wl:       wl,
 		warps:    make([]warp, nWarps),
 		icache:   cache.NewTagArray(cfg.L1.ICacheSizeBytes/cfg.L1.LineBytes/cfg.L1.ICacheWays, cfg.L1.ICacheWays, cfg.L1.LineBytes, 1),
-		iMissQ:   mem.NewQueue[*mem.Fetch](cfg.L1.MissQueueEntries),
+		iMissQ:   mem.NewQueue[*mem.Fetch](missPath.MissQueueEntries),
 		l1:       cache.NewTagArray(cfg.L1Sets(), cfg.L1.Ways, cfg.L1.LineBytes, 1),
-		mshr:     cache.NewMSHR[tx](cfg.L1.MSHREntries, cfg.L1.MSHRMaxMerge),
-		missQ:    mem.NewQueue[*mem.Fetch](cfg.L1.MissQueueEntries),
+		mshr:     cache.NewMSHR[tx](missPath.MSHREntries, missPath.MSHRMaxMerge),
+		missQ:    mem.NewQueue[*mem.Fetch](missPath.MissQueueEntries),
 		memQ:     mem.NewQueue[tx](cfg.Core.MemPipelineWidth),
-		respFIFO: mem.NewQueue[*mem.Fetch](cfg.L1.ResponseFIFO),
+		respFIFO: mem.NewQueue[*mem.Fetch](missPath.ResponseFIFO),
 		newFetch: newFetch,
 		pending:  lanes{next: math.MaxInt64},
 	}
@@ -321,12 +328,6 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 			}
 		}
 		c.regMasks[i] = mask
-	}
-	if cfg.Mode != config.ModeNormal {
-		// Ideal modes remove all structural limits in the memory system.
-		c.mshr = cache.NewMSHR[tx](0, 0)
-		c.missQ = mem.NewQueue[*mem.Fetch](0)
-		c.iMissQ = mem.NewQueue[*mem.Fetch](0)
 	}
 	return c
 }
@@ -1044,7 +1045,7 @@ func (c *Core) MissQueueOcc() (length, capacity int) {
 	return c.missQ.Len(), c.missQ.Cap()
 }
 
-// MSHROcc reports the L1 MSHR file's live-entry count — the per-core
-// gauge behind the profiler's l1/mshr series (capacity is the config's
-// L1.MSHREntries).
-func (c *Core) MSHROcc() int { return c.mshr.Len() }
+// MSHROcc reports the L1 MSHR file's live-entry count and capacity (0
+// when unbounded, as in the ideal modes) — the per-core gauge behind the
+// profiler's l1/mshr series.
+func (c *Core) MSHROcc() (length, capacity int) { return c.mshr.Len(), c.mshr.Cap() }
