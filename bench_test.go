@@ -299,17 +299,22 @@ func BenchmarkTableIII_AreaModel(b *testing.B) {
 // baseline configuration (cycles simulated per wall second), once for a
 // Table II benchmark, once for a custom inline workload spec going
 // through the full first-class spec path (validate, canonicalize,
-// build), and once for a patched hardware configuration going through
+// build), once for a patched hardware configuration going through
 // the full first-class config path (patch application, validation,
 // canonicalization, ConfigID hashing) — the guard against regressions
-// in Canonical/ConfigID on the inline-config build path.
+// in Canonical/ConfigID on the inline-config build path — and once for a
+// latency-bound pointer chase, the cell whose cost is the event engine's
+// memory-side wake protocol rather than any unit's busy tick. Beside the
+// (noisy) sim-cycles/s each reports unit-ticks/sim-cycle from
+// core.EngineStats: how many unit ticks the engine executed per simulated
+// cycle, a count that repeats exactly.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.Run("bench=ii", func(b *testing.B) {
 		wl, err := gpumembw.WorkloadByName("ii")
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchThroughput(b, func() (gpumembw.Metrics, error) {
+		benchThroughput(b, config.Baseline(), wl, func() (gpumembw.Metrics, error) {
 			return gpumembw.Run(config.Baseline(), wl)
 		})
 	})
@@ -321,7 +326,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			WorkingSetKB: 512, SharedKB: 32, SharedFrac: 0.5,
 			StoreWindowLines: 16, Seed: 40,
 		}
-		benchThroughput(b, func() (gpumembw.Metrics, error) {
+		benchThroughput(b, config.Baseline(), mustBuild(b, spec), func() (gpumembw.Metrics, error) {
 			return gpumembw.RunSpec(config.Baseline(), spec)
 		})
 	})
@@ -330,10 +335,39 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 			Base:  "baseline",
 			Delta: []byte(`{"L1":{"MSHREntries":64,"MissQueueEntries":16}}`),
 		}
-		benchThroughput(b, func() (gpumembw.Metrics, error) {
+		cfg, err := patch.Apply()
+		if err != nil {
+			b.Fatal(err)
+		}
+		wl, err := gpumembw.WorkloadByName("ii")
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchThroughput(b, cfg, wl, func() (gpumembw.Metrics, error) {
 			return gpumembw.RunPatch(patch, "ii")
 		})
 	})
+	b.Run("spec=chase", func(b *testing.B) {
+		// The perf ledger's chase-1w cell (benchmark/cells.go) at 400
+		// iterations: one dependent load per warp, one warp per core.
+		spec := gpumembw.WorkloadSpec{
+			Name: "chase-1w", WarpsPerCore: 1, Iters: 400,
+			LoadsPerIter: 1, ALUPerIter: 1,
+			Pattern: gpumembw.PatRandomWS, WorkingSetKB: 64 << 10, Seed: 0x5eed,
+		}
+		benchThroughput(b, config.Baseline(), mustBuild(b, spec), func() (gpumembw.Metrics, error) {
+			return gpumembw.RunSpec(config.Baseline(), spec)
+		})
+	})
+}
+
+func mustBuild(b *testing.B, spec gpumembw.WorkloadSpec) *gpumembw.Workload {
+	b.Helper()
+	wl, err := spec.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return wl
 }
 
 // BenchmarkNewGPU pins the construction cost of one simulated GPU on the
@@ -365,7 +399,9 @@ func BenchmarkConfigValidate(b *testing.B) {
 	}
 }
 
-func benchThroughput(b *testing.B, run func() (gpumembw.Metrics, error)) {
+// benchThroughput times run and reports its simulation speed, then runs
+// the same cell (cfg, wl) once more off the clock for the engine's counts.
+func benchThroughput(b *testing.B, cfg config.Config, wl *gpumembw.Workload, run func() (gpumembw.Metrics, error)) {
 	b.Helper()
 	var cycles int64
 	for i := 0; i < b.N; i++ {
@@ -376,4 +412,15 @@ func benchThroughput(b *testing.B, run func() (gpumembw.Metrics, error)) {
 		cycles = m.Cycles
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "sim-cycles/s")
+	b.StopTimer()
+	g, err := core.New(cfg, wl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := g.Run()
+	if err != nil || m.Cycles != cycles {
+		b.Fatalf("the counted cell ran %d cycles (err %v), the timed one %d", m.Cycles, err, cycles)
+	}
+	s := g.EngineStats()
+	b.ReportMetric(float64(s.Core.TicksRun+s.MemTicksRun())/float64(cycles), "unit-ticks/sim-cycle")
 }

@@ -2,9 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 
 	"gpumembw/internal/config"
+	"gpumembw/internal/icnt"
+	"gpumembw/internal/l2"
 	"gpumembw/internal/sched"
 )
 
@@ -18,10 +22,11 @@ import (
 type Engine uint8
 
 const (
-	// EngineEvent is the calendar-queue event engine: every core reports
-	// its next-wake cycle (smcore.Core.NextWake) and the loop advances
-	// straight to the earliest pending event, skipping the ticks in
-	// between. What New builds unless told otherwise.
+	// EngineEvent is the calendar-queue event engine: every core, crossbar,
+	// L2 bank and DRAM channel reports its next-wake cycle (NextWake, each
+	// in its own clock), runs only on the cycles that reach it, and the
+	// loop jumps the spans in which none does. What New builds unless told
+	// otherwise.
 	EngineEvent Engine = iota
 	// EngineTick is the reference tick-everything loop — slow, simple,
 	// and skip-free: the oracle the parity tests compare against.
@@ -43,30 +48,320 @@ func WithEngine(e Engine) Option { return func(g *GPU) { g.engine = e } }
 // nothing due and reschedules — harmless under the one-sided contract.
 const wheelHorizon = 4096
 
+// EngineStats counts what the engine did during Run: how often and how far
+// it jumped, and per unit class how many ticks it executed (TicksRun) out of
+// the ticks that class's clock went through (TicksElapsed, summed over the
+// class's units). The counts repeat exactly from run to run; they describe
+// the mechanics, never the result, so they sit outside Metrics and cell
+// identity. Under EngineTick nothing jumps and TicksRun equals TicksElapsed.
+type EngineStats struct {
+	Jumps         int64 // bulk-replayed spans
+	SkippedCycles int64 // core cycles inside them
+
+	Core, Xbar, L2, DRAM ClassTicks
+}
+
+// ClassTicks is one unit class's share of EngineStats.
+type ClassTicks struct {
+	TicksRun, TicksElapsed int64
+}
+
+// MemTicksRun sums the memory side's executed unit ticks.
+func (s *EngineStats) MemTicksRun() int64 {
+	return s.Xbar.TicksRun + s.L2.TicksRun + s.DRAM.TicksRun
+}
+
+// EngineStats returns the engine's counts for the last Run.
+func (g *GPU) EngineStats() EngineStats { return g.stats }
+
+// setElapsed fills the TicksElapsed side from the clocks' final values;
+// all marks a run that executed every one of them (the tick engine).
+func (s *EngineStats) setElapsed(g *GPU, icntTicks, dramTicks int64, all bool) {
+	s.Core.TicksElapsed = g.cycle * int64(len(g.cores))
+	s.Xbar.TicksElapsed = icntTicks * 2
+	s.L2.TicksElapsed = icntTicks * int64(len(g.banks))
+	s.DRAM.TicksElapsed = dramTicks * int64(len(g.parts))
+	if all {
+		s.Core.TicksRun, s.Xbar.TicksRun = s.Core.TicksElapsed, s.Xbar.TicksElapsed
+		s.L2.TicksRun, s.DRAM.TicksRun = s.L2.TicksElapsed, s.DRAM.TicksElapsed
+	}
+}
+
+// livelockWindow is how many issue-free cycles a run of cfg may show
+// before the engines call it wedged: 200,000 — beyond any queueing delay
+// the hierarchy's bounded queues can build at sane latencies — plus one
+// round trip through every pipeline latency live in the mode, each of
+// which Validate admits up to 2^20 cycles. A 300,000-cycle DRAM controller
+// is slow, not livelocked.
+func livelockWindow(cfg *config.Config) int64 {
+	inCore := func(cycles int, clockMHz float64) int64 {
+		return int64(math.Ceil(float64(cycles) * cfg.Core.ClockMHz / clockMHz))
+	}
+	trip := int64(cfg.Core.ALULatency) + int64(cfg.L1.HitLatency)
+	switch cfg.Mode {
+	case config.ModeFixedL1MissLat:
+		trip += int64(cfg.FixedL1MissLatency)
+	case config.ModeInfiniteBW:
+		trip += int64(max(cfg.IdealL2HitLatency, cfg.IdealMemLatency))
+	case config.ModeNormal:
+		trip += inCore(2*cfg.Icnt.LatencyCycles+cfg.L2.TagLatency, cfg.Icnt.ClockMHz)
+		if d := &cfg.DRAM; d.Infinite {
+			trip += int64(d.InfiniteLatency)
+		} else {
+			t := &d.Timing
+			trip += inCore(d.CtrlLatency+t.CCD+t.RRD+t.RCD+t.RAS+t.RP+t.RC+t.CL+t.WL+t.CDLR+t.WR, d.ClockMHz)
+		}
+	}
+	return 200_000 + trip
+}
+
+// domain is the wake array of one memory-side clock domain. Each unit of
+// the domain answers NextWake in ticks of that clock; the engine runs a
+// unit only on the domain ticks its entry names and replays the ticks in
+// between lazily (SkipTicks), right before the unit next runs or is
+// mutated from outside.
+//
+// That is the Touch rule, stated once: whoever mutates a unit from outside
+// — a hand-off, an injecting core, a consuming sink — first catches the
+// unit up to where its domain stands (catch*: the frozen span it replays
+// must end before the mutation), then mutates it, then asks it again
+// (set(u, unit.NextWake())). A blocked hand-off needs no rule of its own:
+// the unit holding the blocked head answers "next tick" until it moves.
+type domain struct {
+	tick int64   // domain ticks elapsed
+	min  int64   // a lower bound on wake's entries, exact after each domain tick
+	wake []int64 // per unit: the domain tick at which it must next run
+	at   []int64 // per unit: the domain tick its own clock stands at
+}
+
+func newDomain(units int) domain {
+	d := domain{min: sched.Never, wake: make([]int64, units), at: make([]int64, units)}
+	for i := range d.wake {
+		d.wake[i] = sched.Never
+	}
+	return d
+}
+
+// set records unit u's new wake.
+func (d *domain) set(u int, wake int64) {
+	d.wake[u] = wake
+	d.min = min(d.min, wake)
+}
+
+// Units of the 700 MHz domain, in the order a tick visits them: the two
+// crossbars, then per partition its DRAM-fill hand-off and its banks. (The
+// DRAM domain's units are the channels, by partition.)
+const (
+	uReq = iota
+	uReply
+	uPart0
+)
+
+// uFill is the unit index of partition pi's fill hand-off; its banks follow
+// (GPU.bankUnit maps a global bank ID to its index).
+func (g *GPU) uFill(pi int) int { return uPart0 + pi*(1+len(g.parts[pi].Banks)) }
+
+func (g *GPU) catchNet(n *icnt.Network, u int, to int64) {
+	if k := to - g.icnt.at[u]; k > 0 {
+		n.SkipTicks(k)
+		g.icnt.at[u] = to
+	}
+}
+
+func (g *GPU) catchBank(b *l2.Bank, u int, to int64) {
+	if k := to - g.icnt.at[u]; k > 0 {
+		b.SkipTicks(k)
+		g.icnt.at[u] = to
+	}
+}
+
+func (g *GPU) catchChannel(pi int, to int64) {
+	if k := to - g.dram.at[pi]; k > 0 {
+		g.parts[pi].DRAM.SkipTicks(k)
+		g.dram.at[pi] = to
+	}
+}
+
+// tickIcntDue runs the 700 MHz domain tick g.icnt.tick for the units due on
+// it, in tickIcntDomain's order: request crossbar, reply crossbar, request
+// ejections in ascending bank order, then per partition the DRAM fill, the
+// banks (each with its reply injection) and the miss drain. Units that ran,
+// and units a hand-off mutated, then name their next wake.
+func (g *GPU) tickIcntDue() {
+	d := &g.icnt
+	t := d.tick
+	reqDue := d.wake[uReq] <= t
+	if reqDue {
+		g.catchNet(g.req, uReq, t-1)
+		g.req.Tick()
+		d.at[uReq] = t
+		g.stats.Xbar.TicksRun++
+	}
+	if d.wake[uReply] <= t {
+		g.catchNet(g.reply, uReply, t-1)
+		g.reply.Tick()
+		d.at[uReply] = t
+		g.stats.Xbar.TicksRun++
+	}
+	if reqDue {
+		// A consumable ejection head is a wake of the request crossbar, so
+		// none can wait behind a crossbar that is not due.
+		for wi, word := range g.req.OccupiedDsts() {
+			for word != 0 {
+				dst := wi<<6 + bits.TrailingZeros64(word)
+				word &= word - 1
+				bank := g.banks[dst]
+				if pkt, ok := g.req.Peek(dst); ok && bank.CanAccept() {
+					u := g.bankUnit[dst]
+					g.catchBank(bank, u, t-1)
+					g.req.Pop(dst)
+					bank.Accept(pkt.Fetch)
+					g.req.Release(pkt)
+					g.setPartUnit(dst%len(g.parts), u, bank.NextWake())
+				}
+			}
+		}
+	}
+	for pi, p := range g.parts {
+		if g.partWake[pi] > t {
+			continue
+		}
+		u0 := g.uFill(pi)
+		wake := d.wake[u0 : u0+1+len(p.Banks)] // the fill hand-off, then the banks
+		if wake[0] <= t {
+			g.deliverFill(pi, p)
+		}
+		ticked := false
+		for i, b := range p.Banks {
+			if wake[1+i] > t {
+				continue
+			}
+			g.catchBank(b, u0+1+i, t-1)
+			b.Tick()
+			d.at[u0+1+i] = t
+			g.stats.L2.TicksRun++
+			ticked = true
+			// The bank's reply injection, hoisted ahead of its siblings'
+			// ticks and the miss drain: it touches only this bank's
+			// response queue and its own reply-crossbar source.
+			if f, ok := b.PeekResponse(); ok && g.reply.CanInject(b.ID, f.ReplyBytes()) {
+				g.catchNet(g.reply, uReply, t)
+				g.reply.Inject(f, b.ID, f.CoreID, f.ReplyBytes())
+				b.PopResponse()
+			}
+			wake[1+i] = b.NextWake()
+		}
+		// A miss leaving the bank pipeline is a wake of its bank, so the
+		// drain moves nothing unless one ran.
+		if ticked {
+			if b := p.NextMiss(); b != nil {
+				g.catchChannel(pi, g.dram.tick)
+				p.ForwardMiss(b)
+				g.dram.set(pi, p.DRAM.NextWake())
+				d.wake[g.bankUnit[b.ID]] = b.NextWake()
+			}
+		}
+		g.partWake[pi] = slices.Min(wake)
+	}
+	if d.at[uReq] == t {
+		d.wake[uReq] = g.req.NextWake()
+	}
+	if d.at[uReply] == t {
+		d.wake[uReply] = g.reply.NextWake()
+	}
+	d.min = min(slices.Min(g.partWake), d.wake[uReq], d.wake[uReply])
+}
+
+// deliverFill is the DRAM-fill hand-off of partition pi on the current
+// 700 MHz tick. It stays due every tick while the return queue holds a
+// line: a refused fill waits only for its bank's port or fill drain.
+func (g *GPU) deliverFill(pi int, p *l2.Partition) {
+	d := &g.icnt
+	if f, ok := p.DRAM.PeekResponse(); ok {
+		u := g.bankUnit[f.BankID]
+		g.catchBank(g.banks[f.BankID], u, d.tick-1)
+		g.catchChannel(pi, g.dram.tick)
+		if bank := p.DeliverFill(); bank != nil {
+			g.dram.set(pi, p.DRAM.NextWake())
+			d.wake[u] = bank.NextWake()
+		}
+	}
+	d.wake[g.uFill(pi)] = sched.Never
+	if _, ok := p.DRAM.PeekResponse(); ok {
+		d.wake[g.uFill(pi)] = d.tick + 1
+	}
+}
+
+// setPartUnit records a new wake for unit u of partition pi, mutated from
+// outside the partition's own visit.
+func (g *GPU) setPartUnit(pi, u int, wake int64) {
+	g.icnt.set(u, wake)
+	g.partWake[pi] = min(g.partWake[pi], wake)
+}
+
+// tickDRAMDue runs the DRAM command-clock tick g.dram.tick for the channels
+// due on it. A burst retiring into a return queue makes that partition's
+// fill hand-off due on the next 700 MHz tick.
+func (g *GPU) tickDRAMDue() {
+	d := &g.dram
+	t := d.tick
+	for pi, p := range g.parts {
+		if d.wake[pi] > t {
+			continue
+		}
+		g.catchChannel(pi, t-1)
+		p.DRAM.Tick()
+		d.at[pi] = t
+		g.stats.DRAM.TicksRun++
+		d.wake[pi] = p.DRAM.NextWake()
+		if u := g.uFill(pi); g.icnt.wake[u] == sched.Never {
+			if _, ok := p.DRAM.PeekResponse(); ok {
+				g.setPartUnit(pi, u, g.icnt.tick+1)
+			}
+		}
+	}
+	d.min = slices.Min(d.wake)
+}
+
+// catchUpAll replays every memory-side unit's deferred frozen ticks, so
+// each clock and statistic stands where its domain does.
+func (g *GPU) catchUpAll() {
+	if g.req == nil {
+		return
+	}
+	g.catchNet(g.req, uReq, g.icnt.tick)
+	g.catchNet(g.reply, uReply, g.icnt.tick)
+	for id, b := range g.banks {
+		g.catchBank(b, g.bankUnit[id], g.icnt.tick)
+	}
+	for pi := range g.parts {
+		g.catchChannel(pi, g.dram.tick)
+	}
+}
+
 // runEvent is the calendar-queue event engine. Each core registers its
 // next-wake cycle on a calendar wheel (ties break in ascending core ID —
-// exactly the tick loop's iteration order); the 700 MHz and DRAM domains
-// keep deferred skip counters while idle and tick only while they hold
-// work; and spans where every unit is parked are replayed in bulk: the
-// clock-domain accumulators step through the exact float sequence the
-// tick loop would produce, the profiler's RecordN bulk path records the
-// (frozen) gauge vector once per skipped cycle, and each core's SkipTo
-// replays its per-cycle stall attribution and fetch round-robin rotation.
+// exactly the tick loop's iteration order); each crossbar, L2 bank and
+// DRAM channel registers its next-wake tick in its clock domain's wake
+// array and runs only on the domain ticks that reach it; and a span in
+// which no core and no unit is due is replayed in bulk: the clock-domain
+// accumulators step through the exact float sequence the tick loop would
+// produce, the profiler's RecordN bulk path records the (frozen) gauge
+// vector once per skipped cycle, each core's SkipTo replays its per-cycle
+// stall attribution and fetch round-robin rotation, and each unit's
+// SkipTicks replays its frozen per-tick statistics the next time it runs.
 // Every statistic is byte-identical to the tick engine's.
 func (g *GPU) runEvent() (Metrics, error) {
-	icntRatio := g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
-	dramRatio := g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz
 	normal := g.cfg.Mode == config.ModeNormal
+	var icntRatio, dramRatio float64 // zero outside ModeNormal: no domain ever ticks
+	if normal {
+		icntRatio = g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
+		dramRatio = g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz
+	}
 
 	var lastProgress int64 // last cycle the instruction count moved
 	var lastIssued int64
 	var issued int64 // running Stats.Issued total over all cores
-
-	// Deferred domain ticks: while a domain is idle its per-cycle ticks
-	// are counted here and bulk-replayed (SkipTicks) right before its
-	// next real tick, keeping every unit clock and cycle counter exact.
-	var icntSkip, dramSkip int64
-	dramBusy := false
 
 	alive := len(g.cores)
 	wheel := sched.NewWheel(wheelHorizon, len(g.cores))
@@ -91,218 +386,188 @@ func (g *GPU) runEvent() (Metrics, error) {
 	if normal {
 		replyOcc = g.reply.OccupiedDsts()
 	}
+	coreWake := int64(1) // the wheel's earliest wake; it moves only in the core phase
+	var replyAt int64    // the reply crossbar's clock when the arrival scan last ran
+	rescan := false      // a core popped a reply since
 
 	finish := func() {
 		// Catch lazily parked units up to the final cycle before any
 		// metric is read.
-		g.flushSkips(&icntSkip, &dramSkip)
+		g.catchUpAll()
 		for _, c := range g.cores {
 			c.SkipTo(g.cycle)
 		}
-	}
-	livelock := func() error {
-		return fmt.Errorf("%w after cycle %d: %s",
-			ErrLivelock, lastProgress, g.cores[0].OutstandingWork())
+		g.stats.setElapsed(g, g.icnt.tick, g.dram.tick, false)
 	}
 
 	for {
-		// Bulk-replay a fully idle span: both domains drained and every
-		// core parked past the next cycle. The jump lands one cycle short
-		// of the earliest wake so the event fires inside a normal tick,
-		// and is clamped so the truncation and livelock checks trip on
-		// exactly the cycle the unskipped run would have stopped at.
-		if !g.icntWork && !dramBusy && len(carry) == 0 {
-			if wake := wheel.Min(); wake > g.cycle+1 {
-				target := clampTarget(g.cfg.MaxCycles, lastProgress, wake-1)
-				if target > g.cycle {
-					if g.prof != nil {
-						// No unit state mutates across the span, so the
-						// gauge vector at its start stands for every
-						// skipped cycle.
-						g.prof.RecordN(g.sampleGauges(), target-g.cycle)
-					}
-					if normal {
-						// Step the clock-domain accumulators cycle by
-						// cycle — the exact float sequence the tick loop
-						// would produce — deferring the (idle) domain
-						// ticks each accumulates.
-						for i := g.cycle; i < target; i++ {
-							g.icntAcc += icntRatio
-							for g.icntAcc >= 1 {
-								g.icntAcc--
-								icntSkip++
-							}
-							g.dramAcc += dramRatio
-							for g.dramAcc >= 1 {
-								g.dramAcc--
-								dramSkip++
-							}
-						}
-					}
-					g.skipped += target - g.cycle
-					g.cycle = target
-					if g.cfg.MaxCycles > 0 && g.cycle >= g.cfg.MaxCycles {
-						g.truncated = true
-						break
-					}
-					if g.cycle-lastProgress > 200_000 {
-						finish()
-						return g.collect(), livelock()
-					}
-					continue
-				}
+		// The next cycle's domain ticks, stepped on copies: the exact float
+		// sequence the tick loop produces.
+		ia, it := stepClock(g.icntAcc, icntRatio, g.icnt.tick)
+		da, dt := stepClock(g.dramAcc, dramRatio, g.dram.tick)
+
+		// Bulk-replay a span in which nothing is due: no core before its
+		// wake, no domain tick reaching a unit's wake. The jump ends before
+		// the first cycle holding an event, so every event fires inside a
+		// normal cycle, and is clamped so the truncation and livelock
+		// checks trip on exactly the cycle the unskipped run would have
+		// stopped at.
+		coreDue := len(carry) > 0 || coreWake <= g.cycle+1
+		if !coreDue && it < g.icnt.min && dt < g.dram.min {
+			target := g.clampTarget(lastProgress, coreWake-1)
+			from := g.cycle
+			if !normal {
+				g.cycle = target // no clock domains to step
 			}
+			for g.cycle < target && it < g.icnt.min && dt < g.dram.min {
+				g.icntAcc, g.icnt.tick = ia, it
+				g.dramAcc, g.dram.tick = da, dt
+				g.cycle++
+				ia, it = stepClock(ia, icntRatio, it)
+				da, dt = stepClock(da, dramRatio, dt)
+			}
+			n := g.cycle - from
+			if g.prof != nil {
+				// No unit state mutates across the span, and every cycle a
+				// clock-compared gauge flips on is a wake, so the gauge
+				// vector at its start stands for every skipped cycle.
+				g.prof.RecordN(g.sampleGauges(), n)
+			}
+			g.stats.Jumps++
+			g.stats.SkippedCycles += n
+			if g.cfg.MaxCycles > 0 && g.cycle >= g.cfg.MaxCycles {
+				g.truncated = true
+				break
+			}
+			if g.cycle-lastProgress > g.livelockWindow {
+				finish()
+				return g.collect(), g.livelockErr(lastProgress)
+			}
+			continue
 		}
 
 		g.cycle++
 
 		if normal {
-			g.icntAcc += icntRatio
-			for g.icntAcc >= 1 {
-				g.icntAcc--
-				if !g.icntWork {
-					icntSkip++
-					continue
-				}
-				g.flushSkips(&icntSkip, &dramSkip)
-				g.tickIcntDomain()
-				// Busy→idle is re-evaluated only after a busy tick, and
-				// only once the cheap in-flight gate clears.
-				if g.req.InFlight() == 0 && g.reply.InFlight() == 0 {
-					g.icntWork = g.anyPartitionIcntWork()
-				}
-				if !dramBusy {
-					// TickL2 may have pushed a miss into a DRAM channel.
-					for _, p := range g.parts {
-						if !p.DRAM.Idle() {
-							dramBusy = true
-							break
-						}
-					}
+			g.icntAcc, g.dramAcc = ia, da
+			for g.icnt.tick < it {
+				g.icnt.tick++
+				if g.icnt.min <= g.icnt.tick {
+					g.tickIcntDue()
 				}
 			}
-			g.dramAcc += dramRatio
-			for g.dramAcc >= 1 {
-				g.dramAcc--
-				if !dramBusy {
-					dramSkip++
-					continue
+			for g.dram.tick < dt {
+				g.dram.tick++
+				if g.dram.min <= g.dram.tick {
+					g.tickDRAMDue()
 				}
-				if dramSkip > 0 {
-					for _, p := range g.parts {
-						p.DRAM.SkipTicks(dramSkip)
-					}
-					dramSkip = 0
-				}
-				idle := true
-				for _, p := range g.parts {
-					p.DRAM.Tick()
-					if !p.DRAM.Idle() {
-						idle = false
-					}
-				}
-				dramBusy = !idle
-				if !g.icntWork {
-					// A completed burst parked in a return queue is the
-					// 700 MHz domain's work to deliver.
-					for _, p := range g.parts {
-						if _, ok := p.DRAM.PeekResponse(); ok {
-							g.icntWork = true
-							break
+			}
+		}
+
+		// The core phase runs when a core is due, and when a reply may have
+		// become consumable for a parked one: Peek can only turn true on a
+		// cycle the reply crossbar's clock moved, or right after a Pop
+		// exposed the next packet of an ejection FIFO.
+		if coreDue || rescan || normal && g.icnt.at[uReply] != replyAt {
+			if normal {
+				replyAt, rescan = g.icnt.at[uReply], false
+				// A consumable reply wakes its destination core this cycle —
+				// parked cores always have response-FIFO room, so arrival and
+				// consumption cycles match the tick engine's exactly. Only
+				// destinations with an occupied ejection FIFO need peeking. (A
+				// head finishing its latency is a wake of the reply crossbar,
+				// so the crossbar's clock is current whenever Peek could turn
+				// true.)
+				if g.reply.InFlight() > 0 {
+					for wi, word := range replyOcc {
+						for word != 0 {
+							d := wi<<6 + bits.TrailingZeros64(word)
+							word &= word - 1
+							id := int32(d)
+							if carriedAt[d] == g.cycle || wheel.ScheduledAt(id) == g.cycle || g.cores[d].Done() {
+								continue
+							}
+							if _, ok := g.reply.Peek(d); ok {
+								wheel.Schedule(id, g.cycle)
+							}
 						}
 					}
 				}
 			}
 
-			// A consumable reply wakes its destination core this cycle —
-			// parked cores always have response-FIFO room, so arrival and
-			// consumption cycles match the tick engine's exactly. Only
-			// destinations with an occupied ejection FIFO need peeking.
-			if g.reply.InFlight() > 0 {
-				for wi, word := range replyOcc {
-					for word != 0 {
-						d := wi<<6 + bits.TrailingZeros64(word)
-						word &= word - 1
-						id := int32(d)
-						if carriedAt[d] == g.cycle || wheel.ScheduledAt(id) == g.cycle || g.cores[d].Done() {
-							continue
-						}
-						if _, ok := g.reply.Peek(d); ok {
-							wheel.Schedule(id, g.cycle)
+			due = wheel.Due(g.cycle, due[:0])
+			// Merge the wheel's due set with the carry list. Both are ascending
+			// and disjoint (a carried core's wheel wake is Never, and the reply
+			// scan skips carried cores), so the merge preserves the tick loop's
+			// ascending-ID order.
+			run := due
+			if len(carry) > 0 {
+				if len(due) == 0 {
+					run = carry
+				} else {
+					merged = merged[:0]
+					i, j := 0, 0
+					for i < len(due) && j < len(carry) {
+						if due[i] < carry[j] {
+							merged = append(merged, due[i])
+							i++
+						} else {
+							merged = append(merged, carry[j])
+							j++
 						}
 					}
+					merged = append(merged, due[i:]...)
+					merged = append(merged, carry[j:]...)
+					run = merged
 				}
 			}
-		}
-
-		due = wheel.Due(g.cycle, due[:0])
-		// Merge the wheel's due set with the carry list. Both are ascending
-		// and disjoint (a carried core's wheel wake is Never, and the reply
-		// scan skips carried cores), so the merge preserves the tick loop's
-		// ascending-ID order.
-		run := due
-		if len(carry) > 0 {
-			if len(due) == 0 {
-				run = carry
-			} else {
-				merged = merged[:0]
-				i, j := 0, 0
-				for i < len(due) && j < len(carry) {
-					if due[i] < carry[j] {
-						merged = append(merged, due[i])
-						i++
-					} else {
-						merged = append(merged, carry[j])
-						j++
+			carryNext = carryNext[:0]
+			replies := normal && g.reply.InFlight() > 0
+			for _, id := range run {
+				c := g.cores[id]
+				// Lazy catch-up: replay the cycles the core sat parked, then
+				// tick it exactly where the tick loop would have.
+				if coreNow[id] < g.cycle-1 {
+					c.SkipTo(g.cycle - 1)
+				}
+				if replies && replyOcc[id>>6]&(1<<uint(id&63)) != 0 && c.CanAcceptResponse() {
+					g.catchNet(g.reply, uReply, g.icnt.tick)
+					if pkt, ok := g.reply.Pop(c.ID); ok {
+						rescan = true
+						g.icnt.set(uReply, g.reply.NextWake())
+						c.AcceptResponse(pkt.Fetch)
+						g.reply.Release(pkt)
 					}
 				}
-				merged = append(merged, due[i:]...)
-				merged = append(merged, carry[j:]...)
-				run = merged
-			}
-		}
-		carryNext = carryNext[:0]
-		replies := normal && g.reply.InFlight() > 0
-		for _, id := range run {
-			c := g.cores[id]
-			// Lazy catch-up: replay the cycles the core sat parked, then
-			// tick it exactly where the tick loop would have.
-			if coreNow[id] < g.cycle-1 {
-				c.SkipTo(g.cycle - 1)
-			}
-			if replies && replyOcc[id>>6]&(1<<uint(id&63)) != 0 && c.CanAcceptResponse() {
-				if pkt, ok := g.reply.Pop(c.ID); ok {
-					c.AcceptResponse(pkt.Fetch)
-					g.reply.Release(pkt)
+				before := c.Stats.Issued
+				c.Tick()
+				g.stats.Core.TicksRun++
+				coreNow[id] = g.cycle
+				issued += c.Stats.Issued - before
+				if c.Done() {
+					alive--
+					continue
+				}
+				if w, ok := c.NextWake(); ok && w != g.cycle+1 {
+					// Never parks the core off the wheel entirely (it waits on
+					// a reply in flight); the reply-arrival scan above
+					// re-schedules it the cycle its packet becomes consumable.
+					if w != sched.Never {
+						wheel.Schedule(id, w)
+					}
+				} else {
+					carryNext = append(carryNext, id)
+					carriedAt[id] = g.cycle + 1
 				}
 			}
-			before := c.Stats.Issued
-			c.Tick()
-			coreNow[id] = g.cycle
-			issued += c.Stats.Issued - before
-			if c.Done() {
-				alive--
-				continue
-			}
-			if w, ok := c.NextWake(); ok && w != g.cycle+1 {
-				// Never parks the core off the wheel entirely (it waits on
-				// a reply in flight); the reply-arrival scan above
-				// re-schedules it the cycle its packet becomes consumable.
-				if w != sched.Never {
-					wheel.Schedule(id, w)
-				}
-			} else {
-				carryNext = append(carryNext, id)
-				carriedAt[id] = g.cycle + 1
-			}
+			carry, carryNext = carryNext, carry
+			coreWake = wheel.Min()
 		}
-		carry, carryNext = carryNext, carry
 
 		if g.prof != nil {
-			// Gauges like dram/bus-busy compare a reservation against the
-			// unit's clock, so deferred idle ticks must land before the
-			// sample reads it.
-			g.flushSkips(&icntSkip, &dramSkip)
+			// Gauges that compare a reservation against a unit's clock
+			// (dram/bus-busy, l2/bank-busy) flip only on a wake of that
+			// unit, so a lazily parked unit's stale clock reads the same.
 			g.prof.Record(g.sampleGauges())
 		}
 
@@ -317,56 +582,35 @@ func (g *GPU) runEvent() (Metrics, error) {
 			g.truncated = true
 			break
 		}
-		if g.cycle-lastProgress > 200_000 {
+		if g.cycle-lastProgress > g.livelockWindow {
 			finish()
-			return g.collect(), livelock()
+			return g.collect(), g.livelockErr(lastProgress)
 		}
 	}
 	finish()
 	return g.collect(), nil
 }
 
+// stepClock advances a clock-domain accumulator by one core cycle and
+// returns it with the domain's tick count: the tick loop's float sequence.
+func stepClock(acc, ratio float64, tick int64) (float64, int64) {
+	for acc += ratio; acc >= 1; acc-- {
+		tick++
+	}
+	return acc, tick
+}
+
+// livelockErr is ErrLivelock with where progress stopped and what core 0
+// still holds.
+func (g *GPU) livelockErr(lastProgress int64) error {
+	return fmt.Errorf("%w after cycle %d: %s", ErrLivelock, lastProgress, g.cores[0].OutstandingWork())
+}
+
 // clampTarget bounds a jump target so the engine never skips past the
 // MaxCycles truncation point or the livelock window's trip cycle.
-func clampTarget(maxCycles, lastProgress, target int64) int64 {
-	if maxCycles > 0 && target > maxCycles {
-		target = maxCycles
+func (g *GPU) clampTarget(lastProgress, target int64) int64 {
+	if g.cfg.MaxCycles > 0 && target > g.cfg.MaxCycles {
+		target = g.cfg.MaxCycles
 	}
-	if limit := lastProgress + 200_001; target > limit {
-		target = limit
-	}
-	return target
-}
-
-// anyPartitionIcntWork reports whether any memory partition holds work
-// for the 700 MHz domain. Callers have already checked the crossbars.
-func (g *GPU) anyPartitionIcntWork() bool {
-	for _, p := range g.parts {
-		if p.HasL2Work() {
-			return true
-		}
-	}
-	return false
-}
-
-// flushSkips replays the deferred idle domain ticks: unit clocks and
-// cycle counters advance exactly as the equivalent run of no-op Ticks
-// would have. It must run before any real 700 MHz tick (an L2 miss can
-// reach a DRAM channel inside TickL2, and the channel's clock must be
-// current when it arrives) and before metrics are collected.
-func (g *GPU) flushSkips(icntSkip, dramSkip *int64) {
-	if *icntSkip > 0 {
-		g.req.SkipTicks(*icntSkip)
-		g.reply.SkipTicks(*icntSkip)
-		for _, p := range g.parts {
-			p.SkipTicks(*icntSkip)
-		}
-		*icntSkip = 0
-	}
-	if *dramSkip > 0 {
-		for _, p := range g.parts {
-			p.DRAM.SkipTicks(*dramSkip)
-		}
-		*dramSkip = 0
-	}
+	return min(target, lastProgress+g.livelockWindow+1)
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"gpumembw/internal/config"
@@ -20,7 +23,63 @@ func runEngine(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine) (
 		t.Fatal(err)
 	}
 	m, err := g.Run()
-	return m, err, g.skipped
+	return m, err, g.EngineStats().SkippedCycles
+}
+
+// runProfiled runs one cell with the profiler attached and returns the
+// profile's JSON beside the metrics.
+func runProfiled(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine) ([]byte, Metrics, error) {
+	t.Helper()
+	g, err := New(cfg, wl, WithEngine(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := g.AttachProfiler()
+	m, runErr := g.Run()
+	js, err := json.Marshal(p.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return js, m, runErr
+}
+
+// chaseSpec is the pointer chase of benchmark/cells.go (chaseCell, seed 0),
+// restated: one dependent load per iteration over a 64 MiB working set
+// that misses everywhere, so each warp has exactly one fetch in the
+// hierarchy and the cores sit parked on it.
+func chaseSpec(warps, iters int) trace.Spec {
+	return trace.Spec{
+		Name: fmt.Sprintf("chase-%dw", warps), WarpsPerCore: warps, Iters: iters,
+		LoadsPerIter: 1, ALUPerIter: 1, DepDist: 0,
+		Pattern: trace.PatRandomWS, WorkingSetKB: 64 << 10, Seed: 0x5eed,
+	}
+}
+
+// storeHeavySpec writes more than it reads, in place: its store hits hold
+// an L2 data port busy with no reply queued behind them, the state in which
+// a bank is idle in every queue yet not in the profiler's bank-busy gauge.
+var storeHeavySpec = trace.Spec{
+	Name: "store-heavy", WarpsPerCore: 6, Iters: 24,
+	LoadsPerIter: 1, StoresPerIter: 4, ALUPerIter: 2, DepDist: 1,
+	Pattern: trace.PatStream, StoreWindowLines: 8, Seed: 11,
+}
+
+func mustBuild(t *testing.T, sp trace.Spec) *smcore.Workload {
+	t.Helper()
+	wl, err := sp.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
+}
+
+func mustPreset(t *testing.T, name string) config.Config {
+	t.Helper()
+	cfg, err := config.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // requireIdentical fails unless the two engines agree on every metric.
@@ -82,34 +141,106 @@ func TestEngineParityFullSize(t *testing.T) {
 	requireIdentical(t, "mm/baseline-full", ev, tick, evErr, tickErr)
 }
 
+// TestEngineParityMemorySide extends the matrix to the cells in which the
+// engine now jumps with fetches in flight — latency-bound pointer chases —
+// and to the memory-side shapes a chase does not reach: store traffic,
+// asymmetric flits, and P_DRAM's fixed-latency channels. Each runs at two
+// cores and at full size.
+func TestEngineParityMemorySide(t *testing.T) {
+	cases := []struct {
+		name   string
+		preset string
+		spec   trace.Spec
+	}{
+		{"chase-1w@baseline", "baseline", chaseSpec(1, 150)},
+		{"chase-2w@baseline", "baseline", chaseSpec(2, 100)},
+		{"store-heavy@baseline", "baseline", storeHeavySpec},
+		{"chase-2w@cost-effective-16+68", "cost-effective-16+68", chaseSpec(2, 100)},
+		{"store-heavy@cost-effective-16+68", "cost-effective-16+68", storeHeavySpec},
+		{"chase-2w@P-dram", "P-dram", chaseSpec(2, 100)},
+		{"store-heavy@P-dram", "P-dram", storeHeavySpec},
+	}
+	for _, tc := range cases {
+		wl := mustBuild(t, tc.spec)
+		for _, cores := range []int{2, 0} {
+			cfg := mustPreset(t, tc.preset)
+			name := tc.name + "/full"
+			if cores > 0 {
+				cfg.Core.NumCores = cores
+				name = fmt.Sprintf("%s/%d-cores", tc.name, cores)
+			}
+			ev, evErr, skipped := runEngine(t, cfg, wl, EngineEvent)
+			tick, tickErr, _ := runEngine(t, cfg, wl, EngineTick)
+			requireIdentical(t, name, ev, tick, evErr, tickErr)
+			if strings.HasPrefix(tc.name, "chase") && cores > 0 && 2*skipped <= ev.Cycles {
+				t.Errorf("%s: jumped %d of %d cycles; two chasing cores leave most cycles eventless", name, skipped, ev.Cycles)
+			}
+		}
+	}
+}
+
+// TestEngineJumpsTheChase is the non-vacuity half at the ledger's own
+// geometry: chase-1w@baseline, whose 496,523 cycles the parent engine
+// jumped 2 of because some unit always held a fetch. With fifteen fetches
+// in flight most cycles hold an event of some unit, so the share that can
+// be jumped at all is well under half; the per-unit counts are where the
+// saving shows: the memory side runs a small multiple of its 388,463
+// micro-events, not every tick of every unit.
+func TestEngineJumpsTheChase(t *testing.T) {
+	g, err := New(config.Baseline(), mustBuild(t, chaseSpec(1, 2000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := g.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := g.EngineStats()
+	if m.Cycles != 496523 {
+		t.Fatalf("chase-1w@baseline ran %d cycles, the ledger's cell runs 496523", m.Cycles)
+	}
+	if 5*s.SkippedCycles <= m.Cycles {
+		t.Errorf("jumped %d of %d cycles, want more than a fifth", s.SkippedCycles, m.Cycles)
+	}
+	const microEvents = 388463
+	if run := s.MemTicksRun(); run > 3*microEvents {
+		t.Errorf("memory side ran %d unit ticks, want within 3x of its %d micro-events", run, microEvents)
+	}
+	if elapsed := s.Xbar.TicksElapsed + s.L2.TicksElapsed + s.DRAM.TicksElapsed; elapsed < 5_000_000 {
+		t.Errorf("memory side elapsed %d unit ticks; the tick loop runs about 5.4M", elapsed)
+	}
+}
+
 // TestEngineParityProfiled verifies the profiler's bulk-record path: a
 // profiled run must produce byte-identical windowed gauges on both
-// engines (the event engine feeds RecordN across jumped spans).
+// engines (the event engine feeds RecordN across jumped spans). The chase
+// and store-heavy cells jump while DRAM bursts and L2 port reservations
+// are still running down: the gauges that compare a reservation with a
+// clock (dram/bus-busy, l2/bank-busy) must flip on the tick loop's cycle.
 func TestEngineParityProfiled(t *testing.T) {
-	wls := trace.Workloads()
-	cfg := config.Baseline()
-	cfg.Core.NumCores = 2
-	run := func(e Engine) ([]byte, Metrics) {
-		g, err := New(cfg, wls["mm"], WithEngine(e))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := g.AttachProfiler()
-		m, err := g.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		js, err := json.Marshal(p.Snapshot())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return js, m
+	small := config.Baseline()
+	small.Core.NumCores = 2
+	cases := []struct {
+		name string
+		cfg  config.Config
+		wl   *smcore.Workload
+	}{
+		{"mm/2-cores", small, trace.Workloads()["mm"]},
+		{"chase-1w/2-cores", small, mustBuild(t, chaseSpec(1, 150))},
+		{"chase-2w/full", config.Baseline(), mustBuild(t, chaseSpec(2, 60))},
+		{"store-heavy/2-cores", small, mustBuild(t, storeHeavySpec)},
+		// The cell whose committed profile golden the parent engine got
+		// wrong: it jumped a drained hierarchy while a store hit still held
+		// an L2 port, freezing bank-busy at 1 across the span.
+		{"dwt2d/full", config.Baseline(), trace.Workloads()["dwt2d"]},
 	}
-	evProf, evM := run(EngineEvent)
-	tickProf, tickM := run(EngineTick)
-	requireIdentical(t, "profiled", evM, tickM, nil, nil)
-	if string(evProf) != string(tickProf) {
-		t.Errorf("profiles diverged between engines:\nevent: %s\ntick:  %s", evProf, tickProf)
+	for _, tc := range cases {
+		evProf, evM, evErr := runProfiled(t, tc.cfg, tc.wl, EngineEvent)
+		tickProf, tickM, tickErr := runProfiled(t, tc.cfg, tc.wl, EngineTick)
+		requireIdentical(t, tc.name, evM, tickM, evErr, tickErr)
+		if string(evProf) != string(tickProf) {
+			t.Errorf("%s: profiles diverged between engines:\nevent: %s\ntick:  %s", tc.name, evProf, tickProf)
+		}
 	}
 }
 
@@ -250,5 +381,120 @@ func TestLargeLatenciesMatchTick(t *testing.T) {
 			t.Fatalf("%s: run errors: event %v, tick %v", tc.name, evErr, tickErr)
 		}
 		requireIdentical(t, tc.name, ev, tick, evErr, tickErr)
+	}
+}
+
+// TestEngineParityRandom is the bounded, always-on half of randomized
+// differential testing: 24 fixed seeds each draw a configuration — a
+// preset at small geometry with a random subset of its live knobs redrawn
+// inside the knob table's [min, max] (a draw Validate refuses on a
+// cross-field rule is dropped and the knob keeps its value) — and a
+// workload spec inside trace.Spec's caps, and hold the event engine to the
+// tick oracle on every metric and on the profile.
+func TestEngineParityRandom(t *testing.T) {
+	presets := []string{"baseline", "P-dram", "cost-effective-16+68", "P-inf"}
+	// Structural knobs stay at the preset's value: a random byte count is
+	// almost never a whole number of sets, and the geometry is drawn below.
+	fixed := map[string]bool{
+		"core.num_cores": true, "core.issue_width": true, "max_cycles": true,
+		"l1.size_bytes": true, "l1.line_bytes": true, "l1.icache_size_bytes": true,
+		"l2.size_bytes": true, "l2.line_bytes": true, "dram.bus_width_bits": true,
+		"dram.row_bytes": true, "dram.infinite_latency": true,
+	}
+	clockScales := []float64{0.5, 0.8, 1, 1.25, 2, 3.1}
+	for seed := int64(0); seed < 24; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		cfg := mustPreset(t, presets[r.Intn(len(presets))])
+		cfg.Core.NumCores = 1 + r.Intn(3)
+		set := func(assign ...string) {
+			trial := cfg
+			if err := trial.Set(assign...); err == nil && trial.Validate() == nil {
+				cfg = trial
+			}
+		}
+		for _, k := range config.Knobs() {
+			if fixed[k.Path] || r.Intn(3) != 0 {
+				continue
+			}
+			switch k.Type {
+			case "int":
+				lo, hi := int64(k.Min), int64(k.Max)
+				if span := int64(1) << r.Intn(10); hi == 0 || hi > lo+span {
+					hi = lo + span // small values: the run must stay short and the queues small
+				}
+				set(fmt.Sprintf("%s=%d", k.Path, lo+r.Int63n(hi-lo+1)))
+			case "float":
+				cur, err := config.KnobValue(&cfg, k.Path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mhz float64
+				fmt.Sscan(cur, &mhz)
+				v := fmt.Sprintf("%g", mhz*clockScales[r.Intn(len(clockScales))])
+				if k.Path == "icnt.clock_mhz" || k.Path == "l2.clock_mhz" {
+					set("icnt.clock_mhz="+v, "l2.clock_mhz="+v) // one domain, two spellings
+				} else {
+					set(k.Path + "=" + v)
+				}
+			}
+		}
+		var sp trace.Spec
+		for {
+			sp = trace.Spec{
+				Name: fmt.Sprintf("random-%d", seed), WarpsPerCore: 1 + r.Intn(6), Iters: 1 + r.Intn(6),
+				LoadsPerIter: r.Intn(5), StoresPerIter: r.Intn(4), ALUPerIter: r.Intn(7), HeavyPerIter: r.Intn(3),
+				DepDist: r.Intn(4), Pattern: trace.Pattern(r.Intn(int(trace.PatTiled) + 1)),
+				LinesPerAccess: r.Intn(5), StridePages: r.Intn(4), WorkingSetKB: 1 + r.Intn(4096),
+				SharedKB: 1 + r.Intn(64), SharedFrac: r.Float64(), StoreWindowLines: r.Intn(9),
+				PadCodeInsts: r.Intn(41), Seed: r.Uint64(),
+			}
+			if sp.Validate() == nil {
+				break
+			}
+		}
+		name := fmt.Sprintf("seed %d (%s, %d cores)", seed, cfg.Name, cfg.Core.NumCores)
+		wl := mustBuild(t, sp)
+		evProf, ev, evErr := runProfiled(t, cfg, wl, EngineEvent)
+		tickProf, tick, tickErr := runProfiled(t, cfg, wl, EngineTick)
+		requireIdentical(t, name, ev, tick, evErr, tickErr)
+		if evErr != nil && evErr.Error() != tickErr.Error() {
+			t.Errorf("%s: errors differ:\nevent: %v\ntick:  %v", name, evErr, tickErr)
+		}
+		if string(evProf) != string(tickProf) {
+			t.Errorf("%s: profiles diverged between engines", name)
+		}
+		if t.Failed() {
+			t.Logf("%s: config %+v\nspec %+v", name, cfg, sp)
+			return
+		}
+	}
+}
+
+// TestSlowIsNotLivelocked holds the livelock window to the configuration:
+// Validate admits pipeline latencies up to 2^20 cycles, so a 300,000-cycle
+// DRAM controller (or fixed L1 miss latency) is a valid, slow machine and
+// its cell must complete — identically on both engines — instead of
+// reading as 200,000 issue-free cycles of "no forward progress".
+func TestSlowIsNotLivelocked(t *testing.T) {
+	wl := mustBuild(t, chaseSpec(1, 3))
+	slowDRAM := config.Baseline()
+	slowDRAM.DRAM.CtrlLatency = 300_000
+	cases := []struct {
+		name string
+		cfg  config.Config
+	}{
+		{"dram.ctrl_latency=300000", slowDRAM},
+		{"fixed_l1_miss_latency=300000", config.FixedL1MissLatency(300_000)},
+	}
+	for _, tc := range cases {
+		ev, evErr, _ := runEngine(t, tc.cfg, wl, EngineEvent)
+		tick, tickErr, _ := runEngine(t, tc.cfg, wl, EngineTick)
+		if evErr != nil || tickErr != nil {
+			t.Fatalf("%s: event %v, tick %v", tc.name, evErr, tickErr)
+		}
+		requireIdentical(t, tc.name, ev, tick, evErr, tickErr)
+		if ev.Instructions == 0 || ev.Cycles < 3*300_000 {
+			t.Errorf("%s: %d instructions in %d cycles; three dependent misses take at least 900,000", tc.name, ev.Instructions, ev.Cycles)
+		}
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"gpumembw/internal/cache"
 	"gpumembw/internal/config"
@@ -24,11 +25,14 @@ import (
 	"gpumembw/internal/l2"
 	"gpumembw/internal/mem"
 	"gpumembw/internal/obsv"
+	"gpumembw/internal/sched"
 	"gpumembw/internal/smcore"
 )
 
-// ErrLivelock reports that the simulator stopped making forward progress,
-// which always indicates a modelling bug rather than a valid stall.
+// ErrLivelock reports that the simulator stopped making forward progress:
+// no instruction issued for longer than any valid stall of the
+// configuration can last (the window New derives), which always indicates
+// a modelling bug.
 var ErrLivelock = errors.New("core: no forward progress")
 
 // GPU is one fully assembled simulated GPU.
@@ -52,18 +56,20 @@ type GPU struct {
 	fetchID   uint64
 	truncated bool
 
-	// engine selects the simulation loop (WithEngine); skipped counts the
-	// core cycles the event engine jumped over in bulk (diagnostics and
-	// the non-vacuity assertions in the parity tests).
-	engine  Engine
-	skipped int64
+	// engine selects the simulation loop (WithEngine); stats counts what
+	// it did (EngineStats).
+	engine Engine
+	stats  EngineStats
 
-	// icntWork flags that the 700 MHz domain (crossbars, L2 banks, DRAM
-	// return hand-off) holds work. The event engine skips the domain's
-	// ticks while it is clear; it is set on the idle→busy transitions —
-	// a core injecting a request, or a DRAM burst completing — and
-	// re-evaluated after busy domain ticks.
-	icntWork bool
+	// livelockWindow is how many issue-free cycles both engines tolerate
+	// before reporting ErrLivelock (livelockWindow).
+	livelockWindow int64
+
+	// icnt and dram are the memory side's wake arrays, one per clock
+	// domain (ModeNormal only). The tick engine never advances them.
+	icnt, dram domain
+	partWake   []int64 // per partition: the earliest icnt wake among its fill hand-off and banks
+	bankUnit   []int   // global bank ID → the bank's unit index in icnt
 
 	// prof, when attached, receives one hierarchy gauge vector per core
 	// cycle. nil (the default) keeps the hot path at a single pointer
@@ -85,9 +91,11 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 		return nil, fmt.Errorf("core: workload %q has no address generator", wl.Name)
 	}
 	g := &GPU{cfg: cfg, wl: wl, amap: dram.NewAddrMap(&cfg), pool: &mem.FetchPool{}, engine: EngineEvent}
+	g.icnt.min, g.dram.min = sched.Never, sched.Never // no memory-side units outside ModeNormal
 	for _, opt := range opts {
 		opt(g)
 	}
+	g.livelockWindow = livelockWindow(&g.cfg)
 
 	newFetch := func(addr uint64, typ mem.AccessType, size, coreID, warpID int, issueCycle int64) *mem.Fetch {
 		g.fetchID++
@@ -122,18 +130,24 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 			g.parts = append(g.parts, part)
 		}
 		g.banks = make([]*l2.Bank, cfg.L2.NumBanks)
-		for _, part := range g.parts {
-			for _, b := range part.Banks {
+		g.bankUnit = make([]int, cfg.L2.NumBanks)
+		for pi, part := range g.parts {
+			for i, b := range part.Banks {
 				g.banks[b.ID] = b
+				g.bankUnit[b.ID] = g.uFill(pi) + 1 + i
 			}
 		}
+		g.icnt = newDomain(uPart0 + cfg.DRAM.NumPartitions + cfg.L2.NumBanks)
+		g.dram = newDomain(cfg.DRAM.NumPartitions)
+		g.partWake = slices.Repeat([]int64{sched.Never}, cfg.DRAM.NumPartitions)
 		for _, c := range g.cores {
 			c.SetInject(func(f *mem.Fetch) bool {
-				if g.req.Inject(f, f.CoreID, f.BankID, f.RequestBytes()) {
-					g.icntWork = true
-					return true
+				g.catchNet(g.req, uReq, g.icnt.tick)
+				if !g.req.Inject(f, f.CoreID, f.BankID, f.RequestBytes()) {
+					return false
 				}
-				return false
+				g.icnt.set(uReq, g.req.NextWake())
+				return true
 			})
 			src := c.ID
 			c.SetInjectStamp(func() uint64 { return g.req.DrainStamp(src) })
@@ -191,6 +205,9 @@ func (g *GPU) runTick() (Metrics, error) {
 
 	var lastProgress int64 // last cycle the instruction count moved
 	var lastIssued int64
+	var icntTicks, dramTicks int64
+	// Every unit ran every tick of its clock.
+	defer func() { g.stats.setElapsed(g, icntTicks, dramTicks, true) }()
 
 	for {
 		g.cycle++
@@ -199,11 +216,13 @@ func (g *GPU) runTick() (Metrics, error) {
 			g.icntAcc += icntRatio
 			for g.icntAcc >= 1 {
 				g.icntAcc--
+				icntTicks++
 				g.tickIcntDomain()
 			}
 			g.dramAcc += dramRatio
 			for g.dramAcc >= 1 {
 				g.dramAcc--
+				dramTicks++
 				for _, p := range g.parts {
 					p.DRAM.Tick()
 				}
@@ -241,16 +260,17 @@ func (g *GPU) runTick() (Metrics, error) {
 			g.truncated = true
 			break
 		}
-		if g.cycle-lastProgress > 200_000 {
-			return g.collect(), fmt.Errorf("%w after cycle %d: %s",
-				ErrLivelock, lastProgress, g.cores[0].OutstandingWork())
+		if g.cycle-lastProgress > g.livelockWindow {
+			return g.collect(), g.livelockErr(lastProgress)
 		}
 	}
 	return g.collect(), nil
 }
 
 // tickIcntDomain advances the 700 MHz domain one cycle: both crossbars and
-// every memory partition, including the partition↔network hand-offs.
+// every memory partition, including the partition↔network hand-offs. It is
+// the tick engine's half of the order the event engine's tickIcntDue
+// visits due units in.
 func (g *GPU) tickIcntDomain() {
 	g.req.Tick()
 	g.reply.Tick()

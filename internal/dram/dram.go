@@ -13,6 +13,7 @@ import (
 
 	"gpumembw/internal/config"
 	"gpumembw/internal/mem"
+	"gpumembw/internal/sched"
 	"gpumembw/internal/stats"
 )
 
@@ -167,11 +168,7 @@ func (c *Channel) SetFetchPool(p *mem.FetchPool) { c.pool = p }
 func (c *Channel) Full() bool { return c.sched.Full() }
 
 // Idle reports whether the channel holds no queued, in-flight or
-// unconsumed work. It is also the channel's whole wake answer to the
-// event engine: a channel with pending work must tick every command
-// cycle — FR-FCFS scheduling decisions and the pending/bus-busy
-// statistics are per-cycle — and an idle one sleeps until a pushed
-// request gives it work.
+// unconsumed work — used by drain checks.
 func (c *Channel) Idle() bool {
 	return c.sched.Empty() && len(c.inflight) == 0 && c.ret.Empty()
 }
@@ -202,11 +199,76 @@ func (c *Channel) PopResponse() (*mem.Fetch, bool) {
 	return c.ret.Pop()
 }
 
-// SkipTicks advances the command clock by n cycles without doing any work.
-// Valid only while the channel is Idle(): the event engine's deferred
-// idle ticks guarantee every skipped Tick would have been a no-op.
+// NextWake returns the earliest command-clock tick (the value now
+// reaches in that Tick) at which Tick can do anything but replay frozen
+// accounting: the oldest in-flight burst completing, the failed-scan memo
+// expiring (the very next tick when no memo stands), or the data bus
+// falling idle (BusBusy, which the profiler samples, flips there). It is
+// sched.Never when only a Push or a PopResponse can change anything — an
+// idle channel, or one whose every queued request waits on a return-queue
+// slot. Early is harmless, late never happens.
+func (c *Channel) NextWake() int64 {
+	if !c.sched.Empty() && c.scanIdleUntil <= c.now {
+		// No memo stands: a command just issued, or a request arrived. A
+		// short queue is scanned now on the next tick's behalf — a failed
+		// scan leaves the same memo that tick would have left, and the
+		// channel sleeps to its first time gate instead of waking to find
+		// it. A long queue (a busy channel) almost always issues again.
+		if c.sched.Len() > probeDepth || c.probeNextTick() {
+			return c.now + 1
+		}
+	}
+	wake := sched.Never
+	if len(c.inflight) > 0 {
+		// Bursts complete in issue order: each CAS reserves the data bus
+		// after the one before it, and P_DRAM's delay is a constant.
+		wake = c.inflight[0].done
+	}
+	if !c.infinite {
+		if !c.sched.Empty() {
+			wake = min(wake, c.scanIdleUntil)
+		}
+		if c.busBusyUntil > c.now {
+			wake = min(wake, c.busBusyUntil)
+		}
+	}
+	return max(wake, c.now+1)
+}
+
+// probeDepth is the longest scheduler queue NextWake scans ahead of time.
+const probeDepth = 2
+
+// probeNextTick runs the next tick's FR-FCFS scan without issuing. It
+// reports whether a command would issue; if none would, it leaves the
+// failed scan's memo (scanIdleUntil), exactly as that tick would.
+func (c *Channel) probeNextTick() bool {
+	c.now++
+	c.scanWake = math.MaxInt64
+	issues := c.issueReadyCAS(true) || c.issueRowCommand(true)
+	c.now--
+	if !issues {
+		c.scanIdleUntil = c.scanWake
+	}
+	return issues
+}
+
+// SkipTicks replays n frozen Ticks in closed form — the clock, the
+// pending and bus-busy cycle counts and both occupancy histograms advance
+// exactly as n Ticks that retire no burst and scan nothing would leave
+// them. Valid while the channel is frozen: across any span that ends
+// before NextWake().
 func (c *Channel) SkipTicks(n int64) {
+	now := c.now
 	c.now += n
+	if c.infinite || c.Idle() {
+		return
+	}
+	if !c.sched.Empty() || len(c.inflight) > 0 {
+		c.Stats.PendingCycles += n
+		c.Stats.BusBusyCycles += min(max(c.busBusyUntil-now-1, 0), n)
+	}
+	c.Stats.SchedOccupancy.ObserveN(c.sched.Len(), c.sched.Cap(), n)
+	c.Stats.ReturnOccupancy.ObserveN(c.ret.Len(), c.ret.Cap(), n)
 }
 
 // PeekResponse returns the oldest completed read without removing it.
@@ -252,10 +314,10 @@ func (c *Channel) Tick() {
 	// FR-FCFS: first ready column access (row hit), else oldest request
 	// drives a row activation/precharge. One command per cycle.
 	c.scanWake = math.MaxInt64
-	if c.issueReadyCAS() {
+	if c.issueReadyCAS(false) {
 		return
 	}
-	if c.issueRowCommand() {
+	if c.issueRowCommand(false) {
 		return
 	}
 	c.scanIdleUntil = c.scanWake
@@ -293,8 +355,8 @@ func (c *Channel) completeBursts() {
 
 // issueReadyCAS scans the scheduler queue oldest-first for a request whose
 // row is open and whose column command can issue now. Returns true if a
-// command was issued.
-func (c *Channel) issueReadyCAS() bool {
+// command was issued — or, under probe, would be: nothing mutates.
+func (c *Channel) issueReadyCAS(probe bool) bool {
 	if c.nextCAS > c.now {
 		c.wakeAt(c.nextCAS)
 		return false
@@ -334,6 +396,9 @@ func (c *Channel) issueReadyCAS() bool {
 			c.wakeAt(c.busBusyUntil - (dataStart - c.now))
 			continue
 		}
+		if probe {
+			return true
+		}
 		c.sched.RemoveAt(i)
 		dataEnd := dataStart + c.burst
 		c.busBusyUntil = dataEnd
@@ -357,8 +422,8 @@ func (c *Channel) issueReadyCAS() bool {
 
 // issueRowCommand advances the oldest request that needs its row opened:
 // precharge a conflicting open row, or activate the needed row. It reports
-// whether a command was issued.
-func (c *Channel) issueRowCommand() bool {
+// whether a command was issued (under probe: would be).
+func (c *Channel) issueRowCommand(probe bool) bool {
 	t := c.cfg.DRAM.Timing
 	for i := 0; i < c.sched.Len(); i++ {
 		f := c.sched.At(i)
@@ -368,6 +433,9 @@ func (c *Channel) issueRowCommand() bool {
 		}
 		if b.openRow >= 0 {
 			if b.preReady <= c.now {
+				if probe {
+					return true
+				}
 				b.openRow = -1
 				b.actReady = maxI64(b.actReady, c.now+int64(t.RP))
 				c.Stats.Precharges++
@@ -377,6 +445,9 @@ func (c *Channel) issueRowCommand() bool {
 			continue
 		}
 		if b.actReady <= c.now && c.nextAct <= c.now {
+			if probe {
+				return true
+			}
 			b.openRow = f.DRAMRow
 			b.casReady = c.now + int64(t.RCD)
 			b.preReady = c.now + int64(t.RAS)

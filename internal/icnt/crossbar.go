@@ -24,6 +24,7 @@ import (
 	"math/bits"
 
 	"gpumembw/internal/mem"
+	"gpumembw/internal/sched"
 )
 
 // Packet is one network packet wrapping a memory fetch.
@@ -71,6 +72,12 @@ type Network struct {
 	headDst    []int32  // source → destination of its head packet (-1 if empty)
 	dstWork    []int32  // output → number of sources whose head targets it
 	srcBusy    int      // number of sources with a head packet (headDst != -1)
+
+	// stalled records that the last Tick moved no flit although sources
+	// hold head packets: every contended output waits on a full ejection
+	// FIFO, so only a Pop (or an Inject toward another output) can let the
+	// switch move again. Both clear it.
+	stalled bool
 
 	pool []*Packet // freelist of released packets
 
@@ -165,6 +172,7 @@ func (n *Network) Inject(f *mem.Fetch, src, dst, bytes int) bool {
 	n.in[src].Push(p)
 	n.inFlits[src] += p.Flits
 	n.Stats.PacketsInjected++
+	n.stalled = false
 	return true
 }
 
@@ -191,6 +199,7 @@ func (n *Network) Pop(dst int) (*Packet, bool) {
 		n.outOcc[dst>>6] &^= 1 << uint(dst&63)
 	}
 	n.Stats.PacketsDelivered++
+	n.stalled = false
 	return p, true
 }
 
@@ -228,17 +237,42 @@ func (n *Network) Tick() {
 		// cycle; packets parked in ejection FIFOs need no switching.
 		return
 	}
+	moved := n.Stats.FlitsTransferred
 	for d, w := range n.dstWork {
 		if w != 0 {
 			n.tickOutput(d)
 		}
 	}
+	n.stalled = n.Stats.FlitsTransferred == moved
 }
 
-// SkipTicks advances the network clock by n cycles without doing any work.
-// Valid only while the network is completely empty (InFlight() == 0): the
-// event engine's bulk idle replay guarantees every skipped Tick would have
-// been a no-op beyond the cycle counters.
+// NextWake returns the earliest tick of the network's own clock (the
+// value now reaches in that Tick) at which Tick, or a sink peeking an
+// ejection FIFO, can do anything but count a cycle: the next tick while
+// the switch has a flit to move, else the earliest cycle an ejection-FIFO
+// head finishes its pipeline latency (the next tick if one already has
+// and waits for its sink), else sched.Never — only an Inject or a Pop can
+// give the network work. Early is harmless, late never happens.
+func (n *Network) NextWake() int64 {
+	if n.srcBusy != 0 && !n.stalled {
+		return n.now + 1
+	}
+	wake := sched.Never
+	for wi, word := range n.outOcc {
+		for word != 0 {
+			d := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if p, _ := n.out[d].Peek(); p.ready < wake {
+				wake = p.ready
+			}
+		}
+	}
+	return max(wake, n.now+1)
+}
+
+// SkipTicks replays that many frozen Ticks in closed form: the clock and
+// the cycle counter advance, nothing else can. Valid while the network is
+// frozen — across any span that ends before NextWake().
 func (n *Network) SkipTicks(ticks int64) {
 	n.now += ticks
 	n.Stats.Cycles += ticks

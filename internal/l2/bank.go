@@ -17,6 +17,7 @@ import (
 	"gpumembw/internal/cache"
 	"gpumembw/internal/config"
 	"gpumembw/internal/mem"
+	"gpumembw/internal/sched"
 	"gpumembw/internal/stats"
 )
 
@@ -54,6 +55,47 @@ type timedFetch struct {
 	ready int64
 }
 
+// timedQueue is a FIFO of fetches leaving the bank pipeline. The head's
+// ready cycle is kept beside the ring, so the questions asked every tick —
+// is the head out of the pipeline yet, when will it be — read one field
+// of the bank instead of the ring's memory.
+type timedQueue struct {
+	*mem.Queue[timedFetch]
+	headReady int64 // the head's ready cycle; sched.Never when empty
+}
+
+func newTimedQueue(capacity int) timedQueue {
+	return timedQueue{Queue: mem.NewQueue[timedFetch](capacity), headReady: sched.Never}
+}
+
+func (q *timedQueue) push(f *mem.Fetch, ready int64) bool {
+	if !q.Push(timedFetch{fetch: f, ready: ready}) {
+		return false
+	}
+	if q.Len() == 1 {
+		q.headReady = ready
+	}
+	return true
+}
+
+// peek returns the head if it has left the pipeline by cycle now.
+func (q *timedQueue) peek(now int64) (*mem.Fetch, bool) {
+	if q.headReady > now {
+		return nil, false
+	}
+	tf, _ := q.Peek()
+	return tf.fetch, true
+}
+
+// pop removes the head; the caller has peeked it.
+func (q *timedQueue) pop() {
+	q.Pop()
+	q.headReady = sched.Never
+	if tf, ok := q.Peek(); ok {
+		q.headReady = tf.ready
+	}
+}
+
 // BankStats aggregates per-bank statistics.
 type BankStats struct {
 	Accesses  int64
@@ -77,8 +119,8 @@ type Bank struct {
 	mshr *cache.MSHR[*mem.Fetch]
 
 	accessQ *mem.Queue[*mem.Fetch] // from the request crossbar
-	missQ   *mem.Queue[timedFetch] // toward the DRAM scheduler
-	respQ   *mem.Queue[timedFetch] // toward the reply crossbar
+	missQ   timedQueue             // toward the DRAM scheduler
+	respQ   timedQueue             // toward the reply crossbar
 
 	// fillPending holds the replies of the fill in flight: a fill with
 	// many merged requesters drains into the response queue one entry
@@ -115,8 +157,8 @@ func NewBank(id int, cfg *config.Config) *Bank {
 		tags:       cache.NewTagArray(cfg.SetsPerL2Bank(), cfg.L2.Ways, cfg.L2.LineBytes, cfg.L2.NumBanks),
 		mshr:       cache.NewMSHR[*mem.Fetch](cfg.L2.MSHREntries, cfg.L2.MSHRMaxMerge),
 		accessQ:    mem.NewQueue[*mem.Fetch](cfg.L2.AccessQueueEntries),
-		missQ:      mem.NewQueue[timedFetch](cfg.L2.MissQueueEntries),
-		respQ:      mem.NewQueue[timedFetch](cfg.L2.ResponseQueueEntries),
+		missQ:      newTimedQueue(cfg.L2.MissQueueEntries),
+		respQ:      newTimedQueue(cfg.L2.ResponseQueueEntries),
 		portCycles: int64((cfg.L2.LineBytes + cfg.L2.DataPortBytes - 1) / cfg.L2.DataPortBytes),
 		tagLat:     int64(cfg.L2.TagLatency),
 	}
@@ -169,7 +211,7 @@ func (b *Bank) drainFill() {
 	if len(b.fillPending) == 0 || b.respQ.Full() {
 		return
 	}
-	if !b.respQ.Push(timedFetch{fetch: b.fillPending[0], ready: b.fillReady}) {
+	if !b.respQ.push(b.fillPending[0], b.fillReady) {
 		return
 	}
 	copy(b.fillPending, b.fillPending[1:])
@@ -178,43 +220,29 @@ func (b *Bank) drainFill() {
 
 // PopResponse returns the next reply packet ready for the reply crossbar.
 func (b *Bank) PopResponse() (*mem.Fetch, bool) {
-	tf, ok := b.respQ.Peek()
-	if !ok || tf.ready > b.now {
-		return nil, false
+	f, ok := b.respQ.peek(b.now)
+	if ok {
+		b.respQ.pop()
+		b.parked = false // a drained slot may unblock a bp-ICNT stall
 	}
-	b.respQ.Pop()
-	b.parked = false // a drained slot may unblock a bp-ICNT stall
-	return tf.fetch, true
+	return f, ok
 }
 
 // PeekResponse reports whether a reply packet is ready.
-func (b *Bank) PeekResponse() (*mem.Fetch, bool) {
-	tf, ok := b.respQ.Peek()
-	if !ok || tf.ready > b.now {
-		return nil, false
-	}
-	return tf.fetch, true
-}
+func (b *Bank) PeekResponse() (*mem.Fetch, bool) { return b.respQ.peek(b.now) }
 
 // PopMiss returns the next request ready for the DRAM scheduler queue.
 func (b *Bank) PopMiss() (*mem.Fetch, bool) {
-	tf, ok := b.missQ.Peek()
-	if !ok || tf.ready > b.now {
-		return nil, false
+	f, ok := b.missQ.peek(b.now)
+	if ok {
+		b.missQ.pop()
+		b.parked = false // a drained slot may unblock a bp-DRAM stall
 	}
-	b.missQ.Pop()
-	b.parked = false // a drained slot may unblock a bp-DRAM stall
-	return tf.fetch, true
+	return f, ok
 }
 
 // PeekMiss reports whether a miss request is ready for DRAM.
-func (b *Bank) PeekMiss() (*mem.Fetch, bool) {
-	tf, ok := b.missQ.Peek()
-	if !ok || tf.ready > b.now {
-		return nil, false
-	}
-	return tf.fetch, true
-}
+func (b *Bank) PeekMiss() (*mem.Fetch, bool) { return b.missQ.peek(b.now) }
 
 // Tick advances the bank one L2 cycle, processing at most the head of the
 // access queue and recording stall attribution when it is blocked.
@@ -258,6 +286,48 @@ func (b *Bank) Tick() {
 	}
 }
 
+// NextWake returns the earliest L2-clock tick (the value now reaches in
+// that Tick) at which Tick, or a hand-off reading the bank, can do
+// anything but replay a parked head's attribution: the next tick while a
+// fill drains or the access-queue head can be attempted, the port freeing
+// under a head parked on it (parkedUntil), the miss- and response-queue
+// heads leaving the bank pipeline (the next tick if one already has and
+// its hand-off is blocked), and the data port falling idle (Busy, which
+// the profiler samples, flips there). It is sched.Never when only an
+// Accept, a Fill or a queue pop can change anything. Early is harmless,
+// late never happens.
+func (b *Bank) NextWake() int64 {
+	next := b.now + 1
+	if len(b.fillPending) > 0 {
+		return next
+	}
+	wake := sched.Never
+	if !b.accessQ.Empty() {
+		if !b.parked {
+			return next
+		}
+		wake = b.parkedUntil
+	}
+	wake = min(wake, b.missQ.headReady, b.respQ.headReady)
+	if b.portBusyUntil > b.now {
+		wake = min(wake, b.portBusyUntil)
+	}
+	return max(wake, next)
+}
+
+// SkipTicks replays n frozen Ticks in closed form: the clock advances
+// and, if a parked head waits, so do its stall cause and the access-queue
+// occupancy histogram — exactly what n Ticks replaying the park memo would
+// record. Valid while the bank is frozen: across any span that ends
+// before NextWake().
+func (b *Bank) SkipTicks(n int64) {
+	b.now += n
+	if occ := b.accessQ.Len(); occ > 0 {
+		b.Stats.AccessOccupancy.ObserveN(occ, b.accessQ.Cap(), n)
+		b.Stats.StallCycles[b.parkedCause] += n
+	}
+}
+
 // process attempts to service f, returning StallNone on success or the
 // blocking cause. It must only mutate state when it succeeds.
 func (b *Bank) process(f *mem.Fetch) StallCause {
@@ -288,7 +358,7 @@ func (b *Bank) processRead(f *mem.Fetch) StallCause {
 		f.IsReply = true
 		f.L2Hit = true
 		f.SizeBytes = b.cfg.L2.LineBytes
-		b.respQ.Push(timedFetch{fetch: f, ready: b.now + b.tagLat + b.portCycles})
+		b.respQ.push(f, b.now+b.tagLat+b.portCycles)
 		b.Stats.Accesses++
 		b.Stats.Hits++
 		return StallNone
@@ -337,7 +407,7 @@ func (b *Bank) processRead(f *mem.Fetch) StallCause {
 			PartitionID: f.PartitionID,
 			BankID:      b.ID,
 		}
-		b.missQ.Push(timedFetch{fetch: miss, ready: b.now + b.tagLat})
+		b.missQ.push(miss, b.now+b.tagLat)
 		if victim.Valid && victim.Dirty {
 			b.pushWriteBack(victim.Addr)
 		}
@@ -370,7 +440,7 @@ func (b *Bank) processWrite(f *mem.Fetch) StallCause {
 		if b.missQ.Full() {
 			return StallBpDRAM
 		}
-		b.missQ.Push(timedFetch{fetch: b.dramWrite(addr, f), ready: b.now + b.tagLat})
+		b.missQ.push(b.dramWrite(addr, f), b.now+b.tagLat)
 		b.Stats.Accesses++
 		b.Stats.Writes++
 		return StallNone
@@ -408,7 +478,7 @@ func (b *Bank) pushWriteBack(addr uint64) {
 		CoreID:    -1,
 		BankID:    b.ID,
 	}
-	if !b.missQ.Push(timedFetch{fetch: wb, ready: b.now + b.tagLat}) {
+	if !b.missQ.push(wb, b.now+b.tagLat) {
 		panic("l2: miss queue overflow pushing write-back")
 	}
 	b.Stats.WriteBack++

@@ -47,64 +47,60 @@ func (p *Partition) SetFetchPool(pool *mem.FetchPool) {
 	p.DRAM.SetFetchPool(pool)
 }
 
-// tickIdle reports whether this TickL2 call has no work at all: no DRAM
-// fill ready, and every bank with an empty access queue, no fill replies
-// draining and no misses to forward. Response queues are irrelevant here —
-// the reply-network hand-off happens outside TickL2 and only reads clocks.
-func (p *Partition) tickIdle() bool {
-	if _, ok := p.DRAM.PeekResponse(); ok {
-		return false
-	}
-	for _, b := range p.Banks {
-		if b.accessQ.Len() != 0 || len(b.fillPending) != 0 || b.missQ.Len() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // TickL2 advances the partition one L2/interconnect cycle: deliver one DRAM
 // fill, tick every bank, and drain the bank miss queues into the DRAM
 // scheduler queue.
 func (p *Partition) TickL2() {
-	if p.tickIdle() {
-		// Keep the bank clocks in lockstep; everything else below would
-		// be a no-op this cycle.
-		for _, b := range p.Banks {
-			b.now++
-		}
-		return
-	}
-
-	// DRAM fill delivery: one line per cycle, head-of-line.
-	if f, ok := p.DRAM.PeekResponse(); ok {
-		bank := p.BankFor(f.BankID)
-		if bank.CanFill(f) {
-			p.DRAM.PopResponse()
-			bank.Fill(f)
-		}
-	}
-
+	p.DeliverFill()
 	for _, b := range p.Banks {
 		b.Tick()
 	}
+	if b := p.NextMiss(); b != nil {
+		p.ForwardMiss(b)
+	}
+}
 
-	// Miss-queue → DRAM scheduler queue, one request per cycle,
-	// round-robin across banks. A full scheduler queue leaves the miss
-	// queues backed up (bp-DRAM seen by the banks).
+// DeliverFill hands the DRAM return queue's head to its bank — one line
+// per cycle, head-of-line — and returns that bank, or nil when no fill is
+// waiting or its bank cannot take one this cycle (CanFill).
+func (p *Partition) DeliverFill() *Bank {
+	f, ok := p.DRAM.PeekResponse()
+	if !ok {
+		return nil
+	}
+	bank := p.BankFor(f.BankID)
+	if !bank.CanFill(f) {
+		return nil
+	}
+	p.DRAM.PopResponse()
+	bank.Fill(f)
+	return bank
+}
+
+// NextMiss returns the bank whose miss-queue head goes to the DRAM
+// scheduler queue this cycle — one request per cycle, round-robin across
+// banks — or nil when no miss is ready or the scheduler queue is full (which
+// leaves the miss queues backed up: bp-DRAM seen by the banks).
+func (p *Partition) NextMiss() *Bank {
 	n := len(p.Banks)
 	for i := 0; i < n; i++ {
 		b := p.Banks[(p.missRR+i)%n]
-		if f, ok := b.PeekMiss(); ok {
+		if _, ok := b.PeekMiss(); ok {
 			if p.DRAM.Full() {
-				break
+				return nil
 			}
-			b.PopMiss()
-			p.DRAM.Push(f)
-			p.missRR = (p.missRR + i + 1) % n
-			break
+			return b
 		}
 	}
+	return nil
+}
+
+// ForwardMiss moves the miss NextMiss chose into the DRAM scheduler queue
+// and advances the round-robin pointer past its bank.
+func (p *Partition) ForwardMiss(b *Bank) {
+	f, _ := b.PopMiss()
+	p.DRAM.Push(f)
+	p.missRR = (b.ID/p.cfg.DRAM.NumPartitions + 1) % len(p.Banks)
 }
 
 // NextResponse returns (without consuming) the next reply packet to inject
@@ -133,37 +129,6 @@ func (p *Partition) ConsumeResponse(b *Bank) {
 			return
 		}
 	}
-}
-
-// SkipTicks advances every bank clock by n L2 cycles without doing any
-// work. Valid only while the partition is Idle(): the event engine's
-// deferred idle ticks guarantee every skipped TickL2 would have been a
-// no-op.
-// The DRAM channel runs in its own clock domain and is skipped separately.
-func (p *Partition) SkipTicks(n int64) {
-	for _, b := range p.Banks {
-		b.now += n
-	}
-}
-
-// HasL2Work is the wake answer of the partition's 700 MHz half — the L2
-// banks and their network hand-offs — and it is a boolean: true while any
-// bank queue holds work or a DRAM fill waits for delivery (every such
-// cycle does real work or records stall attribution), false otherwise,
-// when only an external input — a request ejection or a completed DRAM
-// burst — can give it something to do. The DRAM channel answers for
-// itself (Channel.Idle): it ticks on a different clock.
-func (p *Partition) HasL2Work() bool {
-	if _, ok := p.DRAM.PeekResponse(); ok {
-		return true
-	}
-	for _, b := range p.Banks {
-		if b.accessQ.Len() != 0 || len(b.fillPending) != 0 ||
-			b.missQ.Len() != 0 || b.respQ.Len() != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // Idle reports whether the partition holds no work in any queue, MSHR or

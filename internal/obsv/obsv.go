@@ -68,9 +68,11 @@ func (p *Profiler) Cycles() int64 { return p.cycles }
 func (p *Profiler) Record(vals []float64) { p.RecordN(vals, 1) }
 
 // RecordN accumulates the same gauge vector for n consecutive cycles —
-// the bulk path for idle spans the event engine jumps, where no component state
-// mutates and the frozen vector is exactly what per-cycle sampling would
-// have observed.
+// the bulk path for the spans the event engine jumps, where no component
+// state mutates and the frozen vector is exactly what per-cycle sampling
+// would have observed. A non-zero gauge is added cycle by cycle, not as
+// v×n: the window sums must carry the very float roundings n Records
+// leave, or a mean sitting on a round6 tie prints differently.
 func (p *Profiler) RecordN(vals []float64, n int64) {
 	if n <= 0 {
 		return
@@ -81,9 +83,15 @@ func (p *Profiler) RecordN(vals []float64, n int64) {
 		if take > n {
 			take = n
 		}
-		f := float64(take)
 		for i, v := range vals {
-			p.cur[i] += v * f
+			if v == 0 {
+				continue
+			}
+			sum := p.cur[i]
+			for k := int64(0); k < take; k++ {
+				sum += v
+			}
+			p.cur[i] = sum
 		}
 		p.curCycles += take
 		n -= take

@@ -2,8 +2,8 @@
 // event engine: a calendar wheel ordering unit wake-ups by cycle with a
 // deterministic tie-break, so the engine advances straight to the earliest
 // pending event instead of ticking every unit every cycle. What a unit
-// answers when asked for its wake is the unit's own business
-// (smcore.Core.NextWake is the one answer that is a cycle).
+// answers when asked for its wake is the unit's own business: every
+// NextWake of the hierarchy names a cycle of the unit's own clock, or Never.
 package sched
 
 import "math"

@@ -937,9 +937,8 @@ func (c *Core) checkDone() {
 // The contract is one-sided: answering earlier than the true wake is
 // always safe (a core woken early observes no event and reschedules —
 // which is what happens to a wake the wheel clamps to its horizon),
-// answering later never is. The core is the only unit of the hierarchy
-// whose answer is a cycle; partitions, channels and crossbars answer with
-// a boolean (HasL2Work, Idle, InFlight).
+// answering later never is. The memory side answers the same question in
+// its own clocks (icnt.Network, l2.Bank and dram.Channel NextWake).
 func (c *Core) NextWake() (int64, bool) {
 	if c.done {
 		// A drained core ticks as a no-op and keeps no statistics.

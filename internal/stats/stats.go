@@ -30,25 +30,35 @@ type OccupancyHist struct {
 // Cycles with zero occupancy are outside the usage lifetime and ignored,
 // as are unbounded queues (capacity ≤ 0).
 func (h *OccupancyHist) Observe(occupancy, capacity int) {
+	h.ObserveN(occupancy, capacity, 1)
+}
+
+// ObserveN records n cycles at one occupancy — exactly n Observe calls,
+// for a unit replaying a span in which its queue stood frozen.
+func (h *OccupancyHist) ObserveN(occupancy, capacity int, n int64) {
 	if occupancy <= 0 || capacity <= 0 {
 		return
 	}
-	h.Lifetime++
+	h.Lifetime += n
+	h.Buckets[h.bucket(occupancy, capacity)] += n
+}
+
+// bucket maps an occupancy in [1, ∞) to its band.
+func (h *OccupancyHist) bucket(occupancy, capacity int) uint8 {
 	if occupancy >= capacity {
-		h.Buckets[4]++
-		return
+		return 4
 	}
 	if len(h.lut) != capacity {
-		h.lut = make([]uint8, capacity)
-		for o := 1; o < capacity; o++ {
-			b := 4 * o / capacity
-			if b > 3 {
-				b = 3
-			}
-			h.lut[o] = uint8(b)
-		}
+		h.buildLUT(capacity)
 	}
-	h.Buckets[h.lut[occupancy]]++
+	return h.lut[occupancy]
+}
+
+func (h *OccupancyHist) buildLUT(capacity int) {
+	h.lut = make([]uint8, capacity)
+	for o := 1; o < capacity; o++ {
+		h.lut[o] = uint8(min(4*o/capacity, 3))
+	}
 }
 
 // Fractions returns each bucket as a fraction of the usage lifetime.

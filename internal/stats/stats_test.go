@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +152,31 @@ func TestRatio(t *testing.T) {
 	}
 	if Ratio(1, 2) != 0.5 {
 		t.Error("ratio wrong")
+	}
+}
+
+// TestObserveNIsRepeatedObserve is the closed-form replay's proof for the
+// histogram (obsv.RecordN's twin): n cycles at one occupancy must leave
+// exactly what n Observe calls leave, for every occupancy of every
+// capacity a queue can have here, and for the ignored cases too.
+func TestObserveNIsRepeatedObserve(t *testing.T) {
+	for capacity := -1; capacity <= 64; capacity++ {
+		for occ := -1; occ <= max(capacity, 1); occ++ {
+			for _, n := range []int64{1, 2, 7, 1000} {
+				var bulk, loop OccupancyHist
+				// A histogram already in use: the LUT is built, counts are non-zero.
+				for _, h := range []*OccupancyHist{&bulk, &loop} {
+					h.Observe(1, capacity)
+					h.Observe(capacity, capacity)
+				}
+				bulk.ObserveN(occ, capacity, n)
+				for i := int64(0); i < n; i++ {
+					loop.Observe(occ, capacity)
+				}
+				if !reflect.DeepEqual(bulk, loop) {
+					t.Fatalf("ObserveN(%d, %d, %d) = %+v, %d Observes = %+v", occ, capacity, n, bulk, n, loop)
+				}
+			}
+		}
 	}
 }

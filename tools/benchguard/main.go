@@ -21,7 +21,8 @@
 //
 // Custom metrics reported via b.ReportMetric (sim-cycles/s, flits/cycle,
 // row-hit-%, ...) are gated too, as higher-is-better rates: a metric that
-// drops more than the threshold below its baseline fails the comparison.
+// drops more than the threshold below its baseline fails the comparison
+// (unit-ticks/sim-cycle, a deterministic cost, fails by rising instead).
 // Wall-clock rates like sim-cycles/s scale inversely with machine speed,
 // so on a runner slower than the baseline machine (factor > 1) the floor
 // is relaxed by that same factor; per-sim-cycle metrics are deterministic
@@ -309,6 +310,16 @@ func cmdCompare(args []string) {
 				failed = true
 			case bv == 0:
 				fmt.Printf("%-40s %14.4g %14.4g %9s\n", row, bv, cv, "-")
+			case costMetrics[mn]:
+				// A deterministic count of work done: it regresses by
+				// rising, and no runner's speed moves it.
+				r := cv / bv
+				verdict := ""
+				if r > 1+threshold {
+					verdict = fmt.Sprintf("  REGRESSION (cost rose >%.0f%% above baseline)", 100*threshold)
+					failed = true
+				}
+				fmt.Printf("%-40s %14.4g %14.4g %9s%s\n", row, bv, cv, signedDelta(r), verdict)
 			default:
 				r := cv / bv
 				verdict := ""
@@ -332,6 +343,10 @@ func cmdCompare(args []string) {
 	}
 	fmt.Println("\nOK: no benchmark or metric regressed beyond the threshold.")
 }
+
+// costMetrics are the custom metrics that are lower-is-better: every
+// other metric is a rate.
+var costMetrics = map[string]bool{"unit-ticks/sim-cycle": true}
 
 // signedDelta renders a current/baseline ratio as an explicit signed
 // percentage ("+101.1%", "-3.2%", "+0.0%").
