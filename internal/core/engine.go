@@ -159,7 +159,7 @@ const (
 
 // uFill is the unit index of partition pi's fill hand-off; its banks follow
 // (GPU.bankUnit maps a global bank ID to its index).
-func (g *GPU) uFill(pi int) int { return uPart0 + pi*(1+len(g.parts[pi].Banks)) }
+func (g *GPU) uFill(pi int) int { return uPart0 + pi*g.partUnits }
 
 func (g *GPU) catchNet(n *icnt.Network, u int, to int64) {
 	if k := to - g.icnt.at[u]; k > 0 {
@@ -217,51 +217,49 @@ func (g *GPU) tickIcntDue() {
 					g.req.Pop(dst)
 					bank.Accept(pkt.Fetch)
 					g.req.Release(pkt)
-					g.setPartUnit(dst%len(g.parts), u, bank.NextWake())
+					d.wake[u] = bank.NextWake()
 				}
 			}
 		}
 	}
 	for pi, p := range g.parts {
-		if g.partWake[pi] > t {
-			continue
-		}
 		u0 := g.uFill(pi)
-		wake := d.wake[u0 : u0+1+len(p.Banks)] // the fill hand-off, then the banks
-		if wake[0] <= t {
+		if d.wake[u0] <= t {
 			g.deliverFill(pi, p)
 		}
 		ticked := false
-		for i, b := range p.Banks {
-			if wake[1+i] > t {
-				continue
+		for u := u0 + 1; u < u0+g.partUnits; u++ {
+			if d.wake[u] <= t {
+				b := p.Banks[u-u0-1]
+				g.catchBank(b, u, t-1)
+				b.Tick()
+				d.at[u] = t
+				g.stats.L2.TicksRun++
+				ticked = true
+				// The bank's reply injection, which tickIcntDomain runs after
+				// the last partition's TickL2: it touches only this bank's
+				// response queue and its own reply-crossbar source, which no
+				// sibling's tick and no miss drain reads, and one pass over
+				// the banks is measurably cheaper than two.
+				if f, ok := b.PeekResponse(); ok && g.reply.CanInject(b.ID, f.ReplyBytes()) {
+					g.catchNet(g.reply, uReply, t)
+					g.reply.Inject(f, b.ID, f.CoreID, f.ReplyBytes())
+					b.PopResponse()
+				}
+				d.wake[u] = b.NextWake()
 			}
-			g.catchBank(b, u0+1+i, t-1)
-			b.Tick()
-			d.at[u0+1+i] = t
-			g.stats.L2.TicksRun++
-			ticked = true
-			// The bank's reply injection, hoisted ahead of its siblings'
-			// ticks and the miss drain: it touches only this bank's
-			// response queue and its own reply-crossbar source.
-			if f, ok := b.PeekResponse(); ok && g.reply.CanInject(b.ID, f.ReplyBytes()) {
-				g.catchNet(g.reply, uReply, t)
-				g.reply.Inject(f, b.ID, f.CoreID, f.ReplyBytes())
-				b.PopResponse()
-			}
-			wake[1+i] = b.NextWake()
 		}
 		// A miss leaving the bank pipeline is a wake of its bank, so the
 		// drain moves nothing unless one ran.
-		if ticked {
-			if b := p.NextMiss(); b != nil {
-				g.catchChannel(pi, g.dram.tick)
-				p.ForwardMiss(b)
-				g.dram.set(pi, p.DRAM.NextWake())
-				d.wake[g.bankUnit[b.ID]] = b.NextWake()
-			}
+		if !ticked {
+			continue
 		}
-		g.partWake[pi] = slices.Min(wake)
+		if b := p.NextMiss(); b != nil {
+			g.catchChannel(pi, g.dram.tick)
+			p.ForwardMiss(b)
+			g.dram.set(pi, p.DRAM.NextWake())
+			d.wake[g.bankUnit[b.ID]] = b.NextWake()
+		}
 	}
 	if d.at[uReq] == t {
 		d.wake[uReq] = g.req.NextWake()
@@ -269,7 +267,7 @@ func (g *GPU) tickIcntDue() {
 	if d.at[uReply] == t {
 		d.wake[uReply] = g.reply.NextWake()
 	}
-	d.min = min(slices.Min(g.partWake), d.wake[uReq], d.wake[uReply])
+	d.min = slices.Min(d.wake)
 }
 
 // deliverFill is the DRAM-fill hand-off of partition pi on the current
@@ -292,13 +290,6 @@ func (g *GPU) deliverFill(pi int, p *l2.Partition) {
 	}
 }
 
-// setPartUnit records a new wake for unit u of partition pi, mutated from
-// outside the partition's own visit.
-func (g *GPU) setPartUnit(pi, u int, wake int64) {
-	g.icnt.set(u, wake)
-	g.partWake[pi] = min(g.partWake[pi], wake)
-}
-
 // tickDRAMDue runs the DRAM command-clock tick g.dram.tick for the channels
 // due on it. A burst retiring into a return queue makes that partition's
 // fill hand-off due on the next 700 MHz tick.
@@ -316,7 +307,7 @@ func (g *GPU) tickDRAMDue() {
 		d.wake[pi] = p.DRAM.NextWake()
 		if u := g.uFill(pi); g.icnt.wake[u] == sched.Never {
 			if _, ok := p.DRAM.PeekResponse(); ok {
-				g.setPartUnit(pi, u, g.icnt.tick+1)
+				g.icnt.set(u, g.icnt.tick+1)
 			}
 		}
 	}
@@ -386,9 +377,6 @@ func (g *GPU) runEvent() (Metrics, error) {
 	if normal {
 		replyOcc = g.reply.OccupiedDsts()
 	}
-	coreWake := int64(1) // the wheel's earliest wake; it moves only in the core phase
-	var replyAt int64    // the reply crossbar's clock when the arrival scan last ran
-	rescan := false      // a core popped a reply since
 
 	finish := func() {
 		// Catch lazily parked units up to the final cycle before any
@@ -412,6 +400,7 @@ func (g *GPU) runEvent() (Metrics, error) {
 		// normal cycle, and is clamped so the truncation and livelock
 		// checks trip on exactly the cycle the unskipped run would have
 		// stopped at.
+		coreWake := wheel.Min()
 		coreDue := len(carry) > 0 || coreWake <= g.cycle+1
 		if !coreDue && it < g.icnt.min && dt < g.dram.min {
 			target := g.clampTarget(lastProgress, coreWake-1)
@@ -462,107 +451,102 @@ func (g *GPU) runEvent() (Metrics, error) {
 					g.tickDRAMDue()
 				}
 			}
-		}
 
-		// The core phase runs when a core is due, and when a reply may have
-		// become consumable for a parked one: Peek can only turn true on a
-		// cycle the reply crossbar's clock moved, or right after a Pop
-		// exposed the next packet of an ejection FIFO.
-		if coreDue || rescan || normal && g.icnt.at[uReply] != replyAt {
-			if normal {
-				replyAt, rescan = g.icnt.at[uReply], false
-				// A consumable reply wakes its destination core this cycle —
-				// parked cores always have response-FIFO room, so arrival and
-				// consumption cycles match the tick engine's exactly. Only
-				// destinations with an occupied ejection FIFO need peeking. (A
-				// head finishing its latency is a wake of the reply crossbar,
-				// so the crossbar's clock is current whenever Peek could turn
-				// true.)
-				if g.reply.InFlight() > 0 {
-					for wi, word := range replyOcc {
-						for word != 0 {
-							d := wi<<6 + bits.TrailingZeros64(word)
-							word &= word - 1
-							id := int32(d)
-							if carriedAt[d] == g.cycle || wheel.ScheduledAt(id) == g.cycle || g.cores[d].Done() {
-								continue
-							}
-							if _, ok := g.reply.Peek(d); ok {
-								wheel.Schedule(id, g.cycle)
-							}
+			// A consumable reply wakes its destination core this cycle —
+			// parked cores always have response-FIFO room, so arrival and
+			// consumption cycles match the tick engine's exactly. Only
+			// destinations with an occupied ejection FIFO need peeking. A
+			// head finishing its latency is a wake of the reply crossbar,
+			// so the crossbar's clock is current whenever Peek could turn
+			// true. A Pop cannot expose a second consumable head behind a
+			// jump either: one FIFO's heads finish at least a tick apart
+			// and a core pops its head the cycle it turns consumable (its
+			// response FIFO drains every tick, so it never fills), so two
+			// are consumable at once only where the crossbar ticks more
+			// than once per core cycle — and there every cycle holds a
+			// tick of it, a wake while a consumable head waits.
+			if g.reply.InFlight() > 0 {
+				for wi, word := range replyOcc {
+					for word != 0 {
+						d := wi<<6 + bits.TrailingZeros64(word)
+						word &= word - 1
+						id := int32(d)
+						if carriedAt[d] == g.cycle || wheel.ScheduledAt(id) == g.cycle || g.cores[d].Done() {
+							continue
+						}
+						if _, ok := g.reply.Peek(d); ok {
+							wheel.Schedule(id, g.cycle)
 						}
 					}
 				}
 			}
-
-			due = wheel.Due(g.cycle, due[:0])
-			// Merge the wheel's due set with the carry list. Both are ascending
-			// and disjoint (a carried core's wheel wake is Never, and the reply
-			// scan skips carried cores), so the merge preserves the tick loop's
-			// ascending-ID order.
-			run := due
-			if len(carry) > 0 {
-				if len(due) == 0 {
-					run = carry
-				} else {
-					merged = merged[:0]
-					i, j := 0, 0
-					for i < len(due) && j < len(carry) {
-						if due[i] < carry[j] {
-							merged = append(merged, due[i])
-							i++
-						} else {
-							merged = append(merged, carry[j])
-							j++
-						}
-					}
-					merged = append(merged, due[i:]...)
-					merged = append(merged, carry[j:]...)
-					run = merged
-				}
-			}
-			carryNext = carryNext[:0]
-			replies := normal && g.reply.InFlight() > 0
-			for _, id := range run {
-				c := g.cores[id]
-				// Lazy catch-up: replay the cycles the core sat parked, then
-				// tick it exactly where the tick loop would have.
-				if coreNow[id] < g.cycle-1 {
-					c.SkipTo(g.cycle - 1)
-				}
-				if replies && replyOcc[id>>6]&(1<<uint(id&63)) != 0 && c.CanAcceptResponse() {
-					g.catchNet(g.reply, uReply, g.icnt.tick)
-					if pkt, ok := g.reply.Pop(c.ID); ok {
-						rescan = true
-						g.icnt.set(uReply, g.reply.NextWake())
-						c.AcceptResponse(pkt.Fetch)
-						g.reply.Release(pkt)
-					}
-				}
-				before := c.Stats.Issued
-				c.Tick()
-				g.stats.Core.TicksRun++
-				coreNow[id] = g.cycle
-				issued += c.Stats.Issued - before
-				if c.Done() {
-					alive--
-					continue
-				}
-				if w, ok := c.NextWake(); ok && w != g.cycle+1 {
-					// Never parks the core off the wheel entirely (it waits on
-					// a reply in flight); the reply-arrival scan above
-					// re-schedules it the cycle its packet becomes consumable.
-					if w != sched.Never {
-						wheel.Schedule(id, w)
-					}
-				} else {
-					carryNext = append(carryNext, id)
-					carriedAt[id] = g.cycle + 1
-				}
-			}
-			carry, carryNext = carryNext, carry
-			coreWake = wheel.Min()
 		}
+
+		due = wheel.Due(g.cycle, due[:0])
+		// Merge the wheel's due set with the carry list. Both are ascending
+		// and disjoint (a carried core's wheel wake is Never, and the reply
+		// scan skips carried cores), so the merge preserves the tick loop's
+		// ascending-ID order.
+		run := due
+		if len(carry) > 0 {
+			if len(due) == 0 {
+				run = carry
+			} else {
+				merged = merged[:0]
+				i, j := 0, 0
+				for i < len(due) && j < len(carry) {
+					if due[i] < carry[j] {
+						merged = append(merged, due[i])
+						i++
+					} else {
+						merged = append(merged, carry[j])
+						j++
+					}
+				}
+				merged = append(merged, due[i:]...)
+				merged = append(merged, carry[j:]...)
+				run = merged
+			}
+		}
+		carryNext = carryNext[:0]
+		replies := normal && g.reply.InFlight() > 0
+		for _, id := range run {
+			c := g.cores[id]
+			// Lazy catch-up: replay the cycles the core sat parked, then
+			// tick it exactly where the tick loop would have.
+			if coreNow[id] < g.cycle-1 {
+				c.SkipTo(g.cycle - 1)
+			}
+			if replies && replyOcc[id>>6]&(1<<uint(id&63)) != 0 && c.CanAcceptResponse() {
+				g.catchNet(g.reply, uReply, g.icnt.tick)
+				if pkt, ok := g.reply.Pop(c.ID); ok {
+					g.icnt.set(uReply, g.reply.NextWake())
+					c.AcceptResponse(pkt.Fetch)
+					g.reply.Release(pkt)
+				}
+			}
+			before := c.Stats.Issued
+			c.Tick()
+			g.stats.Core.TicksRun++
+			coreNow[id] = g.cycle
+			issued += c.Stats.Issued - before
+			if c.Done() {
+				alive--
+				continue
+			}
+			if w, ok := c.NextWake(); ok && w != g.cycle+1 {
+				// Never parks the core off the wheel entirely (it waits on
+				// a reply in flight); the reply-arrival scan above
+				// re-schedules it the cycle its packet becomes consumable.
+				if w != sched.Never {
+					wheel.Schedule(id, w)
+				}
+			} else {
+				carryNext = append(carryNext, id)
+				carriedAt[id] = g.cycle + 1
+			}
+		}
+		carry, carryNext = carryNext, carry
 
 		if g.prof != nil {
 			// Gauges that compare a reservation against a unit's clock

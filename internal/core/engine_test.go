@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,18 +224,20 @@ func TestEngineParityProfiled(t *testing.T) {
 	small := config.Baseline()
 	small.Core.NumCores = 2
 	cases := []struct {
-		name string
-		cfg  config.Config
-		wl   *smcore.Workload
+		name   string
+		cfg    config.Config
+		wl     *smcore.Workload
+		golden string // testdata/golden file `gpusim -profile` is held to, if any
 	}{
-		{"mm/2-cores", small, trace.Workloads()["mm"]},
-		{"chase-1w/2-cores", small, mustBuild(t, chaseSpec(1, 150))},
-		{"chase-2w/full", config.Baseline(), mustBuild(t, chaseSpec(2, 60))},
-		{"store-heavy/2-cores", small, mustBuild(t, storeHeavySpec)},
+		{"mm/2-cores", small, trace.Workloads()["mm"], ""},
+		{"chase-1w/2-cores", small, mustBuild(t, chaseSpec(1, 150)), ""},
+		{"chase-2w/full", config.Baseline(), mustBuild(t, chaseSpec(2, 60)), ""},
+		{"store-heavy/2-cores", small, mustBuild(t, storeHeavySpec), ""},
 		// The cell whose committed profile golden the parent engine got
 		// wrong: it jumped a drained hierarchy while a store hit still held
-		// an L2 port, freezing bank-busy at 1 across the span.
-		{"dwt2d/full", config.Baseline(), trace.Workloads()["dwt2d"]},
+		// an L2 port, freezing bank-busy at 1 across the span. The golden
+		// is the tick loop's profile, which this test re-derives.
+		{"dwt2d/full", config.Baseline(), trace.Workloads()["dwt2d"], "profile-dwt2d-baseline.json"},
 	}
 	for _, tc := range cases {
 		evProf, evM, evErr := runProfiled(t, tc.cfg, tc.wl, EngineEvent)
@@ -240,6 +245,21 @@ func TestEngineParityProfiled(t *testing.T) {
 		requireIdentical(t, tc.name, evM, tickM, evErr, tickErr)
 		if string(evProf) != string(tickProf) {
 			t.Errorf("%s: profiles diverged between engines:\nevent: %s\ntick:  %s", tc.name, evProf, tickProf)
+		}
+		if tc.golden == "" {
+			continue
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := json.Indent(&got, tickProf, "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		got.WriteByte('\n')
+		if got.String() != string(want) {
+			t.Errorf("%s: the tick loop's profile is not testdata/golden/%s", tc.name, tc.golden)
 		}
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"gpumembw/internal/cache"
 	"gpumembw/internal/config"
@@ -68,8 +67,8 @@ type GPU struct {
 	// icnt and dram are the memory side's wake arrays, one per clock
 	// domain (ModeNormal only). The tick engine never advances them.
 	icnt, dram domain
-	partWake   []int64 // per partition: the earliest icnt wake among its fill hand-off and banks
-	bankUnit   []int   // global bank ID → the bank's unit index in icnt
+	partUnits  int   // icnt units per partition: its fill hand-off and its banks
+	bankUnit   []int // global bank ID → the bank's unit index in icnt
 
 	// prof, when attached, receives one hierarchy gauge vector per core
 	// cycle. nil (the default) keeps the hot path at a single pointer
@@ -130,6 +129,7 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 			g.parts = append(g.parts, part)
 		}
 		g.banks = make([]*l2.Bank, cfg.L2.NumBanks)
+		g.partUnits = 1 + cfg.BanksPerPartition()
 		g.bankUnit = make([]int, cfg.L2.NumBanks)
 		for pi, part := range g.parts {
 			for i, b := range part.Banks {
@@ -139,7 +139,6 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 		}
 		g.icnt = newDomain(uPart0 + cfg.DRAM.NumPartitions + cfg.L2.NumBanks)
 		g.dram = newDomain(cfg.DRAM.NumPartitions)
-		g.partWake = slices.Repeat([]int64{sched.Never}, cfg.DRAM.NumPartitions)
 		for _, c := range g.cores {
 			c.SetInject(func(f *mem.Fetch) bool {
 				g.catchNet(g.req, uReq, g.icnt.tick)

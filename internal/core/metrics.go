@@ -26,7 +26,14 @@ import (
 // (config.Config.Identity — mode-dead fields zeroed, Name excluded,
 // Mode serialized by name) instead of the raw config value, so inline
 // configs and patches that are twins of a preset share its cell.
-const SimVersion = "ispass17-sim-5"
+//
+// sim-6: a profile is the tick oracle's, cycle for cycle. Up to sim-5 the
+// event engine froze the gauges that compare a reservation with a unit's
+// clock (l2/bank-busy, dram/bus-busy) across a jumped span, and RecordN
+// summed v×n where n Records sum v n times; some window means differed in
+// the last printed digits (dwt2d@baseline: two numbers). Metrics did not
+// change.
+const SimVersion = "ispass17-sim-6"
 
 // Metrics aggregates every quantity the paper reports for one simulation.
 type Metrics struct {

@@ -209,14 +209,7 @@ func (c *Channel) PopResponse() (*mem.Fetch, bool) {
 // slot. Early is harmless, late never happens.
 func (c *Channel) NextWake() int64 {
 	if !c.sched.Empty() && c.scanIdleUntil <= c.now {
-		// No memo stands: a command just issued, or a request arrived. A
-		// short queue is scanned now on the next tick's behalf — a failed
-		// scan leaves the same memo that tick would have left, and the
-		// channel sleeps to its first time gate instead of waking to find
-		// it. A long queue (a busy channel) almost always issues again.
-		if c.sched.Len() > probeDepth || c.probeNextTick() {
-			return c.now + 1
-		}
+		return c.now + 1 // no memo stands: the next tick must scan
 	}
 	wake := sched.Never
 	if len(c.inflight) > 0 {
@@ -233,23 +226,6 @@ func (c *Channel) NextWake() int64 {
 		}
 	}
 	return max(wake, c.now+1)
-}
-
-// probeDepth is the longest scheduler queue NextWake scans ahead of time.
-const probeDepth = 2
-
-// probeNextTick runs the next tick's FR-FCFS scan without issuing. It
-// reports whether a command would issue; if none would, it leaves the
-// failed scan's memo (scanIdleUntil), exactly as that tick would.
-func (c *Channel) probeNextTick() bool {
-	c.now++
-	c.scanWake = math.MaxInt64
-	issues := c.issueReadyCAS(true) || c.issueRowCommand(true)
-	c.now--
-	if !issues {
-		c.scanIdleUntil = c.scanWake
-	}
-	return issues
 }
 
 // SkipTicks replays n frozen Ticks in closed form — the clock, the
@@ -314,10 +290,10 @@ func (c *Channel) Tick() {
 	// FR-FCFS: first ready column access (row hit), else oldest request
 	// drives a row activation/precharge. One command per cycle.
 	c.scanWake = math.MaxInt64
-	if c.issueReadyCAS(false) {
+	if c.issueReadyCAS() {
 		return
 	}
-	if c.issueRowCommand(false) {
+	if c.issueRowCommand() {
 		return
 	}
 	c.scanIdleUntil = c.scanWake
@@ -355,8 +331,8 @@ func (c *Channel) completeBursts() {
 
 // issueReadyCAS scans the scheduler queue oldest-first for a request whose
 // row is open and whose column command can issue now. Returns true if a
-// command was issued — or, under probe, would be: nothing mutates.
-func (c *Channel) issueReadyCAS(probe bool) bool {
+// command was issued.
+func (c *Channel) issueReadyCAS() bool {
 	if c.nextCAS > c.now {
 		c.wakeAt(c.nextCAS)
 		return false
@@ -396,9 +372,6 @@ func (c *Channel) issueReadyCAS(probe bool) bool {
 			c.wakeAt(c.busBusyUntil - (dataStart - c.now))
 			continue
 		}
-		if probe {
-			return true
-		}
 		c.sched.RemoveAt(i)
 		dataEnd := dataStart + c.burst
 		c.busBusyUntil = dataEnd
@@ -422,8 +395,8 @@ func (c *Channel) issueReadyCAS(probe bool) bool {
 
 // issueRowCommand advances the oldest request that needs its row opened:
 // precharge a conflicting open row, or activate the needed row. It reports
-// whether a command was issued (under probe: would be).
-func (c *Channel) issueRowCommand(probe bool) bool {
+// whether a command was issued.
+func (c *Channel) issueRowCommand() bool {
 	t := c.cfg.DRAM.Timing
 	for i := 0; i < c.sched.Len(); i++ {
 		f := c.sched.At(i)
@@ -433,9 +406,6 @@ func (c *Channel) issueRowCommand(probe bool) bool {
 		}
 		if b.openRow >= 0 {
 			if b.preReady <= c.now {
-				if probe {
-					return true
-				}
 				b.openRow = -1
 				b.actReady = maxI64(b.actReady, c.now+int64(t.RP))
 				c.Stats.Precharges++
@@ -445,9 +415,6 @@ func (c *Channel) issueRowCommand(probe bool) bool {
 			continue
 		}
 		if b.actReady <= c.now && c.nextAct <= c.now {
-			if probe {
-				return true
-			}
 			b.openRow = f.DRAMRow
 			b.casReady = c.now + int64(t.RCD)
 			b.preReady = c.now + int64(t.RAS)

@@ -73,12 +73,6 @@ type Network struct {
 	dstWork    []int32  // output → number of sources whose head targets it
 	srcBusy    int      // number of sources with a head packet (headDst != -1)
 
-	// stalled records that the last Tick moved no flit although sources
-	// hold head packets: every contended output waits on a full ejection
-	// FIFO, so only a Pop (or an Inject toward another output) can let the
-	// switch move again. Both clear it.
-	stalled bool
-
 	pool []*Packet // freelist of released packets
 
 	inCap     int // injection capacity in flits
@@ -172,7 +166,6 @@ func (n *Network) Inject(f *mem.Fetch, src, dst, bytes int) bool {
 	n.in[src].Push(p)
 	n.inFlits[src] += p.Flits
 	n.Stats.PacketsInjected++
-	n.stalled = false
 	return true
 }
 
@@ -199,7 +192,6 @@ func (n *Network) Pop(dst int) (*Packet, bool) {
 		n.outOcc[dst>>6] &^= 1 << uint(dst&63)
 	}
 	n.Stats.PacketsDelivered++
-	n.stalled = false
 	return p, true
 }
 
@@ -237,24 +229,23 @@ func (n *Network) Tick() {
 		// cycle; packets parked in ejection FIFOs need no switching.
 		return
 	}
-	moved := n.Stats.FlitsTransferred
 	for d, w := range n.dstWork {
 		if w != 0 {
 			n.tickOutput(d)
 		}
 	}
-	n.stalled = n.Stats.FlitsTransferred == moved
 }
 
 // NextWake returns the earliest tick of the network's own clock (the
 // value now reaches in that Tick) at which Tick, or a sink peeking an
 // ejection FIFO, can do anything but count a cycle: the next tick while
-// the switch has a flit to move, else the earliest cycle an ejection-FIFO
-// head finishes its pipeline latency (the next tick if one already has
-// and waits for its sink), else sched.Never — only an Inject or a Pop can
-// give the network work. Early is harmless, late never happens.
+// any source holds a head packet (an output blocked on a full ejection
+// FIFO retries every tick), else the earliest cycle an ejection-FIFO head
+// finishes its pipeline latency (the next tick if one already has and
+// waits for its sink), else sched.Never — only an Inject or a Pop can give
+// the network work. Early is harmless, late never happens.
 func (n *Network) NextWake() int64 {
-	if n.srcBusy != 0 && !n.stalled {
+	if n.srcBusy != 0 {
 		return n.now + 1
 	}
 	wake := sched.Never

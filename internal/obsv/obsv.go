@@ -72,7 +72,9 @@ func (p *Profiler) Record(vals []float64) { p.RecordN(vals, 1) }
 // state mutates and the frozen vector is exactly what per-cycle sampling
 // would have observed. A non-zero gauge is added cycle by cycle, not as
 // v×n: the window sums must carry the very float roundings n Records
-// leave, or a mean sitting on a round6 tie prints differently.
+// leave, or a mean sitting on a round6 tie prints differently. So a jump
+// costs a profiled run one add per non-zero gauge per skipped cycle —
+// the adds of the n Records it stands for, without their sampling.
 func (p *Profiler) RecordN(vals []float64, n int64) {
 	if n <= 0 {
 		return

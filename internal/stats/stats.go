@@ -30,35 +30,40 @@ type OccupancyHist struct {
 // Cycles with zero occupancy are outside the usage lifetime and ignored,
 // as are unbounded queues (capacity ≤ 0).
 func (h *OccupancyHist) Observe(occupancy, capacity int) {
-	h.ObserveN(occupancy, capacity, 1)
+	if occupancy <= 0 || capacity <= 0 {
+		return
+	}
+	h.Lifetime++
+	if occupancy >= capacity {
+		h.Buckets[4]++
+		return
+	}
+	if len(h.lut) != capacity {
+		h.lut = make([]uint8, capacity)
+		for o := 1; o < capacity; o++ {
+			b := 4 * o / capacity
+			if b > 3 {
+				b = 3
+			}
+			h.lut[o] = uint8(b)
+		}
+	}
+	h.Buckets[h.lut[occupancy]]++
 }
 
 // ObserveN records n cycles at one occupancy — exactly n Observe calls,
 // for a unit replaying a span in which its queue stood frozen.
 func (h *OccupancyHist) ObserveN(occupancy, capacity int, n int64) {
-	if occupancy <= 0 || capacity <= 0 {
+	if n <= 0 || occupancy <= 0 || capacity <= 0 {
 		return
 	}
-	h.Lifetime += n
-	h.Buckets[h.bucket(occupancy, capacity)] += n
-}
-
-// bucket maps an occupancy in [1, ∞) to its band.
-func (h *OccupancyHist) bucket(occupancy, capacity int) uint8 {
-	if occupancy >= capacity {
-		return 4
+	h.Observe(occupancy, capacity) // the first cycle; it also builds the table
+	band := 4
+	if occupancy < capacity {
+		band = int(h.lut[occupancy])
 	}
-	if len(h.lut) != capacity {
-		h.buildLUT(capacity)
-	}
-	return h.lut[occupancy]
-}
-
-func (h *OccupancyHist) buildLUT(capacity int) {
-	h.lut = make([]uint8, capacity)
-	for o := 1; o < capacity; o++ {
-		h.lut[o] = uint8(min(4*o/capacity, 3))
-	}
+	h.Lifetime += n - 1
+	h.Buckets[band] += n - 1
 }
 
 // Fractions returns each bucket as a fraction of the usage lifetime.
