@@ -23,6 +23,7 @@ import (
 func main() {
 	const bench = "mm"
 	configs := []gpumembw.Config{
+		gpumembw.Baseline(), // column 0: what every speedup is relative to
 		gpumembw.ScaledL1(),
 		gpumembw.ScaledL2(),
 		gpumembw.ScaledDRAM(),
@@ -32,11 +33,8 @@ func main() {
 	}
 
 	s := gpumembw.NewScheduler()
-	jobs := []gpumembw.Job{gpumembw.BenchJob(gpumembw.Baseline(), bench)}
-	for _, cfg := range configs {
-		jobs = append(jobs, gpumembw.BenchJob(cfg, bench))
-	}
-	if err := s.RunJobs(jobs); err != nil {
+	grid, err := s.Sweep(gpumembw.SweepConfigs(configs), []gpumembw.WorkloadRef{gpumembw.BenchRef(bench)})
+	if err != nil {
 		log.Fatal(err)
 	}
 
@@ -44,13 +42,10 @@ func main() {
 	fmt.Printf("  %-12s %8s\n", "config", "speedup")
 	fmt.Printf("  %-12s %8s\n", "------", "-------")
 	results := map[string]float64{}
-	for _, cfg := range configs {
-		sp, err := s.Speedup(cfg, bench)
-		if err != nil {
-			log.Fatal(err)
-		}
-		results[cfg.Name] = sp
-		fmt.Printf("  %-12s %7.2fx\n", cfg.Name, sp)
+	for c, sp := range grid.Speedups(0)[0][1:] {
+		name := grid.Configs[c+1]
+		results[name] = sp
+		fmt.Printf("  %-12s %7.2fx\n", name, sp)
 	}
 	st := s.Stats()
 	fmt.Printf("\n  (%d cells simulated, %d served from cache)\n", st.Simulated, st.CacheHits)

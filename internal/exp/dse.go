@@ -27,8 +27,15 @@ func Fig10Configs() []config.Config {
 // Paper averages: L1 +4%, L2 +59%, DRAM +11%, L1+L2 +69%, L2+DRAM +76%,
 // All +90%; mm drops 33% with L1-alone but gains 266% with L2-alone.
 func (s *Scheduler) Fig10() ([]SpeedupRow, []string, error) {
-	return s.speedups(Fig10Configs())
+	t, err := s.fig10(fig10Grid())
+	return t.Rows, t.Configs, err
 }
+
+// fig10Grid is the baseline and the six scaled systems against every
+// benchmark.
+func fig10Grid() *grid { return benchGrid(Benches(), Fig10Configs()...) }
+
+func (s *Scheduler) fig10(g *grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.configs)) }
 
 // Fig12Configs are the cost-effective configurations plus the HBM
 // comparison point, in the paper's bar order.
@@ -42,65 +49,49 @@ func Fig12Configs() []config.Config {
 // Fig12 runs the cost-effective design points. Paper averages: 16+48
 // +23.4%, 16+68 +29%, 32+52 +25.7%, HBM +11%; lavaMD loses 37% on 16+48.
 func (s *Scheduler) Fig12() ([]SpeedupRow, []string, error) {
-	return s.speedups(Fig12Configs())
+	t, err := s.fig12(fig12Grid())
+	return t.Rows, t.Configs, err
 }
+
+// fig12Grid is the baseline, the Fig. 12 design points and, last, the
+// standalone asymmetric crossbar, against every benchmark.
+func fig12Grid() *grid {
+	return benchGrid(Benches(), append(Fig12Configs(), config.AsymmetricOnly())...)
+}
+
+func (s *Scheduler) fig12(g *grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.configs)-1) }
 
 // AsymmetricOnlySpeedup measures the standalone 16+48 crossbar without the
 // cost-effective queue scaling (paper: only +15.5%, demonstrating the need
 // for synergistic scaling).
-func (s *Scheduler) AsymmetricOnlySpeedup() (float64, error) {
+func (s *Scheduler) AsymmetricOnlySpeedup() (float64, error) { return s.asymmetricOnly(fig12Grid()) }
+
+func (s *Scheduler) asymmetricOnly(g *grid) (float64, error) {
+	t, err := s.speedups(g, len(g.configs)-1, len(g.configs))
 	var sp []float64
-	for _, b := range Benches() {
-		v, err := s.Speedup(config.AsymmetricOnly(), b)
-		if err != nil {
-			return 0, err
-		}
-		sp = append(sp, v)
+	for _, r := range t.Rows {
+		sp = append(sp, r.Speedups[0])
 	}
-	return mean(sp), nil
+	return mean(sp), err
 }
 
-func (s *Scheduler) speedups(cfgs []config.Config) ([]SpeedupRow, []string, error) {
-	names := make([]string, len(cfgs))
-	for i, c := range cfgs {
-		names[i] = c.Name
+// speedups assembles the grid's columns [lo, hi) relative to column 0,
+// one row per workload.
+func (s *Scheduler) speedups(g *grid, lo, hi int) (*SpeedupTable, error) {
+	sp, err := s.relative(g, lo, hi, true)
+	t := &SpeedupTable{Configs: g.configs[lo:hi]}
+	for w, row := range sp {
+		t.Rows = append(t.Rows, SpeedupRow{Bench: g.workloads[w], Speedups: row})
 	}
-	var rows []SpeedupRow
-	for _, b := range Benches() {
-		row := SpeedupRow{Bench: b}
-		for _, cfg := range cfgs {
-			v, err := s.Speedup(cfg, b)
-			if err != nil {
-				return nil, nil, err
-			}
-			row.Speedups = append(row.Speedups, v)
-		}
-		rows = append(rows, row)
-	}
-	return rows, names, nil
+	return t, err
 }
 
 // WriteSpeedups renders a Fig. 10/12-style table with an AVG row.
 func WriteSpeedups(w io.Writer, title, paperNote string, rows []SpeedupRow, configs []string) {
-	header := append([]string{"bench"}, configs...)
-	var out [][]string
-	sums := make([]float64, len(configs))
-	for _, r := range rows {
-		row := []string{r.Bench}
-		for i, s := range r.Speedups {
-			row = append(row, f2(s))
-			sums[i] += s
-		}
-		out = append(out, row)
-	}
-	avg := []string{"AVG"}
-	for _, s := range sums {
-		avg = append(avg, f2(s/float64(len(rows))))
-	}
-	out = append(out, avg)
 	fmt.Fprintln(w, title)
 	fmt.Fprintln(w, paperNote)
-	table(w, header, out)
+	avgTable(w, append([]string{"bench"}, configs...), len(rows),
+		func(i int) (string, []float64) { return rows[i].Bench, rows[i].Speedups }, f2)
 }
 
 // Fig11Point is one (benchmark, core clock) → normalized performance
@@ -118,50 +109,28 @@ var Fig11Clocks = []float64{1200, 1300, 1400, 1500, 1600}
 // real-GTX 480 result: up to 10% slowdown at higher core frequency for
 // bandwidth-bound benchmarks (the L1 request rate outruns the L2), and
 // gains at lower frequency.
-func (s *Scheduler) Fig11() ([]Fig11Point, error) {
-	var pts []Fig11Point
-	for _, b := range Fig11Benches() {
-		base, err := s.Run(config.Baseline(), b)
-		if err != nil {
-			return nil, err
-		}
-		for _, mhz := range Fig11Clocks {
-			m, err := s.Run(config.WithCoreClock(config.Baseline(), mhz), b)
-			if err != nil {
-				return nil, err
-			}
-			pts = append(pts, Fig11Point{Bench: b, CoreMHz: mhz, NormPerf: m.Speedup(base)})
-		}
+func (s *Scheduler) Fig11() ([]Fig11Point, error) { return s.fig11(fig11Grid()) }
+
+// fig11Grid is the baseline and one re-clocked baseline per core clock
+// (1400 MHz is the baseline's own cell) against the Fig. 11 benchmarks.
+func fig11Grid() *grid {
+	cfgs := make([]config.Config, len(Fig11Clocks))
+	for i, mhz := range Fig11Clocks {
+		cfgs[i] = config.WithCoreClock(config.Baseline(), mhz)
 	}
-	return pts, nil
+	return benchGrid(Fig11Benches(), cfgs...)
+}
+
+func (s *Scheduler) fig11(g *grid) ([]Fig11Point, error) {
+	return points(s, g, func(b string, i int, v float64) Fig11Point { return Fig11Point{b, Fig11Clocks[i], v} })
 }
 
 // WriteFig11 renders the frequency sweep, one row per benchmark.
 func WriteFig11(w io.Writer, pts []Fig11Point) {
-	header := []string{"bench"}
-	for _, c := range Fig11Clocks {
-		header = append(header, fmt.Sprintf("%.1fGHz", c/1000))
-	}
-	byBench := map[string]map[float64]float64{}
-	var order []string
-	for _, p := range pts {
-		if byBench[p.Bench] == nil {
-			byBench[p.Bench] = map[float64]float64{}
-			order = append(order, p.Bench)
-		}
-		byBench[p.Bench][p.CoreMHz] = p.NormPerf
-	}
-	var out [][]string
-	for _, b := range order {
-		row := []string{b}
-		for _, c := range Fig11Clocks {
-			row = append(row, f2(byBench[b][c]))
-		}
-		out = append(out, row)
-	}
 	fmt.Fprintln(w, "Fig. 11 — wall-clock performance vs core clock, memory clocks fixed (normalized to 1.4 GHz)")
 	fmt.Fprintln(w, "paper (real GTX 480): bandwidth-bound benchmarks slow down up to 10% at higher core clocks")
-	table(w, header, out)
+	writePivot(w, Fig11Clocks, func(c float64) string { return fmt.Sprintf("%.1fGHz", c/1000) }, len(pts),
+		func(i int) (string, float64, float64) { return pts[i].Bench, pts[i].CoreMHz, pts[i].NormPerf })
 }
 
 // WriteTableIII renders the design space of Table III.

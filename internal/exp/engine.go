@@ -657,17 +657,14 @@ func (s *Scheduler) logf(format string, args ...any) {
 	s.progMu.Unlock()
 }
 
-// Speedup runs bench on cfg and returns performance relative to baseline.
+// Speedup runs bench on cfg and returns performance relative to baseline:
+// the smallest grid, baseline and cfg against one benchmark.
 func (s *Scheduler) Speedup(cfg config.Config, bench string) (float64, error) {
-	base, err := s.Run(config.Baseline(), bench)
+	sp, err := s.relative(benchGrid([]string{bench}, cfg), 1, 2, true)
 	if err != nil {
 		return 0, err
 	}
-	m, err := s.Run(cfg, bench)
-	if err != nil {
-		return 0, err
-	}
-	return m.Speedup(base), nil
+	return sp[0][0], nil
 }
 
 // RunJobs executes jobs on the worker pool. Duplicate cells — within the

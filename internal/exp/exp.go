@@ -11,6 +11,13 @@
 // speedup denominator of Figs. 10–12 — simulate exactly once. Each
 // experiment returns structured rows and can render itself as an aligned
 // text table or as JSON; cmd/paperfigs composes them into EXPERIMENTS.md.
+//
+// Every table and figure is one row of sectionTable (report.go): a name,
+// a grid (grid.go: configurations × workloads, the baseline in column 0),
+// a fill that assembles the section's Results field by reading that grid
+// and a write that renders it. Sections, JobsFor, Collect and WriteText
+// are loops over the table, Sweep is the same grid read once per cell,
+// and adding a figure is adding its Results field and its row.
 package exp
 
 import (
@@ -44,16 +51,6 @@ func mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-func maxOf(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // table writes an aligned text table.

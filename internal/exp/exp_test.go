@@ -130,7 +130,4 @@ func TestMeanAndMax(t *testing.T) {
 	if mean([]float64{1, 2, 3}) != 2 {
 		t.Error("mean wrong")
 	}
-	if maxOf([]float64{1, 5, 3}) != 5 {
-		t.Error("max wrong")
-	}
 }

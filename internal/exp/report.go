@@ -4,17 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"gpumembw/internal/config"
-	"gpumembw/internal/trace"
+	"slices"
 )
-
-// Sections are the report section names accepted by Collect, Report and
-// JobsFor, in the paper's presentation order.
-var Sections = []string{
-	"tableI", "fig1", "tableII", "fig3", "fig4", "fig5",
-	"fig7", "fig8", "fig9", "tableIII", "fig10", "fig11", "fig12", "area",
-}
 
 // SpeedupTable couples a Fig. 10/12-style speedup matrix with its
 // configuration (column) names.
@@ -44,173 +35,182 @@ type Results struct {
 	Engine         Stats          `json:"engine"`
 }
 
-// validateSections rejects unknown section names early, before any
-// simulation runs.
-func validateSections(sections []string) error {
-	known := make(map[string]bool, len(Sections))
-	for _, s := range Sections {
-		known[s] = true
+// section is one row of the report: what it is called, which cells it is
+// made of, how its Results field is assembled from them and how that
+// field renders. A new table or figure is one more row (plus its Results
+// field); JobsFor, Collect, WriteText, Sections and section validation
+// all read this table and hold no per-section code.
+type section struct {
+	name string
+	// grid states the section's cells; nil for a section that simulates
+	// nothing.
+	grid func() *grid
+	// fill assembles the section's Results field from its prefetched grid
+	// (g is nil when grid is); nil for a section with no data.
+	fill func(s *Scheduler, g *grid, res *Results) error
+	// write renders the section from res; WriteText adds the blank line
+	// after it.
+	write func(w io.Writer, res *Results)
+}
+
+// sectionTable is the report, in the paper's presentation order.
+var sectionTable = []section{
+	{name: "tableI",
+		write: func(w io.Writer, _ *Results) { WriteTableI(w) }},
+	{name: "fig1", grid: baselineGrid,
+		fill:  func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig1, err = perBench(s, g, fig1Row); return },
+		write: func(w io.Writer, res *Results) { WriteFig1(w, res.Fig1) }},
+	{name: "tableII", grid: tableIIGrid,
+		fill:  func(s *Scheduler, g *grid, res *Results) (err error) { res.TableII, err = s.tableII(g); return },
+		write: func(w io.Writer, res *Results) { WriteTableII(w, res.TableII) }},
+	{name: "fig3", grid: func() *grid { return fig3Grid(Fig3Benches(), Fig3Latencies) },
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) {
+			res.Fig3, err = s.fig3(g, Fig3Latencies)
+			return
+		},
+		write: func(w io.Writer, res *Results) { WriteFig3(w, res.Fig3, nil) }},
+	{name: "fig4", grid: baselineGrid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig4, err = perBench(s, g, fig4Row); return },
+		write: func(w io.Writer, res *Results) {
+			WriteOccupancy(w, "Fig. 4 — L2 access-queue occupancy over usage lifetime",
+				"paper AVG: queues completely full 46% of usage lifetime", res.Fig4)
+		}},
+	{name: "fig5", grid: baselineGrid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig5, err = perBench(s, g, fig5Row); return },
+		write: func(w io.Writer, res *Results) {
+			WriteOccupancy(w, "Fig. 5 — DRAM scheduler-queue occupancy over usage lifetime",
+				"paper AVG: queues completely full 39% of usage lifetime", res.Fig5)
+		}},
+	{name: "fig7", grid: baselineGrid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig7, err = perBench(s, g, fig7Row); return },
+		write: func(w io.Writer, res *Results) {
+			WriteBreakdown(w, "Fig. 7 — issue-stall distribution",
+				"paper AVG: data-MEM 15%, data-ALU 5.5%, str-MEM 71%, str-ALU 0.5%, fetch 8%", res.Fig7)
+		}},
+	{name: "fig8", grid: baselineGrid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig8, err = perBench(s, g, fig8Row); return },
+		write: func(w io.Writer, res *Results) {
+			WriteBreakdown(w, "Fig. 8 — L2 stall distribution",
+				"paper AVG: bp-ICNT 42%, port 12%, cache 8%, mshr 3%, bp-DRAM 35%", res.Fig8)
+		}},
+	{name: "fig9", grid: baselineGrid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig9, err = perBench(s, g, fig9Row); return },
+		write: func(w io.Writer, res *Results) {
+			WriteBreakdown(w, "Fig. 9 — L1 stall distribution",
+				"paper AVG: cache 11%, mshr 41%, bp-L2 48%", res.Fig9)
+		}},
+	{name: "tableIII",
+		write: func(w io.Writer, _ *Results) { WriteTableIII(w) }},
+	{name: "fig10", grid: fig10Grid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig10, err = s.fig10(g); return },
+		write: func(w io.Writer, res *Results) {
+			if t := res.Fig10; t != nil {
+				WriteSpeedups(w, "Fig. 10 — IPC with 4× bandwidth scaling (normalized to baseline)",
+					"paper AVG: L1 1.04, L2 1.59, DRAM 1.11, L1+L2 1.69, L2+DRAM 1.76, All 1.90", t.Rows, t.Configs)
+			}
+		}},
+	{name: "fig11", grid: fig11Grid,
+		fill:  func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig11, err = s.fig11(g); return },
+		write: func(w io.Writer, res *Results) { WriteFig11(w, res.Fig11) }},
+	{name: "fig12", grid: fig12Grid,
+		fill: func(s *Scheduler, g *grid, res *Results) (err error) {
+			if res.Fig12, err = s.fig12(g); err != nil {
+				return err
+			}
+			asym, err := s.asymmetricOnly(g)
+			res.AsymmetricOnly = &asym
+			return err
+		},
+		write: func(w io.Writer, res *Results) {
+			if t := res.Fig12; t != nil {
+				WriteSpeedups(w, "Fig. 12 — IPC with cost-effective configurations (normalized to baseline)",
+					"paper AVG: 16+48 1.234, 16+68 1.29, 32+52 1.257, HBM 1.11; lavaMD drops 37% on 16+48", t.Rows, t.Configs)
+				if res.AsymmetricOnly != nil {
+					fmt.Fprintf(w, "standalone 16+48 crossbar without queue scaling: %.3f (paper: 1.155)\n", *res.AsymmetricOnly)
+				}
+			}
+		}},
+	{name: "area",
+		fill:  func(_ *Scheduler, _ *grid, res *Results) error { res.Area = AreaAnalysis(); return nil },
+		write: func(w io.Writer, res *Results) { WriteArea(w, res.Area) }},
+}
+
+// Sections are the report section names accepted by Collect, Report and
+// JobsFor, in the paper's presentation order.
+var Sections = func() []string {
+	names := make([]string, len(sectionTable))
+	for i := range sectionTable {
+		names[i] = sectionTable[i].name
 	}
-	for _, s := range sections {
-		if !known[s] {
-			return fmt.Errorf("exp: unknown section %q (known: %v)", s, Sections)
+	return names
+}()
+
+// wanted returns the table rows a section selection names (nil or empty =
+// all), each once, in the paper's order, and an error for the first name
+// that is no section.
+func wanted(names []string) ([]*section, error) {
+	var rows []*section
+	for i := range sectionTable {
+		if r := &sectionTable[i]; len(names) == 0 || slices.Contains(names, r.name) {
+			rows = append(rows, r)
 		}
 	}
-	return nil
+	for _, n := range names {
+		if !slices.Contains(Sections, n) {
+			return rows, fmt.Errorf("exp: unknown section %q (known: %v)", n, Sections)
+		}
+	}
+	return rows, nil
 }
 
 // JobsFor expands the requested report sections (nil or empty = all) into
-// the deduplicated list of simulation cells they need, in deterministic
-// paper order. Sections that need no simulation (tableI, tableIII, area)
-// contribute nothing. Derived design points (Fig. 3's fixed latencies,
-// Fig. 11's core clocks) come from the shared config builders, so the
-// cells scheduled here and the cells the figure assemblers request carry
-// the same names and memo keys.
+// the deduplicated list of simulation cells they need — each section's
+// grid, config-major, in the paper's section order — so callers can size
+// progress reporting off len(). Sections that need no simulation (tableI,
+// tableIII, area) contribute nothing.
 func JobsFor(sections []string) []Job {
-	want := sectionSet(sections)
+	rows, _ := wanted(sections)
 	var jobs []Job
-	addAll := func(cfg config.Config, benches []string) {
-		for _, b := range benches {
-			jobs = append(jobs, BenchJob(cfg, b))
+	for _, r := range rows {
+		if r.grid != nil {
+			jobs = append(jobs, r.grid().jobs...)
 		}
 	}
-
-	// The baseline × all-benchmark row underlies Figs. 1, 4, 5, 7, 8, 9
-	// and every speedup denominator of Figs. 10 and 12.
-	if want["fig1"] || want["fig4"] || want["fig5"] || want["fig7"] ||
-		want["fig8"] || want["fig9"] || want["fig10"] || want["fig12"] {
-		addAll(config.Baseline(), Benches())
-	}
-	if want["tableII"] {
-		addAll(config.Baseline(), trace.Names())
-		addAll(config.InfiniteBW(), trace.Names())
-		addAll(config.InfiniteDRAM(), trace.Names())
-	}
-	if want["fig3"] {
-		addAll(config.Baseline(), Fig3Benches())
-		for _, lat := range Fig3Latencies {
-			addAll(config.FixedL1MissLatency(lat), Fig3Benches())
-		}
-	}
-	if want["fig10"] {
-		for _, cfg := range Fig10Configs() {
-			addAll(cfg, Benches())
-		}
-	}
-	if want["fig11"] {
-		addAll(config.Baseline(), Fig11Benches())
-		for _, mhz := range Fig11Clocks {
-			addAll(config.WithCoreClock(config.Baseline(), mhz), Fig11Benches())
-		}
-	}
-	if want["fig12"] {
-		for _, cfg := range Fig12Configs() {
-			addAll(cfg, Benches())
-		}
-		addAll(config.AsymmetricOnly(), Benches())
-	}
-	// Deduplicate across sections (e.g. tableII and fig3 both want
-	// baseline cells) so callers can size progress reporting off len().
 	return dedupeJobs(jobs)
 }
 
-// sectionSet normalizes a section selection: nil or empty means all.
-func sectionSet(sections []string) map[string]bool {
-	want := make(map[string]bool, len(Sections))
-	if len(sections) == 0 {
-		sections = Sections
-	}
-	for _, s := range sections {
-		want[s] = true
-	}
-	return want
-}
-
 // Collect runs the requested experiment sections (nil = all) and returns
-// their structured results. All simulation happens up front on the worker
-// pool via RunJobs; assembly afterwards is serial and hits only the memo
-// cache, so results are deterministic for any worker count.
+// their structured results. Each section's grid is built once; all
+// simulation happens up front on the worker pool via RunJobs over exactly
+// the grids' cells; assembly afterwards is serial and reads those same
+// grids, so it hits only the memo cache and results are deterministic for
+// any worker count.
 func (s *Scheduler) Collect(sections []string) (*Results, error) {
-	if err := validateSections(sections); err != nil {
+	rows, err := wanted(sections)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.RunJobs(JobsFor(sections)); err != nil {
+	grids := make([]*grid, len(rows))
+	var jobs []Job
+	for i, r := range rows {
+		if r.grid != nil {
+			if grids[i] = r.grid(); grids[i].err != nil {
+				return nil, grids[i].err
+			}
+			jobs = append(jobs, grids[i].jobs...)
+		}
+	}
+	if err := s.RunJobs(jobs); err != nil {
 		return nil, err
 	}
-	want := sectionSet(sections)
 	res := &Results{}
-	for _, sec := range Sections {
-		if want[sec] {
-			res.Sections = append(res.Sections, sec)
+	for i, r := range rows {
+		res.Sections = append(res.Sections, r.name)
+		if r.fill != nil {
+			if err := r.fill(s, grids[i], res); err != nil {
+				return nil, err
+			}
 		}
-	}
-	var err error
-	if want["fig1"] {
-		if res.Fig1, err = s.Fig1(); err != nil {
-			return nil, err
-		}
-	}
-	if want["tableII"] {
-		if res.TableII, err = s.TableII(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig3"] {
-		if res.Fig3, err = s.Fig3(nil, nil); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig4"] {
-		if res.Fig4, err = s.Fig4(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig5"] {
-		if res.Fig5, err = s.Fig5(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig7"] {
-		if res.Fig7, err = s.Fig7(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig8"] {
-		if res.Fig8, err = s.Fig8(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig9"] {
-		if res.Fig9, err = s.Fig9(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig10"] {
-		rows, names, err := s.Fig10()
-		if err != nil {
-			return nil, err
-		}
-		res.Fig10 = &SpeedupTable{Configs: names, Rows: rows}
-	}
-	if want["fig11"] {
-		if res.Fig11, err = s.Fig11(); err != nil {
-			return nil, err
-		}
-	}
-	if want["fig12"] {
-		rows, names, err := s.Fig12()
-		if err != nil {
-			return nil, err
-		}
-		res.Fig12 = &SpeedupTable{Configs: names, Rows: rows}
-		asym, err := s.AsymmetricOnlySpeedup()
-		if err != nil {
-			return nil, err
-		}
-		res.AsymmetricOnly = &asym
-	}
-	if want["area"] {
-		res.Area = AreaAnalysis()
 	}
 	res.Engine = s.Stats()
 	return res, nil
@@ -246,83 +246,18 @@ func (res *Results) WriteJSON(w io.Writer) error {
 }
 
 // WriteText renders every collected section as aligned text tables, in
-// the paper's presentation order. Only sections listed in res.Sections
-// render (an empty Results renders nothing — unlike Collect's request
-// argument, an empty list here does not mean "all").
+// the paper's presentation order, a blank line after each. Only sections
+// listed in res.Sections render (an empty Results renders nothing —
+// unlike Collect's request argument, an empty list here does not mean
+// "all").
 func (res *Results) WriteText(w io.Writer) {
-	want := make(map[string]bool, len(res.Sections))
-	for _, sec := range res.Sections {
-		want[sec] = true
+	if len(res.Sections) == 0 {
+		return
 	}
-	nl := func() { fmt.Fprintln(w) }
-
-	if want["tableI"] {
-		WriteTableI(w)
-		nl()
-	}
-	if want["fig1"] {
-		WriteFig1(w, res.Fig1)
-		nl()
-	}
-	if want["tableII"] {
-		WriteTableII(w, res.TableII)
-		nl()
-	}
-	if want["fig3"] {
-		WriteFig3(w, res.Fig3, nil)
-		nl()
-	}
-	if want["fig4"] {
-		WriteOccupancy(w, "Fig. 4 — L2 access-queue occupancy over usage lifetime",
-			"paper AVG: queues completely full 46% of usage lifetime", res.Fig4)
-		nl()
-	}
-	if want["fig5"] {
-		WriteOccupancy(w, "Fig. 5 — DRAM scheduler-queue occupancy over usage lifetime",
-			"paper AVG: queues completely full 39% of usage lifetime", res.Fig5)
-		nl()
-	}
-	if want["fig7"] {
-		WriteBreakdown(w, "Fig. 7 — issue-stall distribution",
-			"paper AVG: data-MEM 15%, data-ALU 5.5%, str-MEM 71%, str-ALU 0.5%, fetch 8%", res.Fig7)
-		nl()
-	}
-	if want["fig8"] {
-		WriteBreakdown(w, "Fig. 8 — L2 stall distribution",
-			"paper AVG: bp-ICNT 42%, port 12%, cache 8%, mshr 3%, bp-DRAM 35%", res.Fig8)
-		nl()
-	}
-	if want["fig9"] {
-		WriteBreakdown(w, "Fig. 9 — L1 stall distribution",
-			"paper AVG: cache 11%, mshr 41%, bp-L2 48%", res.Fig9)
-		nl()
-	}
-	if want["tableIII"] {
-		WriteTableIII(w)
-		nl()
-	}
-	if want["fig10"] && res.Fig10 != nil {
-		WriteSpeedups(w, "Fig. 10 — IPC with 4× bandwidth scaling (normalized to baseline)",
-			"paper AVG: L1 1.04, L2 1.59, DRAM 1.11, L1+L2 1.69, L2+DRAM 1.76, All 1.90",
-			res.Fig10.Rows, res.Fig10.Configs)
-		nl()
-	}
-	if want["fig11"] {
-		WriteFig11(w, res.Fig11)
-		nl()
-	}
-	if want["fig12"] && res.Fig12 != nil {
-		WriteSpeedups(w, "Fig. 12 — IPC with cost-effective configurations (normalized to baseline)",
-			"paper AVG: 16+48 1.234, 16+68 1.29, 32+52 1.257, HBM 1.11; lavaMD drops 37% on 16+48",
-			res.Fig12.Rows, res.Fig12.Configs)
-		if res.AsymmetricOnly != nil {
-			fmt.Fprintf(w, "standalone 16+48 crossbar without queue scaling: %.3f (paper: 1.155)\n", *res.AsymmetricOnly)
-		}
-		nl()
-	}
-	if want["area"] {
-		WriteArea(w, res.Area)
-		nl()
+	rows, _ := wanted(res.Sections)
+	for _, r := range rows {
+		r.write(w, res)
+		fmt.Fprintln(w)
 	}
 }
 

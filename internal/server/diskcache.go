@@ -44,17 +44,34 @@ type cacheEntry struct {
 	Profile    *obsv.Profile `json:"profile,omitempty"` // present only for profiled runs
 }
 
+// CacheStats is the disk cache's accounting snapshot, surfaced on
+// GET /v1/stats and /metrics.
+type CacheStats struct {
+	// Entries is the number of persisted cells.
+	Entries int
+	// Bytes is the accounted payload size of all entries.
+	Bytes int64
+	// MaxBytes is the cache's size bound; 0 means unbounded.
+	MaxBytes int64
+	// Evictions counts entries the bound has evicted. Eviction never
+	// changes results, only the cost of re-simulating an evicted cell.
+	Evictions int64
+}
+
 // cacheRecord is the in-memory accounting for one spill file.
 type cacheRecord struct {
 	id   string
 	size int64
 }
 
-// diskCache persists one JSON file per simulation cell, named by the
+// DirCache persists one JSON file per simulation cell, named by the
 // cell's content hash, so a restarted daemon (same -cache-dir) serves
 // previously simulated cells without re-simulating. It implements
 // exp.ResultCache; I/O failures degrade to cache misses, reported once
-// per operation on errlog.
+// per operation on errlog. Pointing several workers at one directory on
+// a shared volume gives a whole cluster a single cache namespace (entry
+// writes are atomic temp-file + rename, so concurrent writers are safe;
+// the recency journal is advisory and per-process).
 //
 // When maxBytes > 0 the cache is bounded: entry sizes are accounted on
 // write and the least-recently-used entries are evicted until the total
@@ -64,7 +81,7 @@ type cacheRecord struct {
 // payload (the determinism gate's promise) — it only costs time. The
 // bound is honored down to a floor of one entry: a single entry larger
 // than maxBytes is kept, because serving one cell beats serving none.
-type diskCache struct {
+type DirCache struct {
 	dir      string
 	errlog   io.Writer
 	maxBytes int64
@@ -78,14 +95,16 @@ type diskCache struct {
 	journalLines int
 }
 
-func newDiskCache(dir string, maxBytes int64, errlog io.Writer) (*diskCache, error) {
+// NewDirCache opens the spill directory rooted at dir. errlog, when
+// non-nil, receives I/O warnings.
+func NewDirCache(dir string, maxBytes int64, errlog io.Writer) (*DirCache, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("server: invalid cache bound %d bytes: must be >= 0 (0 means unbounded)", maxBytes)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("server: create cache dir: %w", err)
 	}
-	c := &diskCache{
+	c := &DirCache{
 		dir:      dir,
 		errlog:   errlog,
 		maxBytes: maxBytes,
@@ -101,7 +120,7 @@ func newDiskCache(dir string, maxBytes int64, errlog io.Writer) (*diskCache, err
 // load scans the spill directory, orders entries oldest-first by mtime,
 // then replays the access journal to recover true recency, evicts down
 // to the bound, and compacts the journal.
-func (c *diskCache) load() error {
+func (c *DirCache) load() error {
 	dirents, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("server: read cache dir: %w", err)
@@ -160,7 +179,7 @@ func (c *diskCache) load() error {
 // compactJournalLocked rewrites the journal as the current LRU order
 // (oldest first) and reopens it for appending. Callers hold c.mu (or own
 // the cache exclusively during load).
-func (c *diskCache) compactJournalLocked() error {
+func (c *DirCache) compactJournalLocked() error {
 	if c.journal != nil {
 		c.journal.Close()
 		c.journal = nil
@@ -197,7 +216,7 @@ func (c *diskCache) compactJournalLocked() error {
 
 // touchLocked promotes id to most-recent and records the access in the
 // journal, compacting when the journal outgrows the entry count.
-func (c *diskCache) touchLocked(id string, el *list.Element) {
+func (c *DirCache) touchLocked(id string, el *list.Element) {
 	c.lru.MoveToFront(el)
 	if c.journal != nil {
 		if _, err := fmt.Fprintln(c.journal, id); err != nil {
@@ -214,7 +233,7 @@ func (c *diskCache) touchLocked(id string, el *list.Element) {
 
 // evictLocked removes least-recently-used entries until the cache fits
 // its bound, keeping at least one entry. Callers hold c.mu.
-func (c *diskCache) evictLocked() {
+func (c *DirCache) evictLocked() {
 	if c.maxBytes == 0 {
 		return
 	}
@@ -231,7 +250,7 @@ func (c *diskCache) evictLocked() {
 	}
 }
 
-func (c *diskCache) warnf(format string, args ...any) {
+func (c *DirCache) warnf(format string, args ...any) {
 	if c.errlog != nil {
 		fmt.Fprintf(c.errlog, format+"\n", args...)
 	}
@@ -240,7 +259,7 @@ func (c *diskCache) warnf(format string, args ...any) {
 // Get implements exp.ResultCache. Corrupt, truncated, zero-byte or
 // stale-versioned spill files are misses — the cell re-simulates and the
 // next Put overwrites the damage — never errors or poisoned results.
-func (c *diskCache) Get(j exp.Job) (core.Metrics, bool) {
+func (c *DirCache) Get(j exp.Job) (core.Metrics, bool) {
 	e, ok := c.read(j)
 	return e.Metrics, ok
 }
@@ -248,13 +267,13 @@ func (c *diskCache) Get(j exp.Job) (core.Metrics, bool) {
 // GetProfile implements exp.ProfileCache: a hit whose entry was written
 // by an unprofiled run returns a nil profile — the scheduler treats that
 // as "metrics only" and re-simulates with the profiler attached.
-func (c *diskCache) GetProfile(j exp.Job) (core.Metrics, *obsv.Profile, bool) {
+func (c *DirCache) GetProfile(j exp.Job) (core.Metrics, *obsv.Profile, bool) {
 	e, ok := c.read(j)
 	return e.Metrics, e.Profile, ok
 }
 
 // read loads and validates one spill entry, touching its LRU recency.
-func (c *diskCache) read(j exp.Job) (cacheEntry, bool) {
+func (c *DirCache) read(j exp.Job) (cacheEntry, bool) {
 	id := j.CellID()
 	data, err := os.ReadFile(filepath.Join(c.dir, id+".json"))
 	if err != nil {
@@ -284,18 +303,18 @@ func (c *diskCache) read(j exp.Job) (cacheEntry, bool) {
 // rename) so a crashed daemon never leaves a truncated entry behind;
 // size accounting and LRU eviction run under the cache lock after the
 // rename lands.
-func (c *diskCache) Put(j exp.Job, m core.Metrics) {
+func (c *DirCache) Put(j exp.Job, m core.Metrics) {
 	c.write(j, m, nil)
 }
 
 // PutProfile implements exp.ProfileCache: the entry carries the profile
 // alongside the metrics, so a later disk hit returns both. Profiles are
 // cache-tier artifacts — a disk-hit job returns the cached profile.
-func (c *diskCache) PutProfile(j exp.Job, m core.Metrics, p *obsv.Profile) {
+func (c *DirCache) PutProfile(j exp.Job, m core.Metrics, p *obsv.Profile) {
 	c.write(j, m, p)
 }
 
-func (c *diskCache) write(j exp.Job, m core.Metrics, p *obsv.Profile) {
+func (c *DirCache) write(j exp.Job, m core.Metrics, p *obsv.Profile) {
 	id := j.CellID()
 	data, err := json.Marshal(cacheEntry{
 		Schema:     cacheSchema,
@@ -347,11 +366,8 @@ func (c *diskCache) write(j exp.Job, m core.Metrics, p *obsv.Profile) {
 	c.mu.Unlock()
 }
 
-// Location implements CacheBackend: the spill directory path.
-func (c *diskCache) Location() string { return c.dir }
-
-// Stats implements CacheBackend.
-func (c *diskCache) Stats() CacheStats {
+// Stats reports the cache's current accounting.
+func (c *DirCache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{
@@ -363,7 +379,7 @@ func (c *diskCache) Stats() CacheStats {
 }
 
 // Close releases the journal handle (tests; the daemon holds it for life).
-func (c *diskCache) Close() error {
+func (c *DirCache) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.journal == nil {

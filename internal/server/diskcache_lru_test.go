@@ -31,7 +31,7 @@ func tinyJob(i int) exp.Job {
 // pick bounds in units of entries instead of guessing byte counts.
 func entrySize(t *testing.T) int64 {
 	t.Helper()
-	probe, err := newDiskCache(t.TempDir(), 0, nil)
+	probe, err := NewDirCache(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestDiskCacheEvictsLRU(t *testing.T) {
 	dir := t.TempDir()
 	// Room for two entries plus slack for per-entry size jitter, but
 	// never a third.
-	cache, err := newDiskCache(dir, 2*size+size/2, nil)
+	cache, err := NewDirCache(dir, 2*size+size/2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDiskCacheEvictsLRU(t *testing.T) {
 // TestDiskCacheKeepsOneOversizedEntry pins the bound's floor: a single
 // entry larger than maxBytes is kept, never evicted into an empty cache.
 func TestDiskCacheKeepsOneOversizedEntry(t *testing.T) {
-	cache, err := newDiskCache(t.TempDir(), 1, nil)
+	cache, err := NewDirCache(t.TempDir(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestDiskCacheKeepsOneOversizedEntry(t *testing.T) {
 func TestDiskCacheJournalPersistsRecency(t *testing.T) {
 	size := entrySize(t)
 	dir := t.TempDir()
-	cache, err := newDiskCache(dir, 0, nil)
+	cache, err := NewDirCache(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestDiskCacheJournalPersistsRecency(t *testing.T) {
 
 	// Reopen with room for only two entries: the bound must evict entry
 	// 1 — the least recently used per the journal — not entry 0.
-	reopened, err := newDiskCache(dir, 2*size+size/2, nil)
+	reopened, err := NewDirCache(dir, 2*size+size/2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestDiskCacheFaultInjection(t *testing.T) {
 	for name, corrupt := range cases {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			cache, err := newDiskCache(dir, 0, nil)
+			cache, err := NewDirCache(dir, 0, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +204,7 @@ func TestDamagedEntryResimulates(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 simulated and 0 disk hits", st.Scheduler)
 	}
 	// The damage must have been overwritten with a servable entry.
-	cache, err := newDiskCache(dir, 0, nil)
+	cache, err := NewDirCache(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 
 func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := newDiskCache(dir, 0, nil)
+	cache, err := NewDirCache(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestDiskCacheIgnoresCorruptEntries(t *testing.T) {
 
 func TestDiskCacheRejectsOtherSimVersions(t *testing.T) {
 	dir := t.TempDir()
-	cache, err := newDiskCache(dir, 0, nil)
+	cache, err := NewDirCache(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

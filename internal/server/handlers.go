@@ -68,6 +68,13 @@ const (
 	maxDrainBody = 1 << 20
 )
 
+// maxSweepCells bounds a sweep's size before any cell is resolved: the
+// cells list's length, or the axes' cross product — which a few KB of
+// repeated names can make arbitrarily large, and which dedupes to almost
+// nothing, so neither the body cap, the queue bound nor the quota sees
+// it. 160 × the paper's whole 407-cell report.
+const maxSweepCells = 1 << 16
+
 // decodeBody decodes a JSON request body into v, reading at most limit
 // bytes of it: a larger body fails to decode (callers answer 400) instead
 // of being buffered whole.
@@ -225,8 +232,15 @@ type sweepExpansion struct {
 
 // expandSweep validates and resolves a sweep request. Every cell is
 // resolved up front so a malformed corner of the cross product rejects
-// the whole sweep instead of half-submitting it.
+// the whole sweep instead of half-submitting it — after the request's
+// size has been held to maxSweepCells.
 func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
+	nWorkloads := len(req.Benches) + len(req.InlineSpecs)
+	nConfigs := len(req.Configs) + len(req.InlineConfigs) + len(req.ConfigPatches)
+	if n := len(req.Cells) + nConfigs*nWorkloads; n > maxSweepCells {
+		return nil, errBadRequest("sweep: %d cells (%d listed + %d configs × %d workloads) exceed the bound of %d per sweep",
+			n, len(req.Cells), nConfigs, nWorkloads, maxSweepCells)
+	}
 	ex := &sweepExpansion{}
 	seen := make(map[string]int) // cell ID -> index in ex.cells
 	// add resolves one cell of the request and returns its ID, keeping
@@ -247,9 +261,8 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 		}
 		return id, cell, nil
 	}
-	axes := len(req.Benches)+len(req.InlineSpecs)+len(req.Configs)+len(req.InlineConfigs)+len(req.ConfigPatches) > 0
 	if len(req.Cells) > 0 {
-		if axes {
+		if nWorkloads+nConfigs > 0 {
 			return nil, errBadRequest("sweep: cells and the config/workload axes are mutually exclusive")
 		}
 		for _, sp := range req.Cells {
@@ -259,16 +272,16 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 		}
 		return ex, nil
 	}
-	if len(req.Benches)+len(req.InlineSpecs) == 0 {
+	if nWorkloads == 0 {
 		return nil, errBadRequest("sweep: one of benches, inlineSpecs or cells is required")
 	}
-	if len(req.Configs)+len(req.InlineConfigs)+len(req.ConfigPatches) == 0 {
+	if nConfigs == 0 {
 		return nil, errBadRequest("sweep: one of configs, inlineConfigs or configPatches is required")
 	}
 
 	// The workload axis of the cross product: preset benchmark names
 	// followed by inline specs.
-	workloads := make([]api.JobSpec, 0, len(req.Benches)+len(req.InlineSpecs))
+	workloads := make([]api.JobSpec, 0, nWorkloads)
 	for _, b := range req.Benches {
 		workloads = append(workloads, api.JobSpec{Bench: b})
 	}

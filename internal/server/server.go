@@ -57,15 +57,9 @@ type Options struct {
 	MaxQueue int
 	// CacheDir, when non-empty, persists simulation results as JSON files
 	// so a restarted daemon serves previously simulated cells without
-	// re-simulating. It is shorthand for Cache = the spill-directory
-	// backend; a directory on a shared volume gives a whole cluster one
-	// cache namespace.
+	// re-simulating. A directory on a shared volume gives a whole
+	// cluster one cache namespace.
 	CacheDir string
-	// Cache plugs in a pre-built CacheBackend directly — the seam for
-	// result stores beyond the local spill directory (shared volumes,
-	// object stores). Mutually exclusive with CacheDir and
-	// CacheMaxBytes: an injected backend owns its own bounding policy.
-	Cache CacheBackend
 	// CacheMaxBytes bounds the disk cache's total payload size; 0 means
 	// unbounded, negative is an error. When the bound is exceeded the
 	// least-recently-used entries are evicted (down to a floor of one
@@ -123,7 +117,7 @@ type Server struct {
 	workers  int
 	maxQueue int
 	sched    *exp.Scheduler
-	cache    CacheBackend
+	cache    *DirCache
 	limiter  *limiter
 	explorer *exploreHub
 
@@ -194,25 +188,17 @@ func newServer(opts Options) (*Server, error) {
 	if opts.Progress != nil {
 		schedOpts = append(schedOpts, exp.WithProgress(opts.Progress))
 	}
-	var cache CacheBackend
+	var cache *DirCache
 	switch {
-	case opts.Cache != nil && opts.CacheDir != "":
-		return nil, errors.New("server: Cache and CacheDir are mutually exclusive")
-	case opts.Cache != nil && opts.CacheMaxBytes != 0:
-		return nil, errors.New("server: cache bound set with an injected cache backend (the backend owns its bound)")
-	case opts.Cache != nil:
-		cache = opts.Cache
 	case opts.CacheDir != "":
 		var err error
-		cache, err = newDiskCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
+		cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
 		if err != nil {
 			return nil, err
 		}
+		schedOpts = append(schedOpts, exp.WithResultCache(cache))
 	case opts.CacheMaxBytes != 0:
 		return nil, errors.New("server: cache bound set without a cache dir")
-	}
-	if cache != nil {
-		schedOpts = append(schedOpts, exp.WithResultCache(cache))
 	}
 
 	s := &Server{
@@ -789,7 +775,7 @@ func (s *Server) Stats() api.Stats {
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
-		st.CacheDir = s.cache.Location()
+		st.CacheDir = s.opts.CacheDir
 		st.DiskCacheEntries = cs.Entries
 		st.DiskCacheBytes = cs.Bytes
 		st.DiskCacheMaxBytes = cs.MaxBytes

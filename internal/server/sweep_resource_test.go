@@ -164,3 +164,43 @@ func TestSweepMutuallyExclusiveForms(t *testing.T) {
 		t.Fatalf("mixed sweep forms: err = %v, want 400 invalid_argument", err)
 	}
 }
+
+// TestSweepCellBound pins the hostile-input cap: a sweep's size — the
+// axes' cross product, which a few KB of repeated names inflate without
+// bound and which dedupes to one cell — is checked before any cell is
+// resolved, on the daemon and the coordinator alike.
+func TestSweepCellBound(t *testing.T) {
+	repeat := func(s string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = s
+		}
+		return out
+	}
+	srv, ts := newIdleServer(t, Options{Workers: 1})
+	tc := newTestCluster(t, []*Server{newIdleWorker(t, Options{})})
+	ctx := context.Background()
+	for name, c := range map[string]*client.Client{"server": client.New(ts.URL), "coordinator": tc.client} {
+		start := time.Now()
+		_, err := c.Sweep(ctx, client.SweepRequest{Configs: repeat("baseline", 4000), Benches: repeat(testBench, 4000)})
+		var apiErr *client.APIError
+		if !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest ||
+			!strings.Contains(apiErr.Message, "16000000") || !strings.Contains(apiErr.Message, "65536") {
+			t.Fatalf("%s: 4000 × 4000 sweep: err = %v, want a 400 naming the product and the bound", name, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("%s: 4000 × 4000 sweep took %v to reject, want < 1 s", name, d)
+		}
+		resp, err := c.Sweep(ctx, client.SweepRequest{Configs: repeat("baseline", 64), Benches: repeat(testBench, 64)})
+		if err != nil || resp.Requested != 64*64 || resp.Deduped != 64*64-1 {
+			t.Fatalf("%s: 64 × 64 sweep: %+v, %v, want 4096 requested and one cell", name, resp, err)
+		}
+	}
+	if d := srv.Stats().QueueDepth; d != 1 {
+		t.Fatalf("queue depth = %d, want only the admitted sweep's one cell", d)
+	}
+	if _, err := expandSweep(api.SweepRequest{Cells: make([]api.JobSpec, maxSweepCells+1)}); err == nil ||
+		!strings.Contains(err.Error(), "65537") {
+		t.Fatalf("cell list over the bound: err = %v, want a rejection naming its length", err)
+	}
+}

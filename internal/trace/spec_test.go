@@ -68,6 +68,24 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// The benchmark table is built once: resolving a known name — every
+// daemon submit, sweep cell and figure lookup — allocates nothing, and
+// Table and Names still hand out slices the caller owns.
+func TestSpecByNameDoesNotAlloc(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := SpecByName("leukocyte"); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("SpecByName allocates %v times per call, want 0", n)
+	}
+	tab, names := Table(), Names()
+	tab[0].Spec.Name, names[0] = "clobbered", "clobbered"
+	if sp, err := SpecByName("mm"); err != nil || sp.Name != "mm" || Names()[0] != "mm" || Table()[0].Spec.Name != "mm" {
+		t.Fatalf("a caller's writes reached the shared table: %q, %v", sp.Name, err)
+	}
+}
+
 func TestAddressDeterminism(t *testing.T) {
 	for _, b := range Table() {
 		wl := b.Spec.MustBuild()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"sync"
 
 	"gpumembw/internal/smcore"
 )
@@ -22,7 +23,12 @@ type Benchmark struct {
 // instruction; store fraction loads the request network; TLP and
 // dependency distance set latency tolerance; code footprint drives L1I
 // pressure. The comment on each spec explains the substitution.
-func Table() []Benchmark {
+//
+// The table is built once (a Spec has no reference fields, so sharing it
+// is safe); the returned slice is a copy the caller owns.
+func Table() []Benchmark { return append([]Benchmark(nil), table()...) }
+
+var table = sync.OnceValue(func() []Benchmark {
 	return []Benchmark{
 		{
 			// Tiled matrix multiply: per-core tiles thrash the 16 KB L1 but
@@ -293,11 +299,11 @@ func Table() []Benchmark {
 			PaperPInf: 1.08, PaperPDRAM: 1.00,
 		},
 	}
-}
+})
 
 // Names returns the benchmark names in Table II order.
 func Names() []string {
-	t := Table()
+	t := table()
 	names := make([]string, len(t))
 	for i, b := range t {
 		names[i] = b.Spec.Name
@@ -319,7 +325,7 @@ func Fig1Names() []string {
 // Workloads builds every benchmark, keyed by name.
 func Workloads() map[string]*smcore.Workload {
 	out := make(map[string]*smcore.Workload)
-	for _, b := range Table() {
+	for _, b := range table() {
 		out[b.Spec.Name] = b.Spec.MustBuild()
 	}
 	return out
@@ -331,7 +337,7 @@ func Workloads() map[string]*smcore.Workload {
 // copy it, change the axes under study (coalescing, TLP, working set,
 // sharing, ...), and run it anywhere an inline spec is accepted.
 func SpecByName(name string) (Spec, error) {
-	for _, b := range Table() {
+	for _, b := range table() {
 		if b.Spec.Name == name {
 			return b.Spec, nil
 		}
