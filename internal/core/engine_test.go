@@ -117,7 +117,10 @@ func TestEngineParityInvisible(t *testing.T) {
 		{"fixed-lat-800", small(config.FixedL1MissLatency(800))},
 	}
 	var skippedAnywhere int64
-	for _, bench := range []string{"mm", "ii", "bfs'"} {
+	// sad and stencil park warps on the memory pipeline and on the heavy pipe
+	// at once, the state of the scan memo's kept defect
+	// (smcore.TestHeavyReleaseWaitsForDirtyScan).
+	for _, bench := range []string{"mm", "ii", "bfs'", "sad", "stencil"} {
 		wl := wls[bench]
 		if wl == nil {
 			t.Fatalf("unknown benchmark %q", bench)
@@ -134,14 +137,23 @@ func TestEngineParityInvisible(t *testing.T) {
 	}
 }
 
-// TestEngineParityFullSize runs one full-size baseline cell (all 15 cores,
+// TestEngineParityFullSize runs full-size baseline cells (all 15 cores,
 // 12 banks, 6 channels) through both engines: the small matrix above keeps
-// the suite fast, this one exercises the production geometry.
+// the suite fast, this one exercises the production geometry. sad and
+// stencil are here by name because at this geometry they sit in the scan
+// memo's kept defect (smcore.TestHeavyReleaseWaitsForDirtyScan), and sad's
+// cycle count is the one every committed golden holds: 34,685 means the
+// landing rule went missing, anything else that the defect moved.
 func TestEngineParityFullSize(t *testing.T) {
 	wls := trace.Workloads()
-	ev, evErr, _ := runEngine(t, config.Baseline(), wls["mm"], EngineEvent)
-	tick, tickErr, _ := runEngine(t, config.Baseline(), wls["mm"], EngineTick)
-	requireIdentical(t, "mm/baseline-full", ev, tick, evErr, tickErr)
+	for _, bench := range []string{"mm", "sad", "stencil"} {
+		ev, evErr, _ := runEngine(t, config.Baseline(), wls[bench], EngineEvent)
+		tick, tickErr, _ := runEngine(t, config.Baseline(), wls[bench], EngineTick)
+		requireIdentical(t, bench+"/baseline-full", ev, tick, evErr, tickErr)
+		if bench == "sad" && ev.Cycles != 34109 {
+			t.Errorf("sad@baseline ran %d cycles, the goldens hold 34109", ev.Cycles)
+		}
+	}
 }
 
 // TestEngineParityMemorySide extends the matrix to the cells in which the
@@ -391,6 +403,8 @@ func TestLargeLatenciesMatchTick(t *testing.T) {
 		{"alu-5000", small(config.Baseline(), func(c *config.Config) { c.Core.ALULatency = 5000 })},
 		{"l1-hit-3000", small(config.Baseline(), func(c *config.Config) { c.L1.HitLatency = 3000 })},
 		{"fixed-miss-7000", small(config.FixedL1MissLatency(7000), nil)},
+		// Beyond every power of two the core's landing calendar can round to.
+		{"fixed-miss-70001", small(config.FixedL1MissLatency(70_001), nil)},
 		{"p-inf-mem-5000", small(config.InfiniteBW(), func(c *config.Config) { c.IdealMemLatency = 5000 })},
 	}
 	for _, tc := range cases {

@@ -10,6 +10,7 @@ package dram
 
 import (
 	"math"
+	"slices"
 
 	"gpumembw/internal/config"
 	"gpumembw/internal/mem"
@@ -66,6 +67,16 @@ type inflight struct {
 	done  int64 // command-clock cycle when the data burst completes
 }
 
+// request is one scheduler-queue entry: the fetch with its DRAM coordinates
+// and direction beside it, so the FR-FCFS scans, which re-examine every
+// queued request every command cycle, read the queue and nothing else.
+type request struct {
+	fetch *mem.Fetch
+	row   int64
+	bank  int32
+	read  bool
+}
+
 // Stats aggregates per-channel DRAM statistics.
 type Stats struct {
 	Reads           int64
@@ -98,12 +109,13 @@ func (s *Stats) RowHitRate() float64 {
 
 // Channel is one memory partition's DRAM channel.
 type Channel struct {
-	id    int
-	cfg   *config.Config
-	amap  AddrMap
-	sched *mem.Queue[*mem.Fetch]
-	ret   *mem.Queue[*mem.Fetch]
-	banks []bankState
+	id       int
+	cfg      *config.Config
+	amap     AddrMap
+	sched    []request // the FR-FCFS scheduler queue, oldest first
+	schedCap int       // its bound; 0 when unbounded
+	ret      *mem.Queue[*mem.Fetch]
+	banks    []bankState
 
 	now          int64 // command-clock cycle count
 	busBusyUntil int64 // data bus reserved through this cycle (exclusive)
@@ -146,11 +158,11 @@ func NewChannel(id int, cfg *config.Config) *Channel {
 		ch.infinite = true
 		// InfiniteLatency is expressed in core cycles; convert.
 		ch.infiniteLat = int64(float64(cfg.DRAM.InfiniteLatency) * cfg.DRAM.ClockMHz / cfg.Core.ClockMHz)
-		ch.sched = mem.NewQueue[*mem.Fetch](0)
 		ch.ret = mem.NewQueue[*mem.Fetch](0)
 		return ch
 	}
-	ch.sched = mem.NewQueue[*mem.Fetch](cfg.DRAM.SchedQueueEntries)
+	ch.schedCap = cfg.DRAM.SchedQueueEntries
+	ch.sched = make([]request, 0, ch.schedCap)
 	ch.ret = mem.NewQueue[*mem.Fetch](cfg.DRAM.ReturnQueueEntries)
 	ch.banks = make([]bankState, cfg.DRAM.BanksPerChip)
 	for i := range ch.banks {
@@ -165,12 +177,12 @@ func (c *Channel) SetFetchPool(p *mem.FetchPool) { c.pool = p }
 
 // Full reports whether the scheduler queue cannot accept another request.
 // A full scheduler queue is what backs up the L2 miss queue (bp-DRAM).
-func (c *Channel) Full() bool { return c.sched.Full() }
+func (c *Channel) Full() bool { return c.schedCap > 0 && len(c.sched) >= c.schedCap }
 
 // Idle reports whether the channel holds no queued, in-flight or
 // unconsumed work — used by drain checks.
 func (c *Channel) Idle() bool {
-	return c.sched.Empty() && len(c.inflight) == 0 && c.ret.Empty()
+	return len(c.sched) == 0 && len(c.inflight) == 0 && c.ret.Empty()
 }
 
 // Push enqueues a request. It returns false when the scheduler queue is
@@ -186,11 +198,13 @@ func (c *Channel) Push(f *mem.Fetch) bool {
 		}
 		return true
 	}
-	// Stamp the DRAM coordinates once: the FR-FCFS scans below re-read
-	// them every command cycle the request sits in the queue.
-	f.DRAMBank, f.DRAMRow = c.amap.BankRow(f.Addr)
 	c.scanIdleUntil = 0 // a new request may be issuable immediately
-	return c.sched.Push(f)
+	if c.Full() {
+		return false
+	}
+	bank, row := c.amap.BankRow(f.Addr)
+	c.sched = append(c.sched, request{fetch: f, row: row, bank: int32(bank), read: f.Type.NeedsReply()})
+	return true
 }
 
 // PopResponse removes the oldest completed read, if any.
@@ -208,7 +222,7 @@ func (c *Channel) PopResponse() (*mem.Fetch, bool) {
 // idle channel, or one whose every queued request waits on a return-queue
 // slot. Early is harmless, late never happens.
 func (c *Channel) NextWake() int64 {
-	if !c.sched.Empty() && c.scanIdleUntil <= c.now {
+	if len(c.sched) > 0 && c.scanIdleUntil <= c.now {
 		return c.now + 1 // no memo stands: the next tick must scan
 	}
 	wake := sched.Never
@@ -218,7 +232,7 @@ func (c *Channel) NextWake() int64 {
 		wake = c.inflight[0].done
 	}
 	if !c.infinite {
-		if !c.sched.Empty() {
+		if len(c.sched) > 0 {
 			wake = min(wake, c.scanIdleUntil)
 		}
 		if c.busBusyUntil > c.now {
@@ -239,11 +253,11 @@ func (c *Channel) SkipTicks(n int64) {
 	if c.infinite || c.Idle() {
 		return
 	}
-	if !c.sched.Empty() || len(c.inflight) > 0 {
+	if len(c.sched) > 0 || len(c.inflight) > 0 {
 		c.Stats.PendingCycles += n
 		c.Stats.BusBusyCycles += min(max(c.busBusyUntil-now-1, 0), n)
 	}
-	c.Stats.SchedOccupancy.ObserveN(c.sched.Len(), c.sched.Cap(), n)
+	c.Stats.SchedOccupancy.ObserveN(len(c.sched), c.schedCap, n)
 	c.Stats.ReturnOccupancy.ObserveN(c.ret.Len(), c.ret.Cap(), n)
 }
 
@@ -259,7 +273,7 @@ func (c *Channel) Tick() {
 		}
 		return
 	}
-	if c.sched.Empty() && len(c.inflight) == 0 && c.ret.Empty() {
+	if c.Idle() {
 		// Fully idle: every statement below is a no-op (no bursts to
 		// retire, no pending work to count, occupancy observations of
 		// empty queues are outside their usage lifetime).
@@ -270,17 +284,17 @@ func (c *Channel) Tick() {
 	// at CAS issue, so the pushes cannot fail).
 	c.completeBursts()
 
-	busy := !c.sched.Empty() || len(c.inflight) > 0
+	busy := len(c.sched) > 0 || len(c.inflight) > 0
 	if busy {
 		c.Stats.PendingCycles++
 		if c.busBusyUntil > c.now {
 			c.Stats.BusBusyCycles++
 		}
 	}
-	c.Stats.SchedOccupancy.Observe(c.sched.Len(), c.sched.Cap())
+	c.Stats.SchedOccupancy.Observe(len(c.sched), c.schedCap)
 	c.Stats.ReturnOccupancy.Observe(c.ret.Len(), c.ret.Cap())
 
-	if c.sched.Empty() {
+	if len(c.sched) == 0 {
 		return
 	}
 	if c.now < c.scanIdleUntil {
@@ -337,18 +351,17 @@ func (c *Channel) issueReadyCAS() bool {
 		c.wakeAt(c.nextCAS)
 		return false
 	}
-	for i := 0; i < c.sched.Len(); i++ {
-		f := c.sched.At(i)
-		b := &c.banks[f.DRAMBank]
-		if b.openRow != f.DRAMRow {
+	t := &c.cfg.DRAM.Timing
+	for i, r := range c.sched {
+		b := &c.banks[r.bank]
+		if b.openRow != r.row {
 			continue // only a row command (an issue) can change this
 		}
 		if b.casReady > c.now {
 			c.wakeAt(b.casReady)
 			continue
 		}
-		isRead := f.Type.NeedsReply()
-		if isRead {
+		if r.read {
 			if c.readAfter > c.now {
 				c.wakeAt(c.readAfter)
 				continue
@@ -361,9 +374,8 @@ func (c *Channel) issueReadyCAS() bool {
 			}
 		}
 		// Data bus must be free when this burst starts.
-		t := c.cfg.DRAM.Timing
 		var dataStart int64
-		if isRead {
+		if r.read {
 			dataStart = c.now + int64(t.CL)
 		} else {
 			dataStart = c.now + int64(t.WL)
@@ -372,21 +384,21 @@ func (c *Channel) issueReadyCAS() bool {
 			c.wakeAt(c.busBusyUntil - (dataStart - c.now))
 			continue
 		}
-		c.sched.RemoveAt(i)
+		c.sched = slices.Delete(c.sched, i, i+1)
 		dataEnd := dataStart + c.burst
 		c.busBusyUntil = dataEnd
 		c.nextCAS = c.now + int64(t.CCD)
-		if isRead {
+		if r.read {
 			c.Stats.Reads++
 			c.retReserved++
 			// CtrlLatency models the controller/PHY pipeline between the
 			// burst completing and the fill reaching the L2.
-			c.inflight = append(c.inflight, inflight{fetch: f, done: dataEnd + int64(c.cfg.DRAM.CtrlLatency)})
+			c.inflight = append(c.inflight, inflight{fetch: r.fetch, done: dataEnd + int64(c.cfg.DRAM.CtrlLatency)})
 		} else {
 			c.Stats.Writes++
 			c.readAfter = dataEnd + int64(t.CDLR)
 			b.preReady = maxI64(b.preReady, dataEnd+int64(t.WR))
-			c.pool.Put(f) // the write is absorbed; no response travels back
+			c.pool.Put(r.fetch) // the write is absorbed; no response travels back
 		}
 		return true
 	}
@@ -397,11 +409,10 @@ func (c *Channel) issueReadyCAS() bool {
 // precharge a conflicting open row, or activate the needed row. It reports
 // whether a command was issued.
 func (c *Channel) issueRowCommand() bool {
-	t := c.cfg.DRAM.Timing
-	for i := 0; i < c.sched.Len(); i++ {
-		f := c.sched.At(i)
-		b := &c.banks[f.DRAMBank]
-		if b.openRow == f.DRAMRow {
+	t := &c.cfg.DRAM.Timing
+	for _, r := range c.sched {
+		b := &c.banks[r.bank]
+		if b.openRow == r.row {
 			continue // waiting on CAS timing only
 		}
 		if b.openRow >= 0 {
@@ -415,7 +426,7 @@ func (c *Channel) issueRowCommand() bool {
 			continue
 		}
 		if b.actReady <= c.now && c.nextAct <= c.now {
-			b.openRow = f.DRAMRow
+			b.openRow = r.row
 			b.casReady = c.now + int64(t.RCD)
 			b.preReady = c.now + int64(t.RAS)
 			b.actReady = c.now + int64(t.RC)
@@ -461,5 +472,5 @@ func (c *Channel) OpenRows() int {
 // SchedOcc reports the FR-FCFS scheduler queue's occupancy and capacity
 // — the profiler's dram/sched-queue gauge.
 func (c *Channel) SchedOcc() (length, capacity int) {
-	return c.sched.Len(), c.sched.Cap()
+	return len(c.sched), c.schedCap
 }

@@ -65,7 +65,7 @@ func TestFrozenReplayIsExact(t *testing.T) {
 				}
 				if span > 1 {
 					skippedTicks += span - 1
-					if !infinite && a.ret.Full() && !a.sched.Empty() {
+					if !infinite && a.ret.Full() && len(a.sched) > 0 {
 						retFullSkips++
 					}
 				}

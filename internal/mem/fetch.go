@@ -71,14 +71,6 @@ type Fetch struct {
 	// L2Hit records whether the fetch was served by the L2 (for the
 	// L2-AHL average-hit-latency metric) or travelled to DRAM.
 	L2Hit bool
-
-	// DRAMBank and DRAMRow cache the fetch's DRAM coordinates, stamped
-	// once when the request enters a channel's scheduler queue. The
-	// FR-FCFS scheduler re-examines every queued request every command
-	// cycle, and the address→(bank,row) division chain dominated its cost
-	// before this cache.
-	DRAMBank int
-	DRAMRow  int64
 }
 
 // RequestBytes returns the size of the fetch as a request-network packet.

@@ -91,33 +91,6 @@ func (q *Queue[T]) Peek() (T, bool) {
 	return q.buf[q.head], true
 }
 
-// At returns the i-th oldest entry (0 = head). It panics if i is out of
-// range, mirroring slice indexing.
-func (q *Queue[T]) At(i int) T {
-	if i < 0 || i >= q.size {
-		panic("mem: queue index out of range")
-	}
-	return q.buf[q.wrap(q.head+i)]
-}
-
-// RemoveAt deletes and returns the i-th oldest entry, preserving the order
-// of the rest. The FR-FCFS DRAM scheduler uses it to pull row hits out of
-// the middle of the scheduler queue.
-func (q *Queue[T]) RemoveAt(i int) T {
-	if i < 0 || i >= q.size {
-		panic("mem: queue index out of range")
-	}
-	v := q.buf[q.wrap(q.head+i)]
-	// Shift the younger entries toward the head.
-	for j := i; j < q.size-1; j++ {
-		q.buf[q.wrap(q.head+j)] = q.buf[q.wrap(q.head+j+1)]
-	}
-	var zero T
-	q.buf[q.wrap(q.head+q.size-1)] = zero
-	q.size--
-	return v
-}
-
 func (q *Queue[T]) grow() {
 	next := make([]T, max(4, 2*len(q.buf)))
 	for i := 0; i < q.size; i++ {

@@ -65,7 +65,7 @@ func TestQueueUnbounded(t *testing.T) {
 	}
 }
 
-func TestQueuePeekAndAt(t *testing.T) {
+func TestQueuePeek(t *testing.T) {
 	q := NewQueue[string](4)
 	q.Push("a")
 	q.Push("b")
@@ -73,51 +73,9 @@ func TestQueuePeekAndAt(t *testing.T) {
 	if v, ok := q.Peek(); !ok || v != "a" {
 		t.Fatalf("peek = %q", v)
 	}
-	if q.At(0) != "a" || q.At(1) != "b" || q.At(2) != "c" {
-		t.Fatal("At returned wrong elements")
-	}
 	if q.Len() != 3 {
-		t.Fatal("peek/At must not consume")
+		t.Fatal("peek must not consume")
 	}
-}
-
-func TestQueueRemoveAt(t *testing.T) {
-	q := NewQueue[int](8)
-	// Force a wrapped layout.
-	for i := 0; i < 6; i++ {
-		q.Push(i)
-	}
-	q.Pop()
-	q.Pop()
-	q.Push(6)
-	q.Push(7) // queue: 2 3 4 5 6 7
-	if v := q.RemoveAt(2); v != 4 {
-		t.Fatalf("RemoveAt(2) = %d, want 4", v)
-	}
-	want := []int{2, 3, 5, 6, 7}
-	for i, w := range want {
-		if got := q.At(i); got != w {
-			t.Fatalf("after RemoveAt, At(%d) = %d, want %d", i, got, w)
-		}
-	}
-	// Remove head and tail.
-	if v := q.RemoveAt(0); v != 2 {
-		t.Fatalf("RemoveAt(0) = %d", v)
-	}
-	if v := q.RemoveAt(q.Len() - 1); v != 7 {
-		t.Fatalf("RemoveAt(last) = %d", v)
-	}
-}
-
-func TestQueueRemoveAtPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	q := NewQueue[int](2)
-	q.Push(1)
-	q.RemoveAt(1)
 }
 
 // TestQueueAgainstReference drives a bounded queue with a random operation
@@ -151,26 +109,21 @@ func TestQueueAgainstReference(t *testing.T) {
 					}
 					ref = ref[1:]
 				}
-			case 2: // removeAt random
-				if len(ref) == 0 {
-					continue
-				}
-				i := int(op) % len(ref)
-				if q.RemoveAt(i) != ref[i] {
+			case 2: // peek
+				if v, ok := q.Peek(); ok != (len(ref) > 0) || ok && v != ref[0] {
 					return false
 				}
-				ref = append(ref[:i], ref[i+1:]...)
 			}
 			if q.Len() != len(ref) {
 				return false
 			}
 		}
-		for i, w := range ref {
-			if q.At(i) != w {
+		for _, w := range ref {
+			if v, _ := q.Pop(); v != w {
 				return false
 			}
 		}
-		return true
+		return q.Empty()
 	}
 	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(1))}
 	if err := quick.Check(f, cfg); err != nil {

@@ -58,9 +58,16 @@ type warp struct {
 	ibuf    [ibufCap]Inst
 	ibufLen int
 
-	pendingLoad uint64 // scoreboard: registers awaiting a load
-	pendingALU  uint64 // scoreboard: registers awaiting an ALU op
-	loadCount   [NumRegs]uint8
+	// The scoreboard tells time: ready[d] is the cycle register d's result
+	// lands, unresolved[d] the load lines of d the LSU has yet to resolve
+	// (each raises ready[d] when it does), d numbering the registers the
+	// program writes (Core.dense): a hazard while unresolved[d] > 0 ||
+	// ready[d] > now. The masks in front are the one-AND fast path, cleared
+	// lazily; by the WAW check on Dest a register is never in both.
+	pendingLoad uint64
+	pendingALU  uint64
+	ready       []int64
+	unresolved  []uint8
 
 	// addrCache memoizes the coalesced addresses of the instruction at
 	// issue position addrCacheFor, so a memory instruction blocked for
@@ -77,19 +84,12 @@ type tx struct {
 	line   uint64
 }
 
-const (
-	evtRegClear = iota
-	evtICacheFill
-)
-
-// completion is one scheduled in-core event: a scoreboard register clear
-// or an L1I fill.
-type completion struct {
-	kind   uint8
-	isLoad bool
-	reg    int8
-	warpID int32
-	line   uint64
+// hazardSet is blockedMem or blockedALU: a bitset of the warps parked on a
+// data hazard, their count, and the earliest of their Core.wake cycles.
+type hazardSet struct {
+	warps []uint64
+	n     int
+	wake  int64
 }
 
 // NewFetchFn mints a routed memory fetch; the GPU provides it so the core
@@ -175,8 +175,8 @@ type Core struct {
 
 	respFIFO *mem.Queue[*mem.Fetch]
 
-	pending lanes        // scheduled completions
-	dueBuf  []completion // applyCompletions scratch
+	pending lanes    // scheduled L1I fills
+	dueBuf  []uint64 // applyCompletions scratch
 
 	now            int64
 	heavyBusyUntil int64
@@ -186,7 +186,12 @@ type Core struct {
 
 	// regMasks[i] is the scoreboard mask of body instruction i,
 	// precomputed so the scheduler scan does no per-cycle bit assembly.
-	regMasks []uint64
+	regMasks  []uint64
+	dense     [NumRegs]int8 // numbers the registers the program writes, ≈ 30 of the 64
+	lastReady int64         // latest ready-cycle written: past it no result is outstanding
+	// landAt[t&mask] == t on the cycles a register result lands, kept only to
+	// reproduce issueTick's defect; one beyond it rides the lanes as noLine.
+	landAt []int64
 	// fetchable counts warps with i-buffer space and instructions left,
 	// and fetchMask holds the same predicate as a bitset, so fetchTick
 	// jumps straight to the next eligible warp instead of scanning.
@@ -210,12 +215,12 @@ type Core struct {
 	// offers to tryIssue — a fetch-starved warp would bounce off it
 	// untouched. aliveCount counts warps with instructions left to issue.
 	// blockedMem and blockedALU mark warps whose head instruction hit a
-	// data hazard. A blocked warp's scoreboard and head instruction cannot
-	// change until a completion for that warp lands (applyCompletions
-	// clears its bits), so the scheduler scan skips it outright — with 48
-	// warps mostly waiting on loads, the scan touches a handful of warps
-	// instead of all of them. The counts feed the stall classification
-	// for the skipped warps.
+	// data hazard. A warp is in order, so nothing adds a hazard to a parked
+	// head, and once the LSU has resolved its load lines the cycle it
+	// clears is known: the warp parks with that cycle (or one no later) in
+	// wake, the scan skips it outright — with 48 warps mostly waiting on
+	// loads it touches a handful — and Tick releases it then. The counts
+	// feed the stall classification for the skipped warps.
 	//
 	// blockedStr and blockedHeavy park structural hazards the same way:
 	// a warp that found too little memory-pipeline space stays parked until
@@ -225,12 +230,11 @@ type Core struct {
 	// in between, so re-scanning those warps would fail identically.
 	hasInst       []uint64
 	aliveCount    int
-	blockedMem    []uint64
-	blockedALU    []uint64
+	blockedMem    hazardSet
+	blockedALU    hazardSet
+	wake          []int64
 	blockedStr    []uint64
 	blockedHeavy  []uint64
-	nBlockedMem   int
-	nBlockedALU   int
 	nBlockedStr   int
 	nBlockedHeavy int
 
@@ -313,13 +317,15 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 	if total > 0 {
 		c.aliveCount = nWarps
 	}
-	c.blockedMem = make([]uint64, (nWarps+63)/64)
-	c.blockedALU = make([]uint64, (nWarps+63)/64)
+	c.blockedMem = hazardSet{warps: make([]uint64, (nWarps+63)/64), wake: math.MaxInt64}
+	c.blockedALU = hazardSet{warps: make([]uint64, (nWarps+63)/64), wake: math.MaxInt64}
+	c.wake = make([]int64, nWarps)
 	c.blockedStr = make([]uint64, (nWarps+63)/64)
 	c.blockedHeavy = make([]uint64, (nWarps+63)/64)
 	c.issueDirty = true
 	c.lastStall = -1
 	c.regMasks = make([]uint64, len(wl.Program.Body))
+	var written uint64
 	for i, in := range wl.Program.Body {
 		var mask uint64
 		for _, r := range [3]int8{in.Dest, in.Src1, in.Src2} {
@@ -328,7 +334,24 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 			}
 		}
 		c.regMasks[i] = mask
+		if in.Dest >= 0 && written&(1<<uint(in.Dest)) == 0 {
+			c.dense[in.Dest] = int8(bits.OnesCount64(written))
+			written |= 1 << uint(in.Dest)
+		}
 	}
+	nDense := bits.OnesCount64(written)
+	ready, unresolved := make([]int64, nWarps*nDense), make([]uint8, nWarps*nDense)
+	for i := range c.warps {
+		c.warps[i].ready, c.warps[i].unresolved = ready[i*nDense:][:nDense], unresolved[i*nDense:][:nDense]
+	}
+	longest := max(cfg.Core.ALULatency, heavyALULatency, cfg.L1.HitLatency) // result latency live in the mode
+	switch cfg.Mode {
+	case config.ModeFixedL1MissLat:
+		longest += cfg.FixedL1MissLatency
+	case config.ModeInfiniteBW:
+		longest += max(cfg.IdealL2HitLatency, cfg.IdealMemLatency)
+	}
+	c.landAt = make([]int64, 1<<bits.Len(uint(min(longest, 1<<12-1)))) // the power of two above it; 32 KiB at most
 	return c
 }
 
@@ -394,18 +417,20 @@ func (c *Core) Tick() {
 	}
 	c.now++
 	c.Stats.Cycles++
+	if c.blockedMem.wake <= c.now {
+		c.release(&c.blockedMem)
+	}
+	if c.blockedALU.wake <= c.now {
+		c.release(&c.blockedALU)
+	}
 	c.applyCompletions()
 	c.consumeResponse()
 	memQBefore := c.memQ.Len()
 	c.lsuTick()
 	if c.memQ.Len() != memQBefore {
 		c.issueDirty = true // LSU freed memory-pipeline slots
-		if c.nBlockedStr > 0 {
-			for wi := range c.blockedStr {
-				c.blockedStr[wi] = 0
-			}
-			c.nBlockedStr = 0
-		}
+		clear(c.blockedStr)
+		c.nBlockedStr = 0
 	}
 	c.issueTick()
 	c.fetchTick()
@@ -413,47 +438,97 @@ func (c *Core) Tick() {
 	c.checkDone()
 }
 
-// schedule queues e to complete delta cycles from now (at least one).
-func (c *Core) schedule(delta int64, e completion) {
-	c.pending.push(c.now, max(delta, 1), e)
-}
+const noLine = ^uint64(0) // the fill of no line: landing, it only dirties the scan
 
-// applyCompletions fires every completion due this cycle.
+// applyCompletions lands every L1I fill due this cycle.
 func (c *Core) applyCompletions() {
 	if c.pending.next > c.now {
 		return
 	}
 	c.issueDirty = true
 	c.dueBuf = c.pending.drain(c.now, c.dueBuf[:0])
-	for _, e := range c.dueBuf {
-		switch e.kind {
-		case evtRegClear:
-			w := &c.warps[e.warpID]
-			bit := uint64(1) << uint(e.reg)
-			if e.isLoad {
-				if w.loadCount[e.reg] > 0 {
-					w.loadCount[e.reg]--
+	for _, line := range c.dueBuf {
+		if line != noLine {
+			c.icache.Fill(line)
+			c.iPendingClear(line)
+		}
+	}
+}
+
+// result notes a register result landing delta (at least one) cycles on.
+func (c *Core) result(delta int64) int64 {
+	at := c.now + max(delta, 1)
+	c.lastReady = max(c.lastReady, at)
+	if at-c.now < int64(len(c.landAt)) {
+		c.landAt[at&int64(len(c.landAt)-1)] = at
+	} else {
+		c.pending.push(c.now, at-c.now, noLine)
+	}
+	return at
+}
+
+// resolve is the LSU learning that a line of load t lands delta cycles on.
+// The last one has a parked warp re-checked, no later than its release.
+func (c *Core) resolve(t tx, delta int64) {
+	w, d := &c.warps[t.warpID], c.dense[t.reg]
+	w.ready[d] = max(w.ready[d], c.result(delta))
+	w.unresolved[d]--
+	if w.unresolved[d] == 0 && c.blockedMem.warps[t.warpID>>6]&(1<<uint(t.warpID&63)) != 0 {
+		c.wake[t.warpID] = min(c.wake[t.warpID], w.ready[d])
+		c.blockedMem.wake = min(c.blockedMem.wake, w.ready[d])
+	}
+}
+
+// hazard returns the cycle w's registers in *pending&regs all hold their
+// result by: 0 if they do (and leave *pending), MaxInt64 with a line unresolved.
+func (c *Core) hazard(w *warp, pending *uint64, regs uint64) int64 {
+	var at int64
+	for m := *pending & regs; m != 0; m &= m - 1 {
+		switch d := c.dense[bits.TrailingZeros64(m)]; {
+		case w.unresolved[d] != 0:
+			at = math.MaxInt64
+		case w.ready[d] > c.now:
+			at = max(at, w.ready[d])
+		default:
+			*pending &^= m & -m
+		}
+	}
+	return at
+}
+
+// parks reports whether hazard finds one, parking w (which the scan
+// offered: it is in no set) in s until the cycle it names.
+func (c *Core) parks(w *warp, pending *uint64, regs uint64, s *hazardSet) bool {
+	at := c.hazard(w, pending, regs)
+	if at != 0 {
+		s.warps[w.id>>6] |= 1 << uint(w.id&63)
+		s.n++
+		c.wake[w.id], s.wake = at, min(s.wake, at)
+	}
+	return at != 0
+}
+
+// release re-checks the warps of s whose wake has arrived, puts those free
+// of their hazard back in the scan and leaves s.wake to the rest.
+func (c *Core) release(s *hazardSet) {
+	s.wake = math.MaxInt64
+	for wi, word := range s.warps {
+		for ; word != 0; word &= word - 1 {
+			i := wi<<6 + bits.TrailingZeros64(word)
+			if c.wake[i] <= c.now {
+				w := &c.warps[i]
+				pending := &w.pendingALU
+				if s == &c.blockedMem {
+					pending = &w.pendingLoad
 				}
-				if w.loadCount[e.reg] == 0 {
-					w.pendingLoad &^= bit
+				if c.wake[i] = c.hazard(w, pending, c.regMasks[w.bodyIdx]); c.wake[i] == 0 {
+					s.warps[wi] &^= word & -word
+					s.n--
+					c.issueDirty = true
+					continue
 				}
-			} else {
-				w.pendingALU &^= bit
 			}
-			// The warp's scoreboard changed: put it back in the scan. The
-			// next scan re-blocks it if a hazard remains.
-			word, wbit := e.warpID>>6, uint64(1)<<uint(e.warpID&63)
-			if c.blockedMem[word]&wbit != 0 {
-				c.blockedMem[word] &^= wbit
-				c.nBlockedMem--
-			}
-			if c.blockedALU[word]&wbit != 0 {
-				c.blockedALU[word] &^= wbit
-				c.nBlockedALU--
-			}
-		case evtICacheFill:
-			c.icache.Fill(e.line)
-			c.iPendingClear(e.line)
+			s.wake = min(s.wake, c.wake[i])
 		}
 	}
 }
@@ -480,9 +555,7 @@ func (c *Core) consumeResponse() {
 		}
 		c.l1.Fill(f.Addr)
 		for _, t := range c.mshr.Release(f.Addr) {
-			c.schedule(int64(c.cfg.L1.HitLatency), completion{
-				kind: evtRegClear, isLoad: true, reg: t.reg, warpID: t.warpID,
-			})
+			c.resolve(t, int64(c.cfg.L1.HitLatency))
 		}
 	default:
 		panic("smcore: unexpected reply type " + f.Type.String())
@@ -528,7 +601,7 @@ func (c *Core) lsuTick() {
 	}
 	// Load.
 	if c.l1.Access(head.line) {
-		c.schedule(int64(c.cfg.L1.HitLatency), completion{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
+		c.resolve(head, int64(c.cfg.L1.HitLatency))
 		c.memQ.Pop()
 		c.Stats.L1Accesses++
 		c.Stats.L1Hits++
@@ -588,7 +661,7 @@ func (c *Core) lsuIdeal(head tx) {
 		return
 	}
 	if c.l1.Access(head.line) {
-		c.schedule(int64(c.cfg.L1.HitLatency), completion{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
+		c.resolve(head, int64(c.cfg.L1.HitLatency))
 		c.Stats.L1Hits++
 		return
 	}
@@ -603,7 +676,7 @@ func (c *Core) lsuIdeal(head tx) {
 	}
 	c.Stats.AML.Add(lat)
 	c.l1.Fill(head.line) // functional install
-	c.schedule(lat+int64(c.cfg.L1.HitLatency), completion{kind: evtRegClear, isLoad: true, reg: head.reg, warpID: head.warpID})
+	c.resolve(head, lat+int64(c.cfg.L1.HitLatency))
 	c.Stats.L1Misses++
 }
 
@@ -615,7 +688,13 @@ func (c *Core) issueTick() {
 	if !c.issueDirty {
 		// Nothing changed since the last failed scan — unless a str-ALU
 		// block just expired with time, the outcome is identical.
-		if c.lastStall == StallStrALU && c.heavyBusyUntil <= c.now {
+		// Known model defect, kept for golden identity: with warps parked in
+		// blockedStr too the replayed stall is str-MEM and the freed heavy
+		// pipe goes unnoticed until the scan is dirtied, which a register
+		// clear landing did: a tick a result lands on re-scans. The story and
+		// the fix are on TestHeavyReleaseWaitsForDirtyScan.
+		if c.heavyBusyUntil <= c.now && (c.lastStall == StallStrALU ||
+			c.nBlockedHeavy > 0 && c.landAt[c.now&int64(len(c.landAt)-1)] == c.now) {
 			c.issueDirty = true
 		} else {
 			if c.lastStall >= 0 {
@@ -626,22 +705,19 @@ func (c *Core) issueTick() {
 	}
 	c.issueDirty = false
 	if c.nBlockedHeavy > 0 && c.heavyBusyUntil <= c.now {
-		// The heavy-pipe reservation expired: its parked warps can issue
-		// again.
-		for wi := range c.blockedHeavy {
-			c.blockedHeavy[wi] = 0
-		}
+		// The heavy-pipe reservation expired: its parked warps can issue again.
+		clear(c.blockedHeavy)
 		c.nBlockedHeavy = 0
 	}
 	gWord, gBit := c.greedy>>6, uint64(1)<<uint(c.greedy&63)
-	if c.hasInst[gWord]&^(c.blockedMem[gWord]|c.blockedALU[gWord]|c.blockedStr[gWord]|c.blockedHeavy[gWord])&gBit != 0 &&
+	if c.hasInst[gWord]&^(c.blockedMem.warps[gWord]|c.blockedALU.warps[gWord]|c.blockedStr[gWord]|c.blockedHeavy[gWord])&gBit != 0 &&
 		c.tryIssue(&c.warps[c.greedy]) {
 		c.issueDirty = true
 		c.lastStall = -1
 		return
 	}
 	for wi, word := range c.hasInst {
-		cand := word &^ (c.blockedMem[wi] | c.blockedALU[wi] | c.blockedStr[wi] | c.blockedHeavy[wi])
+		cand := word &^ (c.blockedMem.warps[wi] | c.blockedALU.warps[wi] | c.blockedStr[wi] | c.blockedHeavy[wi])
 		for cand != 0 {
 			i := wi<<6 + bits.TrailingZeros64(cand)
 			cand &= cand - 1
@@ -671,9 +747,9 @@ func (c *Core) issueTick() {
 		c.lastStall = StallStrMem
 	case c.nBlockedHeavy > 0:
 		c.lastStall = StallStrALU
-	case c.nBlockedMem > 0:
+	case c.blockedMem.n > 0:
 		c.lastStall = StallDataMem
-	case c.nBlockedALU > 0:
+	case c.blockedALU.n > 0:
 		c.lastStall = StallDataALU
 	default:
 		c.lastStall = StallFetch
@@ -687,22 +763,8 @@ func (c *Core) issueTick() {
 func (c *Core) tryIssue(w *warp) bool {
 	in := w.ibuf[0]
 	mask := c.regMasks[w.bodyIdx]
-	if w.pendingLoad&mask != 0 {
-		// Park the warp until a completion touches its scoreboard; the
-		// hazard cannot clear any other way.
-		word, bit := w.id>>6, uint64(1)<<uint(w.id&63)
-		if c.blockedMem[word]&bit == 0 {
-			c.blockedMem[word] |= bit
-			c.nBlockedMem++
-		}
-		return false
-	}
-	if w.pendingALU&mask != 0 {
-		word, bit := w.id>>6, uint64(1)<<uint(w.id&63)
-		if c.blockedALU[word]&bit == 0 {
-			c.blockedALU[word] |= bit
-			c.nBlockedALU++
-		}
+	if w.pendingLoad&mask != 0 && c.parks(w, &w.pendingLoad, mask, &c.blockedMem) ||
+		w.pendingALU&mask != 0 && c.parks(w, &w.pendingALU, mask, &c.blockedALU) {
 		return false
 	}
 	switch in.Kind {
@@ -717,41 +779,35 @@ func (c *Core) tryIssue(w *warp) bool {
 		if c.memQ.Free() < len(w.addrCache) {
 			// Park until a memory-pipeline slot frees: the warp's head and
 			// address list are frozen, and memQ space only grows on a pop.
-			word, bit := w.id>>6, uint64(1)<<uint(w.id&63)
-			if c.blockedStr[word]&bit == 0 {
-				c.blockedStr[word] |= bit
-				c.nBlockedStr++
-			}
+			c.blockedStr[w.id>>6] |= 1 << uint(w.id&63)
+			c.nBlockedStr++
 			return false
 		}
 		isStore := in.Kind == OpStore
 		for _, line := range w.addrCache {
 			c.memQ.Push(tx{warpID: int32(w.id), reg: in.Dest, store: isStore, line: c.l1.LineAddr(line)})
 		}
-		if !isStore && in.Dest >= 0 {
+		if !isStore {
 			w.pendingLoad |= uint64(1) << uint(in.Dest)
-			w.loadCount[in.Dest] = uint8(len(w.addrCache))
+			w.unresolved[c.dense[in.Dest]] = uint8(len(w.addrCache))
 		}
 	case OpHeavyALU:
 		if c.heavyBusyUntil > c.now {
 			// Park until the reservation expires; the scan's entry check
 			// unparks every heavy-blocked warp once it does.
-			word, bit := w.id>>6, uint64(1)<<uint(w.id&63)
-			if c.blockedHeavy[word]&bit == 0 {
-				c.blockedHeavy[word] |= bit
-				c.nBlockedHeavy++
-			}
+			c.blockedHeavy[w.id>>6] |= 1 << uint(w.id&63)
+			c.nBlockedHeavy++
 			return false
 		}
 		c.heavyBusyUntil = c.now + heavyALUInterval
 		if in.Dest >= 0 {
 			w.pendingALU |= uint64(1) << uint(in.Dest)
-			c.schedule(heavyALULatency, completion{kind: evtRegClear, reg: in.Dest, warpID: int32(w.id)})
+			w.ready[c.dense[in.Dest]] = c.result(heavyALULatency)
 		}
 	case OpALU:
 		if in.Dest >= 0 {
 			w.pendingALU |= uint64(1) << uint(in.Dest)
-			c.schedule(int64(c.cfg.Core.ALULatency), completion{kind: evtRegClear, reg: in.Dest, warpID: int32(w.id)})
+			w.ready[c.dense[in.Dest]] = c.result(int64(c.cfg.Core.ALULatency))
 		}
 	}
 	// Retire from the i-buffer.
@@ -850,7 +906,7 @@ func (c *Core) fetchTick() {
 			lat = c.idealLat(line)
 		}
 		c.iPendingSet(line)
-		c.schedule(lat, completion{kind: evtICacheFill, line: line})
+		c.pending.push(c.now, max(lat, 1), line)
 		return
 	}
 	if c.iMissQ.Full() {
@@ -907,11 +963,8 @@ func (c *Core) checkDone() {
 	if c.Stats.Issued < int64(len(c.warps))*c.wl.Program.TotalInsts() {
 		return
 	}
-	for i := range c.warps {
-		w := &c.warps[i]
-		if w.pendingLoad != 0 || w.pendingALU != 0 {
-			return
-		}
+	if c.lastReady > c.now {
+		return // a result is on its way; an unresolved load line is in memQ or the MSHRs
 	}
 	if !c.memQ.Empty() || !c.missQ.Empty() || !c.iMissQ.Empty() || !c.respFIFO.Empty() {
 		return
@@ -929,10 +982,11 @@ func (c *Core) checkDone() {
 // cycle. A core that can never act again on its own (drained, or waiting
 // only on a reply in flight) returns (math.MaxInt64 = sched.Never, true).
 // The event engine uses it to park the core on its calendar wheel and jump
-// over runs of no-op cycles while every warp waits on completions. The
-// cycle is the earliest completion lane head (or the heavy-pipe
-// reservation's expiry, if a replayed str-ALU stall waits on it); it can
-// lie any distance ahead.
+// over runs of no-op cycles while every warp waits on results. The cycle
+// is the earliest of an L1I fill landing (the lanes' head), a parked warp's
+// data hazard clearing (the sets' wake), the last result once every warp
+// has issued its last instruction (the core drains), and the heavy pipe
+// freeing under a replayed str-ALU stall; it can lie any distance ahead.
 //
 // The contract is one-sided: answering earlier than the true wake is
 // always safe (a core woken early observes no event and reschedules —
@@ -957,18 +1011,23 @@ func (c *Core) NextWake() (int64, bool) {
 	if c.fetchable != 0 && !c.fetchParkedNow() {
 		return 0, false
 	}
-	wake := c.pending.next // math.MaxInt64 when no completion is pending
+	wake := min(c.pending.next, c.blockedMem.wake, c.blockedALU.wake) // math.MaxInt64 with none
+	if c.aliveCount == 0 && c.lastReady > c.now {
+		wake = min(wake, c.lastReady) // checkDone waits for it
+	}
 	if c.lastStall == StallStrALU {
 		if c.heavyBusyUntil <= c.now {
 			return 0, false // the replay path re-scans on the next tick
 		}
 		// The replayed str-ALU stall re-scans once the heavy pipe frees.
 		wake = min(wake, c.heavyBusyUntil)
+	} else if c.nBlockedHeavy > 0 {
+		return 0, false // issueTick's kept defect: any result landing may re-scan
 	}
 	if wake == math.MaxInt64 && c.mshr.Len() == 0 && c.iPendingCount == 0 {
 		return 0, false
 	}
-	// With no scheduled completion, queues drained and fetch parked, the
+	// With nothing scheduled, queues drained and fetch parked, the
 	// only thing the core is waiting on is a reply in flight: the answer
 	// is Never, the engine parks the core off the wheel and re-schedules
 	// it the exact cycle a reply reaches its ejection port.

@@ -14,8 +14,8 @@ import (
 // sequence of (cycle, latency) schedules over a handful of latencies, each
 // cycle's drain is the completions due that cycle in the order they were
 // scheduled — a reference sort by (due, schedule sequence). The latency set
-// always holds the ALU / heavy-ALU twins (two call sites, one lane) and a
-// latency of 0, which schedule clamps to 1.
+// always holds a repeated latency (two call sites, one lane) and a latency
+// of 0, which the core clamps to 1.
 func TestLanesDrainInScheduleOrder(t *testing.T) {
 	type ref struct {
 		due int64
@@ -31,7 +31,7 @@ func TestLanesDrainInScheduleOrder(t *testing.T) {
 		c := NewCore(0, &cfg, streamWorkload(1, 1, 1), testFetchFn())
 		var want []ref
 		var seq int32
-		var got []completion
+		var got []uint64
 		for busy := 400; busy > 0 || len(want) > 0; busy-- {
 			c.now++
 			if rng.Intn(8) == 0 && c.pending.next != math.MaxInt64 {
@@ -51,9 +51,9 @@ func TestLanesDrainInScheduleOrder(t *testing.T) {
 				if len(got) != i {
 					t.Fatalf("trial %d cycle %d: drained %d completions, want %d", trial, c.now, len(got), i)
 				}
-				for k, e := range got {
-					if e.warpID != want[k].seq {
-						t.Fatalf("trial %d cycle %d: drain position %d is schedule #%d, want #%d", trial, c.now, k, e.warpID, want[k].seq)
+				for k, line := range got {
+					if line != uint64(want[k].seq) {
+						t.Fatalf("trial %d cycle %d: drain position %d is schedule #%d, want #%d", trial, c.now, k, line, want[k].seq)
 					}
 				}
 				want = want[i:]
@@ -63,7 +63,7 @@ func TestLanesDrainInScheduleOrder(t *testing.T) {
 			}
 			for n := rng.Intn(4); n > 0 && busy > 0; n-- {
 				lat := lats[rng.Intn(len(lats))]
-				c.schedule(lat, completion{warpID: seq})
+				c.pending.push(c.now, max(lat, 1), uint64(seq)) // the line names the schedule
 				want = append(want, ref{c.now + max(lat, 1), seq})
 				seq++
 			}
@@ -83,7 +83,7 @@ func TestLanesDrainInScheduleOrder(t *testing.T) {
 // than firing it late.
 func TestLanesMissedWakeIsLoud(t *testing.T) {
 	ls := lanes{next: math.MaxInt64}
-	ls.push(0, 5, completion{})
+	ls.push(0, 5, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("drain past a due completion did not panic")
@@ -113,10 +113,10 @@ func TestSameCycleICacheFillsKeepScheduleOrder(t *testing.T) {
 
 	c.now = 10
 	c.iPendingSet(a)
-	c.schedule(int64(cfg.IdealMemLatency), completion{kind: evtICacheFill, line: a})
+	c.pending.push(c.now, int64(cfg.IdealMemLatency), a)
 	c.now += int64(cfg.IdealMemLatency - cfg.IdealL2HitLatency)
 	c.iPendingSet(b)
-	c.schedule(int64(cfg.IdealL2HitLatency), completion{kind: evtICacheFill, line: b})
+	c.pending.push(c.now, int64(cfg.IdealL2HitLatency), b)
 	c.now = 10 + int64(cfg.IdealMemLatency)
 	c.applyCompletions()
 	if c.icache.Probe(a) != cache.Valid || c.icache.Probe(b) != cache.Valid || c.iPendingCount != 0 {
