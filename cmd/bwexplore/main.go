@@ -66,7 +66,7 @@ func main() {
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if hwAxes && (explicit["levels"] || explicit["factor"]) {
 		fmt.Fprintln(os.Stderr, "bwexplore: -levels/-factor and the mitigation axes (-mshr/-missq/-l2banks/-dram-scale) are mutually exclusive")
-		os.Exit(2)
+		profiles.Exit(2)
 	}
 
 	var cols []config.Config
@@ -74,18 +74,19 @@ func main() {
 	if hwAxes {
 		cols, err = mitigationAxis(*mshr, *missq, *l2banks, *dramScale)
 	} else {
-		cols = []config.Config{scaledConfig(*levels, *factor)}
+		cols = make([]config.Config, 1)
+		cols[0], err = scaledConfig(*levels, *factor)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		profiles.Exit(2)
 	}
 	cols = append([]config.Config{gpumembw.Baseline()}, cols...)
 
 	refs, err := workloadAxis(*base, *benches, *coalesce, *tlp, *ws)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		profiles.Exit(2)
 	}
 
 	// One sweep call covers the whole grid: every configuration column ×
@@ -94,8 +95,7 @@ func main() {
 	res, err := s.Sweep(exp.SweepConfigs(cols), refs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(1)
+		profiles.Exit(1)
 	}
 
 	speedups := res.Speedups(0)
@@ -226,7 +226,7 @@ func mitigationAxis(mshr, missq, l2banks, dramScale string) ([]config.Config, er
 // scaledConfig derives the architecture-axis design point: the baseline
 // with the selected memory levels scaled by factor, validated and named
 // after the selection.
-func scaledConfig(levels string, factor int) config.Config {
+func scaledConfig(levels string, factor int) (config.Config, error) {
 	cfg := gpumembw.Baseline()
 	cfg.Name = fmt.Sprintf("%s-%dx", levels, factor)
 	for _, level := range strings.Split(levels, ",") {
@@ -238,15 +238,10 @@ func scaledConfig(levels string, factor int) config.Config {
 		case "dram":
 			config.ScaleDRAM(&cfg, factor)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown level %q (want l1, l2 or dram)\n", level)
-			os.Exit(2)
+			return cfg, fmt.Errorf("unknown level %q (want l1, l2 or dram)", level)
 		}
 	}
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	return cfg
+	return cfg, cfg.Validate()
 }
 
 // workloadAxis expands the workload side of the grid. With -base set, it

@@ -77,7 +77,7 @@ func main() {
 	cref, err := configRef(*cfgName, *cfgFile, sets)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
-		os.Exit(1)
+		profiles.Exit(1)
 	}
 
 	// A single cell still goes through the engine so config/workload
@@ -90,7 +90,7 @@ func main() {
 		spec, err := trace.ReadSpecFile(*specPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "gpusim:", err)
-			os.Exit(1)
+			profiles.Exit(1)
 		}
 		ref = gpumembw.SpecRef(spec)
 	}
@@ -98,8 +98,7 @@ func main() {
 	res, err := s.RunJobEx(context.Background(), gpumembw.Job{Config: cref, Workload: ref}, *profileOut != "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simulation failed:", err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(1)
+		profiles.Exit(1)
 	}
 	m := res.Metrics
 	elapsed := time.Since(start)
@@ -107,8 +106,7 @@ func main() {
 	if *profileOut != "" {
 		if err := writeProfile(*profileOut, res.Profile); err != nil {
 			fmt.Fprintln(os.Stderr, "gpusim:", err)
-			profiles.Stop()
-			os.Exit(1)
+			profiles.Exit(1)
 		}
 	}
 
@@ -117,7 +115,7 @@ func main() {
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(m); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			profiles.Exit(1)
 		}
 		return
 	}

@@ -93,8 +93,7 @@ func main() {
 	logger, err := newLogger(*logLevel)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpusimd:", err)
-		profiles.Stop()
-		os.Exit(2)
+		profiles.Exit(2)
 	}
 	startDebugListener(*debugAddr)
 
@@ -120,8 +119,7 @@ func main() {
 	srv, err := server.New(opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(2)
+		profiles.Exit(2)
 	}
 
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -157,8 +155,7 @@ func main() {
 	fmt.Fprintln(os.Stderr, ")")
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "gpusimd:", err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(1)
+		profiles.Exit(1)
 	}
 	// ErrServerClosed means the signal handler initiated the shutdown —
 	// the only path that closes the listener. Block until it finishes
@@ -204,8 +201,7 @@ func runCoordinator(addr string, workers []string, probeInterval, probeTimeout t
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(2)
+		profiles.Exit(2)
 	}
 
 	hs := &http.Server{Addr: addr, Handler: co.Handler()}
@@ -226,8 +222,7 @@ func runCoordinator(addr string, workers []string, probeInterval, probeTimeout t
 		len(workers), addr, probeInterval, probeFails)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintln(os.Stderr, "gpusimd:", err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(1)
+		profiles.Exit(1)
 	}
 	select {}
 }

@@ -58,7 +58,7 @@ func main() {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			profiles.Exit(1)
 		}
 		defer f.Close()
 		out = f
@@ -79,8 +79,7 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiment failed:", err)
-		profiles.Stop() // os.Exit skips the deferred call
-		os.Exit(1)
+		profiles.Exit(1)
 	}
 	st := s.Stats()
 	fmt.Fprintf(os.Stderr, "done in %v (%d simulated, %d cache hits, %d workers)\n",

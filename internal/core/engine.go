@@ -22,10 +22,10 @@ import (
 type Engine uint8
 
 const (
-	// EngineEvent is the calendar-queue event engine: every core, crossbar,
-	// L2 bank and DRAM channel reports its next-wake cycle (NextWake, each
-	// in its own clock), runs only on the cycles that reach it, and the
-	// loop jumps the spans in which none does. What New builds unless told
+	// EngineEvent is the event engine: every core, crossbar, L2 bank and
+	// DRAM channel reports its next-wake cycle (NextWake, each in its own
+	// clock), runs only on the cycles that reach it, and the loop jumps the
+	// spans in which none does. What New builds unless told
 	// otherwise.
 	EngineEvent Engine = iota
 	// EngineTick is the reference tick-everything loop — slow, simple,
@@ -39,14 +39,6 @@ type Option func(*GPU)
 // WithEngine selects the simulation engine for one GPU. Only parity
 // tests and the benchmark's traced run pass EngineTick.
 func WithEngine(e Engine) Option { return func(g *GPU) { g.engine = e } }
-
-// wheelHorizon is the calendar wheel's span in core cycles. It exceeds
-// every wake distance the paper's configurations produce (the Fig. 3
-// sweep tops out at 800 cycles). A core's completions have no horizon of
-// their own, so a config with a longer latency reports a wake beyond the
-// wheel: Wheel.Schedule clamps it to the edge, the core wakes early, finds
-// nothing due and reschedules — harmless under the one-sided contract.
-const wheelHorizon = 4096
 
 // EngineStats counts what the engine did during Run: how often and how far
 // it jumped, and per unit class how many ticks it executed (TicksRun) out of
@@ -330,12 +322,12 @@ func (g *GPU) catchUpAll() {
 	}
 }
 
-// runEvent is the calendar-queue event engine. Each core registers its
-// next-wake cycle on a calendar wheel (ties break in ascending core ID —
-// exactly the tick loop's iteration order); each crossbar, L2 bank and
-// DRAM channel registers its next-wake tick in its clock domain's wake
-// array and runs only on the domain ticks that reach it; and a span in
-// which no core and no unit is due is replayed in bulk: the clock-domain
+// runEvent is the event engine. Each core registers its next-wake cycle in
+// the core clock's wake array (ties break in ascending core ID — exactly
+// the tick loop's iteration order); each crossbar, L2 bank and DRAM channel
+// registers its next-wake tick in its clock domain's wake array and runs
+// only on the domain ticks that reach it; and a span in which no core and
+// no unit is due is replayed in bulk: the clock-domain
 // accumulators step through the exact float sequence the tick loop would
 // produce, the profiler's RecordN bulk path records the (frozen) gauge
 // vector once per skipped cycle, each core's SkipTo replays its per-cycle
@@ -355,18 +347,11 @@ func (g *GPU) runEvent() (Metrics, error) {
 	var issued int64 // running Stats.Issued total over all cores
 
 	alive := len(g.cores)
-	wheel := sched.NewWheel(wheelHorizon, len(g.cores))
+	wheel := sched.NewWheel(0, len(g.cores))
 	for i := range g.cores {
 		wheel.Schedule(int32(i), 1)
 	}
 	due := make([]int32, 0, len(g.cores))
-	// Cores that wake on the very next cycle — the steady state while a
-	// core issues — bypass the wheel entirely: they ride the carry list
-	// (kept in ascending ID order) and merge with the wheel's due set.
-	carry := make([]int32, 0, len(g.cores))
-	carryNext := make([]int32, 0, len(g.cores))
-	merged := make([]int32, 0, len(g.cores))
-	carriedAt := make([]int64, len(g.cores)) // cycle each carried core ticks
 	// coreNow mirrors each core's clock in one compact array, sparing the
 	// catch-up check a pointer chase into every core struct per cycle.
 	coreNow := make([]int64, len(g.cores))
@@ -401,8 +386,7 @@ func (g *GPU) runEvent() (Metrics, error) {
 		// checks trip on exactly the cycle the unskipped run would have
 		// stopped at.
 		coreWake := wheel.Min()
-		coreDue := len(carry) > 0 || coreWake <= g.cycle+1
-		if !coreDue && it < g.icnt.min && dt < g.dram.min {
+		if coreWake > g.cycle+1 && it < g.icnt.min && dt < g.dram.min {
 			target := g.clampTarget(lastProgress, coreWake-1)
 			from := g.cycle
 			if !normal {
@@ -470,12 +454,11 @@ func (g *GPU) runEvent() (Metrics, error) {
 					for word != 0 {
 						d := wi<<6 + bits.TrailingZeros64(word)
 						word &= word - 1
-						id := int32(d)
-						if carriedAt[d] == g.cycle || wheel.ScheduledAt(id) == g.cycle || g.cores[d].Done() {
+						if wheel.ScheduledAt(int32(d)) == g.cycle || g.cores[d].Done() {
 							continue
 						}
 						if _, ok := g.reply.Peek(d); ok {
-							wheel.Schedule(id, g.cycle)
+							wheel.Schedule(int32(d), g.cycle)
 						}
 					}
 				}
@@ -483,34 +466,8 @@ func (g *GPU) runEvent() (Metrics, error) {
 		}
 
 		due = wheel.Due(g.cycle, due[:0])
-		// Merge the wheel's due set with the carry list. Both are ascending
-		// and disjoint (a carried core's wheel wake is Never, and the reply
-		// scan skips carried cores), so the merge preserves the tick loop's
-		// ascending-ID order.
-		run := due
-		if len(carry) > 0 {
-			if len(due) == 0 {
-				run = carry
-			} else {
-				merged = merged[:0]
-				i, j := 0, 0
-				for i < len(due) && j < len(carry) {
-					if due[i] < carry[j] {
-						merged = append(merged, due[i])
-						i++
-					} else {
-						merged = append(merged, carry[j])
-						j++
-					}
-				}
-				merged = append(merged, due[i:]...)
-				merged = append(merged, carry[j:]...)
-				run = merged
-			}
-		}
-		carryNext = carryNext[:0]
 		replies := normal && g.reply.InFlight() > 0
-		for _, id := range run {
+		for _, id := range due {
 			c := g.cores[id]
 			// Lazy catch-up: replay the cycles the core sat parked, then
 			// tick it exactly where the tick loop would have.
@@ -534,19 +491,11 @@ func (g *GPU) runEvent() (Metrics, error) {
 				alive--
 				continue
 			}
-			if w, ok := c.NextWake(); ok && w != g.cycle+1 {
-				// Never parks the core off the wheel entirely (it waits on
-				// a reply in flight); the reply-arrival scan above
-				// re-schedules it the cycle its packet becomes consumable.
-				if w != sched.Never {
-					wheel.Schedule(id, w)
-				}
-			} else {
-				carryNext = append(carryNext, id)
-				carriedAt[id] = g.cycle + 1
-			}
+			// Never leaves the core unscheduled (it waits on a reply in
+			// flight); the reply-arrival scan above schedules it the cycle
+			// its packet becomes consumable.
+			wheel.Schedule(id, c.NextWake())
 		}
-		carry, carryNext = carryNext, carry
 
 		if g.prof != nil {
 			// Gauges that compare a reservation against a unit's clock

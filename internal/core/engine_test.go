@@ -194,6 +194,28 @@ func TestEngineParityMemorySide(t *testing.T) {
 	}
 }
 
+// TestEngineParityBeyond64Cores runs a machine the presets never build —
+// 70 cores, so core IDs and reply-ejection occupancy span two 64-bit words
+// — through both engines. The wake array's Due hands the run loop its
+// cores by one ascending-ID scan and the reply-arrival scan walks the
+// occupancy words in order; the other parity cells stop at 15 cores and
+// would not see either go wrong past bit 63. Two chasing warps per core keep
+// the cell memory-bound: cores park on replies and wake out of step.
+func TestEngineParityBeyond64Cores(t *testing.T) {
+	cfg := config.Baseline()
+	cfg.Core.NumCores = 70
+	wl := mustBuild(t, chaseSpec(2, 40))
+	ev, evErr, skipped := runEngine(t, cfg, wl, EngineEvent)
+	tick, tickErr, _ := runEngine(t, cfg, wl, EngineTick)
+	requireIdentical(t, "chase-2w@baseline/70-cores", ev, tick, evErr, tickErr)
+	if evErr != nil || ev.Truncated {
+		t.Fatalf("the 70-core cell did not run to completion: err %v, truncated %v", evErr, ev.Truncated)
+	}
+	if skipped == 0 {
+		t.Error("the event engine never jumped a cycle of the 70-core cell")
+	}
+}
+
 // TestEngineJumpsTheChase is the non-vacuity half at the ledger's own
 // geometry: chase-1w@baseline, whose 496,523 cycles the parent engine
 // jumped 2 of because some unit always held a fetch. With fifteen fetches
@@ -376,10 +398,10 @@ func TestEngineClockAccumulators(t *testing.T) {
 }
 
 // TestLargeLatenciesMatchTick holds the rule that a config Validate admits
-// never panics: every in-core latency far beyond the event wheel's horizon
-// (and beyond any fixed completion window) must simulate, and the event
-// engine — whose wheel clamps such wakes early — must still match the tick
-// oracle on every metric.
+// never panics: no horizon exists — a core's wake may lie any distance
+// ahead, beyond any fixed completion window — so every in-core latency,
+// however large, must simulate, and the event engine, which jumps straight
+// to such a wake, must still match the tick oracle on every metric.
 func TestLargeLatenciesMatchTick(t *testing.T) {
 	wl, err := trace.Spec{
 		Name: "large-lat", Iters: 3, WarpsPerCore: 4,

@@ -183,9 +183,9 @@ func (g *GPU) idealLatency(addr uint64) int64 {
 
 // Run simulates until every core drains, MaxCycles elapses, or progress
 // stops. It returns the collected metrics. The engine selects how the
-// simulation advances — the calendar-queue event engine, or the reference
-// tick loop under test — never what it produces: both engines emit
-// byte-identical metrics and profiles for every cell.
+// simulation advances — the event engine, or the reference tick loop
+// under test — never what it produces: both engines emit byte-identical
+// metrics and profiles for every cell.
 func (g *GPU) Run() (Metrics, error) {
 	if g.engine == EngineTick {
 		return g.runTick()

@@ -397,7 +397,7 @@ func (c *Channel) issueReadyCAS() bool {
 		} else {
 			c.Stats.Writes++
 			c.readAfter = dataEnd + int64(t.CDLR)
-			b.preReady = maxI64(b.preReady, dataEnd+int64(t.WR))
+			b.preReady = max(b.preReady, dataEnd+int64(t.WR))
 			c.pool.Put(r.fetch) // the write is absorbed; no response travels back
 		}
 		return true
@@ -418,7 +418,7 @@ func (c *Channel) issueRowCommand() bool {
 		if b.openRow >= 0 {
 			if b.preReady <= c.now {
 				b.openRow = -1
-				b.actReady = maxI64(b.actReady, c.now+int64(t.RP))
+				b.actReady = max(b.actReady, c.now+int64(t.RP))
 				c.Stats.Precharges++
 				return true
 			}
@@ -434,7 +434,7 @@ func (c *Channel) issueRowCommand() bool {
 			c.Stats.Activates++
 			return true
 		}
-		c.wakeAt(maxI64(b.actReady, c.nextAct))
+		c.wakeAt(max(b.actReady, c.nextAct))
 	}
 	return false
 }
@@ -444,13 +444,6 @@ func (c *Channel) wakeAt(cycle int64) {
 	if cycle < c.scanWake {
 		c.scanWake = cycle
 	}
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // BusBusy reports whether a data burst occupies the channel's bus this

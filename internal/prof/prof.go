@@ -74,17 +74,24 @@ func (f *Flags) ExitOnSignal(cleanup func()) (release func()) {
 		if cleanup != nil {
 			cleanup()
 		}
-		f.Stop()
 		code := 130 // 128 + SIGINT
 		if sig == syscall.SIGTERM {
 			code = 143
 		}
-		os.Exit(code)
+		f.Exit(code)
 	}()
 	return func() {
 		signal.Stop(ch)
 		close(ch)
 	}
+}
+
+// Exit stops the profiles and exits with code: the way out of a command
+// once Start has run, since os.Exit skips the deferred Stop and would leave
+// a failed run's -cpuprofile truncated.
+func (f *Flags) Exit(code int) {
+	f.Stop()
+	os.Exit(code)
 }
 
 // Stop finishes the CPU profile and writes the heap profile. Call once the

@@ -8,6 +8,7 @@ import (
 	"gpumembw/internal/cache"
 	"gpumembw/internal/config"
 	"gpumembw/internal/mem"
+	"gpumembw/internal/sched"
 	"gpumembw/internal/stats"
 )
 
@@ -975,63 +976,62 @@ func (c *Core) checkDone() {
 	c.done = true
 }
 
-// NextWake reports whether the core's state provably cannot change before
-// some future cycle, and that cycle. It returns ok=false when the core may
-// make progress — or must record statistics that depend on downstream
-// state — on the very next tick, so the engine keeps ticking it cycle by
-// cycle. A core that can never act again on its own (drained, or waiting
-// only on a reply in flight) returns (math.MaxInt64 = sched.Never, true).
-// The event engine uses it to park the core on its calendar wheel and jump
-// over runs of no-op cycles while every warp waits on results. The cycle
+// NextWake returns the earliest cycle at which the core's state can change
+// on its own: now+1 when the core may make progress — or must record
+// statistics that depend on downstream state — on the very next tick, a
+// later cycle when it provably cannot before then, and sched.Never when it
+// can never act again on its own (drained, or waiting only on a reply in
+// flight). The event engine runs the core on that cycle and jumps over the
+// no-op cycles before it while every warp waits on results. A later cycle
 // is the earliest of an L1I fill landing (the lanes' head), a parked warp's
 // data hazard clearing (the sets' wake), the last result once every warp
 // has issued its last instruction (the core drains), and the heavy pipe
 // freeing under a replayed str-ALU stall; it can lie any distance ahead.
 //
 // The contract is one-sided: answering earlier than the true wake is
-// always safe (a core woken early observes no event and reschedules —
-// which is what happens to a wake the wheel clamps to its horizon),
+// always safe (a core woken early observes no event and answers again),
 // answering later never is. The memory side answers the same question in
 // its own clocks (icnt.Network, l2.Bank and dram.Channel NextWake).
-func (c *Core) NextWake() (int64, bool) {
+func (c *Core) NextWake() int64 {
 	if c.done {
 		// A drained core ticks as a no-op and keeps no statistics.
-		return math.MaxInt64, true
+		return sched.Never
 	}
+	next := c.now + 1
 	// Any queued work can progress (or must keep recording occupancy and
 	// stall attribution that depends on downstream state) every cycle.
 	if c.issueDirty || !c.respFIFO.Empty() || !c.memQ.Empty() ||
 		!c.missQ.Empty() || !c.iMissQ.Empty() {
-		return 0, false
+		return next
 	}
 	// The fetch stage must be parked: either no warp has i-buffer space,
 	// or every eligible warp is blocked on an in-flight L1I fill (in
 	// which case fetchTick only rotates its round-robin pointer, a
 	// rotation SkipTo replays in bulk).
 	if c.fetchable != 0 && !c.fetchParkedNow() {
-		return 0, false
+		return next
 	}
-	wake := min(c.pending.next, c.blockedMem.wake, c.blockedALU.wake) // math.MaxInt64 with none
+	wake := min(c.pending.next, c.blockedMem.wake, c.blockedALU.wake) // math.MaxInt64 = sched.Never with none
 	if c.aliveCount == 0 && c.lastReady > c.now {
 		wake = min(wake, c.lastReady) // checkDone waits for it
 	}
 	if c.lastStall == StallStrALU {
 		if c.heavyBusyUntil <= c.now {
-			return 0, false // the replay path re-scans on the next tick
+			return next // the replay path re-scans on the next tick
 		}
 		// The replayed str-ALU stall re-scans once the heavy pipe frees.
 		wake = min(wake, c.heavyBusyUntil)
 	} else if c.nBlockedHeavy > 0 {
-		return 0, false // issueTick's kept defect: any result landing may re-scan
+		return next // issueTick's kept defect: any result landing may re-scan
 	}
-	if wake == math.MaxInt64 && c.mshr.Len() == 0 && c.iPendingCount == 0 {
-		return 0, false
+	if wake == sched.Never && c.mshr.Len() == 0 && c.iPendingCount == 0 {
+		return next
 	}
-	// With nothing scheduled, queues drained and fetch parked, the
-	// only thing the core is waiting on is a reply in flight: the answer
-	// is Never, the engine parks the core off the wheel and re-schedules
-	// it the exact cycle a reply reaches its ejection port.
-	return wake, true
+	// With nothing scheduled, queues drained and fetch parked, the only
+	// thing the core is waiting on is a reply in flight: the answer is
+	// Never, and the engine schedules the core the exact cycle a reply
+	// reaches its ejection port.
+	return wake
 }
 
 // fetchParkedNow reports (memoized) whether every eligible warp's next

@@ -208,7 +208,7 @@ func (s Spec) Build() (*smcore.Workload, error) {
 			// tables, frontier bitmaps, ...), which is where inter-core
 			// L2 locality comes from.
 			if s.SharedFrac > 0 && float64(h>>40)/float64(1<<24) < s.SharedFrac {
-				buf = appendUnique(buf, (hotRegionBase+h%maxU64(sharedLines, 1))*lineBytes)
+				buf = appendUnique(buf, (hotRegionBase+h%max(sharedLines, 1))*lineBytes)
 				continue
 			}
 			switch s.Pattern {
@@ -218,14 +218,14 @@ func (s Spec) Build() (*smcore.Workload, error) {
 				lineIdx = coreBase + seq*warpStride + uint64(warpID)
 			case PatStrided:
 				hh := mix(seed, uint64(coreID), uint64(warpID), uint64(iter), uint64(instIdx))
-				lineIdx = wsRegionBase + (hh+uint64(k)*stride)%maxU64(wsLines, 1)
+				lineIdx = wsRegionBase + (hh+uint64(k)*stride)%max(wsLines, 1)
 			case PatRandomWS:
-				lineIdx = wsRegionBase + h%maxU64(wsLines, 1)
+				lineIdx = wsRegionBase + h%max(wsLines, 1)
 			case PatHotShared:
-				lineIdx = wsRegionBase + h%maxU64(wsLines, 1)
+				lineIdx = wsRegionBase + h%max(wsLines, 1)
 			case PatTiled:
-				tileBase := tileRegionBase + uint64(coreID)*maxU64(tileLines, 1)
-				lineIdx = tileBase + h%maxU64(tileLines, 1)
+				tileBase := tileRegionBase + uint64(coreID)*max(tileLines, 1)
+				lineIdx = tileBase + h%max(tileLines, 1)
 			}
 			buf = appendUnique(buf, lineIdx*lineBytes)
 		}
@@ -410,11 +410,4 @@ func appendUnique(buf []uint64, addr uint64) []uint64 {
 		}
 	}
 	return append(buf, addr)
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
