@@ -313,22 +313,16 @@ type Stats struct {
 
 // ResultCache is an optional second-level store consulted before a cell is
 // simulated and filled after a successful simulation — gpusimd plugs a
-// disk-backed cache in here so daemon restarts do not re-simulate. Get and
-// Put may be called concurrently; the scheduler guarantees at most one
-// in-flight call per cell, and never caches failed runs.
+// disk-backed cache in here so daemon restarts do not re-simulate. An
+// entry holds a run's metrics and, if the run was profiled, its bottleneck
+// profile (else nil). Profiles never affect cell identity — they are a
+// richer record of the same deterministic run — so an entry with one also
+// serves unprofiled requests, while one without is only a metrics hit.
+// Lookup and Fill may be called concurrently; the scheduler makes at most
+// one call at a time per cell and kind of run, and never caches failed runs.
 type ResultCache interface {
-	Get(j Job) (core.Metrics, bool)
-	Put(j Job, m core.Metrics)
-}
-
-// ProfileCache is the optional extension a ResultCache may implement to
-// store bottleneck profiles alongside metrics. Profiles never affect
-// cell identity — they are a richer record of the same deterministic
-// run — so a cache entry with a profile also serves unprofiled requests,
-// while an entry without one is only a metrics hit.
-type ProfileCache interface {
-	GetProfile(j Job) (core.Metrics, *obsv.Profile, bool)
-	PutProfile(j Job, m core.Metrics, p *obsv.Profile)
+	Lookup(j Job) (core.Metrics, *obsv.Profile, bool)
+	Fill(j Job, m core.Metrics, p *obsv.Profile)
 }
 
 // Cache tiers reported by RunResult.Tier: which layer served the cell.
@@ -347,20 +341,42 @@ type RunResult struct {
 	Tier    string
 }
 
-// cell is one memoized simulation result. done is closed once m and err
-// are valid, so concurrent requesters of the same cell wait instead of
-// re-simulating. prof/profErr/profDone manage the profile upgrade of a
-// cell first computed without one (all three guarded by Scheduler.mu):
-// the first profiled requester re-runs the deterministic simulation with
-// the profiler attached, later ones wait on profDone.
+// cell is one memoized run. done is closed once m, prof and err are
+// valid, so concurrent requesters of the same run wait instead of
+// re-simulating; prof is set when the run carried the profiler.
 type cell struct {
 	done chan struct{}
 	m    core.Metrics
+	prof *obsv.Profile
 	err  error
+}
 
-	prof     *obsv.Profile
-	profErr  error
-	profDone chan struct{}
+// memo is one cell's memo entry, guarded by Scheduler.mu: the run made for
+// unprofiled requests and the run made for profiled ones, nil until asked
+// for. The simulation is deterministic, so both hold the same metrics.
+type memo struct {
+	plain, profiled *cell
+}
+
+// run picks the run that answers a request and says whether the caller is
+// the one to make it. A profiled run answers either kind, but an
+// unprofiled request prefers the plain run when there is one, so it never
+// waits behind a profile re-run; a profiled request that finds no profiled
+// run owns a new one — backfilling a profile is just another run.
+func (e *memo) run(profile bool) (c *cell, owner bool) {
+	switch {
+	case !profile && e.plain != nil:
+		return e.plain, false
+	case e.profiled != nil:
+		return e.profiled, false
+	}
+	c = &cell{done: make(chan struct{})}
+	if profile {
+		e.profiled = c
+	} else {
+		e.plain = c
+	}
+	return c, true
 }
 
 // Scheduler is the experiment engine: it expands figure/table requests
@@ -373,9 +389,8 @@ type Scheduler struct {
 	progress  io.Writer
 	progMu    sync.Mutex
 	mu        sync.Mutex
-	cells     map[cellKey]*cell
+	cells     map[cellKey]*memo
 	results   ResultCache
-	profiles  ProfileCache // results, when it also stores profiles
 	simulated atomic.Int64
 	hits      atomic.Int64
 	diskHits  atomic.Int64
@@ -408,10 +423,7 @@ func ValidateWorkers(n int) error {
 // WithResultCache attaches a second-level result store (e.g. gpusimd's
 // disk cache) consulted before simulating and filled after success.
 func WithResultCache(c ResultCache) Option {
-	return func(s *Scheduler) {
-		s.results = c
-		s.profiles, _ = c.(ProfileCache)
-	}
+	return func(s *Scheduler) { s.results = c }
 }
 
 // WithProgress directs one line per completed simulation to w. Writes are
@@ -424,7 +436,7 @@ func WithProgress(w io.Writer) Option {
 func NewScheduler(opts ...Option) *Scheduler {
 	s := &Scheduler{
 		workers: runtime.GOMAXPROCS(0),
-		cells:   make(map[cellKey]*cell),
+		cells:   make(map[cellKey]*memo),
 	}
 	for _, o := range opts {
 		o(s)
@@ -486,8 +498,8 @@ func (s *Scheduler) RunJob(j Job) (core.Metrics, error) {
 // /v1/jobs/{id} needs. When profile is true the cell runs (or re-runs)
 // with the bottleneck profiler attached, and the result reports which
 // cache tier served the request. Profiling never changes cell identity or
-// metrics — a profiled and an unprofiled request share one cell, and a
-// cell first computed without a profile is deterministically re-simulated
+// metrics — a profiled and an unprofiled request share one memo entry, and
+// a cell first computed without a profile is deterministically re-simulated
 // once to backfill it (the metrics are provably identical, so only the
 // profile is new information).
 func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResult, error) {
@@ -501,122 +513,43 @@ func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResul
 	if err != nil {
 		return RunResult{}, fmt.Errorf("exp: %w", err)
 	}
-	key := j.res.key
 	s.mu.Lock()
-	c, ok := s.cells[key]
-	if ok {
-		s.mu.Unlock()
+	e := s.cells[j.res.key]
+	if e == nil {
+		e = new(memo)
+		s.cells[j.res.key] = e
+	}
+	c, owner := e.run(profile)
+	s.mu.Unlock()
+	if !owner {
 		select {
 		case <-c.done:
 			s.hits.Add(1)
-			if c.err != nil {
-				return RunResult{Metrics: c.m, Tier: TierMemo}, c.err
-			}
-			s.mu.Lock()
-			prof := c.prof
-			s.mu.Unlock()
-			if !profile || prof != nil {
-				return RunResult{Metrics: c.m, Profile: prof, Tier: TierMemo}, nil
-			}
-			return s.upgradeProfile(ctx, j, c)
-		case <-ctx.Done():
-			return RunResult{}, ctx.Err()
-		}
-	}
-	c = &cell{done: make(chan struct{})}
-	s.cells[key] = c
-	s.mu.Unlock()
-
-	if m, p, ok := s.cached(j, profile); ok {
-		c.m = m
-		s.mu.Lock()
-		c.prof = p
-		s.mu.Unlock()
-		close(c.done)
-		return RunResult{Metrics: m, Profile: p, Tier: TierDisk}, nil
-	}
-	var p *obsv.Profile
-	c.m, p, c.err = s.simulate(j, profile)
-	if c.err == nil && s.results != nil {
-		if p != nil && s.profiles != nil {
-			s.profiles.PutProfile(j, c.m, p)
-		} else {
-			s.results.Put(j, c.m)
-		}
-	}
-	s.mu.Lock()
-	c.prof = p
-	s.mu.Unlock()
-	close(c.done)
-	return RunResult{Metrics: c.m, Profile: p, Tier: TierSimulated}, c.err
-}
-
-// upgradeProfile backfills the profile of a memoized cell first computed
-// without one: the first profiled requester consults the disk cache and
-// otherwise re-runs the deterministic simulation with the profiler
-// attached; concurrent profiled requesters wait on the same upgrade.
-func (s *Scheduler) upgradeProfile(ctx context.Context, j Job, c *cell) (RunResult, error) {
-	s.mu.Lock()
-	if c.prof != nil {
-		prof := c.prof
-		s.mu.Unlock()
-		return RunResult{Metrics: c.m, Profile: prof, Tier: TierMemo}, nil
-	}
-	owner := c.profDone == nil
-	if owner {
-		c.profDone = make(chan struct{})
-	}
-	ch := c.profDone
-	s.mu.Unlock()
-
-	if !owner {
-		select {
-		case <-ch:
-			s.mu.Lock()
-			prof, err := c.prof, c.profErr
-			s.mu.Unlock()
-			return RunResult{Metrics: c.m, Profile: prof, Tier: TierMemo}, err
+			return RunResult{Metrics: c.m, Profile: c.prof, Tier: TierMemo}, c.err
 		case <-ctx.Done():
 			return RunResult{}, ctx.Err()
 		}
 	}
 
-	tier := TierDisk
-	_, p, ok := s.cached(j, true)
-	var err error
-	if !ok {
-		tier = TierSimulated
-		_, p, err = s.simulate(j, true)
-		if err == nil && s.profiles != nil {
-			s.profiles.PutProfile(j, c.m, p)
-		}
-	}
-	s.mu.Lock()
-	c.prof, c.profErr = p, err
-	s.mu.Unlock()
-	close(ch)
-	return RunResult{Metrics: c.m, Profile: p, Tier: tier}, err
-}
-
-// cached consults the second-level result cache, counting a hit. A
-// profiled request is only a hit when the entry already carries a
-// profile; metrics-only entries still need the profiled re-simulation.
-func (s *Scheduler) cached(j Job, profile bool) (core.Metrics, *obsv.Profile, bool) {
-	var m core.Metrics
-	var p *obsv.Profile
-	ok := false
-	switch {
-	case s.results == nil:
-	case !profile:
-		m, ok = s.results.Get(j)
-	case s.profiles != nil:
-		m, p, ok = s.profiles.GetProfile(j)
-		ok = ok && p != nil
+	// The miss path every run takes: the store, else simulate and fill the
+	// store. A profiled request hits only an entry that carries a profile;
+	// a metrics-only entry still needs the profiled re-simulation.
+	tier, ok := TierDisk, false
+	if s.results != nil {
+		c.m, c.prof, ok = s.results.Lookup(j)
+		ok = ok && (!profile || c.prof != nil)
 	}
 	if ok {
 		s.diskHits.Add(1)
+	} else {
+		tier = TierSimulated
+		c.m, c.prof, c.err = s.simulate(j, profile)
+		if c.err == nil && s.results != nil {
+			s.results.Fill(j, c.m, c.prof)
+		}
 	}
-	return m, p, ok
+	close(c.done)
+	return RunResult{Metrics: c.m, Profile: c.prof, Tier: tier}, c.err
 }
 
 // simulate runs one resolved cell for real. Building the workload goes

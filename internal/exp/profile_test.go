@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpumembw/internal/config"
+	"gpumembw/internal/core"
+	"gpumembw/internal/obsv"
 )
 
 // profileBytes runs one profiled cell on a fresh scheduler and returns
@@ -121,5 +125,105 @@ func TestConcurrentProfiledRequestsShareOneUpgrade(t *testing.T) {
 	}
 	if got := s.Stats().Simulated - base; got != 1 {
 		t.Fatalf("profile upgrade simulated %d times, want 1 (waiters must share)", got)
+	}
+}
+
+// gatedCache is a ResultCache whose second Lookup parks until release is
+// closed: the first lookup is the plain run's, the second the profile
+// re-run's, so a test can hold that re-run in flight.
+type gatedCache struct {
+	*memCache
+	lookups         atomic.Int32
+	parked, release chan struct{}
+}
+
+func (c *gatedCache) Lookup(j Job) (core.Metrics, *obsv.Profile, bool) {
+	if c.lookups.Add(1) == 2 {
+		close(c.parked)
+		<-c.release
+	}
+	return c.memCache.Lookup(j)
+}
+
+// TestUnprofiledRequestDoesNotWaitBehindProfileRerun: while a profile
+// re-run of an already memoized cell is in flight, an unprofiled request is
+// a memo hit on the plain run, at once; a second profiled request joins the
+// re-run instead of starting another.
+func TestUnprofiledRequestDoesNotWaitBehindProfileRerun(t *testing.T) {
+	cache := &gatedCache{memCache: newMemCache(), parked: make(chan struct{}), release: make(chan struct{})}
+	s := NewScheduler(WithResultCache(cache))
+	job := BenchJob(config.Baseline(), "leukocyte")
+	plain, err := s.RunJobEx(context.Background(), job, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make(chan RunResult, 2)
+	profiled := func() {
+		res, err := s.RunJobEx(context.Background(), job, true)
+		if err != nil {
+			t.Error(err)
+		}
+		results <- res
+	}
+	go profiled()
+	<-cache.parked // the re-run owns the profiled slot and is held in its store lookup
+
+	got := make(chan RunResult, 1)
+	go func() {
+		res, err := s.RunJobEx(context.Background(), job, false)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- res
+	}()
+	select {
+	case res := <-got:
+		if res.Tier != TierMemo || res.Metrics.Cycles != plain.Metrics.Cycles {
+			t.Fatalf("unprofiled request during the re-run: tier %q, %d cycles; want a memo hit on the plain run's %d",
+				res.Tier, res.Metrics.Cycles, plain.Metrics.Cycles)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("unprofiled request waited behind the profile re-run")
+	}
+
+	go profiled()
+	close(cache.release)
+	tiers := map[string]int{}
+	for range 2 {
+		res := <-results
+		if res.Profile == nil {
+			t.Fatal("profiled request returned no profile")
+		}
+		tiers[res.Tier]++
+	}
+	if tiers[TierSimulated] != 1 || tiers[TierMemo] != 1 {
+		t.Fatalf("profiled tiers = %v, want one simulated (the owner) and one memo (the joiner)", tiers)
+	}
+	if st := s.Stats(); st.Simulated != 2 || cache.lookups.Load() != 2 {
+		t.Fatalf("stats = %+v with %d store lookups, want 2 simulations (plain, profiled) and 2 lookups", st, cache.lookups.Load())
+	}
+}
+
+// TestResultCacheCarriesProfiles: a profiled run's store entry serves both
+// kinds of request on a fresh scheduler, while a metrics-only entry is a
+// hit for an unprofiled request only.
+func TestResultCacheCarriesProfiles(t *testing.T) {
+	job := BenchJob(config.Baseline(), "leukocyte")
+	for _, first := range []bool{false, true} {
+		cache := newMemCache()
+		if _, err := NewScheduler(WithResultCache(cache)).RunJobEx(context.Background(), job, first); err != nil {
+			t.Fatal(err)
+		}
+		s := NewScheduler(WithResultCache(cache))
+		plain, err := s.RunJobEx(context.Background(), job, false)
+		if err != nil || plain.Tier != TierDisk {
+			t.Fatalf("entry profiled=%v, unprofiled request: tier %q err %v, want a store hit", first, plain.Tier, err)
+		}
+		prof, err := NewScheduler(WithResultCache(cache)).RunJobEx(context.Background(), job, true)
+		want := map[bool]string{false: TierSimulated, true: TierDisk}[first]
+		if err != nil || prof.Tier != want || prof.Profile == nil {
+			t.Fatalf("entry profiled=%v, profiled request: tier %q profile %v err %v, want tier %q with a profile",
+				first, prof.Tier, prof.Profile != nil, err, want)
+		}
 	}
 }

@@ -24,12 +24,12 @@ func seededScheduler() *Scheduler {
 	done := make(chan struct{})
 	close(done)
 	for _, j := range JobsFor(nil) {
-		s.cells[j.res.key] = &cell{done: done, m: core.Metrics{
+		s.cells[j.res.key] = &memo{plain: &cell{done: done, m: core.Metrics{
 			Cycles: 1000, Instructions: 2000, IPC: 2, PerfIPS: 2.8e9,
 			IssueStalls: stats.NewBreakdown("a", "b"),
 			L1Stalls:    stats.NewBreakdown("a", "b"),
 			L2Stalls:    stats.NewBreakdown("a", "b"),
-		}}
+		}}}
 	}
 	return s
 }

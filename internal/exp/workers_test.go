@@ -11,6 +11,7 @@ import (
 
 	"gpumembw/internal/config"
 	"gpumembw/internal/core"
+	"gpumembw/internal/obsv"
 )
 
 func TestWithWorkersBoundaryValues(t *testing.T) {
@@ -70,7 +71,7 @@ func TestRunContextStopsWaitingOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.cells[j.res.key] = &cell{done: make(chan struct{})}
+	s.cells[j.res.key] = &memo{plain: &cell{done: make(chan struct{})}}
 	s.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -94,23 +95,28 @@ func TestRunContextStopsWaitingOnCancel(t *testing.T) {
 // disk cache.
 type memCache struct {
 	mu   sync.Mutex
-	m    map[string]core.Metrics
+	m    map[string]memEntry
 	puts int
 }
 
-func newMemCache() *memCache { return &memCache{m: make(map[string]core.Metrics)} }
-
-func (c *memCache) Get(j Job) (core.Metrics, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.m[j.CellID()]
-	return m, ok
+type memEntry struct {
+	m core.Metrics
+	p *obsv.Profile
 }
 
-func (c *memCache) Put(j Job, m core.Metrics) {
+func newMemCache() *memCache { return &memCache{m: make(map[string]memEntry)} }
+
+func (c *memCache) Lookup(j Job) (core.Metrics, *obsv.Profile, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.m[j.CellID()] = m
+	e, ok := c.m[j.CellID()]
+	return e.m, e.p, ok
+}
+
+func (c *memCache) Fill(j Job, m core.Metrics, p *obsv.Profile) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m[j.CellID()] = memEntry{m, p}
 	c.puts++
 }
 

@@ -1,16 +1,17 @@
 package server
 
 import (
-	"bufio"
+	"cmp"
 	"container/list"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
 	"gpumembw/internal/core"
 	"gpumembw/internal/exp"
@@ -20,14 +21,6 @@ import (
 // cacheSchema versions the on-disk entry layout; entries written by an
 // incompatible daemon are ignored (and overwritten on the next Put).
 const cacheSchema = 1
-
-// journalName is the access-order journal kept next to the spill files:
-// one cell ID per line, most recent last. Replayed at startup so LRU
-// recency survives restarts; compacted when it grows past
-// journalCompactFactor times the entry count.
-const journalName = "lru.journal"
-
-const journalCompactFactor = 8
 
 // cacheEntry is one persisted simulation result. Like the scheduler's
 // memo cache, the stored metrics carry the config label of whichever job
@@ -69,30 +62,31 @@ type cacheRecord struct {
 // previously simulated cells without re-simulating. It implements
 // exp.ResultCache; I/O failures degrade to cache misses, reported once
 // per operation on errlog. Pointing several workers at one directory on
-// a shared volume gives a whole cluster a single cache namespace (entry
-// writes are atomic temp-file + rename, so concurrent writers are safe;
-// the recency journal is advisory and per-process).
+// a shared volume gives a whole cluster a single cache namespace: entry
+// writes are atomic temp-file + rename, so concurrent writers are safe,
+// and an entry a peer wrote is adopted into this cache's accounting by
+// the first hit on it.
 //
 // When maxBytes > 0 the cache is bounded: entry sizes are accounted on
 // write and the least-recently-used entries are evicted until the total
-// fits. Recency is persisted in an append-only journal so a restart
-// evicts the same cold entries a long-lived daemon would. Eviction never
-// changes results — an evicted cell re-simulates to the byte-identical
-// payload (the determinism gate's promise) — it only costs time. The
-// bound is honored down to a floor of one entry: a single entry larger
-// than maxBytes is kept, because serving one cell beats serving none.
+// fits. Recency is persisted in the entries' own mtimes — every write and
+// every hit stamps the file — so a restart evicts the same cold entries a
+// long-lived daemon would, and daemons sharing a directory boot into one
+// order. Eviction never changes results — an evicted cell re-simulates to
+// the byte-identical payload (the determinism gate's promise) — it only
+// costs time. The bound is honored down to a floor of one entry: a single
+// entry larger than maxBytes is kept, because serving one cell beats
+// serving none.
 type DirCache struct {
 	dir      string
 	errlog   io.Writer
 	maxBytes int64
 
-	mu           sync.Mutex
-	entries      map[string]*list.Element // cell ID -> *cacheRecord element
-	lru          *list.List               // front = most recently used
-	bytes        int64
-	evictions    int64
-	journal      *os.File
-	journalLines int
+	mu        sync.Mutex
+	entries   map[string]*list.Element // cell ID -> *cacheRecord element
+	lru       *list.List               // front = most recently used
+	bytes     int64
+	evictions int64
 }
 
 // NewDirCache opens the spill directory rooted at dir. errlog, when
@@ -117,17 +111,18 @@ func NewDirCache(dir string, maxBytes int64, errlog io.Writer) (*DirCache, error
 	return c, nil
 }
 
-// load scans the spill directory, orders entries oldest-first by mtime,
-// then replays the access journal to recover true recency, evicts down
-// to the bound, and compacts the journal.
+// load scans the spill directory, orders entries oldest-first by mtime —
+// ties (a filesystem with coarse timestamps) by cell ID, so the order is
+// at least the same on every boot — and evicts down to the bound.
 func (c *DirCache) load() error {
 	dirents, err := os.ReadDir(c.dir)
 	if err != nil {
 		return fmt.Errorf("server: read cache dir: %w", err)
 	}
 	type stat struct {
-		rec cacheRecord
-		mod int64
+		id   string
+		size int64
+		mod  time.Time
 	}
 	var stats []stat
 	for _, e := range dirents {
@@ -139,105 +134,44 @@ func (c *DirCache) load() error {
 			c.warnf("cache stat %s: %v", e.Name(), err)
 			continue
 		}
-		stats = append(stats, stat{
-			rec: cacheRecord{id: strings.TrimSuffix(e.Name(), ".json"), size: info.Size()},
-			mod: info.ModTime().UnixNano(),
-		})
+		stats = append(stats, stat{strings.TrimSuffix(e.Name(), ".json"), info.Size(), info.ModTime()})
 	}
-	sort.Slice(stats, func(i, j int) bool { return stats[i].mod < stats[j].mod })
+	slices.SortFunc(stats, func(a, b stat) int {
+		return cmp.Or(a.mod.Compare(b.mod), cmp.Compare(a.id, b.id))
+	})
 	for _, st := range stats {
-		rec := st.rec
-		c.entries[rec.id] = c.lru.PushFront(&rec)
-		c.bytes += rec.size
-	}
-
-	// Replay the journal: each line promotes its cell to most-recent.
-	// Unknown IDs (entries later evicted or removed) are skipped.
-	jpath := filepath.Join(c.dir, journalName)
-	if f, err := os.Open(jpath); err == nil {
-		scanner := bufio.NewScanner(f)
-		for scanner.Scan() {
-			if el, ok := c.entries[strings.TrimSpace(scanner.Text())]; ok {
-				c.lru.MoveToFront(el)
-			}
-		}
-		if err := scanner.Err(); err != nil {
-			c.warnf("cache journal read: %v", err)
-		}
-		f.Close()
-	} else if !os.IsNotExist(err) {
-		c.warnf("cache journal open: %v", err)
-	}
-
-	c.evictLocked()
-	if err := c.compactJournalLocked(); err != nil {
-		return err
+		c.accountLocked(st.id, st.size)
 	}
 	return nil
 }
 
-// compactJournalLocked rewrites the journal as the current LRU order
-// (oldest first) and reopens it for appending. Callers hold c.mu (or own
-// the cache exclusively during load).
-func (c *DirCache) compactJournalLocked() error {
-	if c.journal != nil {
-		c.journal.Close()
-		c.journal = nil
-	}
-	jpath := filepath.Join(c.dir, journalName)
-	tmp, err := os.CreateTemp(c.dir, "journal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("server: cache journal: %w", err)
-	}
-	w := bufio.NewWriter(tmp)
-	lines := 0
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
-		fmt.Fprintln(w, el.Value.(*cacheRecord).id)
-		lines++
-	}
-	if err := w.Flush(); err == nil {
-		err = tmp.Close()
-		if err == nil {
-			err = os.Rename(tmp.Name(), jpath)
-		}
-	}
-	if err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("server: cache journal: %w", err)
-	}
-	f, err := os.OpenFile(jpath, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("server: cache journal: %w", err)
-	}
-	c.journal = f
-	c.journalLines = lines
-	return nil
-}
-
-// touchLocked promotes id to most-recent and records the access in the
-// journal, compacting when the journal outgrows the entry count.
-func (c *DirCache) touchLocked(id string, el *list.Element) {
-	c.lru.MoveToFront(el)
-	if c.journal != nil {
-		if _, err := fmt.Fprintln(c.journal, id); err != nil {
-			c.warnf("cache journal append: %v", err)
-		}
-		c.journalLines++
-		if c.journalLines > journalCompactFactor*max(c.lru.Len(), 128) {
-			if err := c.compactJournalLocked(); err != nil {
-				c.warnf("%v", err)
-			}
-		}
+// stamp records a use of id's entry where load reads recency: the file's
+// mtime, set explicitly because the kernel's own write stamps tie within
+// a clock tick. Called outside c.mu; an entry evicted meanwhile (by this
+// cache or a peer on the directory) has no recency left to record.
+func (c *DirCache) stamp(id string) {
+	now := time.Now()
+	if err := os.Chtimes(filepath.Join(c.dir, id+".json"), now, now); err != nil && !os.IsNotExist(err) {
+		c.warnf("cache touch %s: %v", id, err)
 	}
 }
 
-// evictLocked removes least-recently-used entries until the cache fits
-// its bound, keeping at least one entry. Callers hold c.mu.
-func (c *DirCache) evictLocked() {
-	if c.maxBytes == 0 {
-		return
+// accountLocked makes id, size bytes on disk, the most recently used
+// entry — known (a rewrite or a hit) or new (a first write, an entry
+// found at boot, or one a peer wrote) — and evicts least-recently-used
+// entries until the cache fits its bound, keeping at least one. Callers
+// hold c.mu (or own the cache exclusively during load).
+func (c *DirCache) accountLocked(id string, size int64) {
+	if el, ok := c.entries[id]; ok {
+		rec := el.Value.(*cacheRecord)
+		c.bytes += size - rec.size
+		rec.size = size
+		c.lru.MoveToFront(el)
+	} else {
+		c.entries[id] = c.lru.PushFront(&cacheRecord{id: id, size: size})
+		c.bytes += size
 	}
-	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
+	for c.maxBytes > 0 && c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		el := c.lru.Back()
 		rec := el.Value.(*cacheRecord)
 		if err := os.Remove(filepath.Join(c.dir, rec.id+".json")); err != nil && !os.IsNotExist(err) {
@@ -256,65 +190,49 @@ func (c *DirCache) warnf(format string, args ...any) {
 	}
 }
 
-// Get implements exp.ResultCache. Corrupt, truncated, zero-byte or
-// stale-versioned spill files are misses — the cell re-simulates and the
-// next Put overwrites the damage — never errors or poisoned results.
+// Get is Lookup for a caller that wants only the metrics.
 func (c *DirCache) Get(j exp.Job) (core.Metrics, bool) {
-	e, ok := c.read(j)
-	return e.Metrics, ok
+	m, _, ok := c.Lookup(j)
+	return m, ok
 }
 
-// GetProfile implements exp.ProfileCache: a hit whose entry was written
-// by an unprofiled run returns a nil profile — the scheduler treats that
-// as "metrics only" and re-simulates with the profiler attached.
-func (c *DirCache) GetProfile(j exp.Job) (core.Metrics, *obsv.Profile, bool) {
-	e, ok := c.read(j)
-	return e.Metrics, e.Profile, ok
-}
+// Put is Fill for an unprofiled run.
+func (c *DirCache) Put(j exp.Job, m core.Metrics) { c.Fill(j, m, nil) }
 
-// read loads and validates one spill entry, touching its LRU recency.
-func (c *DirCache) read(j exp.Job) (cacheEntry, bool) {
+// Lookup implements exp.ResultCache. A hit on an entry an unprofiled run
+// wrote returns a nil profile. Corrupt, truncated, zero-byte or
+// stale-versioned spill files are misses — the cell re-simulates and the
+// next Fill overwrites the damage — never errors or poisoned results.
+func (c *DirCache) Lookup(j exp.Job) (core.Metrics, *obsv.Profile, bool) {
 	id := j.CellID()
 	data, err := os.ReadFile(filepath.Join(c.dir, id+".json"))
 	if err != nil {
 		if !os.IsNotExist(err) {
 			c.warnf("cache read %s: %v", id, err)
 		}
-		return cacheEntry{}, false
+		return core.Metrics{}, nil, false
 	}
 	var e cacheEntry
 	if err := json.Unmarshal(data, &e); err != nil || e.Schema != cacheSchema {
 		c.warnf("cache entry %s ignored (schema %d, err %v)", id, e.Schema, err)
-		return cacheEntry{}, false
+		return core.Metrics{}, nil, false
 	}
 	if e.SimVersion != core.SimVersion {
 		c.warnf("cache entry %s ignored (simulator %q, running %q)", id, e.SimVersion, core.SimVersion)
-		return cacheEntry{}, false
+		return core.Metrics{}, nil, false
 	}
+	c.stamp(id)
 	c.mu.Lock()
-	if el, ok := c.entries[id]; ok {
-		c.touchLocked(id, el)
-	}
+	c.accountLocked(id, int64(len(data)))
 	c.mu.Unlock()
-	return e, true
+	return e.Metrics, e.Profile, true
 }
 
-// Put implements exp.ResultCache. The write is atomic (temp file +
-// rename) so a crashed daemon never leaves a truncated entry behind;
-// size accounting and LRU eviction run under the cache lock after the
-// rename lands.
-func (c *DirCache) Put(j exp.Job, m core.Metrics) {
-	c.write(j, m, nil)
-}
-
-// PutProfile implements exp.ProfileCache: the entry carries the profile
-// alongside the metrics, so a later disk hit returns both. Profiles are
-// cache-tier artifacts — a disk-hit job returns the cached profile.
-func (c *DirCache) PutProfile(j exp.Job, m core.Metrics, p *obsv.Profile) {
-	c.write(j, m, p)
-}
-
-func (c *DirCache) write(j exp.Job, m core.Metrics, p *obsv.Profile) {
+// Fill implements exp.ResultCache; p is nil for an unprofiled run. The
+// write is atomic (temp file + rename) so a crashed daemon never leaves a
+// truncated entry behind; size accounting and LRU eviction run under the
+// cache lock after the rename lands.
+func (c *DirCache) Fill(j exp.Job, m core.Metrics, p *obsv.Profile) {
 	id := j.CellID()
 	data, err := json.Marshal(cacheEntry{
 		Schema:     cacheSchema,
@@ -346,23 +264,9 @@ func (c *DirCache) write(j exp.Job, m core.Metrics, p *obsv.Profile) {
 		c.warnf("cache rename %s: %v", path, err)
 		return
 	}
-	size := int64(len(data))
+	c.stamp(id)
 	c.mu.Lock()
-	if el, ok := c.entries[id]; ok {
-		rec := el.Value.(*cacheRecord)
-		c.bytes += size - rec.size
-		rec.size = size
-		c.touchLocked(id, el)
-	} else {
-		rec := &cacheRecord{id: id, size: size}
-		c.entries[id] = c.lru.PushFront(rec)
-		c.bytes += size
-		if c.journal != nil {
-			fmt.Fprintln(c.journal, id) //nolint:errcheck // advisory recency hint
-			c.journalLines++
-		}
-	}
-	c.evictLocked()
+	c.accountLocked(id, int64(len(data)))
 	c.mu.Unlock()
 }
 
@@ -378,14 +282,6 @@ func (c *DirCache) Stats() CacheStats {
 	}
 }
 
-// Close releases the journal handle (tests; the daemon holds it for life).
-func (c *DirCache) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.journal == nil {
-		return nil
-	}
-	err := c.journal.Close()
-	c.journal = nil
-	return err
-}
+// Close is a no-op: the cache holds no handle between calls. The perf
+// ledger's disk-cache probe (benchmark/probes.go) calls it.
+func (c *DirCache) Close() error { return nil }

@@ -97,43 +97,129 @@ func TestDiskCacheKeepsOneOversizedEntry(t *testing.T) {
 	}
 }
 
-// TestDiskCacheJournalPersistsRecency proves LRU order survives a
-// restart: recency comes from the replayed journal, not file mtimes.
-func TestDiskCacheJournalPersistsRecency(t *testing.T) {
+// survivorsAfterRestart reports which of dir's entries 0, 1 and 2 a boot
+// bounded to two entries keeps.
+func survivorsAfterRestart(t *testing.T, dir string) (kept [3]bool) {
+	t.Helper()
 	size := entrySize(t)
-	dir := t.TempDir()
-	cache, err := NewDirCache(dir, 0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache.Put(tinyJob(0), core.Metrics{Cycles: 10})
-	cache.Put(tinyJob(1), core.Metrics{Cycles: 11})
-	cache.Put(tinyJob(2), core.Metrics{Cycles: 12})
-	// Promote 0 past 1 and 2. By mtime alone, 0 would be the oldest.
-	if _, ok := cache.Get(tinyJob(0)); !ok {
-		t.Fatal("entry 0 missed")
-	}
-	if err := cache.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with room for only two entries: the bound must evict entry
-	// 1 — the least recently used per the journal — not entry 0.
 	reopened, err := NewDirCache(dir, 2*size+size/2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer reopened.Close()
 	if n := reopened.Stats().Evictions; n != 1 {
 		t.Fatalf("evictions at load = %d, want 1", n)
 	}
-	if _, ok := reopened.Get(tinyJob(1)); ok {
-		t.Fatal("journal ignored: LRU entry 1 survived the bound")
+	for i := range kept {
+		_, kept[i] = reopened.Get(tinyJob(i))
 	}
-	for _, i := range []int{0, 2} {
-		if _, ok := reopened.Get(tinyJob(i)); !ok {
-			t.Fatalf("entry %d lost across restart", i)
+	return kept
+}
+
+// putThree writes entries 0, 1 and 2 through cache, oldest first.
+func putThree(cache *DirCache) {
+	for i := range 3 {
+		cache.Put(tinyJob(i), core.Metrics{Cycles: int64(10 + i)})
+	}
+}
+
+// wantKept is what a restart bounded to two entries must keep after entry
+// p of {0, 1, 2} (written in that order) was used last: p and the younger
+// of the other two. Each p in turn, so no directory order passes all three.
+func wantKept(p int) (kept [3]bool) {
+	kept[p] = true
+	kept[map[int]int{0: 2, 1: 2, 2: 1}[p]] = true
+	return kept
+}
+
+// TestDiskCacheRecencySurvivesRestart proves LRU order survives a restart,
+// whether an entry was last used by a hit or by a rewrite, and that writes
+// alone order the entries they made.
+func TestDiskCacheRecencySurvivesRestart(t *testing.T) {
+	for _, via := range []string{"Get", "Put"} {
+		for p := range 3 {
+			dir := t.TempDir()
+			cache, err := NewDirCache(dir, 0, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			putThree(cache)
+			if via == "Put" {
+				cache.Put(tinyJob(p), core.Metrics{Cycles: int64(10 + p)})
+			} else if _, ok := cache.Get(tinyJob(p)); !ok {
+				t.Fatalf("entry %d missed", p)
+			}
+			if got, want := survivorsAfterRestart(t, dir), wantKept(p); got != want {
+				t.Errorf("entry %d promoted by %s: restart kept %v, want %v", p, via, got, want)
+			}
 		}
+	}
+}
+
+// TestDiskCacheSharedDirRecency is the two-daemon form: caches A and B
+// hold one directory open, A uses an entry, and the next bounded boot on
+// that directory keeps it — recency lives in the directory, not in either
+// process.
+func TestDiskCacheSharedDirRecency(t *testing.T) {
+	for p := range 3 {
+		dir := t.TempDir()
+		a, err := NewDirCache(dir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		putThree(a)
+		b, err := NewDirCache(dir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := a.Get(tinyJob(p)); !ok {
+			t.Fatalf("entry %d missed", p)
+		}
+		if err := a.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := survivorsAfterRestart(t, dir), wantKept(p); got != want {
+			t.Errorf("entry %d promoted by A beside B: restart kept %v, want %v", p, got, want)
+		}
+	}
+}
+
+// TestDiskCacheAdoptsPeerEntries: on a shared directory a hit on an entry
+// a peer wrote enters this cache's accounting, so its bound sees the
+// bytes it serves and evicts by its own recency.
+func TestDiskCacheAdoptsPeerEntries(t *testing.T) {
+	size := entrySize(t)
+	dir := t.TempDir()
+	a, err := NewDirCache(dir, 2*size+size/2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewDirCache(dir, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Put(tinyJob(0), core.Metrics{Cycles: 10})
+	if m, ok := a.Get(tinyJob(0)); !ok || m.Cycles != 10 {
+		t.Fatalf("peer-written entry: %+v, %v; want a hit", m, ok)
+	}
+	if st := a.Stats(); st.Entries != 1 || st.Bytes != b.Stats().Bytes {
+		t.Fatalf("after a hit on a peer's entry A accounts %+v, want its 1 entry of %d bytes", st, b.Stats().Bytes)
+	}
+	// Two more adopted entries take A over its bound: the first one, least
+	// recently used, goes — and B finding its file gone is a plain miss.
+	for i := 1; i < 3; i++ {
+		b.Put(tinyJob(i), core.Metrics{Cycles: int64(10 + i)})
+		if _, ok := a.Get(tinyJob(i)); !ok {
+			t.Fatalf("peer-written entry %d missed", i)
+		}
+	}
+	if st := a.Stats(); st.Entries != 2 || st.Evictions != 1 || st.Bytes > st.MaxBytes {
+		t.Fatalf("A over its bound after adopting three entries: %+v", st)
+	}
+	if _, ok := b.Get(tinyJob(0)); ok {
+		t.Fatal("entry 0 still served after A evicted it")
 	}
 }
 

@@ -176,7 +176,7 @@ type Core struct {
 
 	respFIFO *mem.Queue[*mem.Fetch]
 
-	pending lanes    // scheduled L1I fills
+	pending fills    // scheduled L1I fills
 	dueBuf  []uint64 // applyCompletions scratch
 
 	now            int64
@@ -191,7 +191,7 @@ type Core struct {
 	dense     [NumRegs]int8 // numbers the registers the program writes, ≈ 30 of the 64
 	lastReady int64         // latest ready-cycle written: past it no result is outstanding
 	// landAt[t&mask] == t on the cycles a register result lands, kept only to
-	// reproduce issueTick's defect; one beyond it rides the lanes as noLine.
+	// reproduce issueTick's defect; one beyond it rides the fill list as noLine.
 	landAt []int64
 	// fetchable counts warps with i-buffer space and instructions left,
 	// and fetchMask holds the same predicate as a bitset, so fetchTick
@@ -299,7 +299,7 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 		memQ:     mem.NewQueue[tx](cfg.Core.MemPipelineWidth),
 		respFIFO: mem.NewQueue[*mem.Fetch](missPath.ResponseFIFO),
 		newFetch: newFetch,
-		pending:  lanes{next: math.MaxInt64},
+		pending:  fills{next: math.MaxInt64},
 	}
 	c.iLineShift = uint(bits.TrailingZeros64(uint64(cfg.L1.LineBytes)))
 	c.codeLineBase = c.icache.LineAddr(wl.Program.PCAddr(0)) >> c.iLineShift
@@ -463,7 +463,7 @@ func (c *Core) result(delta int64) int64 {
 	if at-c.now < int64(len(c.landAt)) {
 		c.landAt[at&int64(len(c.landAt)-1)] = at
 	} else {
-		c.pending.push(c.now, at-c.now, noLine)
+		c.pending.push(at, noLine)
 	}
 	return at
 }
@@ -907,7 +907,7 @@ func (c *Core) fetchTick() {
 			lat = c.idealLat(line)
 		}
 		c.iPendingSet(line)
-		c.pending.push(c.now, max(lat, 1), line)
+		c.pending.push(c.now+max(lat, 1), line)
 		return
 	}
 	if c.iMissQ.Full() {
@@ -983,7 +983,7 @@ func (c *Core) checkDone() {
 // can never act again on its own (drained, or waiting only on a reply in
 // flight). The event engine runs the core on that cycle and jumps over the
 // no-op cycles before it while every warp waits on results. A later cycle
-// is the earliest of an L1I fill landing (the lanes' head), a parked warp's
+// is the earliest of an L1I fill landing (the fills' next), a parked warp's
 // data hazard clearing (the sets' wake), the last result once every warp
 // has issued its last instruction (the core drains), and the heavy pipe
 // freeing under a replayed str-ALU stall; it can lie any distance ahead.

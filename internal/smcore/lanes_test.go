@@ -10,13 +10,14 @@ import (
 	"gpumembw/internal/config"
 )
 
-// TestLanesDrainInScheduleOrder is the lanes' exactness property: for any
-// sequence of (cycle, latency) schedules over a handful of latencies, each
-// cycle's drain is the completions due that cycle in the order they were
-// scheduled — a reference sort by (due, schedule sequence). The latency set
-// always holds a repeated latency (two call sites, one lane) and a latency
-// of 0, which the core clamps to 1.
-func TestLanesDrainInScheduleOrder(t *testing.T) {
+// TestFillsDrainInScheduleOrder is the fill list's exactness property: for
+// any sequence of (cycle, latency) schedules, each cycle's drain is the
+// fills due that cycle in the order they were scheduled — a reference sort
+// by (due, schedule sequence) — next always names the earliest fill still
+// pending, and what a drain leaves behind keeps its schedule order. The
+// latencies hold a repeat (two call sites, one latency), the clamped 0 and
+// ones in the thousands, as the noLine overflow of Core.landAt schedules.
+func TestFillsDrainInScheduleOrder(t *testing.T) {
 	type ref struct {
 		due int64
 		seq int32
@@ -24,72 +25,72 @@ func TestLanesDrainInScheduleOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(20170424))
 	for trial := 0; trial < 50; trial++ {
 		lats := []int64{0, 1, heavyALULatency, heavyALULatency}
-		for len(lats) < 9 { // ≤ 7 distinct: 0 and 1 share the clamped lane
+		for len(lats) < 9 {
 			lats = append(lats, 1+rng.Int63n(6000))
 		}
-		cfg := smallConfig()
-		c := NewCore(0, &cfg, streamWorkload(1, 1, 1), testFetchFn())
+		fs := fills{next: math.MaxInt64}
 		var want []ref
 		var seq int32
 		var got []uint64
+		now := int64(0)
 		for busy := 400; busy > 0 || len(want) > 0; busy-- {
-			c.now++
-			if rng.Intn(8) == 0 && c.pending.next != math.MaxInt64 {
+			now++
+			if rng.Intn(8) == 0 && fs.next != math.MaxInt64 {
 				// What SkipTo does after NextWake: land one short of the
-				// earliest completion, then tick into it.
-				c.now = max(c.now, c.pending.next-rng.Int63n(3))
+				// earliest fill, then tick into it.
+				now = max(now, fs.next-rng.Int63n(3))
 			}
 			i := 0
-			for i < len(want) && want[i].due == c.now {
+			for i < len(want) && want[i].due == now {
 				i++
 			}
-			if (c.pending.next <= c.now) != (i > 0) {
-				t.Fatalf("trial %d cycle %d: next = %d with %d completions due", trial, c.now, c.pending.next, i)
+			if (fs.next <= now) != (i > 0) {
+				t.Fatalf("trial %d cycle %d: next = %d with %d fills due", trial, now, fs.next, i)
 			}
 			if i > 0 {
-				got = c.pending.drain(c.now, got[:0])
+				got = fs.drain(now, got[:0])
 				if len(got) != i {
-					t.Fatalf("trial %d cycle %d: drained %d completions, want %d", trial, c.now, len(got), i)
+					t.Fatalf("trial %d cycle %d: drained %d fills, want %d", trial, now, len(got), i)
 				}
 				for k, line := range got {
 					if line != uint64(want[k].seq) {
-						t.Fatalf("trial %d cycle %d: drain position %d is schedule #%d, want #%d", trial, c.now, k, line, want[k].seq)
+						t.Fatalf("trial %d cycle %d: drain position %d is schedule #%d, want #%d", trial, now, k, line, want[k].seq)
 					}
 				}
 				want = want[i:]
+				if !slices.IsSortedFunc(fs.evts, func(a, b fillEvt) int { return int(a.line) - int(b.line) }) {
+					t.Fatalf("trial %d cycle %d: the fills kept lost their schedule order: %v", trial, now, fs.evts)
+				}
 			}
-			if len(want) > 0 && c.pending.next != want[0].due {
-				t.Fatalf("trial %d cycle %d: next = %d, earliest pending is %d", trial, c.now, c.pending.next, want[0].due)
+			if len(want) != len(fs.evts) || len(want) > 0 && fs.next != want[0].due {
+				t.Fatalf("trial %d cycle %d: %d pending, next = %d; want %d pending, earliest %v", trial, now, len(fs.evts), fs.next, len(want), want[:min(1, len(want))])
 			}
 			for n := rng.Intn(4); n > 0 && busy > 0; n-- {
-				lat := lats[rng.Intn(len(lats))]
-				c.pending.push(c.now, max(lat, 1), uint64(seq)) // the line names the schedule
-				want = append(want, ref{c.now + max(lat, 1), seq})
+				due := now + max(lats[rng.Intn(len(lats))], 1)
+				fs.push(due, uint64(seq)) // the line names the schedule
+				want = append(want, ref{due, seq})
 				seq++
 			}
 			// Stable: equal due cycles keep their schedule sequence.
 			slices.SortStableFunc(want, func(a, b ref) int { return int(a.due - b.due) })
 		}
-		if c.pending.next != math.MaxInt64 {
-			t.Fatalf("trial %d: drained calendar still reports next = %d", trial, c.pending.next)
-		}
-		if n := len(c.pending.delta); n > 7 {
-			t.Fatalf("trial %d: %d lanes for 7 distinct latencies", trial, n)
+		if fs.next != math.MaxInt64 {
+			t.Fatalf("trial %d: drained list still reports next = %d", trial, fs.next)
 		}
 	}
 }
 
-// TestLanesMissedWakeIsLoud: draining past a due completion panics rather
-// than firing it late.
-func TestLanesMissedWakeIsLoud(t *testing.T) {
-	ls := lanes{next: math.MaxInt64}
-	ls.push(0, 5, 0)
+// TestFillsMissedWakeIsLoud: draining past a due fill panics rather than
+// landing it late.
+func TestFillsMissedWakeIsLoud(t *testing.T) {
+	fs := fills{next: math.MaxInt64}
+	fs.push(5, 0)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("drain past a due completion did not panic")
+			t.Fatal("drain past a due fill did not panic")
 		}
 	}()
-	ls.drain(7, nil)
+	fs.drain(7, nil)
 }
 
 // TestSameCycleICacheFillsKeepScheduleOrder lands a P∞ DRAM-latency fill
@@ -113,10 +114,10 @@ func TestSameCycleICacheFillsKeepScheduleOrder(t *testing.T) {
 
 	c.now = 10
 	c.iPendingSet(a)
-	c.pending.push(c.now, int64(cfg.IdealMemLatency), a)
+	c.pending.push(c.now+int64(cfg.IdealMemLatency), a)
 	c.now += int64(cfg.IdealMemLatency - cfg.IdealL2HitLatency)
 	c.iPendingSet(b)
-	c.pending.push(c.now, int64(cfg.IdealL2HitLatency), b)
+	c.pending.push(c.now+int64(cfg.IdealL2HitLatency), b)
 	c.now = 10 + int64(cfg.IdealMemLatency)
 	c.applyCompletions()
 	if c.icache.Probe(a) != cache.Valid || c.icache.Probe(b) != cache.Valid || c.iPendingCount != 0 {
