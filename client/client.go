@@ -280,7 +280,7 @@ func (c *Client) Profile(ctx context.Context, id string) (*JobProfile, error) {
 
 // Trace fetches a job's lifecycle span timeline (GET /v1/jobs/{id}/trace).
 // Unlike Profile it exists from submission on; against a coordinator the
-// timeline additionally carries the placement hop.
+// running span names the worker the job ran on.
 func (c *Client) Trace(ctx context.Context, id string) (*Trace, error) {
 	var t Trace
 	if err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/trace", nil, &t); err != nil {

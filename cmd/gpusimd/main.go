@@ -14,18 +14,22 @@
 //	gpusimd -rate-limit 50 -rate-burst 100        # per-client 429 throttle
 //	gpusimd -max-inflight-per-client 64           # per-client job quota
 //
-// Coordinator mode shards the cell space across a fleet of workers
-// instead of simulating locally — each -worker is a gpusimd base URL;
-// cells are placed by rendezvous-hashing their content-addressed IDs,
-// so the same cell lands on the same worker from any entry point:
+// Coordinator mode runs every cell on a fleet of workers instead of
+// simulating locally — each -worker is a gpusimd base URL; a cell runs on
+// the worker its content-addressed ID rendezvous-hashes to, so the same
+// cell lands on the same worker from any entry point:
 //
 //	gpusimd -worker http://10.0.0.1:8372 -worker http://10.0.0.2:8372
 //	gpusimd -worker ... -probe-interval 500ms -probe-fails 3
 //
-// The coordinator serves the identical /v1 API plus GET /v1/cluster and
-// POST /v1/cluster/drain; unhealthy workers' cells are re-submitted to
-// the survivors (the simulator is deterministic, so placement never
-// changes results).
+// A coordinator is the same daemon with a remote run step: it admits
+// (-max-queue, -rate-limit, -rate-burst and -max-inflight-per-client
+// bind at the entry point), tracks, lists and traces jobs itself, and
+// adds GET /v1/cluster and POST /v1/cluster/drain. A worker's refusal
+// delays a run instead of failing it, and an unhealthy worker's runs move
+// to the survivors (the simulator is deterministic, so placement never
+// changes results). -j, -cache-dir and -cache-max-bytes belong to the
+// workers: given with -worker they are an error.
 //
 // Operational state is scrapeable at GET /metrics (Prometheus text
 // format) and GET /v1/stats (JSON); the two reconcile exactly when the
@@ -97,11 +101,6 @@ func main() {
 	}
 	startDebugListener(*debugAddr)
 
-	if len(workerAddrs) > 0 {
-		runCoordinator(*addr, workerAddrs, *probeInterval, *probeTimeout, *probeFails, profiles, logger)
-		return
-	}
-
 	opts := server.Options{
 		Workers:              *workers,
 		MaxQueue:             *maxQueue,
@@ -116,7 +115,18 @@ func main() {
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
-	srv, err := server.New(opts)
+	var srv *server.Server
+	if len(workerAddrs) > 0 {
+		srv, err = server.NewCoordinator(server.CoordinatorOptions{
+			Workers:       workerAddrs,
+			ProbeInterval: *probeInterval,
+			ProbeTimeout:  *probeTimeout,
+			ProbeFails:    *probeFails,
+			Options:       opts,
+		})
+	} else {
+		srv, err = server.New(opts)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiles.Exit(2)
@@ -133,13 +143,18 @@ func main() {
 		if err := hs.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "gpusimd:", err)
 		}
-		st := srv.Stats()
-		fmt.Fprintf(os.Stderr, "gpusimd: drained (%d simulated, %d memo hits, %d disk hits)\n",
-			st.Scheduler.Simulated, st.Scheduler.CacheHits, st.Scheduler.DiskHits)
+		if st := srv.Stats(); len(workerAddrs) == 0 { // a coordinator's workers report their own
+			fmt.Fprintf(os.Stderr, "gpusimd: drained (%d simulated, %d memo hits, %d disk hits)\n",
+				st.Scheduler.Simulated, st.Scheduler.CacheHits, st.Scheduler.DiskHits)
+		}
 	})
 	defer release()
 
-	fmt.Fprintf(os.Stderr, "gpusimd: listening on %s (%d workers, queue %d", *addr, srv.Stats().Workers, *maxQueue)
+	fmt.Fprintf(os.Stderr, "gpusimd: listening on %s (%d workers", *addr, srv.Stats().Workers)
+	if len(workerAddrs) > 0 {
+		fmt.Fprintf(os.Stderr, " running cells on %d daemons, probe every %s, unhealthy after %d misses", len(workerAddrs), *probeInterval, *probeFails)
+	}
+	fmt.Fprintf(os.Stderr, ", queue %d", *maxQueue)
 	if *cacheDir != "" {
 		fmt.Fprintf(os.Stderr, ", cache %s", *cacheDir)
 		if cacheMaxBytes > 0 {
@@ -187,42 +202,4 @@ func startDebugListener(addr string) {
 			fmt.Fprintln(os.Stderr, "gpusimd: debug listener:", err)
 		}
 	}()
-}
-
-// runCoordinator serves the cluster entry point: no local simulation,
-// every cell rendezvous-routed to a -worker daemon.
-func runCoordinator(addr string, workers []string, probeInterval, probeTimeout time.Duration, probeFails int, profiles *prof.Flags, logger *slog.Logger) {
-	co, err := server.NewCoordinator(server.CoordinatorOptions{
-		Workers:       workers,
-		ProbeInterval: probeInterval,
-		ProbeTimeout:  probeTimeout,
-		ProbeFails:    probeFails,
-		Logger:        logger,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		profiles.Exit(2)
-	}
-
-	hs := &http.Server{Addr: addr, Handler: co.Handler()}
-	release := profiles.ExitOnSignal(func() {
-		fmt.Fprintln(os.Stderr, "gpusimd: coordinator shutting down...")
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := co.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "gpusimd:", err)
-		}
-		if err := hs.Shutdown(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "gpusimd:", err)
-		}
-	})
-	defer release()
-
-	fmt.Fprintf(os.Stderr, "gpusimd: coordinating %d workers on %s (probe every %s, unhealthy after %d misses)\n",
-		len(workers), addr, probeInterval, probeFails)
-	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		fmt.Fprintln(os.Stderr, "gpusimd:", err)
-		profiles.Exit(1)
-	}
-	select {}
 }

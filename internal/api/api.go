@@ -25,9 +25,10 @@
 // 429/resource_exhausted with a Retry-After header (mirrored in the
 // body's retryAfter field) when the per-client rate limit or inflight
 // quota rejects the request, and 503/unavailable when the bounded queue
-// is full, the daemon is draining, or a cluster has no healthy workers.
-// A coordinator proxies worker errors through unchanged, so clients see
-// the same envelope whether they talk to one daemon or a fleet.
+// is full or the daemon is draining. A coordinator answers with its own
+// admission — a worker's refusal delays a run, it is never relayed — so
+// clients see the same envelope whether they talk to one daemon or a
+// fleet.
 //
 // Operational visibility rides on GET /v1/stats (this package's Stats)
 // and GET /metrics (the same counters in Prometheus text form); the two
@@ -128,21 +129,22 @@ type Job struct {
 
 	// TraceID is the request-scoped trace identifier assigned at the
 	// job's first entry point (the client's X-Trace-Id header, or one
-	// generated server-side) and propagated through coordinator
-	// forwarding and scheduler execution. GET /v1/jobs/{id}/trace
+	// generated server-side) and carried to the worker's copy of the job
+	// by a coordinator's run. GET /v1/jobs/{id}/trace
 	// returns the span timeline recorded under it.
 	TraceID string `json:"traceId,omitempty"`
 }
 
 // TraceHeader is the wire header carrying the request-scoped trace ID.
 // The first entry point (daemon or coordinator) generates one when the
-// client did not send it, echoes it on every response, and propagates it
-// through coordinator→worker forwarding and sweep fan-out shards.
+// client did not send it, echoes it on every response, and a
+// coordinator's run sends it to the worker with the cell.
 const TraceHeader = "X-Trace-Id"
 
-// Span is one step of a job's lifecycle timeline: queued, placed@worker,
-// running, and the terminal state, each with wall-clock bounds and
-// attributes (cache-tier attribution, worker address, error strings).
+// Span is one step of a job's lifecycle timeline: queued, running, and
+// the terminal state, each with wall-clock bounds and attributes
+// (cache-tier attribution, at a coordinator the worker's address, error
+// strings).
 // End is nil while the span is still open.
 type Span struct {
 	Name  string            `json:"name"`
@@ -152,8 +154,8 @@ type Span struct {
 }
 
 // Trace is one job's span timeline, returned by GET /v1/jobs/{id}/trace.
-// Spans are in start order; a coordinator prepends its placement span to
-// the owning worker's timeline when relaying.
+// Spans are in start order. A coordinator's timeline is its own; the
+// worker keeps its copy of the job's under the same trace ID.
 type Trace struct {
 	JobID   string `json:"jobId"`
 	TraceID string `json:"traceId,omitempty"`
@@ -189,9 +191,8 @@ type JobList struct {
 // axes — the paper's Table III mitigation ladder as a list of patches
 // against any workload — exactly like workload axes. When the axis
 // forms are used, at least one configuration and one workload are
-// required. Cells lists explicit cells directly — the form a cluster
-// coordinator uses to ship each worker exactly its shard — and is
-// mutually exclusive with the axes. Cells that collapse to the same
+// required. Cells lists explicit cells directly and is mutually
+// exclusive with the axes. Cells that collapse to the same
 // content-addressed ID — within the sweep or against jobs already known
 // to the daemon — are submitted once, and admission is all-or-nothing:
 // the whole sweep enqueues or the whole sweep is rejected.
@@ -300,8 +301,8 @@ type Stats struct {
 	DiskCacheMaxBytes  int64  `json:"diskCacheMaxBytes,omitempty"`
 	DiskCacheEvictions int64  `json:"diskCacheEvictions,omitempty"`
 
-	// Cluster is set only by a coordinator, whose Stats merge every
-	// healthy worker's counters; it describes the fleet itself.
+	// Cluster is set only by a coordinator, whose Scheduler counters are
+	// every answering worker's summed; it describes the fleet itself.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
@@ -317,7 +318,7 @@ type WorkerStatus struct {
 	Draining bool `json:"draining"`
 	// ConsecutiveFailures counts probe failures since the last success.
 	ConsecutiveFailures int `json:"consecutiveFailures,omitempty"`
-	// Jobs counts the cells currently assigned to this worker.
+	// Jobs counts the coordinator's runs currently parked on this worker.
 	Jobs int `json:"jobs"`
 	// LastProbe is the time of the most recent health probe, zero before
 	// the first probe fires.
@@ -331,13 +332,12 @@ type ClusterStats struct {
 	// Healthy counts workers that are healthy and not draining — the
 	// set cells are currently assigned to.
 	Healthy int `json:"healthy"`
-	// TrackedJobs counts the cells the coordinator has routed and still
-	// remembers the placement of.
+	// TrackedJobs counts the jobs in the coordinator's own table.
 	TrackedJobs int `json:"trackedJobs"`
 	// Sweeps counts the sweep resources the coordinator owns.
 	Sweeps int `json:"sweeps"`
-	// ReassignedJobs counts cells re-routed to a new worker after their
-	// original worker became unhealthy or was drained.
+	// ReassignedJobs counts runs moved to a new worker after theirs
+	// became unhealthy or was drained.
 	ReassignedJobs int64 `json:"reassignedJobs"`
 }
 
@@ -547,7 +547,7 @@ func CodeForStatus(status int) string {
 // Error is the uniform body of every non-2xx response: a stable
 // machine-readable Code, a human-readable Detail, and — for retryable
 // rejections — RetryAfter, the same whole-seconds hint the Retry-After
-// header carries. Coordinators proxy worker errors through unchanged.
+// header carries.
 type Error struct {
 	Code       string `json:"code"`
 	Detail     string `json:"detail"`

@@ -153,8 +153,8 @@ type EvalResult struct {
 
 // EvalBatch evaluates a batch of probe cells (one round's fresh
 // candidates × the plan's workloads) and returns results in job order.
-// The daemon backs it with its scheduler; the coordinator fans the batch
-// out across its workers.
+// gpusimd backs it with EvalEach over its run step: the scheduler at a
+// daemon, remote runs on the workers at a coordinator.
 type EvalBatch func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error)
 
 // EvalEach builds an EvalBatch from a per-cell evaluator: one goroutine

@@ -31,7 +31,7 @@ func TestCancelStateMachine(t *testing.T) {
 		t.Run(string(tc.from), func(t *testing.T) {
 			// Workers are not started, so the submitted job stays queued
 			// until the test forces the state under test.
-			srv, err := newServer(Options{Workers: 1})
+			srv, err := newServer(Options{Workers: 1}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +82,7 @@ func TestCancelStateMachine(t *testing.T) {
 }
 
 func TestCancelUnknownJobIs404(t *testing.T) {
-	srv, err := newServer(Options{Workers: 1})
+	srv, err := newServer(Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

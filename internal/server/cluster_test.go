@@ -16,7 +16,7 @@ import (
 // worker runs the real Server handler behind httptest, so the cluster
 // tests exercise the identical wire path production uses.
 type testCluster struct {
-	co       *Coordinator
+	co       *Server
 	client   *client.Client
 	workers  []*Server
 	workerTS []*httptest.Server
@@ -74,7 +74,7 @@ func newIdleWorker(t *testing.T, opts Options) *Server {
 	if opts.Workers == 0 {
 		opts.Workers = 1
 	}
-	srv, err := newServer(opts)
+	srv, err := newServer(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,9 +321,9 @@ func TestClusterDrain(t *testing.T) {
 	}
 }
 
-// TestClusterListMerge pins fleet-wide listing: a coordinator page walk
-// unions every worker's jobs with the same cursor contract a single
-// daemon honors — complete, deduplicated, stably ordered.
+// TestClusterListMerge pins listing through a coordinator: a page walk
+// over the jobs submitted through it honors the cursor contract a single
+// daemon does — complete, deduplicated, stably ordered.
 func TestClusterListMerge(t *testing.T) {
 	tc := newTestCluster(t, []*Server{newIdleWorker(t, Options{}), newIdleWorker(t, Options{})})
 	ctx := context.Background()
@@ -337,9 +337,6 @@ func TestClusterListMerge(t *testing.T) {
 		want[j.ID] = true
 	}
 
-	// limit=1 pins the horizon case: once the listing's tail lives on a
-	// single worker, every page's visible union fits the limit and only
-	// the forced continuation token keeps the walk alive.
 	for _, limit := range []int{1, 2, 3, n + 1} {
 		var walked []api.Job
 		token := ""
@@ -376,25 +373,27 @@ func TestClusterListMerge(t *testing.T) {
 	}
 }
 
-// TestClusterErrorPassthrough pins envelope fidelity through the proxy
-// layer: a worker's quota rejection crosses the coordinator with its
-// status, code and retry hint intact, so clients cannot tell the two
-// apart.
-func TestClusterErrorPassthrough(t *testing.T) {
-	tc := newTestCluster(t, []*Server{newIdleWorker(t, Options{MaxInflightPerClient: 1})})
+// TestClusterQuotaAtEntryPoint pins that admission is the coordinator's
+// own: built with a per-client quota of one, it answers a client's second
+// submit with 429 and a retry hint itself, whatever its workers would say.
+func TestClusterQuotaAtEntryPoint(t *testing.T) {
+	co, _, _ := countedCluster(t, 1, Options{MaxInflightPerClient: 1}, Options{})
+	ts := httptest.NewServer(co.Handler())
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
 	ctx := context.Background()
-	if _, err := tc.client.Submit(ctx, mshrPatch(8)); err != nil {
+	if _, err := c.Submit(ctx, mshrPatch(8)); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tc.client.Submit(ctx, mshrPatch(16))
+	_, err := c.Submit(ctx, mshrPatch(16))
 	var apiErr *client.APIError
 	if !asAPIError(err, &apiErr) {
-		t.Fatalf("quota rejection through coordinator: err = %v, want APIError", err)
+		t.Fatalf("second submit through a quota-1 coordinator: err = %v, want APIError", err)
 	}
 	if apiErr.StatusCode != http.StatusTooManyRequests || apiErr.Code != api.CodeResourceExhausted {
 		t.Fatalf("got %d %s, want 429 %s", apiErr.StatusCode, apiErr.Code, api.CodeResourceExhausted)
 	}
 	if apiErr.RetryAfter <= 0 {
-		t.Fatalf("RetryAfter = %v, want > 0 (worker's hint lost in relay)", apiErr.RetryAfter)
+		t.Fatalf("RetryAfter = %v, want > 0", apiErr.RetryAfter)
 	}
 }

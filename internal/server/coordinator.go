@@ -10,103 +10,84 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
 	"gpumembw/internal/api"
-	"gpumembw/internal/explore"
-	"gpumembw/internal/metrics"
+	"gpumembw/internal/exp"
 )
 
-// CoordinatorOptions configures a Coordinator.
+// CoordinatorOptions configures a coordinator.
 type CoordinatorOptions struct {
-	// Workers are the gpusimd worker base URLs the coordinator shards
-	// cells across, e.g. "http://127.0.0.1:8373". At least one is
-	// required; a bare host:port gets the http scheme prefixed.
+	// Workers are the gpusimd worker base URLs the coordinator runs cells
+	// on, e.g. "http://127.0.0.1:8373". At least one is required; a bare
+	// host:port gets the http scheme prefixed.
 	Workers []string
 	// ProbeInterval is the /healthz probe period; 0 selects 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe request; 0 selects 2s.
+	// ProbeTimeout bounds one probe request and one forwarded cancel; 0
+	// selects 2s.
 	ProbeTimeout time.Duration
 	// ProbeFails is how many consecutive probe failures mark a worker
-	// unhealthy (its cells move to healthy peers); 0 selects 2.
+	// unhealthy (its runs move to healthy peers); 0 selects 2.
 	ProbeFails int
-	// Logger, when non-nil, receives structured lifecycle events (worker
-	// health transitions, reassignments). nil disables structured logging
-	// (tests); cmd/gpusimd always wires one.
-	Logger *slog.Logger
+	// Options is the entry point's own admission — queue bound, rate
+	// limit, per-client quota — and its Logger. A coordinator simulates
+	// and caches nothing, so Workers, CacheDir and CacheMaxBytes must be
+	// zero.
+	Options Options
 }
 
-// coordWorker is one worker's membership record, kept in the form GET
-// /v1/cluster serves it (Jobs is filled in per snapshot).
-type coordWorker struct{ api.WorkerStatus }
+// runsPerWorker is how many runs a coordinator parks on each worker at
+// once: its run slots (Server.workers) are this many per worker, and they
+// bound its exploration probes as a daemon's cores bound its own.
+const runsPerWorker = 16
 
-// coordJob is the coordinator's placement record for one cell: enough
-// to re-route the cell to a new worker (the spec and the submitting
-// client's identity) and to answer reads for finished cells without a
-// round trip (the worker's terminal response bytes, verbatim).
-type coordJob struct {
-	id       string
-	spec     api.JobSpec
-	worker   string
-	owner    string    // forwarded client identity, for re-submission
-	placedAt time.Time // taken just before the placement forward, so it precedes the worker's own spans
-	snap     api.Job
-	terminal []byte // raw worker bytes of the terminal snapshot
-}
+// waitRound caps one long-poll of a remote run on its worker.
+const waitRound = 30 * time.Second
 
-// Coordinator shards gpusimd's cell space across a fleet of workers by
-// rendezvous-hashing each content-addressed cell ID, and serves the
-// identical /v1 API: submissions and cancels are forwarded to the
-// owning worker (responses proxied byte-for-byte), sweeps fan out as
-// per-worker cell-list shards, listings and stats merge every worker's
-// view, and job/sweep GETs long-poll against the owning workers.
-// Placement is an operational concern only — the simulator is
-// deterministic and cells are content-addressed, so which worker runs a
-// cell (or re-runs it after a reassignment) can never change results.
+// exploreIdentity is the client identity a coordinator presents to
+// workers for exploration probe cells, which belong to no client, so
+// worker-side rate limits and quotas see the fleet's search traffic under
+// one name.
+const exploreIdentity = "gpusimd-explore"
+
+// NewCoordinator builds a coordinator — a Server whose run step is remote
+// — and starts its run slots and its health prober. It admits, tracks,
+// lists, traces and cancels jobs, sweeps and explorations exactly as a
+// daemon does, from its own job table; only the run of a cell happens
+// elsewhere, on the worker its content-addressed ID rendezvous-hashes to,
+// so the same cell lands on the same worker from any entry point with the
+// same membership and memoizes there. On top of the daemon's routes it
+// serves GET /v1/cluster and POST /v1/cluster/drain, and GET /v1/stats
+// reports the fleet's scheduler counters.
 //
-// Workers are probed periodically; after ProbeFails consecutive
-// failures a worker's cells are re-submitted to the remaining workers
-// and it stops receiving placements until it answers probes again.
-// POST /v1/cluster/drain does the same handover administratively.
-type Coordinator struct {
-	probeFails   int
-	probeTimeout time.Duration
-	proxy        *http.Client // no timeout: carries ?wait= long-polls
-	log          *slog.Logger
-
-	mu         sync.Mutex
-	workers    []*coordWorker
-	jobs       map[string]*coordJob
-	sweeps     map[string]*sweepRec
-	reassigned int64
-
-	explorer *exploreHub
-
-	registry     *metrics.Registry
-	httpRequests *metrics.CounterVec
-	httpLatency  *metrics.HistogramVec
-
-	stop chan struct{}
-	wg   sync.WaitGroup
-}
-
-// NewCoordinator builds a Coordinator and starts its health prober.
-func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
-	if len(opts.Workers) == 0 {
+// Workers are probed periodically; after ProbeFails consecutive failures
+// (or a transport error on a run's own request) a worker leaves placement
+// and the runs parked on it move to the remaining workers, until it
+// answers probes again. A drain does the same handover administratively.
+func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
+	switch {
+	case len(opts.Workers) == 0:
 		return nil, errors.New("server: coordinator needs at least one -worker address")
+	case opts.Options.Workers != 0:
+		return nil, errors.New("server: -j does not apply to a coordinator: its workers simulate")
+	case opts.Options.CacheDir != "":
+		return nil, errors.New("server: -cache-dir does not apply to a coordinator: its workers keep the cache")
+	case opts.Options.CacheMaxBytes != 0:
+		return nil, errors.New("server: -cache-max-bytes does not apply to a coordinator: its workers keep the cache")
 	}
-	co := &Coordinator{
+	f := &fleet{
 		probeFails:   cmp.Or(opts.ProbeFails, 2),
 		probeTimeout: cmp.Or(opts.ProbeTimeout, 2*time.Second),
-		proxy:        &http.Client{},
-		jobs:         make(map[string]*coordJob),
-		sweeps:       make(map[string]*sweepRec),
+		http:         &http.Client{},
+		changed:      make(chan struct{}),
 		stop:         make(chan struct{}),
-		log:          loggerOrDiscard(opts.Logger),
 	}
 	seen := make(map[string]bool)
 	for _, addr := range opts.Workers {
@@ -117,33 +98,60 @@ func NewCoordinator(opts CoordinatorOptions) (*Coordinator, error) {
 		seen[addr] = true
 		// Workers start healthy — optimistically routable — and the first
 		// probes correct the record within ProbeFails*ProbeInterval.
-		co.workers = append(co.workers, &coordWorker{api.WorkerStatus{Addr: addr, Healthy: true}})
+		f.workers = append(f.workers, &coordWorker{
+			WorkerStatus: api.WorkerStatus{Addr: addr, Healthy: true},
+			runs:         make(map[*remoteRun]struct{}),
+		})
 	}
-	co.initMetrics()
-	// Coordinator explorations fan probe cells out across the fleet; the
-	// workers' shared disk cache (not a coordinator journal) is what makes
-	// re-running a search free, so the hub runs unjournaled here.
-	co.explorer, _ = newExploreHub("", explore.EvalEach(exploreEvalConcurrency, co.exploreCell), co.log) // dir "" never errors
-	co.wg.Add(1)
-	go co.prober(cmp.Or(opts.ProbeInterval, time.Second))
-	return co, nil
+	s, err := newServer(opts.Options, f)
+	if err != nil {
+		return nil, err
+	}
+	f.log = s.log
+	s.startWorkers()
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		f.prober(cmp.Or(opts.ProbeInterval, time.Second))
+	}()
+	return s, nil
 }
 
-// initMetrics builds the /metrics registry; the cluster series read the
-// same snapshot GET /v1/cluster serves.
-func (co *Coordinator) initMetrics() {
-	r := metrics.NewRegistry()
-	co.registry = r
-	co.httpRequests, co.httpLatency = httpMetrics(r)
-	r.GaugeFunc("gpusimd_cluster_workers", "Workers configured on the coordinator.",
-		func() float64 { return float64(len(co.clusterStats().Workers)) })
-	r.GaugeFunc("gpusimd_cluster_workers_healthy", "Workers currently healthy and not draining.",
-		func() float64 { return float64(co.clusterStats().Healthy) })
-	r.GaugeFunc("gpusimd_cluster_tracked_jobs", "Cells the coordinator has placed.",
-		func() float64 { return float64(co.clusterStats().TrackedJobs) })
-	r.CounterFunc("gpusimd_cluster_reassigned_jobs_total",
-		"Cells re-routed after their worker became unhealthy or was drained.",
-		func() float64 { return float64(co.clusterStats().ReassignedJobs) })
+// fleet is a coordinator's worker membership — health, drain, and the
+// runs parked on each worker — and the remote run that places cells on
+// it. Placement is an operational concern only: the simulator is
+// deterministic and cells are content-addressed, so which worker runs a
+// cell, or runs it again after a move, can never change results.
+type fleet struct {
+	probeFails   int
+	probeTimeout time.Duration
+	http         *http.Client // no timeout: carries ?wait= long-polls
+	log          *slog.Logger
+	workers      []*coordWorker // fixed at construction; their fields are guarded by mu
+
+	mu         sync.Mutex
+	changed    chan struct{} // closed+replaced when a worker may have become routable
+	reassigned int64
+
+	stop chan struct{} // closed by Shutdown; ends the prober
+}
+
+// coordWorker is one worker's membership record, kept in the form GET
+// /v1/cluster serves it (Jobs is filled in per snapshot), and the runs
+// parked on it.
+type coordWorker struct {
+	api.WorkerStatus
+	runs map[*remoteRun]struct{}
+}
+
+// remoteRun is one run's placement, guarded by fleet.mu: the worker it is
+// parked on (nil while no worker is routable) and the cancel of its
+// exchange there, which whoever takes the worker out of placement calls
+// after moving the run (evictLocked).
+type remoteRun struct {
+	cellID string
+	on     *coordWorker
+	cancel context.CancelFunc
 }
 
 // workerURL normalizes a worker address as configured or named in a
@@ -156,68 +164,152 @@ func workerURL(addr string) string {
 	return addr
 }
 
-// workerAddrs snapshots the configured worker addresses, in order.
-func (co *Coordinator) workerAddrs() []string {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	addrs := make([]string, len(co.workers))
-	for i, w := range co.workers {
-		addrs[i] = w.Addr
-	}
-	return addrs
+// forwardIdentity is the X-API-Key a coordinator presents to a worker for
+// a run: the bare form of the owner's quota identity (clientKey), so a
+// worker's rate limit and quota bind to the original client and not to
+// the coordinator; exploration probes, which have no owner, go as
+// exploreIdentity.
+func forwardIdentity(owner string) string {
+	_, id, _ := strings.Cut(owner, ":")
+	return cmp.Or(id, exploreIdentity)
 }
 
-// Handler returns the coordinator's route table — the daemon's API plus
-// the /v1/cluster membership routes.
-func (co *Coordinator) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", handleHealth)
-	mux.HandleFunc("GET /metrics", handleMetrics(co.registry))
-	mux.HandleFunc("GET /v1/stats", co.handleStats)
-	mux.HandleFunc("POST /v1/jobs", co.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", co.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", co.handleJob)
-	mux.HandleFunc("GET /v1/jobs/{id}/profile", co.handleJobProfile)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", co.handleJobTrace)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", co.handleCancel)
-	mux.HandleFunc("POST /v1/sweeps", co.handleSweep)
-	mux.HandleFunc("GET /v1/sweeps/{id}", co.handleSweepGet)
-	mux.HandleFunc("POST /v1/explore", handleExploreSubmit(co.explorer))
-	mux.HandleFunc("GET /v1/explorations/{id}", handleExploreGet(co.explorer))
-	mux.HandleFunc("GET /v1/benchmarks", handleBenchmarks)
-	mux.HandleFunc("GET /v1/configs", handleConfigs)
-	mux.HandleFunc("GET /v1/knobs", handleKnobs)
-	mux.HandleFunc("GET /v1/cluster", co.handleCluster)
-	mux.HandleFunc("POST /v1/cluster/drain", co.handleDrain)
-	return withTrace(instrument(mux, co.httpRequests, co.httpLatency))
+// run is a coordinator's run step. The cell is placed on its rendezvous
+// worker — POST /v1/jobs with the job's owner identity and trace ID —
+// long-polled there to a terminal state, and its profile fetched when one
+// was asked for. The run moves when its worker fails a request or leaves
+// placement, waits out a worker's refusal (429, 503, or any answer that is
+// not the job) for that worker's Retry-After, places a cell again when the
+// worker reports it canceled, and forwards DELETE when ctx is canceled. It
+// fails only when a worker reports the cell itself failed — which every
+// worker would: the simulator is deterministic.
+func (f *fleet) run(ctx context.Context, r runReq) (exp.RunResult, error) {
+	id := r.cell.CellID()
+	body, err := json.Marshal(api.JobSpec{
+		Config: r.cell.Config.Preset, InlineConfig: r.cell.Config.Config, ConfigPatch: r.cell.Config.Patch,
+		Bench: r.cell.Workload.Bench, InlineSpec: r.cell.Workload.Spec, Profile: r.profile,
+	})
+	if err != nil {
+		return exp.RunResult{}, err
+	}
+	hdr := http.Header{"Content-Type": {"application/json"}}
+	hdr.Set(apiKeyHeader, forwardIdentity(r.owner))
+	if r.traceID != "" {
+		// One X-Trace-Id follows a submission from the entry point to the
+		// worker's copy of the job.
+		hdr.Set(api.TraceHeader, r.traceID)
+	}
+	rr := &remoteRun{cellID: id}
+	defer f.release(rr)
+	for {
+		w, rctx, err := f.place(ctx, rr)
+		if err != nil {
+			return exp.RunResult{}, err
+		}
+		if r.placed != nil {
+			r.placed(w.Addr)
+		}
+		res, wait, err := f.exchange(rctx, w.Addr, id, hdr, body, r.profile)
+		switch {
+		case res != nil:
+			return *res, err
+		case ctx.Err() != nil:
+			f.forwardCancel(w.Addr+"/v1/jobs/"+id, hdr)
+			return exp.RunResult{}, ctx.Err()
+		case err != nil:
+			f.markWorkerFailed(w, err)
+		default:
+			select {
+			case <-time.After(wait):
+			case <-rctx.Done():
+			}
+		}
+	}
 }
 
-// Shutdown stops the health prober. In-flight proxied requests finish
-// on their own; workers own all simulation state.
-func (co *Coordinator) Shutdown(context.Context) error {
-	select {
-	case <-co.stop:
-		return errors.New("server: coordinator already shut down")
-	default:
+// exchange runs the cell once on the worker at addr: POST /v1/jobs, a
+// long-poll until the job is terminal, and then its profile when one was
+// asked for. It returns the outcome (res; an err beside it is the cell's
+// own failure), or a transport failure (err alone), or neither: the
+// worker refused the cell, lost it or canceled it, and the cell is placed
+// again after wait.
+func (f *fleet) exchange(ctx context.Context, addr, id string, hdr http.Header, body []byte, profile bool) (*exp.RunResult, time.Duration, error) {
+	var snap api.Job
+	status, wait, err := f.call(ctx, http.MethodPost, addr+"/v1/jobs", hdr, body, &snap)
+	for err == nil && status/100 == 2 && !snap.State.Terminal() {
+		status, wait, err = f.call(ctx, http.MethodGet, addr+"/v1/jobs/"+id+"?wait="+waitRound.String(), hdr, nil, &snap)
 	}
-	close(co.stop)
-	co.explorer.shutdown()
-	co.wg.Wait()
-	return nil
+	switch {
+	case err != nil || status/100 != 2:
+		return nil, wait, err
+	case snap.State == api.JobFailed:
+		return &exp.RunResult{Tier: snap.Tier}, 0, errors.New(snap.Error)
+	case snap.State == api.JobCanceled || snap.Metrics == nil:
+		return nil, 0, nil
+	}
+	res := &exp.RunResult{Metrics: *snap.Metrics, Tier: snap.Tier}
+	if profile {
+		var jp api.JobProfile
+		// A job the worker finished unprofiled has no profile yet; placing
+		// the cell again revives it profiled there.
+		status, _, err = f.call(ctx, http.MethodGet, addr+"/v1/jobs/"+id+"/profile", hdr, nil, &jp)
+		if err != nil || status != http.StatusOK || jp.Profile == nil {
+			return nil, 0, err
+		}
+		res.Profile = jp.Profile
+	}
+	return res, 0, nil
+}
+
+// call is the one way a coordinator talks to a worker: one request
+// carrying hdr; the answer's status, its retry hint (Retry-After, else one
+// second), and a 2xx body decoded into out when non-nil. A non-nil error
+// means the worker delivered no readable answer.
+func (f *fleet) call(ctx context.Context, method, url string, hdr http.Header, body []byte, out any) (int, time.Duration, error) {
+	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
+	if err != nil {
+		return 0, 0, err
+	}
+	maps.Copy(req.Header, hdr)
+	resp, err := f.http.Do(req)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err == nil && out != nil && resp.StatusCode/100 == 2 {
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
+		return 0, 0, fmt.Errorf("server: reading %s %s: %w", method, url, err)
+	}
+	wait := time.Second
+	if secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")); secs > 0 {
+		wait = time.Duration(secs) * time.Second
+	}
+	return resp.StatusCode, wait, nil
+}
+
+// forwardCancel forwards a canceled job's DELETE to the worker its run was
+// parked on, best effort and bounded by the probe timeout.
+func (f *fleet) forwardCancel(url string, hdr http.Header) {
+	ctx, cancel := context.WithTimeout(context.Background(), f.probeTimeout)
+	defer cancel()
+	f.call(ctx, http.MethodDelete, url, hdr, nil, nil) //nolint:errcheck // best effort
 }
 
 // ---- placement ----
 
-// pickLocked rendezvous-hashes cellID over the routable workers
-// (healthy, not draining, not excluded): every entry point ranks
-// workers by sha256(addr|cellID) and the highest score wins, so the
-// same cell lands on the same worker from any coordinator with the same
-// membership view — twin submissions shard identically and memoize.
-func (co *Coordinator) pickLocked(cellID string, exclude map[string]bool) *coordWorker {
+// pickLocked rendezvous-hashes cellID over the routable workers (healthy,
+// not draining): every entry point ranks workers by sha256(addr|cellID)
+// and the highest score wins, so the same cell lands on the same worker
+// from any coordinator with the same membership view — twin submissions
+// memoize. nil means no worker is routable. Callers hold f.mu.
+func (f *fleet) pickLocked(cellID string) *coordWorker {
 	var best *coordWorker
 	var bestScore [sha256.Size]byte
-	for _, w := range co.workers {
-		if !w.Healthy || w.Draining || exclude[w.Addr] {
+	for _, w := range f.workers {
+		if !w.Healthy || w.Draining {
 			continue
 		}
 		score := sha256.Sum256([]byte(w.Addr + "|" + cellID))
@@ -228,772 +320,230 @@ func (co *Coordinator) pickLocked(cellID string, exclude map[string]bool) *coord
 	return best
 }
 
-// errNoWorkers is the 503 returned when no worker can take a placement.
-var errNoWorkers = &httpError{
-	status:     http.StatusServiceUnavailable,
-	retryAfter: time.Second,
-	msg:        "server: no healthy workers available",
-}
-
-// forwardIdentity is the client identity the coordinator forwards to
-// workers as the X-API-Key header, so per-client rate limits and
-// inflight quotas keep binding to the original client — not to the
-// coordinator's own address — across the fleet. It is the bare form of
-// the daemon's own clientKey: clients that present an API key keep it;
-// others are identified by their host.
-func forwardIdentity(r *http.Request) string {
-	_, id, _ := strings.Cut(clientKey(r), ":")
-	return id
-}
-
-// upstream is one worker's complete answer: status, headers and the
-// (bounded) body, read and closed.
-type upstream struct {
-	status int
-	header http.Header
-	body   []byte
-}
-
-func (u *upstream) ok() bool { return u.status >= 200 && u.status <= 299 }
-
-// relay copies the worker's answer to the client byte-for-byte — status,
-// error envelope and Retry-After included — so a client cannot tell a
-// coordinator's answer from the worker's own.
-func (u *upstream) relay(w http.ResponseWriter) {
-	for _, h := range []string{"Content-Type", "Retry-After", longPollHeader} {
-		if v := u.header.Get(h); v != "" {
-			w.Header().Set(h, v)
+// place parks rr on a worker — the one it is already on, else its
+// rendezvous pick, waiting while no worker is routable — and returns that
+// worker and the context of one exchange there, which ends when the worker
+// leaves placement or ctx ends.
+func (f *fleet) place(ctx context.Context, rr *remoteRun) (*coordWorker, context.Context, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		f.mu.Lock()
+		if rr.on == nil {
+			f.moveLocked(rr, f.pickLocked(rr.cellID))
+		}
+		w, wake := rr.on, f.changed
+		var rctx context.Context
+		if w != nil {
+			if rr.cancel != nil {
+				rr.cancel()
+			}
+			rctx, rr.cancel = context.WithCancel(ctx)
+		}
+		f.mu.Unlock()
+		if w != nil {
+			return w, rctx, nil
+		}
+		select {
+		case <-wake:
+		case <-ctx.Done():
 		}
 	}
-	w.WriteHeader(u.status)
-	w.Write(u.body) //nolint:errcheck // response committed
 }
 
-// call is the one way the coordinator talks to a worker: issue the
-// request, read the bounded body, close it, and decode a 2xx answer into
-// out when non-nil (best effort: out is bookkeeping, the raw bytes are
-// what clients see). pathAndQuery carries the original query string;
-// identity rides X-API-Key. A non-nil error means the worker never
-// delivered an answer — a worker-sent HTTP error comes back as an
-// upstream, to be proxied verbatim.
-func (co *Coordinator) call(ctx context.Context, workerAddr, method, pathAndQuery, identity string, body []byte, out any) (*upstream, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
+// release unparks a finished run.
+func (f *fleet) release(rr *remoteRun) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if rr.cancel != nil {
+		rr.cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, method, workerAddr+pathAndQuery, rd)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if identity != "" {
-		req.Header.Set(apiKeyHeader, identity)
-	}
-	// Propagate the request's trace ID to the worker, so one X-Trace-Id
-	// follows a submission from the fleet entry point to the simulating
-	// daemon (the cluster smoke test pins this survival).
-	if id := traceIDFrom(ctx); id != "" {
-		req.Header.Set(api.TraceHeader, id)
-	}
-	resp, err := co.proxy.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, fmt.Errorf("server: reading worker response: %w", err)
-	}
-	up := &upstream{status: resp.StatusCode, header: resp.Header, body: data}
-	if out != nil && up.ok() {
-		json.Unmarshal(data, out) //nolint:errcheck // bookkeeping only
-	}
-	return up, nil
+	f.moveLocked(rr, nil)
 }
 
-// workerLocked finds a configured worker by address; callers hold co.mu.
-func (co *Coordinator) workerLocked(addr string) *coordWorker {
-	for _, w := range co.workers {
-		if w.Addr == addr {
-			return w
-		}
+// moveLocked parks rr on worker to (nil: on none). Callers hold f.mu.
+func (f *fleet) moveLocked(rr *remoteRun, to *coordWorker) {
+	if rr.on != nil {
+		delete(rr.on.runs, rr)
 	}
-	return nil
+	if rr.on = to; to != nil {
+		to.runs[rr] = struct{}{}
+	}
 }
 
-// pendingOnLocked lists the non-terminal cells placed on addr — the
-// reassignment workload of losing or draining it. Callers hold co.mu.
-func (co *Coordinator) pendingOnLocked(addr string) []*coordJob {
-	var pending []*coordJob
-	for _, j := range co.jobs {
-		if j.worker == addr && !j.snap.State.Terminal() {
-			pending = append(pending, j)
-		}
+// evictLocked moves every run parked on w, which its caller has just
+// taken out of placement, to the run's next rendezvous pick (or to none
+// until a worker is routable again) and aborts its exchange on w; each run
+// carries on where it was moved, and each move counts as a reassignment.
+// It returns how many runs moved. Callers hold f.mu.
+func (f *fleet) evictLocked(w *coordWorker) int {
+	n := len(w.runs)
+	for rr := range w.runs {
+		rr.cancel()
+		f.moveLocked(rr, f.pickLocked(rr.cellID))
 	}
-	return pending
+	f.reassigned += int64(n)
+	return n
 }
 
-// noteWorker folds one observation of a worker into its health record —
-// the single place a worker changes health. A probe counts toward the
-// ProbeFails threshold and readmits on success; a transport failure on
-// the request path (probe=false) is conclusive at once. Each transition,
-// either way, logs one line. lost reports that this call took the worker
-// out; the caller moves its cells.
-func (co *Coordinator) noteWorker(addr string, ok, probe bool, cause error) (lost bool) {
-	co.mu.Lock()
-	w := co.workerLocked(addr)
-	if w == nil {
-		co.mu.Unlock()
-		return false
-	}
+// wakeLocked wakes the runs waiting for a routable worker. Callers hold
+// f.mu.
+func (f *fleet) wakeLocked() {
+	close(f.changed)
+	f.changed = make(chan struct{})
+}
+
+// ---- health ----
+
+// noteWorker folds one observation of w into its health record — the
+// single place a worker changes health. A probe counts toward the
+// ProbeFails threshold and readmits on success; a transport failure on a
+// run's request (probe=false) is conclusive at once. A worker that turns
+// unhealthy has its runs moved; one that turns healthy wakes the runs
+// waiting for a worker. Each transition logs one line.
+func (f *fleet) noteWorker(w *coordWorker, ok, probe bool, cause error) {
+	f.mu.Lock()
 	was, fails := w.Healthy, w.ConsecutiveFailures
 	switch {
 	case ok:
 		w.ConsecutiveFailures, w.Healthy = 0, true
 	case probe:
 		w.ConsecutiveFailures++
-		w.Healthy = was && w.ConsecutiveFailures < co.probeFails
+		w.Healthy = was && w.ConsecutiveFailures < f.probeFails
 	default:
-		w.ConsecutiveFailures, w.Healthy = max(w.ConsecutiveFailures, co.probeFails), false
+		w.ConsecutiveFailures, w.Healthy = max(w.ConsecutiveFailures, f.probeFails), false
 	}
 	if probe {
 		w.LastProbe = time.Now()
 	}
-	now, moving := w.Healthy, 0
+	now, moved := w.Healthy, 0
 	if !ok {
 		fails = w.ConsecutiveFailures
 	}
-	if was && !now {
-		moving = len(co.pendingOnLocked(addr))
+	switch {
+	case was && !now:
+		moved = f.evictLocked(w)
+	case !was && now:
+		f.wakeLocked()
 	}
-	co.mu.Unlock()
+	f.mu.Unlock()
 	if was != now {
 		state := map[bool]string{true: "healthy", false: "unhealthy"}
-		level, attrs := slog.LevelInfo, []any{"worker", addr, "oldState", state[was], "newState", state[now],
-			"consecutiveFailures", fails, "reassignedCells", moving}
+		level, attrs := slog.LevelInfo, []any{"worker", w.Addr, "oldState", state[was], "newState", state[now],
+			"consecutiveFailures", fails, "reassignedCells", moved}
 		if !now {
 			level = slog.LevelWarn
 			if cause != nil {
 				attrs = append(attrs, "cause", cause.Error())
 			}
 		}
-		co.log.Log(context.Background(), level, "worker health transition", attrs...)
-	}
-	return was && !now
-}
-
-// markWorkerFailed records a transport failure on addr: the worker is
-// immediately unhealthy (probes will readmit it) and its cells are
-// handed to the remaining workers in the background. A request that
-// failed because its own client went away says nothing about the worker.
-func (co *Coordinator) markWorkerFailed(addr string, cause error) {
-	if !errors.Is(cause, context.Canceled) && co.noteWorker(addr, false, false, cause) {
-		go co.reassignWorker(addr)
+		f.log.Log(context.Background(), level, "worker health transition", attrs...)
 	}
 }
 
-// reassignWorker re-submits every non-terminal cell placed on addr to a
-// new rendezvous pick. Determinism makes the handover invisible in the
-// results: the new worker either re-simulates to byte-identical metrics
-// or serves them from a shared cache.
-func (co *Coordinator) reassignWorker(addr string) {
-	co.mu.Lock()
-	moving := co.pendingOnLocked(addr)
-	co.mu.Unlock()
-	moved, failed := 0, 0
-	for _, j := range moving {
-		if _, _, err := co.placeJob(context.Background(), j.id, j.spec, j.owner, map[string]bool{addr: true}); err != nil {
-			co.log.Warn("cell reassignment failed", "job", j.id, "worker", addr, "err", err)
-			failed++
-			continue
-		}
-		moved++
-	}
-	if moved > 0 || failed > 0 {
-		co.log.Info("cells reassigned", "worker", addr, "moved", moved, "failed", failed)
+// markWorkerFailed records a transport failure on w: the worker is
+// immediately unhealthy (probes will readmit it) and its runs move. A
+// request that failed because its own context ended — a departed client,
+// a canceled job, a run moved off w — says nothing about the worker.
+func (f *fleet) markWorkerFailed(w *coordWorker, cause error) {
+	if !errors.Is(cause, context.Canceled) {
+		f.noteWorker(w, false, false, cause)
 	}
 }
 
-// placeJob submits one cell to its rendezvous worker (excluding any in
-// exclude), walking down the preference order as transport failures
-// knock workers out. On success the placement is tracked — counted as a
-// reassignment when it moved the cell off another worker — the worker's
-// snapshot observed, and both returned.
-func (co *Coordinator) placeJob(ctx context.Context, id string, spec api.JobSpec, identity string, exclude map[string]bool) (*upstream, api.Job, error) {
-	if exclude == nil {
-		exclude = make(map[string]bool)
-	}
-	body, err := json.Marshal(spec)
-	if err != nil {
-		return nil, api.Job{}, err
-	}
+// prober probes every worker's /healthz each interval until Shutdown.
+func (f *fleet) prober(interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
 	for {
-		co.mu.Lock()
-		w := co.pickLocked(id, exclude)
-		co.mu.Unlock()
-		if w == nil {
-			return nil, api.Job{}, errNoWorkers
+		select {
+		case <-f.stop:
+			return
+		case <-t.C:
 		}
-		placed := time.Now()
-		var snap api.Job
-		up, err := co.call(ctx, w.Addr, http.MethodPost, "/v1/jobs", identity, body, &snap)
+		for _, w := range f.workers {
+			ctx, cancel := context.WithTimeout(context.Background(), f.probeTimeout)
+			status, _, err := f.call(ctx, http.MethodGet, w.Addr+"/healthz", nil, nil, nil)
+			cancel()
+			f.noteWorker(w, err == nil && status == http.StatusOK, true, err)
+		}
+	}
+}
+
+// schedulerSum is GET /v1/stats's fleet sum at a coordinator: the
+// scheduler counters of every worker that answers, added up.
+func (f *fleet) schedulerSum(ctx context.Context) exp.Stats {
+	var sum exp.Stats
+	for _, w := range f.workers {
+		var st api.Stats
+		status, _, err := f.call(ctx, http.MethodGet, w.Addr+"/v1/stats", nil, nil, &st)
 		if err != nil {
-			exclude[w.Addr] = true
-			co.markWorkerFailed(w.Addr, err)
-			continue
+			f.markWorkerFailed(w, err)
+		} else if status == http.StatusOK {
+			sum.Simulated += st.Scheduler.Simulated
+			sum.CacheHits += st.Scheduler.CacheHits
+			sum.DiskHits += st.Scheduler.DiskHits
+			sum.SimCycles += st.Scheduler.SimCycles
 		}
-		co.trackJob(id, spec, w.Addr, identity, placed)
-		co.observe(snap, up.body)
-		return up, snap, nil
 	}
+	return sum
 }
 
-// trackJob records (or moves) a cell's placement. placed is taken before
-// the placement forward so the coordinator's span precedes the worker's.
-func (co *Coordinator) trackJob(id string, spec api.JobSpec, workerAddr, identity string, placed time.Time) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	if !ok {
-		j = &coordJob{id: id, spec: spec, owner: identity}
-		j.snap = api.Job{ID: id, State: api.JobQueued, Spec: spec}
-		co.jobs[id] = j
-	} else if j.worker != workerAddr {
-		co.reassigned++
-	}
-	j.worker = workerAddr
-	j.placedAt = placed
-}
+// ---- /v1/cluster ----
 
-// observe folds a fresh worker snapshot into the placement record,
-// caching the raw bytes of terminal states so future reads skip the
-// round trip (and survive the worker retiring).
-func (co *Coordinator) observe(snap api.Job, raw []byte) {
-	if snap.ID == "" {
-		return
-	}
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[snap.ID]
-	if !ok {
-		return
-	}
-	j.snap = snap
-	if !snap.State.Terminal() {
-		j.terminal = nil // canceled jobs can be re-enqueued
-	} else if j.terminal == nil {
-		j.terminal = raw
-	}
-}
-
-// tracked returns a copy of cell id's placement record, if this
-// coordinator placed it.
-func (co *Coordinator) tracked(id string) (coordJob, bool) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	j, ok := co.jobs[id]
-	if !ok {
-		return coordJob{}, false
-	}
-	return *j, true
-}
-
-// errUntracked reports a per-cell request for a cell this coordinator
-// never placed.
-var errUntracked = errors.New("server: untracked job")
-
-// cellRequest performs one per-cell verb — GET job, profile, trace,
-// DELETE, the sweep-wait refresh, the explore probe's poll — against the
-// worker that owns a tracked cell; pathAndQuery continues
-// "/v1/jobs/{id}". One fail-over rule serves every verb: a transport
-// failure marks the worker failed (its cells move off in the background)
-// and answers 503 "worker unreachable". A read of the job's own snapshot
-// (jobRead) goes further, because any worker can reproduce a
-// deterministic cell while a cancel or a profile belongs to the lost
-// run: the cell is re-placed synchronously and the read retried there,
-// and a finished cell is answered from its cached terminal bytes.
-func (co *Coordinator) cellRequest(ctx context.Context, id, method, pathAndQuery, identity string, jobRead bool, out any) (*upstream, error) {
-	for attempt := 0; ; attempt++ {
-		j, ok := co.tracked(id)
-		if !ok {
-			return nil, errUntracked
-		}
-		if j.terminal != nil && jobRead {
-			if out != nil {
-				json.Unmarshal(j.terminal, out) //nolint:errcheck // bookkeeping only
-			}
-			return &upstream{status: http.StatusOK, header: http.Header{"Content-Type": {"application/json"}}, body: j.terminal}, nil
-		}
-		up, err := co.call(ctx, j.worker, method, "/v1/jobs/"+id+pathAndQuery, identity, nil, out)
-		if err == nil {
-			return up, nil
-		}
-		if ctx.Err() != nil {
-			return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server: client canceled"}
-		}
-		co.markWorkerFailed(j.worker, err)
-		if !jobRead {
-			return nil, &httpError{status: http.StatusServiceUnavailable,
-				msg: fmt.Sprintf("server: worker %s unreachable: %v", j.worker, err)}
-		}
-		if attempt >= len(co.workers) { // the slice itself never changes after New
-			return nil, errNoWorkers
-		}
-		if _, _, err := co.placeJob(ctx, id, j.spec, j.owner, map[string]bool{j.worker: true}); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// cellAnswer fetches the owning worker's answer to one per-cell route
-// (decoded into out when 2xx). When there is none to relay it writes the
-// response itself and returns nil: cells placed elsewhere (a peer entry
-// point, a direct client) are looked for on every worker when the verb
-// is a read, a cancel of an untracked cell is a 404, and a lost worker
-// is cellRequest's 503.
-func (co *Coordinator) cellAnswer(w http.ResponseWriter, r *http.Request, method, suffix string, out any) *upstream {
-	id := r.PathValue("id")
-	pq := suffix
-	if r.URL.RawQuery != "" {
-		pq += "?" + r.URL.RawQuery
-	}
-	jobRead := method == http.MethodGet && suffix == ""
-	up, err := co.cellRequest(r.Context(), id, method, pq, forwardIdentity(r), jobRead, out)
-	switch {
-	case errors.Is(err, errUntracked) && method == http.MethodGet:
-		co.fanoutGet(w, r, "/v1/jobs/"+id+suffix)
-	case errors.Is(err, errUntracked):
-		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown job %q", id)})
-	case err != nil:
-		writeError(w, err)
-	}
-	return up
-}
-
-// relayJob relays a verb whose answer is the job's own snapshot (GET,
-// DELETE) and folds that snapshot into the placement record.
-func (co *Coordinator) relayJob(w http.ResponseWriter, r *http.Request, method string) {
-	var snap api.Job
-	if up := co.cellAnswer(w, r, method, "", &snap); up != nil {
-		up.relay(w)
-		co.observe(snap, up.body)
-	}
-}
-
-// ---- handlers ----
-
-func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec api.JobSpec
-	if err := decodeBody(r, maxJobBody, &spec); err != nil {
-		writeError(w, errBadRequest("decode job spec: %v", err))
-		return
-	}
-	cell, err := resolveSpec(spec)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	up, _, err := co.placeJob(r.Context(), cell.CellID(), spec, forwardIdentity(r), nil)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	up.relay(w)
-}
-
-func (co *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(longPollHeader, "supported")
-	if _, he := parseWait(r); he != nil {
-		writeError(w, he)
-		return
-	}
-	co.relayJob(w, r, http.MethodGet)
-}
-
-// handleJobProfile relays GET /v1/jobs/{id}/profile. The worker's payload
-// — profile or 404 envelope — is proxied verbatim: profiles are
-// deterministic artifacts, identical whichever worker produced them.
-func (co *Coordinator) handleJobProfile(w http.ResponseWriter, r *http.Request) {
-	if up := co.cellAnswer(w, r, http.MethodGet, "/profile", nil); up != nil {
-		up.relay(w)
-	}
-}
-
-func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	co.relayJob(w, r, http.MethodDelete)
-}
-
-// handleJobTrace relays GET /v1/jobs/{id}/trace from the owning worker,
-// prepending the coordinator's own placement marker so the timeline
-// shows the fleet hop in front of the worker's lifecycle spans.
-func (co *Coordinator) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	j, _ := co.tracked(r.PathValue("id"))
-	up := co.cellAnswer(w, r, http.MethodGet, "/trace", nil)
-	if up == nil {
-		return
-	}
-	var tr api.Trace
-	if up.status != http.StatusOK || json.Unmarshal(up.body, &tr) != nil {
-		// Not a trace payload (error envelope, decode failure): proxy it
-		// byte-for-byte like any other worker response.
-		up.relay(w)
-		return
-	}
-	end := j.placedAt
-	placed := api.Span{Name: "placed", Start: j.placedAt, End: &end,
-		Attrs: map[string]string{"worker": j.worker}}
-	tr.Spans = append([]api.Span{placed}, tr.Spans...)
-	writeJSON(w, http.StatusOK, tr)
-}
-
-// fanoutGet proxies a GET to every worker until one answers non-404;
-// otherwise a 404 is synthesized.
-func (co *Coordinator) fanoutGet(w http.ResponseWriter, r *http.Request, path string) {
-	identity := forwardIdentity(r)
-	for _, addr := range co.workerAddrs() {
-		up, err := co.call(r.Context(), addr, http.MethodGet, path, identity, nil, nil)
-		if err != nil || up.status == http.StatusNotFound {
-			continue
-		}
-		up.relay(w)
-		return
-	}
-	writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown resource %q on any worker", path)})
-}
-
-func (co *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req api.SweepRequest
-	if err := decodeBody(r, maxSweepBody, &req); err != nil {
-		writeError(w, errBadRequest("decode sweep request: %v", err))
-		return
-	}
-	ex, err := expandSweep(req)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	byID, rejected, err := co.admitSweep(r.Context(), ex.cells, forwardIdentity(r))
-	if rejected != nil {
-		rejected.relay(w) // the rejecting worker's own envelope, verbatim
-		return
-	}
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	// Merge the shard responses in the request's cell order — the same
-	// order a single daemon returns — and register the sweep resource.
-	id := sweepID(ex.cells)
-	out := api.SweepResponse{ID: id, Requested: ex.requested, Deduped: ex.requested - len(ex.cells)}
-	for _, c := range ex.cells {
-		out.Jobs = append(out.Jobs, byID[c.id])
-	}
-	co.mu.Lock()
-	registerSweep(co.sweeps, id, ex)
-	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, out)
-}
-
-// admitSweep shards cells by rendezvous placement and admits shard by
-// shard, returning every cell's snapshot. Admission is all-or-nothing per
-// worker already (the daemon's atomic sweep admission); across workers
-// the coordinator compensates — if a later shard is rejected (queue full,
-// quota, drain: returned as rejected) or cannot be placed, the jobs
-// earlier shards queued are canceled best-effort, so the client retries
-// one all-or-nothing operation, never reasons about half a sweep.
-func (co *Coordinator) admitSweep(ctx context.Context, cells []resolvedCell, identity string) (byID map[string]api.Job, rejected *upstream, err error) {
-	byID = make(map[string]api.Job, len(cells))
-	var queued [][2]string // (worker, job ID) this sweep enqueued so far
-	defer func() {
-		if rejected == nil && err == nil {
-			return
-		}
-		for _, q := range queued {
-			co.call(context.Background(), q[0], http.MethodDelete, "/v1/jobs/"+q[1], identity, nil, nil) //nolint:errcheck // best-effort undo
-		}
-	}()
-	excluded := make(map[string]bool)
-	for pending := cells; len(pending) > 0; {
-		// Partition what's left over the currently routable workers.
-		co.mu.Lock()
-		parts := make(map[string][]resolvedCell)
-		for _, c := range pending {
-			if wk := co.pickLocked(c.id, excluded); wk != nil {
-				parts[wk.Addr] = append(parts[wk.Addr], c)
-			}
-		}
-		co.mu.Unlock()
-		if len(parts) == 0 {
-			return nil, nil, errNoWorkers
-		}
-		addrs := make([]string, 0, len(parts))
-		for addr := range parts {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		pending = nil
-		for _, addr := range addrs {
-			shard := parts[addr]
-			specs := make([]api.JobSpec, len(shard))
-			for i, c := range shard {
-				specs[i] = c.spec
-			}
-			body, err := json.Marshal(api.SweepRequest{Cells: specs})
-			if err != nil {
-				return nil, nil, err
-			}
-			placed := time.Now()
-			var sr api.SweepResponse
-			up, err := co.call(ctx, addr, http.MethodPost, "/v1/sweeps", identity, body, &sr)
-			if err != nil {
-				// Transport failure: the shard moves to the next pick.
-				excluded[addr] = true
-				co.markWorkerFailed(addr, err)
-				pending = append(pending, shard...)
-				continue
-			}
-			if !up.ok() {
-				return nil, up, nil
-			}
-			if len(sr.Jobs) != len(shard) {
-				return nil, nil, fmt.Errorf("server: worker %s sweep response unreadable", addr)
-			}
-			for i, job := range sr.Jobs {
-				byID[job.ID] = job
-				co.trackJob(job.ID, shard[i].spec, addr, identity, placed)
-				co.observe(job, nil)
-				if job.State == api.JobQueued {
-					queued = append(queued, [2]string{addr, job.ID})
-				}
-			}
-		}
-	}
-	return byID, nil, nil
-}
-
-// refreshJob fetches one cell's current snapshot from its worker,
-// long-polling up to wait. Transport failures re-place the cell inline
-// (cellRequest), so a mid-sweep worker loss heals on the read path too,
-// not only via the prober.
-func (co *Coordinator) refreshJob(ctx context.Context, id string, wait time.Duration) (api.Job, error) {
-	j, ok := co.tracked(id)
-	if !ok {
-		return api.Job{}, fmt.Errorf("server: untracked job %q", id)
-	}
-	snap := j.snap
-	if snap.State.Terminal() {
-		return snap, nil
-	}
-	query := ""
-	if wait > 0 {
-		query = "?wait=" + wait.String()
-	}
-	var fresh api.Job
-	up, err := co.cellRequest(ctx, id, http.MethodGet, query, j.owner, true, &fresh)
-	switch {
-	case ctx.Err() != nil:
-		return snap, nil
-	case err != nil:
-		return snap, err
-	case up.status != http.StatusOK || fresh.ID == "":
-		return snap, nil // stale snapshot beats a failed read
-	}
-	co.observe(fresh, up.body)
-	return fresh, nil
-}
-
-func (co *Coordinator) handleSweepGet(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set(longPollHeader, "supported")
-	d, he := parseWait(r)
-	if he != nil {
-		writeError(w, he)
-		return
-	}
-	id := r.PathValue("id")
-	co.mu.Lock()
-	rec, ok := co.sweeps[id]
-	co.mu.Unlock()
-	if !ok {
-		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown sweep %q", id)})
-		return
-	}
-	deadline := time.Now().Add(d)
-	for {
-		snaps := make(map[string]api.Job, len(rec.jobIDs))
-		pendingID := ""
-		for _, jid := range rec.jobIDs {
-			snap, err := co.refreshJob(r.Context(), jid, 0)
-			if err != nil {
-				writeError(w, err)
-				return
-			}
-			snaps[jid] = snap
-			if !snap.State.Terminal() && pendingID == "" {
-				pendingID = jid
-			}
-		}
-		remaining := time.Until(deadline)
-		if pendingID == "" || remaining <= 0 || r.Context().Err() != nil {
-			co.mu.Lock()
-			sw := rec.view(func(jid string) api.Job { return snaps[jid] })
-			co.mu.Unlock()
-			writeJSON(w, http.StatusOK, sw)
-			return
-		}
-		// Park the remaining wait on one pending cell's worker: a true
-		// long-poll round, so the coordinator adds no interval polling
-		// of its own. Graceful drains make workers answer early; the
-		// loop then re-assembles and parks again within the deadline.
-		if remaining > waitRound {
-			remaining = waitRound
-		}
-		if _, err := co.refreshJob(r.Context(), pendingID, remaining); err != nil {
-			writeError(w, err)
-			return
-		}
-	}
-}
-
-// waitRound caps one upstream long-poll leg of a coordinator sweep wait.
-const waitRound = 30 * time.Second
-
-// gather GETs pathAndQuery from every worker and hands fn each 200
-// answer, decoded into a fresh T. A worker that does not answer is marked
-// failed and skipped.
-func gather[T any](co *Coordinator, r *http.Request, pathAndQuery string, fn func(addr string, v T)) {
-	identity := forwardIdentity(r)
-	for _, addr := range co.workerAddrs() {
-		var v T
-		up, err := co.call(r.Context(), addr, http.MethodGet, pathAndQuery, identity, nil, &v)
-		if err != nil {
-			co.markWorkerFailed(addr, err)
-		} else if up.status == http.StatusOK {
-			fn(addr, v)
-		}
-	}
-}
-
-// handleList fans the identical query out to every worker (the shared
-// token format makes a client cursor valid fleet-wide) and merges the
-// pages. A reassigned cell exists on two workers; the currently tracked
-// placement wins.
-func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	lq, he := parseListQuery(r.URL.Query())
-	if he != nil {
-		writeError(w, he)
-		return
-	}
-	pq := "/v1/jobs"
-	if r.URL.RawQuery != "" {
-		pq += "?" + r.URL.RawQuery
-	}
-	var pages []workerPage
-	gather(co, r, pq, func(addr string, list api.JobList) {
-		pages = append(pages, workerPage{addr: addr, list: list})
-	})
-	writeJSON(w, http.StatusOK, mergePages(pages, func(id string) (string, bool) {
-		j, ok := co.tracked(id)
-		return j.worker, ok
-	}, lq))
-}
-
-func (co *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	var merged api.Stats
-	merged.Jobs = make(map[api.JobState]int)
-	gather(co, r, "/v1/stats", func(_ string, st api.Stats) {
-		merged.Scheduler.Simulated += st.Scheduler.Simulated
-		merged.Scheduler.CacheHits += st.Scheduler.CacheHits
-		merged.Scheduler.DiskHits += st.Scheduler.DiskHits
-		merged.Scheduler.SimCycles += st.Scheduler.SimCycles
-		merged.Workers += st.Workers
-		merged.QueueDepth += st.QueueDepth
-		merged.QueueCap += st.QueueCap
-		for state, n := range st.Jobs {
-			merged.Jobs[state] += n
-		}
-		merged.RateLimited += st.RateLimited
-		merged.QuotaDenied += st.QuotaDenied
-		merged.DiskCacheEntries += st.DiskCacheEntries
-		merged.DiskCacheBytes += st.DiskCacheBytes
-		merged.DiskCacheEvictions += st.DiskCacheEvictions
-	})
-	merged.Cluster = co.clusterStats()
-	writeJSON(w, http.StatusOK, merged)
-}
-
-func (co *Coordinator) clusterStats() *api.ClusterStats {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	cs := &api.ClusterStats{
-		TrackedJobs:    len(co.jobs),
-		Sweeps:         len(co.sweeps),
-		ReassignedJobs: co.reassigned,
-	}
-	perWorker := make(map[string]int)
-	for _, j := range co.jobs {
-		perWorker[j.worker]++
-	}
-	for _, wk := range co.workers {
-		ws := wk.WorkerStatus
-		ws.Jobs = perWorker[wk.Addr]
+// clusterStats describes the fleet: each worker's membership record with
+// the runs parked on it, and the coordinator's own counts.
+func (s *Server) clusterStats() *api.ClusterStats {
+	s.mu.Lock()
+	cs := &api.ClusterStats{TrackedJobs: len(s.jobs), Sweeps: len(s.sweeps)}
+	s.mu.Unlock()
+	f := s.fleet
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	cs.ReassignedJobs = f.reassigned
+	for _, w := range f.workers {
+		ws := w.WorkerStatus
+		ws.Jobs = len(w.runs)
 		cs.Workers = append(cs.Workers, ws)
-		if wk.Healthy && !wk.Draining {
+		if w.Healthy && !w.Draining {
 			cs.Healthy++
 		}
 	}
 	return cs
 }
 
-func (co *Coordinator) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, api.ClusterStatus{Workers: co.clusterStats().Workers})
+func (s *Server) handleCluster(w http.ResponseWriter, _ *http.Request) {
+	writeJSON(w, http.StatusOK, api.ClusterStatus{Workers: s.clusterStats().Workers})
 }
 
-func (co *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
+// handleDrain takes a worker out of placement (moving its runs to peers
+// at once) or readmits it; readmission moves nothing back.
+func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 	var req api.DrainRequest
 	if err := decodeBody(r, maxDrainBody, &req); err != nil {
 		writeError(w, errBadRequest("decode drain request: %v", err))
 		return
 	}
-	addr := workerURL(req.Addr)
-	co.mu.Lock()
-	target := co.workerLocked(addr)
-	if target == nil {
-		co.mu.Unlock()
+	f, addr := s.fleet, workerURL(req.Addr)
+	i := slices.IndexFunc(f.workers, func(w *coordWorker) bool { return w.Addr == addr })
+	if i < 0 {
 		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown worker %q", req.Addr)})
 		return
 	}
-	changed := target.Draining != req.Drain
-	target.Draining = req.Drain
-	co.mu.Unlock()
-	if changed && req.Drain {
-		co.reassignWorker(addr)
-	}
-	co.handleCluster(w, r)
-}
-
-// ---- health probing ----
-
-// prober probes every worker's /healthz each interval until Shutdown; a
-// worker that crosses the failure threshold has its cells moved.
-func (co *Coordinator) prober(interval time.Duration) {
-	defer co.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-co.stop:
-			return
-		case <-t.C:
-		}
-		for _, addr := range co.workerAddrs() {
-			ctx, cancel := context.WithTimeout(context.Background(), co.probeTimeout)
-			up, err := co.call(ctx, addr, http.MethodGet, "/healthz", "", nil, nil)
-			cancel()
-			if co.noteWorker(addr, err == nil && up.status == http.StatusOK, true, err) {
-				co.reassignWorker(addr)
-			}
+	target, moved := f.workers[i], 0
+	f.mu.Lock()
+	if target.Draining != req.Drain {
+		target.Draining = req.Drain
+		if req.Drain {
+			moved = f.evictLocked(target)
+		} else {
+			f.wakeLocked()
 		}
 	}
+	f.mu.Unlock()
+	if moved > 0 {
+		f.log.Info("cells reassigned", "worker", addr, "moved", moved)
+	}
+	s.handleCluster(w, r)
 }

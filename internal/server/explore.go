@@ -14,7 +14,6 @@ import (
 
 	"gpumembw/internal/api"
 	"gpumembw/internal/config"
-	"gpumembw/internal/exp"
 	"gpumembw/internal/explore"
 )
 
@@ -29,10 +28,9 @@ type exploreRec struct {
 	errMsg string
 }
 
-// exploreHub owns one entry point's exploration resources. The daemon
-// and the coordinator each embed one; they differ only in the EvalBatch
-// that scores probe cells (the daemon's scheduler vs a fan-out across
-// the fleet's workers).
+// exploreHub owns a server's exploration resources. Its EvalBatch scores
+// probe cells with the server's run step, so a probe is an ordinary cell
+// run — on the daemon's scheduler, or on a coordinator's workers.
 //
 // Explorations are content-addressed by their canonical request, so a
 // re-POST of the same search — however spelled — is the same resource:
@@ -58,7 +56,7 @@ type exploreHub struct {
 	wg     sync.WaitGroup
 }
 
-// newExploreHub builds a hub. dir == "" disables journaling (the
+// newExploreHub builds a hub. dir == "" disables journaling (a
 // coordinator, and daemons without a cache dir).
 func newExploreHub(dir string, eval explore.EvalBatch, log *slog.Logger) (*exploreHub, error) {
 	if dir != "" {
@@ -167,12 +165,6 @@ func (h *exploreHub) wait(ctx context.Context, id string, d time.Duration) (api.
 	return v, known
 }
 
-// shutdown aborts running drivers and waits for them to exit.
-func (h *exploreHub) shutdown() {
-	h.cancel()
-	h.wg.Wait()
-}
-
 // journal persists one accepted request so a restarted daemon resumes
 // the exploration. Failures are logged, not fatal: the exploration still
 // runs, it just will not survive a restart.
@@ -228,49 +220,45 @@ func (h *exploreHub) reload() {
 	}
 }
 
-// ---- HTTP handlers (mounted by both the daemon and the coordinator) ----
+// ---- HTTP handlers ----
 
 // handleExploreSubmit serves POST /v1/explore: 201 when this request
 // started the search, 200 when it joined (or re-found) an existing one.
-func handleExploreSubmit(h *exploreHub) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req api.ExploreRequest
-		if err := decodeBody(r, maxJobBody, &req); err != nil {
-			writeError(w, errBadRequest("decode explore request: %v", err))
-			return
-		}
-		ex, created, err := h.submit(req)
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		status := http.StatusOK
-		if created {
-			status = http.StatusCreated
-		}
-		writeJSON(w, status, ex)
+func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
+	var req api.ExploreRequest
+	if err := decodeBody(r, maxJobBody, &req); err != nil {
+		writeError(w, errBadRequest("decode explore request: %v", err))
+		return
 	}
+	ex, created, err := s.explorer.submit(req)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	status := http.StatusOK
+	if created {
+		status = http.StatusCreated
+	}
+	writeJSON(w, status, ex)
 }
 
 // handleExploreGet serves GET /v1/explorations/{id}; ?wait= long-polls
 // for the terminal transition (progress updates wake waiters early only
 // to re-check, matching the job and sweep wait semantics).
-func handleExploreGet(h *exploreHub) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(longPollHeader, "supported")
-		d, he := parseWait(r)
-		if he != nil {
-			writeError(w, he)
-			return
-		}
-		id := r.PathValue("id")
-		ex, ok := h.wait(r.Context(), id, d)
-		if !ok {
-			writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown exploration %q", id)})
-			return
-		}
-		writeJSON(w, http.StatusOK, ex)
+func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set(longPollHeader, "supported")
+	d, he := parseWait(r)
+	if he != nil {
+		writeError(w, he)
+		return
 	}
+	id := r.PathValue("id")
+	ex, ok := s.explorer.wait(r.Context(), id, d)
+	if !ok {
+		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown exploration %q", id)})
+		return
+	}
+	writeJSON(w, http.StatusOK, ex)
 }
 
 // handleKnobs serves GET /v1/knobs: the full dotted-path knob-space
@@ -278,51 +266,4 @@ func handleExploreGet(h *exploreHub) http.HandlerFunc {
 // requests draw their custom axes from.
 func handleKnobs(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, api.KnobList{Knobs: config.Knobs()})
-}
-
-// ---- coordinator probe evaluation ----
-
-// exploreIdentity is the client identity the coordinator presents to
-// workers for exploration probe cells, so worker-side rate limits and
-// quotas see the fleet's search traffic under one name.
-const exploreIdentity = "gpusimd-explore"
-
-// exploreEvalConcurrency bounds how many probe cells the coordinator
-// keeps in flight across the fleet at once.
-const exploreEvalConcurrency = 16
-
-// exploreCell is the coordinator's per-probe evaluator: the cell is placed
-// on its rendezvous worker — the identical per-cell placement sweeps use,
-// so probe cells shard and memoize fleet-wide — and polled to a terminal
-// state. The worker's cache-tier attribution rides back on api.Job.Tier.
-func (co *Coordinator) exploreCell(ctx context.Context, job exp.Job) (explore.EvalResult, error) {
-	id := job.CellID()
-	spec := api.JobSpec{
-		Config: job.Config.Preset, InlineConfig: job.Config.Config, ConfigPatch: job.Config.Patch,
-		Bench: job.Workload.Bench, InlineSpec: job.Workload.Spec,
-	}
-	up, snap, err := co.placeJob(ctx, id, spec, exploreIdentity, nil)
-	if err != nil {
-		return explore.EvalResult{}, err
-	}
-	if !up.ok() {
-		return explore.EvalResult{}, fmt.Errorf("server: explore probe %s rejected: %s", id, strings.TrimSpace(string(up.body)))
-	}
-	for !snap.State.Terminal() {
-		if err := ctx.Err(); err != nil {
-			return explore.EvalResult{}, err
-		}
-		snap, err = co.refreshJob(ctx, id, waitRound)
-		if err != nil {
-			return explore.EvalResult{}, err
-		}
-	}
-	switch {
-	case snap.State == api.JobDone && snap.Metrics != nil:
-		return explore.EvalResult{Metrics: *snap.Metrics, Tier: snap.Tier}, nil
-	case snap.State == api.JobFailed:
-		return explore.EvalResult{}, fmt.Errorf("server: explore probe %s failed: %s", id, snap.Error)
-	default:
-		return explore.EvalResult{}, fmt.Errorf("server: explore probe %s ended %s without metrics", id, snap.State)
-	}
 }

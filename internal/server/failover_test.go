@@ -9,23 +9,32 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gpumembw/client"
 	"gpumembw/internal/api"
 )
 
-// quietCluster is a coordinator over idle workers (submitted cells stay
-// queued, so no read is answered from the terminal cache) whose prober
-// effectively never fires: every health change in these tests comes from
-// the request path.
-func quietCluster(t *testing.T, n int, logger *slog.Logger) (*Coordinator, []*httptest.Server) {
+// countedCluster is a coordinator built with coOpts over n idle workers
+// built with workerOpts (submitted cells stay queued, so every run stays
+// parked on its worker and no read is answered from a finished job),
+// whose prober effectively never fires: every health change in these
+// tests comes from the request path. requests counts what the workers are
+// asked.
+func countedCluster(t *testing.T, n int, coOpts, workerOpts Options) (*Server, []*httptest.Server, *atomic.Int64) {
 	t.Helper()
+	var requests atomic.Int64
 	var servers []*httptest.Server
 	var addrs []string
 	for i := 0; i < n; i++ {
-		srv := newIdleWorker(t, Options{})
-		ts := httptest.NewServer(srv.Handler())
+		srv := newIdleWorker(t, workerOpts)
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			requests.Add(1)
+			h.ServeHTTP(w, r)
+		}))
 		t.Cleanup(func() {
 			ts.Close()
 			srv.Shutdown(context.Background()) //nolint:errcheck // test teardown
@@ -33,11 +42,19 @@ func quietCluster(t *testing.T, n int, logger *slog.Logger) (*Coordinator, []*ht
 		servers = append(servers, ts)
 		addrs = append(addrs, ts.URL)
 	}
-	co, err := NewCoordinator(CoordinatorOptions{Workers: addrs, ProbeInterval: time.Hour, Logger: logger})
+	co, err := NewCoordinator(CoordinatorOptions{Workers: addrs, ProbeInterval: time.Hour, Options: coOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Shutdown(context.Background()) }) //nolint:errcheck // test teardown
+	return co, servers, &requests
+}
+
+// quietCluster is countedCluster with default options and the given
+// coordinator logger.
+func quietCluster(t *testing.T, n int, logger *slog.Logger) (*Server, []*httptest.Server) {
+	t.Helper()
+	co, servers, _ := countedCluster(t, n, Options{Logger: logger}, Options{})
 	return co, servers
 }
 
@@ -47,75 +64,214 @@ func serve(h http.Handler, method, path, body string) *httptest.ResponseRecorder
 	return rec
 }
 
-// TestCellVerbsShareOneFailoverRule drives every per-cell route at a
-// tracked cell whose worker stopped listening. All of them take the
-// worker out of placement; the verbs that belong to the lost run
-// (profile, trace, cancel) answer the same 503 envelope, and only the
-// read of the job itself re-places the cell and answers from the live
-// worker.
+// submitCell POSTs spec to h and returns the job it answered with.
+func submitCell(t *testing.T, h http.Handler, spec client.JobSpec) api.Job {
+	t.Helper()
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := serve(h, http.MethodPost, "/v1/jobs", string(body))
+	var job api.Job
+	if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil || job.ID == "" {
+		t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+	}
+	return job
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// placement is the worker a one-cell coordinator's run is parked on ("" if
+// none).
+func placement(co *Server) string {
+	for _, w := range co.clusterStats().Workers {
+		if w.Jobs > 0 {
+			return w.Addr
+		}
+	}
+	return ""
+}
+
+// TestCellVerbsShareOneFailoverRule kills the worker a running cell is
+// parked on — its listener and its connections, as a crashed process
+// would — and pins the one rule every per-cell verb now follows: the run
+// moves to the live worker by itself, with no read to prompt it, and GET,
+// profile, trace and DELETE are all answered from the coordinator's own
+// table, never with a 503.
 func TestCellVerbsShareOneFailoverRule(t *testing.T) {
 	for _, tc := range []struct {
 		name, method, suffix string
-		replaces             bool
+		status               int
 	}{
-		{"GET job", http.MethodGet, "", true},
-		{"profile", http.MethodGet, "/profile", false},
-		{"trace", http.MethodGet, "/trace", false},
-		{"DELETE", http.MethodDelete, "", false},
+		{"GET job", http.MethodGet, "", http.StatusOK},
+		{"profile", http.MethodGet, "/profile", http.StatusNotFound}, // running: no profile yet
+		{"trace", http.MethodGet, "/trace", http.StatusOK},
+		{"DELETE", http.MethodDelete, "", http.StatusOK},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			co, servers := quietCluster(t, 2, nil)
+			co, servers, requests := countedCluster(t, 2, Options{}, Options{})
 			h := co.Handler()
-			rec := serve(h, http.MethodPost, "/v1/jobs", `{"config":"baseline","bench":"`+testBench+`"}`)
-			var job api.Job
-			if err := json.Unmarshal(rec.Body.Bytes(), &job); err != nil || job.ID == "" {
-				t.Fatalf("submit: %d %s", rec.Code, rec.Body)
-			}
-			placement := func() string {
-				co.mu.Lock()
-				defer co.mu.Unlock()
-				return co.jobs[job.ID].worker
-			}
-			dead := placement()
+			job := submitCell(t, h, client.JobSpec{Config: "baseline", Bench: testBench})
+			waitFor(t, "the run to park on its worker", func() bool { return requests.Load() == 2 })
+			dead := placement(co)
 			for _, ts := range servers {
 				if ts.URL == dead {
-					ts.Close()
+					ts.Listener.Close()
+					ts.CloseClientConnections()
 				}
 			}
-
-			rec = serve(h, tc.method, "/v1/jobs/"+job.ID+tc.suffix, "")
-			if tc.replaces {
-				var got api.Job
-				if err := json.Unmarshal(rec.Body.Bytes(), &got); rec.Code != http.StatusOK || err != nil || got.ID != job.ID {
-					t.Fatalf("status %d body %s, want the job from the live worker", rec.Code, rec.Body)
-				}
-				if placement() == dead {
-					t.Fatal("the read answered but the cell is still placed on the dead worker")
-				}
-			} else {
-				var env api.Error
-				if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-					t.Fatalf("status %d body %s: not an error envelope", rec.Code, rec.Body)
-				}
-				if rec.Code != http.StatusServiceUnavailable || env.Code != api.CodeUnavailable ||
-					!strings.Contains(env.Detail, "worker "+dead+" unreachable") {
-					t.Fatalf("status %d envelope %+v, want 503 worker-unreachable", rec.Code, env)
-				}
-			}
+			waitFor(t, "the run to move to the live worker", func() bool {
+				p := placement(co)
+				return p != "" && p != dead
+			})
 			for _, w := range co.clusterStats().Workers {
 				if w.Addr == dead && w.Healthy {
 					t.Fatal("dead worker still marked healthy")
 				}
 			}
-			// The loss also moves the cell in the background; let that
-			// finish before the cluster is torn down.
-			for deadline := time.Now().Add(10 * time.Second); placement() == dead; {
-				if time.Now().After(deadline) {
-					t.Fatal("cell never moved off the dead worker")
+
+			rec := serve(h, tc.method, "/v1/jobs/"+job.ID+tc.suffix, "")
+			if rec.Code != tc.status {
+				t.Fatalf("status %d body %s, want %d from the coordinator's table", rec.Code, rec.Body, tc.status)
+			}
+			if tc.suffix == "" {
+				var got api.Job
+				if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil || got.ID != job.ID {
+					t.Fatalf("body %s, want job %s", rec.Body, job.ID)
 				}
-				time.Sleep(5 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// TestReadsCostNoWorkerRequests pins that reads are the coordinator's
+// own: polling a pending 16-cell sweep and each of its jobs asks the
+// workers nothing. (Each run is one POST and one parked long-poll.)
+func TestReadsCostNoWorkerRequests(t *testing.T) {
+	co, _, requests := countedCluster(t, 2, Options{}, Options{})
+	ts := httptest.NewServer(co.Handler())
+	t.Cleanup(ts.Close)
+	c := client.New(ts.URL)
+	ctx := context.Background()
+	var cells []client.JobSpec
+	for i := 0; i < 16; i++ {
+		cells = append(cells, mshrPatch(8*(i+1)))
+	}
+	resp, err := c.Sweep(ctx, client.SweepRequest{Cells: cells})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "all 16 runs to park", func() bool { return requests.Load() == 32 })
+
+	for i := 0; i < 10; i++ {
+		sw, err := c.GetSweep(ctx, resp.ID)
+		if err != nil || sw.State != client.SweepRunning {
+			t.Fatalf("sweep GET: %+v, %v, want running", sw, err)
+		}
+	}
+	for _, j := range resp.Jobs {
+		if got, err := c.Job(ctx, j.ID); err != nil || got.State != client.JobRunning {
+			t.Fatalf("job GET: %+v, %v, want running", got, err)
+		}
+	}
+	if n := requests.Load() - 32; n != 0 {
+		t.Fatalf("10 sweep GETs and 16 job GETs cost %d worker requests, want 0", n)
+	}
+}
+
+// TestWorkerRefusalDelaysRun pins that a worker's refusal is not a
+// failure: with a worker quota of one, the second cell's run stays running
+// at the coordinator through the worker's 429s and is placed once the
+// first cell is canceled through the coordinator — which also pins that
+// the cancel is forwarded (else the worker's quota would never free).
+func TestWorkerRefusalDelaysRun(t *testing.T) {
+	co, servers, requests := countedCluster(t, 1, Options{}, Options{MaxInflightPerClient: 1})
+	h := co.Handler()
+	a := submitCell(t, h, mshrPatch(8))
+	b := submitCell(t, h, mshrPatch(16))
+	worker := client.New(servers[0].URL)
+	ctx := context.Background()
+	workerJobs := func() []api.Job {
+		list, err := worker.ListJobs(ctx, client.ListOptions{State: client.JobQueued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return list.Jobs
+	}
+	// One run parks (POST, long-poll); the other is refused, waits out the
+	// Retry-After and is refused again.
+	waitFor(t, "a refused run to retry", func() bool { return requests.Load() >= 4 })
+	placed := workerJobs()
+	if len(placed) != 1 {
+		t.Fatalf("worker holds %d jobs, want the one its quota admits", len(placed))
+	}
+	first, second := a, b
+	if placed[0].ID == b.ID {
+		first, second = b, a
+	}
+	jobState := func(id string) api.JobState {
+		var j api.Job
+		json.Unmarshal(serve(h, http.MethodGet, "/v1/jobs/"+id, "").Body.Bytes(), &j) //nolint:errcheck // state checked
+		return j.State
+	}
+	if st := jobState(second.ID); st != api.JobRunning {
+		t.Fatalf("refused cell is %s at the coordinator, want running", st)
+	}
+
+	if rec := serve(h, http.MethodDelete, "/v1/jobs/"+first.ID, ""); rec.Code != http.StatusOK {
+		t.Fatalf("cancel: %d %s", rec.Code, rec.Body)
+	}
+	waitFor(t, "the refused cell to be placed", func() bool {
+		jobs := workerJobs()
+		return len(jobs) == 1 && jobs[0].ID == second.ID
+	})
+	if st := jobState(second.ID); st != api.JobRunning {
+		t.Fatalf("placed cell is %s at the coordinator, want running", st)
+	}
+}
+
+// TestCoordinatorShutdownIsPrompt: a coordinator's running jobs are runs
+// parked on workers, not simulations, so Shutdown does not wait for idle
+// workers to finish them.
+func TestCoordinatorShutdownIsPrompt(t *testing.T) {
+	co, _, requests := countedCluster(t, 2, Options{}, Options{})
+	h := co.Handler()
+	for i := 0; i < 8; i++ {
+		submitCell(t, h, mshrPatch(8*(i+1)))
+	}
+	waitFor(t, "all 8 runs to park", func() bool { return requests.Load() == 16 })
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := co.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Shutdown with 8 parked runs took %v, want < 1 s", d)
+	}
+}
+
+// TestCoordinatorRefusesDaemonOptions: a coordinator simulates and caches
+// nothing, so the daemon's -j, -cache-dir and -cache-max-bytes are an
+// error naming the flag (gpusimd exits 2 with it), not silently ignored.
+func TestCoordinatorRefusesDaemonOptions(t *testing.T) {
+	for flag, opts := range map[string]Options{
+		"-j":               {Workers: 2},
+		"-cache-dir":       {CacheDir: t.TempDir()},
+		"-cache-max-bytes": {CacheMaxBytes: 1 << 20},
+	} {
+		_, err := NewCoordinator(CoordinatorOptions{Workers: []string{"127.0.0.1:1"}, Options: opts})
+		if err == nil || !strings.Contains(err.Error(), flag+" ") {
+			t.Errorf("%s: err = %v, want an error naming the flag", flag, err)
+		}
 	}
 }
 

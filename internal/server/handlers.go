@@ -15,11 +15,12 @@ import (
 	"gpumembw/internal/trace"
 )
 
-// Handler returns the daemon's route table:
+// Handler returns the server's route table, the one both entry points
+// serve:
 //
 //	GET    /healthz           liveness
 //	GET    /metrics           Prometheus text exposition
-//	GET    /v1/stats          scheduler counters + queue gauges
+//	GET    /v1/stats          scheduler counters (a coordinator's: its fleet's) + queue gauges
 //	POST   /v1/jobs           submit one cell (api.JobSpec)
 //	GET    /v1/jobs           list jobs (?state=&limit=&page_token=)
 //	GET    /v1/jobs/{id}      poll one job (?wait= long-polls)
@@ -33,8 +34,11 @@ import (
 //	GET    /v1/benchmarks     benchmark names (Table II order)
 //	GET    /v1/configs        full canonical preset configs (sorted by name)
 //	GET    /v1/knobs          the mitigation knob-space model (paths, bounds)
+//	GET    /v1/cluster        a coordinator's worker table
+//	POST   /v1/cluster/drain  take a coordinator's worker out of placement (or readmit it)
 //
-// Every route is instrumented with per-endpoint request counters and
+// The two /v1/cluster routes are mounted only on a coordinator. Every
+// route is instrumented with per-endpoint request counters and
 // latency histograms; the mutating routes (submit, sweep, cancel) sit
 // behind the per-client rate limiter when one is configured, so polling
 // a throttled client's jobs stays cheap.
@@ -51,17 +55,21 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.limited(s.handleCancel))
 	mux.HandleFunc("POST /v1/sweeps", s.limited(s.handleSweep))
 	mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepGet)
-	mux.HandleFunc("POST /v1/explore", s.limited(handleExploreSubmit(s.explorer)))
-	mux.HandleFunc("GET /v1/explorations/{id}", handleExploreGet(s.explorer))
+	mux.HandleFunc("POST /v1/explore", s.limited(s.handleExploreSubmit))
+	mux.HandleFunc("GET /v1/explorations/{id}", s.handleExploreGet)
 	mux.HandleFunc("GET /v1/benchmarks", handleBenchmarks)
 	mux.HandleFunc("GET /v1/configs", handleConfigs)
 	mux.HandleFunc("GET /v1/knobs", handleKnobs)
+	if s.fleet != nil {
+		mux.HandleFunc("GET /v1/cluster", s.handleCluster)
+		mux.HandleFunc("POST /v1/cluster/drain", s.handleDrain)
+	}
 	return withTrace(instrument(mux, s.httpRequests, s.httpLatency))
 }
 
-// Request-body caps, the same on the daemon and the coordinator: a job
-// spec or explore request (one inline config and workload at most), a
-// sweep (a cell list, or axes of inline values), a drain request.
+// Request-body caps: a job spec or explore request (one inline config
+// and workload at most), a sweep (a cell list, or axes of inline values),
+// a drain request.
 const (
 	maxJobBody   = 8 << 20
 	maxSweepBody = 64 << 20
@@ -117,8 +125,15 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, api.Error{Code: code, Detail: err.Error(), RetryAfter: retrySecs})
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
+// handleStats serves Stats; at a coordinator the scheduler counters are
+// the fleet's sum (the coordinator simulates nothing) and the cluster
+// section describes the fleet.
+func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	st := s.Stats()
+	if s.fleet != nil {
+		st.Scheduler, st.Cluster = s.fleet.schedulerSum(r.Context()), s.clusterStats()
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -369,9 +384,8 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sw)
 }
 
-// handleBenchmarks and handleConfigs serve static catalog data; they
-// are free functions so the coordinator mounts the identical handlers —
-// byte-identical catalogs whichever entry point a client asks.
+// handleBenchmarks and handleConfigs serve static catalog data, the same
+// bytes whichever entry point a client asks.
 func handleBenchmarks(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, api.BenchmarkList{Benchmarks: trace.Names()})
 }

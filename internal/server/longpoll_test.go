@@ -18,7 +18,7 @@ import (
 // timeout, drain and capacity tests.
 func newIdleServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(opts)
+	srv, err := newServer(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,10 @@ func (s *Server) initMetrics() {
 	r := metrics.NewRegistry()
 	s.registry = r
 
-	s.httpRequests, s.httpLatency = httpMetrics(r)
+	s.httpRequests = r.CounterVec("gpusimd_http_requests_total",
+		"HTTP requests served, by route pattern and status code.", "endpoint", "code")
+	s.httpLatency = r.HistogramVec("gpusimd_http_request_seconds",
+		"HTTP request latency in seconds, by route pattern.", []string{"endpoint"}, metrics.DefBuckets)
 	s.rateLimited = r.Counter("gpusimd_rate_limited_total",
 		"Requests rejected with 429 by the per-client rate limit.")
 	s.quotaDenied = r.Counter("gpusimd_quota_denied_total",
@@ -32,9 +35,9 @@ func (s *Server) initMetrics() {
 	s.stageLatency = r.HistogramVec("gpusimd_job_stage_seconds",
 		"Job stage wall-clock duration in seconds, by lifecycle stage.", []string{"stage"}, metrics.DefBuckets)
 
-	r.GaugeFunc("gpusimd_workers", "Simulation worker-pool size.",
+	r.GaugeFunc("gpusimd_workers", "Simulation worker-pool size (a coordinator's: its run slots).",
 		func() float64 { return float64(s.workers) })
-	r.GaugeFunc("gpusimd_inflight_sims", "Workers currently inside a simulation.",
+	r.GaugeFunc("gpusimd_inflight_sims", "Workers currently inside a simulation (a coordinator's: inside a remote run).",
 		func() float64 { return float64(s.running.Load()) })
 	r.GaugeFunc("gpusimd_queue_depth", "Jobs waiting in the bounded queue.",
 		func() float64 {
@@ -59,7 +62,21 @@ func (s *Server) initMetrics() {
 			return samples
 		})
 
-	s.sched.RegisterMetrics(r, "gpusimd_scheduler_")
+	if s.sched != nil {
+		s.sched.RegisterMetrics(r, "gpusimd_scheduler_")
+	}
+	if s.fleet != nil {
+		// The cluster series read the snapshot GET /v1/cluster serves.
+		r.GaugeFunc("gpusimd_cluster_workers", "Workers configured on the coordinator.",
+			func() float64 { return float64(len(s.fleet.workers)) })
+		r.GaugeFunc("gpusimd_cluster_workers_healthy", "Workers currently healthy and not draining.",
+			func() float64 { return float64(s.clusterStats().Healthy) })
+		r.GaugeFunc("gpusimd_cluster_tracked_jobs", "Jobs in the coordinator's table.",
+			func() float64 { return float64(s.clusterStats().TrackedJobs) })
+		r.CounterFunc("gpusimd_cluster_reassigned_jobs_total",
+			"Runs moved to a new worker after theirs became unhealthy or was drained.",
+			func() float64 { return float64(s.clusterStats().ReassignedJobs) })
+	}
 
 	if s.cache != nil {
 		r.GaugeFunc("gpusimd_disk_cache_entries", "Entries persisted in the disk cache.",
@@ -73,17 +90,8 @@ func (s *Server) initMetrics() {
 	}
 }
 
-// httpMetrics registers the per-endpoint request counter and latency
-// histogram that instrument feeds, identical on daemon and coordinator.
-func httpMetrics(r *metrics.Registry) (*metrics.CounterVec, *metrics.HistogramVec) {
-	return r.CounterVec("gpusimd_http_requests_total",
-			"HTTP requests served, by route pattern and status code.", "endpoint", "code"),
-		r.HistogramVec("gpusimd_http_request_seconds",
-			"HTTP request latency in seconds, by route pattern.", []string{"endpoint"}, metrics.DefBuckets)
-}
-
 // handleHealth and handleMetrics serve liveness and the Prometheus text
-// exposition on both entry points.
+// exposition.
 func handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, api.Health{Status: "ok"})
 }
@@ -108,7 +116,7 @@ func (r *statusRecorder) WriteHeader(code int) {
 }
 
 // instrument wraps a route table with per-endpoint request counting
-// and latency observation (shared by the daemon and the coordinator).
+// and latency observation.
 // The endpoint label is the ServeMux pattern that matched (r.Pattern is
 // populated during routing), so /v1/jobs/{id} stays one series no
 // matter how many job IDs exist.

@@ -177,7 +177,7 @@ func TestRateLimitReturns429WithRetryAfter(t *testing.T) {
 }
 
 func TestPerClientInflightQuota(t *testing.T) {
-	srv, err := newServer(Options{Workers: 1, MaxInflightPerClient: 2})
+	srv, err := newServer(Options{Workers: 1, MaxInflightPerClient: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestPerClientInflightQuota(t *testing.T) {
 // TestSweepQuotaIsAtomic: a sweep that would exceed the client's quota
 // rejects whole — no cells are enqueued.
 func TestSweepQuotaIsAtomic(t *testing.T) {
-	srv, err := newServer(Options{Workers: 1, MaxInflightPerClient: 2})
+	srv, err := newServer(Options{Workers: 1, MaxInflightPerClient: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,6 @@
 // Package server implements gpusimd: an HTTP daemon that wraps the
-// experiment engine (exp.Scheduler) behind an async job API.
+// experiment engine (exp.Scheduler) behind an async job API, and the
+// coordinator that fronts a fleet of such daemons with the same API.
 //
 // Jobs are (configuration, workload) cells — preset names or fully
 // inline config/spec values — content-addressed so duplicate submissions
@@ -9,6 +10,11 @@
 // optional disk cache (Options.CacheDir) persists results across
 // restarts. Queued jobs can be canceled; Shutdown drains in-flight cells.
 //
+// A coordinator (NewCoordinator) is the same Server with a remote run
+// step: admission, the job table, long-polls, sweeps, listing, traces,
+// cancels and explorations are the daemon's own, and each admitted cell
+// runs on the worker its ID rendezvous-hashes to.
+//
 // Retention: finished jobs and memoized metrics are kept for the daemon's
 // lifetime — cross-request reuse is the point of the service — so memory
 // grows with the number of distinct cells submitted. Only the queue is
@@ -17,6 +23,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -110,13 +117,30 @@ type job struct {
 	profile *obsv.Profile
 }
 
-// Server owns the scheduler, the job table and the worker pool. Create
-// one with New; serve its Handler; stop it with Shutdown.
+// runReq is one run the worker loop asks of the run step: the cell and
+// whether to profile it, and what a remote run needs of the job — the
+// owner whose quota it spends on the worker, its trace ID, and placed,
+// which names the worker on the job's running span. Exploration probes
+// leave the job's fields zero.
+type runReq struct {
+	cell    exp.Job
+	profile bool
+	owner   string
+	traceID string
+	placed  func(worker string)
+}
+
+// Server owns the job table, the worker pool and the run step its workers
+// call — the scheduler at a daemon, a remote run at a coordinator. Create
+// one with New or NewCoordinator; serve its Handler; stop it with
+// Shutdown.
 type Server struct {
 	opts     Options
 	workers  int
 	maxQueue int
-	sched    *exp.Scheduler
+	run      func(context.Context, runReq) (exp.RunResult, error)
+	sched    *exp.Scheduler // nil at a coordinator
+	fleet    *fleet         // nil at a daemon
 	cache    *DirCache
 	limiter  *limiter
 	explorer *exploreHub
@@ -147,9 +171,9 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// New builds a Server and starts its worker pool.
+// New builds a daemon and starts its worker pool.
 func New(opts Options) (*Server, error) {
-	s, err := newServer(opts)
+	s, err := newServer(opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -157,9 +181,10 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// newServer builds the Server without starting workers (tests use this to
-// exercise the queue deterministically).
-func newServer(opts Options) (*Server, error) {
+// newServer builds a Server without starting workers (tests use this to
+// exercise the queue deterministically): a daemon when f is nil, else a
+// coordinator running cells on f.
+func newServer(opts Options, f *fleet) (*Server, error) {
 	if err := exp.ValidateWorkers(opts.Workers); err != nil {
 		return nil, err
 	}
@@ -175,58 +200,55 @@ func newServer(opts Options) (*Server, error) {
 	if opts.MaxInflightPerClient < 0 {
 		return nil, fmt.Errorf("server: invalid per-client inflight bound %d: must be >= 0 (0 disables)", opts.MaxInflightPerClient)
 	}
-	maxQueue := opts.MaxQueue
-	if maxQueue == 0 {
-		maxQueue = DefaultMaxQueue
-	}
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	schedOpts := []exp.Option{exp.WithWorkers(opts.Workers)}
-	if opts.Progress != nil {
-		schedOpts = append(schedOpts, exp.WithProgress(opts.Progress))
-	}
-	var cache *DirCache
-	switch {
-	case opts.CacheDir != "":
-		var err error
-		cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
-		if err != nil {
-			return nil, err
-		}
-		schedOpts = append(schedOpts, exp.WithResultCache(cache))
-	case opts.CacheMaxBytes != 0:
-		return nil, errors.New("server: cache bound set without a cache dir")
-	}
-
 	s := &Server{
 		opts:     opts,
-		workers:  workers,
-		maxQueue: maxQueue,
-		sched:    exp.NewScheduler(schedOpts...),
-		cache:    cache,
+		workers:  cmp.Or(opts.Workers, runtime.GOMAXPROCS(0)),
+		maxQueue: cmp.Or(opts.MaxQueue, DefaultMaxQueue),
+		fleet:    f,
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]int),
 		sweeps:   make(map[string]*sweepRec),
 		waitCh:   make(chan struct{}),
+		log:      opts.Logger,
+	}
+	exploreDir := ""
+	if f != nil {
+		s.workers, s.run = len(f.workers)*runsPerWorker, f.run
+	} else {
+		schedOpts := []exp.Option{exp.WithWorkers(opts.Workers)}
+		if opts.Progress != nil {
+			schedOpts = append(schedOpts, exp.WithProgress(opts.Progress))
+		}
+		switch {
+		case opts.CacheDir != "":
+			var err error
+			s.cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
+			if err != nil {
+				return nil, err
+			}
+			schedOpts = append(schedOpts, exp.WithResultCache(s.cache))
+			// Explorations journal their requests under the cache dir, so a
+			// restarted daemon resumes every search from cached cells.
+			exploreDir = filepath.Join(opts.CacheDir, "explore")
+		case opts.CacheMaxBytes != 0:
+			return nil, errors.New("server: cache bound set without a cache dir")
+		}
+		s.sched = exp.NewScheduler(schedOpts...)
+		s.run = func(ctx context.Context, r runReq) (exp.RunResult, error) {
+			return s.sched.RunJobEx(ctx, r.cell, r.profile)
+		}
 	}
 	if opts.RateLimit > 0 {
 		s.limiter = newLimiter(opts.RateLimit, opts.RateBurst)
 	}
-	s.log = loggerOrDiscard(opts.Logger)
+	if s.log == nil { // structured logging off
+		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
+	}
 	s.cond = sync.NewCond(&s.mu)
 	s.initMetrics()
-	// Explorations score probe cells directly on the scheduler (sharing
-	// its memo and disk caches with the job API) and journal their
-	// requests under the cache dir, so a restarted daemon resumes every
-	// search from cached cells.
-	exploreDir := ""
-	if opts.CacheDir != "" {
-		exploreDir = filepath.Join(opts.CacheDir, "explore")
-	}
-	hub, err := newExploreHub(exploreDir, explore.SchedulerEval(s.sched), s.log)
+	// Explorations score probe cells with the run step, sharing every cache
+	// tier with the job API, as many at once as the server has workers.
+	hub, err := newExploreHub(exploreDir, explore.EvalEach(s.workers, s.evalProbe), s.log)
 	if err != nil {
 		return nil, err
 	}
@@ -235,13 +257,10 @@ func newServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// loggerOrDiscard is the Logger option's nil default on both entry
-// points: structured logging off.
-func loggerOrDiscard(l *slog.Logger) *slog.Logger {
-	if l == nil {
-		l = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	return l
+// evalProbe scores one exploration probe cell with the run step.
+func (s *Server) evalProbe(ctx context.Context, cell exp.Job) (explore.EvalResult, error) {
+	r, err := s.run(ctx, runReq{cell: cell})
+	return explore.EvalResult{Metrics: r.Metrics, Tier: r.Tier}, err
 }
 
 func (s *Server) startWorkers() {
@@ -251,12 +270,13 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// worker pops queued jobs in FIFO order until drained. Cancellation of a
-// queued job removes it from pending directly, so every popped job is
-// live; cancellation of a running job flips its state under s.mu, and
-// the worker — which cannot preempt a simulation step — discards its
-// result for the job record on return (the memo and disk caches still
-// keep it, so a resubmission is nearly free).
+// worker pops queued jobs in FIFO order until drained and runs each with
+// the run step. Cancellation of a queued job removes it from pending
+// directly, so every popped job is live; cancellation of a running job
+// flips its state under s.mu and aborts the run's context, and the
+// worker — which cannot preempt a simulation step — discards its result
+// for the job record on return (the memo and disk caches still keep it,
+// so a resubmission is nearly free).
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -270,11 +290,19 @@ func (s *Server) worker() {
 		}
 		j := s.pending[0]
 		s.transitionLocked(j, api.JobRunning)
-		gen, profile, ctx := j.gen, j.Spec.Profile, j.ctx
+		gen, ctx := j.gen, j.ctx
+		req := runReq{cell: j.cell, profile: j.Spec.Profile, owner: j.owner, traceID: j.TraceID,
+			placed: func(worker string) {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if j.gen == gen && j.State == api.JobRunning {
+					j.spanAttr("worker", worker)
+				}
+			}}
 		s.unlock()
 
 		s.running.Add(1)
-		res, err := s.sched.RunJobEx(ctx, j.cell, profile)
+		res, err := s.run(ctx, req)
 		s.running.Add(-1)
 
 		s.mu.Lock()
@@ -567,7 +595,7 @@ type resolvedCell struct {
 // config/workload labels, the [config][workload] cell-ID grid and each
 // config column's resolved value, which together let the sweep resource
 // assemble its merged speedup table with an area estimate per column.
-// Cell-list sweeps (the coordinator's shard form) leave it zero.
+// Cell-list sweeps leave it zero.
 type sweepAxes struct {
 	configs   []string
 	workloads []string
@@ -588,33 +616,9 @@ type sweepRec struct {
 	sweepAxes
 }
 
-// registerSweep finds or creates the sweep resource of an admitted
-// expansion, shared by the daemon and the coordinator. Callers hold the
-// lock guarding sweeps.
-func registerSweep(sweeps map[string]*sweepRec, id string, ex *sweepExpansion) {
-	rec, known := sweeps[id]
-	if !known {
-		rec = &sweepRec{
-			id:          id,
-			submittedAt: time.Now(),
-			requested:   ex.requested,
-			deduped:     ex.requested - len(ex.cells),
-			sweepAxes:   ex.sweepAxes,
-		}
-		for _, c := range ex.cells {
-			rec.jobIDs = append(rec.jobIDs, c.id)
-		}
-		sweeps[id] = rec
-	} else if rec.grid == nil {
-		// A cell-list twin registered first; adopt the axes so the
-		// resource can still serve speedups.
-		rec.sweepAxes = ex.sweepAxes
-	}
-}
-
 // sweepID content-addresses a sweep: the hash of its sorted unique cell
-// IDs, so the same cell set — however spelled, resubmitted, or sharded —
-// is the same resource.
+// IDs, so the same cell set — however spelled or resubmitted, at any
+// entry point — is the same resource.
 func sweepID(cells []resolvedCell) string {
 	ids := make([]string, len(cells))
 	for i, c := range cells {
@@ -641,7 +645,23 @@ func (s *Server) submitSweep(ex *sweepExpansion, owner, traceID string) (api.Swe
 		jobs[i] = j.Job
 	}
 	id := sweepID(ex.cells)
-	registerSweep(s.sweeps, id, ex)
+	if rec, known := s.sweeps[id]; !known {
+		rec = &sweepRec{
+			id:          id,
+			submittedAt: time.Now(),
+			requested:   ex.requested,
+			deduped:     ex.requested - len(ex.cells),
+			sweepAxes:   ex.sweepAxes,
+		}
+		for _, c := range ex.cells {
+			rec.jobIDs = append(rec.jobIDs, c.id)
+		}
+		s.sweeps[id] = rec
+	} else if rec.grid == nil {
+		// A cell-list twin registered first; adopt the axes so the
+		// resource can still serve speedups.
+		rec.sweepAxes = ex.sweepAxes
+	}
 	return api.SweepResponse{
 		ID:        id,
 		Requested: ex.requested,
@@ -650,11 +670,9 @@ func (s *Server) submitSweep(ex *sweepExpansion, owner, traceID string) (api.Swe
 	}, nil
 }
 
-// view assembles the sweep's resource representation from per-cell job
-// snapshots, shared by the daemon (snapshots from its job table) and the
-// coordinator (snapshots fetched from workers) so both entry points
-// serve the same aggregate for the same cells.
-func (rec *sweepRec) view(snap func(id string) api.Job) api.Sweep {
+// view assembles the sweep's resource representation from its jobs in
+// the job table. Callers hold s.mu.
+func (rec *sweepRec) view(jobs map[string]*job) api.Sweep {
 	sw := api.Sweep{
 		ID:          rec.id,
 		Requested:   rec.requested,
@@ -665,7 +683,7 @@ func (rec *sweepRec) view(snap func(id string) api.Job) api.Sweep {
 	}
 	terminal := 0
 	for _, jid := range rec.jobIDs {
-		j := snap(jid)
+		j := jobs[jid].Job
 		sw.Counts[j.State]++
 		if j.State.Terminal() {
 			terminal++
@@ -681,18 +699,18 @@ func (rec *sweepRec) view(snap func(id string) api.Job) api.Sweep {
 		sw.State = api.SweepDone
 	}
 	if sw.State == api.SweepDone && rec.grid != nil {
-		sw.Speedups = rec.speedups(snap)
+		sw.Speedups = rec.speedups(jobs)
 	}
 	return sw
 }
 
 // speedups computes the merged grid of a completed axis-form sweep:
 // Cells[w][c] relative to the first configuration column, exactly
-// exp.SweepResult.Speedups(0)'s convention. Callers have verified every
-// cell is done. Each configuration column also carries its area estimate
-// versus the base column, so every speedup in the grid has a cost next
-// to it.
-func (rec *sweepRec) speedups(snap func(id string) api.Job) *api.SweepSpeedups {
+// exp.SweepResult.Speedups(0)'s convention. Callers hold s.mu and have
+// verified every cell is done. Each configuration column also carries its
+// area estimate versus the base column, so every speedup in the grid has
+// a cost next to it.
+func (rec *sweepRec) speedups(jobs map[string]*job) *api.SweepSpeedups {
 	sp := &api.SweepSpeedups{
 		Configs:   rec.configs,
 		Workloads: rec.workloads,
@@ -700,9 +718,9 @@ func (rec *sweepRec) speedups(snap func(id string) api.Job) *api.SweepSpeedups {
 	}
 	for w := range rec.workloads {
 		sp.Cells[w] = make([]float64, len(rec.configs))
-		base := snap(rec.grid[0][w]).Metrics
+		base := jobs[rec.grid[0][w]].Metrics
 		for c := range rec.configs {
-			sp.Cells[w][c] = snap(rec.grid[c][w]).Metrics.Speedup(*base)
+			sp.Cells[w][c] = jobs[rec.grid[c][w]].Metrics.Speedup(*base)
 		}
 	}
 	sp.AreaMM2, sp.OverheadFrac = make([]float64, len(rec.cfgs)), make([]float64, len(rec.cfgs))
@@ -765,13 +783,15 @@ func (s *Server) Stats() api.Stats {
 	s.mu.Unlock()
 
 	st := api.Stats{
-		Scheduler:   s.sched.Stats(),
 		Workers:     s.workers,
 		QueueDepth:  depth,
 		QueueCap:    capacity,
 		Jobs:        byState,
 		RateLimited: s.rateLimited.Value(),
 		QuotaDenied: s.quotaDenied.Value(),
+	}
+	if s.sched != nil {
+		st.Scheduler = s.sched.Stats()
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
@@ -842,14 +862,17 @@ func (s *Server) waitSweep(ctx context.Context, id string, d time.Duration) (api
 			he = &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown sweep %q", id)}
 			return api.Sweep{}, nil, true
 		}
-		sw := rec.view(func(jid string) api.Job { return s.jobs[jid].Job })
+		sw := rec.view(s.jobs)
 		return sw, s.waitCh, sw.State.Terminal() || s.draining
 	})
 	return sw, he
 }
 
 // Shutdown stops accepting submissions, cancels still-queued jobs, and
-// waits (bounded by ctx) for in-flight simulations to drain.
+// waits (bounded by ctx) for in-flight simulations to drain. A
+// coordinator has none to drain — its running jobs are runs parked on
+// workers — so it cancels those too (forwarding the cancel) and stops
+// its prober.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -858,7 +881,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.draining = true
 	for _, j := range s.jobs {
-		if j.State == api.JobQueued {
+		if j.State == api.JobQueued || (s.fleet != nil && j.State == api.JobRunning) {
 			s.transitionLocked(j, api.JobCanceled)
 		}
 	}
@@ -866,6 +889,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.broadcastLocked() // long-poll waiters return promptly during drain
 	s.unlock()
 	s.explorer.cancel() // abort exploration drivers; journals survive for resume
+	if s.fleet != nil {
+		close(s.fleet.stop)
+	}
 
 	done := make(chan struct{})
 	go func() {

@@ -157,7 +157,7 @@ func TestSweepDeduplicatesCells(t *testing.T) {
 func TestCancelRemovesQueuedJob(t *testing.T) {
 	// Workers not started yet, so submissions stay deterministically
 	// queued until we say go.
-	srv, err := newServer(Options{Workers: 1})
+	srv, err := newServer(Options{Workers: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestMalformedSpecsRejected(t *testing.T) {
 }
 
 func TestQueueBoundReturns503(t *testing.T) {
-	srv, err := newServer(Options{Workers: 1, MaxQueue: 1})
+	srv, err := newServer(Options{Workers: 1, MaxQueue: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestQueueBoundReturns503(t *testing.T) {
 }
 
 func TestSweepRejectsWholeWhenQueueTooSmall(t *testing.T) {
-	srv, err := newServer(Options{Workers: 1, MaxQueue: 1})
+	srv, err := newServer(Options{Workers: 1, MaxQueue: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,9 +99,9 @@ func TestSweepIDContentAddressed(t *testing.T) {
 	}
 }
 
-// TestSweepCellListAdoptsAxesGrid pins the twin-registration order the
-// coordinator relies on: when the cell-list spelling registers first,
-// a later axis-form submission upgrades the record with its grid.
+// TestSweepCellListAdoptsAxesGrid pins the twin-registration order: when
+// the cell-list spelling registers first, a later axis-form submission
+// upgrades the record with its grid.
 func TestSweepCellListAdoptsAxesGrid(t *testing.T) {
 	_, c := newTestServer(t, Options{Workers: 2})
 	ctx := context.Background()

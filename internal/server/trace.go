@@ -56,9 +56,10 @@ func ensureTraceID(r *http.Request) string {
 
 // withTrace is the tracing middleware: every request gets a trace ID —
 // the client's X-Trace-Id or a freshly minted one — stored in the
-// request context and echoed on the response, so a client (or the
-// coordinator relaying to a worker) can correlate any response with the
-// server's structured logs.
+// request context and echoed on the response, so a client can correlate
+// any response with the server's structured logs. A job adopts its
+// submission's trace ID, and a coordinator's remote run carries it to the
+// worker's copy of the job.
 func withTrace(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := ensureTraceID(r)

@@ -169,26 +169,41 @@ func TestClusterTraceSurvivesForwarding(t *testing.T) {
 		t.Fatalf("job traceId through coordinator = %q, want %q", j.TraceID, id)
 	}
 
-	// The coordinator relays the owning worker's timeline with its own
-	// placement span prepended; the whole chain stays monotonic.
+	// The coordinator's trace is its own lifecycle, the worker it ran on
+	// named on the running span; the worker's copy of the job carries the
+	// same trace ID.
 	tr, err := tc.client.Trace(ctx, j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tr.TraceID != id {
-		t.Fatalf("relayed trace traceId = %q, want %q", tr.TraceID, id)
+		t.Fatalf("coordinator trace traceId = %q, want %q", tr.TraceID, id)
 	}
-	assertSpanChain(t, tr.Spans, []string{"placed", "queued", "running", "done"})
-	if tr.Spans[0].Attrs["worker"] == "" {
-		t.Fatalf("placed span has no worker attribution: %+v", tr.Spans[0])
+	assertSpanChain(t, tr.Spans, []string{"queued", "running", "done"})
+	if tr.Spans[1].Attrs["worker"] == "" {
+		t.Fatalf("running span has no worker attribution: %+v", tr.Spans[1])
+	}
+	copies := 0
+	for _, w := range tc.workers {
+		w.mu.Lock()
+		if wj, ok := w.jobs[j.ID]; ok {
+			copies++
+			if wj.TraceID != id {
+				t.Errorf("worker's copy of the job has trace ID %q, want %q", wj.TraceID, id)
+			}
+		}
+		w.mu.Unlock()
+	}
+	if copies != 1 {
+		t.Fatalf("%d workers hold the job, want its one rendezvous worker", copies)
 	}
 
-	// The profile relays verbatim through the coordinator.
+	// The profile comes through the coordinator.
 	p, err := tc.client.Profile(ctx, j.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Profile == nil || p.Profile.Verdict.Bottleneck == "" {
-		t.Fatalf("relayed profile payload %+v", p)
+		t.Fatalf("profile through the coordinator: %+v", p)
 	}
 }
