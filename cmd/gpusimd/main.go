@@ -25,8 +25,8 @@
 // A coordinator is the same daemon with a remote run step: it admits
 // (-max-queue, -rate-limit, -rate-burst and -max-inflight-per-client
 // bind at the entry point), tracks, lists and traces jobs itself, and
-// adds GET /v1/cluster and POST /v1/cluster/drain. A worker's refusal
-// delays a run instead of failing it, and an unhealthy worker's runs move
+// adds GET /v1/cluster and POST /v1/cluster/drain. A worker's 429 delays
+// a run instead of failing it; a 503 or an unhealthy worker moves its runs
 // to the survivors (the simulator is deterministic, so placement never
 // changes results). -j, -cache-dir and -cache-max-bytes belong to the
 // workers: given with -worker they are an error.
@@ -150,11 +150,11 @@ func main() {
 	})
 	defer release()
 
-	fmt.Fprintf(os.Stderr, "gpusimd: listening on %s (%d workers", *addr, srv.Stats().Workers)
+	runs := fmt.Sprintf("%d workers", srv.Stats().Workers)
 	if len(workerAddrs) > 0 {
-		fmt.Fprintf(os.Stderr, " running cells on %d daemons, probe every %s, unhealthy after %d misses", len(workerAddrs), *probeInterval, *probeFails)
+		runs = fmt.Sprintf("running cells on %d daemons, probe every %s, unhealthy after %d misses", len(workerAddrs), *probeInterval, *probeFails)
 	}
-	fmt.Fprintf(os.Stderr, ", queue %d", *maxQueue)
+	fmt.Fprintf(os.Stderr, "gpusimd: listening on %s (%s, queue %d", *addr, runs, *maxQueue)
 	if *cacheDir != "" {
 		fmt.Fprintf(os.Stderr, ", cache %s", *cacheDir)
 		if cacheMaxBytes > 0 {

@@ -1,6 +1,7 @@
 package explore
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -158,13 +159,13 @@ type EvalResult struct {
 type EvalBatch func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error)
 
 // EvalEach builds an EvalBatch from a per-cell evaluator: one goroutine
-// per cell, at most limit inside eval at once, results in job order, the
-// first error in job order reported.
+// per cell, at most limit inside eval at once (0: no bound), results in
+// job order, the first error in job order reported.
 func EvalEach(limit int, eval func(ctx context.Context, j exp.Job) (EvalResult, error)) EvalBatch {
 	return func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error) {
 		outs := make([]EvalResult, len(jobs))
 		errs := make([]error, len(jobs))
-		sem := make(chan struct{}, limit)
+		sem := make(chan struct{}, cmp.Or(limit, len(jobs)))
 		var wg sync.WaitGroup
 		for i, j := range jobs {
 			wg.Add(1)

@@ -377,7 +377,7 @@ func TestClusterListMerge(t *testing.T) {
 // own: built with a per-client quota of one, it answers a client's second
 // submit with 429 and a retry hint itself, whatever its workers would say.
 func TestClusterQuotaAtEntryPoint(t *testing.T) {
-	co, _, _ := countedCluster(t, 1, Options{MaxInflightPerClient: 1}, Options{})
+	co, _, _, _ := countedCluster(t, 1, Options{MaxInflightPerClient: 1}, Options{})
 	ts := httptest.NewServer(co.Handler())
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL)

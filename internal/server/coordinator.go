@@ -43,11 +43,6 @@ type CoordinatorOptions struct {
 	Options Options
 }
 
-// runsPerWorker is how many runs a coordinator parks on each worker at
-// once: its run slots (Server.workers) are this many per worker, and they
-// bound its exploration probes as a daemon's cores bound its own.
-const runsPerWorker = 16
-
 // waitRound caps one long-poll of a remote run on its worker.
 const waitRound = 30 * time.Second
 
@@ -58,19 +53,21 @@ const waitRound = 30 * time.Second
 const exploreIdentity = "gpusimd-explore"
 
 // NewCoordinator builds a coordinator — a Server whose run step is remote
-// — and starts its run slots and its health prober. It admits, tracks,
-// lists, traces and cancels jobs, sweeps and explorations exactly as a
-// daemon does, from its own job table; only the run of a cell happens
-// elsewhere, on the worker its content-addressed ID rendezvous-hashes to,
-// so the same cell lands on the same worker from any entry point with the
-// same membership and memoizes there. On top of the daemon's routes it
+// — and starts its health prober. It admits, tracks, lists, traces and
+// cancels jobs, sweeps and explorations exactly as a daemon does, from its
+// own job table; only the run of a cell happens elsewhere, on the worker
+// its content-addressed ID rendezvous-hashes to, so the same cell lands on
+// the same worker from any entry point with the same membership and
+// memoizes there. Every queued cell gets a run of its own at once, so the
+// workers' own queues and worker pools bound the work, as they do for a
+// client talking to a worker directly. On top of the daemon's routes it
 // serves GET /v1/cluster and POST /v1/cluster/drain, and GET /v1/stats
-// reports the fleet's scheduler counters.
+// reports the fleet's worker counts and scheduler counters.
 //
 // Workers are probed periodically; after ProbeFails consecutive failures
-// (or a transport error on a run's own request) a worker leaves placement
-// and the runs parked on it move to the remaining workers, until it
-// answers probes again. A drain does the same handover administratively.
+// (or a transport error or a 503 on a run's own request) a worker leaves
+// placement and the runs parked on it move to the remaining workers, until
+// it answers probes again. A drain does the same handover administratively.
 func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 	switch {
 	case len(opts.Workers) == 0:
@@ -108,7 +105,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 		return nil, err
 	}
 	f.log = s.log
-	s.startWorkers()
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -133,7 +129,7 @@ type fleet struct {
 	changed    chan struct{} // closed+replaced when a worker may have become routable
 	reassigned int64
 
-	stop chan struct{} // closed by Shutdown; ends the prober
+	stop chan struct{} // closed by Shutdown; ends the prober, and runs ended after it forward no cancel
 }
 
 // coordWorker is one worker's membership record, kept in the form GET
@@ -177,12 +173,14 @@ func forwardIdentity(owner string) string {
 // run is a coordinator's run step. The cell is placed on its rendezvous
 // worker — POST /v1/jobs with the job's owner identity and trace ID —
 // long-polled there to a terminal state, and its profile fetched when one
-// was asked for. The run moves when its worker fails a request or leaves
-// placement, waits out a worker's refusal (429, 503, or any answer that is
-// not the job) for that worker's Retry-After, places a cell again when the
-// worker reports it canceled, and forwards DELETE when ctx is canceled. It
-// fails only when a worker reports the cell itself failed — which every
-// worker would: the simulator is deterministic.
+// was asked for. The run moves when its worker fails a request, answers
+// 503 (full or shutting down) or leaves placement, waits out any other
+// refusal (429, or an answer that is not the job) for that worker's
+// Retry-After, places a cell again when the worker reports it canceled,
+// and forwards DELETE when ctx is canceled — unless the coordinator is
+// shutting down, which leaves its workers' jobs alone. It fails only when
+// a worker reports the cell itself failed — which every worker would: the
+// simulator is deterministic.
 func (f *fleet) run(ctx context.Context, r runReq) (exp.RunResult, error) {
 	id := r.cell.CellID()
 	body, err := json.Marshal(api.JobSpec{
@@ -214,7 +212,11 @@ func (f *fleet) run(ctx context.Context, r runReq) (exp.RunResult, error) {
 		case res != nil:
 			return *res, err
 		case ctx.Err() != nil:
-			f.forwardCancel(w.Addr+"/v1/jobs/"+id, hdr)
+			select {
+			case <-f.stop:
+			default:
+				f.forwardCancel(w.Addr+"/v1/jobs/"+id, hdr)
+			}
 			return exp.RunResult{}, ctx.Err()
 		case err != nil:
 			f.markWorkerFailed(w, err)
@@ -230,9 +232,9 @@ func (f *fleet) run(ctx context.Context, r runReq) (exp.RunResult, error) {
 // exchange runs the cell once on the worker at addr: POST /v1/jobs, a
 // long-poll until the job is terminal, and then its profile when one was
 // asked for. It returns the outcome (res; an err beside it is the cell's
-// own failure), or a transport failure (err alone), or neither: the
-// worker refused the cell, lost it or canceled it, and the cell is placed
-// again after wait.
+// own failure), or a failure of the worker (err alone: no answer, or a
+// 503), or neither: the worker refused the cell, lost it or canceled it,
+// and the cell is placed again after wait.
 func (f *fleet) exchange(ctx context.Context, addr, id string, hdr http.Header, body []byte, profile bool) (*exp.RunResult, time.Duration, error) {
 	var snap api.Job
 	status, wait, err := f.call(ctx, http.MethodPost, addr+"/v1/jobs", hdr, body, &snap)
@@ -240,6 +242,10 @@ func (f *fleet) exchange(ctx context.Context, addr, id string, hdr http.Header, 
 		status, wait, err = f.call(ctx, http.MethodGet, addr+"/v1/jobs/"+id+"?wait="+waitRound.String(), hdr, nil, &snap)
 	}
 	switch {
+	case err == nil && status == http.StatusServiceUnavailable:
+		// A full or draining worker keeps answering its health probes, so
+		// the run takes it out of placement itself; the probes readmit it.
+		return nil, 0, fmt.Errorf("server: %s answered %d", addr, status)
 	case err != nil || status/100 != 2:
 		return nil, wait, err
 	case snap.State == api.JobFailed:
@@ -398,8 +404,8 @@ func (f *fleet) wakeLocked() {
 
 // noteWorker folds one observation of w into its health record — the
 // single place a worker changes health. A probe counts toward the
-// ProbeFails threshold and readmits on success; a transport failure on a
-// run's request (probe=false) is conclusive at once. A worker that turns
+// ProbeFails threshold and readmits on success; a failure on a run's
+// request (probe=false) is conclusive at once. A worker that turns
 // unhealthy has its runs moved; one that turns healthy wakes the runs
 // waiting for a worker. Each transition logs one line.
 func (f *fleet) noteWorker(w *coordWorker, ok, probe bool, cause error) {
@@ -442,10 +448,11 @@ func (f *fleet) noteWorker(w *coordWorker, ok, probe bool, cause error) {
 	}
 }
 
-// markWorkerFailed records a transport failure on w: the worker is
-// immediately unhealthy (probes will readmit it) and its runs move. A
-// request that failed because its own context ended — a departed client,
-// a canceled job, a run moved off w — says nothing about the worker.
+// markWorkerFailed records a failure of w — no answer, or a 503 to a run:
+// the worker is immediately unhealthy (probes will readmit it) and its
+// runs move. A request that failed because its own context ended — a
+// departed client, a canceled job, a run moved off w — says nothing about
+// the worker.
 func (f *fleet) markWorkerFailed(w *coordWorker, cause error) {
 	if !errors.Is(cause, context.Canceled) {
 		f.noteWorker(w, false, false, cause)
@@ -471,23 +478,22 @@ func (f *fleet) prober(interval time.Duration) {
 	}
 }
 
-// schedulerSum is GET /v1/stats's fleet sum at a coordinator: the
-// scheduler counters of every worker that answers, added up.
-func (f *fleet) schedulerSum(ctx context.Context) exp.Stats {
-	var sum exp.Stats
+// addStats is GET /v1/stats's fleet sum at a coordinator: the worker-pool
+// sizes and scheduler counters of every worker that answers, added to st.
+func (f *fleet) addStats(ctx context.Context, st *api.Stats) {
 	for _, w := range f.workers {
-		var st api.Stats
-		status, _, err := f.call(ctx, http.MethodGet, w.Addr+"/v1/stats", nil, nil, &st)
+		var ws api.Stats
+		status, _, err := f.call(ctx, http.MethodGet, w.Addr+"/v1/stats", nil, nil, &ws)
 		if err != nil {
 			f.markWorkerFailed(w, err)
 		} else if status == http.StatusOK {
-			sum.Simulated += st.Scheduler.Simulated
-			sum.CacheHits += st.Scheduler.CacheHits
-			sum.DiskHits += st.Scheduler.DiskHits
-			sum.SimCycles += st.Scheduler.SimCycles
+			st.Workers += ws.Workers
+			st.Scheduler.Simulated += ws.Scheduler.Simulated
+			st.Scheduler.CacheHits += ws.Scheduler.CacheHits
+			st.Scheduler.DiskHits += ws.Scheduler.DiskHits
+			st.Scheduler.SimCycles += ws.Scheduler.SimCycles
 		}
 	}
-	return sum
 }
 
 // ---- /v1/cluster ----

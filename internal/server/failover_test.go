@@ -21,15 +21,17 @@ import (
 // built with workerOpts (submitted cells stay queued, so every run stays
 // parked on its worker and no read is answered from a finished job),
 // whose prober effectively never fires: every health change in these
-// tests comes from the request path. requests counts what the workers are
-// asked.
-func countedCluster(t *testing.T, n int, coOpts, workerOpts Options) (*Server, []*httptest.Server, *atomic.Int64) {
+// tests comes from the request path. workers are the Servers behind the
+// listeners; requests counts what the workers are asked.
+func countedCluster(t *testing.T, n int, coOpts, workerOpts Options) (*Server, []*httptest.Server, []*Server, *atomic.Int64) {
 	t.Helper()
 	var requests atomic.Int64
 	var servers []*httptest.Server
+	var workers []*Server
 	var addrs []string
 	for i := 0; i < n; i++ {
 		srv := newIdleWorker(t, workerOpts)
+		workers = append(workers, srv)
 		h := srv.Handler()
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			requests.Add(1)
@@ -47,14 +49,14 @@ func countedCluster(t *testing.T, n int, coOpts, workerOpts Options) (*Server, [
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { co.Shutdown(context.Background()) }) //nolint:errcheck // test teardown
-	return co, servers, &requests
+	return co, servers, workers, &requests
 }
 
 // quietCluster is countedCluster with default options and the given
 // coordinator logger.
 func quietCluster(t *testing.T, n int, logger *slog.Logger) (*Server, []*httptest.Server) {
 	t.Helper()
-	co, servers, _ := countedCluster(t, n, Options{Logger: logger}, Options{})
+	co, servers, _, _ := countedCluster(t, n, Options{Logger: logger}, Options{})
 	return co, servers
 }
 
@@ -117,7 +119,7 @@ func TestCellVerbsShareOneFailoverRule(t *testing.T) {
 		{"DELETE", http.MethodDelete, "", http.StatusOK},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			co, servers, requests := countedCluster(t, 2, Options{}, Options{})
+			co, servers, _, requests := countedCluster(t, 2, Options{}, Options{})
 			h := co.Handler()
 			job := submitCell(t, h, client.JobSpec{Config: "baseline", Bench: testBench})
 			waitFor(t, "the run to park on its worker", func() bool { return requests.Load() == 2 })
@@ -156,7 +158,7 @@ func TestCellVerbsShareOneFailoverRule(t *testing.T) {
 // own: polling a pending 16-cell sweep and each of its jobs asks the
 // workers nothing. (Each run is one POST and one parked long-poll.)
 func TestReadsCostNoWorkerRequests(t *testing.T) {
-	co, _, requests := countedCluster(t, 2, Options{}, Options{})
+	co, _, _, requests := countedCluster(t, 2, Options{}, Options{})
 	ts := httptest.NewServer(co.Handler())
 	t.Cleanup(ts.Close)
 	c := client.New(ts.URL)
@@ -193,7 +195,7 @@ func TestReadsCostNoWorkerRequests(t *testing.T) {
 // first cell is canceled through the coordinator — which also pins that
 // the cancel is forwarded (else the worker's quota would never free).
 func TestWorkerRefusalDelaysRun(t *testing.T) {
-	co, servers, requests := countedCluster(t, 1, Options{}, Options{MaxInflightPerClient: 1})
+	co, servers, _, requests := countedCluster(t, 1, Options{}, Options{MaxInflightPerClient: 1})
 	h := co.Handler()
 	a := submitCell(t, h, mshrPatch(8))
 	b := submitCell(t, h, mshrPatch(16))
@@ -240,9 +242,10 @@ func TestWorkerRefusalDelaysRun(t *testing.T) {
 
 // TestCoordinatorShutdownIsPrompt: a coordinator's running jobs are runs
 // parked on workers, not simulations, so Shutdown does not wait for idle
-// workers to finish them.
+// workers to finish them — and it leaves the workers' copies of the jobs,
+// which other entry points may share, queued.
 func TestCoordinatorShutdownIsPrompt(t *testing.T) {
-	co, _, requests := countedCluster(t, 2, Options{}, Options{})
+	co, servers, _, requests := countedCluster(t, 2, Options{}, Options{})
 	h := co.Handler()
 	for i := 0; i < 8; i++ {
 		submitCell(t, h, mshrPatch(8*(i+1)))
@@ -256,6 +259,81 @@ func TestCoordinatorShutdownIsPrompt(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Fatalf("Shutdown with 8 parked runs took %v, want < 1 s", d)
+	}
+	queued := 0
+	for _, ts := range servers {
+		list, err := client.New(ts.URL).ListJobs(ctx, client.ListOptions{State: client.JobQueued})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued += len(list.Jobs)
+	}
+	if queued != 8 {
+		t.Fatalf("workers hold %d queued jobs after the coordinator's shutdown, want all 8", queued)
+	}
+}
+
+// TestWorkerShutdownMovesRun: a worker shutting down cancels its queued
+// jobs and answers 503 while its listener and health probe still answer;
+// the run parked on it must move to the peer at once, not cycle there.
+func TestWorkerShutdownMovesRun(t *testing.T) {
+	co, servers, workers, requests := countedCluster(t, 2, Options{}, Options{})
+	h := co.Handler()
+	job := submitCell(t, h, client.JobSpec{Config: "baseline", Bench: testBench})
+	waitFor(t, "the run to park on its worker", func() bool { return requests.Load() == 2 })
+	dead := placement(co)
+	for i, ts := range servers {
+		if ts.URL == dead {
+			workers[i].Shutdown(context.Background()) //nolint:errcheck // idle: returns at once
+		}
+	}
+	waitFor(t, "the run to move to the live worker", func() bool {
+		p := placement(co)
+		return p != "" && p != dead
+	})
+	if cs := co.clusterStats(); cs.ReassignedJobs != 1 || cs.Healthy != 1 {
+		t.Fatalf("reassigned %d runs, %d healthy workers; want 1 and 1", cs.ReassignedJobs, cs.Healthy)
+	}
+	var got api.Job
+	json.Unmarshal(serve(h, http.MethodGet, "/v1/jobs/"+job.ID, "").Body.Bytes(), &got) //nolint:errcheck // state checked
+	if got.State != api.JobRunning {
+		t.Fatalf("moved cell is %s at the coordinator, want running", got.State)
+	}
+}
+
+// TestCoordinatorParksEveryCell: a coordinator holds back no cell of a
+// sweep — each gets its run on its worker at once, so the worker's own
+// queue and pool bound the work however many cores it has.
+func TestCoordinatorParksEveryCell(t *testing.T) {
+	co, _, workers, requests := countedCluster(t, 1, Options{}, Options{})
+	var cells []client.JobSpec
+	for i := 0; i < 40; i++ {
+		cells = append(cells, mshrPatch(8*(i+1)))
+	}
+	body, _ := json.Marshal(client.SweepRequest{Cells: cells})
+	if rec := serve(co.Handler(), http.MethodPost, "/v1/sweeps", string(body)); rec.Code != http.StatusOK {
+		t.Fatalf("sweep: %d %s", rec.Code, rec.Body)
+	}
+	waitFor(t, "all 40 runs to park", func() bool { return requests.Load() == 80 })
+	if st := workers[0].Stats(); st.QueueDepth != 40 {
+		t.Fatalf("worker queue holds %d cells, want all 40", st.QueueDepth)
+	}
+}
+
+// TestCoordinatorQueueBoundCoversRuns: every queued cell gets a run at
+// once, so a coordinator's -max-queue bounds its queued jobs and its runs
+// together — else it would bind nothing.
+func TestCoordinatorQueueBoundCoversRuns(t *testing.T) {
+	co, _, _, requests := countedCluster(t, 1, Options{MaxQueue: 1}, Options{})
+	h := co.Handler()
+	submitCell(t, h, mshrPatch(8))
+	waitFor(t, "the run to park", func() bool { return requests.Load() == 2 })
+	body, _ := json.Marshal(mshrPatch(16))
+	if rec := serve(h, http.MethodPost, "/v1/jobs", string(body)); rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("second submit over a one-entry queue: %d %s, want 503", rec.Code, rec.Body)
+	}
+	if st := co.Stats(); st.QueueDepth != 1 {
+		t.Fatalf("queue depth %d, want the one parked run", st.QueueDepth)
 	}
 }
 

@@ -125,13 +125,14 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, api.Error{Code: code, Detail: err.Error(), RetryAfter: retrySecs})
 }
 
-// handleStats serves Stats; at a coordinator the scheduler counters are
-// the fleet's sum (the coordinator simulates nothing) and the cluster
-// section describes the fleet.
+// handleStats serves Stats; at a coordinator the worker count and the
+// scheduler counters are the fleet's sum (the coordinator simulates
+// nothing) and the cluster section describes the fleet.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	if s.fleet != nil {
-		st.Scheduler, st.Cluster = s.fleet.schedulerSum(r.Context()), s.clusterStats()
+		s.fleet.addStats(r.Context(), &st)
+		st.Cluster = s.clusterStats()
 	}
 	writeJSON(w, http.StatusOK, st)
 }

@@ -35,15 +35,13 @@ func (s *Server) initMetrics() {
 	s.stageLatency = r.HistogramVec("gpusimd_job_stage_seconds",
 		"Job stage wall-clock duration in seconds, by lifecycle stage.", []string{"stage"}, metrics.DefBuckets)
 
-	r.GaugeFunc("gpusimd_workers", "Simulation worker-pool size (a coordinator's: its run slots).",
-		func() float64 { return float64(s.workers) })
-	r.GaugeFunc("gpusimd_inflight_sims", "Workers currently inside a simulation (a coordinator's: inside a remote run).",
+	r.GaugeFunc("gpusimd_inflight_sims", "Workers currently inside a simulation (a coordinator's: its remote runs).",
 		func() float64 { return float64(s.running.Load()) })
-	r.GaugeFunc("gpusimd_queue_depth", "Jobs waiting in the bounded queue.",
+	r.GaugeFunc("gpusimd_queue_depth", "Jobs the bounded queue holds (a coordinator's: queued or running).",
 		func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			return float64(len(s.pending))
+			return float64(s.queueDepthLocked())
 		})
 	r.GaugeFunc("gpusimd_queue_capacity", "Bounded queue capacity.",
 		func() float64 { return float64(s.maxQueue) })
@@ -62,7 +60,9 @@ func (s *Server) initMetrics() {
 			return samples
 		})
 
-	if s.sched != nil {
+	if s.sched != nil { // a coordinator's /v1/stats sums its workers' instead
+		r.GaugeFunc("gpusimd_workers", "Simulation worker-pool size.",
+			func() float64 { return float64(s.workers) })
 		s.sched.RegisterMetrics(r, "gpusimd_scheduler_")
 	}
 	if s.fleet != nil {

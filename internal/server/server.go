@@ -156,7 +156,7 @@ type Server struct {
 	logq     []func()             // log lines of transitions made under mu; unlock emits them
 	draining bool
 
-	running atomic.Int64 // workers currently inside a simulation
+	running atomic.Int64 // workers inside the run step; changed under mu, read without it by /metrics
 
 	registry     *metrics.Registry
 	httpRequests *metrics.CounterVec
@@ -213,7 +213,9 @@ func newServer(opts Options, f *fleet) (*Server, error) {
 	}
 	exploreDir := ""
 	if f != nil {
-		s.workers, s.run = len(f.workers)*runsPerWorker, f.run
+		// A coordinator has no worker pool: each queued cell starts a worker
+		// of its own (transitionLocked).
+		s.workers, s.run = 0, f.run
 	} else {
 		schedOpts := []exp.Option{exp.WithWorkers(opts.Workers)}
 		if opts.Progress != nil {
@@ -247,7 +249,8 @@ func newServer(opts Options, f *fleet) (*Server, error) {
 	s.cond = sync.NewCond(&s.mu)
 	s.initMetrics()
 	// Explorations score probe cells with the run step, sharing every cache
-	// tier with the job API, as many at once as the server has workers.
+	// tier with the job API, as many at once as the server has workers — at
+	// a coordinator, a whole round at once.
 	hub, err := newExploreHub(exploreDir, explore.EvalEach(s.workers, s.evalProbe), s.log)
 	if err != nil {
 		return nil, err
@@ -270,18 +273,18 @@ func (s *Server) startWorkers() {
 	}
 }
 
-// worker pops queued jobs in FIFO order until drained and runs each with
-// the run step. Cancellation of a queued job removes it from pending
-// directly, so every popped job is live; cancellation of a running job
-// flips its state under s.mu and aborts the run's context, and the
-// worker — which cannot preempt a simulation step — discards its result
-// for the job record on return (the memo and disk caches still keep it,
-// so a resubmission is nearly free).
+// worker pops queued jobs in FIFO order until drained — at a coordinator,
+// until the queue is empty — and runs each with the run step. Cancellation
+// of a queued job removes it from pending directly, so every popped job is
+// live; cancellation of a running job flips its state under s.mu and
+// aborts the run's context, and the worker — which cannot preempt a
+// simulation step — discards its result for the job record on return (the
+// memo and disk caches still keep it, so a resubmission is nearly free).
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
 		s.mu.Lock()
-		for len(s.pending) == 0 && !s.draining {
+		for len(s.pending) == 0 && !s.draining && s.fleet == nil {
 			s.cond.Wait()
 		}
 		if len(s.pending) == 0 {
@@ -299,13 +302,13 @@ func (s *Server) worker() {
 					j.spanAttr("worker", worker)
 				}
 			}}
+		s.running.Add(1) // under s.mu: a coordinator's queue bound counts it
 		s.unlock()
 
-		s.running.Add(1)
 		res, err := s.run(ctx, req)
-		s.running.Add(-1)
 
 		s.mu.Lock()
+		s.running.Add(-1)
 		// Only the run that owns the record reports: if the job was
 		// canceled (and possibly re-enqueued) while we simulated, the
 		// canceled state the client observed must stand everywhere —
@@ -343,7 +346,8 @@ func (s *Server) worker() {
 //   - a span named after the new state opens — for a terminal state a
 //     zero-length marker, completing the queued → running → terminal
 //     timeline — and gpusimd_trace_spans_total counts it;
-//   - pending tracks the state: a job is in the FIFO exactly while queued;
+//   - pending tracks the state: a job is in the FIFO exactly while queued
+//     (and at a coordinator, entering it starts a worker for the job);
 //   - StartedAt / FinishedAt are stamped on entering running / a terminal
 //     state, and a terminal state additionally aborts the job's context,
 //     refunds its owner's quota (so a terminal job never holds a charge)
@@ -378,6 +382,13 @@ func (s *Server) transitionLocked(j *job, to api.JobState) {
 	case api.JobQueued:
 		s.pending = append(s.pending, j)
 		s.cond.Signal()
+		if s.fleet != nil {
+			// A coordinator's run is a request parked on a worker, not a
+			// simulation: every cell gets one at once, and the workers'
+			// own queues and pools bound the work.
+			s.wg.Add(1)
+			go s.worker()
+		}
 	case api.JobRunning:
 		j.StartedAt = &now
 		attrs = append(attrs, "config", j.cell.Config.Label(), "bench", j.cell.Workload.Label(), "profile", j.Spec.Profile)
@@ -543,7 +554,7 @@ func (s *Server) admitLocked(cells []resolvedCell, owner, traceID string) ([]*jo
 	if needed > 0 && s.draining {
 		return nil, nil, &httpError{status: http.StatusServiceUnavailable, msg: "server: draining, not accepting jobs"}
 	}
-	if free := s.maxQueue - len(s.pending); needed > free {
+	if free := s.maxQueue - s.queueDepthLocked(); needed > free {
 		msg := fmt.Sprintf("server: sweep needs %d queue slots, %d free (queue bound %d)", needed, free, s.maxQueue)
 		if len(cells) == 1 {
 			msg = fmt.Sprintf("server: job queue full (%d entries)", s.maxQueue)
@@ -582,6 +593,16 @@ func (s *Server) admitLocked(cells []resolvedCell, owner, traceID string) ([]*jo
 		s.transitionLocked(j, api.JobQueued)
 	}
 	return jobs, run, nil
+}
+
+// queueDepthLocked is what the queue bound counts: the queued jobs, and at
+// a coordinator — whose every run is a cell waiting on a worker — its runs
+// as well. Callers hold s.mu.
+func (s *Server) queueDepthLocked() int {
+	if s.fleet != nil {
+		return len(s.pending) + int(s.running.Load())
+	}
+	return len(s.pending)
 }
 
 // resolvedCell is one validated sweep cell (unique by id).
@@ -778,7 +799,7 @@ func (s *Server) Stats() api.Stats {
 	for _, j := range s.jobs {
 		byState[j.State]++
 	}
-	depth := len(s.pending)
+	depth := s.queueDepthLocked()
 	capacity := s.maxQueue
 	s.mu.Unlock()
 
@@ -871,8 +892,9 @@ func (s *Server) waitSweep(ctx context.Context, id string, d time.Duration) (api
 // Shutdown stops accepting submissions, cancels still-queued jobs, and
 // waits (bounded by ctx) for in-flight simulations to drain. A
 // coordinator has none to drain — its running jobs are runs parked on
-// workers — so it cancels those too (forwarding the cancel) and stops
-// its prober.
+// workers — so it stops its prober and cancels those too, without
+// forwarding the cancel: the workers' copies of the jobs, which other
+// entry points may share, run on.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.draining {
@@ -880,6 +902,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return errors.New("server: already shut down")
 	}
 	s.draining = true
+	if s.fleet != nil {
+		close(s.fleet.stop)
+	}
 	for _, j := range s.jobs {
 		if j.State == api.JobQueued || (s.fleet != nil && j.State == api.JobRunning) {
 			s.transitionLocked(j, api.JobCanceled)
@@ -889,9 +914,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.broadcastLocked() // long-poll waiters return promptly during drain
 	s.unlock()
 	s.explorer.cancel() // abort exploration drivers; journals survive for resume
-	if s.fleet != nil {
-		close(s.fleet.stop)
-	}
 
 	done := make(chan struct{})
 	go func() {
