@@ -28,7 +28,6 @@ import (
 
 	"gpumembw"
 	"gpumembw/cmd/internal/cliutil"
-	"gpumembw/internal/area"
 	"gpumembw/internal/config"
 	"gpumembw/internal/exp"
 	"gpumembw/internal/prof"
@@ -98,49 +97,28 @@ func main() {
 		profiles.Exit(1)
 	}
 
-	speedups := res.Speedups(0)
-	fmt.Printf("%-24s", "workload")
-	for _, name := range res.Configs[1:] {
-		fmt.Printf(" %14s", name)
-	}
-	fmt.Println()
-	sums := make([]float64, len(res.Configs))
-	for w, name := range res.Workloads {
-		fmt.Printf("%-24s", name)
+	// One row per workload, then cost rows aligned under the speedup
+	// columns: each configuration's speedup and area against the baseline
+	// column, so every speedup reads next to what it costs.
+	speedups, areas := res.Speedups(0), res.Areas()
+	row := func(label string, cell func(c int) string) {
+		fmt.Printf("%-24s", label)
 		for c := 1; c < len(res.Configs); c++ {
-			fmt.Printf(" %13.2fx", speedups[w][c])
-			sums[c] += speedups[w][c]
+			fmt.Print(cell(c))
 		}
 		fmt.Println()
 	}
-	fmt.Printf("%-24s", "AVG")
-	for c := 1; c < len(res.Configs); c++ {
-		fmt.Printf(" %13.2fx", sums[c]/float64(len(res.Workloads)))
+	row("workload", func(c int) string { return fmt.Sprintf(" %14s", res.Configs[c]) })
+	sums := make([]float64, len(res.Configs))
+	for w, name := range res.Workloads {
+		row(name, func(c int) string { sums[c] += speedups[w][c]; return fmt.Sprintf(" %13.2fx", speedups[w][c]) })
 	}
-	fmt.Println()
-
-	// Cost rows, aligned under the speedup columns: estimated area and
-	// die-overhead of each configuration relative to the baseline, so
-	// every speedup reads next to what it costs.
-	baseCfg := config.Baseline()
-	ests := make([]area.Estimate, len(cols))
-	for i, cfg := range cols[1:] {
-		ests[i+1] = area.Compare(&baseCfg, &cfg)
-	}
-	fmt.Printf("%-24s", "area mm2")
-	for c := 1; c < len(res.Configs); c++ {
-		fmt.Printf(" %14.2f", ests[c].TotalMM2)
-	}
-	fmt.Println()
-	fmt.Printf("%-24s", "overhead")
-	for c := 1; c < len(res.Configs); c++ {
-		fmt.Printf(" %13.2f%%", 100*ests[c].OverheadFrac)
-	}
-	fmt.Println()
-	for _, cfg := range cols[1:] {
-		est := area.Compare(&baseCfg, &cfg)
+	row("AVG", func(c int) string { return fmt.Sprintf(" %13.2fx", sums[c]/float64(len(res.Workloads))) })
+	row("area mm2", func(c int) string { return fmt.Sprintf(" %14.2f", areas[c].TotalMM2) })
+	row("overhead", func(c int) string { return fmt.Sprintf(" %13.2f%%", 100*areas[c].OverheadFrac) })
+	for c, est := range areas[1:] {
 		fmt.Printf("\narea %s: +%.1f KB storage, +%.2f mm2 crossbar wires, %.2f mm2 total (%.2f%% of die)\n",
-			cfg.Name, est.StorageKB, est.CrossbarMM2, est.TotalMM2, 100*est.OverheadFrac)
+			res.Configs[c+1], est.StorageKB, est.CrossbarMM2, est.TotalMM2, 100*est.OverheadFrac)
 	}
 }
 

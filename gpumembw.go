@@ -183,7 +183,8 @@ type ConfigRef = exp.ConfigRef
 type ConfigPatch = config.Patch
 
 // SweepResult is the metrics grid returned by Sweep and
-// Scheduler.Sweep.
+// Scheduler.Sweep; Speedups(0) and Areas measure every configuration
+// column against the first.
 type SweepResult = exp.SweepResult
 
 // BenchRef names a Table II benchmark for a WorkloadRef.

@@ -245,8 +245,9 @@ type SweepSpeedups struct {
 	Cells     [][]float64 `json:"cells"`
 
 	// AreaMM2 and OverheadFrac are the per-configuration-column area
-	// estimates from internal/area.Compare, measured against the paper's
-	// baseline — the denominator that turns a speedup column into a
+	// estimates from internal/area.Compare, measured against the sweep's
+	// first configuration column like the speedups (so column 0 reads 0) —
+	// the denominator that turns a speedup column into a
 	// cost-effectiveness statement. Parallel to Configs.
 	AreaMM2      []float64 `json:"areaMM2,omitempty"`
 	OverheadFrac []float64 `json:"overheadFrac,omitempty"`

@@ -33,9 +33,9 @@ func (s *Scheduler) Fig10() ([]SpeedupRow, []string, error) {
 
 // fig10Grid is the baseline and the six scaled systems against every
 // benchmark.
-func fig10Grid() *grid { return benchGrid(Benches(), Fig10Configs()...) }
+func fig10Grid() *Grid { return benchGrid(Benches(), Fig10Configs()...) }
 
-func (s *Scheduler) fig10(g *grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.configs)) }
+func (s *Scheduler) fig10(g *Grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.Configs)) }
 
 // Fig12Configs are the cost-effective configurations plus the HBM
 // comparison point, in the paper's bar order.
@@ -55,19 +55,19 @@ func (s *Scheduler) Fig12() ([]SpeedupRow, []string, error) {
 
 // fig12Grid is the baseline, the Fig. 12 design points and, last, the
 // standalone asymmetric crossbar, against every benchmark.
-func fig12Grid() *grid {
+func fig12Grid() *Grid {
 	return benchGrid(Benches(), append(Fig12Configs(), config.AsymmetricOnly())...)
 }
 
-func (s *Scheduler) fig12(g *grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.configs)-1) }
+func (s *Scheduler) fig12(g *Grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.Configs)-1) }
 
 // AsymmetricOnlySpeedup measures the standalone 16+48 crossbar without the
 // cost-effective queue scaling (paper: only +15.5%, demonstrating the need
 // for synergistic scaling).
 func (s *Scheduler) AsymmetricOnlySpeedup() (float64, error) { return s.asymmetricOnly(fig12Grid()) }
 
-func (s *Scheduler) asymmetricOnly(g *grid) (float64, error) {
-	t, err := s.speedups(g, len(g.configs)-1, len(g.configs))
+func (s *Scheduler) asymmetricOnly(g *Grid) (float64, error) {
+	t, err := s.speedups(g, len(g.Configs)-1, len(g.Configs))
 	var sp []float64
 	for _, r := range t.Rows {
 		sp = append(sp, r.Speedups[0])
@@ -77,11 +77,11 @@ func (s *Scheduler) asymmetricOnly(g *grid) (float64, error) {
 
 // speedups assembles the grid's columns [lo, hi) relative to column 0,
 // one row per workload.
-func (s *Scheduler) speedups(g *grid, lo, hi int) (*SpeedupTable, error) {
+func (s *Scheduler) speedups(g *Grid, lo, hi int) (*SpeedupTable, error) {
 	sp, err := s.relative(g, lo, hi, true)
-	t := &SpeedupTable{Configs: g.configs[lo:hi]}
+	t := &SpeedupTable{Configs: g.Configs[lo:hi]}
 	for w, row := range sp {
-		t.Rows = append(t.Rows, SpeedupRow{Bench: g.workloads[w], Speedups: row})
+		t.Rows = append(t.Rows, SpeedupRow{Bench: g.Workloads[w], Speedups: row})
 	}
 	return t, err
 }
@@ -113,7 +113,7 @@ func (s *Scheduler) Fig11() ([]Fig11Point, error) { return s.fig11(fig11Grid()) 
 
 // fig11Grid is the baseline and one re-clocked baseline per core clock
 // (1400 MHz is the baseline's own cell) against the Fig. 11 benchmarks.
-func fig11Grid() *grid {
+func fig11Grid() *Grid {
 	cfgs := make([]config.Config, len(Fig11Clocks))
 	for i, mhz := range Fig11Clocks {
 		cfgs[i] = config.WithCoreClock(config.Baseline(), mhz)
@@ -121,7 +121,7 @@ func fig11Grid() *grid {
 	return benchGrid(Fig11Benches(), cfgs...)
 }
 
-func (s *Scheduler) fig11(g *grid) ([]Fig11Point, error) {
+func (s *Scheduler) fig11(g *Grid) ([]Fig11Point, error) {
 	return points(s, g, func(b string, i int, v float64) Fig11Point { return Fig11Point{b, Fig11Clocks[i], v} })
 }
 
@@ -166,17 +166,15 @@ type AreaRow struct {
 	area.Estimate
 }
 
-// AreaAnalysis estimates the cost of the cost-effective configurations.
-// Paper: storage ⇒ ≈1.1% die overhead; 16+68 and 32+52 add 3.62 mm² of
-// wires for ≈1.6% total.
+// AreaAnalysis estimates the cost of the cost-effective configurations:
+// the area columns of a grid with no workloads. Paper: storage ⇒ ≈1.1%
+// die overhead; 16+68 and 32+52 add 3.62 mm² of wires for ≈1.6% total.
 func AreaAnalysis() []AreaRow {
-	base := config.Baseline()
+	g := benchGrid(nil, config.CostEffective16x48(), config.CostEffective16x68(),
+		config.CostEffective32x52(), config.ScaledAll())
 	var rows []AreaRow
-	for _, cfg := range []config.Config{
-		config.CostEffective16x48(), config.CostEffective16x68(),
-		config.CostEffective32x52(), config.ScaledAll(),
-	} {
-		rows = append(rows, AreaRow{Config: cfg.Name, Estimate: area.Compare(&base, &cfg)})
+	for c, est := range g.Areas()[1:] {
+		rows = append(rows, AreaRow{Config: g.Configs[c+1], Estimate: est})
 	}
 	return rows
 }

@@ -238,16 +238,6 @@ func (j Job) Resolve() (Job, error) {
 	return j, nil
 }
 
-// Resolved returns the concrete configuration and workload spec the job
-// names (resolving it first if Resolve has not been called).
-func (j Job) Resolved() (config.Config, trace.Spec, error) {
-	j, err := j.Resolve()
-	if err != nil {
-		return config.Config{}, trace.Spec{}, err
-	}
-	return j.res.cfg, j.res.spec, nil
-}
-
 // noCellID is the CellID of a job that does not resolve. It is not a
 // hex string, so it can never alias a cell.
 const noCellID = "invalid"
@@ -604,38 +594,42 @@ func (s *Scheduler) Speedup(cfg config.Config, bench string) (float64, error) {
 // slice or against the memo cache — simulate only once. The returned
 // error is the first failure in job order, independent of scheduling.
 func (s *Scheduler) RunJobs(jobs []Job) error {
-	uniq := dedupeJobs(jobs)
-	if len(uniq) == 0 {
-		return nil
+	_, err := RunAll(context.Background(), s.workers, dedupeJobs(jobs), func(ctx context.Context, j Job) (RunResult, error) {
+		return s.RunJobEx(ctx, j, false)
+	})
+	return err
+}
+
+// RunAll is the one batch runner: n workers (n <= 0: one per job) pull
+// job indices in job order and run each job through run. It returns every
+// job's result in job order and the first error in job order, independent
+// of scheduling.
+func RunAll(ctx context.Context, n int, jobs []Job, run func(context.Context, Job) (RunResult, error)) ([]RunResult, error) {
+	if n <= 0 || n > len(jobs) {
+		n = len(jobs)
 	}
-	workers := s.workers
-	if workers > len(uniq) {
-		workers = len(uniq)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	errs := make([]error, len(uniq))
+	out := make([]RunResult, len(jobs))
+	errs := make([]error, len(jobs))
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				_, errs[i] = s.RunJob(uniq[i])
+				out[i], errs[i] = run(ctx, jobs[i])
 			}
 		}()
 	}
-	for i := range uniq {
+	for i := range jobs {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return out, err
 		}
 	}
-	return nil
+	return out, nil
 }

@@ -30,14 +30,14 @@ type Fig1Row struct {
 // and 7–9, each of which projects one row out of every cell's metrics.
 // Both axes are constants and six sections share the grid, so it is built
 // once (a grid is immutable once built).
-var baselineGrid = sync.OnceValue(func() *grid { return benchGrid(Benches()) })
+var baselineGrid = sync.OnceValue(func() *Grid { return benchGrid(Benches()) })
 
 // perBench assembles one row per workload from the grid's base column.
-func perBench[T any](s *Scheduler, g *grid, row func(bench string, m core.Metrics) T) ([]T, error) {
+func perBench[T any](s *Scheduler, g *Grid, row func(bench string, m core.Metrics) T) ([]T, error) {
 	ms, err := s.column(g, 0)
 	rows := make([]T, len(ms))
 	for w, m := range ms {
-		rows[w] = row(g.workloads[w], m)
+		rows[w] = row(g.Workloads[w], m)
 	}
 	return rows, err
 }
@@ -98,12 +98,12 @@ func (s *Scheduler) TableII() ([]TableIIRow, error) { return s.tableII(tableIIGr
 
 // tableIIGrid is baseline, P∞ and P_DRAM against the benchmarks in Table
 // II order.
-func tableIIGrid() *grid {
+func tableIIGrid() *Grid {
 	return benchGrid(trace.Names(), config.InfiniteBW(), config.InfiniteDRAM())
 }
 
-func (s *Scheduler) tableII(g *grid) ([]TableIIRow, error) {
-	sp, err := s.relative(g, 1, len(g.configs), true)
+func (s *Scheduler) tableII(g *Grid) ([]TableIIRow, error) {
+	sp, err := s.relative(g, 1, len(g.Configs), true)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func (s *Scheduler) Fig3(benches []string, lats []int) ([]Fig3Point, error) {
 
 // fig3Grid is the baseline and one fixed-latency design point per
 // latency against the given benchmarks.
-func fig3Grid(benches []string, lats []int) *grid {
+func fig3Grid(benches []string, lats []int) *Grid {
 	cfgs := make([]config.Config, len(lats))
 	for i, lat := range lats {
 		cfgs[i] = config.FixedL1MissLatency(lat)
@@ -158,19 +158,19 @@ func fig3Grid(benches []string, lats []int) *grid {
 	return benchGrid(benches, cfgs...)
 }
 
-func (s *Scheduler) fig3(g *grid, lats []int) ([]Fig3Point, error) {
+func (s *Scheduler) fig3(g *Grid, lats []int) ([]Fig3Point, error) {
 	return points(s, g, func(b string, i int, v float64) Fig3Point { return Fig3Point{b, lats[i], v} })
 }
 
 // points assembles one point per (workload, column after the base)
 // normalized to the base, the base read once — Fig. 3's and Fig. 11's
 // shape.
-func points[T any](s *Scheduler, g *grid, pt func(bench string, col int, v float64) T) ([]T, error) {
-	norm, err := s.relative(g, 1, len(g.configs), false)
+func points[T any](s *Scheduler, g *Grid, pt func(bench string, col int, v float64) T) ([]T, error) {
+	norm, err := s.relative(g, 1, len(g.Configs), false)
 	var pts []T
 	for w, vs := range norm {
 		for i, v := range vs {
-			pts = append(pts, pt(g.workloads[w], i, v))
+			pts = append(pts, pt(g.Workloads[w], i, v))
 		}
 	}
 	return pts, err

@@ -44,10 +44,10 @@ type section struct {
 	name string
 	// grid states the section's cells; nil for a section that simulates
 	// nothing.
-	grid func() *grid
+	grid func() *Grid
 	// fill assembles the section's Results field from its prefetched grid
 	// (g is nil when grid is); nil for a section with no data.
-	fill func(s *Scheduler, g *grid, res *Results) error
+	fill func(s *Scheduler, g *Grid, res *Results) error
 	// write renders the section from res; WriteText adds the blank line
 	// after it.
 	write func(w io.Writer, res *Results)
@@ -58,43 +58,43 @@ var sectionTable = []section{
 	{name: "tableI",
 		write: func(w io.Writer, _ *Results) { WriteTableI(w) }},
 	{name: "fig1", grid: baselineGrid,
-		fill:  func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig1, err = perBench(s, g, fig1Row); return },
+		fill:  func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig1, err = perBench(s, g, fig1Row); return },
 		write: func(w io.Writer, res *Results) { WriteFig1(w, res.Fig1) }},
 	{name: "tableII", grid: tableIIGrid,
-		fill:  func(s *Scheduler, g *grid, res *Results) (err error) { res.TableII, err = s.tableII(g); return },
+		fill:  func(s *Scheduler, g *Grid, res *Results) (err error) { res.TableII, err = s.tableII(g); return },
 		write: func(w io.Writer, res *Results) { WriteTableII(w, res.TableII) }},
-	{name: "fig3", grid: func() *grid { return fig3Grid(Fig3Benches(), Fig3Latencies) },
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) {
+	{name: "fig3", grid: func() *Grid { return fig3Grid(Fig3Benches(), Fig3Latencies) },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) {
 			res.Fig3, err = s.fig3(g, Fig3Latencies)
 			return
 		},
 		write: func(w io.Writer, res *Results) { WriteFig3(w, res.Fig3, nil) }},
 	{name: "fig4", grid: baselineGrid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig4, err = perBench(s, g, fig4Row); return },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig4, err = perBench(s, g, fig4Row); return },
 		write: func(w io.Writer, res *Results) {
 			WriteOccupancy(w, "Fig. 4 — L2 access-queue occupancy over usage lifetime",
 				"paper AVG: queues completely full 46% of usage lifetime", res.Fig4)
 		}},
 	{name: "fig5", grid: baselineGrid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig5, err = perBench(s, g, fig5Row); return },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig5, err = perBench(s, g, fig5Row); return },
 		write: func(w io.Writer, res *Results) {
 			WriteOccupancy(w, "Fig. 5 — DRAM scheduler-queue occupancy over usage lifetime",
 				"paper AVG: queues completely full 39% of usage lifetime", res.Fig5)
 		}},
 	{name: "fig7", grid: baselineGrid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig7, err = perBench(s, g, fig7Row); return },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig7, err = perBench(s, g, fig7Row); return },
 		write: func(w io.Writer, res *Results) {
 			WriteBreakdown(w, "Fig. 7 — issue-stall distribution",
 				"paper AVG: data-MEM 15%, data-ALU 5.5%, str-MEM 71%, str-ALU 0.5%, fetch 8%", res.Fig7)
 		}},
 	{name: "fig8", grid: baselineGrid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig8, err = perBench(s, g, fig8Row); return },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig8, err = perBench(s, g, fig8Row); return },
 		write: func(w io.Writer, res *Results) {
 			WriteBreakdown(w, "Fig. 8 — L2 stall distribution",
 				"paper AVG: bp-ICNT 42%, port 12%, cache 8%, mshr 3%, bp-DRAM 35%", res.Fig8)
 		}},
 	{name: "fig9", grid: baselineGrid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig9, err = perBench(s, g, fig9Row); return },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig9, err = perBench(s, g, fig9Row); return },
 		write: func(w io.Writer, res *Results) {
 			WriteBreakdown(w, "Fig. 9 — L1 stall distribution",
 				"paper AVG: cache 11%, mshr 41%, bp-L2 48%", res.Fig9)
@@ -102,7 +102,7 @@ var sectionTable = []section{
 	{name: "tableIII",
 		write: func(w io.Writer, _ *Results) { WriteTableIII(w) }},
 	{name: "fig10", grid: fig10Grid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig10, err = s.fig10(g); return },
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig10, err = s.fig10(g); return },
 		write: func(w io.Writer, res *Results) {
 			if t := res.Fig10; t != nil {
 				WriteSpeedups(w, "Fig. 10 — IPC with 4× bandwidth scaling (normalized to baseline)",
@@ -110,10 +110,10 @@ var sectionTable = []section{
 			}
 		}},
 	{name: "fig11", grid: fig11Grid,
-		fill:  func(s *Scheduler, g *grid, res *Results) (err error) { res.Fig11, err = s.fig11(g); return },
+		fill:  func(s *Scheduler, g *Grid, res *Results) (err error) { res.Fig11, err = s.fig11(g); return },
 		write: func(w io.Writer, res *Results) { WriteFig11(w, res.Fig11) }},
 	{name: "fig12", grid: fig12Grid,
-		fill: func(s *Scheduler, g *grid, res *Results) (err error) {
+		fill: func(s *Scheduler, g *Grid, res *Results) (err error) {
 			if res.Fig12, err = s.fig12(g); err != nil {
 				return err
 			}
@@ -131,7 +131,7 @@ var sectionTable = []section{
 			}
 		}},
 	{name: "area",
-		fill:  func(_ *Scheduler, _ *grid, res *Results) error { res.Area = AreaAnalysis(); return nil },
+		fill:  func(_ *Scheduler, _ *Grid, res *Results) error { res.Area = AreaAnalysis(); return nil },
 		write: func(w io.Writer, res *Results) { WriteArea(w, res.Area) }},
 }
 
@@ -190,7 +190,7 @@ func (s *Scheduler) Collect(sections []string) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	grids := make([]*grid, len(rows))
+	grids := make([]*Grid, len(rows))
 	var jobs []Job
 	for i, r := range rows {
 		if r.grid != nil {

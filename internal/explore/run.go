@@ -1,7 +1,6 @@
 package explore
 
 import (
-	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -10,7 +9,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"gpumembw/internal/api"
 	"gpumembw/internal/area"
@@ -145,55 +143,20 @@ func (p *Plan) ID() string {
 	return "ex-" + hex.EncodeToString(sum[:8])
 }
 
-// EvalResult is one probe cell's outcome: its metrics and the cache tier
-// that satisfied it.
-type EvalResult struct {
-	Metrics core.Metrics
-	Tier    string
-}
-
-// EvalBatch evaluates a batch of probe cells (one round's fresh
+// EvalBatch evaluates a batch of probe cells (one round's grid of fresh
 // candidates × the plan's workloads) and returns results in job order.
-// gpusimd backs it with EvalEach over its run step: the scheduler at a
-// daemon, remote runs on the workers at a coordinator.
-type EvalBatch func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error)
+// Both implementations are exp.RunAll over a run step: the scheduler here
+// (SchedulerEval), gpusimd's at a daemon or a coordinator.
+type EvalBatch func(ctx context.Context, jobs []exp.Job) ([]exp.RunResult, error)
 
-// EvalEach builds an EvalBatch from a per-cell evaluator: one goroutine
-// per cell, at most limit inside eval at once (0: no bound), results in
-// job order, the first error in job order reported.
-func EvalEach(limit int, eval func(ctx context.Context, j exp.Job) (EvalResult, error)) EvalBatch {
-	return func(ctx context.Context, jobs []exp.Job) ([]EvalResult, error) {
-		outs := make([]EvalResult, len(jobs))
-		errs := make([]error, len(jobs))
-		sem := make(chan struct{}, cmp.Or(limit, len(jobs)))
-		var wg sync.WaitGroup
-		for i, j := range jobs {
-			wg.Add(1)
-			go func(i int, j exp.Job) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				outs[i], errs[i] = eval(ctx, j)
-			}(i, j)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return outs, err
-			}
-		}
-		return outs, nil
-	}
-}
-
-// SchedulerEval runs probe batches on an exp.Scheduler, bounded by the
-// scheduler's worker count, so a round's probes exploit the same
-// parallelism a sweep would.
+// SchedulerEval runs probe batches on an exp.Scheduler's worker count, so
+// a round's probes exploit the same parallelism a sweep would.
 func SchedulerEval(s *exp.Scheduler) EvalBatch {
-	return EvalEach(s.Workers(), func(ctx context.Context, j exp.Job) (EvalResult, error) {
-		r, err := s.RunJobEx(ctx, j, false)
-		return EvalResult{Metrics: r.Metrics, Tier: r.Tier}, err
-	})
+	return func(ctx context.Context, jobs []exp.Job) ([]exp.RunResult, error) {
+		return exp.RunAll(ctx, s.Workers(), jobs, func(ctx context.Context, j exp.Job) (exp.RunResult, error) {
+			return s.RunJobEx(ctx, j, false)
+		})
+	}
 }
 
 // Status is the driver's published progress: completed rounds, distinct
@@ -250,40 +213,28 @@ func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*R
 				fresh = append(fresh, c)
 			}
 		}
-		var jobs []exp.Job
-		for _, c := range fresh {
-			cref, err := configRef(sp, c)
-			if err != nil {
+		crefs := make([]exp.ConfigRef, len(fresh))
+		for i, c := range fresh {
+			var err error
+			if crefs[i], err = configRef(sp, c); err != nil {
 				return nil, err
 			}
-			for _, w := range p.Workloads {
-				jobs = append(jobs, exp.Job{Config: cref, Workload: w})
-			}
+		}
+		jobs, err := exp.NewGrid(crefs, p.Workloads).Jobs()
+		if err != nil {
+			return nil, err
 		}
 		outs, err := eval(ctx, jobs)
 		if err != nil {
 			return nil, err
 		}
-		if len(outs) != len(jobs) {
-			return nil, fmt.Errorf("explore: evaluator returned %d results for %d cells", len(outs), len(jobs))
-		}
-		// The base candidate, when present, must be folded in first: it
-		// is every other candidate's speedup denominator.
+		// The base candidate is fresh only in the first round, where it is
+		// scored alone: it is every other candidate's speedup denominator.
 		baseKey := sp.Baseline().Key()
-		idxOf := map[string]int{}
 		for i, c := range fresh {
-			idxOf[c.Key()] = i * len(p.Workloads)
-		}
-		foldOrder := append([]Candidate{}, fresh...)
-		sort.SliceStable(foldOrder, func(i, j int) bool {
-			return (foldOrder[i].Key() == baseKey) && (foldOrder[j].Key() != baseKey)
-		})
-		for _, c := range foldOrder {
 			key := c.Key()
-			at := idxOf[key]
 			logSum := 0.0
-			for wi := range p.Workloads {
-				out := outs[at+wi]
+			for wi, out := range outs[i*len(p.Workloads) : (i+1)*len(p.Workloads)] {
 				switch out.Tier {
 				case exp.TierSimulated:
 					status.Tiers.Simulated++

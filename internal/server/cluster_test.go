@@ -267,6 +267,14 @@ func TestClusterDrain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Each admitted cell's run parks on its worker on its own goroutine.
+	waitFor(t, "every run to park", func() bool {
+		parked := 0
+		for _, w := range tc.co.clusterStats().Workers {
+			parked += w.Jobs
+		}
+		return parked == n
+	})
 	status, err := tc.client.Cluster(ctx)
 	if err != nil {
 		t.Fatal(err)

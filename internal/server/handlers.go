@@ -239,11 +239,11 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // sweepExpansion is a POST /v1/sweeps request resolved into its unique
-// cells; axis-form requests additionally carry their axes.
+// cells; an axis-form request also carries its grid.
 type sweepExpansion struct {
 	cells     []resolvedCell
 	requested int
-	sweepAxes
+	grid      *exp.Grid
 }
 
 // expandSweep validates and resolves a sweep request. Every cell is
@@ -259,14 +259,9 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 	}
 	ex := &sweepExpansion{}
 	seen := make(map[string]int) // cell ID -> index in ex.cells
-	// add resolves one cell of the request and returns its ID, keeping
-	// the first occurrence of every distinct cell; a cell asks for a
-	// profile if any of its occurrences does.
-	add := func(sp api.JobSpec) (string, exp.Job, error) {
-		cell, err := resolveSpec(sp)
-		if err != nil {
-			return "", cell, err
-		}
+	// add keeps the first occurrence of every distinct cell; a cell asks
+	// for a profile if any of its occurrences does.
+	add := func(sp api.JobSpec, cell exp.Job) {
 		ex.requested++
 		id := cell.CellID()
 		if i, dup := seen[id]; dup {
@@ -275,16 +270,17 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 			seen[id] = len(ex.cells)
 			ex.cells = append(ex.cells, resolvedCell{id: id, spec: sp, cell: cell})
 		}
-		return id, cell, nil
 	}
 	if len(req.Cells) > 0 {
 		if nWorkloads+nConfigs > 0 {
 			return nil, errBadRequest("sweep: cells and the config/workload axes are mutually exclusive")
 		}
 		for _, sp := range req.Cells {
-			if _, _, err := add(sp); err != nil {
+			cell, err := resolveSpec(sp)
+			if err != nil {
 				return nil, err
 			}
+			add(sp, cell)
 		}
 		return ex, nil
 	}
@@ -295,55 +291,39 @@ func expandSweep(req api.SweepRequest) (*sweepExpansion, error) {
 		return nil, errBadRequest("sweep: one of configs, inlineConfigs or configPatches is required")
 	}
 
-	// The workload axis of the cross product: preset benchmark names
-	// followed by inline specs.
-	workloads := make([]api.JobSpec, 0, nWorkloads)
-	for _, b := range req.Benches {
-		workloads = append(workloads, api.JobSpec{Bench: b})
-	}
-	for i := range req.InlineSpecs {
-		workloads = append(workloads, api.JobSpec{InlineSpec: &req.InlineSpecs[i]})
-	}
-
-	addConfig := func(spec api.JobSpec) error {
-		var row []string
-		for _, wl := range workloads {
-			sp := spec
-			sp.Bench, sp.InlineSpec = wl.Bench, wl.InlineSpec
-			id, cell, err := add(sp)
-			if err != nil {
-				return err
-			}
-			row = append(row, id)
-			if len(ex.grid) == 0 { // first config row names the workload axis
-				ex.workloads = append(ex.workloads, cell.Workload.Label())
-			}
-			if len(row) == 1 {
-				cfg, _, err := cell.Resolved()
-				if err != nil {
-					return err
-				}
-				ex.configs = append(ex.configs, cell.Config.Label())
-				ex.cfgs = append(ex.cfgs, cfg)
-			}
-		}
-		ex.grid = append(ex.grid, row)
-		return nil
-	}
+	// The grid's axes, each in request order: preset names, inline configs,
+	// then patches; benchmark names, then inline specs.
+	var cols []exp.ConfigRef
+	var rows []exp.WorkloadRef
 	for _, name := range req.Configs {
-		if err := addConfig(api.JobSpec{Config: name}); err != nil {
-			return nil, err
-		}
+		cols = append(cols, exp.PresetRef(name))
 	}
 	for i := range req.InlineConfigs {
-		if err := addConfig(api.JobSpec{InlineConfig: &req.InlineConfigs[i]}); err != nil {
-			return nil, err
-		}
+		cols = append(cols, exp.ConfigRef{Config: &req.InlineConfigs[i]})
 	}
 	for i := range req.ConfigPatches {
-		if err := addConfig(api.JobSpec{ConfigPatch: &req.ConfigPatches[i]}); err != nil {
-			return nil, err
-		}
+		cols = append(cols, exp.ConfigRef{Patch: &req.ConfigPatches[i]})
+	}
+	for _, b := range req.Benches {
+		rows = append(rows, exp.BenchRef(b))
+	}
+	for i := range req.InlineSpecs {
+		rows = append(rows, exp.WorkloadRef{Spec: &req.InlineSpecs[i]})
+	}
+	cellSpec := func(c, w int) api.JobSpec {
+		return api.JobSpec{Config: cols[c].Preset, InlineConfig: cols[c].Config, ConfigPatch: cols[c].Patch,
+			Bench: rows[w].Bench, InlineSpec: rows[w].Spec}
+	}
+	ex.grid = exp.NewGrid(cols, rows)
+	cells, err := ex.grid.Jobs()
+	var bad *exp.CellError
+	if errors.As(err, &bad) {
+		// Name the invalid cell in the wire's terms, as a cell list would.
+		_, err = resolveSpec(cellSpec(bad.Config, bad.Workload))
+		return nil, err
+	}
+	for i, cell := range cells {
+		add(cellSpec(i/len(rows), i%len(rows)), cell)
 	}
 	return ex, nil
 }

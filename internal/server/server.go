@@ -42,10 +42,9 @@ import (
 	"time"
 
 	"gpumembw/internal/api"
-	"gpumembw/internal/area"
 	"gpumembw/internal/config"
+	"gpumembw/internal/core"
 	"gpumembw/internal/exp"
-	"gpumembw/internal/explore"
 	"gpumembw/internal/metrics"
 	"gpumembw/internal/obsv"
 	"gpumembw/internal/trace"
@@ -251,19 +250,17 @@ func newServer(opts Options, f *fleet) (*Server, error) {
 	// Explorations score probe cells with the run step, sharing every cache
 	// tier with the job API, as many at once as the server has workers — at
 	// a coordinator, a whole round at once.
-	hub, err := newExploreHub(exploreDir, explore.EvalEach(s.workers, s.evalProbe), s.log)
+	hub, err := newExploreHub(exploreDir, func(ctx context.Context, cells []exp.Job) ([]exp.RunResult, error) {
+		return exp.RunAll(ctx, s.workers, cells, func(ctx context.Context, cell exp.Job) (exp.RunResult, error) {
+			return s.run(ctx, runReq{cell: cell})
+		})
+	}, s.log)
 	if err != nil {
 		return nil, err
 	}
 	s.explorer = hub
 	s.explorer.reload()
 	return s, nil
-}
-
-// evalProbe scores one exploration probe cell with the run step.
-func (s *Server) evalProbe(ctx context.Context, cell exp.Job) (explore.EvalResult, error) {
-	r, err := s.run(ctx, runReq{cell: cell})
-	return explore.EvalResult{Metrics: r.Metrics, Tier: r.Tier}, err
 }
 
 func (s *Server) startWorkers() {
@@ -612,29 +609,17 @@ type resolvedCell struct {
 	cell exp.Job
 }
 
-// sweepAxes is what an axis-form sweep knows beyond its cell set: the
-// config/workload labels, the [config][workload] cell-ID grid and each
-// config column's resolved value, which together let the sweep resource
-// assemble its merged speedup table with an area estimate per column.
-// Cell-list sweeps leave it zero.
-type sweepAxes struct {
-	configs   []string
-	workloads []string
-	grid      [][]string
-	cfgs      []config.Config
-}
-
 // sweepRec is the server-side sweep resource: the unique cells a POST
-// /v1/sweeps request named (request order), plus the axes of an
-// axis-form sweep. Like jobs, sweep records are retained for the daemon's
-// lifetime.
+// /v1/sweeps request named (request order), plus the grid of an axis-form
+// sweep (nil for a cell list), which its merged speedup table is read
+// from. Like jobs, sweep records are retained for the daemon's lifetime.
 type sweepRec struct {
 	id          string
 	submittedAt time.Time
 	requested   int
 	deduped     int
 	jobIDs      []string // unique cells, request order
-	sweepAxes
+	grid        *exp.Grid
 }
 
 // sweepID content-addresses a sweep: the hash of its sorted unique cell
@@ -672,16 +657,16 @@ func (s *Server) submitSweep(ex *sweepExpansion, owner, traceID string) (api.Swe
 			submittedAt: time.Now(),
 			requested:   ex.requested,
 			deduped:     ex.requested - len(ex.cells),
-			sweepAxes:   ex.sweepAxes,
+			grid:        ex.grid,
 		}
 		for _, c := range ex.cells {
 			rec.jobIDs = append(rec.jobIDs, c.id)
 		}
 		s.sweeps[id] = rec
 	} else if rec.grid == nil {
-		// A cell-list twin registered first; adopt the axes so the
+		// A cell-list twin registered first; adopt the grid so the
 		// resource can still serve speedups.
-		rec.sweepAxes = ex.sweepAxes
+		rec.grid = ex.grid
 	}
 	return api.SweepResponse{
 		ID:        id,
@@ -720,36 +705,18 @@ func (rec *sweepRec) view(jobs map[string]*job) api.Sweep {
 		sw.State = api.SweepDone
 	}
 	if sw.State == api.SweepDone && rec.grid != nil {
-		sw.Speedups = rec.speedups(jobs)
-	}
-	return sw
-}
-
-// speedups computes the merged grid of a completed axis-form sweep:
-// Cells[w][c] relative to the first configuration column, exactly
-// exp.SweepResult.Speedups(0)'s convention. Callers hold s.mu and have
-// verified every cell is done. Each configuration column also carries its
-// area estimate versus the base column, so every speedup in the grid has
-// a cost next to it.
-func (rec *sweepRec) speedups(jobs map[string]*job) *api.SweepSpeedups {
-	sp := &api.SweepSpeedups{
-		Configs:   rec.configs,
-		Workloads: rec.workloads,
-		Cells:     make([][]float64, len(rec.workloads)),
-	}
-	for w := range rec.workloads {
-		sp.Cells[w] = make([]float64, len(rec.configs))
-		base := jobs[rec.grid[0][w]].Metrics
-		for c := range rec.configs {
-			sp.Cells[w][c] = jobs[rec.grid[c][w]].Metrics.Speedup(*base)
+		// The grid read from the job table: each cell's speedup and each
+		// column's area against the first configuration column, exactly
+		// what exp.Scheduler.Sweep answers for the same axes. A stored grid
+		// resolved and every cell is done, so the read cannot fail.
+		res, _ := rec.grid.Read(func(cell exp.Job) (core.Metrics, error) { return *jobs[cell.CellID()].Metrics, nil })
+		sw.Speedups = &api.SweepSpeedups{Configs: res.Configs, Workloads: res.Workloads, Cells: res.Speedups(0)}
+		for _, est := range rec.grid.Areas() {
+			sw.Speedups.AreaMM2 = append(sw.Speedups.AreaMM2, est.TotalMM2)
+			sw.Speedups.OverheadFrac = append(sw.Speedups.OverheadFrac, est.OverheadFrac)
 		}
 	}
-	sp.AreaMM2, sp.OverheadFrac = make([]float64, len(rec.cfgs)), make([]float64, len(rec.cfgs))
-	for c := range rec.cfgs {
-		est := area.Compare(&rec.cfgs[0], &rec.cfgs[c])
-		sp.AreaMM2[c], sp.OverheadFrac[c] = est.TotalMM2, est.OverheadFrac
-	}
-	return sp
+	return sw
 }
 
 // cancelJob implements DELETE /v1/jobs/{id}. The state machine is pinned

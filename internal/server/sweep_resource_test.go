@@ -2,13 +2,19 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"gpumembw/client"
 	"gpumembw/internal/api"
+	"gpumembw/internal/area"
+	"gpumembw/internal/config"
+	"gpumembw/internal/exp"
+	"gpumembw/internal/trace"
 )
 
 // TestSweepResourceLifecycle pins the sweep-as-resource redesign: POST
@@ -58,6 +64,78 @@ func TestSweepResourceLifecycle(t *testing.T) {
 	}
 	if sp.Cells[0][1] <= 0 {
 		t.Fatalf("speedup vs baseline = %v, want > 0", sp.Cells[0][1])
+	}
+}
+
+// TestSweepAreaAgainstFirstColumn pins what areaMM2 and overheadFrac
+// measure: each column's cost against the sweep's first configuration
+// column, like the speedups — not against the paper's baseline. With
+// L2-4x first, column 0 costs nothing and the baseline column is a saving.
+func TestSweepAreaAgainstFirstColumn(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 2})
+	ctx := context.Background()
+	resp, err := c.Sweep(ctx, client.SweepRequest{Configs: []string{"L2-4x", "baseline"}, Benches: []string{"leukocyte"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := c.WaitSweep(ctx, resp.ID, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := sw.Speedups
+	if sp == nil || len(sp.AreaMM2) != 2 || len(sp.OverheadFrac) != 2 {
+		t.Fatalf("sweep %s: speedups %+v, want two area columns", sw.State, sp)
+	}
+	if sp.AreaMM2[0] != 0 || sp.OverheadFrac[0] != 0 {
+		t.Fatalf("column 0 costs %v mm² (%v of die), want 0 against itself", sp.AreaMM2[0], sp.OverheadFrac[0])
+	}
+	l2, base := config.ScaledL2(), config.Baseline()
+	want := area.Compare(&l2, &base)
+	if sp.AreaMM2[1] != want.TotalMM2 || sp.OverheadFrac[1] != want.OverheadFrac || want.TotalMM2 >= 0 {
+		t.Fatalf("baseline column costs %v mm² (%v of die), want area.Compare(L2-4x, baseline) = %v mm² (%v), a saving",
+			sp.AreaMM2[1], sp.OverheadFrac[1], want.TotalMM2, want.OverheadFrac)
+	}
+}
+
+// TestSweepMatchesLocalSweep pins local-vs-served parity: the same axes
+// run by Scheduler.Sweep and served by GET /v1/sweeps/{id} give the same
+// labels, exactly the same speedups and exactly the same area per column
+// — both read exp's grid.
+func TestSweepMatchesLocalSweep(t *testing.T) {
+	_, c := newTestServer(t, Options{Workers: 2})
+	ctx := context.Background()
+	patch := client.ConfigPatch{Base: "baseline", Delta: json.RawMessage(`{"L1":{"MSHREntries":64,"MissQueueEntries":16}}`)}
+	tiny := trace.Spec{Name: "tiny", WarpsPerCore: 2, Iters: 3, LoadsPerIter: 1, ALUPerIter: 1}
+	resp, err := c.Sweep(ctx, client.SweepRequest{
+		Configs:       []string{"baseline", "P-inf"},
+		ConfigPatches: []client.ConfigPatch{patch},
+		Benches:       []string{"leukocyte", "nn"},
+		InlineSpecs:   []client.WorkloadSpec{tiny},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := c.WaitSweep(ctx, resp.ID, 20*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sw.Speedups == nil {
+		t.Fatalf("sweep %s (counts %v) served no speedups", sw.State, sw.Counts)
+	}
+
+	local, err := exp.NewScheduler(exp.WithWorkers(2)).Sweep(
+		[]exp.ConfigRef{exp.PresetRef("baseline"), exp.PresetRef("P-inf"), exp.PatchRef(patch)},
+		[]exp.WorkloadRef{exp.BenchRef("leukocyte"), exp.BenchRef("nn"), exp.SpecRef(tiny)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := api.SweepSpeedups{Configs: local.Configs, Workloads: local.Workloads, Cells: local.Speedups(0)}
+	for _, est := range local.Areas() {
+		want.AreaMM2 = append(want.AreaMM2, est.TotalMM2)
+		want.OverheadFrac = append(want.OverheadFrac, est.OverheadFrac)
+	}
+	if got := *sw.Speedups; !reflect.DeepEqual(got, want) {
+		t.Fatalf("served grid differs from Scheduler.Sweep's:\nserved: %+v\nlocal:  %+v", got, want)
 	}
 }
 
