@@ -226,11 +226,11 @@ func decodeError(resp *http.Response) error {
 	return e
 }
 
-// Health checks GET /healthz.
 // BaseURL returns the daemon address the client talks to (no trailing
 // slash), e.g. for scraping its /metrics endpoint directly.
 func (c *Client) BaseURL() string { return c.base }
 
+// Health checks GET /healthz.
 func (c *Client) Health(ctx context.Context) error {
 	var h api.Health
 	return c.do(ctx, http.MethodGet, "/healthz", nil, &h)

@@ -21,15 +21,16 @@
 //
 //	gpusimd -worker http://10.0.0.1:8372 -worker http://10.0.0.2:8372
 //	gpusimd -worker ... -probe-interval 500ms -probe-fails 3
+//	gpusimd -worker ... -cache-dir /var/cache/gpusim-coord  # restarts ask workers nothing for known cells
 //
-// A coordinator is the same daemon with a remote run step: it admits
-// (-max-queue, -rate-limit, -rate-burst and -max-inflight-per-client
-// bind at the entry point), tracks, lists and traces jobs itself, and
-// adds GET /v1/cluster and POST /v1/cluster/drain. A worker's 429 delays
-// a run instead of failing it; a 503 or an unhealthy worker moves its runs
-// to the survivors (the simulator is deterministic, so placement never
-// changes results). -j, -cache-dir and -cache-max-bytes belong to the
-// workers: given with -worker they are an error.
+// A coordinator is the same daemon whose last cache tier is remote: it
+// admits (-max-queue, -rate-limit, -rate-burst and -max-inflight-per-client
+// bind at the entry point), tracks, lists and traces jobs itself, answers
+// repeats from its own memo and -cache-dir, and adds GET /v1/cluster and
+// POST /v1/cluster/drain. A worker's 429 delays a run instead of failing
+// it; a 503 or an unhealthy worker moves its runs to the survivors (the
+// simulator is deterministic, so placement never changes results). -j
+// belongs to the workers: given with -worker it is an error.
 //
 // Operational state is scrapeable at GET /metrics (Prometheus text
 // format) and GET /v1/stats (JSON); the two reconcile exactly when the
@@ -143,10 +144,9 @@ func main() {
 		if err := hs.Shutdown(ctx); err != nil {
 			fmt.Fprintln(os.Stderr, "gpusimd:", err)
 		}
-		if st := srv.Stats(); len(workerAddrs) == 0 { // a coordinator's workers report their own
-			fmt.Fprintf(os.Stderr, "gpusimd: drained (%d simulated, %d memo hits, %d disk hits)\n",
-				st.Scheduler.Simulated, st.Scheduler.CacheHits, st.Scheduler.DiskHits)
-		}
+		st := srv.Stats()
+		fmt.Fprintf(os.Stderr, "gpusimd: drained (%d simulated, %d memo hits, %d disk hits)\n",
+			st.Scheduler.Simulated, st.Scheduler.CacheHits, st.Scheduler.DiskHits)
 	})
 	defer release()
 

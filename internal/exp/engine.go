@@ -301,9 +301,9 @@ type Stats struct {
 	SimCycles int64 `json:"simCycles"`
 }
 
-// ResultCache is an optional second-level store consulted before a cell is
-// simulated and filled after a successful simulation — gpusimd plugs a
-// disk-backed cache in here so daemon restarts do not re-simulate. An
+// ResultCache is an optional second-level store consulted before the last
+// tier runs a cell and filled after a successful run — gpusimd plugs a
+// disk-backed cache in here so restarts do not run cells again. An
 // entry holds a run's metrics and, if the run was profiled, its bottleneck
 // profile (else nil). Profiles never affect cell identity — they are a
 // richer record of the same deterministic run — so an entry with one also
@@ -333,12 +333,15 @@ type RunResult struct {
 
 // cell is one memoized run. done is closed once m, prof and err are
 // valid, so concurrent requesters of the same run wait instead of
-// re-simulating; prof is set when the run carried the profiler.
+// re-simulating; prof is set when the run carried the profiler. An
+// abandoned run answered nothing: its owner's caller left before the last
+// tier did, and its joiners run again.
 type cell struct {
-	done chan struct{}
-	m    core.Metrics
-	prof *obsv.Profile
-	err  error
+	done      chan struct{}
+	m         core.Metrics
+	prof      *obsv.Profile
+	err       error
+	abandoned bool
 }
 
 // memo is one cell's memo entry, guarded by Scheduler.mu: the run made for
@@ -381,6 +384,7 @@ type Scheduler struct {
 	mu        sync.Mutex
 	cells     map[cellKey]*memo
 	results   ResultCache
+	last      func(context.Context, Job, bool) (RunResult, error)
 	simulated atomic.Int64
 	hits      atomic.Int64
 	diskHits  atomic.Int64
@@ -416,6 +420,14 @@ func WithResultCache(c ResultCache) Option {
 	return func(s *Scheduler) { s.results = c }
 }
 
+// WithLastTier replaces simulation as the last step of the miss path —
+// memo, then the ResultCache, then last — with a run elsewhere (gpusimd's
+// coordinator places the cell on a worker). The result's Tier is last's
+// own, and a successful result fills the ResultCache.
+func WithLastTier(last func(ctx context.Context, j Job, profile bool) (RunResult, error)) Option {
+	return func(s *Scheduler) { s.last = last }
+}
+
 // WithProgress directs one line per completed simulation to w. Writes are
 // serialized, so w need not be thread-safe itself.
 func WithProgress(w io.Writer) Option {
@@ -428,6 +440,7 @@ func NewScheduler(opts ...Option) *Scheduler {
 		workers: runtime.GOMAXPROCS(0),
 		cells:   make(map[cellKey]*memo),
 	}
+	s.last = s.simulate
 	for _, o := range opts {
 		o(s)
 	}
@@ -492,6 +505,11 @@ func (s *Scheduler) RunJob(j Job) (core.Metrics, error) {
 // a cell first computed without a profile is deterministically re-simulated
 // once to backfill it (the metrics are provably identical, so only the
 // profile is new information).
+//
+// A run whose last tier fails once ctx has ended — a remote run returns
+// early when its caller leaves, a simulation never does — answered
+// nothing: it is forgotten, not memoized, and each request that joined it
+// with a live context runs the cell again.
 func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResult, error) {
 	if err := ctx.Err(); err != nil {
 		return RunResult{}, err
@@ -514,6 +532,9 @@ func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResul
 	if !owner {
 		select {
 		case <-c.done:
+			if c.abandoned {
+				return s.RunJobEx(ctx, j, profile)
+			}
 			s.hits.Add(1)
 			return RunResult{Metrics: c.m, Profile: c.prof, Tier: TierMemo}, c.err
 		case <-ctx.Done():
@@ -521,53 +542,61 @@ func (s *Scheduler) RunJobEx(ctx context.Context, j Job, profile bool) (RunResul
 		}
 	}
 
-	// The miss path every run takes: the store, else simulate and fill the
-	// store. A profiled request hits only an entry that carries a profile;
-	// a metrics-only entry still needs the profiled re-simulation.
-	tier, ok := TierDisk, false
+	// The miss path every run takes: the store, else the last tier, which
+	// fills the store. A profiled request hits only an entry that carries a
+	// profile; a metrics-only entry still needs the profiled re-run.
+	res, ok := RunResult{Tier: TierDisk}, false
 	if s.results != nil {
-		c.m, c.prof, ok = s.results.Lookup(j)
-		ok = ok && (!profile || c.prof != nil)
+		res.Metrics, res.Profile, ok = s.results.Lookup(j)
+		ok = ok && (!profile || res.Profile != nil)
 	}
 	if ok {
 		s.diskHits.Add(1)
 	} else {
-		tier = TierSimulated
-		c.m, c.prof, c.err = s.simulate(j, profile)
-		if c.err == nil && s.results != nil {
-			s.results.Fill(j, c.m, c.prof)
+		res, err = s.last(ctx, j, profile)
+		if c.abandoned = err != nil && ctx.Err() != nil; c.abandoned {
+			s.mu.Lock()
+			if profile {
+				e.profiled = nil
+			} else {
+				e.plain = nil
+			}
+			s.mu.Unlock()
+		} else if err == nil && s.results != nil {
+			s.results.Fill(j, res.Metrics, res.Profile)
 		}
 	}
+	c.m, c.prof, c.err = res.Metrics, res.Profile, err
 	close(c.done)
-	return RunResult{Metrics: c.m, Profile: c.prof, Tier: tier}, c.err
+	return res, err
 }
 
-// simulate runs one resolved cell for real. Building the workload goes
-// through the error-returning spec path, so nothing a daemon accepted
-// over the wire can panic here.
-func (s *Scheduler) simulate(j Job, profile bool) (core.Metrics, *obsv.Profile, error) {
+// simulate is the default last tier: it runs one resolved cell for real.
+// Building the workload goes through the error-returning spec path, so
+// nothing a daemon accepted over the wire can panic here.
+func (s *Scheduler) simulate(_ context.Context, j Job, profile bool) (RunResult, error) {
+	res := RunResult{Tier: TierSimulated}
 	cfg, label := j.res.cfg, j.res.spec.Name
 	wl, err := j.res.spec.Build()
 	if err != nil {
-		return core.Metrics{}, nil, fmt.Errorf("exp: %w", err)
+		return res, fmt.Errorf("exp: %w", err)
 	}
 	s.simulated.Add(1)
-	var m core.Metrics
-	var p *obsv.Profile
 	if profile {
-		m, p, err = core.RunWorkloadProfiled(cfg, wl)
+		res.Metrics, res.Profile, err = core.RunWorkloadProfiled(cfg, wl)
 	} else {
-		m, err = core.RunWorkload(cfg, wl)
+		res.Metrics, err = core.RunWorkload(cfg, wl)
 	}
+	m := res.Metrics
 	s.simCycles.Add(m.Cycles)
 	if err != nil {
-		return m, nil, fmt.Errorf("exp: %s on %s: %w", label, cfg.Name, err)
+		return res, fmt.Errorf("exp: %s on %s: %w", label, cfg.Name, err)
 	}
 	if m.Truncated {
-		return m, nil, fmt.Errorf("exp: %s on %s truncated at %d cycles", label, cfg.Name, m.Cycles)
+		return res, fmt.Errorf("exp: %s on %s truncated at %d cycles", label, cfg.Name, m.Cycles)
 	}
 	s.logf("ran %s on %s (%d cycles)\n", label, cfg.Name, m.Cycles)
-	return m, p, nil
+	return res, nil
 }
 
 // logf writes one serialized progress line, if a progress sink is set.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -156,5 +157,90 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 	if st := s2.Stats(); st.DiskHits != 1 || st.CacheHits != 1 {
 		t.Fatalf("repeat stats = %+v, want memo hit", st)
+	}
+}
+
+// doneProbe is a context that reports the first call of Done: a request
+// asks for it only once it waits on another request's run.
+type doneProbe struct {
+	context.Context
+	asked chan struct{}
+	once  sync.Once
+}
+
+func (c *doneProbe) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.asked) })
+	return c.Context.Done()
+}
+
+// TestLastTierAbandonedRunIsForgotten drives the miss path with a fake
+// remote last tier whose first run returns only when its caller leaves.
+// That run answered nothing, so it must not be memoized, and a request
+// that joined it with a live context runs the cell again. The run that
+// answers passes its own tier, metrics and profile through and fills the
+// store.
+func TestLastTierAbandonedRunIsForgotten(t *testing.T) {
+	var calls atomic.Int64
+	entered := make(chan struct{}, 2)
+	want := RunResult{Metrics: core.Metrics{Cycles: 42}, Profile: &obsv.Profile{Cycles: 42}, Tier: TierMemo}
+	last := func(ctx context.Context, _ Job, _ bool) (RunResult, error) {
+		entered <- struct{}{}
+		if calls.Add(1) == 1 {
+			<-ctx.Done()
+			return RunResult{}, ctx.Err()
+		}
+		return want, nil
+	}
+	cache := newMemCache()
+	s := NewScheduler(WithResultCache(cache), WithLastTier(last))
+	job := BenchJob(config.Baseline(), "dwt2d")
+	bg := context.Background()
+
+	ctx, cancel := context.WithCancel(bg)
+	owner := make(chan error, 1)
+	go func() {
+		_, err := s.RunJobEx(ctx, job, true)
+		owner <- err
+	}()
+	<-entered
+	type outcome struct {
+		res RunResult
+		err error
+	}
+	joiner := make(chan outcome, 1)
+	waiting := &doneProbe{Context: bg, asked: make(chan struct{})}
+	go func() {
+		res, err := s.RunJobEx(waiting, job, true)
+		joiner <- outcome{res, err}
+	}()
+	<-waiting.asked // the second request has joined the run
+	cancel()
+	if err := <-owner; err != context.Canceled {
+		t.Fatalf("abandoned owner: err = %v, want context.Canceled", err)
+	}
+	got := <-joiner
+	if got.err != nil || got.res.Tier != TierMemo || got.res.Metrics.Cycles != 42 || got.res.Profile != want.Profile {
+		t.Fatalf("live joiner: %+v, %v; want the last tier's answer, tier %q", got.res, got.err, TierMemo)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("last tier called %d times, want 2 (the abandoned run, then the joiner's)", n)
+	}
+	if st := s.Stats(); st.CacheHits != 0 || st.Simulated != 0 {
+		t.Fatalf("stats = %+v, want no memo hit and no local simulation", st)
+	}
+	if e := cache.m[job.CellID()]; cache.puts != 1 || e.m.Cycles != 42 || e.p != want.Profile {
+		t.Fatalf("store: %d fills, entry %+v; want one fill with the answer", cache.puts, e)
+	}
+
+	// The answer is memoized, and a fresh scheduler finds it in the store:
+	// neither asks the last tier again.
+	if res, err := s.RunJobEx(bg, job, true); err != nil || res.Tier != TierMemo || s.Stats().CacheHits != 1 {
+		t.Fatalf("repeat: tier %q, err %v, stats %+v; want a memo hit", res.Tier, err, s.Stats())
+	}
+	if res, err := NewScheduler(WithResultCache(cache), WithLastTier(last)).RunJobEx(bg, job, true); err != nil || res.Tier != TierDisk {
+		t.Fatalf("fresh scheduler: tier %q, err %v; want a store hit", res.Tier, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("last tier called %d times, want still 2", n)
 	}
 }

@@ -37,9 +37,8 @@ type CoordinatorOptions struct {
 	// unhealthy (its runs move to healthy peers); 0 selects 2.
 	ProbeFails int
 	// Options is the entry point's own admission — queue bound, rate
-	// limit, per-client quota — and its Logger. A coordinator simulates
-	// and caches nothing, so Workers, CacheDir and CacheMaxBytes must be
-	// zero.
+	// limit, per-client quota — its disk cache and its Logger. A
+	// coordinator simulates nothing, so Workers must be zero.
 	Options Options
 }
 
@@ -52,17 +51,30 @@ const waitRound = 30 * time.Second
 // one name.
 const exploreIdentity = "gpusimd-explore"
 
-// NewCoordinator builds a coordinator — a Server whose run step is remote
-// — and starts its health prober. It admits, tracks, lists, traces and
-// cancels jobs, sweeps and explorations exactly as a daemon does, from its
-// own job table; only the run of a cell happens elsewhere, on the worker
+// remoteJob is what a remote run needs of the job it runs, carried on the
+// run's context through the scheduler (remoteJobKey): the owner whose quota
+// it spends on the worker, the job's trace ID, and placed, which names the
+// worker on the job's running span. Exploration probes carry none.
+type remoteJob struct {
+	owner   string
+	traceID string
+	placed  func(worker string)
+}
+
+type remoteJobKey struct{}
+
+// NewCoordinator builds a coordinator — a Server whose scheduler's last
+// tier is remote — and starts its health prober. It admits, tracks, lists,
+// traces and cancels jobs, sweeps and explorations exactly as a daemon
+// does, from its own job table, and answers cells from its own memo and
+// disk cache; only a cell that misses both runs elsewhere, on the worker
 // its content-addressed ID rendezvous-hashes to, so the same cell lands on
 // the same worker from any entry point with the same membership and
 // memoizes there. Every queued cell gets a run of its own at once, so the
 // workers' own queues and worker pools bound the work, as they do for a
 // client talking to a worker directly. On top of the daemon's routes it
 // serves GET /v1/cluster and POST /v1/cluster/drain, and GET /v1/stats
-// reports the fleet's worker counts and scheduler counters.
+// adds the fleet's worker counts and scheduler counters to its own.
 //
 // Workers are probed periodically; after ProbeFails consecutive failures
 // (or a transport error or a 503 on a run's own request) a worker leaves
@@ -74,10 +86,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 		return nil, errors.New("server: coordinator needs at least one -worker address")
 	case opts.Options.Workers != 0:
 		return nil, errors.New("server: -j does not apply to a coordinator: its workers simulate")
-	case opts.Options.CacheDir != "":
-		return nil, errors.New("server: -cache-dir does not apply to a coordinator: its workers keep the cache")
-	case opts.Options.CacheMaxBytes != 0:
-		return nil, errors.New("server: -cache-max-bytes does not apply to a coordinator: its workers keep the cache")
 	}
 	f := &fleet{
 		probeFails:   cmp.Or(opts.ProbeFails, 2),
@@ -170,32 +178,34 @@ func forwardIdentity(owner string) string {
 	return cmp.Or(id, exploreIdentity)
 }
 
-// run is a coordinator's run step. The cell is placed on its rendezvous
-// worker — POST /v1/jobs with the job's owner identity and trace ID —
-// long-polled there to a terminal state, and its profile fetched when one
-// was asked for. The run moves when its worker fails a request, answers
-// 503 (full or shutting down) or leaves placement, waits out any other
-// refusal (429, or an answer that is not the job) for that worker's
-// Retry-After, places a cell again when the worker reports it canceled,
-// and forwards DELETE when ctx is canceled — unless the coordinator is
-// shutting down, which leaves its workers' jobs alone. It fails only when
-// a worker reports the cell itself failed — which every worker would: the
-// simulator is deterministic.
-func (f *fleet) run(ctx context.Context, r runReq) (exp.RunResult, error) {
-	id := r.cell.CellID()
+// run is a coordinator's last tier. The cell is placed on its rendezvous
+// worker — POST /v1/jobs with the job's owner identity and trace ID, read
+// from ctx (remoteJob) — long-polled there to a terminal state, and its
+// profile fetched when one was asked for; the result carries the worker's
+// own tier. The run moves when its worker fails a request, answers 503
+// (full or shutting down) or leaves placement, waits out any other refusal
+// (429, or an answer that is not the job) for that worker's Retry-After,
+// places a cell again when the worker reports it canceled, and forwards
+// DELETE when ctx is canceled — unless the coordinator is shutting down,
+// which leaves its workers' jobs alone. Apart from ctx ending, it fails
+// only when a worker reports the cell itself failed — which every worker
+// would: the simulator is deterministic.
+func (f *fleet) run(ctx context.Context, cell exp.Job, profile bool) (exp.RunResult, error) {
+	rj, _ := ctx.Value(remoteJobKey{}).(remoteJob)
+	id := cell.CellID()
 	body, err := json.Marshal(api.JobSpec{
-		Config: r.cell.Config.Preset, InlineConfig: r.cell.Config.Config, ConfigPatch: r.cell.Config.Patch,
-		Bench: r.cell.Workload.Bench, InlineSpec: r.cell.Workload.Spec, Profile: r.profile,
+		Config: cell.Config.Preset, InlineConfig: cell.Config.Config, ConfigPatch: cell.Config.Patch,
+		Bench: cell.Workload.Bench, InlineSpec: cell.Workload.Spec, Profile: profile,
 	})
 	if err != nil {
 		return exp.RunResult{}, err
 	}
 	hdr := http.Header{"Content-Type": {"application/json"}}
-	hdr.Set(apiKeyHeader, forwardIdentity(r.owner))
-	if r.traceID != "" {
+	hdr.Set(apiKeyHeader, forwardIdentity(rj.owner))
+	if rj.traceID != "" {
 		// One X-Trace-Id follows a submission from the entry point to the
 		// worker's copy of the job.
-		hdr.Set(api.TraceHeader, r.traceID)
+		hdr.Set(api.TraceHeader, rj.traceID)
 	}
 	rr := &remoteRun{cellID: id}
 	defer f.release(rr)
@@ -204,10 +214,10 @@ func (f *fleet) run(ctx context.Context, r runReq) (exp.RunResult, error) {
 		if err != nil {
 			return exp.RunResult{}, err
 		}
-		if r.placed != nil {
-			r.placed(w.Addr)
+		if rj.placed != nil {
+			rj.placed(w.Addr)
 		}
-		res, wait, err := f.exchange(rctx, w.Addr, id, hdr, body, r.profile)
+		res, wait, err := f.exchange(rctx, w.Addr, id, hdr, body, profile)
 		switch {
 		case res != nil:
 			return *res, err

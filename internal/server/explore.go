@@ -29,8 +29,8 @@ type exploreRec struct {
 }
 
 // exploreHub owns a server's exploration resources. Its EvalBatch scores
-// probe cells with the server's run step, so a probe is an ordinary cell
-// run — on the daemon's scheduler, or on a coordinator's workers.
+// probe cells on the server's scheduler, so a probe is an ordinary cell
+// run — simulated at a daemon, or on a coordinator's workers.
 //
 // Explorations are content-addressed by their canonical request, so a
 // re-POST of the same search — however spelled — is the same resource:
@@ -56,8 +56,8 @@ type exploreHub struct {
 	wg     sync.WaitGroup
 }
 
-// newExploreHub builds a hub. dir == "" disables journaling (a
-// coordinator, and daemons without a cache dir).
+// newExploreHub builds a hub. dir == "" disables journaling (a server
+// without a cache dir).
 func newExploreHub(dir string, eval explore.EvalBatch, log *slog.Logger) (*exploreHub, error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

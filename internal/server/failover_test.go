@@ -337,19 +337,94 @@ func TestCoordinatorQueueBoundCoversRuns(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRefusesDaemonOptions: a coordinator simulates and caches
-// nothing, so the daemon's -j, -cache-dir and -cache-max-bytes are an
-// error naming the flag (gpusimd exits 2 with it), not silently ignored.
+// TestCoordinatorRefusesDaemonOptions: a coordinator simulates nothing,
+// so the daemon's -j is an error naming the flag (gpusimd exits 2 with
+// it), not silently ignored.
 func TestCoordinatorRefusesDaemonOptions(t *testing.T) {
-	for flag, opts := range map[string]Options{
-		"-j":               {Workers: 2},
-		"-cache-dir":       {CacheDir: t.TempDir()},
-		"-cache-max-bytes": {CacheMaxBytes: 1 << 20},
-	} {
-		_, err := NewCoordinator(CoordinatorOptions{Workers: []string{"127.0.0.1:1"}, Options: opts})
-		if err == nil || !strings.Contains(err.Error(), flag+" ") {
-			t.Errorf("%s: err = %v, want an error naming the flag", flag, err)
+	_, err := NewCoordinator(CoordinatorOptions{Workers: []string{"127.0.0.1:1"}, Options: Options{Workers: 2}})
+	if err == nil || !strings.Contains(err.Error(), "-j ") {
+		t.Errorf("err = %v, want an error naming -j", err)
+	}
+}
+
+// TestCoordinatorRestartServesFromDisk: a coordinator keeps its own disk
+// tier, so one restarted on its -cache-dir answers a finished sweep from
+// disk — asking its worker nothing — with the same speedups.
+func TestCoordinatorRestartServesFromDisk(t *testing.T) {
+	worker := newWorker(t)
+	var requests atomic.Int64
+	h := worker.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/healthz" {
+			requests.Add(1)
 		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		worker.Shutdown(context.Background()) //nolint:errcheck // test teardown
+	})
+	dir := t.TempDir()
+	ctx := context.Background()
+	req := client.SweepRequest{Configs: []string{"baseline", "L2-4x"}, Benches: []string{testBench}}
+	sweep := func() *client.Sweep {
+		t.Helper()
+		co, err := NewCoordinator(CoordinatorOptions{Workers: []string{ts.URL}, ProbeInterval: time.Hour,
+			Options: Options{CacheDir: dir}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cts := httptest.NewServer(co.Handler())
+		defer func() {
+			cts.Close()
+			co.Shutdown(ctx) //nolint:errcheck // test teardown
+		}()
+		c := client.New(cts.URL)
+		resp, err := c.Sweep(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw, err := c.WaitSweep(ctx, resp.ID, 20*time.Millisecond)
+		if err != nil || sw.State != client.SweepDone {
+			t.Fatalf("sweep: %+v, %v, want done", sw, err)
+		}
+		return sw
+	}
+
+	first := sweep()
+	asked := requests.Load()
+	again := sweep()
+	if n := requests.Load() - asked; n != 0 {
+		t.Fatalf("the restarted coordinator asked its worker %d times, want 0", n)
+	}
+	for _, j := range again.Jobs {
+		if j.Tier != "disk" {
+			t.Errorf("job %s answered from tier %q, want disk", j.ID, j.Tier)
+		}
+	}
+	if a, b := canonicalJSON(t, first.Speedups), canonicalJSON(t, again.Speedups); !bytes.Equal(a, b) {
+		t.Fatalf("speedups diverge after the restart:\nfirst: %s\nagain: %s", a, b)
+	}
+}
+
+// TestCanceledRemoteRunResubmits: canceling a job whose run is parked on a
+// worker ends that run without an answer, and the coordinator's scheduler
+// must forget it — else the resubmitted cell would fail with the canceled
+// run's error instead of running.
+func TestCanceledRemoteRunResubmits(t *testing.T) {
+	co, _, workers, requests := countedCluster(t, 1, Options{}, Options{})
+	h := co.Handler()
+	job := submitCell(t, h, mshrPatch(8))
+	waitFor(t, "the run to park on its worker", func() bool { return requests.Load() == 2 })
+	if rec := serve(h, http.MethodDelete, "/v1/jobs/"+job.ID, ""); rec.Code != http.StatusOK {
+		t.Fatalf("cancel: %d %s", rec.Code, rec.Body)
+	}
+	workers[0].startWorkers()
+	submitCell(t, h, mshrPatch(8))
+	var got api.Job
+	json.Unmarshal(serve(h, http.MethodGet, "/v1/jobs/"+job.ID+"?wait=60s", "").Body.Bytes(), &got) //nolint:errcheck // state checked
+	if got.State != api.JobDone {
+		t.Fatalf("resubmitted cell is %s (%s), want done", got.State, got.Error)
 	}
 }
 

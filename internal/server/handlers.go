@@ -20,7 +20,7 @@ import (
 //
 //	GET    /healthz           liveness
 //	GET    /metrics           Prometheus text exposition
-//	GET    /v1/stats          scheduler counters (a coordinator's: its fleet's) + queue gauges
+//	GET    /v1/stats          scheduler counters (a coordinator's: its own + its fleet's) + queue gauges
 //	POST   /v1/jobs           submit one cell (api.JobSpec)
 //	GET    /v1/jobs           list jobs (?state=&limit=&page_token=)
 //	GET    /v1/jobs/{id}      poll one job (?wait= long-polls)
@@ -125,9 +125,9 @@ func writeError(w http.ResponseWriter, err error) {
 	writeJSON(w, status, api.Error{Code: code, Detail: err.Error(), RetryAfter: retrySecs})
 }
 
-// handleStats serves Stats; at a coordinator the worker count and the
-// scheduler counters are the fleet's sum (the coordinator simulates
-// nothing) and the cluster section describes the fleet.
+// handleStats serves Stats; at a coordinator the fleet's worker counts and
+// scheduler counters are added to its own (it simulates nothing, so
+// simulated is the fleet's) and the cluster section describes the fleet.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
 	if s.fleet != nil {

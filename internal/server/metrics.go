@@ -60,11 +60,9 @@ func (s *Server) initMetrics() {
 			return samples
 		})
 
-	if s.sched != nil { // a coordinator's /v1/stats sums its workers' instead
-		r.GaugeFunc("gpusimd_workers", "Simulation worker-pool size.",
-			func() float64 { return float64(s.workers) })
-		s.sched.RegisterMetrics(r, "gpusimd_scheduler_")
-	}
+	r.GaugeFunc("gpusimd_workers", "Simulation worker-pool size.",
+		func() float64 { return float64(s.workers) })
+	s.sched.RegisterMetrics(r, "gpusimd_scheduler_")
 	if s.fleet != nil {
 		// The cluster series read the snapshot GET /v1/cluster serves.
 		r.GaugeFunc("gpusimd_cluster_workers", "Workers configured on the coordinator.",

@@ -10,10 +10,11 @@
 // optional disk cache (Options.CacheDir) persists results across
 // restarts. Queued jobs can be canceled; Shutdown drains in-flight cells.
 //
-// A coordinator (NewCoordinator) is the same Server with a remote run
-// step: admission, the job table, long-polls, sweeps, listing, traces,
-// cancels and explorations are the daemon's own, and each admitted cell
-// runs on the worker its ID rendezvous-hashes to.
+// A coordinator (NewCoordinator) is the same Server whose scheduler's last
+// tier is remote: admission, the job table, long-polls, sweeps, listing,
+// traces, cancels, explorations, the memo and the disk cache are the
+// daemon's own, and a cell that misses both runs on the worker its ID
+// rendezvous-hashes to.
 //
 // Retention: finished jobs and memoized metrics are kept for the daemon's
 // lifetime — cross-request reuse is the point of the service — so memory
@@ -63,8 +64,9 @@ type Options struct {
 	MaxQueue int
 	// CacheDir, when non-empty, persists simulation results as JSON files
 	// so a restarted daemon serves previously simulated cells without
-	// re-simulating. A directory on a shared volume gives a whole
-	// cluster one cache namespace.
+	// re-simulating, and a restarted coordinator without asking a worker.
+	// A directory on a shared volume gives a whole cluster one cache
+	// namespace.
 	CacheDir string
 	// CacheMaxBytes bounds the disk cache's total payload size; 0 means
 	// unbounded, negative is an error. When the bound is exceeded the
@@ -116,30 +118,16 @@ type job struct {
 	profile *obsv.Profile
 }
 
-// runReq is one run the worker loop asks of the run step: the cell and
-// whether to profile it, and what a remote run needs of the job — the
-// owner whose quota it spends on the worker, its trace ID, and placed,
-// which names the worker on the job's running span. Exploration probes
-// leave the job's fields zero.
-type runReq struct {
-	cell    exp.Job
-	profile bool
-	owner   string
-	traceID string
-	placed  func(worker string)
-}
-
-// Server owns the job table, the worker pool and the run step its workers
-// call — the scheduler at a daemon, a remote run at a coordinator. Create
-// one with New or NewCoordinator; serve its Handler; stop it with
-// Shutdown.
+// Server owns the job table, the worker pool and the scheduler its workers
+// run cells on — memo, then the optional disk cache, then the last tier:
+// simulation at a daemon, a remote run at a coordinator. Create one with
+// New or NewCoordinator; serve its Handler; stop it with Shutdown.
 type Server struct {
 	opts     Options
 	workers  int
 	maxQueue int
-	run      func(context.Context, runReq) (exp.RunResult, error)
-	sched    *exp.Scheduler // nil at a coordinator
-	fleet    *fleet         // nil at a daemon
+	sched    *exp.Scheduler
+	fleet    *fleet // nil at a daemon
 	cache    *DirCache
 	limiter  *limiter
 	explorer *exploreHub
@@ -182,7 +170,7 @@ func New(opts Options) (*Server, error) {
 
 // newServer builds a Server without starting workers (tests use this to
 // exercise the queue deterministically): a daemon when f is nil, else a
-// coordinator running cells on f.
+// coordinator whose scheduler's last tier is f.
 func newServer(opts Options, f *fleet) (*Server, error) {
 	if err := exp.ValidateWorkers(opts.Workers); err != nil {
 		return nil, err
@@ -210,35 +198,32 @@ func newServer(opts Options, f *fleet) (*Server, error) {
 		waitCh:   make(chan struct{}),
 		log:      opts.Logger,
 	}
-	exploreDir := ""
+	schedOpts := []exp.Option{exp.WithWorkers(opts.Workers)}
+	if opts.Progress != nil {
+		schedOpts = append(schedOpts, exp.WithProgress(opts.Progress))
+	}
 	if f != nil {
 		// A coordinator has no worker pool: each queued cell starts a worker
-		// of its own (transitionLocked).
-		s.workers, s.run = 0, f.run
-	} else {
-		schedOpts := []exp.Option{exp.WithWorkers(opts.Workers)}
-		if opts.Progress != nil {
-			schedOpts = append(schedOpts, exp.WithProgress(opts.Progress))
-		}
-		switch {
-		case opts.CacheDir != "":
-			var err error
-			s.cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
-			if err != nil {
-				return nil, err
-			}
-			schedOpts = append(schedOpts, exp.WithResultCache(s.cache))
-			// Explorations journal their requests under the cache dir, so a
-			// restarted daemon resumes every search from cached cells.
-			exploreDir = filepath.Join(opts.CacheDir, "explore")
-		case opts.CacheMaxBytes != 0:
-			return nil, errors.New("server: cache bound set without a cache dir")
-		}
-		s.sched = exp.NewScheduler(schedOpts...)
-		s.run = func(ctx context.Context, r runReq) (exp.RunResult, error) {
-			return s.sched.RunJobEx(ctx, r.cell, r.profile)
-		}
+		// of its own (transitionLocked), and its cells run on the fleet.
+		s.workers = 0
+		schedOpts = append(schedOpts, exp.WithLastTier(f.run))
 	}
+	exploreDir := ""
+	switch {
+	case opts.CacheDir != "":
+		var err error
+		s.cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
+		if err != nil {
+			return nil, err
+		}
+		schedOpts = append(schedOpts, exp.WithResultCache(s.cache))
+		// Explorations journal their requests under the cache dir, so a
+		// restarted server resumes every search from cached cells.
+		exploreDir = filepath.Join(opts.CacheDir, "explore")
+	case opts.CacheMaxBytes != 0:
+		return nil, errors.New("server: cache bound set without a cache dir")
+	}
+	s.sched = exp.NewScheduler(schedOpts...)
 	if opts.RateLimit > 0 {
 		s.limiter = newLimiter(opts.RateLimit, opts.RateBurst)
 	}
@@ -247,12 +232,12 @@ func newServer(opts Options, f *fleet) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.initMetrics()
-	// Explorations score probe cells with the run step, sharing every cache
+	// Explorations score probe cells on the scheduler, sharing every cache
 	// tier with the job API, as many at once as the server has workers — at
 	// a coordinator, a whole round at once.
 	hub, err := newExploreHub(exploreDir, func(ctx context.Context, cells []exp.Job) ([]exp.RunResult, error) {
 		return exp.RunAll(ctx, s.workers, cells, func(ctx context.Context, cell exp.Job) (exp.RunResult, error) {
-			return s.run(ctx, runReq{cell: cell})
+			return s.sched.RunJobEx(ctx, cell, false)
 		})
 	}, s.log)
 	if err != nil {
@@ -271,12 +256,13 @@ func (s *Server) startWorkers() {
 }
 
 // worker pops queued jobs in FIFO order until drained — at a coordinator,
-// until the queue is empty — and runs each with the run step. Cancellation
+// until the queue is empty — and runs each on the scheduler. Cancellation
 // of a queued job removes it from pending directly, so every popped job is
 // live; cancellation of a running job flips its state under s.mu and
-// aborts the run's context, and the worker — which cannot preempt a
-// simulation step — discards its result for the job record on return (the
-// memo and disk caches still keep it, so a resubmission is nearly free).
+// aborts the run's context, and the worker discards its result for the job
+// record on return. A simulation cannot be preempted, so the memo and disk
+// caches still keep its result and a resubmission is nearly free; a remote
+// run returns at once and is forgotten, so a resubmission runs again.
 func (s *Server) worker() {
 	defer s.wg.Done()
 	for {
@@ -290,19 +276,19 @@ func (s *Server) worker() {
 		}
 		j := s.pending[0]
 		s.transitionLocked(j, api.JobRunning)
-		gen, ctx := j.gen, j.ctx
-		req := runReq{cell: j.cell, profile: j.Spec.Profile, owner: j.owner, traceID: j.TraceID,
+		gen, profile := j.gen, j.Spec.Profile
+		ctx := context.WithValue(j.ctx, remoteJobKey{}, remoteJob{owner: j.owner, traceID: j.TraceID,
 			placed: func(worker string) {
 				s.mu.Lock()
 				defer s.mu.Unlock()
 				if j.gen == gen && j.State == api.JobRunning {
 					j.spanAttr("worker", worker)
 				}
-			}}
+			}})
 		s.running.Add(1) // under s.mu: a coordinator's queue bound counts it
 		s.unlock()
 
-		res, err := s.run(ctx, req)
+		res, err := s.sched.RunJobEx(ctx, j.cell, profile)
 
 		s.mu.Lock()
 		s.running.Add(-1)
@@ -775,11 +761,9 @@ func (s *Server) Stats() api.Stats {
 		QueueDepth:  depth,
 		QueueCap:    capacity,
 		Jobs:        byState,
+		Scheduler:   s.sched.Stats(),
 		RateLimited: s.rateLimited.Value(),
 		QuotaDenied: s.quotaDenied.Value(),
-	}
-	if s.sched != nil {
-		st.Scheduler = s.sched.Stats()
 	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
