@@ -248,6 +248,45 @@ func TestEngineJumpsTheChase(t *testing.T) {
 	}
 }
 
+// TestUnitTicksCeiling holds the event engine's work per simulated cycle —
+// unit ticks executed, core and memory side, over cycles — to a ceiling on
+// two cells: ii@baseline, where nearly every cycle has work, and the
+// ledger's chase-1w@baseline, where the memory side wakes unit by unit.
+// The counts repeat exactly, so each ceiling is the count the engine
+// measures now: a change that adds a wake fails here, and a change that
+// removes ticks lowers the ceiling to its own count.
+func TestUnitTicksCeiling(t *testing.T) {
+	cases := []struct {
+		name          string
+		wl            *smcore.Workload
+		cycles, ticks int64
+	}{
+		{"ii@baseline", trace.Workloads()["ii"], 67068, 1466732},
+		{"chase-1w@baseline", mustBuild(t, chaseSpec(1, 2000)), 496523, 652366},
+	}
+	for _, tc := range cases {
+		g, err := New(config.Baseline(), tc.wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := g.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := g.EngineStats()
+		ticks := s.Core.TicksRun + s.MemTicksRun()
+		if m.Cycles != tc.cycles {
+			t.Errorf("%s ran %d cycles, want %d", tc.name, m.Cycles, tc.cycles)
+			continue
+		}
+		if ticks > tc.ticks {
+			t.Errorf("%s: %d unit ticks (%.4f per cycle), ceiling %d (%.4f)", tc.name,
+				ticks, float64(ticks)/float64(m.Cycles), tc.ticks, float64(tc.ticks)/float64(m.Cycles))
+		}
+		t.Logf("%s: %d unit ticks over %d cycles", tc.name, ticks, m.Cycles)
+	}
+}
+
 // TestEngineParityProfiled verifies the profiler's bulk-record path: a
 // profiled run must produce byte-identical windowed gauges on both
 // engines (the event engine feeds RecordN across jumped spans). The chase

@@ -68,7 +68,7 @@ func (s *Scrape) Sum(name string) float64 {
 // the family's samples, sample lines are syntactically well formed,
 // values parse as floats, histograms carry cumulative buckets ending in
 // le="+Inf" with consistent _count, and no duplicate series appear.
-// Tests and the loadgen harness use it as the "scrapes cleanly" gate.
+// Tests and the perf ledger use it as the "scrapes cleanly" gate.
 func Parse(data []byte) (*Scrape, error) {
 	sc := &Scrape{Types: map[string]Kind{}}
 	seen := map[string]bool{}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,9 +16,10 @@ import (
 // TestConcurrencyTorture hammers one daemon from many goroutines with
 // overlapping submit/cancel/sweep traffic over a small cell pool while a
 // tightly bounded disk cache evicts underneath, scraping /metrics
-// mid-flight. It is the -race exercise for the whole serving path; at
-// quiescence it asserts the stats invariants and that /metrics and
-// /v1/stats reconcile exactly.
+// mid-flight. One in traceSample submissions carries a caller-chosen trace
+// ID. It is the -race exercise for the whole serving path; at quiescence
+// it asserts the stats invariants, that /metrics and /v1/stats reconcile
+// exactly, and that every trace-sampled job's timeline is a complete chain.
 func TestConcurrencyTorture(t *testing.T) {
 	size := entrySize(t)
 	srv, c := newTestServer(t, Options{
@@ -30,11 +32,28 @@ func TestConcurrencyTorture(t *testing.T) {
 	base := c.BaseURL()
 
 	const (
-		goroutines = 8
-		iterations = 25
-		cells      = 8
+		goroutines  = 8
+		iterations  = 25
+		cells       = 8
+		traceSample = 10
 	)
-	var server5xx atomic.Int64
+	var server5xx, submits atomic.Int64
+	var sampledMu sync.Mutex
+	sampled := map[string]string{} // job ID → the trace ID it was last submitted with
+	submit := func(spec client.JobSpec) (*client.Job, error) {
+		n := submits.Add(1)
+		if n%traceSample != 0 {
+			return c.Submit(ctx, spec)
+		}
+		traceID := fmt.Sprintf("torture-%04d", n)
+		job, err := c.SubmitTraced(ctx, spec, traceID)
+		if err == nil {
+			sampledMu.Lock()
+			sampled[job.ID] = traceID
+			sampledMu.Unlock()
+		}
+		return job, err
+	}
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -46,17 +65,21 @@ func TestConcurrencyTorture(t *testing.T) {
 				spec := client.JobSpec{Config: "baseline", InlineSpec: &sp}
 				checkErr := func(err error) {
 					var apiErr *client.APIError
-					if errorsAs(err, &apiErr) && apiErr.StatusCode >= 500 {
+					switch {
+					case err == nil:
+					case !errorsAs(err, &apiErr):
+						t.Errorf("goroutine %d iter %d: transport error %v", g, i, err)
+					case apiErr.StatusCode >= 500:
 						server5xx.Add(1)
 						t.Errorf("goroutine %d iter %d: server error %v", g, i, err)
 					}
 				}
 				switch i % 5 {
 				case 0, 1:
-					_, err := c.Submit(ctx, spec)
+					_, err := submit(spec)
 					checkErr(err)
 				case 2:
-					job, err := c.Submit(ctx, spec)
+					job, err := submit(spec)
 					checkErr(err)
 					if err == nil {
 						// Cancel whatever state the job is in; 409 on a
@@ -132,6 +155,26 @@ func TestConcurrencyTorture(t *testing.T) {
 	for _, ser := range sc.Series {
 		if ser.Name == "gpusimd_http_requests_total" && strings.HasPrefix(ser.Labels["code"], "5") {
 			t.Errorf("5xx recorded in request metrics: %v = %v", ser.Labels, ser.Value)
+		}
+	}
+
+	// At quiescence no span may be open: an open one means the lifecycle
+	// lost a transition, not that work is in flight. Cells are content
+	// addressed, so a sampled job may predate its sampled submission and
+	// carry an earlier trace ID; one must be present, not equal.
+	if len(sampled) == 0 {
+		t.Fatalf("no submission of %d was trace-sampled (1 in %d)", submits.Load(), traceSample)
+	}
+	for id, traceID := range sampled {
+		tr, err := c.Trace(ctx, id)
+		if err != nil {
+			t.Fatalf("trace of job %s (sampled as %s): %v", id, traceID, err)
+		}
+		if tr.TraceID == "" {
+			t.Errorf("job %s (sampled as %s): no trace ID on the timeline", id, traceID)
+		}
+		if err := checkSpanChain(tr.Spans); err != nil {
+			t.Errorf("job %s (sampled as %s): %v", id, traceID, err)
 		}
 	}
 }

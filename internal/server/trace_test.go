@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -105,32 +107,46 @@ func TestTraceTimelineAndPropagatedID(t *testing.T) {
 	}
 }
 
-// assertSpanChain checks the span names appear in order, every span is
-// closed, and the timeline is monotonic (each span starts no earlier
-// than the previous one).
+// assertSpanChain checks the span names are want, in order, and that the
+// chain passes checkSpanChain.
 func assertSpanChain(t *testing.T, spans []client.Span, want []string) {
 	t.Helper()
 	var names []string
 	for _, s := range spans {
 		names = append(names, s.Name)
 	}
-	if len(spans) != len(want) {
+	if !slices.Equal(names, want) {
 		t.Fatalf("span chain %v, want %v", names, want)
 	}
+	if err := checkSpanChain(spans); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkSpanChain holds a terminal job's timeline to the rules every chain
+// obeys, however often the job was canceled and resubmitted: at least a
+// queued span and a terminal marker, the terminal marker last, every span
+// closed, none ending before it starts, and the timeline monotonic (each
+// span starts no earlier than the previous one).
+func checkSpanChain(spans []client.Span) error {
+	if len(spans) < 2 {
+		return fmt.Errorf("span chain has %d spans, want >= 2 (queued + terminal)", len(spans))
+	}
+	if last := spans[len(spans)-1].Name; !client.JobState(last).Terminal() {
+		return fmt.Errorf("span chain ends in %q, not a terminal marker", last)
+	}
 	for i, s := range spans {
-		if s.Name != want[i] {
-			t.Fatalf("span chain %v, want %v", names, want)
-		}
 		if s.End == nil {
-			t.Fatalf("span %q still open on a terminal job", s.Name)
+			return fmt.Errorf("span %q still open on a terminal job", s.Name)
 		}
 		if s.End.Before(s.Start) {
-			t.Fatalf("span %q ends before it starts", s.Name)
+			return fmt.Errorf("span %q ends before it starts", s.Name)
 		}
 		if i > 0 && s.Start.Before(spans[i-1].Start) {
-			t.Fatalf("span %q starts before its predecessor %q", s.Name, spans[i-1].Name)
+			return fmt.Errorf("span %q starts before its predecessor %q", s.Name, spans[i-1].Name)
 		}
 	}
+	return nil
 }
 
 func TestTraceIDMintedAndEchoed(t *testing.T) {
