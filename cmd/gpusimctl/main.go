@@ -55,6 +55,7 @@ import (
 	"gpumembw/client"
 	"gpumembw/cmd/internal/cliutil"
 	"gpumembw/internal/config"
+	"gpumembw/internal/exp"
 	"gpumembw/internal/trace"
 )
 
@@ -142,8 +143,13 @@ func printJSON(v any) {
 	}
 }
 
+// printJob prints one job line, labelling its config and workload by the
+// daemon's own rule (exp's ConfigRef and WorkloadRef labels).
 func printJob(j *client.Job) {
-	fmt.Printf("%s  %-8s  config=%s bench=%s", j.ID, j.State, specConfig(j.Spec), specWorkload(j.Spec))
+	s := j.Spec
+	fmt.Printf("%s  %-8s  config=%s bench=%s", j.ID, j.State,
+		exp.ConfigRef{Preset: s.Config, Config: s.InlineConfig, Patch: s.ConfigPatch}.Label(),
+		exp.WorkloadRef{Bench: s.Bench, Spec: s.InlineSpec}.Label())
 	if j.Metrics != nil {
 		fmt.Printf("  cycles=%d IPC=%.3f", j.Metrics.Cycles, j.Metrics.IPC)
 	}
@@ -151,41 +157,6 @@ func printJob(j *client.Job) {
 		fmt.Printf("  error=%q", j.Error)
 	}
 	fmt.Println()
-}
-
-func specConfig(s client.JobSpec) string {
-	if s.Config != "" {
-		return s.Config
-	}
-	if s.InlineConfig != nil {
-		if s.InlineConfig.Name != "" {
-			return s.InlineConfig.Name
-		}
-		return "inline"
-	}
-	if s.ConfigPatch != nil {
-		base := s.ConfigPatch.Base
-		if base == "" {
-			base = "baseline"
-		}
-		return base + "-patched"
-	}
-	return "?"
-}
-
-// specWorkload labels a job's workload the way the daemon does: the
-// benchmark name, the inline spec's name, or the unnamed-inline default.
-func specWorkload(s client.JobSpec) string {
-	if s.Bench != "" {
-		return s.Bench
-	}
-	if s.InlineSpec != nil {
-		if s.InlineSpec.Name != "" {
-			return s.InlineSpec.Name
-		}
-		return "custom"
-	}
-	return "?"
 }
 
 // finishJob handles the tail of submit/wait: optionally block, then print.

@@ -36,15 +36,18 @@
 // format) and GET /v1/stats (JSON); the two reconcile exactly when the
 // daemon is quiescent. Structured logs (log/slog text format) stream to
 // stderr: one event per job transition, tagged with the request's
-// X-Trace-Id. -debug-addr exposes net/http/pprof on a SEPARATE listener
-// — bind it to localhost; never the public service port:
+// X-Trace-Id, and disk-cache I/O failures as WARN records. -debug-addr
+// exposes net/http/pprof on a SEPARATE listener — bind it to localhost;
+// never the public service port:
 //
 //	gpusimd -debug-addr 127.0.0.1:6060
 //	go tool pprof http://127.0.0.1:6060/debug/pprof/profile
 //
-// SIGINT/SIGTERM trigger a graceful shutdown: new submissions get 503,
-// queued jobs are canceled, in-flight cells drain (up to 30s), and any
-// -cpuprofile/-memprofile output is flushed.
+// SIGINT/SIGTERM trigger a graceful shutdown: new jobs, sweeps and
+// explorations get 503, queued jobs are canceled, running explorations
+// stop (their -cache-dir journals resume them on the next start),
+// in-flight cells drain (up to 30s), and any -cpuprofile/-memprofile
+// output is flushed.
 package main
 
 import (
@@ -110,7 +113,6 @@ func main() {
 		RateLimit:            *rateLimit,
 		RateBurst:            *rateBurst,
 		MaxInflightPerClient: *maxInflight,
-		ErrLog:               os.Stderr,
 		Logger:               logger,
 	}
 	if !*quiet {

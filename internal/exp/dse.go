@@ -61,11 +61,9 @@ func fig12Grid() *Grid {
 
 func (s *Scheduler) fig12(g *Grid) (*SpeedupTable, error) { return s.speedups(g, 1, len(g.Configs)-1) }
 
-// AsymmetricOnlySpeedup measures the standalone 16+48 crossbar without the
-// cost-effective queue scaling (paper: only +15.5%, demonstrating the need
-// for synergistic scaling).
-func (s *Scheduler) AsymmetricOnlySpeedup() (float64, error) { return s.asymmetricOnly(fig12Grid()) }
-
+// asymmetricOnly measures the grid's last column, the standalone 16+48
+// crossbar without the cost-effective queue scaling (paper: only +15.5%,
+// demonstrating the need for synergistic scaling).
 func (s *Scheduler) asymmetricOnly(g *Grid) (float64, error) {
 	t, err := s.speedups(g, len(g.Configs)-1, len(g.Configs))
 	var sp []float64

@@ -92,7 +92,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 		probeTimeout: cmp.Or(opts.ProbeTimeout, 2*time.Second),
 		http:         &http.Client{},
 		changed:      make(chan struct{}),
-		stop:         make(chan struct{}),
 	}
 	seen := make(map[string]bool)
 	for _, addr := range opts.Workers {
@@ -112,7 +111,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.log = s.log
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -129,15 +127,18 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 type fleet struct {
 	probeFails   int
 	probeTimeout time.Duration
-	http         *http.Client // no timeout: carries ?wait= long-polls
-	log          *slog.Logger
+	http         *http.Client   // no timeout: carries ?wait= long-polls
 	workers      []*coordWorker // fixed at construction; their fields are guarded by mu
+
+	// ctx and log are the server's (set by newServer). ctx is canceled
+	// first thing in Shutdown: it ends the prober, and runs ended after it
+	// forward no cancel.
+	ctx context.Context
+	log *slog.Logger
 
 	mu         sync.Mutex
 	changed    chan struct{} // closed+replaced when a worker may have become routable
 	reassigned int64
-
-	stop chan struct{} // closed by Shutdown; ends the prober, and runs ended after it forward no cancel
 }
 
 // coordWorker is one worker's membership record, kept in the form GET
@@ -222,9 +223,7 @@ func (f *fleet) run(ctx context.Context, cell exp.Job, profile bool) (exp.RunRes
 		case res != nil:
 			return *res, err
 		case ctx.Err() != nil:
-			select {
-			case <-f.stop:
-			default:
+			if f.ctx.Err() == nil {
 				f.forwardCancel(w.Addr+"/v1/jobs/"+id, hdr)
 			}
 			return exp.RunResult{}, ctx.Err()
@@ -475,7 +474,7 @@ func (f *fleet) prober(interval time.Duration) {
 	defer t.Stop()
 	for {
 		select {
-		case <-f.stop:
+		case <-f.ctx.Done():
 			return
 		case <-t.C:
 		}

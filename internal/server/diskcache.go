@@ -4,8 +4,9 @@ import (
 	"cmp"
 	"container/list"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"slices"
@@ -61,11 +62,11 @@ type cacheRecord struct {
 // cell's content hash, so a restarted daemon (same -cache-dir) serves
 // previously simulated cells without re-simulating. It implements
 // exp.ResultCache; I/O failures degrade to cache misses, reported once
-// per operation on errlog. Pointing several workers at one directory on
-// a shared volume gives a whole cluster a single cache namespace: entry
-// writes are atomic temp-file + rename, so concurrent writers are safe,
-// and an entry a peer wrote is adopted into this cache's accounting by
-// the first hit on it.
+// per operation as a WARN record on its logger. Pointing several workers
+// at one directory on a shared volume gives a whole cluster a single cache
+// namespace: entry writes are atomic temp-file + rename, so concurrent
+// writers are safe, and an entry a peer wrote is adopted into this cache's
+// accounting by the first hit on it.
 //
 // When maxBytes > 0 the cache is bounded: entry sizes are accounted on
 // write and the least-recently-used entries are evicted until the total
@@ -79,7 +80,7 @@ type cacheRecord struct {
 // serving none.
 type DirCache struct {
 	dir      string
-	errlog   io.Writer
+	log      *slog.Logger // nil: silent
 	maxBytes int64
 
 	mu        sync.Mutex
@@ -89,9 +90,9 @@ type DirCache struct {
 	evictions int64
 }
 
-// NewDirCache opens the spill directory rooted at dir. errlog, when
-// non-nil, receives I/O warnings.
-func NewDirCache(dir string, maxBytes int64, errlog io.Writer) (*DirCache, error) {
+// NewDirCache opens the spill directory rooted at dir. log, when non-nil,
+// receives I/O warnings.
+func NewDirCache(dir string, maxBytes int64, log *slog.Logger) (*DirCache, error) {
 	if maxBytes < 0 {
 		return nil, fmt.Errorf("server: invalid cache bound %d bytes: must be >= 0 (0 means unbounded)", maxBytes)
 	}
@@ -100,7 +101,7 @@ func NewDirCache(dir string, maxBytes int64, errlog io.Writer) (*DirCache, error
 	}
 	c := &DirCache{
 		dir:      dir,
-		errlog:   errlog,
+		log:      log,
 		maxBytes: maxBytes,
 		entries:  make(map[string]*list.Element),
 		lru:      list.New(),
@@ -131,7 +132,7 @@ func (c *DirCache) load() error {
 		}
 		info, err := e.Info()
 		if err != nil {
-			c.warnf("cache stat %s: %v", e.Name(), err)
+			c.warn("cache stat", "file", e.Name(), "err", err)
 			continue
 		}
 		stats = append(stats, stat{strings.TrimSuffix(e.Name(), ".json"), info.Size(), info.ModTime()})
@@ -152,7 +153,7 @@ func (c *DirCache) load() error {
 func (c *DirCache) stamp(id string) {
 	now := time.Now()
 	if err := os.Chtimes(filepath.Join(c.dir, id+".json"), now, now); err != nil && !os.IsNotExist(err) {
-		c.warnf("cache touch %s: %v", id, err)
+		c.warn("cache touch", "cell", id, "err", err)
 	}
 }
 
@@ -175,7 +176,7 @@ func (c *DirCache) accountLocked(id string, size int64) {
 		el := c.lru.Back()
 		rec := el.Value.(*cacheRecord)
 		if err := os.Remove(filepath.Join(c.dir, rec.id+".json")); err != nil && !os.IsNotExist(err) {
-			c.warnf("cache evict %s: %v", rec.id, err)
+			c.warn("cache evict", "cell", rec.id, "err", err)
 		}
 		c.lru.Remove(el)
 		delete(c.entries, rec.id)
@@ -184,9 +185,10 @@ func (c *DirCache) accountLocked(id string, size int64) {
 	}
 }
 
-func (c *DirCache) warnf(format string, args ...any) {
-	if c.errlog != nil {
-		fmt.Fprintf(c.errlog, format+"\n", args...)
+// warn logs an I/O failure the cache degraded to a miss or a skipped write.
+func (c *DirCache) warn(msg string, args ...any) {
+	if c.log != nil {
+		c.log.Warn(msg, args...)
 	}
 }
 
@@ -208,17 +210,17 @@ func (c *DirCache) Lookup(j exp.Job) (core.Metrics, *obsv.Profile, bool) {
 	data, err := os.ReadFile(filepath.Join(c.dir, id+".json"))
 	if err != nil {
 		if !os.IsNotExist(err) {
-			c.warnf("cache read %s: %v", id, err)
+			c.warn("cache read", "cell", id, "err", err)
 		}
 		return core.Metrics{}, nil, false
 	}
 	var e cacheEntry
 	if err := json.Unmarshal(data, &e); err != nil || e.Schema != cacheSchema {
-		c.warnf("cache entry %s ignored (schema %d, err %v)", id, e.Schema, err)
+		c.warn("cache entry ignored", "cell", id, "schema", e.Schema, "err", err)
 		return core.Metrics{}, nil, false
 	}
 	if e.SimVersion != core.SimVersion {
-		c.warnf("cache entry %s ignored (simulator %q, running %q)", id, e.SimVersion, core.SimVersion)
+		c.warn("cache entry ignored", "cell", id, "simulator", e.SimVersion, "running", core.SimVersion)
 		return core.Metrics{}, nil, false
 	}
 	c.stamp(id)
@@ -243,25 +245,25 @@ func (c *DirCache) Fill(j exp.Job, m core.Metrics, p *obsv.Profile) {
 		Profile:    p,
 	})
 	if err != nil {
-		c.warnf("cache marshal %s: %v", id, err)
+		c.warn("cache marshal", "cell", id, "err", err)
 		return
 	}
 	tmp, err := os.CreateTemp(c.dir, "put-*.tmp")
 	if err != nil {
-		c.warnf("cache write: %v", err)
+		c.warn("cache write", "err", err)
 		return
 	}
 	_, werr := tmp.Write(data)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
-		c.warnf("cache write %s: %v %v", id, werr, cerr)
+		c.warn("cache write", "cell", id, "err", errors.Join(werr, cerr))
 		return
 	}
 	path := filepath.Join(c.dir, id+".json")
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		c.warnf("cache rename %s: %v", path, err)
+		c.warn("cache rename", "path", path, "err", err)
 		return
 	}
 	c.stamp(id)

@@ -25,7 +25,7 @@ func TestWarmRestartServesFromDiskCache(t *testing.T) {
 	spec := client.JobSpec{Config: "baseline", Bench: testBench}
 
 	boot := func() (*Server, *client.Client, func()) {
-		srv, err := New(Options{Workers: 2, CacheDir: dir, ErrLog: os.Stderr})
+		srv, err := New(Options{Workers: 2, CacheDir: dir})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,22 +4,31 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
-	"time"
 
 	"gpumembw/internal/api"
 	"gpumembw/internal/config"
+	"gpumembw/internal/exp"
 	"gpumembw/internal/explore"
 )
 
 // exploreRec is the server-side exploration resource: the compiled plan
 // plus the driver's published progress. Mutable fields are guarded by
-// exploreHub.mu.
+// Server.mu.
+//
+// Explorations are content-addressed by their canonical request, so a
+// re-POST of the same search — however spelled — is the same resource:
+// while it runs the POST joins it, and once it is done the POST returns
+// the finished result without simulating anything.
+//
+// With a cache dir every accepted request is journaled under it as
+// explore/<id>.json and resubmitted on startup, so a restart resumes every
+// exploration: the driver re-runs the deterministic search and the disk
+// cache answers every already-probed cell, which makes resumption cheap
+// and the final resource byte-identical to the uninterrupted run.
 type exploreRec struct {
 	plan   *explore.Plan
 	state  api.ExplorationState
@@ -28,93 +37,56 @@ type exploreRec struct {
 	errMsg string
 }
 
-// exploreHub owns a server's exploration resources. Its EvalBatch scores
-// probe cells on the server's scheduler, so a probe is an ordinary cell
-// run — simulated at a daemon, or on a coordinator's workers.
-//
-// Explorations are content-addressed by their canonical request, so a
-// re-POST of the same search — however spelled — is the same resource:
-// while it runs the POST joins it, and once it is done the POST returns
-// the finished result without simulating anything.
-//
-// When dir is non-empty every accepted request is journaled there as
-// <id>.json and reloaded on startup, so a daemon restart resumes every
-// exploration: the driver re-runs the deterministic search and the disk
-// cache answers every already-probed cell, which makes resumption cheap
-// and the final resource byte-identical to the uninterrupted run.
-type exploreHub struct {
-	eval explore.EvalBatch
-	dir  string
-	log  *slog.Logger
-
-	mu     sync.Mutex
-	recs   map[string]*exploreRec
-	waitCh chan struct{} // closed+replaced on every progress or terminal transition
-
-	ctx    context.Context // canceled on shutdown; aborts running drivers
-	cancel context.CancelFunc
-	wg     sync.WaitGroup
+// view assembles the wire resource; callers hold Server.mu.
+func (rec *exploreRec) view(id string) api.Exploration {
+	return rec.plan.Resource(id, rec.state, rec.status, rec.result, rec.errMsg)
 }
 
-// newExploreHub builds a hub. dir == "" disables journaling (a server
-// without a cache dir).
-func newExploreHub(dir string, eval explore.EvalBatch, log *slog.Logger) (*exploreHub, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("server: explore journal dir: %w", err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	return &exploreHub{
-		eval:   eval,
-		dir:    dir,
-		log:    log,
-		recs:   make(map[string]*exploreRec),
-		waitCh: make(chan struct{}),
-		ctx:    ctx,
-		cancel: cancel,
-	}, nil
-}
-
-// submit compiles a request and starts (or joins) its exploration.
-// created reports whether this call started the driver.
-func (h *exploreHub) submit(req api.ExploreRequest) (api.Exploration, bool, error) {
+// submitExploration compiles a request and starts (or joins) its
+// exploration. A new exploration is admitted like a job: refused while
+// draining, and its driver joins s.wg under s.mu, so it cannot race
+// Shutdown's wait. created reports whether this call started the driver.
+func (s *Server) submitExploration(req api.ExploreRequest) (api.Exploration, bool, error) {
 	plan, err := explore.Compile(req)
 	if err != nil {
 		return api.Exploration{}, false, errBadRequest("%v", err)
 	}
 	id := plan.ID()
-	h.mu.Lock()
-	if rec, ok := h.recs[id]; ok {
-		v := rec.view(id)
-		h.mu.Unlock()
-		return v, false, nil
+	s.mu.Lock()
+	rec, known := s.explorations[id]
+	if !known {
+		if s.draining {
+			s.mu.Unlock()
+			return api.Exploration{}, false, errDraining
+		}
+		rec = &exploreRec{plan: plan, state: api.ExplorationRunning}
+		s.explorations[id] = rec
+		s.wg.Add(1)
+		go s.runExploration(id, rec)
 	}
-	rec := &exploreRec{plan: plan, state: api.ExplorationRunning}
-	h.recs[id] = rec
 	v := rec.view(id)
-	h.mu.Unlock()
-
-	h.journal(id, plan.Request)
-	h.wg.Add(1)
-	go h.run(id, rec)
-	h.log.Info("exploration started", "exploration", id,
-		"strategy", plan.Strategy.Name(), "base", plan.Space.BaseName,
-		"gridSize", plan.Space.GridSize(), "workloads", len(plan.Workloads))
-	return v, true, nil
+	s.mu.Unlock()
+	if !known {
+		s.journal(id, plan.Request)
+		s.log.Info("exploration started", "exploration", id,
+			"strategy", plan.Strategy.Name(), "base", plan.Space.BaseName,
+			"gridSize", plan.Space.GridSize(), "workloads", len(plan.Workloads))
+	}
+	return v, !known, nil
 }
 
-// run drives one exploration to a terminal state, publishing per-round
-// progress to long-poll waiters along the way.
-func (h *exploreHub) run(id string, rec *exploreRec) {
-	defer h.wg.Done()
-	res, err := explore.Run(h.ctx, rec.plan, h.eval, func(st explore.Status) {
-		h.mu.Lock()
+// runExploration drives one exploration to a terminal state, waking the
+// long-polls on every round's progress and on the end. Shutdown aborts
+// it through s.ctx; its journal survives for the next start to resume.
+func (s *Server) runExploration(id string, rec *exploreRec) {
+	defer s.wg.Done()
+	res, err := explore.Run(s.ctx, rec.plan, s.evalProbes, func(st explore.Status) {
+		s.mu.Lock()
 		rec.status = st
-		h.broadcastLocked()
-		h.mu.Unlock()
+		s.broadcastLocked()
+		s.mu.Unlock()
 	})
-	h.mu.Lock()
+	s.mu.Lock()
 	if err != nil {
 		rec.state = api.ExplorationFailed
 		rec.errMsg = err.Error()
@@ -122,100 +94,78 @@ func (h *exploreHub) run(id string, rec *exploreRec) {
 		rec.state = api.ExplorationDone
 		rec.result = res
 	}
-	h.broadcastLocked()
-	h.mu.Unlock()
+	s.broadcastLocked()
+	s.mu.Unlock()
 	if err != nil {
-		h.log.Warn("exploration failed", "exploration", id, "err", err)
+		s.log.Warn("exploration failed", "exploration", id, "err", err)
 		return
 	}
-	h.log.Info("exploration done", "exploration", id,
+	s.log.Info("exploration done", "exploration", id,
 		"probes", res.Probes, "rounds", len(res.Rounds), "feasible", res.Feasible,
 		"simulated", res.Tiers.Simulated, "memo", res.Tiers.Memo, "disk", res.Tiers.Disk)
 }
 
-func (h *exploreHub) broadcastLocked() {
-	close(h.waitCh)
-	h.waitCh = make(chan struct{})
-}
-
-// view assembles the wire resource; callers hold exploreHub.mu.
-func (rec *exploreRec) view(id string) api.Exploration {
-	return rec.plan.Resource(id, rec.state, rec.status, rec.result, rec.errMsg)
-}
-
-// wait blocks until the exploration is terminal, ctx is done, the hub
-// shuts down, or d elapses, then returns the current snapshot. ok is
-// false only when the id is unknown.
-func (h *exploreHub) wait(ctx context.Context, id string, d time.Duration) (api.Exploration, bool) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	defer context.AfterFunc(h.ctx, cancel)() // a hub shutdown ends the wait like a departed client
-	known := true
-	v := await(ctx, d, func() (api.Exploration, <-chan struct{}, bool) {
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		rec, ok := h.recs[id]
-		if !ok {
-			known = false
-			return api.Exploration{}, nil, true
-		}
-		v := rec.view(id)
-		return v, h.waitCh, v.State.Terminal()
+// evalProbes scores one round of probe cells on the scheduler, sharing
+// every cache tier with the job API, as many at once as the server has
+// workers — at a coordinator, a whole round at once. A probe is an
+// ordinary cell run: simulated at a daemon, or on a coordinator's workers.
+func (s *Server) evalProbes(ctx context.Context, cells []exp.Job) ([]exp.RunResult, error) {
+	return exp.RunAll(ctx, s.workers, cells, func(ctx context.Context, cell exp.Job) (exp.RunResult, error) {
+		return s.sched.RunJobEx(ctx, cell, false)
 	})
-	return v, known
 }
 
-// journal persists one accepted request so a restarted daemon resumes
+// journal persists one accepted request so a restarted server resumes
 // the exploration. Failures are logged, not fatal: the exploration still
 // runs, it just will not survive a restart.
-func (h *exploreHub) journal(id string, req api.ExploreRequest) {
-	if h.dir == "" {
+func (s *Server) journal(id string, req api.ExploreRequest) {
+	if s.exploreDir == "" {
 		return
 	}
 	data, err := json.MarshalIndent(req, "", "  ")
 	if err != nil {
-		h.log.Warn("exploration journal marshal", "exploration", id, "err", err)
+		s.log.Warn("exploration journal marshal", "exploration", id, "err", err)
 		return
 	}
-	path := filepath.Join(h.dir, id+".json")
+	path := filepath.Join(s.exploreDir, id+".json")
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err == nil {
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		h.log.Warn("exploration journal write", "exploration", id, "err", err)
+		s.log.Warn("exploration journal write", "exploration", id, "err", err)
 	}
 }
 
-// reload re-submits every journaled request. Completed explorations
-// replay from the disk cache (simulating nothing) and land on the
-// byte-identical resource; interrupted ones resume from where the cache
-// runs dry.
-func (h *exploreHub) reload() {
-	if h.dir == "" {
+// resumeExplorations re-submits every journaled request. Completed
+// explorations replay from the disk cache (simulating nothing) and land on
+// the byte-identical resource; interrupted ones resume from where the
+// cache runs dry.
+func (s *Server) resumeExplorations() {
+	if s.exploreDir == "" {
 		return
 	}
-	entries, err := os.ReadDir(h.dir)
+	entries, err := os.ReadDir(s.exploreDir)
 	if err != nil {
-		h.log.Warn("exploration journal scan", "dir", h.dir, "err", err)
+		s.log.Warn("exploration journal scan", "dir", s.exploreDir, "err", err)
 		return
 	}
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(h.dir, e.Name()))
+		data, err := os.ReadFile(filepath.Join(s.exploreDir, e.Name()))
 		if err != nil {
-			h.log.Warn("exploration journal read", "file", e.Name(), "err", err)
+			s.log.Warn("exploration journal read", "file", e.Name(), "err", err)
 			continue
 		}
 		var req api.ExploreRequest
 		if err := json.Unmarshal(data, &req); err != nil {
-			h.log.Warn("exploration journal decode", "file", e.Name(), "err", err)
+			s.log.Warn("exploration journal decode", "file", e.Name(), "err", err)
 			continue
 		}
-		if _, _, err := h.submit(req); err != nil {
-			h.log.Warn("exploration journal resume", "file", e.Name(), "err", err)
+		if _, _, err := s.submitExploration(req); err != nil {
+			s.log.Warn("exploration journal resume", "file", e.Name(), "err", err)
 		}
 	}
 }
@@ -230,7 +180,7 @@ func (s *Server) handleExploreSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errBadRequest("decode explore request: %v", err))
 		return
 	}
-	ex, created, err := s.explorer.submit(req)
+	ex, created, err := s.submitExploration(req)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -253,9 +203,16 @@ func (s *Server) handleExploreGet(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	ex, ok := s.explorer.wait(r.Context(), id, d)
-	if !ok {
-		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown exploration %q", id)})
+	ex, err := longPoll(s, r.Context(), d, func() (api.Exploration, bool, error) {
+		rec, ok := s.explorations[id]
+		if !ok {
+			return api.Exploration{}, false, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown exploration %q", id)}
+		}
+		v := rec.view(id)
+		return v, v.State.Terminal(), nil
+	})
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ex)

@@ -2,12 +2,17 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"gpumembw/client"
+	"gpumembw/internal/api"
 	"gpumembw/internal/trace"
 )
 
@@ -207,6 +212,34 @@ func TestExploreRestartResume(t *testing.T) {
 	if string(canonicalJSON(t, second.Recommended)) != string(canonicalJSON(t, first.Recommended)) ||
 		string(canonicalJSON(t, second.Frontier)) != string(canonicalJSON(t, first.Frontier)) {
 		t.Fatal("replayed exploration's frontier or recommendation differs from the original")
+	}
+}
+
+// TestExploreRefusedWhileDraining pins exploration admission to the job
+// rule: a new exploration posted after Shutdown has begun is refused with
+// the 503 unavailable envelope a job gets, and nothing is journaled for a
+// later start to resume.
+func TestExploreRefusedWhileDraining(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newIdleServer(t, Options{Workers: 1, CacheDir: dir})
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(exploreReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e api.Error
+	resp := doJSON(t, http.MethodPost, ts.URL+"/v1/explore", body, &e)
+	if resp.StatusCode != http.StatusServiceUnavailable || e.Code != api.CodeUnavailable {
+		t.Fatalf("POST /v1/explore while draining: %d %+v, want 503 %q", resp.StatusCode, e, api.CodeUnavailable)
+	}
+	journal, err := os.ReadDir(filepath.Join(dir, "explore"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(journal) != 0 {
+		t.Fatalf("a refused exploration left %d journal files", len(journal))
 	}
 }
 

@@ -168,9 +168,15 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	id := r.PathValue("id")
-	j, ok := s.waitJob(r.Context(), id, d)
-	if !ok {
-		writeError(w, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown job %q", id)})
+	j, err := longPoll(s, r.Context(), d, func() (api.Job, bool, error) {
+		j, ok := s.jobs[id]
+		if !ok {
+			return api.Job{}, false, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown job %q", id)}
+		}
+		return j.Job, j.State.Terminal(), nil
+	})
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, j)
@@ -357,9 +363,17 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 		writeError(w, he)
 		return
 	}
-	sw, he := s.waitSweep(r.Context(), r.PathValue("id"), d)
-	if he != nil {
-		writeError(w, he)
+	id := r.PathValue("id")
+	sw, err := longPoll(s, r.Context(), d, func() (api.Sweep, bool, error) {
+		rec, ok := s.sweeps[id]
+		if !ok {
+			return api.Sweep{}, false, &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown sweep %q", id)}
+		}
+		sw := rec.view(s.jobs)
+		return sw, sw.State.Terminal(), nil
+	})
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, sw)

@@ -1,11 +1,12 @@
 package server
 
 import (
+	"cmp"
 	"encoding/base64"
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -26,14 +27,11 @@ type listKey struct {
 	id   string
 }
 
-func (k listKey) less(o listKey) bool {
-	if k.nano != o.nano {
-		return k.nano < o.nano
-	}
-	return k.id < o.id
+func (k listKey) compare(o listKey) int {
+	return cmp.Or(cmp.Compare(k.nano, o.nano), strings.Compare(k.id, o.id))
 }
 
-func jobListKey(j api.Job) listKey {
+func (j *job) listKey() listKey {
 	return listKey{nano: j.SubmittedAt.UnixNano(), id: j.ID}
 }
 
@@ -95,26 +93,27 @@ func parseListQuery(q url.Values) (listQuery, *httpError) {
 }
 
 // listJobs assembles one page of GET /v1/jobs: the job table filtered,
-// ordered and cut.
+// ordered and cut. It sorts record pointers and copies only the page's
+// jobs, so a listing of a large table costs one small sort, not a copy of
+// every job.
 func (s *Server) listJobs(lq listQuery) api.JobList {
 	s.mu.Lock()
-	page := make([]api.Job, 0, len(s.order))
-	for _, id := range s.order {
-		j := s.jobs[id].Job
-		if lq.state != "" && j.State != lq.state {
-			continue
+	defer s.mu.Unlock()
+	page := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		if (lq.state == "" || j.State == lq.state) && (lq.cursor == nil || lq.cursor.compare(j.listKey()) < 0) {
+			page = append(page, j)
 		}
-		if lq.cursor != nil && !lq.cursor.less(jobListKey(j)) {
-			continue
-		}
-		page = append(page, j)
 	}
-	s.mu.Unlock()
-	sort.Slice(page, func(i, k int) bool { return jobListKey(page[i]).less(jobListKey(page[k])) })
-	list := api.JobList{Jobs: page}
+	slices.SortFunc(page, func(a, b *job) int { return a.listKey().compare(b.listKey()) })
+	var list api.JobList
 	if lq.limit > 0 && len(page) > lq.limit {
-		list.Jobs = page[:lq.limit]
-		list.NextPageToken = encodePageToken(jobListKey(page[lq.limit-1]))
+		page = page[:lq.limit]
+		list.NextPageToken = encodePageToken(page[lq.limit-1].listKey())
+	}
+	list.Jobs = make([]api.Job, len(page))
+	for i, j := range page {
+		list.Jobs[i] = j.Job
 	}
 	return list
 }

@@ -90,42 +90,66 @@ func TestLongPollTimeoutReturnsCurrentState(t *testing.T) {
 	}
 }
 
-// TestLongPollWakesOnDrain pins graceful shutdown behavior: waiters
-// parked on ?wait= return promptly when the daemon starts draining
-// instead of holding connections open through the shutdown window.
+// TestLongPollWakesOnDrain pins graceful shutdown behavior for every
+// long-polled resource: a ?wait= GET parked on a job, a sweep or an
+// exploration returns promptly once Shutdown starts instead of holding
+// its connection open through the shutdown window. Each resource sits at
+// a coordinator over an idle worker, where its cells stay parked — an
+// exploration included, whose probes a daemon would simulate at once.
 func TestLongPollWakesOnDrain(t *testing.T) {
-	srv, ts := newIdleServer(t, Options{Workers: 1})
-	c := client.New(ts.URL)
-	j, err := c.Submit(context.Background(), client.JobSpec{Config: "baseline", Bench: testBench})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type result struct {
-		job     api.Job
-		elapsed time.Duration
-	}
-	done := make(chan result, 1)
-	start := time.Now()
-	go func() {
-		var got api.Job
-		getJSON(t, ts.URL+"/v1/jobs/"+j.ID+"?wait=30s", &got)
-		done <- result{got, time.Since(start)}
-	}()
-
-	time.Sleep(100 * time.Millisecond) // let the waiter park
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case r := <-done:
-		if r.elapsed > 10*time.Second {
-			t.Fatalf("waiter returned after %s — drain did not wake it", r.elapsed)
+	post := func(t *testing.T, h http.Handler, path string, body, out any) {
+		data, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("waiter still parked after drain")
+		rec := serve(h, http.MethodPost, path, string(data))
+		if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil || rec.Code/100 != 2 {
+			t.Fatalf("POST %s: %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		submit func(t *testing.T, h http.Handler) string // the resource's GET path
+	}{
+		{"job", func(t *testing.T, h http.Handler) string {
+			return "/v1/jobs/" + submitCell(t, h, client.JobSpec{Config: "baseline", Bench: testBench}).ID
+		}},
+		{"sweep", func(t *testing.T, h http.Handler) string {
+			var sw api.SweepResponse
+			post(t, h, "/v1/sweeps", client.SweepRequest{Configs: []string{"baseline", "L2-4x"}, Benches: []string{testBench}}, &sw)
+			return "/v1/sweeps/" + sw.ID
+		}},
+		{"exploration", func(t *testing.T, h http.Handler) string {
+			var ex api.Exploration
+			post(t, h, "/v1/explore", exploreReq(), &ex)
+			return "/v1/explorations/" + ex.ID
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			co, _, _, requests := countedCluster(t, 1, Options{}, Options{})
+			h := co.Handler()
+			path := tc.submit(t, h)
+			waitFor(t, "a run to park on the worker", func() bool { return requests.Load() >= 2 })
+
+			done := make(chan *httptest.ResponseRecorder, 1)
+			go func() { done <- serve(h, http.MethodGet, path+"?wait=30s", "") }()
+			time.Sleep(100 * time.Millisecond) // let the waiter park
+
+			start := time.Now()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			if err := co.Shutdown(ctx); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case rec := <-done:
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET %s after drain: %d %s", path, rec.Code, rec.Body)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("waiter on %s still parked %s after Shutdown started", path, time.Since(start))
+			}
+		})
 	}
 }
 

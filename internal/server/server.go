@@ -10,6 +10,12 @@
 // optional disk cache (Options.CacheDir) persists results across
 // restarts. Queued jobs can be canceled; Shutdown drains in-flight cells.
 //
+// Jobs, sweeps and explorations share one table, one lock, one long-poll
+// wake channel (longPoll serves every ?wait= GET) and one WaitGroup; one
+// lifetime context, canceled first thing in Shutdown, aborts exploration
+// drivers and a coordinator's prober. A new job, sweep or exploration
+// while draining gets 503.
+//
 // A coordinator (NewCoordinator) is the same Server whose scheduler's last
 // tier is remote: admission, the job table, long-polls, sweeps, listing,
 // traces, cancels, explorations, the memo and the disk cache are the
@@ -33,6 +39,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
@@ -86,11 +93,10 @@ type Options struct {
 	MaxInflightPerClient int
 	// Progress, when non-nil, receives one line per completed simulation.
 	Progress io.Writer
-	// ErrLog, when non-nil, receives disk-cache I/O warnings.
-	ErrLog io.Writer
 	// Logger, when non-nil, receives structured lifecycle events (job
-	// transitions with trace IDs, cache-tier attribution). nil disables
-	// structured logging (tests); cmd/gpusimd always wires one.
+	// transitions with trace IDs, cache-tier attribution) and disk-cache
+	// I/O warnings. nil disables structured logging (tests); cmd/gpusimd
+	// always wires one.
 	Logger *slog.Logger
 }
 
@@ -123,25 +129,30 @@ type job struct {
 // simulation at a daemon, a remote run at a coordinator. Create one with
 // New or NewCoordinator; serve its Handler; stop it with Shutdown.
 type Server struct {
-	opts     Options
-	workers  int
-	maxQueue int
-	sched    *exp.Scheduler
-	fleet    *fleet // nil at a daemon
-	cache    *DirCache
-	limiter  *limiter
-	explorer *exploreHub
+	opts       Options
+	workers    int
+	maxQueue   int
+	sched      *exp.Scheduler
+	fleet      *fleet // nil at a daemon
+	cache      *DirCache
+	limiter    *limiter
+	exploreDir string // exploration journal; "" without a cache dir
 
-	mu       sync.Mutex
-	cond     *sync.Cond // signaled on enqueue and on drain
-	jobs     map[string]*job
-	order    []string             // submission order for GET /v1/jobs
-	pending  []*job               // FIFO of queued jobs; state queued <=> in pending
-	inflight map[string]int       // client key -> queued+running jobs it owns
-	sweeps   map[string]*sweepRec // sweep resources by content-addressed ID
-	waitCh   chan struct{}        // closed+replaced on every terminal transition and on drain
-	logq     []func()             // log lines of transitions made under mu; unlock emits them
-	draining bool
+	// ctx is the server's lifetime, canceled first thing in Shutdown: it
+	// aborts exploration drivers and stops a coordinator's prober.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	mu           sync.Mutex
+	cond         *sync.Cond // signaled on enqueue and on drain
+	jobs         map[string]*job
+	pending      []*job                 // FIFO of queued jobs; state queued <=> in pending
+	inflight     map[string]int         // client key -> queued+running jobs it owns
+	sweeps       map[string]*sweepRec   // sweep resources by content-addressed ID
+	explorations map[string]*exploreRec // exploration resources by content-addressed ID
+	waitCh       chan struct{}          // closed+replaced on every terminal transition, exploration round and on drain
+	logq         []func()               // log lines of transitions made under mu; unlock emits them
+	draining     bool
 
 	running atomic.Int64 // workers inside the run step; changed under mu, read without it by /metrics
 
@@ -155,7 +166,7 @@ type Server struct {
 
 	log *slog.Logger
 
-	wg sync.WaitGroup
+	wg sync.WaitGroup // workers, exploration drivers, a coordinator's prober
 }
 
 // New builds a daemon and starts its worker pool.
@@ -188,63 +199,55 @@ func newServer(opts Options, f *fleet) (*Server, error) {
 		return nil, fmt.Errorf("server: invalid per-client inflight bound %d: must be >= 0 (0 disables)", opts.MaxInflightPerClient)
 	}
 	s := &Server{
-		opts:     opts,
-		workers:  cmp.Or(opts.Workers, runtime.GOMAXPROCS(0)),
-		maxQueue: cmp.Or(opts.MaxQueue, DefaultMaxQueue),
-		fleet:    f,
-		jobs:     make(map[string]*job),
-		inflight: make(map[string]int),
-		sweeps:   make(map[string]*sweepRec),
-		waitCh:   make(chan struct{}),
-		log:      opts.Logger,
+		opts:         opts,
+		workers:      cmp.Or(opts.Workers, runtime.GOMAXPROCS(0)),
+		maxQueue:     cmp.Or(opts.MaxQueue, DefaultMaxQueue),
+		fleet:        f,
+		jobs:         make(map[string]*job),
+		inflight:     make(map[string]int),
+		sweeps:       make(map[string]*sweepRec),
+		explorations: make(map[string]*exploreRec),
+		waitCh:       make(chan struct{}),
+		log:          opts.Logger,
+	}
+	if s.log == nil { // structured logging off
+		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	schedOpts := []exp.Option{exp.WithWorkers(opts.Workers)}
 	if opts.Progress != nil {
 		schedOpts = append(schedOpts, exp.WithProgress(opts.Progress))
 	}
-	if f != nil {
-		// A coordinator has no worker pool: each queued cell starts a worker
-		// of its own (transitionLocked), and its cells run on the fleet.
-		s.workers = 0
-		schedOpts = append(schedOpts, exp.WithLastTier(f.run))
-	}
-	exploreDir := ""
 	switch {
 	case opts.CacheDir != "":
 		var err error
-		s.cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, opts.ErrLog)
-		if err != nil {
+		if s.cache, err = NewDirCache(opts.CacheDir, opts.CacheMaxBytes, s.log); err != nil {
 			return nil, err
 		}
 		schedOpts = append(schedOpts, exp.WithResultCache(s.cache))
 		// Explorations journal their requests under the cache dir, so a
 		// restarted server resumes every search from cached cells.
-		exploreDir = filepath.Join(opts.CacheDir, "explore")
+		s.exploreDir = filepath.Join(opts.CacheDir, "explore")
+		if err := os.MkdirAll(s.exploreDir, 0o755); err != nil {
+			return nil, fmt.Errorf("server: explore journal dir: %w", err)
+		}
 	case opts.CacheMaxBytes != 0:
 		return nil, errors.New("server: cache bound set without a cache dir")
+	}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
+	if f != nil {
+		// A coordinator has no worker pool: each queued cell starts a worker
+		// of its own (transitionLocked), and its cells run on the fleet.
+		s.workers = 0
+		f.ctx, f.log = s.ctx, s.log
+		schedOpts = append(schedOpts, exp.WithLastTier(f.run))
 	}
 	s.sched = exp.NewScheduler(schedOpts...)
 	if opts.RateLimit > 0 {
 		s.limiter = newLimiter(opts.RateLimit, opts.RateBurst)
 	}
-	if s.log == nil { // structured logging off
-		s.log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	s.cond = sync.NewCond(&s.mu)
 	s.initMetrics()
-	// Explorations score probe cells on the scheduler, sharing every cache
-	// tier with the job API, as many at once as the server has workers — at
-	// a coordinator, a whole round at once.
-	hub, err := newExploreHub(exploreDir, func(ctx context.Context, cells []exp.Job) ([]exp.RunResult, error) {
-		return exp.RunAll(ctx, s.workers, cells, func(ctx context.Context, cell exp.Job) (exp.RunResult, error) {
-			return s.sched.RunJobEx(ctx, cell, false)
-		})
-	}, s.log)
-	if err != nil {
-		return nil, err
-	}
-	s.explorer = hub
-	s.explorer.reload()
+	s.resumeExplorations()
 	return s, nil
 }
 
@@ -426,6 +429,10 @@ func errBadRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// errDraining refuses a new job, sweep cell or exploration once Shutdown
+// has begun.
+var errDraining = &httpError{status: http.StatusServiceUnavailable, msg: "server: draining, not accepting new work"}
+
 // resolveSpec turns a wire JobSpec into the resolved cell it names — the
 // one place a submitted spec is validated, canonicalized and keyed; the
 // result rides the job record from here to the scheduler and the disk
@@ -535,7 +542,7 @@ func (s *Server) admitLocked(cells []resolvedCell, owner, traceID string) ([]*jo
 		return nil, nil, err
 	}
 	if needed > 0 && s.draining {
-		return nil, nil, &httpError{status: http.StatusServiceUnavailable, msg: "server: draining, not accepting jobs"}
+		return nil, nil, errDraining
 	}
 	if free := s.maxQueue - s.queueDepthLocked(); needed > free {
 		msg := fmt.Sprintf("server: sweep needs %d queue slots, %d free (queue bound %d)", needed, free, s.maxQueue)
@@ -551,7 +558,6 @@ func (s *Server) admitLocked(cells []resolvedCell, owner, traceID string) ([]*jo
 		if j == nil {
 			j = &job{Job: api.Job{ID: c.id, Spec: c.spec, SubmittedAt: time.Now(), TraceID: traceID}, cell: c.cell}
 			s.jobs[c.id] = j
-			s.order = append(s.order, c.id)
 		}
 		jobs[i] = j
 		// A still-queued job is upgraded in place: the worker reads the
@@ -776,86 +782,48 @@ func (s *Server) Stats() api.Stats {
 	return st
 }
 
-// await is the one long-poll loop, behind every ?wait= GET. poll snapshots
-// the resource under its owner's lock and reports the channel that closes
-// when it may have changed and whether it is settled (terminal, unknown,
-// or its owner draining). await returns the latest snapshot once poll
-// settles, d elapses, or ctx is done — at once, arming no timer, when the
-// first poll settles or d <= 0, which is a GET without ?wait=.
-func await[T any](ctx context.Context, d time.Duration, poll func() (v T, wake <-chan struct{}, settled bool)) T {
-	v, wake, settled := poll()
-	if settled || d <= 0 {
-		return v
-	}
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	for !settled {
+// longPoll is the one long-poll loop, behind every ?wait= GET. view looks
+// the resource up under s.mu and reports whether it is terminal, or an
+// error when it is unknown. longPoll returns the latest view once it is
+// terminal or unknown, the server is draining, d elapses, or ctx is done —
+// at once, arming no timer, when d <= 0, which is a GET without ?wait=.
+// Every terminal transition, exploration round and drain closes s.waitCh,
+// so a waiter re-checks exactly when its resource may have changed.
+func longPoll[T any](s *Server, ctx context.Context, d time.Duration, view func() (T, bool, error)) (T, error) {
+	deadline := time.Now().Add(d)
+	for {
+		s.mu.Lock()
+		v, terminal, err := view()
+		wake, draining := s.waitCh, s.draining
+		s.mu.Unlock()
+		left := time.Until(deadline)
+		if terminal || err != nil || draining || left <= 0 {
+			return v, err
+		}
 		select {
 		case <-wake:
-			v, wake, settled = poll()
-		case <-timer.C:
-			v, _, _ = poll()
-			return v
+		case <-time.After(left):
 		case <-ctx.Done():
-			return v
+			return v, nil
 		}
 	}
-	return v
 }
 
-// waitJob blocks until job id is terminal, the daemon starts draining,
-// ctx is done, or d elapses, then returns the job's current snapshot.
-// ok is false only when the id is unknown.
-func (s *Server) waitJob(ctx context.Context, id string, d time.Duration) (api.Job, bool) {
-	known := true
-	snap := await(ctx, d, func() (api.Job, <-chan struct{}, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		j, ok := s.jobs[id]
-		if !ok {
-			known = false
-			return api.Job{}, nil, true
-		}
-		return j.Job, s.waitCh, j.State.Terminal() || s.draining
-	})
-	return snap, known
-}
-
-// waitSweep is waitJob's sweep twin: it blocks until the sweep is
-// terminal, the daemon drains, ctx is done, or d elapses, then returns
-// the current aggregate.
-func (s *Server) waitSweep(ctx context.Context, id string, d time.Duration) (api.Sweep, *httpError) {
-	var he *httpError
-	sw := await(ctx, d, func() (api.Sweep, <-chan struct{}, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		rec, ok := s.sweeps[id]
-		if !ok {
-			he = &httpError{status: http.StatusNotFound, msg: fmt.Sprintf("server: unknown sweep %q", id)}
-			return api.Sweep{}, nil, true
-		}
-		sw := rec.view(s.jobs)
-		return sw, s.waitCh, sw.State.Terminal() || s.draining
-	})
-	return sw, he
-}
-
-// Shutdown stops accepting submissions, cancels still-queued jobs, and
-// waits (bounded by ctx) for in-flight simulations to drain. A
-// coordinator has none to drain — its running jobs are runs parked on
-// workers — so it stops its prober and cancels those too, without
-// forwarding the cancel: the workers' copies of the jobs, which other
-// entry points may share, run on.
+// Shutdown stops accepting submissions, cancels still-queued jobs, aborts
+// exploration drivers (their journals survive for resume), and waits
+// (bounded by ctx) for in-flight simulations to drain. A coordinator has
+// none to drain — its running jobs are runs parked on workers — so it
+// stops its prober and cancels those too, without forwarding the cancel:
+// the workers' copies of the jobs, which other entry points may share,
+// run on.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.cancel() // first, so the fleet sees shutdown before any job's cancel
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
 		return errors.New("server: already shut down")
 	}
 	s.draining = true
-	if s.fleet != nil {
-		close(s.fleet.stop)
-	}
 	for _, j := range s.jobs {
 		if j.State == api.JobQueued || (s.fleet != nil && j.State == api.JobRunning) {
 			s.transitionLocked(j, api.JobCanceled)
@@ -864,12 +832,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	s.cond.Broadcast()
 	s.broadcastLocked() // long-poll waiters return promptly during drain
 	s.unlock()
-	s.explorer.cancel() // abort exploration drivers; journals survive for resume
 
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.explorer.wg.Wait()
 		close(done)
 	}()
 	select {
