@@ -42,17 +42,22 @@ func avg(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
+// collect assembles one report section on the shared runner.
+func collect(b *testing.B, section string) *exp.Results {
+	b.Helper()
+	res, err := sharedRunner().Collect([]string{section})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 // BenchmarkFig1_StallsAndLatencies measures per-benchmark issue stalls,
-// L2-AHL and AML on the baseline (paper AVG: 62%, 303, 452).
+// L2-AHL and AML on the baseline.
 func BenchmarkFig1_StallsAndLatencies(b *testing.B) {
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		rows, err := r.Fig1()
-		if err != nil {
-			b.Fatal(err)
-		}
 		var st, ahl, aml []float64
-		for _, row := range rows {
+		for _, row := range collect(b, "fig1").Fig1 {
 			st = append(st, row.StallFrac)
 			ahl = append(ahl, row.L2AHL)
 			aml = append(aml, row.AML)
@@ -63,17 +68,11 @@ func BenchmarkFig1_StallsAndLatencies(b *testing.B) {
 	}
 }
 
-// BenchmarkTableII_IdealMemory measures P∞ and P_DRAM speedups
-// (paper AVG: 2.37 and 1.15).
+// BenchmarkTableII_IdealMemory measures P∞ and P_DRAM speedups.
 func BenchmarkTableII_IdealMemory(b *testing.B) {
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		rows, err := r.TableII()
-		if err != nil {
-			b.Fatal(err)
-		}
 		var pinf, pdram []float64
-		for _, row := range rows {
+		for _, row := range collect(b, "tableII").TableII {
 			pinf = append(pinf, row.PInf)
 			pdram = append(pdram, row.PDRAM)
 		}
@@ -83,16 +82,11 @@ func BenchmarkTableII_IdealMemory(b *testing.B) {
 }
 
 // BenchmarkFig3_LatencySweep sweeps the fixed L1 miss latency for the
-// paper's representative benchmarks (plateau then decline).
+// paper's representative benchmarks.
 func BenchmarkFig3_LatencySweep(b *testing.B) {
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		pts, err := r.Fig3(nil, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
 		var at0, at800 []float64
-		for _, p := range pts {
+		for _, p := range collect(b, "fig3").Fig3 {
 			switch p.Latency {
 			case 0:
 				at0 = append(at0, p.NormIPC)
@@ -106,27 +100,22 @@ func BenchmarkFig3_LatencySweep(b *testing.B) {
 }
 
 // BenchmarkFig4_L2QueueOccupancy measures how often L2 access queues are
-// completely full (paper AVG: 46% of usage lifetime).
+// completely full.
 func BenchmarkFig4_L2QueueOccupancy(b *testing.B) {
-	benchOccupancy(b, (*exp.Scheduler).Fig4)
+	benchOccupancy(b, func() []exp.OccupancyRow { return collect(b, "fig4").Fig4 })
 }
 
 // BenchmarkFig5_DRAMQueueOccupancy measures how often DRAM scheduler queues
-// are completely full (paper AVG: 39%).
+// are completely full.
 func BenchmarkFig5_DRAMQueueOccupancy(b *testing.B) {
-	benchOccupancy(b, (*exp.Scheduler).Fig5)
+	benchOccupancy(b, func() []exp.OccupancyRow { return collect(b, "fig5").Fig5 })
 }
 
-func benchOccupancy(b *testing.B, fig func(*exp.Scheduler) ([]exp.OccupancyRow, error)) {
+func benchOccupancy(b *testing.B, fig func() []exp.OccupancyRow) {
 	b.Helper()
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		rows, err := fig(r)
-		if err != nil {
-			b.Fatal(err)
-		}
 		var full []float64
-		for _, row := range rows {
+		for _, row := range fig() {
 			full = append(full, row.Fractions[stats.OccupancyBuckets-1])
 		}
 		b.ReportMetric(100*avg(full), "full-%")
@@ -161,88 +150,50 @@ func BenchmarkFig6_StructuralHazard(b *testing.B) {
 }
 
 // BenchmarkFig7_IssueStallTaxonomy reports the str-MEM share of issue
-// stalls (paper AVG: 71%).
+// stalls.
 func BenchmarkFig7_IssueStallTaxonomy(b *testing.B) {
-	r := sharedRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Fig7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var strMem []float64
-		for _, row := range rows {
-			strMem = append(strMem, row.Fractions[2])
-		}
-		b.ReportMetric(100*avg(strMem), "str-MEM-%")
-	}
+	benchBreakdown(b, "fig7", 2, "str-MEM-%")
 }
 
-// BenchmarkFig8_L2StallTaxonomy reports the bp-ICNT share of L2 stalls
-// (paper AVG: 42%).
+// BenchmarkFig8_L2StallTaxonomy reports the bp-ICNT share of L2 stalls.
 func BenchmarkFig8_L2StallTaxonomy(b *testing.B) {
-	r := sharedRunner()
-	for i := 0; i < b.N; i++ {
-		rows, err := r.Fig8()
-		if err != nil {
-			b.Fatal(err)
-		}
-		var bpICNT []float64
-		for _, row := range rows {
-			bpICNT = append(bpICNT, row.Fractions[0])
-		}
-		b.ReportMetric(100*avg(bpICNT), "bp-ICNT-%")
-	}
+	benchBreakdown(b, "fig8", 0, "bp-ICNT-%")
 }
 
-// BenchmarkFig9_L1StallTaxonomy reports the bp-L2 share of L1 stalls
-// (paper AVG: 48%).
+// BenchmarkFig9_L1StallTaxonomy reports the bp-L2 share of L1 stalls.
 func BenchmarkFig9_L1StallTaxonomy(b *testing.B) {
-	r := sharedRunner()
+	benchBreakdown(b, "fig9", 2, "bp-L2-%")
+}
+
+// benchBreakdown reports the mean share of one stall cause (index cause of
+// every row's fractions) in a stall-distribution section; only the
+// collected section's rows are non-empty, so the three joined are its rows.
+func benchBreakdown(b *testing.B, section string, cause int, unit string) {
+	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := r.Fig9()
-		if err != nil {
-			b.Fatal(err)
+		res := collect(b, section)
+		var share []float64
+		for _, row := range append(append(res.Fig7, res.Fig8...), res.Fig9...) {
+			share = append(share, row.Fractions[cause])
 		}
-		var bpL2 []float64
-		for _, row := range rows {
-			bpL2 = append(bpL2, row.Fractions[2])
-		}
-		b.ReportMetric(100*avg(bpL2), "bp-L2-%")
+		b.ReportMetric(100*avg(share), unit)
 	}
 }
 
 // BenchmarkFig10_DesignSpace reports the average speedups of the six
-// 4×-scaled design points (paper: L1 1.04, L2 1.59, DRAM 1.11, L1+L2 1.69,
-// L2+DRAM 1.76, All 1.90).
+// 4×-scaled design points.
 func BenchmarkFig10_DesignSpace(b *testing.B) {
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		rows, names, err := r.Fig10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		for c := range names {
-			var sp []float64
-			for _, row := range rows {
-				sp = append(sp, row.Speedups[c])
-			}
-			b.ReportMetric(avg(sp), names[c]+"-x")
-		}
+		benchSpeedups(b, collect(b, "fig10").Fig10)
 	}
 }
 
 // BenchmarkFig11_CoreFrequency reports the wall-clock performance at
-// 1.6 GHz relative to 1.4 GHz (paper, real GTX 480: bandwidth-bound
-// benchmarks lose up to 10%).
+// 1.6 GHz and 1.2 GHz relative to 1.4 GHz.
 func BenchmarkFig11_CoreFrequency(b *testing.B) {
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		pts, err := r.Fig11()
-		if err != nil {
-			b.Fatal(err)
-		}
 		var hi, lo []float64
-		for _, p := range pts {
+		for _, p := range collect(b, "fig11").Fig11 {
 			switch p.CoreMHz {
 			case 1600:
 				hi = append(hi, p.NormPerf)
@@ -256,22 +207,22 @@ func BenchmarkFig11_CoreFrequency(b *testing.B) {
 }
 
 // BenchmarkFig12_CostEffective reports the average speedups of the
-// cost-effective configurations (paper: 16+48 1.234, 16+68 1.29,
-// 32+52 1.257, HBM 1.11).
+// cost-effective configurations and the HBM comparison point.
 func BenchmarkFig12_CostEffective(b *testing.B) {
-	r := sharedRunner()
 	for i := 0; i < b.N; i++ {
-		rows, names, err := r.Fig12()
-		if err != nil {
-			b.Fatal(err)
+		benchSpeedups(b, collect(b, "fig12").Fig12)
+	}
+}
+
+// benchSpeedups reports each column's mean speedup under its name, the
+// cost-effective ones shortened to their flit widths.
+func benchSpeedups(b *testing.B, t *exp.SpeedupTable) {
+	for c, name := range t.Configs {
+		var sp []float64
+		for _, row := range t.Rows {
+			sp = append(sp, row.Speedups[c])
 		}
-		for c := range names {
-			var sp []float64
-			for _, row := range rows {
-				sp = append(sp, row.Speedups[c])
-			}
-			b.ReportMetric(avg(sp), shortConfig(names[c])+"-x")
-		}
+		b.ReportMetric(avg(sp), shortConfig(name)+"-x")
 	}
 }
 
@@ -282,12 +233,11 @@ func shortConfig(s string) string {
 	return s
 }
 
-// BenchmarkTableIII_AreaModel reports the §VII-C area overheads
-// (paper: ≈1.1% storage-only, ≈1.6% with the wider crossbars).
+// BenchmarkTableIII_AreaModel reports the §VII-C die overhead of the 16+68
+// configuration.
 func BenchmarkTableIII_AreaModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := exp.AreaAnalysis()
-		for _, row := range rows {
+		for _, row := range collect(b, "area").Area {
 			if row.Config == "cost-effective-16+68" {
 				b.ReportMetric(100*row.OverheadFrac, "16+68-die-%")
 			}

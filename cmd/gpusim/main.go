@@ -19,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"flag"
@@ -120,33 +121,38 @@ func main() {
 		return
 	}
 
-	fmt.Printf("benchmark      %s on %s\n", m.Benchmark, m.Config)
-	fmt.Printf("cycles         %d (%.1f ms wall, simulated in %v)\n", m.Cycles, m.WallSeconds*1e3, elapsed.Round(time.Millisecond))
-	fmt.Printf("instructions   %d\n", m.Instructions)
-	fmt.Printf("IPC            %.3f\n", m.IPC)
-	fmt.Printf("issue stalls   %.1f%% of active cycles\n", 100*m.IssueStallFrac)
+	w := bufio.NewWriter(os.Stdout)
+	fmt.Fprintf(w, "benchmark      %s on %s\n", m.Benchmark, m.Config)
+	fmt.Fprintf(w, "cycles         %d (%.1f ms wall, simulated in %v)\n", m.Cycles, m.WallSeconds*1e3, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(w, "instructions   %d\n", m.Instructions)
+	fmt.Fprintf(w, "IPC            %.3f\n", m.IPC)
+	fmt.Fprintf(w, "issue stalls   %.1f%% of active cycles\n", 100*m.IssueStallFrac)
 	for i, l := range m.IssueStalls.Labels {
-		fmt.Printf("  %-9s    %5.1f%%\n", l, 100*m.IssueStalls.Fractions()[i])
+		fmt.Fprintf(w, "  %-9s    %5.1f%%\n", l, 100*m.IssueStalls.Fractions()[i])
 	}
-	fmt.Printf("AML            %.0f core cycles\n", m.AML)
-	fmt.Printf("L2-AHL         %.0f core cycles\n", m.L2AHL)
-	fmt.Printf("L1 miss rate   %.1f%%   L2 miss rate %.1f%%\n", 100*m.L1MissRate, 100*m.L2MissRate)
-	fmt.Printf("L1 stalls      ")
+	fmt.Fprintf(w, "AML            %.0f core cycles\n", m.AML)
+	fmt.Fprintf(w, "L2-AHL         %.0f core cycles\n", m.L2AHL)
+	fmt.Fprintf(w, "L1 miss rate   %.1f%%   L2 miss rate %.1f%%\n", 100*m.L1MissRate, 100*m.L2MissRate)
+	fmt.Fprintf(w, "L1 stalls      ")
 	for i, l := range m.L1Stalls.Labels {
-		fmt.Printf("%s %.1f%%  ", l, 100*m.L1Stalls.Fractions()[i])
+		fmt.Fprintf(w, "%s %.1f%%  ", l, 100*m.L1Stalls.Fractions()[i])
 	}
-	fmt.Println()
-	fmt.Printf("L2 stalls      ")
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "L2 stalls      ")
 	for i, l := range m.L2Stalls.Labels {
-		fmt.Printf("%s %.1f%%  ", l, 100*m.L2Stalls.Fractions()[i])
+		fmt.Fprintf(w, "%s %.1f%%  ", l, 100*m.L2Stalls.Fractions()[i])
 	}
-	fmt.Println()
-	fmt.Printf("L2 accessq     full %.0f%% of usage lifetime\n", 100*m.L2AccessOcc.FullFraction())
-	fmt.Printf("DRAM schedq    full %.0f%% of usage lifetime\n", 100*m.DRAMSchedOcc.FullFraction())
-	fmt.Printf("DRAM bw eff    %.1f%%   row hits %.1f%%\n", 100*m.DRAMBandwidthEff, 100*m.DRAMRowHitRate)
-	fmt.Printf("icnt util      req %.1f%%  reply %.1f%%\n", 100*m.ReqNetUtil, 100*m.ReplyNetUtil)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "L2 accessq     full %.0f%% of usage lifetime\n", 100*m.L2AccessOcc.FullFraction())
+	fmt.Fprintf(w, "DRAM schedq    full %.0f%% of usage lifetime\n", 100*m.DRAMSchedOcc.FullFraction())
+	fmt.Fprintf(w, "DRAM bw eff    %.1f%%   row hits %.1f%%\n", 100*m.DRAMBandwidthEff, 100*m.DRAMRowHitRate)
+	fmt.Fprintf(w, "icnt util      req %.1f%%  reply %.1f%%\n", 100*m.ReqNetUtil, 100*m.ReplyNetUtil)
 	if m.Truncated {
-		fmt.Println("WARNING: run truncated by MaxCycles")
+		fmt.Fprintln(w, "WARNING: run truncated by MaxCycles")
+	}
+	if err := w.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		profiles.Exit(1)
 	}
 }
 

@@ -49,6 +49,21 @@ func TestFailedRunFlushesProfiles(t *testing.T) {
 	}
 }
 
+// TestTextWriteFailureExitsNonZero holds the text path to the JSON path's
+// rule: output that could not be written is a failed run.
+func TestTextWriteFailureExitsNonZero(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("no /dev/full: %v", err)
+	}
+	defer full.Close()
+	cmd := exec.Command(buildCLI(t), "-bench", "leukocyte")
+	cmd.Stdout = full
+	if err := cmd.Run(); err == nil {
+		t.Fatal("gpusim -bench leukocyte > /dev/full exited 0")
+	}
+}
+
 func buildCLI(t *testing.T) string {
 	t.Helper()
 	bin := filepath.Join(t.TempDir(), "gpusim")

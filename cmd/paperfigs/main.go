@@ -17,7 +17,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -53,14 +52,13 @@ func main() {
 		}
 	}
 
-	var out io.Writer = os.Stdout
+	out := os.Stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			profiles.Exit(1)
 		}
-		defer f.Close()
 		out = f
 	}
 
@@ -71,11 +69,16 @@ func main() {
 
 	start := time.Now()
 	s := exp.NewScheduler(opts...)
-	var err error
-	if *asJSON {
-		err = s.ReportJSON(out, sections)
-	} else {
-		err = s.Report(out, sections)
+	res, err := s.Collect(sections)
+	switch {
+	case err != nil:
+	case *asJSON:
+		err = res.WriteJSON(out)
+	default:
+		err = res.WriteText(out)
+	}
+	if err == nil && out != os.Stdout {
+		err = out.Close()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiment failed:", err)

@@ -234,7 +234,7 @@ func WithWorkers(n int) SchedulerOption { return exp.WithWorkers(n) }
 func WithProgress(w io.Writer) SchedulerOption { return exp.WithProgress(w) }
 
 // Sections returns the report section names accepted by
-// Scheduler.Report/Collect, in the paper's presentation order.
+// Scheduler.Collect, in the paper's presentation order.
 func Sections() []string { return append([]string(nil), exp.Sections...) }
 
 // Benchmarks returns the 19 synthetic benchmarks in Table II order.
@@ -278,7 +278,7 @@ func Sweep(cfgs []ConfigRef, workloads []WorkloadRef) (*SweepResult, error) {
 // memo hit, a daemon job and `gpusim -config-file` all share
 // content-addressed cell identity (Config.ConfigID).
 func RunConfig(cfg Config, bench string) (Metrics, error) {
-	return exp.NewScheduler().Run(cfg, bench)
+	return exp.NewScheduler().RunJob(exp.BenchJob(cfg, bench))
 }
 
 // RunPatch applies a mitigation-knob patch to its base preset and

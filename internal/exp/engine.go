@@ -479,11 +479,6 @@ func (s *Scheduler) RegisterMetrics(r *metrics.Registry, prefix string) {
 		func() float64 { return float64(s.simCycles.Load()) })
 }
 
-// Run executes (or recalls) one preset-benchmark simulation; see RunJob.
-func (s *Scheduler) Run(cfg config.Config, bench string) (core.Metrics, error) {
-	return s.RunJob(BenchJob(cfg, bench))
-}
-
 // RunJob executes (or recalls) one simulation cell. If the cell is
 // already being simulated by another goroutine, RunJob waits for that
 // result rather than duplicating the work.

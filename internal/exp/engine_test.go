@@ -10,7 +10,7 @@ import (
 	"gpumembw/internal/config"
 )
 
-// engineReport renders a cheap Fig. 3 subset the way Report does it:
+// engineReport renders a cheap Fig. 3 subset the way Collect does it:
 // every cell is pre-run on the worker pool via RunJobs, then assembly
 // reads only the memo cache. Six cells, so a workers > 1 run genuinely
 // exercises concurrent simulation.
@@ -29,7 +29,7 @@ func engineReport(t *testing.T, workers int) []byte {
 	if err := s.RunJobs(jobs); err != nil {
 		t.Fatal(err)
 	}
-	pts, err := s.Fig3(benches, lats)
+	pts, err := s.fig3(fig3Grid(benches, lats))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func engineReport(t *testing.T, workers int) []byte {
 		t.Fatalf("simulated = %d, want %d (assembly must hit only the cache)", st.Simulated, len(jobs))
 	}
 	var buf bytes.Buffer
-	WriteFig3(&buf, pts, lats)
+	writeFig3(&buf, pts)
 	return buf.Bytes()
 }
 
@@ -83,7 +83,7 @@ func TestConcurrentRunSimulatesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			m, err := s.Run(config.Baseline(), "leukocyte")
+			m, err := s.RunJob(BenchJob(config.Baseline(), "leukocyte"))
 			if err != nil {
 				t.Error(err)
 				return
@@ -147,16 +147,16 @@ func TestJobsForDeduplicatesAndOrders(t *testing.T) {
 }
 
 func TestJobsForMatchesFigureCacheKeys(t *testing.T) {
-	// Every cell a figure method requests must be covered by JobsFor, or
-	// assembly after RunJobs would silently re-simulate serially. Probe the
-	// two sections that rename configs on the fly (fig3, fig11).
+	// Every cell a section reads must be covered by JobsFor, or assembly
+	// after RunJobs would silently re-simulate serially. Probe the two
+	// sections that rename configs on the fly (fig3, fig11).
 	for _, tc := range []struct {
 		section string
 		cfg     config.Config
 		bench   string
 	}{
-		{"fig3", config.FixedL1MissLatency(Fig3Latencies[3]), Fig3Benches()[0]},
-		{"fig11", config.WithCoreClock(config.Baseline(), Fig11Clocks[0]), Fig11Benches()[0]},
+		{"fig3", config.FixedL1MissLatency(150), "cfd"},
+		{"fig11", config.WithCoreClock(config.Baseline(), 1200), "nn"},
 		{"fig12", config.AsymmetricOnly(), Benches()[0]},
 	} {
 		want := BenchJob(tc.cfg, tc.bench).CellID()
@@ -177,14 +177,14 @@ func TestMutatedConfigWithSameNameIsDistinctCell(t *testing.T) {
 	// The memo key covers the whole config value, so mutating a preset
 	// without renaming it must not alias the original's cached result.
 	s := NewScheduler()
-	base, err := s.Run(config.Baseline(), "leukocyte")
+	base, err := s.RunJob(BenchJob(config.Baseline(), "leukocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	tweaked := config.Baseline() // same Name, different silicon
 	tweaked.L1.MSHREntries = 1
 	tweaked.L1.MSHRMaxMerge = 1
-	m, err := s.Run(tweaked, "leukocyte")
+	m, err := s.RunJob(BenchJob(tweaked, "leukocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,15 +215,15 @@ func TestCollectUnknownSection(t *testing.T) {
 	if _, err := s.Collect([]string{"fig99"}); err == nil {
 		t.Fatal("unknown section accepted")
 	}
-	if err := s.Report(&bytes.Buffer{}, []string{"fig99"}); err == nil {
-		t.Fatal("unknown section accepted by Report")
-	}
 }
 
 func TestReportJSONStaticSections(t *testing.T) {
-	s := NewScheduler()
+	collected, err := NewScheduler().Collect([]string{"tableI", "area"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
-	if err := s.ReportJSON(&buf, []string{"tableI", "area"}); err != nil {
+	if err := collected.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var res Results

@@ -8,16 +8,16 @@
 // figure/table requests into deduplicated (config, benchmark) jobs, runs
 // them on a worker pool, and memoizes results so cells shared between
 // figures — the 19 baseline runs underlie Figs. 1, 4, 5, 7–9 and every
-// speedup denominator of Figs. 10–12 — simulate exactly once. Each
-// experiment returns structured rows and can render itself as an aligned
-// text table or as JSON; cmd/paperfigs composes them into EXPERIMENTS.md.
+// speedup denominator of Figs. 10–12 — simulate exactly once.
 //
-// Every table and figure is one row of sectionTable (report.go): a name,
-// a grid (grid.go: configurations × workloads, the baseline in column 0),
-// a fill that assembles the section's Results field by reading that grid
-// and a write that renders it. Sections, JobsFor, Collect and WriteText
-// are loops over the table, Sweep is the same grid read once per cell,
-// and adding a figure is adding its Results field and its row.
+// Every table and figure is one row of sectionTable (report.go), and that
+// row is its only statement: a name, the title and paper reference it
+// prints under, a grid (grid.go: configurations × workloads, the baseline
+// in column 0), a fill that assembles the section's Results field by
+// reading that grid and a write that renders its body. Sections, JobsFor,
+// Collect and WriteText are loops over the table, Sweep is the same grid
+// read once per cell, and adding a figure is adding its Results field and
+// its row.
 package exp
 
 import (
@@ -32,16 +32,6 @@ import (
 // Benches returns the benchmark names in the Fig. 1 x-axis order.
 func Benches() []string { return trace.Fig1Names() }
 
-// Fig3Benches are the representative benchmarks of the latency sweep.
-func Fig3Benches() []string {
-	return []string{"cfd", "dwt2d", "leukocyte", "nn", "nw", "sc", "lbm", "ss"}
-}
-
-// Fig11Benches are the benchmarks of the frequency-scaling experiment.
-func Fig11Benches() []string {
-	return []string{"nn", "hybridsort", "sradv2", "bfs", "cfd", "leukocyte"}
-}
-
 func mean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
@@ -53,8 +43,11 @@ func mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// table writes an aligned text table.
+// table writes an aligned text table; nothing when there are no rows.
 func table(w io.Writer, header []string, rows [][]string) {
+	if len(rows) == 0 {
+		return
+	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, strings.Join(header, "\t"))
 	sep := make([]string, len(header))

@@ -9,11 +9,11 @@ import (
 
 func TestSchedulerMemoizes(t *testing.T) {
 	r := NewScheduler()
-	m1, err := r.Run(config.InfiniteBW(), "leukocyte")
+	m1, err := r.RunJob(BenchJob(config.InfiniteBW(), "leukocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := r.Run(config.InfiniteBW(), "leukocyte")
+	m2, err := r.RunJob(BenchJob(config.InfiniteBW(), "leukocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestSchedulerMemoizes(t *testing.T) {
 
 func TestSchedulerUnknownBenchmark(t *testing.T) {
 	r := NewScheduler()
-	if _, err := r.Run(config.Baseline(), "nope"); err == nil {
+	if _, err := r.RunJob(BenchJob(config.Baseline(), "nope")); err == nil {
 		t.Fatal("unknown benchmark accepted")
 	}
 }
@@ -47,7 +47,7 @@ func TestFig3SubsetShape(t *testing.T) {
 	// The latency sweep must be monotonically non-increasing (within
 	// noise) for a latency-sensitive benchmark.
 	r := NewScheduler()
-	pts, err := r.Fig3([]string{"dwt2d"}, []int{0, 400, 800})
+	pts, err := r.fig3(fig3Grid([]string{"dwt2d"}, []int{0, 400, 800}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +67,14 @@ func TestBenchListsConsistent(t *testing.T) {
 	for _, b := range Benches() {
 		all[b] = true
 	}
-	for _, b := range Fig3Benches() {
-		if !all[b] {
-			t.Errorf("Fig3 bench %q unknown", b)
+	for _, row := range sectionTable {
+		if row.grid == nil {
+			continue
 		}
-	}
-	for _, b := range Fig11Benches() {
-		if !all[b] {
-			t.Errorf("Fig11 bench %q unknown", b)
+		for _, b := range row.grid().Workloads {
+			if !all[b] {
+				t.Errorf("%s bench %q unknown", row.name, b)
+			}
 		}
 	}
 }
@@ -92,24 +92,31 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestWriteTableIIIAndArea(t *testing.T) {
+	res, err := NewScheduler().Collect([]string{"tableIII", "area"})
+	if err != nil {
+		t.Fatal(err)
+	}
 	var sb strings.Builder
-	WriteTableIII(&sb)
-	if !strings.Contains(sb.String(), "16+48") {
+	if err := res.WriteText(&sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "16+48") {
 		t.Error("Table III missing cost-effective crossbar")
 	}
-	sb.Reset()
-	WriteArea(&sb, AreaAnalysis())
-	out := sb.String()
 	if !strings.Contains(out, "cost-effective-16+68") {
 		t.Error("area analysis missing 16+68")
 	}
 }
 
 func TestReportSectionsSelectable(t *testing.T) {
-	r := NewScheduler()
-	var sb strings.Builder
 	// tableI, tableIII and area need no simulation.
-	if err := r.Report(&sb, []string{"tableI", "tableIII", "area"}); err != nil {
+	res, err := NewScheduler().Collect([]string{"tableI", "tableIII", "area"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := res.WriteText(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

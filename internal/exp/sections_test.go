@@ -116,7 +116,8 @@ func TestJobsForOrderPinned(t *testing.T) {
 
 // TestSectionTableMatchesSections is the structural half: Sections and
 // the table are the same fourteen names, once each, in the same order,
-// and a row simulates exactly when it has a grid to fill from.
+// every row has a title, and a row simulates exactly when it has a grid to
+// fill from.
 func TestSectionTableMatchesSections(t *testing.T) {
 	if len(Sections) != 14 || len(sectionTable) != len(Sections) {
 		t.Fatalf("%d section names, %d table rows, want 14 of each", len(Sections), len(sectionTable))
@@ -130,6 +131,9 @@ func TestSectionTableMatchesSections(t *testing.T) {
 			t.Errorf("section %q has more than one row", row.name)
 		}
 		seen[row.name] = true
+		if row.title == "" {
+			t.Errorf("section %q has no title", row.name)
+		}
 		if row.write == nil {
 			t.Errorf("section %q cannot render", row.name)
 		}

@@ -23,7 +23,7 @@ func leukSpec(t *testing.T) trace.Spec {
 
 func TestInlineSpecSharesPresetCell(t *testing.T) {
 	s := NewScheduler()
-	base, err := s.Run(config.Baseline(), "leukocyte")
+	base, err := s.RunJob(BenchJob(config.Baseline(), "leukocyte"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestMalformedJobsFailWithoutPanic(t *testing.T) {
 	// Invalid configs fail validation instead of simulating garbage.
 	cfg := config.Baseline()
 	cfg.L2.NumBanks = 7 // not divisible across 6 partitions
-	if _, err := s.Run(cfg, "leukocyte"); err == nil || !strings.Contains(err.Error(), "partitions") {
+	if _, err := s.RunJob(BenchJob(cfg, "leukocyte")); err == nil || !strings.Contains(err.Error(), "partitions") {
 		t.Fatalf("err = %v, want config validation detail", err)
 	}
 }

@@ -55,7 +55,7 @@ func TestRunContextPreCanceled(t *testing.T) {
 	}
 	// A pre-canceled call must not have claimed the cell: a real run of
 	// the same cell still simulates.
-	if _, err := s.Run(config.Baseline(), "dwt2d"); err != nil {
+	if _, err := s.RunJob(BenchJob(config.Baseline(), "dwt2d")); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.Simulated != 1 {
@@ -124,7 +124,7 @@ func (c *memCache) Fill(j Job, m core.Metrics, p *obsv.Profile) {
 func TestResultCacheRoundTrip(t *testing.T) {
 	cache := newMemCache()
 	s1 := NewScheduler(WithResultCache(cache))
-	m1, err := s1.Run(config.Baseline(), "dwt2d")
+	m1, err := s1.RunJob(BenchJob(config.Baseline(), "dwt2d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	// A fresh scheduler sharing the cache serves the cell without
 	// simulating — the daemon-restart scenario.
 	s2 := NewScheduler(WithResultCache(cache))
-	m2, err := s2.Run(config.Baseline(), "dwt2d")
+	m2, err := s2.RunJob(BenchJob(config.Baseline(), "dwt2d"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 	// Repeats within the scheduler hit the memo cache, not the result
 	// cache again.
-	if _, err := s2.Run(config.Baseline(), "dwt2d"); err != nil {
+	if _, err := s2.RunJob(BenchJob(config.Baseline(), "dwt2d")); err != nil {
 		t.Fatal(err)
 	}
 	if st := s2.Stats(); st.DiskHits != 1 || st.CacheHits != 1 {

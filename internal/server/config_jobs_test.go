@@ -98,7 +98,7 @@ func TestConfigPatchJobParity(t *testing.T) {
 	hand := config.Baseline()
 	hand.Name = "baseline-patched" // same label so the payloads can be byte-compared
 	hand.L1.MSHREntries = 128
-	ref, err := exp.NewScheduler().Run(hand, testBench)
+	ref, err := exp.NewScheduler().RunJob(exp.BenchJob(hand, testBench))
 	if err != nil {
 		t.Fatal(err)
 	}
