@@ -127,6 +127,7 @@ func (e *APIError) Error() string {
 type Client struct {
 	base string
 	hc   *http.Client
+	hdr  http.Header // sent on every request
 }
 
 // Option configures a Client.
@@ -138,61 +139,61 @@ func WithHTTPClient(hc *http.Client) Option {
 	return func(c *Client) { c.hc = hc }
 }
 
+// WithHeader sends key: value on every request the client makes — an
+// X-API-Key naming the client to the daemon's rate limit and quota, or a
+// caller-chosen TraceHeader that the jobs it submits (and the daemon's
+// structured logs) adopt instead of a server-minted one.
+func WithHeader(key, value string) Option {
+	return func(c *Client) { c.hdr.Set(key, value) }
+}
+
 // New builds a client for the daemon at baseURL, e.g.
 // "http://127.0.0.1:8372".
 func New(baseURL string, opts ...Option) *Client {
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: http.DefaultClient, hdr: http.Header{}}
 	for _, o := range opts {
 		o(c)
 	}
 	return c
 }
 
+// maxBody bounds a decoded 2xx body, so a daemon (or anything answering
+// in its place) cannot make the client read without end.
+const maxBody = 64 << 20
+
 // do issues one request; in (if non-nil) is sent as JSON, out (if
 // non-nil) receives the decoded 2xx body.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	_, err := c.doHeader(ctx, method, path, in, out)
-	return err
-}
-
-// doHeader is do plus the response headers of the 2xx (long-poll
-// capability detection reads them).
-func (c *Client) doHeader(ctx context.Context, method, path string, in, out any) (http.Header, error) {
-	return c.doFull(ctx, method, path, in, out, nil)
-}
-
-// doFull is doHeader plus caller-set request headers (trace IDs).
-func (c *Client) doFull(ctx context.Context, method, path string, in, out any, hdr map[string]string) (http.Header, error) {
 	var body io.Reader
 	if in != nil {
 		data, err := json.Marshal(in)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		body = bytes.NewReader(data)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if in != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
+	for k, v := range c.hdr {
+		req.Header[k] = v
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return resp.Header, decodeError(resp)
+		return decodeError(resp)
 	}
 	if out == nil {
-		return resp.Header, nil
+		return nil
 	}
-	return resp.Header, json.NewDecoder(resp.Body).Decode(out)
+	return json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(out)
 }
 
 // decodeError turns a non-2xx response into an *APIError. It decodes
@@ -250,18 +251,6 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 func (c *Client) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 	var j Job
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs", spec, &j); err != nil {
-		return nil, err
-	}
-	return &j, nil
-}
-
-// SubmitTraced is Submit with a caller-chosen X-Trace-Id: the job (and
-// the daemon's structured logs) adopt the given correlation ID instead
-// of a server-minted one. Load generators stamp sampled operations this
-// way and later assert the full span chain came back.
-func (c *Client) SubmitTraced(ctx context.Context, spec JobSpec, traceID string) (*Job, error) {
-	var j Job
-	if _, err := c.doFull(ctx, http.MethodPost, "/v1/jobs", spec, &j, map[string]string{TraceHeader: traceID}); err != nil {
 		return nil, err
 	}
 	return &j, nil
@@ -409,10 +398,6 @@ func (c *Client) ConfigNames(ctx context.Context) ([]string, error) {
 // wastes nothing.
 const waitRound = 30 * time.Second
 
-// longPollHeader is the response header a long-poll-capable daemon sets
-// on job and sweep GETs; its absence selects the polling fallback.
-const longPollHeader = "Gpusimd-Long-Poll"
-
 // jitter spreads d over [d/2, 3d/2) so a fleet of clients that lost
 // their long-poll rounds at once (a daemon drain, a proxy restart) does
 // not re-poll in lockstep.
@@ -422,67 +407,47 @@ func jitter(d time.Duration) time.Duration {
 
 // Wait blocks until the job reaches a terminal state or ctx is done.
 //
-// Against a long-poll-capable daemon it parks on GET /v1/jobs/{id}?wait=
-// rounds — no fixed-interval polling, near-zero request overhead, and an
-// immediate return on the terminal transition. When the daemon answers a
-// round early without a terminal state (graceful drain does this), the
-// next round starts after a jittered pause so a restarting daemon is not
-// stampeded. Against daemons that predate long-poll (detected via the
-// capability header on the first response) it degrades to jittered
-// interval polling every ~poll (default 200ms when <= 0).
+// It parks on GET /v1/jobs/{id}?wait= rounds — no fixed-interval polling,
+// near-zero request overhead, and an immediate return on the terminal
+// transition. A round the daemon answers early without a terminal state
+// (graceful drain does this, and so does a daemon or proxy that ignores
+// ?wait=) is followed by a jittered pause of ~poll (default 200ms when
+// <= 0), so a restarting daemon is not stampeded and one that cannot
+// long-poll is polled at that interval.
 func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*Job, error) {
-	j, err := waitResource[Job](ctx, c, "/v1/jobs/"+url.PathEscape(id), poll,
+	return waitResource[Job](ctx, c, "/v1/jobs/"+url.PathEscape(id), poll,
 		func(j *Job) bool { return j.State.Terminal() })
-	if err != nil {
-		return nil, err
-	}
-	return j, nil
 }
 
 // WaitSweep is Wait's sweep twin: it blocks on GET /v1/sweeps/{id} until
 // the sweep is terminal (every cell done, or any failed/canceled) or ctx
-// is done, with the same long-poll-first, jittered-fallback behavior.
+// is done, with the same long-poll rounds and jittered pauses.
 func (c *Client) WaitSweep(ctx context.Context, id string, poll time.Duration) (*Sweep, error) {
 	return waitResource[Sweep](ctx, c, "/v1/sweeps/"+url.PathEscape(id), poll,
 		func(sw *Sweep) bool { return sw.State.Terminal() })
 }
 
-// waitResource is the shared long-poll loop behind Wait and WaitSweep.
+// waitResource is the one long-poll loop, behind Wait, WaitSweep and
+// WaitExploration.
 func waitResource[T any](ctx context.Context, c *Client, path string, poll time.Duration, terminal func(*T) bool) (*T, error) {
 	if poll <= 0 {
 		poll = 200 * time.Millisecond
 	}
-	longPoll := true
 	for {
-		p := path
-		if longPoll {
-			p += "?wait=" + waitRound.String()
-		}
 		start := time.Now()
 		var v T
-		hdr, err := c.doHeader(ctx, http.MethodGet, p, nil, &v)
-		if err != nil {
+		if err := c.do(ctx, http.MethodGet, path+"?wait="+waitRound.String(), nil, &v); err != nil {
 			return nil, err
 		}
 		if terminal(&v) {
 			return &v, nil
 		}
-		if longPoll && hdr.Get(longPollHeader) == "" {
-			// The daemon ignored ?wait= and answered immediately: a
-			// pre-long-poll build, or a proxy that stripped the header.
-			// Fall back to interval polling for the rest of this wait.
-			longPoll = false
-		}
-		if !longPoll || time.Since(start) < waitRound/2 {
-			// Interval polling, or a long-poll round the server ended
-			// early (drain): pause with jitter before the next request.
+		if time.Since(start) < waitRound/2 {
 			select {
 			case <-ctx.Done():
-				return &v, ctx.Err()
+				return nil, ctx.Err()
 			case <-time.After(jitter(poll)):
 			}
-		} else if ctx.Err() != nil {
-			return &v, ctx.Err()
 		}
 	}
 }

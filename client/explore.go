@@ -66,8 +66,8 @@ func (c *Client) GetExploration(ctx context.Context, id string) (*Exploration, e
 }
 
 // WaitExploration blocks until the exploration is terminal or ctx is
-// done, with the same long-poll-first, jittered-fallback behavior as
-// Wait and WaitSweep.
+// done, with the same long-poll rounds and jittered pauses as Wait and
+// WaitSweep.
 func (c *Client) WaitExploration(ctx context.Context, id string, poll time.Duration) (*Exploration, error) {
 	return waitResource[Exploration](ctx, c, "/v1/explorations/"+url.PathEscape(id), poll,
 		func(ex *Exploration) bool { return ex.State.Terminal() })

@@ -356,7 +356,8 @@ type JobSpec = client.JobSpec
 // SweepRequest is a config×bench cross product for Client.Sweep.
 type SweepRequest = client.SweepRequest
 
-// ClientOption configures a Client (see client.WithHTTPClient).
+// ClientOption configures a Client (see client.WithHTTPClient and
+// client.WithHeader).
 type ClientOption = client.Option
 
 // NewClient builds a daemon client for the given base URL, e.g.

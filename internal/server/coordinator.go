@@ -5,19 +5,16 @@ import (
 	"cmp"
 	"context"
 	"crypto/sha256"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"maps"
 	"net/http"
 	"slices"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"gpumembw/client"
 	"gpumembw/internal/api"
 	"gpumembw/internal/exp"
 )
@@ -41,9 +38,6 @@ type CoordinatorOptions struct {
 	// coordinator simulates nothing, so Workers must be zero.
 	Options Options
 }
-
-// waitRound caps one long-poll of a remote run on its worker.
-const waitRound = 30 * time.Second
 
 // exploreIdentity is the client identity a coordinator presents to
 // workers for exploration probe cells, which belong to no client, so
@@ -90,7 +84,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 	f := &fleet{
 		probeFails:   cmp.Or(opts.ProbeFails, 2),
 		probeTimeout: cmp.Or(opts.ProbeTimeout, 2*time.Second),
-		http:         &http.Client{},
 		changed:      make(chan struct{}),
 	}
 	seen := make(map[string]bool)
@@ -127,7 +120,6 @@ func NewCoordinator(opts CoordinatorOptions) (*Server, error) {
 type fleet struct {
 	probeFails   int
 	probeTimeout time.Duration
-	http         *http.Client   // no timeout: carries ?wait= long-polls
 	workers      []*coordWorker // fixed at construction; their fields are guarded by mu
 
 	// ctx and log are the server's (set by newServer). ctx is canceled
@@ -151,7 +143,7 @@ type coordWorker struct {
 
 // remoteRun is one run's placement, guarded by fleet.mu: the worker it is
 // parked on (nil while no worker is routable) and the cancel of its
-// exchange there, which whoever takes the worker out of placement calls
+// requests there, which whoever takes the worker out of placement calls
 // after moving the run (evictLocked).
 type remoteRun struct {
 	cellID string
@@ -180,35 +172,32 @@ func forwardIdentity(owner string) string {
 }
 
 // run is a coordinator's last tier. The cell is placed on its rendezvous
-// worker — POST /v1/jobs with the job's owner identity and trace ID, read
-// from ctx (remoteJob) — long-polled there to a terminal state, and its
-// profile fetched when one was asked for; the result carries the worker's
-// own tier. The run moves when its worker fails a request, answers 503
-// (full or shutting down) or leaves placement, waits out any other refusal
-// (429, or an answer that is not the job) for that worker's Retry-After,
-// places a cell again when the worker reports it canceled, and forwards
+// worker and run there by a client.Client that carries the job's owner
+// identity and trace ID, read from ctx (remoteJob): submitted, long-polled
+// to a terminal state, and its profile fetched when one was asked for; the
+// result carries the worker's own tier. The run moves when its worker gives
+// no answer, answers 503 (full or shutting down) or leaves placement; waits
+// out any other refusal (429, or no profile yet for a job the worker
+// finished unprofiled) for the worker's Retry-After, else a second; places
+// the cell again at once when the worker reports it canceled; and forwards
 // DELETE when ctx is canceled — unless the coordinator is shutting down,
 // which leaves its workers' jobs alone. Apart from ctx ending, it fails
 // only when a worker reports the cell itself failed — which every worker
 // would: the simulator is deterministic.
 func (f *fleet) run(ctx context.Context, cell exp.Job, profile bool) (exp.RunResult, error) {
 	rj, _ := ctx.Value(remoteJobKey{}).(remoteJob)
-	id := cell.CellID()
-	body, err := json.Marshal(api.JobSpec{
+	spec := api.JobSpec{
 		Config: cell.Config.Preset, InlineConfig: cell.Config.Config, ConfigPatch: cell.Config.Patch,
 		Bench: cell.Workload.Bench, InlineSpec: cell.Workload.Spec, Profile: profile,
-	})
-	if err != nil {
-		return exp.RunResult{}, err
 	}
-	hdr := http.Header{"Content-Type": {"application/json"}}
-	hdr.Set(apiKeyHeader, forwardIdentity(rj.owner))
+	// The worker's rate limit and quota bind to the job's owner, and one
+	// X-Trace-Id follows a submission from the entry point to the worker's
+	// copy of the job.
+	hdr := []client.Option{client.WithHeader(apiKeyHeader, forwardIdentity(rj.owner))}
 	if rj.traceID != "" {
-		// One X-Trace-Id follows a submission from the entry point to the
-		// worker's copy of the job.
-		hdr.Set(api.TraceHeader, rj.traceID)
+		hdr = append(hdr, client.WithHeader(api.TraceHeader, rj.traceID))
 	}
-	rr := &remoteRun{cellID: id}
+	rr := &remoteRun{cellID: cell.CellID()}
 	defer f.release(rr)
 	for {
 		w, rctx, err := f.place(ctx, rr)
@@ -218,99 +207,39 @@ func (f *fleet) run(ctx context.Context, cell exp.Job, profile bool) (exp.RunRes
 		if rj.placed != nil {
 			rj.placed(w.Addr)
 		}
-		res, wait, err := f.exchange(rctx, w.Addr, id, hdr, body, profile)
+		c := client.New(w.Addr, hdr...)
+		j, err := c.Run(rctx, spec, 0)
+		p := &client.JobProfile{}
+		if err == nil && j.State == api.JobDone && profile {
+			p, err = c.Profile(rctx, j.ID)
+		}
+		var refused *client.APIError
 		switch {
-		case res != nil:
-			return *res, err
+		case err == nil && j.State == api.JobFailed:
+			return exp.RunResult{Tier: j.Tier}, errors.New(j.Error)
+		case err == nil && j.State == api.JobDone && j.Metrics != nil && (p.Profile != nil || !profile):
+			return exp.RunResult{Metrics: *j.Metrics, Profile: p.Profile, Tier: j.Tier}, nil
 		case ctx.Err() != nil:
 			if f.ctx.Err() == nil {
-				f.forwardCancel(w.Addr+"/v1/jobs/"+id, hdr)
+				cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), f.probeTimeout)
+				c.Cancel(cctx, rr.cellID) //nolint:errcheck // best effort
+				cancel()
 			}
 			return exp.RunResult{}, ctx.Err()
-		case err != nil:
-			f.markWorkerFailed(w, err)
-		default:
+		case errors.As(err, &refused) && refused.StatusCode != http.StatusServiceUnavailable:
 			select {
-			case <-time.After(wait):
+			case <-time.After(cmp.Or(refused.RetryAfter, time.Second)):
 			case <-rctx.Done():
 			}
+		case err != nil:
+			// A full or draining worker keeps answering its health probes, so
+			// the run takes it out of placement itself; the probes readmit it.
+			f.markWorkerFailed(w, err)
+		default:
+			// The worker canceled the job, or answered with something that
+			// is not its result: the cell is placed again at once.
 		}
 	}
-}
-
-// exchange runs the cell once on the worker at addr: POST /v1/jobs, a
-// long-poll until the job is terminal, and then its profile when one was
-// asked for. It returns the outcome (res; an err beside it is the cell's
-// own failure), or a failure of the worker (err alone: no answer, or a
-// 503), or neither: the worker refused the cell, lost it or canceled it,
-// and the cell is placed again after wait.
-func (f *fleet) exchange(ctx context.Context, addr, id string, hdr http.Header, body []byte, profile bool) (*exp.RunResult, time.Duration, error) {
-	var snap api.Job
-	status, wait, err := f.call(ctx, http.MethodPost, addr+"/v1/jobs", hdr, body, &snap)
-	for err == nil && status/100 == 2 && !snap.State.Terminal() {
-		status, wait, err = f.call(ctx, http.MethodGet, addr+"/v1/jobs/"+id+"?wait="+waitRound.String(), hdr, nil, &snap)
-	}
-	switch {
-	case err == nil && status == http.StatusServiceUnavailable:
-		// A full or draining worker keeps answering its health probes, so
-		// the run takes it out of placement itself; the probes readmit it.
-		return nil, 0, fmt.Errorf("server: %s answered %d", addr, status)
-	case err != nil || status/100 != 2:
-		return nil, wait, err
-	case snap.State == api.JobFailed:
-		return &exp.RunResult{Tier: snap.Tier}, 0, errors.New(snap.Error)
-	case snap.State == api.JobCanceled || snap.Metrics == nil:
-		return nil, 0, nil
-	}
-	res := &exp.RunResult{Metrics: *snap.Metrics, Tier: snap.Tier}
-	if profile {
-		var jp api.JobProfile
-		// A job the worker finished unprofiled has no profile yet; placing
-		// the cell again revives it profiled there.
-		status, _, err = f.call(ctx, http.MethodGet, addr+"/v1/jobs/"+id+"/profile", hdr, nil, &jp)
-		if err != nil || status != http.StatusOK || jp.Profile == nil {
-			return nil, 0, err
-		}
-		res.Profile = jp.Profile
-	}
-	return res, 0, nil
-}
-
-// call is the one way a coordinator talks to a worker: one request
-// carrying hdr; the answer's status, its retry hint (Retry-After, else one
-// second), and a 2xx body decoded into out when non-nil. A non-nil error
-// means the worker delivered no readable answer.
-func (f *fleet) call(ctx context.Context, method, url string, hdr http.Header, body []byte, out any) (int, time.Duration, error) {
-	req, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(body))
-	if err != nil {
-		return 0, 0, err
-	}
-	maps.Copy(req.Header, hdr)
-	resp, err := f.http.Do(req)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err == nil && out != nil && resp.StatusCode/100 == 2 {
-		err = json.Unmarshal(data, out)
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("server: reading %s %s: %w", method, url, err)
-	}
-	wait := time.Second
-	if secs, _ := strconv.Atoi(resp.Header.Get("Retry-After")); secs > 0 {
-		wait = time.Duration(secs) * time.Second
-	}
-	return resp.StatusCode, wait, nil
-}
-
-// forwardCancel forwards a canceled job's DELETE to the worker its run was
-// parked on, best effort and bounded by the probe timeout.
-func (f *fleet) forwardCancel(url string, hdr http.Header) {
-	ctx, cancel := context.WithTimeout(context.Background(), f.probeTimeout)
-	defer cancel()
-	f.call(ctx, http.MethodDelete, url, hdr, nil, nil) //nolint:errcheck // best effort
 }
 
 // ---- placement ----
@@ -337,8 +266,8 @@ func (f *fleet) pickLocked(cellID string) *coordWorker {
 
 // place parks rr on a worker — the one it is already on, else its
 // rendezvous pick, waiting while no worker is routable — and returns that
-// worker and the context of one exchange there, which ends when the worker
-// leaves placement or ctx ends.
+// worker and the context of the run's requests there, which ends when the
+// worker leaves placement or ctx ends.
 func (f *fleet) place(ctx context.Context, rr *remoteRun) (*coordWorker, context.Context, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -389,7 +318,7 @@ func (f *fleet) moveLocked(rr *remoteRun, to *coordWorker) {
 
 // evictLocked moves every run parked on w, which its caller has just
 // taken out of placement, to the run's next rendezvous pick (or to none
-// until a worker is routable again) and aborts its exchange on w; each run
+// until a worker is routable again) and aborts its requests to w; each run
 // carries on where it was moved, and each move counts as a reassignment.
 // It returns how many runs moved. Callers hold f.mu.
 func (f *fleet) evictLocked(w *coordWorker) int {
@@ -480,27 +409,29 @@ func (f *fleet) prober(interval time.Duration) {
 		}
 		for _, w := range f.workers {
 			ctx, cancel := context.WithTimeout(context.Background(), f.probeTimeout)
-			status, _, err := f.call(ctx, http.MethodGet, w.Addr+"/healthz", nil, nil, nil)
+			err := client.New(w.Addr).Health(ctx)
 			cancel()
-			f.noteWorker(w, err == nil && status == http.StatusOK, true, err)
+			f.noteWorker(w, err == nil, true, err)
 		}
 	}
 }
 
 // addStats is GET /v1/stats's fleet sum at a coordinator: the worker-pool
 // sizes and scheduler counters of every worker that answers, added to st.
+// A worker that gives no answer has failed; one that answers an error has
+// not.
 func (f *fleet) addStats(ctx context.Context, st *api.Stats) {
 	for _, w := range f.workers {
-		var ws api.Stats
-		status, _, err := f.call(ctx, http.MethodGet, w.Addr+"/v1/stats", nil, nil, &ws)
-		if err != nil {
-			f.markWorkerFailed(w, err)
-		} else if status == http.StatusOK {
+		ws, err := client.New(w.Addr).Stats(ctx)
+		var answered *client.APIError
+		if err == nil {
 			st.Workers += ws.Workers
 			st.Scheduler.Simulated += ws.Scheduler.Simulated
 			st.Scheduler.CacheHits += ws.Scheduler.CacheHits
 			st.Scheduler.DiskHits += ws.Scheduler.DiskHits
 			st.Scheduler.SimCycles += ws.Scheduler.SimCycles
+		} else if !errors.As(err, &answered) {
+			f.markWorkerFailed(w, err)
 		}
 	}
 }

@@ -301,6 +301,32 @@ func TestWorkerShutdownMovesRun(t *testing.T) {
 	}
 }
 
+// TestDrainingWorkerIsNotPolledHot: a worker that is shutting down answers
+// every long-poll round at once, for as long as the cell it is running
+// takes to finish. The run parked on it must pause between those rounds,
+// as any client's Wait does, instead of asking again in a tight loop.
+func TestDrainingWorkerIsNotPolledHot(t *testing.T) {
+	var polls atomic.Int64
+	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet {
+			polls.Add(1)
+		}
+		writeJSON(w, http.StatusOK, api.Job{ID: "cell", State: api.JobRunning})
+	}))
+	t.Cleanup(worker.Close)
+	co, err := NewCoordinator(CoordinatorOptions{Workers: []string{worker.URL}, ProbeInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Shutdown(context.Background()) }) //nolint:errcheck // test teardown
+	submitCell(t, co.Handler(), mshrPatch(8))
+	waitFor(t, "the first long-poll round", func() bool { return polls.Load() > 0 })
+	time.Sleep(time.Second)
+	if n := polls.Load(); n > 20 {
+		t.Fatalf("the run asked a draining worker %d times in a second, want a pause between rounds", n)
+	}
+}
+
 // TestCoordinatorParksEveryCell: a coordinator holds back no cell of a
 // sweep — each gets its run on its worker at once, so the worker's own
 // queue and pool bound the work however many cores it has.

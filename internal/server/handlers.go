@@ -113,9 +113,6 @@ func writeError(w http.ResponseWriter, err error) {
 		code = he.code
 		if he.retryAfter > 0 {
 			retrySecs = int64((he.retryAfter + time.Second - 1) / time.Second)
-			if retrySecs < 1 {
-				retrySecs = 1
-			}
 			w.Header().Set("Retry-After", strconv.FormatInt(retrySecs, 10))
 		}
 	}

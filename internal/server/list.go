@@ -142,8 +142,7 @@ func parseWait(r *http.Request) (time.Duration, *httpError) {
 // re-issue the request (the client package does this transparently).
 const maxWait = 5 * time.Minute
 
-// longPollHeader advertises long-poll support on job and sweep GETs.
-// Clients that see it switch from interval polling to ?wait= requests;
-// its absence (an older daemon, a foreign proxy) selects the jittered
-// polling fallback.
+// longPollHeader advertises long-poll support on job, sweep and
+// exploration GETs, for clients that probe for it; the client package
+// needs no probe, since a round answered early is followed by a pause.
 const longPollHeader = "Gpusimd-Long-Poll"

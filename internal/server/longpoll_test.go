@@ -213,8 +213,7 @@ func TestWaitIssuesNoIntervalPolls(t *testing.T) {
 
 // legacyProxy emulates a pre-long-poll daemon: it strips the ?wait=
 // parameter before the daemon sees it and removes the capability header
-// from the response, so the client must detect the downgrade and fall
-// back to interval polling.
+// from the response, so every round the client sends comes back at once.
 func legacyProxy(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -235,8 +234,9 @@ func (hw *headerDroppingWriter) WriteHeader(code int) {
 }
 
 // TestWaitFallsBackWithoutCapabilityHeader pins the downgrade path:
-// against a daemon (or intermediary) that does not advertise long-poll,
-// Wait still completes, via interval polling.
+// against a daemon (or intermediary) that ignores ?wait=, Wait still
+// completes — each round ends early, so the jittered pause between rounds
+// makes it interval polling.
 func TestWaitFallsBackWithoutCapabilityHeader(t *testing.T) {
 	srv, err := New(Options{Workers: 2})
 	if err != nil {

@@ -20,7 +20,7 @@
 // tier is remote: admission, the job table, long-polls, sweeps, listing,
 // traces, cancels, explorations, the memo and the disk cache are the
 // daemon's own, and a cell that misses both runs on the worker its ID
-// rendezvous-hashes to.
+// rendezvous-hashes to, reached through the client package.
 //
 // Retention: finished jobs and memoized metrics are kept for the daemon's
 // lifetime — cross-request reuse is the point of the service — so memory

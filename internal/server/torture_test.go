@@ -46,7 +46,7 @@ func TestConcurrencyTorture(t *testing.T) {
 			return c.Submit(ctx, spec)
 		}
 		traceID := fmt.Sprintf("torture-%04d", n)
-		job, err := c.SubmitTraced(ctx, spec, traceID)
+		job, err := client.New(base, client.WithHeader(client.TraceHeader, traceID)).Submit(ctx, spec)
 		if err == nil {
 			sampledMu.Lock()
 			sampled[job.ID] = traceID

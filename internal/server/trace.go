@@ -4,7 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"maps"
 	"net/http"
+	"slices"
 
 	"gpumembw/internal/api"
 )
@@ -91,16 +93,9 @@ func (j *job) spanAttr(key, val string) {
 // maps are deep-copied: the encoder runs outside the lock, and an open
 // span's attrs may still be annotated. Callers hold Server.mu.
 func (j *job) traceView() api.Trace {
-	spans := make([]api.Span, len(j.spans))
-	copy(spans, j.spans)
+	spans := slices.Clone(j.spans)
 	for i := range spans {
-		if spans[i].Attrs != nil {
-			attrs := make(map[string]string, len(spans[i].Attrs))
-			for k, v := range spans[i].Attrs {
-				attrs[k] = v
-			}
-			spans[i].Attrs = attrs
-		}
+		spans[i].Attrs = maps.Clone(spans[i].Attrs)
 	}
 	return api.Trace{JobID: j.ID, TraceID: j.TraceID, Spans: spans}
 }

@@ -19,7 +19,7 @@ import (
 func waitTraced(t *testing.T, c *client.Client, spec client.JobSpec, traceID string) *client.Job {
 	t.Helper()
 	ctx := context.Background()
-	j, err := c.SubmitTraced(ctx, spec, traceID)
+	j, err := client.New(c.BaseURL(), client.WithHeader(client.TraceHeader, traceID)).Submit(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
