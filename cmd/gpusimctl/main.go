@@ -690,7 +690,6 @@ func cmdExplore(ctx context.Context, c *client.Client, args []string) {
 	var specs cliutil.StringList
 	fs.Var(&specs, "spec", "path to an inline workload spec JSON (repeatable)")
 	base := fs.String("base", "", "base configuration preset (default baseline)")
-	strategy := fs.String("strategy", "", "search strategy: halving (default) or climb")
 	target := fs.Float64("target-speedup", 0, "objective: reach this speedup, minimizing area")
 	minimize := fs.String("minimize", "", "with -target-speedup: quantity to minimize (only \"area\")")
 	budget := fs.Float64("area-budget", 0, "objective: stay under this area in mm², maximizing speedup")
@@ -706,7 +705,6 @@ func cmdExplore(ctx context.Context, c *client.Client, args []string) {
 	req := client.ExploreRequest{
 		Benchmarks: cliutil.SplitCSV(*benches),
 		Base:       *base,
-		Strategy:   *strategy,
 		Objective: client.ExploreObjective{
 			TargetSpeedup: *target,
 			Minimize:      *minimize,

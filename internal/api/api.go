@@ -414,9 +414,9 @@ type ExploreRequest struct {
 	InlineSpecs []trace.Spec `json:"inlineSpecs,omitempty"`
 	// Base anchors the lattice on a preset ("" = baseline).
 	Base string `json:"base,omitempty"`
-	// Strategy selects the search algorithm: "halving" (successive
-	// halving over a coarse-to-fine lattice; the default) or "climb"
-	// (greedy hill climbing from the base).
+	// Strategy names the search: "" or "halving" (successive halving
+	// over a coarse-to-fine lattice, the only one); any other name is
+	// refused.
 	Strategy  string           `json:"strategy,omitempty"`
 	Objective ExploreObjective `json:"objective"`
 	Knobs     []ExploreKnob    `json:"knobs,omitempty"`

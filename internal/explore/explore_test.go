@@ -3,6 +3,7 @@ package explore
 import (
 	"context"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"gpumembw/internal/api"
@@ -229,11 +230,10 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Hill climbing must also be deterministic and must improve on the
-// baseline for a memory-bound workload.
-func TestClimbFindsImprovement(t *testing.T) {
+// Under an area budget the search must stay within it and still improve
+// on the baseline for a memory-bound workload.
+func TestSearchFindsImprovementUnderBudget(t *testing.T) {
 	req := tinyRequest()
-	req.Strategy = "climb"
 	req.Objective = api.ExploreObjective{AreaBudgetMM2: 2}
 	_, res, _ := runPlan(t, req, 4)
 	if res.Recommended == nil {
@@ -246,7 +246,78 @@ func TestClimbFindsImprovement(t *testing.T) {
 		t.Errorf("recommended point busts the budget: %+v", res.Recommended)
 	}
 	if res.Recommended.Speedup <= 1 {
-		t.Errorf("climb found nothing better than baseline: %+v", res.Recommended)
+		t.Errorf("search found nothing better than baseline: %+v", res.Recommended)
+	}
+}
+
+// On a lattice small enough to enumerate, the search must recommend the
+// exhaustive optimum under every objective. The 16 B request flit sits
+// below the baseline's 32 B, so the cheap answers need the cost-shedding
+// step to go below the base.
+func TestSearchFindsExhaustiveOptimum(t *testing.T) {
+	req := api.ExploreRequest{
+		InlineSpecs: []trace.Spec{floodSpec()},
+		Objective:   api.ExploreObjective{TargetSpeedup: 1.02},
+		Knobs: []api.ExploreKnob{
+			{Path: "icnt.req_flit_bytes", Values: []string{"16", "32"}},
+			{Path: "icnt.reply_flit_bytes", Values: []string{"32", "48"}},
+			{Path: "l2.num_banks", Values: []string{"12", "24", "48"}},
+		},
+	}
+	p, err := Compile(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := p.Space
+	cands := []Candidate{sp.Baseline()}
+	for a := range 2 {
+		for b := range 2 {
+			for c := range 3 {
+				if cand := (Candidate{[]int{a, b, c}}); len(sp.Sets(cand)) > 0 {
+					cands = append(cands, cand)
+				}
+			}
+		}
+	}
+	if len(cands) != 12 {
+		t.Fatalf("enumerated %d points, want 12", len(cands))
+	}
+	crefs := make([]exp.ConfigRef, len(cands))
+	for i, c := range cands {
+		if crefs[i], err = configRef(sp, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := exp.NewScheduler(exp.WithWorkers(4))
+	sw, err := s.Sweep(crefs, p.Workloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	speedups, areas := sw.Speedups(0)[0], sw.Areas()
+	all := make([]Scored, len(cands))
+	for i, c := range cands {
+		all[i] = Scored{Cand: c, Score: Score{Speedup: speedups[i], AreaMM2: areas[i].TotalMM2}}
+	}
+	front := Frontier(all)
+
+	for _, o := range []api.ExploreObjective{
+		{TargetSpeedup: 1.02}, {TargetSpeedup: 1.05}, {TargetSpeedup: 1.1},
+		{AreaBudgetMM2: 1}, {AreaBudgetMM2: 4}, {AreaBudgetMM2: 11},
+	} {
+		req.Objective = o
+		p, err := Compile(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := p.Objective.Recommend(front)
+		res, err := Run(context.Background(), p, SchedulerEval(s), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Recommended; got == nil || !slices.Equal(got.Sets, sp.Sets(want.Cand)) {
+			t.Errorf("%+v: recommended %+v after %d probes, exhaustive optimum %v (%.4f×, %.2f mm²)",
+				o, got, res.Probes, sp.Sets(want.Cand), want.Score.Speedup, want.Score.AreaMM2)
+		}
 	}
 }
 

@@ -81,7 +81,7 @@ func (o Objective) Feasible(s Score) bool {
 // quantity wins (minimum area under a speedup target, maximum speedup
 // under an area budget); among infeasible points, proximity to the
 // constraint wins. Ties fall through to the secondary quantity and then
-// the candidate key, so the order — and every strategy built on it — is
+// the candidate key, so the order — and the search built on it — is
 // deterministic.
 func (o Objective) Better(a, b Scored) bool {
 	fa, fb := o.Feasible(a.Score), o.Feasible(b.Score)

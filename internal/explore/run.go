@@ -29,14 +29,13 @@ const (
 )
 
 // Plan is a compiled exploration: the canonicalized request plus the
-// resolved lattice, objective, strategy and workload refs. Two requests
+// resolved lattice, objective and workload refs. Two requests
 // that compile to the same canonical form share an ID — and therefore a
 // resource, a probe set and every underlying simulation cell.
 type Plan struct {
 	Request   api.ExploreRequest
 	Space     *Space
 	Objective Objective
-	Strategy  Strategy
 	Workloads []exp.WorkloadRef
 	MaxRounds int
 }
@@ -77,9 +76,8 @@ func Compile(req api.ExploreRequest) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	strat, err := StrategyByName(req.Strategy)
-	if err != nil {
-		return nil, err
+	if req.Strategy != "" && req.Strategy != searchName {
+		return nil, fmt.Errorf("explore: unknown strategy %q (known: %s)", req.Strategy, searchName)
 	}
 	if len(req.Knobs) > maxAxes {
 		return nil, fmt.Errorf("explore: at most %d knobs, got %d", maxAxes, len(req.Knobs))
@@ -108,7 +106,7 @@ func Compile(req api.ExploreRequest) (*Plan, error) {
 		Benchmarks:  req.Benchmarks,
 		InlineSpecs: req.InlineSpecs,
 		Base:        base,
-		Strategy:    strat.Name(),
+		Strategy:    searchName,
 		MaxRounds:   rounds,
 	}
 	if obj.TargetSpeedup > 0 {
@@ -125,7 +123,6 @@ func Compile(req api.ExploreRequest) (*Plan, error) {
 		Request:   canon,
 		Space:     space,
 		Objective: obj,
-		Strategy:  strat,
 		Workloads: workloads,
 		MaxRounds: rounds,
 	}, nil
@@ -176,7 +173,7 @@ type Result struct {
 	Recommended  *api.ExplorePoint
 }
 
-// Run executes the plan: it scores the base point, lets the strategy
+// Run executes the plan: it scores the base point, lets the search
 // drive rounds through eval, and assembles the Pareto frontier and
 // recommendation. onRound (optional) observes progress after every
 // round. Everything except tier attribution is deterministic in the
@@ -292,7 +289,7 @@ func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*R
 	if _, err := roundFn("base", []Candidate{sp.Baseline()}); err != nil {
 		return nil, err
 	}
-	if err := p.Strategy.Search(sp, obj, p.MaxRounds, roundFn); err != nil {
+	if err := search(sp, obj, p.MaxRounds, roundFn); err != nil {
 		return nil, err
 	}
 
@@ -371,7 +368,7 @@ func (p *Plan) Resource(id string, state api.ExplorationState, status Status, re
 	ex := api.Exploration{
 		ID:        id,
 		State:     state,
-		Strategy:  p.Strategy.Name(),
+		Strategy:  searchName,
 		Base:      p.Space.BaseName,
 		Workloads: labels,
 		Objective: p.Request.Objective,

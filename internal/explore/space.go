@@ -2,13 +2,12 @@
 // design study (Table III) instead of enumerating it: every probe is a
 // content-addressed simulation cell (so repeated searches replay from
 // the memo and disk caches), scored by measured speedup against its
-// area cost from internal/area, and a search strategy — successive
-// halving over a coarse-to-fine lattice, or greedy hill climbing from
-// the baseline — walks the lattice toward an objective ("reach 1.5×
-// speedup, minimize area" or "spend at most 10 mm², maximize speedup").
-// The result is the Pareto frontier over everything probed plus one
-// recommended point, reproducing Fig. 12's cost-effective methodology
-// as an optimization rather than a grid.
+// area cost from internal/area, and one search — successive halving
+// over a coarse-to-fine lattice — walks the lattice toward an objective
+// ("reach 1.5× speedup, minimize area" or "spend at most 10 mm²,
+// maximize speedup"). The result is the Pareto frontier over everything
+// probed plus one recommended point, reproducing Fig. 12's
+// cost-effective methodology as an optimization rather than a grid.
 package explore
 
 import (
@@ -33,8 +32,8 @@ type Axis struct {
 }
 
 // Space is the search lattice: a base configuration and the knob axes.
-// The exhaustive grid it replaces has GridSize cells; strategies visit a
-// small, deterministic subset.
+// The exhaustive grid it replaces has GridSize cells; the search visits
+// a small, deterministic subset.
 type Space struct {
 	// BaseName is the preset the lattice is anchored on.
 	BaseName string

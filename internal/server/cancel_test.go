@@ -116,18 +116,14 @@ func TestCancelRunningJobStaysCanceled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the worker to pick the job up.
+	// Wait for the cell to start simulating, not merely for the job to
+	// read running: the worker marks it running before the scheduler
+	// checks the run's context, and a DELETE in that gap cancels the cell
+	// before anything is simulated.
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		job, err = c.Job(ctx, job.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if job.State == client.JobRunning {
-			break
-		}
-		if job.State.Terminal() || time.Now().After(deadline) {
-			t.Fatalf("job never observed running: %s", job.State)
+	for srv.Stats().Scheduler.Simulated == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("cell never started simulating")
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -69,7 +69,7 @@ func (s *Server) submitExploration(req api.ExploreRequest) (api.Exploration, boo
 	if !known {
 		s.journal(id, plan.Request)
 		s.log.Info("exploration started", "exploration", id,
-			"strategy", plan.Strategy.Name(), "base", plan.Space.BaseName,
+			"strategy", plan.Request.Strategy, "base", plan.Space.BaseName,
 			"gridSize", plan.Space.GridSize(), "workloads", len(plan.Workloads))
 	}
 	return v, !known, nil

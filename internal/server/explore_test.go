@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,6 +128,8 @@ func TestExploreRejectsHostileRequests(t *testing.T) {
 			Objective: client.ExploreObjective{TargetSpeedup: 1.5}},
 		"unknown strategy": {Benchmarks: []string{testBench}, Strategy: "annealing",
 			Objective: client.ExploreObjective{TargetSpeedup: 1.5}},
+		"climb, the deleted strategy": {Benchmarks: []string{testBench}, Strategy: "climb",
+			Objective: client.ExploreObjective{TargetSpeedup: 1.5}},
 		"unknown knob": {Benchmarks: []string{testBench},
 			Objective: client.ExploreObjective{TargetSpeedup: 1.5},
 			Knobs:     []client.ExploreKnob{{Path: "nope", Values: []string{"1"}}}},
@@ -141,6 +144,8 @@ func TestExploreRejectsHostileRequests(t *testing.T) {
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.StatusCode < 400 || apiErr.StatusCode > 499 {
 			t.Errorf("%s: err = %v, want a 4xx APIError", name, err)
+		} else if req.Strategy != "" && !strings.Contains(apiErr.Message, "halving") {
+			t.Errorf("%s: %q does not name the one search, halving", name, apiErr.Message)
 		}
 	}
 	if _, err := c.GetExploration(ctx, "ex-nope"); err == nil {
