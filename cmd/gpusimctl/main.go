@@ -431,7 +431,11 @@ func cmdList(ctx context.Context, c *client.Client, args []string) {
 		printJob(&list.Jobs[i])
 	}
 	if list.NextPageToken != "" {
-		fmt.Printf("next page: gpusimctl list -limit %d -page-token %s\n", *limit, list.NextPageToken)
+		stateFlag := ""
+		if *state != "" {
+			stateFlag = " -state " + *state
+		}
+		fmt.Printf("next page: gpusimctl list%s -limit %d -page-token %s\n", stateFlag, *limit, list.NextPageToken)
 	}
 }
 
@@ -739,13 +743,14 @@ func cmdExplore(ctx context.Context, c *client.Client, args []string) {
 		fmt.Printf("exploration %s: %s\n", ex.ID, ex.State)
 		return
 	}
-	finishExploration(ctx, c, ex, *poll, *asJSON)
+	finishExploration(ctx, c, ex, true, *poll, *asJSON)
 }
 
-// finishExploration follows an exploration to its terminal state,
-// printing each completed round exactly once, then the frontier and the
-// recommendation.
-func finishExploration(ctx context.Context, c *client.Client, ex *client.Exploration, poll time.Duration, asJSON bool) {
+// finishExploration prints an exploration's completed rounds, each
+// exactly once, following it to its terminal state when follow is set.
+// A terminal exploration then gets its frontier and recommendation; one
+// still running (not followed) gets its state.
+func finishExploration(ctx context.Context, c *client.Client, ex *client.Exploration, follow bool, poll time.Duration, asJSON bool) {
 	printed := 0
 	header := false
 	render := func(ex *client.Exploration) {
@@ -769,7 +774,7 @@ func finishExploration(ctx context.Context, c *client.Client, ex *client.Explora
 	}
 	render(ex)
 	var err error
-	for !ex.State.Terminal() {
+	for follow && !ex.State.Terminal() {
 		select {
 		case <-ctx.Done():
 			fatal(ctx.Err())
@@ -781,6 +786,10 @@ func finishExploration(ctx context.Context, c *client.Client, ex *client.Explora
 		render(ex)
 	}
 	render(ex)
+	if !ex.State.Terminal() {
+		fmt.Printf("\n%s: %d probes so far of a %d-point grid\n", ex.State, ex.Probes, ex.GridSize)
+		return
+	}
 	if asJSON {
 		printJSON(ex)
 		if ex.State == client.ExplorationFailed {
@@ -823,7 +832,8 @@ func setsLabel(sets []string) string {
 	return strings.Join(sets, " ")
 }
 
-// cmdExploreStatus polls (or follows) an exploration resource by ID.
+// cmdExploreStatus prints an exploration resource by ID once, or
+// follows it to the end with -wait.
 func cmdExploreStatus(ctx context.Context, c *client.Client, args []string) {
 	fs := flag.NewFlagSet("explore-status", flag.ExitOnError)
 	wait := fs.Bool("wait", false, "follow the search until it reaches a terminal state")
@@ -837,13 +847,11 @@ func cmdExploreStatus(ctx context.Context, c *client.Client, args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	if !*wait {
-		if *asJSON {
-			printJSON(ex)
-			return
-		}
+	if !*wait && *asJSON {
+		printJSON(ex)
+		return
 	}
-	finishExploration(ctx, c, ex, *poll, *asJSON)
+	finishExploration(ctx, c, ex, *wait, *poll, *asJSON)
 }
 
 // cmdKnobs renders the knob-space model: every dotted Set path with its

@@ -1,8 +1,10 @@
 package explore
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"os"
 	"slices"
 	"testing"
 
@@ -253,7 +255,11 @@ func TestSearchFindsImprovementUnderBudget(t *testing.T) {
 // On a lattice small enough to enumerate, the search must recommend the
 // exhaustive optimum under every objective. The 16 B request flit sits
 // below the baseline's 32 B, so the cheap answers need the cost-shedding
-// step to go below the base.
+// step to go below the base. Each objective's whole resource — rounds,
+// probes, tiers (all memo: the enumeration warmed the scheduler), digest,
+// frontier and recommendation — must match testdata/search.golden.json
+// byte for byte, so any drift in what the search probes, or in what order,
+// shows.
 func TestSearchFindsExhaustiveOptimum(t *testing.T) {
 	req := api.ExploreRequest{
 		InlineSpecs: []trace.Spec{floodSpec()},
@@ -300,6 +306,7 @@ func TestSearchFindsExhaustiveOptimum(t *testing.T) {
 	}
 	front := Frontier(all)
 
+	var resources []api.Exploration
 	for _, o := range []api.ExploreObjective{
 		{TargetSpeedup: 1.02}, {TargetSpeedup: 1.05}, {TargetSpeedup: 1.1},
 		{AreaBudgetMM2: 1}, {AreaBudgetMM2: 4}, {AreaBudgetMM2: 11},
@@ -318,6 +325,18 @@ func TestSearchFindsExhaustiveOptimum(t *testing.T) {
 			t.Errorf("%+v: recommended %+v after %d probes, exhaustive optimum %v (%.4f×, %.2f mm²)",
 				o, got, res.Probes, sp.Sets(want.Cand), want.Score.Speedup, want.Score.AreaMM2)
 		}
+		resources = append(resources, p.Resource(p.ID(), api.ExplorationDone, res.Status, res, ""))
+	}
+	got, err := json.MarshalIndent(resources, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/search.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(append(got, '\n'), golden) {
+		t.Errorf("resources differ from testdata/search.golden.json; got:\n%s", got)
 	}
 }
 

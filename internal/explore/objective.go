@@ -113,18 +113,6 @@ func (o Objective) Better(a, b Scored) bool {
 	return a.Cand.Key() < b.Cand.Key()
 }
 
-// Best returns the objective-optimal element of scored (which must be
-// non-empty).
-func (o Objective) Best(scored []Scored) Scored {
-	best := scored[0]
-	for _, s := range scored[1:] {
-		if o.Better(s, best) {
-			best = s
-		}
-	}
-	return best
-}
-
 // TopK returns the k objective-best elements of scored, best first,
 // without mutating the input.
 func (o Objective) TopK(scored []Scored, k int) []Scored {

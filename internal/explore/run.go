@@ -173,45 +173,23 @@ type Result struct {
 	Recommended  *api.ExplorePoint
 }
 
-// Run executes the plan: it scores the base point, lets the search
-// drive rounds through eval, and assembles the Pareto frontier and
-// recommendation. onRound (optional) observes progress after every
-// round. Everything except tier attribution is deterministic in the
-// plan; a rerun probes the identical candidate set in the identical
-// order and lands on byte-identical rounds, frontier and
-// recommendation.
+// Run executes the plan: the search proposes each round's candidates,
+// Run builds their grid, evaluates it through eval and scores it, and
+// assembles the Pareto frontier and recommendation from the search's
+// ledger. onRound (optional) observes progress after every round.
+// Everything except tier attribution is deterministic in the plan; a
+// rerun probes the identical candidate set in the identical order and
+// lands on byte-identical rounds, frontier and recommendation.
 func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*Result, error) {
 	sp := p.Space
-	obj := p.Objective
-
-	scored := map[string]Scored{}
-	var order []string // candidate keys in probe order
+	baseKey := sp.Baseline().Key()
 	baseMetrics := make([]core.Metrics, len(p.Workloads))
-	var status Status
-	var incumbent Scored
-	haveIncumbent := false
-
-	roundFn := func(label string, cands []Candidate) ([]Scored, error) {
+	probe := func(cands []Candidate, tiers *api.ExploreTiers) ([]Scored, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Dedupe within the round, drop invalid lattice points, split
-		// cached from fresh.
-		var uniq, fresh []Candidate
-		inRound := map[string]bool{}
-		for _, c := range cands {
-			key := c.Key()
-			if inRound[key] || !sp.Valid(c) {
-				continue
-			}
-			inRound[key] = true
-			uniq = append(uniq, c)
-			if _, ok := scored[key]; !ok {
-				fresh = append(fresh, c)
-			}
-		}
-		crefs := make([]exp.ConfigRef, len(fresh))
-		for i, c := range fresh {
+		crefs := make([]exp.ConfigRef, len(cands))
+		for i, c := range cands {
 			var err error
 			if crefs[i], err = configRef(sp, c); err != nil {
 				return nil, err
@@ -225,20 +203,20 @@ func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*R
 		if err != nil {
 			return nil, err
 		}
-		// The base candidate is fresh only in the first round, where it is
-		// scored alone: it is every other candidate's speedup denominator.
-		baseKey := sp.Baseline().Key()
-		for i, c := range fresh {
+		// The base candidate is scored alone, in the first round: it is
+		// every other candidate's speedup denominator.
+		scored := make([]Scored, len(cands))
+		for i, c := range cands {
 			key := c.Key()
 			logSum := 0.0
 			for wi, out := range outs[i*len(p.Workloads) : (i+1)*len(p.Workloads)] {
 				switch out.Tier {
 				case exp.TierSimulated:
-					status.Tiers.Simulated++
+					tiers.Simulated++
 				case exp.TierMemo:
-					status.Tiers.Memo++
+					tiers.Memo++
 				case exp.TierDisk:
-					status.Tiers.Disk++
+					tiers.Disk++
 				}
 				if key == baseKey {
 					baseMetrics[wi] = out.Metrics
@@ -257,51 +235,20 @@ func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*R
 				score.AreaMM2 = est.TotalMM2
 				score.OverheadFrac = est.OverheadFrac
 			}
-			s := Scored{Cand: c, Score: score}
-			scored[key] = s
-			order = append(order, key)
-			if !haveIncumbent || obj.Better(s, incumbent) {
-				incumbent = s
-				haveIncumbent = true
-			}
+			scored[i] = Scored{Cand: c, Score: score}
 		}
-		status.Probes = len(order)
-		status.Rounds = append(status.Rounds, api.ExploreRound{
-			Label:       label,
-			Probes:      len(fresh),
-			BestSpeedup: incumbent.Score.Speedup,
-			BestAreaMM2: incumbent.Score.AreaMM2,
-			Feasible:    haveIncumbent && obj.Feasible(incumbent.Score),
-		})
-		if onRound != nil {
-			onRound(snapshotStatus(status))
-		}
-		// Return scores for every distinct requested candidate, cached
-		// or fresh, in request order.
-		out := make([]Scored, 0, len(uniq))
-		for _, c := range uniq {
-			out = append(out, scored[c.Key()])
-		}
-		return out, nil
+		return scored, nil
 	}
 
-	// The base point first: every speedup is measured against it.
-	if _, err := roundFn("base", []Candidate{sp.Baseline()}); err != nil {
+	scored, status, err := search(sp, p.Objective, p.MaxRounds, probe, onRound)
+	if err != nil {
 		return nil, err
 	}
-	if err := search(sp, obj, p.MaxRounds, roundFn); err != nil {
-		return nil, err
-	}
-
-	all := make([]Scored, 0, len(order))
-	for _, key := range order {
-		all = append(all, scored[key])
-	}
-	frontier := Frontier(all)
-	rec, feasible := obj.Recommend(frontier)
+	frontier := Frontier(scored)
+	rec, feasible := p.Objective.Recommend(frontier)
 	res := &Result{
-		Status:       snapshotStatus(status),
-		ProbesDigest: probesDigest(sp, all),
+		Status:       status,
+		ProbesDigest: probesDigest(sp, scored),
 		Feasible:     feasible,
 	}
 	for _, s := range frontier {
@@ -312,12 +259,6 @@ func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*R
 		res.Recommended = &pt
 	}
 	return res, nil
-}
-
-func snapshotStatus(s Status) Status {
-	out := s
-	out.Rounds = append([]api.ExploreRound{}, s.Rounds...)
-	return out
 }
 
 // configRef wires a candidate to its content-addressed cell: the base
@@ -359,8 +300,13 @@ func probesDigest(sp *Space, all []Scored) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// Resource assembles the wire resource for a plan in a given state.
+// Resource assembles the wire resource for a plan in a given state. A
+// finished result carries its own final status, which stands in for
+// status.
 func (p *Plan) Resource(id string, state api.ExplorationState, status Status, res *Result, errMsg string) api.Exploration {
+	if res != nil {
+		status = res.Status
+	}
 	labels := make([]string, len(p.Workloads))
 	for i, w := range p.Workloads {
 		labels[i] = w.Label()
@@ -382,9 +328,6 @@ func (p *Plan) Resource(id string, state api.ExplorationState, status Status, re
 		ex.Rounds = []api.ExploreRound{}
 	}
 	if res != nil {
-		ex.Probes = res.Probes
-		ex.Rounds = res.Rounds
-		ex.Tiers = res.Tiers
 		ex.ProbesDigest = res.ProbesDigest
 		ex.Feasible = res.Feasible
 		ex.Frontier = res.Frontier

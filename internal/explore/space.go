@@ -41,8 +41,6 @@ type Space struct {
 	BaseCfg config.Config
 	// Knobs holds the axes in a fixed, deterministic order.
 	Knobs []Axis
-
-	valid map[string]bool // candidate-key → Validate verdict, memoized
 }
 
 // Candidate is one lattice point: a ladder level per axis, parallel to
@@ -103,7 +101,7 @@ var defaultLadders = []defaultLadder{
 // Axes are sorted by path, so the lattice — and everything derived from
 // it — is independent of request spelling order.
 func NewSpace(baseName string, baseCfg config.Config, knobs []AxisSpec) (*Space, error) {
-	sp := &Space{BaseName: baseName, BaseCfg: baseCfg, valid: map[string]bool{}}
+	sp := &Space{BaseName: baseName, BaseCfg: baseCfg}
 	if len(knobs) == 0 {
 		for _, dl := range defaultLadders {
 			ax, err := defaultAxis(baseCfg, dl)
@@ -321,14 +319,8 @@ func (sp *Space) Config(c Candidate) (config.Config, error) {
 // passes Validate — cross-field constraints (bank divisibility, bus
 // width alignment, ...) prune lattice points the per-knob bounds admit.
 func (sp *Space) Valid(c Candidate) bool {
-	key := c.Key()
-	if v, ok := sp.valid[key]; ok {
-		return v
-	}
 	cfg, err := sp.Config(c)
-	ok := err == nil && cfg.Validate() == nil
-	sp.valid[key] = ok
-	return ok
+	return err == nil && cfg.Validate() == nil
 }
 
 // GridSize returns the exhaustive lattice size the explorer avoids

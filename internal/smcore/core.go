@@ -183,8 +183,6 @@ type Core struct {
 	heavyBusyUntil int64
 	injectToggle   bool // alternate data/instruction miss injection
 
-	addrBuf []uint64
-
 	// regMasks[i] is the scoreboard mask of body instruction i,
 	// precomputed so the scheduler scan does no per-cycle bit assembly.
 	regMasks  []uint64
