@@ -37,8 +37,10 @@
 // single daemon or a coordinator — the API is identical (cluster
 // requires a coordinator). `submit -wait -metrics` prints the completed
 // job's metrics as indented JSON, byte-identical to `gpusim -json` for
-// the same cell. Waits ride server-side long-polling when the daemon
-// supports it; -poll only matters against older daemons.
+// the same cell. Waits ride server-side long-polling; against a server
+// that does not long-poll they fall back to a jittered ~200 ms poll.
+// explore and explore-status take -poll as their progress-refresh
+// interval.
 package main
 
 import (
@@ -160,10 +162,10 @@ func printJob(j *client.Job) {
 }
 
 // finishJob handles the tail of submit/wait: optionally block, then print.
-func finishJob(ctx context.Context, c *client.Client, j *client.Job, wait bool, poll time.Duration, metricsOnly, asJSON bool) {
+func finishJob(ctx context.Context, c *client.Client, j *client.Job, wait bool, metricsOnly, asJSON bool) {
 	var err error
 	if wait && !j.State.Terminal() {
-		j, err = c.Wait(ctx, j.ID, poll)
+		j, err = c.Wait(ctx, j.ID, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -193,7 +195,6 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) {
 	bench := fs.String("bench", "", "benchmark name (see `gpusimctl benchmarks`)")
 	specJSON := fs.String("spec", "", "path to an inline workload spec JSON (\"-\" for stdin)")
 	wait := fs.Bool("wait", false, "block until the job reaches a terminal state")
-	poll := fs.Duration("poll", 200*time.Millisecond, "poll interval for -wait")
 	metricsOnly := fs.Bool("metrics", false, "with -wait: print only the metrics JSON (matches `gpusim -json`)")
 	asJSON := fs.Bool("json", false, "print the job as JSON")
 	profile := fs.Bool("profile", false, "attach the hierarchy bottleneck profiler (read it back with `gpusimctl profile`)")
@@ -214,7 +215,7 @@ func cmdSubmit(ctx context.Context, c *client.Client, args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	finishJob(ctx, c, j, *wait, *poll, *metricsOnly, *asJSON)
+	finishJob(ctx, c, j, *wait, *metricsOnly, *asJSON)
 }
 
 // fillConfig assembles the configuration half of a JobSpec from
@@ -266,7 +267,6 @@ func cmdConfigs(ctx context.Context, c *client.Client, args []string) {
 
 func cmdGet(ctx context.Context, c *client.Client, args []string, wait bool) {
 	fs := flag.NewFlagSet("get", flag.ExitOnError)
-	poll := fs.Duration("poll", 200*time.Millisecond, "poll interval (wait)")
 	metricsOnly := fs.Bool("metrics", false, "print only the metrics JSON")
 	asJSON := fs.Bool("json", false, "print the job as JSON")
 	fs.Parse(args)
@@ -277,7 +277,7 @@ func cmdGet(ctx context.Context, c *client.Client, args []string, wait bool) {
 	if err != nil {
 		fatal(err)
 	}
-	finishJob(ctx, c, j, wait, *poll, *metricsOnly, *asJSON)
+	finishJob(ctx, c, j, wait, *metricsOnly, *asJSON)
 }
 
 // sparkRunes render a [0,1] utilization as one terminal cell.
@@ -450,7 +450,6 @@ func cmdSweep(ctx context.Context, c *client.Client, args []string) {
 	var specs cliutil.StringList
 	fs.Var(&specs, "spec", "path to an inline workload spec JSON (repeatable)")
 	wait := fs.Bool("wait", false, "block until every job reaches a terminal state")
-	poll := fs.Duration("poll", 500*time.Millisecond, "poll interval for -wait")
 	fs.Parse(args)
 	if *configs == "" && len(cfgFiles) == 0 {
 		fatal(fmt.Errorf("sweep: one of -configs or -config-file is required"))
@@ -509,7 +508,7 @@ func cmdSweep(ctx context.Context, c *client.Client, args []string) {
 		// One wait on the sweep resource replaces per-job polling: the
 		// daemon (or coordinator) long-polls the aggregate and returns
 		// the merged speedup table with the final state.
-		sw, err := c.WaitSweep(ctx, resp.ID, *poll)
+		sw, err := c.WaitSweep(ctx, resp.ID, 0)
 		if err != nil {
 			fatal(err)
 		}
@@ -570,7 +569,6 @@ func printSpeedups(sw *client.Sweep) {
 func cmdSweepStatus(ctx context.Context, c *client.Client, args []string) {
 	fs := flag.NewFlagSet("sweep-status", flag.ExitOnError)
 	wait := fs.Bool("wait", false, "block until the sweep reaches a terminal state")
-	poll := fs.Duration("poll", 500*time.Millisecond, "fallback poll interval for -wait against older daemons")
 	asJSON := fs.Bool("json", false, "print the sweep resource as JSON")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -579,7 +577,7 @@ func cmdSweepStatus(ctx context.Context, c *client.Client, args []string) {
 	var sw *client.Sweep
 	var err error
 	if *wait {
-		sw, err = c.WaitSweep(ctx, fs.Arg(0), *poll)
+		sw, err = c.WaitSweep(ctx, fs.Arg(0), 0)
 	} else {
 		sw, err = c.GetSweep(ctx, fs.Arg(0))
 	}

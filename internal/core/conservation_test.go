@@ -1,0 +1,102 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"gpumembw/internal/config"
+	"gpumembw/internal/mem"
+)
+
+// drainLimit bounds how many core cycles drainMemory ticks the memory side
+// before it calls the hierarchy stuck: far beyond the few hundred cycles
+// in which trailing stores and write-backs have been measured to retire.
+const drainLimit = 1_000_000
+
+// drainMemory ticks the memory side of a finished run on, one core cycle
+// at a time in runTick's order — the 700 MHz domain (tickIcntDomain), then
+// the DRAM channels — until it is quiet: both crossbars empty and every
+// partition Idle. A run ends when the last core drains, while its trailing
+// stores and the write-backs they cause are still in flight; this is where
+// they retire. It fails the test if the hierarchy does not go quiet.
+func drainMemory(t *testing.T, name string, g *GPU) {
+	t.Helper()
+	if g.cfg.Mode != config.ModeNormal {
+		return
+	}
+	icntRatio := g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
+	dramRatio := g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz
+	for n := int64(0); ; n++ {
+		quiet := g.req.InFlight() == 0 && g.reply.InFlight() == 0
+		for _, p := range g.parts {
+			quiet = quiet && p.Idle()
+		}
+		if quiet {
+			return
+		}
+		if n == drainLimit {
+			t.Fatalf("%s: the memory side is not quiet %d cycles after the run: %d request and %d reply packets in flight",
+				name, n, g.req.InFlight(), g.reply.InFlight())
+		}
+		for g.icntAcc += icntRatio; g.icntAcc >= 1; g.icntAcc-- {
+			g.tickIcntDomain()
+		}
+		for g.dramAcc += dramRatio; g.dramAcc >= 1; g.dramAcc-- {
+			for _, p := range g.parts {
+				p.DRAM.Tick()
+			}
+		}
+	}
+}
+
+// requireConserved drains a completed run's memory side (drainMemory) and
+// then holds the hierarchy to its conservation laws: every fetch the pool
+// handed out came back exactly once, every L1 and L2 queue and MSHR table
+// is empty, and each crossbar moved exactly the packets and flits of the
+// requests the L2 banks accepted and the replies they sent.
+func requireConserved(t *testing.T, name string, g *GPU) {
+	t.Helper()
+	drainMemory(t, name, g)
+	if a, f := g.pool.Allocated(), g.pool.FreeLen(); a != f {
+		t.Errorf("%s: the fetch pool allocated %d fetches and holds %d back", name, a, f)
+	}
+	var stores int64
+	for _, c := range g.cores {
+		stores += c.Stats.StoresSent
+		quiet := fmt.Sprintf("core %d: memQ=0 missQ=0 iMissQ=0 mshr=0 resp=0", c.ID)
+		if !c.Done() || c.OutstandingWork() != quiet {
+			t.Errorf("%s: drained=%v, %s", name, c.Done(), c.OutstandingWork())
+		}
+	}
+	if g.cfg.Mode != config.ModeNormal {
+		return
+	}
+	var reads, writes int64
+	for _, b := range g.banks {
+		if l, _ := b.MissQueueOcc(); l != 0 || b.MSHROcc() != 0 {
+			t.Errorf("%s: L2 bank %d holds %d misses queued and %d MSHR entries", name, b.ID, l, b.MSHROcc())
+		}
+		reads += b.Stats.Accesses - b.Stats.Writes
+		writes += b.Stats.Writes
+	}
+	if writes != stores {
+		t.Errorf("%s: the cores sent %d stores and the L2 banks took %d", name, stores, writes)
+	}
+	flits := func(bytes, flitBytes int) int64 { return int64(mem.Flits(bytes, flitBytes)) }
+	reqFlits := reads*flits(mem.ControlBytes, g.cfg.Icnt.ReqFlitBytes) +
+		writes*flits(mem.ControlBytes+g.cfg.L1.LineBytes, g.cfg.Icnt.ReqFlitBytes)
+	replyFlits := reads * flits(mem.ControlBytes+g.cfg.L2.LineBytes, g.cfg.Icnt.ReplyFlitBytes)
+	for _, x := range []struct {
+		net            string
+		packets, flits int64
+		got            [3]int64
+	}{
+		{"request", reads + writes, reqFlits, [3]int64{g.req.Stats.PacketsInjected, g.req.Stats.PacketsDelivered, g.req.Stats.FlitsTransferred}},
+		{"reply", reads, replyFlits, [3]int64{g.reply.Stats.PacketsInjected, g.reply.Stats.PacketsDelivered, g.reply.Stats.FlitsTransferred}},
+	} {
+		if want := [3]int64{x.packets, x.packets, x.flits}; x.got != want {
+			t.Errorf("%s: %s crossbar injected/delivered %d/%d packets and moved %d flits; the L2 accounts for %d packets and %d flits",
+				name, x.net, x.got[0], x.got[1], x.got[2], x.packets, x.flits)
+		}
+	}
+}

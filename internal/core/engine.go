@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"gpumembw/internal/config"
-	"gpumembw/internal/icnt"
 	"gpumembw/internal/l2"
 	"gpumembw/internal/sched"
 )
@@ -109,25 +108,25 @@ func livelockWindow(cfg *config.Config) int64 {
 
 // domain is the wake array of one memory-side clock domain. Each unit of
 // the domain answers NextWake in ticks of that clock; the engine runs a
-// unit only on the domain ticks its entry names and replays the ticks in
-// between lazily (SkipTicks), right before the unit next runs or is
-// mutated from outside.
+// unit only on the domain ticks its entry names, and each unit replays
+// the ticks in between itself, from its own clock (SkipTo), right before
+// it next runs or is mutated from outside.
 //
 // That is the Touch rule, stated once: whoever mutates a unit from outside
-// — a hand-off, an injecting core, a consuming sink — first catches the
-// unit up to where its domain stands (catch*: the frozen span it replays
-// must end before the mutation), then mutates it, then asks it again
-// (set(u, unit.NextWake())). A blocked hand-off needs no rule of its own:
-// the unit holding the blocked head answers "next tick" until it moves.
+// — a hand-off, an injecting core, a consuming sink — first calls
+// unit.SkipTo with the last tick before the mutation (the unit replays the
+// frozen span from its own clock, and does nothing at or behind it), then
+// mutates it, then asks it again (set(u, unit.NextWake())). A blocked
+// hand-off needs no rule of its own: the unit holding the blocked head
+// answers "next tick" until it moves.
 type domain struct {
 	tick int64   // domain ticks elapsed
 	min  int64   // a lower bound on wake's entries, exact after each domain tick
 	wake []int64 // per unit: the domain tick at which it must next run
-	at   []int64 // per unit: the domain tick its own clock stands at
 }
 
 func newDomain(units int) domain {
-	d := domain{min: sched.Never, wake: make([]int64, units), at: make([]int64, units)}
+	d := domain{min: sched.Never, wake: make([]int64, units)}
 	for i := range d.wake {
 		d.wake[i] = sched.Never
 	}
@@ -153,27 +152,6 @@ const (
 // (GPU.bankUnit maps a global bank ID to its index).
 func (g *GPU) uFill(pi int) int { return uPart0 + pi*g.partUnits }
 
-func (g *GPU) catchNet(n *icnt.Network, u int, to int64) {
-	if k := to - g.icnt.at[u]; k > 0 {
-		n.SkipTicks(k)
-		g.icnt.at[u] = to
-	}
-}
-
-func (g *GPU) catchBank(b *l2.Bank, u int, to int64) {
-	if k := to - g.icnt.at[u]; k > 0 {
-		b.SkipTicks(k)
-		g.icnt.at[u] = to
-	}
-}
-
-func (g *GPU) catchChannel(pi int, to int64) {
-	if k := to - g.dram.at[pi]; k > 0 {
-		g.parts[pi].DRAM.SkipTicks(k)
-		g.dram.at[pi] = to
-	}
-}
-
 // tickIcntDue runs the 700 MHz domain tick g.icnt.tick for the units due on
 // it, in tickIcntDomain's order: request crossbar, reply crossbar, request
 // ejections in ascending bank order, then per partition the DRAM fill, the
@@ -184,15 +162,16 @@ func (g *GPU) tickIcntDue() {
 	t := d.tick
 	reqDue := d.wake[uReq] <= t
 	if reqDue {
-		g.catchNet(g.req, uReq, t-1)
+		g.req.SkipTo(t - 1)
 		g.req.Tick()
-		d.at[uReq] = t
 		g.stats.Xbar.TicksRun++
 	}
-	if d.wake[uReply] <= t {
-		g.catchNet(g.reply, uReply, t-1)
+	// The reply crossbar names its next wake again if it ran or a bank
+	// injected into it on this tick.
+	replyTouched := d.wake[uReply] <= t
+	if replyTouched {
+		g.reply.SkipTo(t - 1)
 		g.reply.Tick()
-		d.at[uReply] = t
 		g.stats.Xbar.TicksRun++
 	}
 	if reqDue {
@@ -204,12 +183,11 @@ func (g *GPU) tickIcntDue() {
 				word &= word - 1
 				bank := g.banks[dst]
 				if pkt, ok := g.req.Peek(dst); ok && bank.CanAccept() {
-					u := g.bankUnit[dst]
-					g.catchBank(bank, u, t-1)
+					bank.SkipTo(t - 1)
 					g.req.Pop(dst)
 					bank.Accept(pkt.Fetch)
 					g.req.Release(pkt)
-					d.wake[u] = bank.NextWake()
+					d.wake[g.bankUnit[dst]] = bank.NextWake()
 				}
 			}
 		}
@@ -223,9 +201,8 @@ func (g *GPU) tickIcntDue() {
 		for u := u0 + 1; u < u0+g.partUnits; u++ {
 			if d.wake[u] <= t {
 				b := p.Banks[u-u0-1]
-				g.catchBank(b, u, t-1)
+				b.SkipTo(t - 1)
 				b.Tick()
-				d.at[u] = t
 				g.stats.L2.TicksRun++
 				ticked = true
 				// The bank's reply injection, which tickIcntDomain runs after
@@ -234,9 +211,10 @@ func (g *GPU) tickIcntDue() {
 				// sibling's tick and no miss drain reads, and one pass over
 				// the banks is measurably cheaper than two.
 				if f, ok := b.PeekResponse(); ok && g.reply.CanInject(b.ID, f.ReplyBytes()) {
-					g.catchNet(g.reply, uReply, t)
+					g.reply.SkipTo(t)
 					g.reply.Inject(f, b.ID, f.CoreID, f.ReplyBytes())
 					b.PopResponse()
+					replyTouched = true
 				}
 				d.wake[u] = b.NextWake()
 			}
@@ -247,16 +225,16 @@ func (g *GPU) tickIcntDue() {
 			continue
 		}
 		if b := p.NextMiss(); b != nil {
-			g.catchChannel(pi, g.dram.tick)
+			p.DRAM.SkipTo(g.dram.tick)
 			p.ForwardMiss(b)
 			g.dram.set(pi, p.DRAM.NextWake())
 			d.wake[g.bankUnit[b.ID]] = b.NextWake()
 		}
 	}
-	if d.at[uReq] == t {
+	if reqDue {
 		d.wake[uReq] = g.req.NextWake()
 	}
-	if d.at[uReply] == t {
+	if replyTouched {
 		d.wake[uReply] = g.reply.NextWake()
 	}
 	d.min = slices.Min(d.wake)
@@ -269,8 +247,8 @@ func (g *GPU) deliverFill(pi int, p *l2.Partition) {
 	d := &g.icnt
 	if f, ok := p.DRAM.PeekResponse(); ok {
 		u := g.bankUnit[f.BankID]
-		g.catchBank(g.banks[f.BankID], u, d.tick-1)
-		g.catchChannel(pi, g.dram.tick)
+		g.banks[f.BankID].SkipTo(d.tick - 1)
+		p.DRAM.SkipTo(g.dram.tick)
 		if bank := p.DeliverFill(); bank != nil {
 			g.dram.set(pi, p.DRAM.NextWake())
 			d.wake[u] = bank.NextWake()
@@ -292,9 +270,8 @@ func (g *GPU) tickDRAMDue() {
 		if d.wake[pi] > t {
 			continue
 		}
-		g.catchChannel(pi, t-1)
+		p.DRAM.SkipTo(t - 1)
 		p.DRAM.Tick()
-		d.at[pi] = t
 		g.stats.DRAM.TicksRun++
 		d.wake[pi] = p.DRAM.NextWake()
 		if u := g.uFill(pi); g.icnt.wake[u] == sched.Never {
@@ -304,22 +281,6 @@ func (g *GPU) tickDRAMDue() {
 		}
 	}
 	d.min = slices.Min(d.wake)
-}
-
-// catchUpAll replays every memory-side unit's deferred frozen ticks, so
-// each clock and statistic stands where its domain does.
-func (g *GPU) catchUpAll() {
-	if g.req == nil {
-		return
-	}
-	g.catchNet(g.req, uReq, g.icnt.tick)
-	g.catchNet(g.reply, uReply, g.icnt.tick)
-	for id, b := range g.banks {
-		g.catchBank(b, g.bankUnit[id], g.icnt.tick)
-	}
-	for pi := range g.parts {
-		g.catchChannel(pi, g.dram.tick)
-	}
 }
 
 // runEvent is the event engine. Each core registers its next-wake cycle in
@@ -332,7 +293,7 @@ func (g *GPU) catchUpAll() {
 // produce, the profiler's RecordN bulk path records the (frozen) gauge
 // vector once per skipped cycle, each core's SkipTo replays its per-cycle
 // stall attribution and fetch round-robin rotation, and each unit's
-// SkipTicks replays its frozen per-tick statistics the next time it runs.
+// SkipTo replays its frozen per-tick statistics the next time it runs.
 // Every statistic is byte-identical to the tick engine's.
 func (g *GPU) runEvent() (Metrics, error) {
 	normal := g.cfg.Mode == config.ModeNormal
@@ -343,8 +304,6 @@ func (g *GPU) runEvent() (Metrics, error) {
 	}
 
 	var lastProgress int64 // last cycle the instruction count moved
-	var lastIssued int64
-	var issued int64 // running Stats.Issued total over all cores
 
 	alive := len(g.cores)
 	wheel := sched.NewWheel(0, len(g.cores))
@@ -352,21 +311,24 @@ func (g *GPU) runEvent() (Metrics, error) {
 		wheel.Schedule(int32(i), 1)
 	}
 	due := make([]int32, 0, len(g.cores))
-	// coreNow mirrors each core's clock in one compact array, sparing the
-	// catch-up check a pointer chase into every core struct per cycle.
-	coreNow := make([]int64, len(g.cores))
-	for i, c := range g.cores {
-		coreNow[i] = c.Now()
-	}
 	var replyOcc []uint64 // reply-network ejection occupancy (nil outside ModeNormal)
 	if normal {
 		replyOcc = g.reply.OccupiedDsts()
 	}
 
 	finish := func() {
-		// Catch lazily parked units up to the final cycle before any
-		// metric is read.
-		g.catchUpAll()
+		// Catch every lazily parked unit up to where its clock domain
+		// stands before any metric is read.
+		if normal {
+			g.req.SkipTo(g.icnt.tick)
+			g.reply.SkipTo(g.icnt.tick)
+			for _, b := range g.banks {
+				b.SkipTo(g.icnt.tick)
+			}
+			for _, p := range g.parts {
+				p.DRAM.SkipTo(g.dram.tick)
+			}
+		}
 		for _, c := range g.cores {
 			c.SkipTo(g.cycle)
 		}
@@ -471,11 +433,9 @@ func (g *GPU) runEvent() (Metrics, error) {
 			c := g.cores[id]
 			// Lazy catch-up: replay the cycles the core sat parked, then
 			// tick it exactly where the tick loop would have.
-			if coreNow[id] < g.cycle-1 {
-				c.SkipTo(g.cycle - 1)
-			}
+			c.SkipTo(g.cycle - 1)
 			if replies && replyOcc[id>>6]&(1<<uint(id&63)) != 0 && c.CanAcceptResponse() {
-				g.catchNet(g.reply, uReply, g.icnt.tick)
+				g.reply.SkipTo(g.icnt.tick)
 				if pkt, ok := g.reply.Pop(c.ID); ok {
 					g.icnt.set(uReply, g.reply.NextWake())
 					c.AcceptResponse(pkt.Fetch)
@@ -485,8 +445,9 @@ func (g *GPU) runEvent() (Metrics, error) {
 			before := c.Stats.Issued
 			c.Tick()
 			g.stats.Core.TicksRun++
-			coreNow[id] = g.cycle
-			issued += c.Stats.Issued - before
+			if c.Stats.Issued != before {
+				lastProgress = g.cycle
+			}
 			if c.Done() {
 				alive--
 				continue
@@ -504,10 +465,6 @@ func (g *GPU) runEvent() (Metrics, error) {
 			g.prof.Record(g.sampleGauges())
 		}
 
-		if issued != lastIssued {
-			lastIssued = issued
-			lastProgress = g.cycle
-		}
 		if alive == 0 {
 			break
 		}

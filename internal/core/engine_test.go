@@ -18,7 +18,9 @@ import (
 )
 
 // runEngine runs one cell on the given engine, returning the metrics, the
-// run error, and the number of cycles the engine jumped over in bulk.
+// run error, and the number of cycles the engine jumped over in bulk. A
+// run that completes is then held to the hierarchy's conservation laws
+// (requireConserved), so every parity cell is a conservation cell too.
 func runEngine(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine) (Metrics, error, int64) {
 	t.Helper()
 	g, err := New(cfg, wl, WithEngine(e))
@@ -26,11 +28,16 @@ func runEngine(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine) (
 		t.Fatal(err)
 	}
 	m, err := g.Run()
-	return m, err, g.EngineStats().SkippedCycles
+	skipped := g.EngineStats().SkippedCycles
+	if err == nil && !m.Truncated {
+		requireConserved(t, wl.Name+"@"+cfg.Name, g)
+	}
+	return m, err, skipped
 }
 
 // runProfiled runs one cell with the profiler attached and returns the
-// profile's JSON beside the metrics.
+// profile's JSON beside the metrics; a run that completes is held to the
+// conservation laws as in runEngine.
 func runProfiled(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine) ([]byte, Metrics, error) {
 	t.Helper()
 	g, err := New(cfg, wl, WithEngine(e))
@@ -42,6 +49,9 @@ func runProfiled(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine)
 	js, err := json.Marshal(p.Snapshot())
 	if err != nil {
 		t.Fatal(err)
+	}
+	if runErr == nil && !m.Truncated {
+		requireConserved(t, wl.Name+"@"+cfg.Name, g)
 	}
 	return js, m, runErr
 }

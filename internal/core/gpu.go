@@ -19,7 +19,6 @@ import (
 
 	"gpumembw/internal/cache"
 	"gpumembw/internal/config"
-	"gpumembw/internal/dram"
 	"gpumembw/internal/icnt"
 	"gpumembw/internal/l2"
 	"gpumembw/internal/mem"
@@ -44,7 +43,6 @@ type GPU struct {
 	reply *icnt.Network
 	parts []*l2.Partition
 	banks []*l2.Bank // flat view indexed by global bank ID (request-network dst)
-	amap  dram.AddrMap
 	pool  *mem.FetchPool
 
 	idealL2 *cache.TagArray // functional L2 for ModeInfiniteBW
@@ -89,7 +87,7 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 	if wl.Addr == nil {
 		return nil, fmt.Errorf("core: workload %q has no address generator", wl.Name)
 	}
-	g := &GPU{cfg: cfg, wl: wl, amap: dram.NewAddrMap(&cfg), pool: &mem.FetchPool{}, engine: EngineEvent}
+	g := &GPU{cfg: cfg, wl: wl, pool: &mem.FetchPool{}, engine: EngineEvent}
 	g.icnt.min, g.dram.min = sched.Never, sched.Never // no memory-side units outside ModeNormal
 	for _, opt := range opts {
 		opt(g)
@@ -141,7 +139,7 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 		g.dram = newDomain(cfg.DRAM.NumPartitions)
 		for _, c := range g.cores {
 			c.SetInject(func(f *mem.Fetch) bool {
-				g.catchNet(g.req, uReq, g.icnt.tick)
+				g.req.SkipTo(g.icnt.tick)
 				if !g.req.Inject(f, f.CoreID, f.BankID, f.RequestBytes()) {
 					return false
 				}
@@ -203,7 +201,6 @@ func (g *GPU) runTick() (Metrics, error) {
 	normal := g.cfg.Mode == config.ModeNormal
 
 	var lastProgress int64 // last cycle the instruction count moved
-	var lastIssued int64
 	var icntTicks, dramTicks int64
 	// Every unit ran every tick of its clock.
 	defer func() { g.stats.setElapsed(g, icntTicks, dramTicks, true) }()
@@ -229,7 +226,6 @@ func (g *GPU) runTick() (Metrics, error) {
 		}
 
 		done := true
-		var issued int64
 		for _, c := range g.cores {
 			if normal && c.CanAcceptResponse() {
 				if pkt, ok := g.reply.Pop(c.ID); ok {
@@ -237,21 +233,20 @@ func (g *GPU) runTick() (Metrics, error) {
 					g.reply.Release(pkt)
 				}
 			}
+			before := c.Stats.Issued
 			c.Tick()
+			if c.Stats.Issued != before {
+				lastProgress = g.cycle
+			}
 			if !c.Done() {
 				done = false
 			}
-			issued += c.Stats.Issued
 		}
 
 		if g.prof != nil {
 			g.prof.Record(g.sampleGauges())
 		}
 
-		if issued != lastIssued {
-			lastIssued = issued
-			lastProgress = g.cycle
-		}
 		if done {
 			break
 		}

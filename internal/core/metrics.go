@@ -36,6 +36,8 @@ import (
 const SimVersion = "ispass17-sim-6"
 
 // Metrics aggregates every quantity the paper reports for one simulation.
+// A run, and so Cycles, ends when the last core drains, before its trailing
+// stores and the L2 write-backs they cause retire: they hold no core up.
 type Metrics struct {
 	Benchmark string
 	Config    string

@@ -242,14 +242,17 @@ func (c *Channel) NextWake() int64 {
 	return max(wake, c.now+1)
 }
 
-// SkipTicks replays n frozen Ticks in closed form — the clock, the
-// pending and bus-busy cycle counts and both occupancy histograms advance
-// exactly as n Ticks that retire no burst and scan nothing would leave
-// them. Valid while the channel is frozen: across any span that ends
-// before NextWake().
-func (c *Channel) SkipTicks(n int64) {
-	now := c.now
-	c.now += n
+// SkipTo replays the frozen Ticks up to tick in closed form — the clock,
+// the pending and bus-busy cycle counts and both occupancy histograms
+// advance exactly as Ticks that retire no burst and scan nothing would
+// leave them. At or behind the clock it does nothing. Valid while the
+// channel is frozen: across any span that ends before NextWake().
+func (c *Channel) SkipTo(tick int64) {
+	now, n := c.now, tick-c.now
+	if n <= 0 {
+		return
+	}
+	c.now = tick
 	if c.infinite || c.Idle() {
 		return
 	}

@@ -11,7 +11,7 @@ import (
 // TestFrozenReplayIsExact drives two identical channels with one seeded
 // random stream of pushes and response pops. Whenever NextWake names a
 // tick beyond the next one, the first channel replays the frozen span in
-// closed form (SkipTicks, then the wake's Tick) and the second ticks
+// closed form (SkipTo, then the wake's Tick) and the second ticks
 // through it; they must stay identical in every field — statistics,
 // occupancy histograms, clock, bank timing and scan memo. The FR-FCFS
 // channel runs with a two-entry return queue that is left undrained for
@@ -69,7 +69,10 @@ func TestFrozenReplayIsExact(t *testing.T) {
 						retFullSkips++
 					}
 				}
-				a.SkipTicks(span - 1)
+				// A SkipTo at or behind the clock changes nothing: the twins
+				// must still agree after it.
+				a.SkipTo(a.now - int64(step%2))
+				a.SkipTo(a.now + span - 1)
 				a.Tick()
 				for i := int64(0); i < span; i++ {
 					b.Tick()

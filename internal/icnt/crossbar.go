@@ -261,12 +261,15 @@ func (n *Network) NextWake() int64 {
 	return max(wake, n.now+1)
 }
 
-// SkipTicks replays that many frozen Ticks in closed form: the clock and
-// the cycle counter advance, nothing else can. Valid while the network is
-// frozen — across any span that ends before NextWake().
-func (n *Network) SkipTicks(ticks int64) {
-	n.now += ticks
-	n.Stats.Cycles += ticks
+// SkipTo replays the frozen Ticks up to tick in closed form: the clock and
+// the cycle counter advance, nothing else can. At or behind the clock it
+// does nothing. Valid while the network is frozen — across any span that
+// ends before NextWake().
+func (n *Network) SkipTo(tick int64) {
+	if k := tick - n.now; k > 0 {
+		n.now = tick
+		n.Stats.Cycles += k
+	}
 }
 
 func (n *Network) tickOutput(d int) {

@@ -12,7 +12,7 @@ import (
 // TestFrozenReplayIsExact drives two identical crossbars with one seeded
 // random stream of injections and pops. Whenever NextWake names a tick
 // beyond the next one, the first network replays the frozen span in closed
-// form (SkipTicks, then the wake's Tick) and the second ticks through it;
+// form (SkipTo, then the wake's Tick) and the second ticks through it;
 // they must stay identical in every field — statistics, clock, FIFOs,
 // arbitration state. A destination that is never drained for long
 // stretches fills its ejection FIFO, so some frozen spans hold a full one.
@@ -76,7 +76,10 @@ func TestFrozenReplayIsExact(t *testing.T) {
 					}
 				}
 			}
-			a.SkipTicks(span - 1)
+			// A SkipTo at or behind the clock changes nothing: the twins
+			// must still agree after it.
+			a.SkipTo(a.now - int64(step%2))
+			a.SkipTo(a.now + span - 1)
 			a.Tick()
 			for i := int64(0); i < span; i++ {
 				b.Tick()

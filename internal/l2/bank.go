@@ -315,13 +315,18 @@ func (b *Bank) NextWake() int64 {
 	return max(wake, next)
 }
 
-// SkipTicks replays n frozen Ticks in closed form: the clock advances
-// and, if a parked head waits, so do its stall cause and the access-queue
-// occupancy histogram — exactly what n Ticks replaying the park memo would
-// record. Valid while the bank is frozen: across any span that ends
-// before NextWake().
-func (b *Bank) SkipTicks(n int64) {
-	b.now += n
+// SkipTo replays the frozen Ticks up to tick in closed form: the clock
+// advances and, if a parked head waits, so do its stall cause and the
+// access-queue occupancy histogram — exactly what those Ticks replaying
+// the park memo would record. At or behind the clock it does nothing.
+// Valid while the bank is frozen: across any span that ends before
+// NextWake().
+func (b *Bank) SkipTo(tick int64) {
+	n := tick - b.now
+	if n <= 0 {
+		return
+	}
+	b.now = tick
 	if occ := b.accessQ.Len(); occ > 0 {
 		b.Stats.AccessOccupancy.ObserveN(occ, b.accessQ.Cap(), n)
 		b.Stats.StallCycles[b.parkedCause] += n

@@ -12,7 +12,8 @@ package mem
 // A nil *FetchPool is valid and simply allocates: components take the pool
 // as optional wiring so unit tests and examples can ignore it.
 type FetchPool struct {
-	free []*Fetch
+	free   []*Fetch
+	allocs int // fetches Get allocated because the free list was empty
 }
 
 // Get returns a zeroed Fetch, recycling a released one when available.
@@ -26,6 +27,7 @@ func (p *FetchPool) Get() *Fetch {
 		*f = Fetch{}
 		return f
 	}
+	p.allocs++
 	return &Fetch{}
 }
 
@@ -39,3 +41,11 @@ func (p *FetchPool) Put(f *Fetch) {
 	}
 	p.free = append(p.free, f)
 }
+
+// Allocated returns how many fetches the pool has allocated: Get's calls
+// that found the free list empty. Once every fetch has left the memory
+// system it equals FreeLen — fewer means a leak, more a double Put.
+func (p *FetchPool) Allocated() int { return p.allocs }
+
+// FreeLen returns how many released fetches the free list holds.
+func (p *FetchPool) FreeLen() int { return len(p.free) }

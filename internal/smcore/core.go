@@ -86,11 +86,20 @@ type tx struct {
 }
 
 // hazardSet is blockedMem or blockedALU: a bitset of the warps parked on a
-// data hazard, their count, and the earliest of their Core.wake cycles.
+// data hazard and the earliest of their Core.wake cycles.
 type hazardSet struct {
 	warps []uint64
-	n     int
 	wake  int64
+}
+
+// anySet reports whether the bitset ws holds a set bit.
+func anySet(ws []uint64) bool {
+	for _, w := range ws {
+		if w != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // NewFetchFn mints a routed memory fetch; the GPU provides it so the core
@@ -163,11 +172,10 @@ type Core struct {
 	// bitset over the program's code lines (the code segment is a small
 	// contiguous range, so index-based bits replace the former
 	// map[uint64]bool and its per-access hashing).
-	iPending      []uint64
-	iPendingCount int
-	codeLineBase  uint64 // line address of the first code line
-	iLineShift    uint   // log2 of the L1I line size
-	iMissQ        *mem.Queue[*mem.Fetch]
+	iPending     []uint64
+	codeLineBase uint64 // line address of the first code line
+	iLineShift   uint   // log2 of the L1I line size
+	iMissQ       *mem.Queue[*mem.Fetch]
 
 	l1    *cache.TagArray
 	mshr  *cache.MSHR[tx]
@@ -191,10 +199,9 @@ type Core struct {
 	// landAt[t&mask] == t on the cycles a register result lands, kept only to
 	// reproduce issueTick's defect; one beyond it rides the fill list as noLine.
 	landAt []int64
-	// fetchable counts warps with i-buffer space and instructions left,
-	// and fetchMask holds the same predicate as a bitset, so fetchTick
-	// jumps straight to the next eligible warp instead of scanning.
-	fetchable int
+	// fetchMask holds the warps with i-buffer space and instructions left
+	// as a bitset, so fetchTick jumps straight to the next eligible warp
+	// instead of scanning.
 	fetchMask []uint64
 	// fetchParked memoizes "every eligible warp's next code line has a
 	// fill in flight": in that state fetchTick only rotates the round-
@@ -218,8 +225,8 @@ type Core struct {
 	// head, and once the LSU has resolved its load lines the cycle it
 	// clears is known: the warp parks with that cycle (or one no later) in
 	// wake, the scan skips it outright — with 48 warps mostly waiting on
-	// loads it touches a handful — and Tick releases it then. The counts
-	// feed the stall classification for the skipped warps.
+	// loads it touches a handful — and Tick releases it then. Which sets
+	// are non-empty feeds the stall classification for the skipped warps.
 	//
 	// blockedStr and blockedHeavy park structural hazards the same way:
 	// a warp that found too little memory-pipeline space stays parked until
@@ -227,15 +234,13 @@ type Core struct {
 	// found the heavy pipe reserved stays parked until the reservation
 	// expires (checked at the top of each scan). Both conditions are frozen
 	// in between, so re-scanning those warps would fail identically.
-	hasInst       []uint64
-	aliveCount    int
-	blockedMem    hazardSet
-	blockedALU    hazardSet
-	wake          []int64
-	blockedStr    []uint64
-	blockedHeavy  []uint64
-	nBlockedStr   int
-	nBlockedHeavy int
+	hasInst      []uint64
+	aliveCount   int
+	blockedMem   hazardSet
+	blockedALU   hazardSet
+	wake         []int64
+	blockedStr   []uint64
+	blockedHeavy []uint64
 
 	// lsuParked memoizes a blocked memory-pipeline head: the head's L1
 	// lookup, MSHR probe and miss-queue check depend only on L1/MSHR/miss-
@@ -307,7 +312,6 @@ func NewCore(id int, cfg *config.Config, wl *Workload, newFetch NewFetchFn) *Cor
 	for i := range c.warps {
 		c.warps[i] = warp{id: i, total: total, addrCacheFor: -1}
 	}
-	c.fetchable = len(c.warps)
 	c.fetchMask = make([]uint64, (nWarps+63)/64)
 	for i := 0; i < nWarps; i++ {
 		c.fetchMask[i>>6] |= 1 << uint(i&63)
@@ -381,25 +385,18 @@ func (c *Core) iPendingTest(line uint64) bool {
 func (c *Core) iPendingSet(line uint64) {
 	i := c.iPendingIdx(line)
 	c.iPending[i>>6] |= 1 << (i & 63)
-	c.iPendingCount++
 	c.fetchParkedValid = false
 }
 
 func (c *Core) iPendingClear(line uint64) {
 	i := c.iPendingIdx(line)
-	if c.iPending[i>>6]&(1<<(i&63)) != 0 {
-		c.iPending[i>>6] &^= 1 << (i & 63)
-		c.iPendingCount--
-	}
+	c.iPending[i>>6] &^= 1 << (i & 63)
 	c.fetchParkedValid = false // a landed fill may unblock the fetch stage
 }
 
 // Done reports whether every warp has retired all instructions and every
 // outstanding memory operation has drained.
 func (c *Core) Done() bool { return c.done }
-
-// Now returns the core-local cycle counter (in lockstep with the GPU's).
-func (c *Core) Now() int64 { return c.now }
 
 // CanAcceptResponse reports whether the reply-ejection FIFO has room.
 func (c *Core) CanAcceptResponse() bool { return !c.respFIFO.Full() }
@@ -429,7 +426,6 @@ func (c *Core) Tick() {
 	if c.memQ.Len() != memQBefore {
 		c.issueDirty = true // LSU freed memory-pipeline slots
 		clear(c.blockedStr)
-		c.nBlockedStr = 0
 	}
 	c.issueTick()
 	c.fetchTick()
@@ -501,7 +497,6 @@ func (c *Core) parks(w *warp, pending *uint64, regs uint64, s *hazardSet) bool {
 	at := c.hazard(w, pending, regs)
 	if at != 0 {
 		s.warps[w.id>>6] |= 1 << uint(w.id&63)
-		s.n++
 		c.wake[w.id], s.wake = at, min(s.wake, at)
 	}
 	return at != 0
@@ -522,7 +517,6 @@ func (c *Core) release(s *hazardSet) {
 				}
 				if c.wake[i] = c.hazard(w, pending, c.regMasks[w.bodyIdx]); c.wake[i] == 0 {
 					s.warps[wi] &^= word & -word
-					s.n--
 					c.issueDirty = true
 					continue
 				}
@@ -693,7 +687,7 @@ func (c *Core) issueTick() {
 		// clear landing did: a tick a result lands on re-scans. The story and
 		// the fix are on TestHeavyReleaseWaitsForDirtyScan.
 		if c.heavyBusyUntil <= c.now && (c.lastStall == StallStrALU ||
-			c.nBlockedHeavy > 0 && c.landAt[c.now&int64(len(c.landAt)-1)] == c.now) {
+			anySet(c.blockedHeavy) && c.landAt[c.now&int64(len(c.landAt)-1)] == c.now) {
 			c.issueDirty = true
 		} else {
 			if c.lastStall >= 0 {
@@ -703,10 +697,9 @@ func (c *Core) issueTick() {
 		}
 	}
 	c.issueDirty = false
-	if c.nBlockedHeavy > 0 && c.heavyBusyUntil <= c.now {
+	if c.heavyBusyUntil <= c.now && anySet(c.blockedHeavy) {
 		// The heavy-pipe reservation expired: its parked warps can issue again.
 		clear(c.blockedHeavy)
-		c.nBlockedHeavy = 0
 	}
 	gWord, gBit := c.greedy>>6, uint64(1)<<uint(c.greedy&63)
 	if c.hasInst[gWord]&^(c.blockedMem.warps[gWord]|c.blockedALU.warps[gWord]|c.blockedStr[gWord]|c.blockedHeavy[gWord])&gBit != 0 &&
@@ -742,13 +735,13 @@ func (c *Core) issueTick() {
 	// with all four empty so was the ready set: every live warp awaits a
 	// fetch.
 	switch {
-	case c.nBlockedStr > 0:
+	case anySet(c.blockedStr):
 		c.lastStall = StallStrMem
-	case c.nBlockedHeavy > 0:
+	case anySet(c.blockedHeavy):
 		c.lastStall = StallStrALU
-	case c.blockedMem.n > 0:
+	case anySet(c.blockedMem.warps):
 		c.lastStall = StallDataMem
-	case c.blockedALU.n > 0:
+	case anySet(c.blockedALU.warps):
 		c.lastStall = StallDataALU
 	default:
 		c.lastStall = StallFetch
@@ -779,7 +772,6 @@ func (c *Core) tryIssue(w *warp) bool {
 			// Park until a memory-pipeline slot frees: the warp's head and
 			// address list are frozen, and memQ space only grows on a pop.
 			c.blockedStr[w.id>>6] |= 1 << uint(w.id&63)
-			c.nBlockedStr++
 			return false
 		}
 		isStore := in.Kind == OpStore
@@ -795,7 +787,6 @@ func (c *Core) tryIssue(w *warp) bool {
 			// Park until the reservation expires; the scan's entry check
 			// unparks every heavy-blocked warp once it does.
 			c.blockedHeavy[w.id>>6] |= 1 << uint(w.id&63)
-			c.nBlockedHeavy++
 			return false
 		}
 		c.heavyBusyUntil = c.now + heavyALUInterval
@@ -812,7 +803,6 @@ func (c *Core) tryIssue(w *warp) bool {
 	// Retire from the i-buffer.
 	copy(w.ibuf[:], w.ibuf[1:w.ibufLen])
 	if w.ibufLen == ibufCap && w.fetched < w.total {
-		c.fetchable++
 		c.fetchMask[w.id>>6] |= 1 << uint(w.id&63)
 		c.fetchParkedValid = false // the eligible-warp set changed
 	}
@@ -861,7 +851,7 @@ func (c *Core) nextFetchWarp(start int) int {
 // eligible-warp bitset finds the round-robin successor directly instead of
 // scanning every warp.
 func (c *Core) fetchTick() {
-	if c.fetchable == 0 {
+	if !anySet(c.fetchMask) {
 		return
 	}
 	start := c.fetchRR + 1
@@ -887,7 +877,6 @@ func (c *Core) fetchTick() {
 			w.fetchIdx = 0
 		}
 		if w.ibufLen == ibufCap || w.fetched >= w.total {
-			c.fetchable--
 			c.fetchMask[idx>>6] &^= 1 << uint(idx&63)
 		}
 		c.fetchParkedValid = false // the warp's fetch position moved
@@ -968,7 +957,7 @@ func (c *Core) checkDone() {
 	if !c.memQ.Empty() || !c.missQ.Empty() || !c.iMissQ.Empty() || !c.respFIFO.Empty() {
 		return
 	}
-	if c.mshr.Len() != 0 || c.iPendingCount != 0 {
+	if c.mshr.Len() != 0 || anySet(c.iPending) {
 		return
 	}
 	c.done = true
@@ -1006,7 +995,7 @@ func (c *Core) NextWake() int64 {
 	// or every eligible warp is blocked on an in-flight L1I fill (in
 	// which case fetchTick only rotates its round-robin pointer, a
 	// rotation SkipTo replays in bulk).
-	if c.fetchable != 0 && !c.fetchParkedNow() {
+	if !c.fetchParkedNow() {
 		return next
 	}
 	wake := min(c.pending.next, c.blockedMem.wake, c.blockedALU.wake) // math.MaxInt64 = sched.Never with none
@@ -1019,10 +1008,10 @@ func (c *Core) NextWake() int64 {
 		}
 		// The replayed str-ALU stall re-scans once the heavy pipe frees.
 		wake = min(wake, c.heavyBusyUntil)
-	} else if c.nBlockedHeavy > 0 {
+	} else if anySet(c.blockedHeavy) {
 		return next // issueTick's kept defect: any result landing may re-scan
 	}
-	if wake == sched.Never && c.mshr.Len() == 0 && c.iPendingCount == 0 {
+	if wake == sched.Never && c.mshr.Len() == 0 && !anySet(c.iPending) {
 		return next
 	}
 	// With nothing scheduled, queues drained and fetch parked, the only
@@ -1076,10 +1065,14 @@ func (c *Core) SkipTo(target int64) {
 	if c.lastStall >= 0 {
 		c.Stats.IssueStalls[c.lastStall] += n
 	}
-	if c.fetchable > 0 {
+	var eligible int64
+	for _, w := range c.fetchMask {
+		eligible += int64(bits.OnesCount64(w))
+	}
+	if eligible > 0 {
 		// Each skipped fetchTick advanced fetchRR to the next eligible
 		// warp before blocking on its pending fill; replay n steps.
-		for steps := n % int64(c.fetchable); steps > 0; steps-- {
+		for steps := n % eligible; steps > 0; steps-- {
 			start := c.fetchRR + 1
 			if start >= len(c.warps) {
 				start = 0

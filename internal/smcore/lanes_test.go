@@ -120,8 +120,8 @@ func TestSameCycleICacheFillsKeepScheduleOrder(t *testing.T) {
 	c.pending.push(c.now+int64(cfg.IdealL2HitLatency), b)
 	c.now = 10 + int64(cfg.IdealMemLatency)
 	c.applyCompletions()
-	if c.icache.Probe(a) != cache.Valid || c.icache.Probe(b) != cache.Valid || c.iPendingCount != 0 {
-		t.Fatalf("both fills must have landed: a=%v b=%v pending=%d", c.icache.Probe(a), c.icache.Probe(b), c.iPendingCount)
+	if c.icache.Probe(a) != cache.Valid || c.icache.Probe(b) != cache.Valid || anySet(c.iPending) {
+		t.Fatalf("both fills must have landed: a=%v b=%v pending=%b", c.icache.Probe(a), c.icache.Probe(b), c.iPending)
 	}
 	c.icache.Fill(victimizer)
 	if c.icache.Probe(a) == cache.Valid || c.icache.Probe(b) != cache.Valid {

@@ -2,6 +2,7 @@ package smcore
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -49,7 +50,7 @@ func TestHeavyReleaseWaitsForDirtyScan(t *testing.T) {
 	c := NewCore(0, &cfg, wl, testFetchFn())
 	// Each warp starts at its own place in the body with its i-buffer
 	// hand-loaded, and the fetch stage is off: a fetch dirties the scan.
-	c.fetchable, c.fetchMask[0] = 0, 0
+	c.fetchMask[0] = 0
 	for i, at := range []int{0, 2, 4} {
 		c.warps[i].bodyIdx, c.warps[i].issued = at, int64(at)
 		c.fillIBuf(i, wl.Program.Body[at:min(at+2, 5)]...)
@@ -64,9 +65,10 @@ func TestHeavyReleaseWaitsForDirtyScan(t *testing.T) {
 	for c.now < 4 {
 		c.Tick()
 	}
-	if c.nBlockedStr != 1 || c.nBlockedHeavy != 1 || c.lastStall != StallStrMem || c.heavyBusyUntil != 10 || c.issueDirty {
+	nStr, nHeavy := bits.OnesCount64(c.blockedStr[0]), bits.OnesCount64(c.blockedHeavy[0])
+	if nStr != 1 || nHeavy != 1 || c.lastStall != StallStrMem || c.heavyBusyUntil != 10 || c.issueDirty {
 		t.Fatalf("cycle 4: blockedStr %d, blockedHeavy %d, stall %d, heavy pipe busy until %d, dirty %v; want 1, 1, str-MEM, 10, false",
-			c.nBlockedStr, c.nBlockedHeavy, c.lastStall, c.heavyBusyUntil, c.issueDirty)
+			nStr, nHeavy, c.lastStall, c.heavyBusyUntil, c.issueDirty)
 	}
 	issuedAt := int64(0)
 	for c.now < 40 && issuedAt == 0 {
@@ -371,7 +373,7 @@ func TestScoreboardMatchesClearList(t *testing.T) {
 			if wake > nextRelease {
 				t.Fatalf("trial %d cycle %d: NextWake %d, the reference releases a parked warp at %d", trial, now, wake, nextRelease)
 			}
-			quiet := a.memQ.Empty() && a.missQ.Empty() && a.iMissQ.Empty() && a.respFIFO.Empty() && a.mshr.Len() == 0 && a.iPendingCount == 0
+			quiet := a.memQ.Empty() && a.missQ.Empty() && a.iMissQ.Empty() && a.respFIFO.Empty() && a.mshr.Len() == 0 && !anySet(a.iPending)
 			if a.aliveCount == 0 && quiet && !a.issueDirty && lastClear > 0 && wake != lastClear {
 				t.Fatalf("trial %d cycle %d: every warp has issued its last instruction and NextWake is %d, want the last clear, %d",
 					trial, now, wake, lastClear)
