@@ -108,8 +108,8 @@ const (
 
 // APIError is a non-2xx daemon response, decoded from the uniform
 // api.Error envelope. Code is the machine-readable error code
-// (CodeNotFound, CodeResourceExhausted, ...); against a pre-envelope
-// daemon it is derived from the HTTP status. RetryAfter carries the
+// (CodeNotFound, CodeResourceExhausted, ...); for a body that is not the
+// envelope (a proxy's plain text) it is derived from the HTTP status. RetryAfter carries the
 // retry hint of a 429/503 (envelope field or Retry-After header), when
 // the daemon sent one; zero otherwise.
 type APIError struct {
@@ -197,9 +197,9 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // decodeError turns a non-2xx response into an *APIError. It decodes
-// the uniform envelope {code, detail, retryAfter}; bodies from
-// pre-envelope daemons ({"error": ...}) or foreign proxies (plain text)
-// degrade to a message with a status-derived code.
+// the uniform envelope {code, detail, retryAfter}; any other body (a
+// foreign proxy's plain text) degrades to a message with a
+// status-derived code.
 func decodeError(resp *http.Response) error {
 	e := &APIError{StatusCode: resp.StatusCode}
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
@@ -209,14 +209,7 @@ func decodeError(resp *http.Response) error {
 		e.Message = apiErr.Detail
 		e.RetryAfter = time.Duration(apiErr.RetryAfter) * time.Second
 	} else {
-		var legacy struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(data, &legacy) == nil && legacy.Error != "" {
-			e.Message = legacy.Error
-		} else {
-			e.Message = strings.TrimSpace(string(data))
-		}
+		e.Message = strings.TrimSpace(string(data))
 	}
 	if e.Code == "" {
 		e.Code = api.CodeForStatus(resp.StatusCode)

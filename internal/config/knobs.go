@@ -43,7 +43,7 @@ type knob struct {
 }
 
 // knobTable is the knob table, bound to c: one row per Config leaf, in
-// declaration order. Validate, Canonical, Knobs, KnobByPath and KnobValue
+// declaration order. Validate, Canonical, Knobs, KnobOn and KnobValue
 // are loops over it, so a knob's path, range and liveness are each stated
 // here and nowhere else. It is a function returning an array rather than
 // a package-level slice of accessor closures because a pointer handed to
@@ -227,15 +227,26 @@ func findKnob(rows []knob, path string) (*knob, error) {
 	return nil, fmt.Errorf("config: unknown knob %q", path)
 }
 
-// KnobByPath returns the knob named by path (any Set spelling).
-func KnobByPath(path string) (Knob, error) {
-	base := Baseline()
-	rows := knobTable(&base)
+// KnobOn returns the knob named by path (any Set spelling) as it stands
+// on cfg — its Baseline field holds cfg's value — after checking that
+// each of values is one Set accepts for it and lies in its range, so a
+// ladder of values is held to the rules a single -set meets in Validate.
+func KnobOn(cfg Config, path string, values ...string) (Knob, error) {
+	rows := knobTable(&cfg)
 	k, err := findKnob(rows[:], path)
 	if err != nil {
 		return Knob{}, err
 	}
-	return k.describe(), nil
+	desc := k.describe()
+	for _, v := range values {
+		if err := cfg.Set(k.path + "=" + v); err != nil {
+			return Knob{}, err
+		}
+		if err := k.rangeErr(); err != nil { // k's field is cfg's
+			return Knob{}, err
+		}
+	}
+	return desc, nil
 }
 
 // KnobValue reads cfg's current value for the knob named by path (any

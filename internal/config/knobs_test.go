@@ -95,19 +95,19 @@ func TestKnobsSpotChecks(t *testing.T) {
 	}
 }
 
-// KnobByPath matches with Set's fuzzy spelling rules.
+// Looking a knob up by path (KnobOn) matches with Set's fuzzy spelling rules.
 func TestKnobByPathFuzzy(t *testing.T) {
 	for _, spelling := range []string{"l1.mshr_entries", "L1.MSHREntries", "l1.mshrentries"} {
-		k, err := KnobByPath(spelling)
+		k, err := KnobOn(Baseline(), spelling)
 		if err != nil {
-			t.Fatalf("KnobByPath(%q): %v", spelling, err)
+			t.Fatalf("KnobOn(%q): %v", spelling, err)
 		}
 		if k.Path != "l1.mshr_entries" {
-			t.Errorf("KnobByPath(%q) = %s", spelling, k.Path)
+			t.Errorf("KnobOn(%q) = %s", spelling, k.Path)
 		}
 	}
-	if _, err := KnobByPath("l1.nope"); err == nil {
-		t.Error("KnobByPath accepted unknown knob")
+	if _, err := KnobOn(Baseline(), "l1.nope"); err == nil {
+		t.Error("KnobOn accepted unknown knob")
 	}
 }
 
@@ -151,7 +151,7 @@ func TestUnmodeledKnobsRefuse(t *testing.T) {
 			t.Errorf("preset %s no longer validates: %v", name, err)
 		}
 	}
-	if k, err := KnobByPath("core.issue_width"); err != nil || k.Min != 1 || k.Max != 1 {
+	if k, err := KnobOn(Baseline(), "core.issue_width"); err != nil || k.Min != 1 || k.Max != 1 {
 		t.Errorf("GET /v1/knobs would advertise core.issue_width as %+v, want the single value 1", k)
 	}
 }

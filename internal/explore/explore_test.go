@@ -94,6 +94,10 @@ func TestCompileRejectsHostileRequests(t *testing.T) {
 		{"non-numeric knob", func(r *api.ExploreRequest) { r.Knobs[0] = api.ExploreKnob{Path: "name", Values: []string{"x"}} }},
 		{"non-integer value", func(r *api.ExploreRequest) { r.Knobs[0].Values = []string{"8.5"} }},
 		{"out of bounds", func(r *api.ExploreRequest) { r.Knobs[0].Values = []string{"99999999"} }},
+		{"negative queue rung", func(r *api.ExploreRequest) { r.Knobs[0].Values = []string{"-4", "8"} }},
+		{"zero clock rung", func(r *api.ExploreRequest) {
+			r.Knobs[0] = api.ExploreKnob{Path: "icnt.clock_mhz", Values: []string{"0", "700"}}
+		}},
 		{"duplicate knob", func(r *api.ExploreRequest) { r.Knobs = append(r.Knobs, r.Knobs[0]) }},
 		{"unknown base", func(r *api.ExploreRequest) { r.Base = "gtx9000" }},
 		{"maxRounds over cap", func(r *api.ExploreRequest) { r.MaxRounds = 1000 }},

@@ -15,15 +15,17 @@ const searchName = "halving"
 // deterministic: no randomness, no time, no map iteration — the same
 // space and objective request the identical probe sequence. The base
 // round scores the baseline alone: every speedup is measured against it.
-// The screen round scores the coarse skeleton — every single-knob
-// deviation and the all-max corner. Then each refinement round keeps the
-// objective-best half of the survivor beam and expands it on the finer
-// lattice: survivors merged pairwise (combining the structures that
-// helped), each survivor's knobs stepped one rung cheaper (shedding cost
-// the objective doesn't need), and the incumbent's knobs stepped one rung
-// up (buying speedup it still lacks). The beam halves every round, so the
+// The screen round scores every single-knob deviation. Then each
+// refinement round keeps the objective-best half of the survivor beam and
+// expands it on the finer lattice: survivors merged pairwise (combining
+// the structures that helped), each survivor's knobs stepped one rung
+// cheaper (shedding cost the objective doesn't need), and the incumbent's
+// knobs stepped one rung up (buying speedup; once a target is met, only a
+// step that adds no area can win). The beam halves every round, so the
 // search sharpens from coarse coverage to local refinement in O(log n)
-// rounds, stopping early once a single survivor stops improving.
+// rounds. It stops after maxRounds, or when a round has nothing new to
+// probe — at a beam of one, that is the round after the incumbent stops
+// improving, since its steps were all proposed already.
 //
 // search keeps the probe ledger. probe scores one round's candidates, all
 // fresh and valid, in order, counting each cell's cache tier into tiers;
@@ -50,16 +52,15 @@ func search(sp *Space, obj Objective, maxRounds int,
 		}
 		return cands
 	}
-	// round scores cands, updates the incumbent and publishes the round;
-	// improved reports whether some candidate beat the incumbent.
-	round := func(label string, cands []Candidate) (improved bool, err error) {
+	// round scores cands, updates the incumbent and publishes the round.
+	round := func(label string, cands []Candidate) error {
 		fresh, err := probe(cands, &status.Tiers)
 		if err != nil {
-			return false, err
+			return err
 		}
 		for _, s := range fresh {
 			if len(scored) == 0 || obj.Better(s, best) {
-				best, improved = s, true
+				best = s
 			}
 			scored = append(scored, s)
 		}
@@ -76,11 +77,11 @@ func search(sp *Space, obj Objective, maxRounds int,
 			st.Rounds = slices.Clone(status.Rounds)
 			publish(st)
 		}
-		return improved, nil
+		return nil
 	}
 
 	base := sp.Baseline()
-	if _, err := round("base", add(nil, base)); err != nil {
+	if err := round("base", add(nil, base)); err != nil {
 		return nil, Status{}, err
 	}
 	var screen []Candidate
@@ -89,21 +90,17 @@ func search(sp *Space, obj Objective, maxRounds int,
 			screen = add(screen, sp.WithLevel(base, i, lvl))
 		}
 	}
-	if _, err := round("screen", add(screen, sp.AllMax())); err != nil {
+	if err := round("screen", screen); err != nil {
 		return nil, Status{}, err
 	}
 	beam := (len(scored) + 1) / 2
 	for r := 1; r <= maxRounds; r++ {
-		children := expand(sp, obj, obj.TopK(scored, beam), best, add)
+		children := expand(sp, obj.TopK(scored, beam), best, add)
 		if len(children) == 0 {
 			break
 		}
-		improved, err := round(fmt.Sprintf("halve-%d", r), children)
-		if err != nil {
+		if err := round(fmt.Sprintf("halve-%d", r), children); err != nil {
 			return nil, Status{}, err
-		}
-		if beam == 1 && !improved {
-			break
 		}
 		beam = (beam + 1) / 2
 	}
@@ -112,7 +109,7 @@ func search(sp *Space, obj Objective, maxRounds int,
 
 // expand proposes one refinement round's children through add,
 // deterministically ordered.
-func expand(sp *Space, obj Objective, surv []Scored, incumbent Scored, add func([]Candidate, Candidate) []Candidate) []Candidate {
+func expand(sp *Space, surv []Scored, incumbent Scored, add func([]Candidate, Candidate) []Candidate) []Candidate {
 	var out []Candidate
 	// Pairwise merges of the leading survivors: combine structures that
 	// each helped alone.
@@ -133,13 +130,12 @@ func expand(sp *Space, obj Objective, surv []Scored, incumbent Scored, add func(
 			}
 		}
 	}
-	// One rung up on the incumbent's knobs: keep buying speedup while
-	// the constraint is unmet.
-	if !obj.Feasible(incumbent.Score) || obj.TargetSpeedup == 0 {
-		for i, ax := range sp.Knobs {
-			if lvl := sp.Level(incumbent.Cand, i); lvl < len(ax.Values)-1 {
-				out = add(out, sp.WithLevel(incumbent.Cand, i, lvl+1))
-			}
+	// One rung up on the incumbent's knobs: buying speedup. Once a target
+	// is met this still pays where a step adds no area (Objective.Better
+	// ranks equal-area points by speedup).
+	for i, ax := range sp.Knobs {
+		if lvl := sp.Level(incumbent.Cand, i); lvl < len(ax.Values)-1 {
+			out = add(out, sp.WithLevel(incumbent.Cand, i, lvl+1))
 		}
 	}
 	return out

@@ -138,27 +138,14 @@ type AxisSpec struct {
 	Values []string
 }
 
-// baseKnobValue reads the base configuration's textual value for a knob
-// path, via the knob enumeration so spelling is fuzzy-matched.
-func baseKnobValue(baseCfg config.Config, path string) (config.Knob, string, error) {
-	k, err := config.KnobByPath(path)
-	if err != nil {
-		return config.Knob{}, "", fmt.Errorf("explore: %w", err)
-	}
-	// Read the value from baseCfg, not the baseline preset — the lattice
-	// may be anchored on any preset (HBM, cost-effective, ...).
-	v, err := config.KnobValue(&baseCfg, k.Path)
-	if err != nil {
-		return config.Knob{}, "", fmt.Errorf("explore: %w", err)
-	}
-	return k, v, nil
-}
-
 func defaultAxis(baseCfg config.Config, dl defaultLadder) (Axis, error) {
-	k, baseVal, err := baseKnobValue(baseCfg, dl.path)
+	// The knob's value on baseCfg, not on the baseline preset: the lattice
+	// may be anchored on any preset (HBM, cost-effective, ...).
+	k, err := config.KnobOn(baseCfg, dl.path)
 	if err != nil {
-		return Axis{}, err
+		return Axis{}, fmt.Errorf("explore: %w", err)
 	}
+	baseVal := k.Baseline
 	bv, err := strconv.ParseInt(baseVal, 10, 64)
 	if err != nil {
 		return Axis{}, fmt.Errorf("explore: knob %s: default ladder needs an integer base, got %q", k.Path, baseVal)
@@ -186,18 +173,23 @@ func defaultAxis(baseCfg config.Config, dl defaultLadder) (Axis, error) {
 }
 
 func customAxis(baseCfg config.Config, ks AxisSpec) (Axis, error) {
-	k, baseVal, err := baseKnobValue(baseCfg, ks.Path)
-	if err != nil {
-		return Axis{}, err
+	vals := make([]string, len(ks.Values))
+	for i, v := range ks.Values {
+		vals[i] = strings.TrimSpace(v)
 	}
+	// Every rung meets the knob's own parse and range, as one -set would.
+	k, err := config.KnobOn(baseCfg, ks.Path, vals...)
+	if err != nil {
+		return Axis{}, fmt.Errorf("explore: %w", err)
+	}
+	baseVal := k.Baseline
 	if len(ks.Values) == 0 {
 		return Axis{}, fmt.Errorf("explore: knob %s: needs at least one value", k.Path)
 	}
 	if k.Type != "int" && k.Type != "float" {
 		return Axis{}, fmt.Errorf("explore: knob %s has type %s; only numeric knobs are searchable", k.Path, k.Type)
 	}
-	// Parse, dedupe and sort ascending; insert the base value if absent.
-	vals := append([]string{}, ks.Values...)
+	// Dedupe and sort ascending; insert the base value if absent.
 	vals = append(vals, baseVal)
 	type pv struct {
 		f float64
@@ -206,25 +198,15 @@ func customAxis(baseCfg config.Config, ks AxisSpec) (Axis, error) {
 	var parsed []pv
 	seen := map[float64]bool{}
 	for _, v := range vals {
-		f, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
-		if err != nil {
-			return Axis{}, fmt.Errorf("explore: knob %s: value %q is not numeric", k.Path, v)
-		}
-		if k.Min != 0 && f < k.Min || k.Max > 0 && f > k.Max {
-			return Axis{}, fmt.Errorf("explore: knob %s: value %q outside [%g, %g]", k.Path, v, k.Min, k.Max)
-		}
+		f, _ := strconv.ParseFloat(v, 64) // KnobOn parsed it as the knob's type
 		if seen[f] {
 			continue
 		}
 		seen[f] = true
-		s := strings.TrimSpace(v)
 		if k.Type == "int" {
-			if f != float64(int64(f)) {
-				return Axis{}, fmt.Errorf("explore: knob %s: value %q is not an integer", k.Path, v)
-			}
-			s = strconv.FormatInt(int64(f), 10)
+			v = strconv.FormatInt(int64(f), 10)
 		}
-		parsed = append(parsed, pv{f, s})
+		parsed = append(parsed, pv{f, v})
 	}
 	sort.Slice(parsed, func(i, j int) bool { return parsed[i].f < parsed[j].f })
 	ax := Axis{Path: k.Path, Base: -1}
@@ -246,16 +228,6 @@ func (sp *Space) Baseline() Candidate {
 	levels := make([]int, len(sp.Knobs))
 	for i, ax := range sp.Knobs {
 		levels[i] = ax.Base
-	}
-	return Candidate{levels}
-}
-
-// AllMax returns the corner candidate with every knob at its top rung —
-// the paper's "scale everything" design point.
-func (sp *Space) AllMax() Candidate {
-	levels := make([]int, len(sp.Knobs))
-	for i, ax := range sp.Knobs {
-		levels[i] = len(ax.Values) - 1
 	}
 	return Candidate{levels}
 }
