@@ -254,7 +254,8 @@ func BenchmarkTableIII_AreaModel(b *testing.B) {
 // canonicalization, ConfigID hashing) — the guard against regressions
 // in Canonical/ConfigID on the inline-config build path — and once for a
 // latency-bound pointer chase, the cell whose cost is the event engine's
-// memory-side wake protocol rather than any unit's busy tick. Beside the
+// memory-side wake protocol rather than any unit's busy tick, and once for
+// a Fig. 3 fixed-latency cell, which runs core by core. Beside the
 // (noisy) sim-cycles/s each reports unit-ticks/sim-cycle from
 // core.EngineStats: how many unit ticks the engine executed per simulated
 // cycle, a count that repeats exactly.
@@ -307,6 +308,16 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		}
 		benchThroughput(b, config.Baseline(), mustBuild(b, spec), func() (gpumembw.Metrics, error) {
 			return gpumembw.RunSpec(config.Baseline(), spec)
+		})
+	})
+	b.Run("config=fixed-lat-800", func(b *testing.B) {
+		cfg := config.FixedL1MissLatency(800)
+		wl, err := gpumembw.WorkloadByName("mm")
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchThroughput(b, cfg, wl, func() (gpumembw.Metrics, error) {
+			return gpumembw.Run(cfg, wl)
 		})
 	})
 }
@@ -372,5 +383,6 @@ func benchThroughput(b *testing.B, cfg config.Config, wl *gpumembw.Workload, run
 		b.Fatalf("the counted cell ran %d cycles (err %v), the timed one %d", m.Cycles, err, cycles)
 	}
 	s := g.EngineStats()
-	b.ReportMetric(float64(s.Core.TicksRun+s.MemTicksRun())/float64(cycles), "unit-ticks/sim-cycle")
+	ticks := s.Core.TicksRun + s.Xbar.TicksRun + s.L2.TicksRun + s.DRAM.TicksRun
+	b.ReportMetric(float64(ticks)/float64(cycles), "unit-ticks/sim-cycle")
 }

@@ -39,12 +39,12 @@ type Option func(*GPU)
 // tests and the benchmark's traced run pass EngineTick.
 func WithEngine(e Engine) Option { return func(g *GPU) { g.engine = e } }
 
-// EngineStats counts what the engine did during Run: how often and how far
-// it jumped, and per unit class how many ticks it executed (TicksRun) out of
-// the ticks that class's clock went through (TicksElapsed, summed over the
-// class's units). The counts repeat exactly from run to run; they describe
-// the mechanics, never the result, so they sit outside Metrics and cell
-// identity. Under EngineTick nothing jumps and TicksRun equals TicksElapsed.
+// EngineStats counts what the engine did during Run: how often and how far it
+// jumped (a fixed-latency cell, run core by core, counts each core's spans),
+// and per unit class how many ticks it executed (TicksRun) out of the ticks
+// its clock went through (TicksElapsed, summed over its units; equal under
+// EngineTick, which never jumps). The counts repeat exactly and describe the
+// mechanics, never the result, so they sit outside Metrics and cell identity.
 type EngineStats struct {
 	Jumps         int64 // bulk-replayed spans
 	SkippedCycles int64 // core cycles inside them
@@ -55,11 +55,6 @@ type EngineStats struct {
 // ClassTicks is one unit class's share of EngineStats.
 type ClassTicks struct {
 	TicksRun, TicksElapsed int64
-}
-
-// MemTicksRun sums the memory side's executed unit ticks.
-func (s *EngineStats) MemTicksRun() int64 {
-	return s.Xbar.TicksRun + s.L2.TicksRun + s.DRAM.TicksRun
 }
 
 // EngineStats returns the engine's counts for the last Run.
@@ -349,7 +344,10 @@ func (g *GPU) runEvent() (Metrics, error) {
 		// stopped at.
 		coreWake := wheel.Min()
 		if coreWake > g.cycle+1 && it < g.icnt.min && dt < g.dram.min {
-			target := g.clampTarget(lastProgress, coreWake-1)
+			target := min(coreWake-1, lastProgress+g.livelockWindow+1)
+			if g.cfg.MaxCycles > 0 {
+				target = min(target, g.cfg.MaxCycles)
+			}
 			from := g.cycle
 			if !normal {
 				g.cycle = target // no clock domains to step
@@ -481,6 +479,44 @@ func (g *GPU) runEvent() (Metrics, error) {
 	return g.collect(), nil
 }
 
+// runApart runs a fixed-latency cell core by core: no core reads what another
+// writes, so each ticks alone on exactly the cycles runEvent gives it. A core
+// that issues nothing for a livelock window hands the cell to the tick loop.
+func (g *GPU) runApart() (Metrics, error) {
+	for _, c := range g.cores {
+		var lastIssue, issued int64
+		for t := int64(1); !c.Done(); t = max(c.NextWake(), t+1) {
+			if t-lastIssue > g.livelockWindow { // the cell wedged, or only this core
+				fresh, _ := New(g.cfg, g.wl, WithEngine(EngineTick)) // New accepted them for g
+				fresh.prof, fresh.gaugeBuf = g.prof, g.gaugeBuf      // nothing recorded yet
+				*g = *fresh
+				return g.runTick()
+			}
+			if g.cfg.MaxCycles > 0 && t > g.cfg.MaxCycles {
+				g.truncated = true
+				c.SkipTo(g.cfg.MaxCycles)
+				break
+			}
+			if n := t - 1 - c.Stats.Cycles; n > 0 { // Stats.Cycles: the core's clock
+				g.stats.Jumps++
+				g.stats.SkippedCycles += n
+			}
+			c.SkipTo(t - 1)
+			c.Tick()
+			g.stats.Core.TicksRun++
+			if c.Stats.Issued != issued {
+				issued, lastIssue = c.Stats.Issued, t
+			}
+		}
+		g.cycle = max(g.cycle, c.Stats.Cycles)
+	}
+	if g.prof != nil { // both ideal-mode gauges lack a capacity: zero every cycle
+		g.prof.RecordN(g.sampleGauges(), g.cycle)
+	}
+	g.stats.setElapsed(g, 0, 0, false)
+	return g.collect(), nil
+}
+
 // stepClock advances a clock-domain accumulator by one core cycle and
 // returns it with the domain's tick count: the tick loop's float sequence.
 func stepClock(acc, ratio float64, tick int64) (float64, int64) {
@@ -494,13 +530,4 @@ func stepClock(acc, ratio float64, tick int64) (float64, int64) {
 // still holds.
 func (g *GPU) livelockErr(lastProgress int64) error {
 	return fmt.Errorf("%w after cycle %d: %s", ErrLivelock, lastProgress, g.cores[0].OutstandingWork())
-}
-
-// clampTarget bounds a jump target so the engine never skips past the
-// MaxCycles truncation point or the livelock window's trip cycle.
-func (g *GPU) clampTarget(lastProgress, target int64) int64 {
-	if g.cfg.MaxCycles > 0 && target > g.cfg.MaxCycles {
-		target = g.cfg.MaxCycles
-	}
-	return min(target, lastProgress+g.livelockWindow+1)
 }

@@ -95,6 +95,11 @@ func mustPreset(t *testing.T, name string) config.Config {
 	return cfg
 }
 
+// memTicksRun sums the memory side's executed unit ticks.
+func memTicksRun(s EngineStats) int64 {
+	return s.Xbar.TicksRun + s.L2.TicksRun + s.DRAM.TicksRun
+}
+
 // requireIdentical fails unless the two engines agree on every metric.
 func requireIdentical(t *testing.T, name string, ev, tick Metrics, evErr, tickErr error) {
 	t.Helper()
@@ -153,13 +158,25 @@ func TestEngineParityInvisible(t *testing.T) {
 // stencil are here by name because at this geometry they sit in the scan
 // memo's kept defect (smcore.TestHeavyReleaseWaitsForDirtyScan), and sad's
 // cycle count is the one every committed golden holds: 34,685 means the
-// landing rule went missing, anything else that the defect moved.
+// landing rule went missing, anything else that the defect moved. mm at a
+// fixed 800-cycle miss latency is Fig. 3's cell, which the event engine runs
+// core by core.
 func TestEngineParityFullSize(t *testing.T) {
 	wls := trace.Workloads()
-	for _, bench := range []string{"mm", "sad", "stencil"} {
-		ev, evErr, _ := runEngine(t, config.Baseline(), wls[bench], EngineEvent)
-		tick, tickErr, _ := runEngine(t, config.Baseline(), wls[bench], EngineTick)
-		requireIdentical(t, bench+"/baseline-full", ev, tick, evErr, tickErr)
+	cases := []struct {
+		bench string
+		cfg   config.Config
+	}{
+		{"mm", config.Baseline()},
+		{"sad", config.Baseline()},
+		{"stencil", config.Baseline()},
+		{"mm", config.FixedL1MissLatency(800)},
+	}
+	for _, tc := range cases {
+		bench := tc.bench
+		ev, evErr, _ := runEngine(t, tc.cfg, wls[bench], EngineEvent)
+		tick, tickErr, _ := runEngine(t, tc.cfg, wls[bench], EngineTick)
+		requireIdentical(t, bench+"/"+tc.cfg.Name+"-full", ev, tick, evErr, tickErr)
 		if bench == "sad" && ev.Cycles != 34109 {
 			t.Errorf("sad@baseline ran %d cycles, the goldens hold 34109", ev.Cycles)
 		}
@@ -250,7 +267,7 @@ func TestEngineJumpsTheChase(t *testing.T) {
 		t.Errorf("jumped %d of %d cycles, want more than a fifth", s.SkippedCycles, m.Cycles)
 	}
 	const microEvents = 388463
-	if run := s.MemTicksRun(); run > 3*microEvents {
+	if run := memTicksRun(s); run > 3*microEvents {
 		t.Errorf("memory side ran %d unit ticks, want within 3x of its %d micro-events", run, microEvents)
 	}
 	if elapsed := s.Xbar.TicksElapsed + s.L2.TicksElapsed + s.DRAM.TicksElapsed; elapsed < 5_000_000 {
@@ -260,22 +277,25 @@ func TestEngineJumpsTheChase(t *testing.T) {
 
 // TestUnitTicksCeiling holds the event engine's work per simulated cycle —
 // unit ticks executed, core and memory side, over cycles — to a ceiling on
-// two cells: ii@baseline, where nearly every cycle has work, and the
-// ledger's chase-1w@baseline, where the memory side wakes unit by unit.
-// The counts repeat exactly, so each ceiling is the count the engine
-// measures now: a change that adds a wake fails here, and a change that
-// removes ticks lowers the ceiling to its own count.
+// three cells: ii@baseline, where nearly every cycle has work, the ledger's
+// chase-1w@baseline, where the memory side wakes unit by unit, and
+// mm@fixed-lat-800, whose cores run one at a time on exactly the ticks the
+// shared wake array gave them. The counts repeat exactly, so each ceiling
+// is the count the engine measures now: a change that adds a wake fails
+// here, and a change that removes ticks lowers the ceiling to its own count.
 func TestUnitTicksCeiling(t *testing.T) {
 	cases := []struct {
 		name          string
+		cfg           config.Config
 		wl            *smcore.Workload
 		cycles, ticks int64
 	}{
-		{"ii@baseline", trace.Workloads()["ii"], 67068, 1466732},
-		{"chase-1w@baseline", mustBuild(t, chaseSpec(1, 2000)), 496523, 652366},
+		{"ii@baseline", config.Baseline(), trace.Workloads()["ii"], 67068, 1466732},
+		{"chase-1w@baseline", config.Baseline(), mustBuild(t, chaseSpec(1, 2000)), 496523, 652366},
+		{"mm@fixed-lat-800", config.FixedL1MissLatency(800), trace.Workloads()["mm"], 49476, 574309},
 	}
 	for _, tc := range cases {
-		g, err := New(config.Baseline(), tc.wl)
+		g, err := New(tc.cfg, tc.wl)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +304,7 @@ func TestUnitTicksCeiling(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := g.EngineStats()
-		ticks := s.Core.TicksRun + s.MemTicksRun()
+		ticks := s.Core.TicksRun + memTicksRun(s)
 		if m.Cycles != tc.cycles {
 			t.Errorf("%s ran %d cycles, want %d", tc.name, m.Cycles, tc.cycles)
 			continue
@@ -306,6 +326,11 @@ func TestUnitTicksCeiling(t *testing.T) {
 func TestEngineParityProfiled(t *testing.T) {
 	small := config.Baseline()
 	small.Core.NumCores = 2
+	fixed := config.FixedL1MissLatency(800)
+	smallFixed := fixed
+	smallFixed.Core.NumCores = 2
+	walled := fixed
+	walled.MaxCycles = 20_000
 	cases := []struct {
 		name   string
 		cfg    config.Config
@@ -321,6 +346,11 @@ func TestEngineParityProfiled(t *testing.T) {
 		// an L2 port, freezing bank-busy at 1 across the span. The golden
 		// is the tick loop's profile, which this test re-derives.
 		{"dwt2d/full", config.Baseline(), trace.Workloads()["dwt2d"], "profile-dwt2d-baseline.json"},
+		// Fixed-latency cells, which the event engine runs core by core and
+		// profiles in one bulk record, also at a MaxCycles wall.
+		{"mm@fixed-lat-800/2-cores", smallFixed, trace.Workloads()["mm"], ""},
+		{"leukocyte@fixed-lat-800/full", fixed, trace.Workloads()["leukocyte"], ""},
+		{"mm@fixed-lat-800/full/max-cycles-20000", walled, trace.Workloads()["mm"], ""},
 	}
 	for _, tc := range cases {
 		evProf, evM, evErr := runProfiled(t, tc.cfg, tc.wl, EngineEvent)
@@ -350,17 +380,24 @@ func TestEngineParityProfiled(t *testing.T) {
 // TestEngineMaxCyclesMidJump truncates the simulation at a wall of cycles
 // chosen to land inside a bulk-replayed span: the jump must stop exactly
 // at MaxCycles with the truncation flag set, as if every cycle had been
-// ticked.
+// ticked. The 15-core rows stop every core of a cell run core by core at
+// the wall.
 func TestEngineMaxCyclesMidJump(t *testing.T) {
 	wls := trace.Workloads()
 	cfg := config.FixedL1MissLatency(800)
 	cfg.Core.NumCores = 1
+	full := config.FixedL1MissLatency(800)
 
 	// Probe a range of walls; with an 800-cycle miss latency several of
 	// them land inside a jumped span.
 	var skippedAnywhere int64
-	for _, wall := range []int64{500, 1000, 2000, 5000} {
-		c := cfg
+	rows := []struct {
+		cfg  config.Config
+		wall int64
+	}{{cfg, 500}, {cfg, 1000}, {cfg, 2000}, {cfg, 5000}, {full, 2000}, {full, 5000}}
+	for _, row := range rows {
+		wall := row.wall
+		c := row.cfg
 		c.MaxCycles = wall
 		ev, evErr, skipped := runEngine(t, c, wls["mm"], EngineEvent)
 		tick, tickErr, _ := runEngine(t, c, wls["mm"], EngineTick)
@@ -379,13 +416,19 @@ func TestEngineMaxCyclesMidJump(t *testing.T) {
 }
 
 // TestEngineLivelockWindow verifies that the 200k-cycle livelock detector
-// fires at the same cycle, with the same error, on both engines.
+// fires at the same cycle, with the same error, on both engines. The
+// fixed-latency row wedges core 1 for good while core 0 still issues for
+// longer than the window: a core stalled alone is not a cell livelock until
+// every core has stopped issuing.
 func TestEngineLivelockWindow(t *testing.T) {
 	// A load generating more transactions than the memory pipeline can
 	// ever hold stalls str-MEM forever: no completions, no progress.
 	cfg := config.Baseline()
 	cfg.Core.NumCores = 1
 	cfg.Core.MemPipelineWidth = 2
+	fixed := config.FixedL1MissLatency(1000)
+	fixed.Core.NumCores = 2
+	fixed.Core.MemPipelineWidth = 2
 	wl := &smcore.Workload{
 		Name:         "livelock",
 		Program:      smcore.Program{Body: []smcore.Inst{{Kind: smcore.OpLoad, Dest: 1, Src1: -1, Src2: -1}}, Iters: 2, CodeBase: 1 << 40},
@@ -397,15 +440,41 @@ func TestEngineLivelockWindow(t *testing.T) {
 			return buf
 		},
 	}
-	ev, evErr, _ := runEngine(t, cfg, wl, EngineEvent)
-	tick, tickErr, _ := runEngine(t, cfg, wl, EngineTick)
-	if !errors.Is(evErr, ErrLivelock) || !errors.Is(tickErr, ErrLivelock) {
-		t.Fatalf("expected livelock from both engines, got %v / %v", evErr, tickErr)
+	// Core 0 loads one line per iteration, each used by the next: 400
+	// dependent 1,000-cycle misses outlast the window.
+	oneWedged := &smcore.Workload{
+		Name: "livelock-core-1",
+		Program: smcore.Program{Body: []smcore.Inst{
+			{Kind: smcore.OpLoad, Dest: 1, Src1: -1, Src2: -1},
+			{Kind: smcore.OpALU, Dest: 2, Src1: 1, Src2: -1},
+		}, Iters: 400, CodeBase: 1 << 40},
+		WarpsPerCore: 1,
+		Addr: func(buf []uint64, coreID, warpID, iter, instIdx int) []uint64 {
+			for k := 0; k < 1+3*coreID; k++ { // core 1: 4 lines > width 2
+				buf = append(buf, uint64(iter)<<20|uint64(k)<<7)
+			}
+			return buf
+		},
 	}
-	if evErr.Error() != tickErr.Error() {
-		t.Errorf("livelock errors differ:\nevent: %v\ntick:  %v", evErr, tickErr)
+	cases := []struct {
+		name string
+		cfg  config.Config
+		wl   *smcore.Workload
+	}{
+		{"livelock", cfg, wl},
+		{"livelock-core-1@fixed-lat-1000", fixed, oneWedged},
 	}
-	requireIdentical(t, "livelock", ev, tick, nil, nil)
+	for _, tc := range cases {
+		ev, evErr, _ := runEngine(t, tc.cfg, tc.wl, EngineEvent)
+		tick, tickErr, _ := runEngine(t, tc.cfg, tc.wl, EngineTick)
+		if !errors.Is(evErr, ErrLivelock) || !errors.Is(tickErr, ErrLivelock) {
+			t.Fatalf("%s: expected livelock from both engines, got %v / %v", tc.name, evErr, tickErr)
+		}
+		if evErr.Error() != tickErr.Error() {
+			t.Errorf("%s: livelock errors differ:\nevent: %v\ntick:  %v", tc.name, evErr, tickErr)
+		}
+		requireIdentical(t, tc.name, ev, tick, nil, nil)
+	}
 }
 
 // TestEngineClockAccumulators verifies the clock-domain accumulators stay
@@ -493,11 +562,12 @@ func TestLargeLatenciesMatchTick(t *testing.T) {
 // differential testing: 24 fixed seeds each draw a configuration — a
 // preset at small geometry with a random subset of its live knobs redrawn
 // inside the knob table's [min, max] (a draw Validate refuses on a
-// cross-field rule is dropped and the knob keeps its value) — and a
+// cross-field rule is dropped and the knob keeps its value), or a fixed
+// L1 miss latency in [0, 5000] under the same redraws — and a
 // workload spec inside trace.Spec's caps, and hold the event engine to the
 // tick oracle on every metric and on the profile.
 func TestEngineParityRandom(t *testing.T) {
-	presets := []string{"baseline", "P-dram", "cost-effective-16+68", "P-inf"}
+	presets := []string{"baseline", "P-dram", "cost-effective-16+68", "P-inf", "fixed-lat"}
 	// Structural knobs stay at the preset's value: a random byte count is
 	// almost never a whole number of sets, and the geometry is drawn below.
 	fixed := map[string]bool{
@@ -509,7 +579,12 @@ func TestEngineParityRandom(t *testing.T) {
 	clockScales := []float64{0.5, 0.8, 1, 1.25, 2, 3.1}
 	for seed := int64(0); seed < 24; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		cfg := mustPreset(t, presets[r.Intn(len(presets))])
+		var cfg config.Config
+		if preset := presets[r.Intn(len(presets))]; preset == "fixed-lat" {
+			cfg = config.FixedL1MissLatency(r.Intn(5001))
+		} else {
+			cfg = mustPreset(t, preset)
+		}
 		cfg.Core.NumCores = 1 + r.Intn(3)
 		set := func(assign ...string) {
 			trial := cfg

@@ -155,8 +155,6 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 		for _, c := range g.cores {
 			c.SetIdealLatency(g.idealLatency)
 		}
-	case config.ModeFixedL1MissLat:
-		// Latency is a constant; the cores handle it internally.
 	}
 	return g, nil
 }
@@ -183,10 +181,13 @@ func (g *GPU) idealLatency(addr uint64) int64 {
 // stops. It returns the collected metrics. The engine selects how the
 // simulation advances — the event engine, or the reference tick loop
 // under test — never what it produces: both engines emit byte-identical
-// metrics and profiles for every cell.
+// metrics and profiles for every cell; fixed-latency cells run core by core.
 func (g *GPU) Run() (Metrics, error) {
-	if g.engine == EngineTick {
+	switch {
+	case g.engine == EngineTick:
 		return g.runTick()
+	case g.cfg.Mode == config.ModeFixedL1MissLat:
+		return g.runApart()
 	}
 	return g.runEvent()
 }

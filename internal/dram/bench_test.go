@@ -46,5 +46,5 @@ func BenchmarkChannelRandom(b *testing.B) {
 			}
 		}
 	}
-	b.ReportMetric(c.Stats.RowHitRate()*100, "row-hit-%")
+	b.ReportMetric(rowHitRate(&c.Stats)*100, "row-hit-%")
 }

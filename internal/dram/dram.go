@@ -42,11 +42,6 @@ func NewAddrMap(cfg *config.Config) AddrMap {
 	}
 }
 
-// Partition returns the memory partition owning addr.
-func (m AddrMap) Partition(addr uint64) int {
-	return int(addr / m.lineBytes % m.numPartitions)
-}
-
 // BankRow returns the bank and row of addr within its partition.
 func (m AddrMap) BankRow(addr uint64) (bank int, row int64) {
 	idx := addr / m.lineBytes / m.numPartitions
@@ -87,24 +82,6 @@ type Stats struct {
 	PendingCycles   int64 // cycles with work queued or in flight
 	SchedOccupancy  stats.OccupancyHist
 	ReturnOccupancy stats.OccupancyHist
-}
-
-// BandwidthEfficiency is the ratio of data-transfer time to the time the
-// channel had pending requests — 100% means the DRAM always ran at peak
-// throughput (the paper measures 41% average, 65% max).
-func (s *Stats) BandwidthEfficiency() float64 {
-	return stats.Ratio(s.BusBusyCycles, s.PendingCycles)
-}
-
-// RowHitRate is the fraction of column accesses served without a row
-// activation (an access needing an ACTIVATE is a row miss).
-func (s *Stats) RowHitRate() float64 {
-	total := s.Reads + s.Writes
-	hits := total - s.Activates
-	if hits < 0 {
-		hits = 0
-	}
-	return stats.Ratio(hits, total)
 }
 
 // Channel is one memory partition's DRAM channel.

@@ -5,6 +5,7 @@ import (
 
 	"gpumembw/internal/config"
 	"gpumembw/internal/mem"
+	"gpumembw/internal/stats"
 )
 
 func testConfig() config.Config {
@@ -40,17 +41,26 @@ func drain(t *testing.T, c *Channel, n, budget int) []*mem.Fetch {
 	return out
 }
 
+// rowHitRate is the fraction of column accesses served without a row
+// activation (an access needing an ACTIVATE is a row miss).
+func rowHitRate(s *Stats) float64 {
+	total := s.Reads + s.Writes
+	return stats.Ratio(max(total-s.Activates, 0), total)
+}
+
 func TestAddrMapPartitionInterleaving(t *testing.T) {
 	cfg := testConfig()
 	m := NewAddrMap(&cfg)
-	// Consecutive lines must rotate across all 6 partitions.
-	seen := map[int]bool{}
-	for i := 0; i < 6; i++ {
-		p := m.Partition(uint64(i) * 128)
-		if p < 0 || p >= 6 {
-			t.Fatalf("partition %d out of range", p)
+	// Consecutive lines must rotate across all 6 partitions, the digit the
+	// map strips before it picks a bank and row.
+	seen := map[uint64]bool{}
+	bank0, row0 := m.BankRow(0)
+	for i := uint64(0); i < 6; i++ {
+		addr := i * 128
+		seen[addr/m.lineBytes%m.numPartitions] = true
+		if b, r := m.BankRow(addr); b != bank0 || r != row0 {
+			t.Fatalf("line %d: bank/row = %d/%d, want %d/%d", i, b, r, bank0, row0)
 		}
-		seen[p] = true
 	}
 	if len(seen) != 6 {
 		t.Fatalf("6 consecutive lines used %d partitions, want 6", len(seen))
@@ -124,7 +134,7 @@ func TestRowHitsForStream(t *testing.T) {
 	if c.Stats.Activates != 1 {
 		t.Fatalf("activates = %d, want 1 for a single-row stream", c.Stats.Activates)
 	}
-	if got := c.Stats.RowHitRate(); got < 0.9 {
+	if got := rowHitRate(&c.Stats); got < 0.9 {
 		t.Fatalf("row hit rate = %g, want ≥ 0.9", got)
 	}
 }
@@ -216,7 +226,8 @@ func TestBandwidthEfficiencyBounds(t *testing.T) {
 		c.Tick()
 		done += len(collect(c))
 	}
-	eff := c.Stats.BandwidthEfficiency()
+	// Data-transfer time over the time the channel had requests pending.
+	eff := stats.Ratio(c.Stats.BusBusyCycles, c.Stats.PendingCycles)
 	if eff <= 0 || eff > 1 {
 		t.Fatalf("bandwidth efficiency = %g, want in (0, 1]", eff)
 	}

@@ -296,10 +296,12 @@ func TestPartitionBankRouting(t *testing.T) {
 	if p.Banks[0].ID != 0 || p.Banks[1].ID != 6 {
 		t.Fatalf("bank IDs = %d,%d; want 0,6", p.Banks[0].ID, p.Banks[1].ID)
 	}
-	if p.BankFor(0) != p.Banks[0] || p.BankFor(6) != p.Banks[1] {
-		t.Fatal("BankFor routing wrong")
+	// A global bank's place in its partition is its index over the partitions.
+	for _, b := range p.Banks {
+		if p.Banks[b.ID/cfg.DRAM.NumPartitions] != b {
+			t.Fatalf("bank %d not at index %d/%d", b.ID, b.ID, cfg.DRAM.NumPartitions)
+		}
 	}
-	_ = cfg
 }
 
 func TestOccupancyHistogramRecorded(t *testing.T) {

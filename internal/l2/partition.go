@@ -33,11 +33,6 @@ func NewPartition(id int, cfg *config.Config) *Partition {
 	return p
 }
 
-// BankFor returns the bank owning the given global bank index.
-func (p *Partition) BankFor(globalBank int) *Bank {
-	return p.Banks[globalBank/p.cfg.DRAM.NumPartitions]
-}
-
 // SetFetchPool wires the GPU's fetch freelist into every bank and the DRAM
 // channel of this partition. A nil pool is valid.
 func (p *Partition) SetFetchPool(pool *mem.FetchPool) {
@@ -68,7 +63,7 @@ func (p *Partition) DeliverFill() *Bank {
 	if !ok {
 		return nil
 	}
-	bank := p.BankFor(f.BankID)
+	bank := p.Banks[f.BankID/p.cfg.DRAM.NumPartitions]
 	if !bank.CanFill(f) {
 		return nil
 	}

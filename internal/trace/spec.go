@@ -150,7 +150,8 @@ const (
 	storeRegionBase  = uint64(1) << 29
 )
 
-// memSlot describes a memory instruction's position within the body.
+// memSlot describes a memory instruction's position among its kind; Build
+// keeps one per body position, so the address generator indexes a slice.
 type memSlot struct {
 	isStore bool
 	slot    int // 0-based among its kind
@@ -161,7 +162,19 @@ func (s Spec) Build() (*smcore.Workload, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	body, slots := s.buildBody()
+	body := s.buildBody()
+	slots := make([]memSlot, len(body))
+	var loadIdx, storeIdx int
+	for i, in := range body {
+		switch in.Kind {
+		case smcore.OpLoad:
+			slots[i] = memSlot{slot: loadIdx}
+			loadIdx++
+		case smcore.OpStore:
+			slots[i] = memSlot{isStore: true, slot: storeIdx}
+			storeIdx++
+		}
+	}
 	loads := s.LoadsPerIter
 	prog := smcore.Program{Body: body, Iters: s.Iters, CodeBase: 1 << 40}
 
@@ -328,13 +341,11 @@ func (s Spec) Validate() error {
 // Load destinations are r1..rL; consumers read them, so every load is
 // eventually waited on (data-MEM hazards); DepDist controls how much
 // independent work hides the latency.
-func (s Spec) buildBody() ([]smcore.Inst, map[int]memSlot) {
+func (s Spec) buildBody() []smcore.Inst {
 	var body []smcore.Inst
-	slots := make(map[int]memSlot)
 	none := int8(-1)
 
 	for l := 0; l < s.LoadsPerIter; l++ {
-		slots[len(body)] = memSlot{isStore: false, slot: l}
 		body = append(body, smcore.Inst{Kind: smcore.OpLoad, Dest: int8(1 + l), Src1: none, Src2: none})
 	}
 	alusLeft := s.ALUPerIter
@@ -381,13 +392,12 @@ func (s Spec) buildBody() ([]smcore.Inst, map[int]memSlot) {
 		if consumed == 0 {
 			src = none
 		}
-		slots[len(body)] = memSlot{isStore: true, slot: st}
 		body = append(body, smcore.Inst{Kind: smcore.OpStore, Dest: none, Src1: src, Src2: none})
 	}
 	for p := 0; p < s.PadCodeInsts; p++ {
 		body = append(body, smcore.Inst{Kind: smcore.OpALU, Dest: 62, Src1: none, Src2: none})
 	}
-	return body, slots
+	return body
 }
 
 // mix is a splitmix64-style stateless hash of the access coordinates.
