@@ -183,7 +183,9 @@ func mitigationAxis(mshr, missq, l2banks, dramScale string) ([]config.Config, er
 						segs = append(segs, fmt.Sprintf("l2b%d", b))
 					}
 					if d > 0 {
-						config.ScaleDRAM(&cfg, d)
+						if err := config.Scale(&cfg, config.LevelDRAM, d); err != nil {
+							return nil, err
+						}
 						segs = append(segs, fmt.Sprintf("dram%dx", d))
 					}
 					if len(segs) == 0 {
@@ -208,15 +210,8 @@ func scaledConfig(levels string, factor int) (config.Config, error) {
 	cfg := gpumembw.Baseline()
 	cfg.Name = fmt.Sprintf("%s-%dx", levels, factor)
 	for _, level := range strings.Split(levels, ",") {
-		switch strings.TrimSpace(level) {
-		case "l1":
-			config.ScaleL1(&cfg, factor)
-		case "l2":
-			config.ScaleL2(&cfg, factor)
-		case "dram":
-			config.ScaleDRAM(&cfg, factor)
-		default:
-			return cfg, fmt.Errorf("unknown level %q (want l1, l2 or dram)", level)
+		if err := config.Scale(&cfg, config.Level(strings.TrimSpace(level)), factor); err != nil {
+			return cfg, err
 		}
 	}
 	return cfg, cfg.Validate()

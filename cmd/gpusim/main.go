@@ -75,7 +75,7 @@ func main() {
 		return
 	}
 
-	cref, err := configRef(*cfgName, *cfgFile, sets)
+	cref, err := cliutil.ResolveConfigFlags(*cfgName, *cfgFile, sets)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gpusim:", err)
 		profiles.Exit(1)
@@ -179,21 +179,4 @@ func writeProfile(path string, p *gpumembw.Profile) error {
 			p.Verdict.Bottleneck, p.Verdict.Reason, path)
 	}
 	return nil
-}
-
-// configRef assembles the configuration reference from -config,
-// -config-file and -set through the shared cliutil resolution, so
-// gpusim and gpusimctl resolve every spelling to the same cell.
-func configRef(name, file string, sets []string) (gpumembw.ConfigRef, error) {
-	preset, cfg, patch, err := cliutil.ResolveConfigFlags(name, file, sets)
-	switch {
-	case err != nil:
-		return gpumembw.ConfigRef{}, err
-	case cfg != nil:
-		return gpumembw.InlineConfig(*cfg), nil
-	case patch != nil:
-		return gpumembw.PatchRef(*patch), nil
-	default:
-		return gpumembw.PresetRef(preset), nil
-	}
 }

@@ -226,12 +226,9 @@ func fillConfig(spec *client.JobSpec, name, file string, sets []string) error {
 	if file != "" && name != "" {
 		return fmt.Errorf("-config and -config-file are mutually exclusive")
 	}
-	preset, cfg, patch, err := cliutil.ResolveConfigFlags(name, file, sets)
-	if err != nil {
-		return err
-	}
-	spec.Config, spec.InlineConfig, spec.ConfigPatch = preset, cfg, patch
-	return nil
+	ref, err := cliutil.ResolveConfigFlags(name, file, sets)
+	spec.Config, spec.InlineConfig, spec.ConfigPatch = ref.Preset, ref.Config, ref.Patch
+	return err
 }
 
 // readSpecFile loads one inline workload spec from a JSON file or stdin

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"gpumembw/internal/config"
+	"gpumembw/internal/exp"
 )
 
 // SplitCSV splits a comma-separated flag value, trimming whitespace and
@@ -76,33 +77,30 @@ func (l *StringList) Set(v string) error { *l = append(*l, v); return nil }
 // resolution stays wherever the value is consumed — locally in gpusim,
 // daemon-side for gpusimctl). Callers reject -config/-config-file
 // conflicts before calling; file takes precedence here.
-func ResolveConfigFlags(name, file string, sets []string) (preset string, cfg *config.Config, patch *config.Patch, err error) {
+func ResolveConfigFlags(name, file string, sets []string) (exp.ConfigRef, error) {
 	var setDelta json.RawMessage
 	if len(sets) > 0 {
+		var err error
 		if setDelta, err = config.DeltaFromSets(sets); err != nil {
-			return "", nil, nil, err
+			return exp.ConfigRef{}, err
 		}
 	}
-	if file != "" {
-		cfg, patch, err = config.ReadConfigFile(file)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		if cfg != nil {
-			if err = config.ApplyDelta(cfg, setDelta); err != nil {
-				return "", nil, nil, err
-			}
-			return "", cfg, nil, nil
-		}
+	if file == "" {
 		if setDelta != nil {
-			if patch.Delta, err = config.MergeDeltas(patch.Delta, setDelta); err != nil {
-				return "", nil, nil, err
-			}
+			return exp.PatchRef(config.Patch{Base: name, Delta: setDelta}), nil
 		}
-		return "", nil, patch, nil
+		return exp.PresetRef(name), nil
 	}
-	if setDelta != nil {
-		return "", nil, &config.Patch{Base: name, Delta: setDelta}, nil
+	cfg, patch, err := config.ReadConfigFile(file)
+	switch {
+	case err != nil:
+	case cfg != nil:
+		err = config.ApplyDelta(cfg, setDelta)
+	case setDelta != nil:
+		patch.Delta, err = config.MergeDeltas(patch.Delta, setDelta)
 	}
-	return name, nil, nil, nil
+	if err != nil {
+		return exp.ConfigRef{}, err
+	}
+	return exp.ConfigRef{Config: cfg, Patch: patch}, nil // one of the two is nil
 }

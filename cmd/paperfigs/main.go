@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"gpumembw/cmd/internal/cliutil"
 	"gpumembw/internal/exp"
 	"gpumembw/internal/prof"
 )
@@ -45,11 +46,10 @@ func main() {
 	defer profiles.Stop()
 	defer profiles.ExitOnSignal(nil)()
 
-	var sections []string
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			sections = append(sections, strings.TrimSpace(s))
-		}
+	sections := cliutil.SplitCSV(*only)
+	if *only != "" && len(sections) == 0 {
+		fmt.Fprintln(os.Stderr, "paperfigs: -only names no section")
+		profiles.Exit(2)
 	}
 
 	out := os.Stdout

@@ -9,13 +9,6 @@ package area
 import "gpumembw/internal/config"
 
 const (
-	// BufferEntryBytes is the width of one access/response-queue or
-	// memory-pipeline entry (a full cache line plus control).
-	BufferEntryBytes = 128
-	// SmallEntryBytes is the width of one miss-queue or MSHR entry
-	// (address plus bookkeeping).
-	SmallEntryBytes = 8
-
 	// MM2PerKB converts added storage to area at 40 nm: the paper maps
 	// 94 KB to 7.48 mm².
 	MM2PerKB = 7.48 / 94.0
@@ -42,32 +35,23 @@ type Estimate struct {
 
 // Compare estimates the area delta of cfg over base.
 //
-// Storage deltas follow the paper's accounting: access and response queues
-// (and the LSU memory pipeline) count 128 B per entry; miss queues and
-// MSHRs count 8 B per entry. Crossbar cost is wire-dominated and scales
-// with the total per-connection flit bytes. Negative deltas (shrinking a
-// structure) reduce the estimate.
+// Storage deltas follow the paper's accounting: each Table III queue and
+// MSHR (a config.TableIII row with an EntryBytes) counts its entry size
+// per entry, once per core, L2 bank or DRAM partition of cfg by the row's
+// level. Crossbar cost is wire-dominated and scales with the total
+// per-connection flit bytes. Negative deltas (shrinking a structure)
+// reduce the estimate.
 func Compare(base, cfg *config.Config) Estimate {
-	var bytes float64
-
-	// L2 structures, per bank.
-	l2banks := float64(cfg.L2.NumBanks)
-	bytes += l2banks * float64(cfg.L2.AccessQueueEntries-base.L2.AccessQueueEntries) * BufferEntryBytes
-	bytes += l2banks * float64(cfg.L2.ResponseQueueEntries-base.L2.ResponseQueueEntries) * BufferEntryBytes
-	bytes += l2banks * float64(cfg.L2.MissQueueEntries-base.L2.MissQueueEntries) * SmallEntryBytes
-	bytes += l2banks * float64(cfg.L2.MSHREntries-base.L2.MSHREntries) * SmallEntryBytes
-
-	// L1 structures, per core.
-	cores := float64(cfg.Core.NumCores)
-	bytes += cores * float64(cfg.L1.MissQueueEntries-base.L1.MissQueueEntries) * SmallEntryBytes
-	bytes += cores * float64(cfg.L1.MSHREntries-base.L1.MSHREntries) * SmallEntryBytes
-	bytes += cores * float64(cfg.Core.MemPipelineWidth-base.Core.MemPipelineWidth) * BufferEntryBytes
-
-	// DRAM scheduler queue, per partition.
-	parts := float64(cfg.DRAM.NumPartitions)
-	bytes += parts * float64(cfg.DRAM.SchedQueueEntries-base.DRAM.SchedQueueEntries) * SmallEntryBytes
-
-	kb := bytes / 1024
+	bytes := 0
+	for r := range config.TableIII {
+		row := &config.TableIII[r]
+		for i := range row.Knobs {
+			if row.EntryBytes > 0 {
+				bytes += copies(cfg, row.Level) * (*row.Field(cfg, i) - *row.Field(base, i)) * row.EntryBytes
+			}
+		}
+	}
+	kb := float64(bytes) / 1024
 
 	flitDelta := float64(cfg.Icnt.ReqFlitBytes + cfg.Icnt.ReplyFlitBytes -
 		base.Icnt.ReqFlitBytes - base.Icnt.ReplyFlitBytes)
@@ -81,4 +65,15 @@ func Compare(base, cfg *config.Config) Estimate {
 	e.TotalMM2 = e.StorageMM2 + e.CrossbarMM2
 	e.OverheadFrac = e.TotalMM2 / DieMM2
 	return e
+}
+
+// copies is how many instances of a level's structures cfg builds.
+func copies(cfg *config.Config, level config.Level) int {
+	switch level {
+	case config.LevelL1:
+		return cfg.Core.NumCores
+	case config.LevelL2:
+		return cfg.L2.NumBanks
+	}
+	return cfg.DRAM.NumPartitions
 }

@@ -57,6 +57,19 @@ func TestStorageAccountingMatchesPaperDensity(t *testing.T) {
 	}
 }
 
+// TestCompareDoesNotAllocate pins Compare at zero allocations: the
+// explorer scores every probe with it.
+func TestCompareDoesNotAllocate(t *testing.T) {
+	base, cfg := config.Baseline(), config.ScaledAll()
+	var e Estimate
+	if n := testing.AllocsPerRun(100, func() { e = Compare(&base, &cfg) }); n != 0 {
+		t.Errorf("Compare allocates %v times per call", n)
+	}
+	if e.StorageKB <= 0 {
+		t.Errorf("All-4x adds no storage: %+v", e)
+	}
+}
+
 func TestScaledL2CostsMoreThanCostEffective(t *testing.T) {
 	base := config.Baseline()
 	ce := config.CostEffective16x68()
@@ -106,9 +119,9 @@ func TestTableIIIMitigationLadderGolden(t *testing.T) {
 		// repartitioned, not grown.
 		{"l2banks-2x", func(c *config.Config) { c.L2.NumBanks *= 2 }, 0, 0, 0},
 		{"l2banks-4x", func(c *config.Config) { c.L2.NumBanks *= 4 }, 0, 0, 0},
-		{"dram-2x", func(c *config.Config) { config.ScaleDRAM(c, 2) },
+		{"dram-2x", func(c *config.Config) { config.Scale(c, config.LevelDRAM, 2) },
 			0.75, 0.0596809, 8.52584e-05},
-		{"dram-4x", func(c *config.Config) { config.ScaleDRAM(c, 4) },
+		{"dram-4x", func(c *config.Config) { config.Scale(c, config.LevelDRAM, 4) },
 			2.25, 0.179043, 0.000255775},
 		// The all-4× rung multiplies the per-bank miss-queue and MSHR
 		// deltas across 48 banks, which is why it dwarfs the sum of the
@@ -119,7 +132,7 @@ func TestTableIIIMitigationLadderGolden(t *testing.T) {
 			c.L1.MissQueueEntries *= 4
 			c.L2.MissQueueEntries *= 4
 			c.L2.NumBanks *= 4
-			config.ScaleDRAM(c, 4)
+			config.Scale(c, config.LevelDRAM, 4)
 		}, 61.3125, 4.87891, 0.00696987},
 	}
 	for _, rung := range ladder {

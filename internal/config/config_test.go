@@ -106,6 +106,18 @@ func TestScaledPresetsMatchTableIII(t *testing.T) {
 	}
 }
 
+// TestScaleRefusesUnknownLevel: a level no Table III row names is an
+// error, and the configuration is left as it was.
+func TestScaleRefusesUnknownLevel(t *testing.T) {
+	c := Baseline()
+	if err := Scale(&c, "l3", 4); err == nil {
+		t.Error("Scale accepted level l3")
+	}
+	if c != Baseline() {
+		t.Error("a refused Scale changed the configuration")
+	}
+}
+
 func TestCostEffectivePresets(t *testing.T) {
 	ce := CostEffective16x48()
 	if ce.Icnt.ReqFlitBytes != 16 || ce.Icnt.ReplyFlitBytes != 48 {

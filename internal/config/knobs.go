@@ -43,12 +43,13 @@ type knob struct {
 }
 
 // knobTable is the knob table, bound to c: one row per Config leaf, in
-// declaration order. Validate, Canonical, Knobs, KnobOn and KnobValue
-// are loops over it, so a knob's path, range and liveness are each stated
-// here and nowhere else. It is a function returning an array rather than
-// a package-level slice of accessor closures because a pointer handed to
-// a func value escapes: Validate and Identity sit on every job resolution
-// and must not allocate, and the array lives on the caller's stack.
+// declaration order. Validate, Canonical, Knobs, KnobOn, Scale and
+// TableIIIRow.Field are loops over it, so a knob's path, range and
+// liveness are each stated here and nowhere else. It is a function
+// returning an array rather than a package-level slice of accessor
+// closures because a pointer handed to a func value escapes: Validate
+// and Identity sit on every job resolution and must not allocate, and
+// the array lives on the caller's stack.
 func knobTable(c *Config) [61]knob {
 	d, t := &c.DRAM, &c.DRAM.Timing
 	return [...]knob{
@@ -247,17 +248,4 @@ func KnobOn(cfg Config, path string, values ...string) (Knob, error) {
 		}
 	}
 	return desc, nil
-}
-
-// KnobValue reads cfg's current value for the knob named by path (any
-// Set spelling), in Set's textual form — the inverse of Set for a single
-// knob.
-func KnobValue(cfg *Config, path string) (string, error) {
-	rows := knobTable(cfg)
-	k, err := findKnob(rows[:], path)
-	if err != nil {
-		return "", err
-	}
-	_, val := k.typeAndValue()
-	return val, nil
 }

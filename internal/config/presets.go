@@ -76,110 +76,45 @@ func Baseline() Config {
 // we evaluate similar factor of scaling in other levels of the memory").
 const ScaleFactor = 4
 
-// ScaledL1 returns the baseline with the L1 knobs of Table III scaled 4×:
-// miss queue 8→32, MSHR 32→128, memory pipeline width 10→40.
-func ScaledL1() Config {
+// scaled returns the baseline named name with levels scaled by
+// ScaleFactor.
+func scaled(name string, levels ...Level) Config {
 	c := Baseline()
-	c.Name = "L1-4x"
-	scaleL1(&c)
+	c.Name = name
+	for _, l := range levels {
+		if err := Scale(&c, l, ScaleFactor); err != nil {
+			panic(err)
+		}
+	}
 	return c
 }
+
+// ScaledL1 returns the baseline with the L1 knobs of Table III scaled 4×:
+// miss queue 8→32, MSHR 32→128, memory pipeline width 10→40.
+func ScaledL1() Config { return scaled("L1-4x", LevelL1) }
 
 // ScaledL2 returns the baseline with the L2 knobs of Table III scaled 4×:
 // miss/response/access queues 8→32, MSHR 32→128, data port 32→128 B,
 // crossbar flits 32+32→128+128 B, banks 12→48.
-func ScaledL2() Config {
-	c := Baseline()
-	c.Name = "L2-4x"
-	scaleL2(&c)
-	return c
-}
+func ScaledL2() Config { return scaled("L2-4x", LevelL2) }
 
 // ScaledDRAM returns the baseline with the DRAM knobs of Table III scaled
 // 4×: scheduler queue 16→64, banks/chip 16→64, bus width 384→1536 bits.
 // This is also the paper's model of an HBM-class memory system.
-func ScaledDRAM() Config {
-	c := Baseline()
-	c.Name = "DRAM-4x"
-	scaleDRAM(&c)
-	return c
-}
+func ScaledDRAM() Config { return scaled("DRAM-4x", LevelDRAM) }
 
 // ScaledL1L2 scales L1 and L2 synergistically (the "L1+L2" bars of Fig. 10).
-func ScaledL1L2() Config {
-	c := Baseline()
-	c.Name = "L1+L2-4x"
-	scaleL1(&c)
-	scaleL2(&c)
-	return c
-}
+func ScaledL1L2() Config { return scaled("L1+L2-4x", LevelL1, LevelL2) }
 
 // ScaledL2DRAM scales L2 and DRAM synergistically ("L2+DRAM" in Fig. 10).
-func ScaledL2DRAM() Config {
-	c := Baseline()
-	c.Name = "L2+DRAM-4x"
-	scaleL2(&c)
-	scaleDRAM(&c)
-	return c
-}
+func ScaledL2DRAM() Config { return scaled("L2+DRAM-4x", LevelL2, LevelDRAM) }
 
 // ScaledAll scales every level ("All" in Fig. 10).
-func ScaledAll() Config {
-	c := Baseline()
-	c.Name = "All-4x"
-	scaleL1(&c)
-	scaleL2(&c)
-	scaleDRAM(&c)
-	return c
-}
+func ScaledAll() Config { return scaled("All-4x", LevelL1, LevelL2, LevelDRAM) }
 
 // HBM returns a memory system with the baseline cache hierarchy and an
 // HBM-class DRAM (4× bandwidth), the comparison point of Figs. 10 and 12.
-func HBM() Config {
-	c := ScaledDRAM()
-	c.Name = "HBM"
-	return c
-}
-
-func scaleL1(c *Config) { ScaleL1(c, ScaleFactor) }
-
-func scaleL2(c *Config) { ScaleL2(c, ScaleFactor) }
-
-func scaleDRAM(c *Config) { ScaleDRAM(c, ScaleFactor) }
-
-// ScaleL1, ScaleL2 and ScaleDRAM scale one memory level's Table III
-// knobs by factor — the single definition of what "scaling a level"
-// means, shared by the Fig. 10 presets above and the design-space CLIs,
-// so a CLI-scaled level with the preset's factor is the content-
-// addressed twin of the preset.
-
-// ScaleL1 scales the L1 knobs: miss queue, MSHRs, memory pipeline width.
-func ScaleL1(c *Config, factor int) {
-	c.L1.MissQueueEntries *= factor
-	c.L1.MSHREntries *= factor
-	c.Core.MemPipelineWidth *= factor
-}
-
-// ScaleL2 scales the L2 knobs: every queue, MSHRs, data port, crossbar
-// flits, and the bank count (each bank owns a crossbar port).
-func ScaleL2(c *Config, factor int) {
-	c.L2.MissQueueEntries *= factor
-	c.L2.ResponseQueueEntries *= factor
-	c.L2.MSHREntries *= factor
-	c.L2.AccessQueueEntries *= factor
-	c.L2.DataPortBytes *= factor
-	c.Icnt.ReqFlitBytes *= factor
-	c.Icnt.ReplyFlitBytes *= factor
-	c.L2.NumBanks *= factor
-}
-
-// ScaleDRAM scales the DRAM bandwidth knobs: scheduler queue, banks per
-// chip, bus width.
-func ScaleDRAM(c *Config, factor int) {
-	c.DRAM.SchedQueueEntries *= factor
-	c.DRAM.BanksPerChip *= factor
-	c.DRAM.BusWidthBits *= factor
-}
+func HBM() Config { return scaled("HBM", LevelDRAM) }
 
 // costEffectiveBase applies the Type '=' knobs of Table III's cost-effective
 // column: L1/L2 miss, response and access queues to 32 entries, L1 MSHR to

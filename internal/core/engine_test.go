@@ -604,12 +604,12 @@ func TestEngineParityRandom(t *testing.T) {
 				}
 				set(fmt.Sprintf("%s=%d", k.Path, lo+r.Int63n(hi-lo+1)))
 			case "float":
-				cur, err := config.KnobValue(&cfg, k.Path)
+				cur, err := config.KnobOn(cfg, k.Path)
 				if err != nil {
 					t.Fatal(err)
 				}
 				var mhz float64
-				fmt.Sscan(cur, &mhz)
+				fmt.Sscan(cur.Baseline, &mhz)
 				v := fmt.Sprintf("%g", mhz*clockScales[r.Intn(len(clockScales))])
 				if k.Path == "icnt.clock_mhz" || k.Path == "l2.clock_mhz" {
 					set("icnt.clock_mhz="+v, "l2.clock_mhz="+v) // one domain, two spellings

@@ -2,6 +2,7 @@ package core
 
 import (
 	"gpumembw/internal/config"
+	"gpumembw/internal/l2"
 	"gpumembw/internal/obsv"
 	"gpumembw/internal/smcore"
 	"gpumembw/internal/stats"
@@ -95,7 +96,7 @@ func (g *GPU) collect() Metrics {
 		Cycles:      g.cycle,
 		IssueStalls: stats.NewBreakdown(smcore.IssueStallLabels...),
 		L1Stalls:    stats.NewBreakdown(smcore.L1StallLabels...),
-		L2Stalls:    stats.NewBreakdown("bp-ICNT", "port", "cache", "mshr", "bp-DRAM"),
+		L2Stalls:    stats.NewBreakdown(l2.StallLabels...),
 		Truncated:   g.truncated,
 	}
 
@@ -156,11 +157,7 @@ func (g *GPU) collect() Metrics {
 	m.L2MissRate = stats.Ratio(l2Miss, l2Acc)
 	m.DRAMBandwidthEff = stats.Ratio(busBusy, pending)
 	if total := reads + writes; total > 0 {
-		hits := total - acts
-		if hits < 0 {
-			hits = 0
-		}
-		m.DRAMRowHitRate = stats.Ratio(hits, total)
+		m.DRAMRowHitRate = stats.Ratio(max(total-acts, 0), total)
 	}
 	if g.req != nil {
 		m.ReqNetUtil = g.req.Stats.Utilization(g.cfg.L2.NumBanks)

@@ -3,6 +3,8 @@ package exp
 import (
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"gpumembw/internal/area"
 	"gpumembw/internal/config"
@@ -59,28 +61,22 @@ func writeFig11(w io.Writer, pts []Fig11Point) {
 	})
 }
 
-// writeTableIII renders the design space of Table III.
+// writeTableIII renders the design space of Table III: each row's knobs
+// on the baseline, the All-4x scaling and the 16+48 cost-effective point.
 func writeTableIII(w io.Writer) {
-	base := config.Baseline()
-	scaled := config.ScaledAll()
-	ce := config.CostEffective16x48()
-	rows := [][]string{
-		{"DRAM scheduler queue", "=", fmt.Sprint(base.DRAM.SchedQueueEntries), fmt.Sprint(scaled.DRAM.SchedQueueEntries), fmt.Sprint(ce.DRAM.SchedQueueEntries)},
-		{"DRAM banks/chip", "=", fmt.Sprint(base.DRAM.BanksPerChip), fmt.Sprint(scaled.DRAM.BanksPerChip), fmt.Sprint(ce.DRAM.BanksPerChip)},
-		{"DRAM bus width (bits)", "+", fmt.Sprint(base.DRAM.BusWidthBits), fmt.Sprint(scaled.DRAM.BusWidthBits), fmt.Sprint(ce.DRAM.BusWidthBits)},
-		{"L2 miss queue", "=", fmt.Sprint(base.L2.MissQueueEntries), fmt.Sprint(scaled.L2.MissQueueEntries), fmt.Sprint(ce.L2.MissQueueEntries)},
-		{"L2 response queue", "=", fmt.Sprint(base.L2.ResponseQueueEntries), fmt.Sprint(scaled.L2.ResponseQueueEntries), fmt.Sprint(ce.L2.ResponseQueueEntries)},
-		{"L2 MSHR", "=", fmt.Sprint(base.L2.MSHREntries), fmt.Sprint(scaled.L2.MSHREntries), fmt.Sprint(ce.L2.MSHREntries)},
-		{"L2 access queue", "=", fmt.Sprint(base.L2.AccessQueueEntries), fmt.Sprint(scaled.L2.AccessQueueEntries), fmt.Sprint(ce.L2.AccessQueueEntries)},
-		{"L2 data port (bytes)", "+", fmt.Sprint(base.L2.DataPortBytes), fmt.Sprint(scaled.L2.DataPortBytes), fmt.Sprint(ce.L2.DataPortBytes)},
-		{"Crossbar flits (req+reply)", "+",
-			fmt.Sprintf("%d+%d", base.Icnt.ReqFlitBytes, base.Icnt.ReplyFlitBytes),
-			fmt.Sprintf("%d+%d", scaled.Icnt.ReqFlitBytes, scaled.Icnt.ReplyFlitBytes),
-			fmt.Sprintf("%d+%d", ce.Icnt.ReqFlitBytes, ce.Icnt.ReplyFlitBytes)},
-		{"L2 banks", "+", fmt.Sprint(base.L2.NumBanks), fmt.Sprint(scaled.L2.NumBanks), fmt.Sprint(ce.L2.NumBanks)},
-		{"L1 miss queue", "=", fmt.Sprint(base.L1.MissQueueEntries), fmt.Sprint(scaled.L1.MissQueueEntries), fmt.Sprint(ce.L1.MissQueueEntries)},
-		{"L1 MSHR", "=", fmt.Sprint(base.L1.MSHREntries), fmt.Sprint(scaled.L1.MSHREntries), fmt.Sprint(ce.L1.MSHREntries)},
-		{"Memory pipeline width", "=", fmt.Sprint(base.Core.MemPipelineWidth), fmt.Sprint(scaled.Core.MemPipelineWidth), fmt.Sprint(ce.Core.MemPipelineWidth)},
+	cfgs := []config.Config{config.Baseline(), config.ScaledAll(), config.CostEffective16x48()}
+	var rows [][]string
+	for r := range config.TableIII {
+		p := &config.TableIII[r]
+		row := []string{p.Param, p.Type}
+		for c := range cfgs {
+			vals := make([]string, len(p.Knobs))
+			for i := range p.Knobs {
+				vals[i] = strconv.Itoa(*p.Field(&cfgs[c], i))
+			}
+			row = append(row, strings.Join(vals, "+"))
+		}
+		rows = append(rows, row)
 	}
 	table(w, []string{"parameter", "type", "baseline", "scaled 4x", "cost-effective"}, rows)
 }

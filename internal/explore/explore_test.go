@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"gpumembw/internal/api"
+	"gpumembw/internal/config"
 	"gpumembw/internal/exp"
 	"gpumembw/internal/trace"
 )
@@ -119,8 +120,12 @@ func TestDefaultLatticeIsTableIII(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p.Space.Knobs); got != len(defaultLadders) {
-		t.Fatalf("default lattice has %d axes, want %d", got, len(defaultLadders))
+	knobs := 0
+	for _, row := range config.TableIII {
+		knobs += len(row.Knobs)
+	}
+	if got := len(p.Space.Knobs); got != knobs {
+		t.Fatalf("default lattice has %d axes, want %d", got, knobs)
 	}
 	// 11 axes of 3 rungs (×1, ×2, ×4) and 3 of 4 rungs (the
 	// cost-effective intermediates): 3^11 × 4^3 lattice points.

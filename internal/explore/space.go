@@ -11,7 +11,9 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -59,56 +61,25 @@ func (c Candidate) Key() string {
 	return strings.Join(parts, ",")
 }
 
-// level multipliers for the default Table III ladders, as exact
-// rationals so every rung of an integer knob stays integral.
-type ratio struct{ num, den int64 }
-
-// defaultLadder names one Table III knob and its ladder of multipliers
-// on the base value. {1,1} is the base rung; {2,1} and {4,1} are the
-// paper's 2× and 4× scaling points; the off-by-half rungs come from the
-// cost-effective configurations (48-entry L1 MSHRs, 16 B request flits,
-// 48 B reply flits).
-type defaultLadder struct {
-	path  string
-	rungs []ratio
-}
-
-var x124 = []ratio{{1, 1}, {2, 1}, {4, 1}}
-
-// defaultLadders is the Table III mitigation lattice: every structure
-// the paper scales, with the cost-effective intermediate values added
-// where Fig. 12 uses them.
-var defaultLadders = []defaultLadder{
-	{"core.mem_pipeline_width", x124},
-	{"l1.mshr_entries", []ratio{{1, 1}, {3, 2}, {2, 1}, {4, 1}}},
-	{"l1.miss_queue_entries", x124},
-	{"icnt.req_flit_bytes", []ratio{{1, 2}, {1, 1}, {2, 1}, {4, 1}}},
-	{"icnt.reply_flit_bytes", []ratio{{1, 1}, {3, 2}, {2, 1}, {4, 1}}},
-	{"l2.num_banks", x124},
-	{"l2.mshr_entries", x124},
-	{"l2.miss_queue_entries", x124},
-	{"l2.access_queue_entries", x124},
-	{"l2.response_queue_entries", x124},
-	{"l2.data_port_bytes", x124},
-	{"dram.sched_queue_entries", x124},
-	{"dram.banks_per_chip", x124},
-	{"dram.bus_width_bits", x124},
-}
-
-// NewSpace builds the lattice over base. With no explicit knobs the
-// Table III default ladders apply; explicit knobs give each axis its own
-// value list (the base configuration's value is inserted if absent).
+// NewSpace builds the lattice over base. With no explicit knobs every
+// knob of config.TableIII gets its default ladder (defaultAxis); explicit
+// knobs give each axis its own value list (the base configuration's value
+// is inserted if absent).
 // Axes are sorted by path, so the lattice — and everything derived from
 // it — is independent of request spelling order.
 func NewSpace(baseName string, baseCfg config.Config, knobs []AxisSpec) (*Space, error) {
 	sp := &Space{BaseName: baseName, BaseCfg: baseCfg}
 	if len(knobs) == 0 {
-		for _, dl := range defaultLadders {
-			ax, err := defaultAxis(baseCfg, dl)
-			if err != nil {
-				return nil, err
+		base, ce := config.Baseline(), config.CostEffective16x48()
+		for r := range config.TableIII {
+			row := &config.TableIII[r]
+			for i, path := range row.Knobs {
+				ax, err := defaultAxis(baseCfg, path, int64(*row.Field(&ce, i)), int64(*row.Field(&base, i)))
+				if err != nil {
+					return nil, err
+				}
+				sp.Knobs = append(sp.Knobs, ax)
 			}
-			sp.Knobs = append(sp.Knobs, ax)
 		}
 	} else {
 		seen := map[string]bool{}
@@ -138,10 +109,17 @@ type AxisSpec struct {
 	Values []string
 }
 
-func defaultAxis(baseCfg config.Config, dl defaultLadder) (Axis, error) {
+// defaultAxis is the Table III ladder of one knob: its value on baseCfg
+// times ×1, ×2 and ×4 (the paper's scaling points) and times num/den, the
+// knob's cost-effective 16+48 value over its baseline value (Fig. 12's
+// 48-entry L1 MSHRs, 16 B request and 48 B reply flits), as exact
+// rationals so every rung of an integer knob stays integral.
+func defaultAxis(baseCfg config.Config, path string, num, den int64) (Axis, error) {
+	rungs := [][2]int64{{1, 1}, {2, 1}, {4, 1}, {num, den}}
+	slices.SortFunc(rungs, func(a, b [2]int64) int { return cmp.Compare(a[0]*b[1], b[0]*a[1]) })
 	// The knob's value on baseCfg, not on the baseline preset: the lattice
 	// may be anchored on any preset (HBM, cost-effective, ...).
-	k, err := config.KnobOn(baseCfg, dl.path)
+	k, err := config.KnobOn(baseCfg, path)
 	if err != nil {
 		return Axis{}, fmt.Errorf("explore: %w", err)
 	}
@@ -151,16 +129,19 @@ func defaultAxis(baseCfg config.Config, dl defaultLadder) (Axis, error) {
 		return Axis{}, fmt.Errorf("explore: knob %s: default ladder needs an integer base, got %q", k.Path, baseVal)
 	}
 	ax := Axis{Path: k.Path, Base: -1}
-	for _, r := range dl.rungs {
-		v := bv * r.num
-		if v%r.den != 0 {
+	for _, r := range rungs {
+		v := bv * r[0]
+		if v%r[1] != 0 {
 			continue // non-integral rung for this base; skip it
 		}
-		v /= r.den
+		v /= r[1]
 		if v < 1 || (k.Max > 0 && float64(v) > k.Max) {
 			continue
 		}
 		val := strconv.FormatInt(v, 10)
+		if n := len(ax.Values); n > 0 && ax.Values[n-1] == val {
+			continue // the cost-effective rung repeats a scaling point
+		}
 		if val == baseVal {
 			ax.Base = len(ax.Values)
 		}
