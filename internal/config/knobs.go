@@ -43,13 +43,13 @@ type knob struct {
 }
 
 // knobTable is the knob table, bound to c: one row per Config leaf, in
-// declaration order. Validate, Canonical, Knobs, KnobOn, Scale and
-// TableIIIRow.Field are loops over it, so a knob's path, range and
-// liveness are each stated here and nowhere else. It is a function
-// returning an array rather than a package-level slice of accessor
-// closures because a pointer handed to a func value escapes: Validate
-// and Identity sit on every job resolution and must not allocate, and
-// the array lives on the caller's stack.
+// declaration order. Validate, Canonical, Knobs, KnobOn and Scale are
+// loops over it, and TableIII locates its knobs through it, so a knob's
+// path, range and liveness are each stated here and nowhere else. It is a
+// function returning an array rather than a package-level slice of
+// accessor closures because a pointer handed to a func value escapes:
+// Validate and Identity sit on every job resolution and must not
+// allocate, and the array lives on the caller's stack.
 func knobTable(c *Config) [61]knob {
 	d, t := &c.DRAM, &c.DRAM.Timing
 	return [...]knob{

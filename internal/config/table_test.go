@@ -177,3 +177,20 @@ func TestValidateSurvivesOverflowingProducts(t *testing.T) {
 		}
 	}
 }
+
+// TestTableIIIFieldIsItsKnob: each Table III row reads and writes, on any
+// Config, the field its knob path names — the one Set assigns.
+func TestTableIIIFieldIsItsKnob(t *testing.T) {
+	for r := range TableIII {
+		row := &TableIII[r]
+		for i, path := range row.Knobs {
+			c := Baseline()
+			if err := c.Set(path + "=1234567"); err != nil {
+				t.Fatal(err)
+			}
+			if got := *row.Field(&c, i); got != 1234567 {
+				t.Errorf("%s: Field reads %d after Set %s=1234567", row.Param, got, path)
+			}
+		}
+	}
+}

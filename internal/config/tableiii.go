@@ -1,6 +1,9 @@
 package config
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
+)
 
 // Level is a memory level of the paper's Fig. 10 scaling study, spelled
 // as bwexplore's -levels flag spells it.
@@ -28,6 +31,8 @@ type TableIIIRow struct {
 	// EntryBytes is what one entry of a queue or MSHR holds: 128 for a
 	// cache line, 8 for an address. It is 0 for a width or a count.
 	EntryBytes int
+
+	offsets []uintptr // per knob, its byte offset within a Config (row)
 }
 
 // TableIII is the paper's design space, one row per parameter in the
@@ -35,26 +40,38 @@ type TableIIIRow struct {
 // Table III, the explorer's default lattice and the area model's storage
 // terms are each a loop over it.
 var TableIII = []TableIIIRow{
-	{"DRAM scheduler queue", "=", LevelDRAM, []string{"dram.sched_queue_entries"}, 8},
-	{"DRAM banks/chip", "=", LevelDRAM, []string{"dram.banks_per_chip"}, 0},
-	{"DRAM bus width (bits)", "+", LevelDRAM, []string{"dram.bus_width_bits"}, 0},
-	{"L2 miss queue", "=", LevelL2, []string{"l2.miss_queue_entries"}, 8},
-	{"L2 response queue", "=", LevelL2, []string{"l2.response_queue_entries"}, 128},
-	{"L2 MSHR", "=", LevelL2, []string{"l2.mshr_entries"}, 8},
-	{"L2 access queue", "=", LevelL2, []string{"l2.access_queue_entries"}, 128},
-	{"L2 data port (bytes)", "+", LevelL2, []string{"l2.data_port_bytes"}, 0},
-	{"Crossbar flits (req+reply)", "+", LevelL2, []string{"icnt.req_flit_bytes", "icnt.reply_flit_bytes"}, 0},
+	row("DRAM scheduler queue", "=", LevelDRAM, 8, "dram.sched_queue_entries"),
+	row("DRAM banks/chip", "=", LevelDRAM, 0, "dram.banks_per_chip"),
+	row("DRAM bus width (bits)", "+", LevelDRAM, 0, "dram.bus_width_bits"),
+	row("L2 miss queue", "=", LevelL2, 8, "l2.miss_queue_entries"),
+	row("L2 response queue", "=", LevelL2, 128, "l2.response_queue_entries"),
+	row("L2 MSHR", "=", LevelL2, 8, "l2.mshr_entries"),
+	row("L2 access queue", "=", LevelL2, 128, "l2.access_queue_entries"),
+	row("L2 data port (bytes)", "+", LevelL2, 0, "l2.data_port_bytes"),
+	row("Crossbar flits (req+reply)", "+", LevelL2, 0, "icnt.req_flit_bytes", "icnt.reply_flit_bytes"),
 	// Each L2 bank owns a crossbar port, so the bank count scales with L2.
-	{"L2 banks", "+", LevelL2, []string{"l2.num_banks"}, 0},
-	{"L1 miss queue", "=", LevelL1, []string{"l1.miss_queue_entries"}, 8},
-	{"L1 MSHR", "=", LevelL1, []string{"l1.mshr_entries"}, 8},
-	{"Memory pipeline width", "=", LevelL1, []string{"core.mem_pipeline_width"}, 128},
+	row("L2 banks", "+", LevelL2, 0, "l2.num_banks"),
+	row("L1 miss queue", "=", LevelL1, 8, "l1.miss_queue_entries"),
+	row("L1 MSHR", "=", LevelL1, 8, "l1.mshr_entries"),
+	row("Memory pipeline width", "=", LevelL1, 128, "core.mem_pipeline_width"),
+}
+
+// row builds a TableIII row, locating its knobs in a Config once, so Field
+// is a pointer add rather than a knob-table build per read.
+func row(param, typ string, level Level, entryBytes int, knobs ...string) TableIIIRow {
+	c := new(Config)
+	table := knobTable(c)
+	r := TableIIIRow{Param: param, Type: typ, Level: level, Knobs: knobs, EntryBytes: entryBytes}
+	for _, path := range knobs {
+		f := intField(table[:], path)
+		r.offsets = append(r.offsets, uintptr(unsafe.Pointer(f))-uintptr(unsafe.Pointer(c)))
+	}
+	return r
 }
 
 // Field returns the address on c of the row's i-th knob.
 func (r *TableIIIRow) Field(c *Config, i int) *int {
-	rows := knobTable(c)
-	return intField(rows[:], r.Knobs[i])
+	return (*int)(unsafe.Add(unsafe.Pointer(c), r.offsets[i]))
 }
 
 // intField returns the int field the canonical path names among rows.

@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"gpumembw/internal/config"
-	"gpumembw/internal/l2"
 	"gpumembw/internal/sched"
 )
 
@@ -101,19 +100,26 @@ func livelockWindow(cfg *config.Config) int64 {
 	return 200_000 + trip
 }
 
-// domain is the wake array of one memory-side clock domain. Each unit of
-// the domain answers NextWake in ticks of that clock; the engine runs a
-// unit only on the domain ticks its entry names, and each unit replays
-// the ticks in between itself, from its own clock (SkipTo), right before
-// it next runs or is mutated from outside.
+// domain is the wake array of one memory-side clock domain, one entry per
+// unit of Fig. 2's hardware: the two crossbars and the memory partitions at
+// 700 MHz, the DRAM channels at the command clock. An entry names, in ticks
+// of that clock, when its unit must next run: a crossbar's or a channel's
+// NextWake, or for a partition the earliest of its banks' NextWake and,
+// while its DRAM return queue holds a line, the next tick. The engine runs
+// a unit only on the domain ticks its entry names (a due partition ticks
+// only the banks whose own NextWake has come), and each crossbar, bank and
+// channel replays the ticks in between itself, from its own clock (SkipTo),
+// right before it next runs or is mutated from outside.
 //
 // That is the Touch rule, stated once: whoever mutates a unit from outside
 // — a hand-off, an injecting core, a consuming sink — first calls
 // unit.SkipTo with the last tick before the mutation (the unit replays the
 // frozen span from its own clock, and does nothing at or behind it), then
-// mutates it, then asks it again (set(u, unit.NextWake())). A blocked
-// hand-off needs no rule of its own: the unit holding the blocked head
-// answers "next tick" until it moves.
+// mutates it, then asks it again (set(u, unit.NextWake())). A touch to one
+// bank or to the fill of a partition can only bring the partition's wake
+// forward, so it takes the min with the entry. A blocked hand-off needs no
+// rule of its own: the unit holding the blocked head answers "next tick"
+// until it moves.
 type domain struct {
 	tick int64   // domain ticks elapsed
 	min  int64   // a lower bound on wake's entries, exact after each domain tick
@@ -135,23 +141,19 @@ func (d *domain) set(u int, wake int64) {
 }
 
 // Units of the 700 MHz domain, in the order a tick visits them: the two
-// crossbars, then per partition its DRAM-fill hand-off and its banks. (The
-// DRAM domain's units are the channels, by partition.)
+// crossbars, then the memory partitions, each covering its DRAM fill, its
+// banks with their reply injections, and its miss drain.
 const (
 	uReq = iota
 	uReply
 	uPart0
 )
 
-// uFill is the unit index of partition pi's fill hand-off; its banks follow
-// (GPU.bankUnit maps a global bank ID to its index).
-func (g *GPU) uFill(pi int) int { return uPart0 + pi*g.partUnits }
-
 // tickIcntDue runs the 700 MHz domain tick g.icnt.tick for the units due on
 // it, in tickIcntDomain's order: request crossbar, reply crossbar, request
-// ejections in ascending bank order, then per partition the DRAM fill, the
-// banks (each with its reply injection) and the miss drain. Units that ran,
-// and units a hand-off mutated, then name their next wake.
+// ejections in ascending bank order, then per due partition the DRAM fill,
+// the due banks (each with its reply injection) and the miss drain. Units
+// that ran, and units a hand-off mutated, then name their next wake.
 func (g *GPU) tickIcntDue() {
 	d := &g.icnt
 	t := d.tick
@@ -168,6 +170,7 @@ func (g *GPU) tickIcntDue() {
 		g.reply.SkipTo(t - 1)
 		g.reply.Tick()
 		g.stats.Xbar.TicksRun++
+		g.wakeReplied()
 	}
 	if reqDue {
 		// A consumable ejection head is a wake of the request crossbar, so
@@ -182,49 +185,65 @@ func (g *GPU) tickIcntDue() {
 					g.req.Pop(dst)
 					bank.Accept(pkt.Fetch)
 					g.req.Release(pkt)
-					d.wake[g.bankUnit[dst]] = bank.NextWake()
+					u := uPart0 + dst%len(g.parts)
+					d.wake[u] = min(d.wake[u], bank.NextWake())
 				}
 			}
 		}
 	}
 	for pi, p := range g.parts {
-		u0 := g.uFill(pi)
-		if d.wake[u0] <= t {
-			g.deliverFill(pi, p)
+		if d.wake[uPart0+pi] > t {
+			continue
 		}
+		if f, ok := p.DRAM.PeekResponse(); ok {
+			g.banks[f.BankID].SkipTo(t - 1)
+			p.DRAM.SkipTo(g.dram.tick)
+			if p.DeliverFill() != nil {
+				g.dram.set(pi, p.DRAM.NextWake())
+			}
+		}
+		// Only the banks whose own wake has come tick: any other would
+		// replay its frozen tick, which its SkipTo does later in bulk.
 		ticked := false
-		for u := u0 + 1; u < u0+g.partUnits; u++ {
-			if d.wake[u] <= t {
-				b := p.Banks[u-u0-1]
-				b.SkipTo(t - 1)
-				b.Tick()
-				g.stats.L2.TicksRun++
-				ticked = true
-				// The bank's reply injection, which tickIcntDomain runs after
-				// the last partition's TickL2: it touches only this bank's
-				// response queue and its own reply-crossbar source, which no
-				// sibling's tick and no miss drain reads, and one pass over
-				// the banks is measurably cheaper than two.
-				if f, ok := b.PeekResponse(); ok && g.reply.CanInject(b.ID, f.ReplyBytes()) {
-					g.reply.SkipTo(t)
-					g.reply.Inject(f, b.ID, f.CoreID, f.ReplyBytes())
-					b.PopResponse()
-					replyTouched = true
-				}
-				d.wake[u] = b.NextWake()
+		for _, b := range p.Banks {
+			if b.NextWake() > t {
+				continue
+			}
+			b.SkipTo(t - 1)
+			b.Tick()
+			g.stats.L2.TicksRun++
+			ticked = true
+			// The bank's reply injection, which tickIcntDomain runs after
+			// the last partition's TickL2: it touches only this bank's
+			// response queue and its own reply-crossbar source, which no
+			// sibling's tick and no miss drain reads, and one pass over
+			// the banks is measurably cheaper than two.
+			if f, ok := b.PeekResponse(); ok && g.reply.CanInject(b.ID, f.ReplyBytes()) {
+				g.reply.SkipTo(t)
+				g.reply.Inject(f, b.ID, f.CoreID, f.ReplyBytes())
+				b.PopResponse()
+				replyTouched = true
 			}
 		}
 		// A miss leaving the bank pipeline is a wake of its bank, so the
 		// drain moves nothing unless one ran.
-		if !ticked {
-			continue
+		if ticked {
+			if b := p.NextMiss(); b != nil {
+				p.DRAM.SkipTo(g.dram.tick)
+				p.ForwardMiss(b)
+				g.dram.set(pi, p.DRAM.NextWake())
+			}
 		}
-		if b := p.NextMiss(); b != nil {
-			p.DRAM.SkipTo(g.dram.tick)
-			p.ForwardMiss(b)
-			g.dram.set(pi, p.DRAM.NextWake())
-			d.wake[g.bankUnit[b.ID]] = b.NextWake()
+		wake := sched.Never
+		for _, b := range p.Banks {
+			wake = min(wake, b.NextWake())
 		}
+		// A waiting fill keeps the partition due: it waits only for its
+		// bank's port or fill drain.
+		if _, ok := p.DRAM.PeekResponse(); ok {
+			wake = t + 1
+		}
+		d.wake[uPart0+pi] = wake
 	}
 	if reqDue {
 		d.wake[uReq] = g.req.NextWake()
@@ -235,29 +254,35 @@ func (g *GPU) tickIcntDue() {
 	d.min = slices.Min(d.wake)
 }
 
-// deliverFill is the DRAM-fill hand-off of partition pi on the current
-// 700 MHz tick. It stays due every tick while the return queue holds a
-// line: a refused fill waits only for its bank's port or fill drain.
-func (g *GPU) deliverFill(pi int, p *l2.Partition) {
-	d := &g.icnt
-	if f, ok := p.DRAM.PeekResponse(); ok {
-		u := g.bankUnit[f.BankID]
-		g.banks[f.BankID].SkipTo(d.tick - 1)
-		p.DRAM.SkipTo(g.dram.tick)
-		if bank := p.DeliverFill(); bank != nil {
-			g.dram.set(pi, p.DRAM.NextWake())
-			d.wake[u] = bank.NextWake()
+// wakeReplied schedules, for the current core cycle, each core whose reply
+// the reply crossbar's tick just made consumable. A head finishing its
+// latency is a wake of that crossbar, and the crossbar stays due every tick
+// while a consumable head waits, so no reply turns consumable unseen. Parked
+// cores always have response-FIFO room, so arrival and consumption cycles
+// match the tick engine's exactly; a core whose FIFO is full is due on the
+// next cycle anyway. A Pop cannot expose a second consumable head behind a
+// jump either: one FIFO's heads finish at least a tick apart and a core pops
+// its head the cycle it turns consumable, so two are consumable at once only
+// where the crossbar ticks more than once per core cycle — and there every
+// cycle holds a tick of it.
+func (g *GPU) wakeReplied() {
+	for wi, word := range g.reply.OccupiedDsts() {
+		for word != 0 {
+			c := wi<<6 + bits.TrailingZeros64(word)
+			word &= word - 1
+			if g.wheel.ScheduledAt(int32(c)) == g.cycle || g.cores[c].Done() {
+				continue
+			}
+			if _, ok := g.reply.Peek(c); ok {
+				g.wheel.Schedule(int32(c), g.cycle)
+			}
 		}
-	}
-	d.wake[g.uFill(pi)] = sched.Never
-	if _, ok := p.DRAM.PeekResponse(); ok {
-		d.wake[g.uFill(pi)] = d.tick + 1
 	}
 }
 
 // tickDRAMDue runs the DRAM command-clock tick g.dram.tick for the channels
-// due on it. A burst retiring into a return queue makes that partition's
-// fill hand-off due on the next 700 MHz tick.
+// due on it. A burst retiring into a return queue makes that partition due
+// on the next 700 MHz tick.
 func (g *GPU) tickDRAMDue() {
 	d := &g.dram
 	t := d.tick
@@ -269,10 +294,9 @@ func (g *GPU) tickDRAMDue() {
 		p.DRAM.Tick()
 		g.stats.DRAM.TicksRun++
 		d.wake[pi] = p.DRAM.NextWake()
-		if u := g.uFill(pi); g.icnt.wake[u] == sched.Never {
-			if _, ok := p.DRAM.PeekResponse(); ok {
-				g.icnt.set(u, g.icnt.tick+1)
-			}
+		if _, ok := p.DRAM.PeekResponse(); ok {
+			u := uPart0 + pi
+			g.icnt.set(u, min(g.icnt.wake[u], g.icnt.tick+1))
 		}
 	}
 	d.min = slices.Min(d.wake)
@@ -280,16 +304,17 @@ func (g *GPU) tickDRAMDue() {
 
 // runEvent is the event engine. Each core registers its next-wake cycle in
 // the core clock's wake array (ties break in ascending core ID — exactly
-// the tick loop's iteration order); each crossbar, L2 bank and DRAM channel
-// registers its next-wake tick in its clock domain's wake array and runs
-// only on the domain ticks that reach it; and a span in which no core and
-// no unit is due is replayed in bulk: the clock-domain
-// accumulators step through the exact float sequence the tick loop would
-// produce, the profiler's RecordN bulk path records the (frozen) gauge
-// vector once per skipped cycle, each core's SkipTo replays its per-cycle
-// stall attribution and fetch round-robin rotation, and each unit's
-// SkipTo replays its frozen per-tick statistics the next time it runs.
-// Every statistic is byte-identical to the tick engine's.
+// the tick loop's iteration order), and a reply turning consumable
+// schedules its core from the reply crossbar's tick (wakeReplied); each
+// crossbar, memory partition and DRAM channel holds one entry in its clock
+// domain's wake array and runs only on the domain ticks that reach it; and
+// a span in which no core and no unit is due is replayed in bulk: the
+// clock-domain accumulators step through the exact float sequence the tick
+// loop would produce, the profiler's RecordN bulk path records the (frozen)
+// gauge vector once per skipped cycle, each core's SkipTo replays its
+// per-cycle stall attribution and fetch round-robin rotation, and each
+// unit's SkipTo replays its frozen per-tick statistics the next time it
+// runs. Every statistic is byte-identical to the tick engine's.
 func (g *GPU) runEvent() (Metrics, error) {
 	normal := g.cfg.Mode == config.ModeNormal
 	var icntRatio, dramRatio float64 // zero outside ModeNormal: no domain ever ticks
@@ -301,9 +326,9 @@ func (g *GPU) runEvent() (Metrics, error) {
 	var lastProgress int64 // last cycle the instruction count moved
 
 	alive := len(g.cores)
-	wheel := sched.NewWheel(0, len(g.cores))
+	g.wheel = sched.NewWheel(0, len(g.cores))
 	for i := range g.cores {
-		wheel.Schedule(int32(i), 1)
+		g.wheel.Schedule(int32(i), 1)
 	}
 	due := make([]int32, 0, len(g.cores))
 	var replyOcc []uint64 // reply-network ejection occupancy (nil outside ModeNormal)
@@ -342,7 +367,7 @@ func (g *GPU) runEvent() (Metrics, error) {
 		// normal cycle, and is clamped so the truncation and livelock
 		// checks trip on exactly the cycle the unskipped run would have
 		// stopped at.
-		coreWake := wheel.Min()
+		coreWake := g.wheel.Min()
 		if coreWake > g.cycle+1 && it < g.icnt.min && dt < g.dram.min {
 			target := min(coreWake-1, lastProgress+g.livelockWindow+1)
 			if g.cfg.MaxCycles > 0 {
@@ -395,37 +420,9 @@ func (g *GPU) runEvent() (Metrics, error) {
 					g.tickDRAMDue()
 				}
 			}
-
-			// A consumable reply wakes its destination core this cycle —
-			// parked cores always have response-FIFO room, so arrival and
-			// consumption cycles match the tick engine's exactly. Only
-			// destinations with an occupied ejection FIFO need peeking. A
-			// head finishing its latency is a wake of the reply crossbar,
-			// so the crossbar's clock is current whenever Peek could turn
-			// true. A Pop cannot expose a second consumable head behind a
-			// jump either: one FIFO's heads finish at least a tick apart
-			// and a core pops its head the cycle it turns consumable (its
-			// response FIFO drains every tick, so it never fills), so two
-			// are consumable at once only where the crossbar ticks more
-			// than once per core cycle — and there every cycle holds a
-			// tick of it, a wake while a consumable head waits.
-			if g.reply.InFlight() > 0 {
-				for wi, word := range replyOcc {
-					for word != 0 {
-						d := wi<<6 + bits.TrailingZeros64(word)
-						word &= word - 1
-						if wheel.ScheduledAt(int32(d)) == g.cycle || g.cores[d].Done() {
-							continue
-						}
-						if _, ok := g.reply.Peek(d); ok {
-							wheel.Schedule(int32(d), g.cycle)
-						}
-					}
-				}
-			}
 		}
 
-		due = wheel.Due(g.cycle, due[:0])
+		due = g.wheel.Due(g.cycle, due[:0])
 		replies := normal && g.reply.InFlight() > 0
 		for _, id := range due {
 			c := g.cores[id]
@@ -451,9 +448,9 @@ func (g *GPU) runEvent() (Metrics, error) {
 				continue
 			}
 			// Never leaves the core unscheduled (it waits on a reply in
-			// flight); the reply-arrival scan above schedules it the cycle
-			// its packet becomes consumable.
-			wheel.Schedule(id, c.NextWake())
+			// flight); the reply crossbar's tick schedules it the cycle its
+			// packet becomes consumable (wakeReplied).
+			g.wheel.Schedule(id, c.NextWake())
 		}
 
 		if g.prof != nil {

@@ -186,26 +186,39 @@ func TestEngineParityFullSize(t *testing.T) {
 // TestEngineParityMemorySide extends the matrix to the cells in which the
 // engine now jumps with fetches in flight — latency-bound pointer chases —
 // and to the memory-side shapes a chase does not reach: store traffic,
-// asymmetric flits, and P_DRAM's fixed-latency channels. Each runs at two
-// cores and at full size.
+// asymmetric flits, and P_DRAM's fixed-latency channels. L2-4x puts 8 banks
+// behind each partition, where every other cell has 2, so a due partition
+// leaves most of its banks parked. The fast crossbar (2,100 MHz over the
+// 1,400 MHz core) ticks the reply network more than once in some core
+// cycles, so two replies to one core can turn consumable between its ticks.
+// Each runs at two cores and at full size.
 func TestEngineParityMemorySide(t *testing.T) {
+	fastXbar := []string{"icnt.clock_mhz=2100", "l2.clock_mhz=2100"}
 	cases := []struct {
 		name   string
 		preset string
 		spec   trace.Spec
+		set    []string // knob assignments over the preset
 	}{
-		{"chase-1w@baseline", "baseline", chaseSpec(1, 150)},
-		{"chase-2w@baseline", "baseline", chaseSpec(2, 100)},
-		{"store-heavy@baseline", "baseline", storeHeavySpec},
-		{"chase-2w@cost-effective-16+68", "cost-effective-16+68", chaseSpec(2, 100)},
-		{"store-heavy@cost-effective-16+68", "cost-effective-16+68", storeHeavySpec},
-		{"chase-2w@P-dram", "P-dram", chaseSpec(2, 100)},
-		{"store-heavy@P-dram", "P-dram", storeHeavySpec},
+		{"chase-1w@baseline", "baseline", chaseSpec(1, 150), nil},
+		{"chase-2w@baseline", "baseline", chaseSpec(2, 100), nil},
+		{"store-heavy@baseline", "baseline", storeHeavySpec, nil},
+		{"chase-2w@cost-effective-16+68", "cost-effective-16+68", chaseSpec(2, 100), nil},
+		{"store-heavy@cost-effective-16+68", "cost-effective-16+68", storeHeavySpec, nil},
+		{"chase-2w@P-dram", "P-dram", chaseSpec(2, 100), nil},
+		{"store-heavy@P-dram", "P-dram", storeHeavySpec, nil},
+		{"chase-2w@L2-4x", "L2-4x", chaseSpec(2, 100), nil},
+		{"store-heavy@L2-4x", "L2-4x", storeHeavySpec, nil},
+		{"chase-2w@fast-xbar", "baseline", chaseSpec(2, 100), fastXbar},
+		{"store-heavy@fast-xbar", "baseline", storeHeavySpec, fastXbar},
 	}
 	for _, tc := range cases {
 		wl := mustBuild(t, tc.spec)
 		for _, cores := range []int{2, 0} {
 			cfg := mustPreset(t, tc.preset)
+			if err := cfg.Set(tc.set...); err != nil {
+				t.Fatal(err)
+			}
 			name := tc.name + "/full"
 			if cores > 0 {
 				cfg.Core.NumCores = cores
@@ -224,8 +237,8 @@ func TestEngineParityMemorySide(t *testing.T) {
 // TestEngineParityBeyond64Cores runs a machine the presets never build —
 // 70 cores, so core IDs and reply-ejection occupancy span two 64-bit words
 // — through both engines. The wake array's Due hands the run loop its
-// cores by one ascending-ID scan and the reply-arrival scan walks the
-// occupancy words in order; the other parity cells stop at 15 cores and
+// cores by one ascending-ID scan and the reply crossbar's tick walks the
+// occupancy words in order to wake the cores its replies reach; the other parity cells stop at 15 cores and
 // would not see either go wrong past bit 63. Two chasing warps per core keep
 // the cell memory-bound: cores park on replies and wake out of step.
 func TestEngineParityBeyond64Cores(t *testing.T) {

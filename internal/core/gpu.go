@@ -62,11 +62,11 @@ type GPU struct {
 	// before reporting ErrLivelock (livelockWindow).
 	livelockWindow int64
 
-	// icnt and dram are the memory side's wake arrays, one per clock
-	// domain (ModeNormal only). The tick engine never advances them.
+	// wheel is the core clock's wake array, built by runEvent; icnt and
+	// dram are the memory side's, one per clock domain (ModeNormal only).
+	// The tick engine advances none of them.
+	wheel      *sched.Wheel
 	icnt, dram domain
-	partUnits  int   // icnt units per partition: its fill hand-off and its banks
-	bankUnit   []int // global bank ID → the bank's unit index in icnt
 
 	// prof, when attached, receives one hierarchy gauge vector per core
 	// cycle. nil (the default) keeps the hot path at a single pointer
@@ -127,15 +127,12 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 			g.parts = append(g.parts, part)
 		}
 		g.banks = make([]*l2.Bank, cfg.L2.NumBanks)
-		g.partUnits = 1 + cfg.BanksPerPartition()
-		g.bankUnit = make([]int, cfg.L2.NumBanks)
-		for pi, part := range g.parts {
-			for i, b := range part.Banks {
+		for _, part := range g.parts {
+			for _, b := range part.Banks {
 				g.banks[b.ID] = b
-				g.bankUnit[b.ID] = g.uFill(pi) + 1 + i
 			}
 		}
-		g.icnt = newDomain(uPart0 + cfg.DRAM.NumPartitions + cfg.L2.NumBanks)
+		g.icnt = newDomain(uPart0 + cfg.DRAM.NumPartitions)
 		g.dram = newDomain(cfg.DRAM.NumPartitions)
 		for _, c := range g.cores {
 			c.SetInject(func(f *mem.Fetch) bool {
