@@ -14,18 +14,17 @@ import (
 const drainLimit = 1_000_000
 
 // drainMemory ticks the memory side of a finished run on, one core cycle
-// at a time in runTick's order — the 700 MHz domain (tickIcntDomain), then
-// the DRAM channels — until it is quiet: both crossbars empty and every
-// partition Idle. A run ends when the last core drains, while its trailing
-// stores and the write-backs they cause are still in flight; this is where
-// they retire. It fails the test if the hierarchy does not go quiet.
+// at a time in runTick's order (tickMemory), until it is quiet: both
+// crossbars empty and every partition Idle. A run ends when the last core
+// drains, while its trailing stores and the write-backs they cause are
+// still in flight; this is where they retire. It steps the memory clocks
+// on, so EngineStats is read before it. It fails the test if the
+// hierarchy does not go quiet.
 func drainMemory(t *testing.T, name string, g *GPU) {
 	t.Helper()
 	if g.cfg.Mode != config.ModeNormal {
 		return
 	}
-	icntRatio := g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
-	dramRatio := g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz
 	for n := int64(0); ; n++ {
 		quiet := g.req.InFlight() == 0 && g.reply.InFlight() == 0
 		for _, p := range g.parts {
@@ -38,14 +37,7 @@ func drainMemory(t *testing.T, name string, g *GPU) {
 			t.Fatalf("%s: the memory side is not quiet %d cycles after the run: %d request and %d reply packets in flight",
 				name, n, g.req.InFlight(), g.reply.InFlight())
 		}
-		for g.icntAcc += icntRatio; g.icntAcc >= 1; g.icntAcc-- {
-			g.tickIcntDomain()
-		}
-		for g.dramAcc += dramRatio; g.dramAcc >= 1; g.dramAcc-- {
-			for _, p := range g.parts {
-				p.DRAM.Tick()
-			}
-		}
+		g.tickMemory()
 	}
 }
 

@@ -56,20 +56,20 @@ type ClassTicks struct {
 	TicksRun, TicksElapsed int64
 }
 
-// EngineStats returns the engine's counts for the last Run.
-func (g *GPU) EngineStats() EngineStats { return g.stats }
-
-// setElapsed fills the TicksElapsed side from the clocks' final values;
-// all marks a run that executed every one of them (the tick engine).
-func (s *EngineStats) setElapsed(g *GPU, icntTicks, dramTicks int64, all bool) {
+// EngineStats returns the engine's counts for the last Run: TicksElapsed
+// from where the core and memory clocks stand, and under EngineTick, which
+// runs every unit on every tick of its clock, TicksRun equal to it.
+func (g *GPU) EngineStats() EngineStats {
+	s := g.stats
 	s.Core.TicksElapsed = g.cycle * int64(len(g.cores))
-	s.Xbar.TicksElapsed = icntTicks * 2
-	s.L2.TicksElapsed = icntTicks * int64(len(g.banks))
-	s.DRAM.TicksElapsed = dramTicks * int64(len(g.parts))
-	if all {
+	s.Xbar.TicksElapsed = g.icnt.tick * 2
+	s.L2.TicksElapsed = g.icnt.tick * int64(len(g.banks))
+	s.DRAM.TicksElapsed = g.dram.tick * int64(len(g.parts))
+	if g.engine == EngineTick {
 		s.Core.TicksRun, s.Xbar.TicksRun = s.Core.TicksElapsed, s.Xbar.TicksElapsed
 		s.L2.TicksRun, s.DRAM.TicksRun = s.L2.TicksElapsed, s.DRAM.TicksElapsed
 	}
+	return s
 }
 
 // livelockWindow is how many issue-free cycles a run of cfg may show
@@ -100,16 +100,19 @@ func livelockWindow(cfg *config.Config) int64 {
 	return 200_000 + trip
 }
 
-// domain is the wake array of one memory-side clock domain, one entry per
-// unit of Fig. 2's hardware: the two crossbars and the memory partitions at
-// 700 MHz, the DRAM channels at the command clock. An entry names, in ticks
-// of that clock, when its unit must next run: a crossbar's or a channel's
-// NextWake, or for a partition the earliest of its banks' NextWake and,
-// while its DRAM return queue holds a line, the next tick. The engine runs
-// a unit only on the domain ticks its entry names (a due partition ticks
-// only the banks whose own NextWake has come), and each crossbar, bank and
-// channel replays the ticks in between itself, from its own clock (SkipTo),
-// right before it next runs or is mutated from outside.
+// clock is one memory-side clock domain, stated once: the accumulator that
+// turns core cycles into its ticks, the ticks elapsed, and the domain's
+// wake array, one entry per unit of Fig. 2's hardware: the two crossbars
+// and the memory partitions at 700 MHz, the DRAM channels at the command
+// clock. Both engines advance it through next; only the event engine
+// reads its wake array. An entry names, in ticks of that clock, when its
+// unit must next run: a crossbar's or a channel's NextWake, or for a
+// partition the earliest of its banks' NextWake and, while its DRAM return
+// queue holds a line, the next tick. The engine runs a unit only on the
+// domain ticks its entry names (a due partition ticks only the banks whose
+// own NextWake has come), and each crossbar, bank and channel replays the
+// ticks in between itself, from its own clock (SkipTo), right before it
+// next runs or is mutated from outside.
 //
 // That is the Touch rule, stated once: whoever mutates a unit from outside
 // — a hand-off, an injecting core, a consuming sink — first calls
@@ -120,24 +123,36 @@ func livelockWindow(cfg *config.Config) int64 {
 // forward, so it takes the min with the entry. A blocked hand-off needs no
 // rule of its own: the unit holding the blocked head answers "next tick"
 // until it moves.
-type domain struct {
-	tick int64   // domain ticks elapsed
-	min  int64   // a lower bound on wake's entries, exact after each domain tick
-	wake []int64 // per unit: the domain tick at which it must next run
+type clock struct {
+	ratio float64 // domain ticks per core cycle; 0 outside ModeNormal
+	acc   float64 // the fraction of a tick carried into the next core cycle
+	tick  int64   // domain ticks elapsed
+	min   int64   // a lower bound on wake's entries, exact after each domain tick
+	wake  []int64 // per unit: the domain tick at which it must next run
 }
 
-func newDomain(units int) domain {
-	d := domain{min: sched.Never, wake: make([]int64, units)}
-	for i := range d.wake {
-		d.wake[i] = sched.Never
+func newClock(ratio float64, units int) clock {
+	c := clock{ratio: ratio, min: sched.Never, wake: make([]int64, units)}
+	for i := range c.wake {
+		c.wake[i] = sched.Never
 	}
-	return d
+	return c
+}
+
+// next returns the accumulator and the tick count one core cycle on, without
+// stepping the clock: the tick loop's float sequence, which every caller
+// commits by storing acc and stepping tick up to the count.
+func (c *clock) next() (acc float64, tick int64) {
+	for acc, tick = c.acc+c.ratio, c.tick; acc >= 1; acc-- {
+		tick++
+	}
+	return acc, tick
 }
 
 // set records unit u's new wake.
-func (d *domain) set(u int, wake int64) {
-	d.wake[u] = wake
-	d.min = min(d.min, wake)
+func (c *clock) set(u int, wake int64) {
+	c.wake[u] = wake
+	c.min = min(c.min, wake)
 }
 
 // Units of the 700 MHz domain, in the order a tick visits them: the two
@@ -317,12 +332,6 @@ func (g *GPU) tickDRAMDue() {
 // runs. Every statistic is byte-identical to the tick engine's.
 func (g *GPU) runEvent() (Metrics, error) {
 	normal := g.cfg.Mode == config.ModeNormal
-	var icntRatio, dramRatio float64 // zero outside ModeNormal: no domain ever ticks
-	if normal {
-		icntRatio = g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
-		dramRatio = g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz
-	}
-
 	var lastProgress int64 // last cycle the instruction count moved
 
 	alive := len(g.cores)
@@ -352,14 +361,12 @@ func (g *GPU) runEvent() (Metrics, error) {
 		for _, c := range g.cores {
 			c.SkipTo(g.cycle)
 		}
-		g.stats.setElapsed(g, g.icnt.tick, g.dram.tick, false)
 	}
 
 	for {
-		// The next cycle's domain ticks, stepped on copies: the exact float
-		// sequence the tick loop produces.
-		ia, it := stepClock(g.icntAcc, icntRatio, g.icnt.tick)
-		da, dt := stepClock(g.dramAcc, dramRatio, g.dram.tick)
+		// The next cycle's domain ticks, not yet stepped.
+		ia, it := g.icnt.next()
+		da, dt := g.dram.next()
 
 		// Bulk-replay a span in which nothing is due: no core before its
 		// wake, no domain tick reaching a unit's wake. The jump ends before
@@ -378,11 +385,11 @@ func (g *GPU) runEvent() (Metrics, error) {
 				g.cycle = target // no clock domains to step
 			}
 			for g.cycle < target && it < g.icnt.min && dt < g.dram.min {
-				g.icntAcc, g.icnt.tick = ia, it
-				g.dramAcc, g.dram.tick = da, dt
+				g.icnt.acc, g.icnt.tick = ia, it
+				g.dram.acc, g.dram.tick = da, dt
 				g.cycle++
-				ia, it = stepClock(ia, icntRatio, it)
-				da, dt = stepClock(da, dramRatio, dt)
+				ia, it = g.icnt.next()
+				da, dt = g.dram.next()
 			}
 			n := g.cycle - from
 			if g.prof != nil {
@@ -407,7 +414,7 @@ func (g *GPU) runEvent() (Metrics, error) {
 		g.cycle++
 
 		if normal {
-			g.icntAcc, g.dramAcc = ia, da
+			g.icnt.acc, g.dram.acc = ia, da
 			for g.icnt.tick < it {
 				g.icnt.tick++
 				if g.icnt.min <= g.icnt.tick {
@@ -510,17 +517,7 @@ func (g *GPU) runApart() (Metrics, error) {
 	if g.prof != nil { // both ideal-mode gauges lack a capacity: zero every cycle
 		g.prof.RecordN(g.sampleGauges(), g.cycle)
 	}
-	g.stats.setElapsed(g, 0, 0, false)
 	return g.collect(), nil
-}
-
-// stepClock advances a clock-domain accumulator by one core cycle and
-// returns it with the domain's tick count: the tick loop's float sequence.
-func stepClock(acc, ratio float64, tick int64) (float64, int64) {
-	for acc += ratio; acc >= 1; acc-- {
-		tick++
-	}
-	return acc, tick
 }
 
 // livelockErr is ErrLivelock with where progress stopped and what core 0

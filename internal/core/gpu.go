@@ -48,8 +48,6 @@ type GPU struct {
 	idealL2 *cache.TagArray // functional L2 for ModeInfiniteBW
 
 	cycle     int64
-	icntAcc   float64
-	dramAcc   float64
 	fetchID   uint64
 	truncated bool
 
@@ -62,11 +60,12 @@ type GPU struct {
 	// before reporting ErrLivelock (livelockWindow).
 	livelockWindow int64
 
-	// wheel is the core clock's wake array, built by runEvent; icnt and
-	// dram are the memory side's, one per clock domain (ModeNormal only).
-	// The tick engine advances none of them.
+	// wheel is the core clock's wake array, built by runEvent. icnt and
+	// dram are the memory side's clocks, the 700 MHz and DRAM command
+	// domains (ticking in ModeNormal only): both engines step them, and
+	// only the event engine reads their wake arrays.
 	wheel      *sched.Wheel
-	icnt, dram domain
+	icnt, dram clock
 
 	// prof, when attached, receives one hierarchy gauge vector per core
 	// cycle. nil (the default) keeps the hot path at a single pointer
@@ -88,7 +87,7 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 		return nil, fmt.Errorf("core: workload %q has no address generator", wl.Name)
 	}
 	g := &GPU{cfg: cfg, wl: wl, pool: &mem.FetchPool{}, engine: EngineEvent}
-	g.icnt.min, g.dram.min = sched.Never, sched.Never // no memory-side units outside ModeNormal
+	g.icnt.min, g.dram.min = sched.Never, sched.Never // no memory-side units, no ticks, outside ModeNormal
 	for _, opt := range opts {
 		opt(g)
 	}
@@ -132,8 +131,8 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 				g.banks[b.ID] = b
 			}
 		}
-		g.icnt = newDomain(uPart0 + cfg.DRAM.NumPartitions)
-		g.dram = newDomain(cfg.DRAM.NumPartitions)
+		g.icnt = newClock(cfg.Icnt.ClockMHz/cfg.Core.ClockMHz, uPart0+cfg.DRAM.NumPartitions)
+		g.dram = newClock(cfg.DRAM.ClockMHz/cfg.Core.ClockMHz, cfg.DRAM.NumPartitions)
 		for _, c := range g.cores {
 			c.SetInject(func(f *mem.Fetch) bool {
 				g.req.SkipTo(g.icnt.tick)
@@ -194,33 +193,14 @@ func (g *GPU) Run() (Metrics, error) {
 // It is the oracle the event-engine parity tests compare against
 // (WithEngine(EngineTick)); no shipped binary selects it.
 func (g *GPU) runTick() (Metrics, error) {
-	icntRatio := g.cfg.Icnt.ClockMHz / g.cfg.Core.ClockMHz
-	dramRatio := g.cfg.DRAM.ClockMHz / g.cfg.Core.ClockMHz
 	normal := g.cfg.Mode == config.ModeNormal
-
 	var lastProgress int64 // last cycle the instruction count moved
-	var icntTicks, dramTicks int64
-	// Every unit ran every tick of its clock.
-	defer func() { g.stats.setElapsed(g, icntTicks, dramTicks, true) }()
 
 	for {
 		g.cycle++
 
 		if normal {
-			g.icntAcc += icntRatio
-			for g.icntAcc >= 1 {
-				g.icntAcc--
-				icntTicks++
-				g.tickIcntDomain()
-			}
-			g.dramAcc += dramRatio
-			for g.dramAcc >= 1 {
-				g.dramAcc--
-				dramTicks++
-				for _, p := range g.parts {
-					p.DRAM.Tick()
-				}
-			}
+			g.tickMemory()
 		}
 
 		done := true
@@ -257,6 +237,23 @@ func (g *GPU) runTick() (Metrics, error) {
 		}
 	}
 	return g.collect(), nil
+}
+
+// tickMemory advances the memory side one core cycle, every unit on every
+// tick: the 700 MHz domain's ticks (tickIcntDomain), then the DRAM
+// channels'.
+func (g *GPU) tickMemory() {
+	var to int64
+	for g.icnt.acc, to = g.icnt.next(); g.icnt.tick < to; {
+		g.icnt.tick++
+		g.tickIcntDomain()
+	}
+	for g.dram.acc, to = g.dram.next(); g.dram.tick < to; {
+		g.dram.tick++
+		for _, p := range g.parts {
+			p.DRAM.Tick()
+		}
+	}
 }
 
 // tickIcntDomain advances the 700 MHz domain one cycle: both crossbars and

@@ -86,7 +86,6 @@ type Stats struct {
 
 // Channel is one memory partition's DRAM channel.
 type Channel struct {
-	id       int
 	cfg      *config.Config
 	amap     AddrMap
 	sched    []request // the FR-FCFS scheduler queue, oldest first
@@ -123,10 +122,10 @@ type Channel struct {
 	Stats Stats
 }
 
-// NewChannel builds the DRAM channel for partition id.
+// NewChannel builds the DRAM channel for partition id. Every channel of a
+// configuration is alike, so id goes unused.
 func NewChannel(id int, cfg *config.Config) *Channel {
 	ch := &Channel{
-		id:    id,
 		cfg:   cfg,
 		amap:  NewAddrMap(cfg),
 		burst: int64(cfg.DRAMBurstCycles()),
@@ -168,6 +167,7 @@ func (c *Channel) Push(f *mem.Fetch) bool {
 	if c.infinite {
 		if f.Type == mem.DataRead || f.Type == mem.InstRead {
 			c.inflight = append(c.inflight, inflight{fetch: f, done: c.now + c.infiniteLat})
+			c.retReserved++ // as at a CAS; the return queue is unbounded
 			c.Stats.Reads++
 		} else {
 			c.Stats.Writes++
@@ -248,9 +248,7 @@ func (c *Channel) PeekResponse() (*mem.Fetch, bool) { return c.ret.Peek() }
 func (c *Channel) Tick() {
 	c.now++
 	if c.infinite {
-		if len(c.inflight) > 0 {
-			c.completeInfinite()
-		}
+		c.completeBursts()
 		return
 	}
 	if c.Idle() {
@@ -260,8 +258,6 @@ func (c *Channel) Tick() {
 		return
 	}
 
-	// Retire finished bursts into the return queue (slots were reserved
-	// at CAS issue, so the pushes cannot fail).
 	c.completeBursts()
 
 	busy := len(c.sched) > 0 || len(c.inflight) > 0
@@ -293,25 +289,14 @@ func (c *Channel) Tick() {
 	c.scanIdleUntil = c.scanWake
 }
 
-func (c *Channel) completeInfinite() {
-	n := 0
-	for _, fl := range c.inflight {
-		if fl.done <= c.now {
-			c.ret.Push(fl.fetch)
-		} else {
-			c.inflight[n] = fl
-			n++
-		}
-	}
-	c.inflight = c.inflight[:n]
-}
-
+// completeBursts retires the finished reads of either model into the
+// return queue, each into the slot it reserved when it was issued.
 func (c *Channel) completeBursts() {
 	n := 0
 	for _, fl := range c.inflight {
 		if fl.done <= c.now {
 			if !c.ret.Push(fl.fetch) {
-				// Cannot happen: the slot was reserved at CAS issue.
+				// Cannot happen: the slot was reserved at issue.
 				panic("dram: return queue overflow despite reservation")
 			}
 			c.retReserved-- // reservation converts into a real slot

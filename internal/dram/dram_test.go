@@ -87,6 +87,14 @@ func TestAddrMapRowLocality(t *testing.T) {
 	}
 }
 
+// TestReadLatencyUncongested holds one read to a closed row on an idle
+// channel to its exact command sequence, tick by tick. Tick 1 finds the
+// bank precharged and issues the ACTIVATE; the CAS waits tRCD and issues on
+// tick 1+tRCD = 13; its burst starts CL later and holds the data bus for
+// DRAMBurstCycles, ending on tick 13+12+4 = 29; the controller pipeline
+// delivers it CtrlLatency later, on tick 29+43 = 72, when drain pops it.
+// Work is pending on ticks 1-71: on tick 72 the burst retires before the
+// count. No row was open, so nothing was precharged.
 func TestReadLatencyUncongested(t *testing.T) {
 	cfg := testConfig()
 	c := NewChannel(0, &cfg)
@@ -98,13 +106,14 @@ func TestReadLatencyUncongested(t *testing.T) {
 	if resp[0] != f {
 		t.Fatal("wrong fetch returned")
 	}
-	// Closed-bank read: ACT at ~1, CAS at 1+tRCD, data at +CL, done +burst,
-	// plus the controller pipeline: ≈ 1 + 12 + 12 + 4 + CtrlLatency(20)
-	// = 49 cycles. Allow slack for tick ordering.
-	t.Logf("uncongested read took %d DRAM cycles", c.now)
-	want := 29 + int64(cfg.DRAM.CtrlLatency)
-	if c.now < want-4 || c.now > want+8 {
-		t.Fatalf("uncongested read latency %d cycles, want ≈%d", c.now, want)
+	tm := &cfg.DRAM.Timing
+	want := int64(1 + tm.RCD + tm.CL + cfg.DRAMBurstCycles() + cfg.DRAM.CtrlLatency)
+	if c.now != want || want != 72 {
+		t.Fatalf("uncongested read landed on tick %d, want %d (72 at baseline)", c.now, want)
+	}
+	got := [4]int64{c.Stats.Activates, c.Stats.Reads, c.Stats.Precharges, c.Stats.PendingCycles}
+	if w := [4]int64{1, 1, 0, want - 1}; got != w {
+		t.Fatalf("activates/reads/precharges/pending = %v, want %v", got, w)
 	}
 }
 
@@ -253,27 +262,45 @@ func TestTimingConstraintsRespected(t *testing.T) {
 	}
 }
 
+// TestInfiniteModeFixedLatency pushes 200 reads and one write into a P_DRAM
+// channel on tick 0. Every read lands on exactly the same tick, unserialized:
+// InfiniteLatency is in core cycles, 90 × 924 / 1400 = 59.4 command-clock
+// ticks, truncated to 59. The write is counted and absorbed: it returns to
+// the fetch pool and sends no response.
 func TestInfiniteModeFixedLatency(t *testing.T) {
 	cfg := config.InfiniteDRAM()
 	c := NewChannel(0, &cfg)
-	// Push far more than any bounded queue would hold.
+	pool := &mem.FetchPool{}
+	c.SetFetchPool(pool)
+	// Far more than any bounded queue would hold.
 	for i := 0; i < 200; i++ {
 		if !c.Push(newRead(uint64(i), uint64(i)*128)) {
 			t.Fatalf("infinite DRAM rejected request %d", i)
 		}
 	}
-	if c.Full() {
+	if !c.Push(newWrite(200, 0)) || c.Full() {
 		t.Fatal("infinite DRAM must never be full")
 	}
-	// All 200 must complete after ≈ the fixed latency (100 core cycles ≈
-	// 66 DRAM cycles), not serialized.
-	resp := drain(t, c, 200, 100)
-	if len(resp) != 200 {
-		t.Fatalf("completed %d", len(resp))
-	}
 	wantLat := int64(float64(cfg.DRAM.InfiniteLatency) * cfg.DRAM.ClockMHz / cfg.Core.ClockMHz)
-	if c.now < wantLat || c.now > wantLat+5 {
-		t.Fatalf("infinite mode latency = %d DRAM cycles, want ≈%d", c.now, wantLat)
+	if wantLat != 59 {
+		t.Fatalf("P_DRAM latency %d command-clock ticks, want 59", wantLat)
+	}
+	for c.now < wantLat-1 {
+		c.Tick()
+		if _, ok := c.PeekResponse(); ok {
+			t.Fatalf("a read landed on tick %d, before %d", c.now, wantLat)
+		}
+	}
+	c.Tick()
+	resp := collect(c)
+	for i, f := range resp {
+		if f.ID != uint64(i) {
+			t.Fatalf("response %d is fetch %d", i, f.ID)
+		}
+	}
+	if len(resp) != 200 || c.Stats.Reads != 200 || c.Stats.Writes != 1 || pool.FreeLen() != 1 || !c.Idle() {
+		t.Fatalf("on tick %d: %d responses, %d reads, %d writes counted, %d fetches pooled, idle %v; want 200, 200, 1, 1, true",
+			c.now, len(resp), c.Stats.Reads, c.Stats.Writes, pool.FreeLen(), c.Idle())
 	}
 }
 

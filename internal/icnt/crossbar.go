@@ -43,7 +43,7 @@ type Stats struct {
 	PacketsDelivered int64
 	FlitsTransferred int64
 	BusyOutputCycles int64 // output-port cycles spent moving flits
-	Cycles           int64
+	Cycles           int64 // the crossbar's clock: interconnect cycles ticked or replayed
 }
 
 // Utilization is the fraction of output-port bandwidth carrying flits.
@@ -77,7 +77,6 @@ type Network struct {
 
 	inCap     int // injection capacity in flits
 	flitShift int // log2(flitBytes) when a power of two, else -1
-	now       int64
 	unbounded bool
 
 	Stats Stats
@@ -173,7 +172,7 @@ func (n *Network) Inject(f *mem.Fetch, src, dst, bytes int) bool {
 // cycle (its pipeline latency has elapsed).
 func (n *Network) Peek(dst int) (*Packet, bool) {
 	p, ok := n.out[dst].Peek()
-	if !ok || p.ready > n.now {
+	if !ok || p.ready > n.Stats.Cycles {
 		return nil, false
 	}
 	return p, true
@@ -222,7 +221,6 @@ func (n *Network) getPacket() *Packet {
 // with pending work moves at most one flit from its locked (or newly
 // arbitrated) source.
 func (n *Network) Tick() {
-	n.now++
 	n.Stats.Cycles++
 	if n.srcBusy == 0 {
 		// No source holds a head packet, so no output can have work this
@@ -237,16 +235,17 @@ func (n *Network) Tick() {
 }
 
 // NextWake returns the earliest tick of the network's own clock (the
-// value now reaches in that Tick) at which Tick, or a sink peeking an
-// ejection FIFO, can do anything but count a cycle: the next tick while
-// any source holds a head packet (an output blocked on a full ejection
-// FIFO retries every tick), else the earliest cycle an ejection-FIFO head
-// finishes its pipeline latency (the next tick if one already has and
-// waits for its sink), else sched.Never — only an Inject or a Pop can give
-// the network work. Early is harmless, late never happens.
+// value Stats.Cycles reaches in that Tick) at which Tick, or a sink
+// peeking an ejection FIFO, can do anything but count a cycle: the next
+// tick while any source holds a head packet (an output blocked on a full
+// ejection FIFO retries every tick), else the earliest cycle an
+// ejection-FIFO head finishes its pipeline latency (the next tick if one
+// already has and waits for its sink), else sched.Never — only an Inject
+// or a Pop can give the network work. Early is harmless, late never
+// happens.
 func (n *Network) NextWake() int64 {
 	if n.srcBusy != 0 {
-		return n.now + 1
+		return n.Stats.Cycles + 1
 	}
 	wake := sched.Never
 	for wi, word := range n.outOcc {
@@ -258,18 +257,15 @@ func (n *Network) NextWake() int64 {
 			}
 		}
 	}
-	return max(wake, n.now+1)
+	return max(wake, n.Stats.Cycles+1)
 }
 
-// SkipTo replays the frozen Ticks up to tick in closed form: the clock and
-// the cycle counter advance, nothing else can. At or behind the clock it
-// does nothing. Valid while the network is frozen — across any span that
-// ends before NextWake().
+// SkipTo replays the frozen Ticks up to tick in closed form: the clock
+// advances, nothing else can. At or behind the clock it does nothing.
+// Valid while the network is frozen — across any span that ends before
+// NextWake().
 func (n *Network) SkipTo(tick int64) {
-	if k := tick - n.now; k > 0 {
-		n.now = tick
-		n.Stats.Cycles += k
-	}
+	n.Stats.Cycles = max(n.Stats.Cycles, tick)
 }
 
 func (n *Network) tickOutput(d int) {
@@ -307,7 +303,7 @@ func (n *Network) tickOutput(d int) {
 		}
 		n.lockSrc[d] = -1
 		n.outResvd[d]--
-		p.ready = n.now + n.latency
+		p.ready = n.Stats.Cycles + n.latency
 		if !n.out[d].Push(p) {
 			panic(fmt.Sprintf("icnt %s: ejection overflow at output %d despite reservation", n.name, d))
 		}

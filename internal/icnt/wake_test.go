@@ -58,14 +58,14 @@ func TestFrozenReplayIsExact(t *testing.T) {
 			if wb := b.NextWake(); wb != wake {
 				t.Fatalf("seed %d step %d: NextWake %d vs %d", seed, step, wake, wb)
 			}
-			if wake <= a.now {
-				t.Fatalf("seed %d step %d: NextWake %d not after now %d", seed, step, wake, a.now)
+			if wake <= a.Stats.Cycles {
+				t.Fatalf("seed %d step %d: NextWake %d not after the clock %d", seed, step, wake, a.Stats.Cycles)
 			}
 			span := int64(1)
 			if wake == sched.Never {
 				span = 1 + r.Int63n(40) // only an Inject or Pop can end it: any span is frozen
-			} else if wake > a.now+1 {
-				span = wake - a.now
+			} else if wake > a.Stats.Cycles+1 {
+				span = wake - a.Stats.Cycles
 			}
 			if span > 1 {
 				skippedTicks += span - 1
@@ -78,8 +78,8 @@ func TestFrozenReplayIsExact(t *testing.T) {
 			}
 			// A SkipTo at or behind the clock changes nothing: the twins
 			// must still agree after it.
-			a.SkipTo(a.now - int64(step%2))
-			a.SkipTo(a.now + span - 1)
+			a.SkipTo(a.Stats.Cycles - int64(step%2))
+			a.SkipTo(a.Stats.Cycles + span - 1)
 			a.Tick()
 			for i := int64(0); i < span; i++ {
 				b.Tick()

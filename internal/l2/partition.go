@@ -9,7 +9,6 @@ import (
 // Partition is one memory partition: the L2 banks sharing a crossbar node
 // plus their GDDR5 channel. The GTX 480 has 6 partitions of 2 banks each.
 type Partition struct {
-	ID    int
 	Banks []*Bank
 	DRAM  *dram.Channel
 
@@ -21,7 +20,6 @@ type Partition struct {
 // NewPartition builds partition id with its banks and DRAM channel.
 func NewPartition(id int, cfg *config.Config) *Partition {
 	p := &Partition{
-		ID:   id,
 		DRAM: dram.NewChannel(id, cfg),
 		cfg:  cfg,
 	}
