@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"gpumembw/internal/config"
+	"gpumembw/internal/icnt"
 	"gpumembw/internal/mem"
+	"gpumembw/internal/stats"
 )
 
 // drainLimit bounds how many core cycles drainMemory ticks the memory side
@@ -45,9 +47,38 @@ func drainMemory(t *testing.T, name string, g *GPU) {
 // then holds the hierarchy to its conservation laws: every fetch the pool
 // handed out came back exactly once, every L1 and L2 queue and MSHR table
 // is empty, and each crossbar moved exactly the packets and flits of the
-// requests the L2 banks accepted and the replies they sent.
-func requireConserved(t *testing.T, name string, g *GPU) {
+// requests the L2 banks accepted and the replies they sent. It also holds
+// the run's metrics m and counters to the hardware's capacity: a ratio lies
+// in [0, 1], a histogram's buckets sum to its lifetime, an output port
+// moves at most one flit per crossbar cycle, and on each L2 cycle with a
+// request queued a bank either serves its access-queue head or counts one
+// stall cycle.
+func requireConserved(t *testing.T, name string, g *GPU, m Metrics) {
 	t.Helper()
+	for _, r := range []struct {
+		name string
+		v    float64
+	}{
+		{"IssueStallFrac", m.IssueStallFrac}, {"L1MissRate", m.L1MissRate}, {"L2MissRate", m.L2MissRate},
+		{"DRAMBandwidthEff", m.DRAMBandwidthEff}, {"DRAMRowHitRate", m.DRAMRowHitRate},
+		{"ReqNetUtil", m.ReqNetUtil}, {"ReplyNetUtil", m.ReplyNetUtil},
+	} {
+		if !(r.v >= 0 && r.v <= 1) {
+			t.Errorf("%s: %s = %g, outside [0, 1]", name, r.name, r.v)
+		}
+	}
+	for _, h := range []struct {
+		name string
+		h    *stats.OccupancyHist
+	}{{"L2AccessOcc", &m.L2AccessOcc}, {"DRAMSchedOcc", &m.DRAMSchedOcc}} {
+		var sum int64
+		for _, b := range h.h.Buckets {
+			sum += b
+		}
+		if sum != h.h.Lifetime {
+			t.Errorf("%s: %s buckets sum to %d over a lifetime of %d cycles", name, h.name, sum, h.h.Lifetime)
+		}
+	}
 	drainMemory(t, name, g)
 	if a, f := g.pool.Allocated(), g.pool.FreeLen(); a != f {
 		t.Errorf("%s: the fetch pool allocated %d fetches and holds %d back", name, a, f)
@@ -68,8 +99,26 @@ func requireConserved(t *testing.T, name string, g *GPU) {
 		if l, _ := b.MissQueueOcc(); l != 0 || b.MSHROcc() != 0 {
 			t.Errorf("%s: L2 bank %d holds %d misses queued and %d MSHR entries", name, b.ID, l, b.MSHROcc())
 		}
+		var stalls int64
+		for _, n := range b.Stats.StallCycles[1:] { // [0] is StallNone
+			stalls += n
+		}
+		if life := b.Stats.AccessOccupancy.Lifetime; b.Stats.Accesses+stalls != life || life > g.icnt.tick {
+			t.Errorf("%s: L2 bank %d took %d accesses and stalled %d cycles in %d cycles with requests queued, out of %d L2 cycles",
+				name, b.ID, b.Stats.Accesses, stalls, life, g.icnt.tick)
+		}
 		reads += b.Stats.Accesses - b.Stats.Writes
 		writes += b.Stats.Writes
+	}
+	for _, x := range []struct {
+		net     string
+		s       *icnt.Stats
+		outputs int
+	}{{"request", &g.req.Stats, g.cfg.L2.NumBanks}, {"reply", &g.reply.Stats, g.cfg.Core.NumCores}} {
+		if x.s.FlitsTransferred > x.s.Cycles*int64(x.outputs) {
+			t.Errorf("%s: the %s crossbar moved %d flits in %d cycles through %d outputs",
+				name, x.net, x.s.FlitsTransferred, x.s.Cycles, x.outputs)
+		}
 	}
 	if writes != stores {
 		t.Errorf("%s: the cores sent %d stores and the L2 banks took %d", name, stores, writes)

@@ -30,7 +30,7 @@ func runEngine(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine) (
 	m, err := g.Run()
 	skipped := g.EngineStats().SkippedCycles
 	if err == nil && !m.Truncated {
-		requireConserved(t, wl.Name+"@"+cfg.Name, g)
+		requireConserved(t, wl.Name+"@"+cfg.Name, g, m)
 	}
 	return m, err, skipped
 }
@@ -51,7 +51,7 @@ func runProfiled(t *testing.T, cfg config.Config, wl *smcore.Workload, e Engine)
 		t.Fatal(err)
 	}
 	if runErr == nil && !m.Truncated {
-		requireConserved(t, wl.Name+"@"+cfg.Name, g)
+		requireConserved(t, wl.Name+"@"+cfg.Name, g, m)
 	}
 	return js, m, runErr
 }
@@ -285,6 +285,9 @@ func TestEngineJumpsTheChase(t *testing.T) {
 	}
 	if 5*s.SkippedCycles <= m.Cycles {
 		t.Errorf("jumped %d of %d cycles, want more than a fifth", s.SkippedCycles, m.Cycles)
+	}
+	if s.Jumps < 1 || s.Jumps > s.SkippedCycles {
+		t.Errorf("%d jumps over %d skipped cycles; want at least one, and each skips at least one cycle", s.Jumps, s.SkippedCycles)
 	}
 	const microEvents = 388463
 	if run := memTicksRun(s); run > 3*microEvents {

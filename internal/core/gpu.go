@@ -101,7 +101,6 @@ func New(cfg config.Config, wl *smcore.Workload, opts ...Option) (*GPU, error) {
 			CoreID: coreID, WarpID: warpID, IssueCycle: issueCycle,
 		}
 		f.BankID = g.bankOf(addr)
-		f.PartitionID = f.BankID % cfg.DRAM.NumPartitions
 		return f
 	}
 

@@ -74,14 +74,13 @@ type request struct {
 
 // Stats aggregates per-channel DRAM statistics.
 type Stats struct {
-	Reads           int64
-	Writes          int64
-	Activates       int64
-	Precharges      int64
-	BusBusyCycles   int64 // command-clock cycles the data bus carried data
-	PendingCycles   int64 // cycles with work queued or in flight
-	SchedOccupancy  stats.OccupancyHist
-	ReturnOccupancy stats.OccupancyHist
+	Reads          int64
+	Writes         int64
+	Activates      int64
+	Precharges     int64
+	BusBusyCycles  int64 // command-clock cycles the data bus carried data
+	PendingCycles  int64 // cycles with work queued or in flight
+	SchedOccupancy stats.OccupancyHist
 }
 
 // Channel is one memory partition's DRAM channel.
@@ -238,7 +237,6 @@ func (c *Channel) SkipTo(tick int64) {
 		c.Stats.BusBusyCycles += min(max(c.busBusyUntil-now-1, 0), n)
 	}
 	c.Stats.SchedOccupancy.ObserveN(len(c.sched), c.schedCap, n)
-	c.Stats.ReturnOccupancy.ObserveN(c.ret.Len(), c.ret.Cap(), n)
 }
 
 // PeekResponse returns the oldest completed read without removing it.
@@ -268,7 +266,6 @@ func (c *Channel) Tick() {
 		}
 	}
 	c.Stats.SchedOccupancy.Observe(len(c.sched), c.schedCap)
-	c.Stats.ReturnOccupancy.Observe(c.ret.Len(), c.ret.Cap())
 
 	if len(c.sched) == 0 {
 		return

@@ -41,8 +41,7 @@ type Packet struct {
 type Stats struct {
 	PacketsInjected  int64
 	PacketsDelivered int64
-	FlitsTransferred int64
-	BusyOutputCycles int64 // output-port cycles spent moving flits
+	FlitsTransferred int64 // one per output-port cycle spent moving a flit
 	Cycles           int64 // the crossbar's clock: interconnect cycles ticked or replayed
 }
 
@@ -51,7 +50,7 @@ func (s *Stats) Utilization(outputs int) float64 {
 	if s.Cycles == 0 || outputs == 0 {
 		return 0
 	}
-	return float64(s.BusyOutputCycles) / float64(s.Cycles*int64(outputs))
+	return float64(s.FlitsTransferred) / float64(s.Cycles*int64(outputs))
 }
 
 // Network is one direction of the crossbar.
@@ -290,7 +289,6 @@ func (n *Network) tickOutput(d int) {
 	n.inFlits[src]--
 	n.drainStamp[src]++
 	n.Stats.FlitsTransferred++
-	n.Stats.BusyOutputCycles++
 	if p.sent >= p.Flits {
 		n.in[src].Pop()
 		n.dstWork[d]--

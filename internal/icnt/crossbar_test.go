@@ -200,7 +200,7 @@ func TestConservation(t *testing.T) {
 					if rng.Intn(4) == 0 {
 						bytes = 136
 					}
-					ftch := &mem.Fetch{ID: id, CoreID: s, PartitionID: d}
+					ftch := &mem.Fetch{ID: id, CoreID: s}
 					if n.Inject(ftch, s, d, bytes) {
 						sent[key{s, d}] = append(sent[key{s, d}], id)
 					}

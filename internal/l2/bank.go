@@ -173,7 +173,6 @@ func (b *Bank) CanAccept() bool { return !b.accessQ.Full() }
 
 // Accept enqueues a request arriving from the request crossbar.
 func (b *Bank) Accept(f *mem.Fetch) bool {
-	f.L2ArriveCycle = b.now
 	return b.accessQ.Push(f)
 }
 
@@ -198,7 +197,6 @@ func (b *Bank) Fill(f *mem.Fetch) {
 			b.pool.Put(w)
 			continue
 		}
-		w.IsReply = true
 		w.L2Hit = false
 		w.SizeBytes = b.cfg.L2.LineBytes
 		b.fillPending = append(b.fillPending, w)
@@ -360,7 +358,6 @@ func (b *Bank) processRead(f *mem.Fetch) StallCause {
 		}
 		b.tags.Access(addr)
 		b.portBusyUntil = b.now + b.portCycles
-		f.IsReply = true
 		f.L2Hit = true
 		f.SizeBytes = b.cfg.L2.LineBytes
 		b.respQ.push(f, b.now+b.tagLat+b.portCycles)
@@ -386,13 +383,9 @@ func (b *Bank) processRead(f *mem.Fetch) StallCause {
 			return StallCache
 		}
 		// A dirty victim needs a second miss-queue slot for its
-		// write-back.
+		// write-back; with one slot left the bank waits even for a clean
+		// victim (counts as DRAM backpressure).
 		if b.missQ.Free() < 2 {
-			if b.missQ.Free() < 1 {
-				return StallBpDRAM
-			}
-			// Exactly one slot: only safe if the victim is clean; be
-			// conservative and wait (counts as DRAM backpressure).
 			return StallBpDRAM
 		}
 		res := b.mshr.Allocate(addr, f)
@@ -405,12 +398,11 @@ func (b *Bank) processRead(f *mem.Fetch) StallCause {
 		}
 		miss := b.pool.Get()
 		*miss = mem.Fetch{
-			ID:          f.ID,
-			Type:        mem.DataRead,
-			Addr:        addr,
-			CoreID:      f.CoreID,
-			PartitionID: f.PartitionID,
-			BankID:      b.ID,
+			ID:     f.ID,
+			Type:   mem.DataRead,
+			Addr:   addr,
+			CoreID: f.CoreID,
+			BankID: b.ID,
 		}
 		b.missQ.push(miss, b.now+b.tagLat)
 		if victim.Valid && victim.Dirty {
@@ -492,13 +484,12 @@ func (b *Bank) pushWriteBack(addr uint64) {
 func (b *Bank) dramWrite(addr uint64, orig *mem.Fetch) *mem.Fetch {
 	f := b.pool.Get()
 	*f = mem.Fetch{
-		ID:          orig.ID,
-		Type:        mem.WriteBack,
-		Addr:        addr,
-		SizeBytes:   b.cfg.L2.LineBytes,
-		CoreID:      orig.CoreID,
-		PartitionID: orig.PartitionID,
-		BankID:      b.ID,
+		ID:        orig.ID,
+		Type:      mem.WriteBack,
+		Addr:      addr,
+		SizeBytes: b.cfg.L2.LineBytes,
+		CoreID:    orig.CoreID,
+		BankID:    b.ID,
 	}
 	return f
 }

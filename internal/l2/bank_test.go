@@ -16,10 +16,7 @@ func bankAddr(cfg *config.Config, globalBank, i int) uint64 {
 func read(id uint64, addr uint64, cfg *config.Config) *mem.Fetch {
 	lineIdx := addr / uint64(cfg.L2.LineBytes)
 	bank := int(lineIdx % uint64(cfg.L2.NumBanks))
-	return &mem.Fetch{
-		ID: id, Type: mem.DataRead, Addr: addr,
-		PartitionID: bank % cfg.DRAM.NumPartitions, BankID: bank,
-	}
+	return &mem.Fetch{ID: id, Type: mem.DataRead, Addr: addr, BankID: bank}
 }
 
 func write(id uint64, addr uint64, cfg *config.Config) *mem.Fetch {
@@ -73,7 +70,7 @@ func TestMissGoesToDRAMAndFills(t *testing.T) {
 	if replies[0].L2Hit {
 		t.Error("first access must be an L2 miss")
 	}
-	if !replies[0].IsReply || replies[0].SizeBytes != 128 {
+	if replies[0].SizeBytes != 128 {
 		t.Errorf("bad reply: %+v", replies[0])
 	}
 	if b.Stats.Misses != 1 || b.Stats.Fills != 1 {

@@ -70,7 +70,7 @@ func TestBankConservation(t *testing.T) {
 		}
 		seen := map[uint64]bool{}
 		for _, f := range replies {
-			if !f.IsReply || f.SizeBytes != cfg.L2.LineBytes {
+			if f.SizeBytes != cfg.L2.LineBytes {
 				return false
 			}
 			if seen[f.ID] {

@@ -48,29 +48,24 @@ const ControlBytes = 8
 
 // Fetch is one memory request (and, after service, its response) moving
 // through the hierarchy. A Fetch is identified by ID and never copied:
-// every level passes the same pointer along and stamps its timestamps.
+// every level passes the same pointer along.
 type Fetch struct {
 	ID   uint64
 	Type AccessType
+	// L2Hit records whether the fetch was served by the L2 (for the
+	// L2-AHL average-hit-latency metric) or travelled to DRAM.
+	L2Hit bool
 
 	Addr      uint64 // line-aligned address
 	SizeBytes int    // payload size (0 for a plain read request)
 
-	CoreID      int // requesting SM (-1 for L2-generated write-backs)
-	WarpID      int
-	PartitionID int // destination memory partition
-	BankID      int // destination L2 bank (global index)
+	CoreID int // requesting SM (-1 for L2-generated write-backs)
+	WarpID int
+	BankID int // destination L2 bank (global index)
 
-	IsReply bool // set once the fetch carries response data toward the core
-
-	// Timestamps in core cycles, for the latency series of Fig. 1.
-	IssueCycle    int64 // entered the memory system at L1
-	L2ArriveCycle int64
-	ReplyCycle    int64 // response reached the core
-
-	// L2Hit records whether the fetch was served by the L2 (for the
-	// L2-AHL average-hit-latency metric) or travelled to DRAM.
-	L2Hit bool
+	// IssueCycle is the core cycle the fetch entered the memory system at
+	// L1: the start of its AML and L2-AHL samples (Fig. 1).
+	IssueCycle int64
 }
 
 // RequestBytes returns the size of the fetch as a request-network packet.
@@ -98,14 +93,4 @@ func Flits(bytes, flitBytes int) int {
 		n = 1
 	}
 	return n
-}
-
-// String implements fmt.Stringer for debugging and trace output.
-func (f *Fetch) String() string {
-	dir := "req"
-	if f.IsReply {
-		dir = "reply"
-	}
-	return fmt.Sprintf("fetch{id=%d %s %s addr=0x%x core=%d part=%d}",
-		f.ID, f.Type, dir, f.Addr, f.CoreID, f.PartitionID)
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestPacketSizing(t *testing.T) {
@@ -64,14 +65,10 @@ func TestAccessTypeString(t *testing.T) {
 	}
 }
 
-func TestFetchString(t *testing.T) {
-	f := &Fetch{ID: 7, Type: DataRead, Addr: 0x1000, CoreID: 3, PartitionID: 2}
-	s := f.String()
-	if !strings.Contains(s, "id=7") || !strings.Contains(s, "req") {
-		t.Errorf("String() = %q", s)
-	}
-	f.IsReply = true
-	if !strings.Contains(f.String(), "reply") {
-		t.Errorf("reply String() = %q", f.String())
+// TestFetchFitsOneCacheLine pins the pooled fetch at 64 bytes, one host
+// cache line: a field added later must be worth the second line it costs.
+func TestFetchFitsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Fetch{}); got != 64 {
+		t.Errorf("unsafe.Sizeof(Fetch{}) = %d B, want 64", got)
 	}
 }

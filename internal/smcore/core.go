@@ -133,14 +133,11 @@ type CoreStats struct {
 	L1Misses   int64
 	L1Merged   int64
 
-	IFetches   int64
 	IMisses    int64
 	StoresSent int64
 
 	AML   stats.LatencySampler // round-trip latency of every L1 miss
 	L2AHL stats.LatencySampler // round trip of misses served by the L2
-
-	MemQOcc stats.OccupancyHist
 }
 
 // IssueStallCycles returns the total stalled issue cycles.
@@ -535,7 +532,6 @@ func (c *Core) consumeResponse() {
 	}
 	f, _ := c.respFIFO.Pop()
 	c.lsuParked = false // a fill or MSHR release may unblock the LSU head
-	f.ReplyCycle = c.now
 	lat := c.now - f.IssueCycle
 	switch f.Type {
 	case mem.InstRead:
@@ -559,11 +555,9 @@ func (c *Core) consumeResponse() {
 // lsuTick processes the head of the memory pipeline against the L1D,
 // attributing blocked cycles per Fig. 9.
 func (c *Core) lsuTick() {
-	occ := c.memQ.Len()
-	if occ == 0 {
-		return // occupancy 0 is outside the histogram's usage lifetime
+	if c.memQ.Empty() {
+		return
 	}
-	c.Stats.MemQOcc.Observe(occ, c.memQ.Cap())
 	if c.lsuParked {
 		// The head re-attempt would fail exactly as it did last cycle:
 		// replay its stall attribution without the lookups.
@@ -880,8 +874,7 @@ func (c *Core) fetchTick() {
 			c.fetchMask[idx>>6] &^= 1 << uint(idx&63)
 		}
 		c.fetchParkedValid = false // the warp's fetch position moved
-		c.Stats.IFetches++
-		c.issueDirty = true // a fresh instruction may be issuable
+		c.issueDirty = true        // a fresh instruction may be issuable
 		return
 	}
 	if c.iPendingTest(line) {

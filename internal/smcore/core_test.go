@@ -320,7 +320,6 @@ func TestNormalModeRequiresDrainThroughMissQueue(t *testing.T) {
 	c := NewCore(0, &cfg, streamWorkload(12, 0, 2), testFetchFn())
 	c.SetInject(func(f *mem.Fetch) bool {
 		if f.Type == mem.InstRead {
-			f.IsReply = true
 			return c.AcceptResponse(f)
 		}
 		return false // data path blocked
@@ -357,7 +356,6 @@ func TestNormalModeRoundTrip(t *testing.T) {
 		n := 0
 		for _, p := range inFlight {
 			if p.when <= cycle && c.CanAcceptResponse() {
-				p.f.IsReply = true
 				p.f.L2Hit = true
 				c.AcceptResponse(p.f)
 			} else {
@@ -415,7 +413,6 @@ func TestMSHRMergingInNormalMode(t *testing.T) {
 		if len(outstanding) > 0 && outstanding[0].when <= cycle && c.CanAcceptResponse() {
 			f := outstanding[0].f
 			outstanding = outstanding[1:]
-			f.IsReply = true
 			c.AcceptResponse(f)
 		}
 		c.Tick()

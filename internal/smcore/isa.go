@@ -55,8 +55,6 @@ type Inst struct {
 	Dest int8
 	Src1 int8
 	Src2 int8
-	// Pat selects the workload's address pattern for loads and stores.
-	Pat int8
 }
 
 // InstBytes is the encoded size of one instruction, which sets the

@@ -154,13 +154,19 @@ func (r *refBoard) clearsBy(warp int, load bool, regs uint64) int64 {
 type sbMemory struct {
 	c        *Core
 	maxDelay int64
-	inflight []*mem.Fetch // each with the cycle its reply is due in ReplyCycle
+	inflight []sbReply
+}
+
+// sbReply is a read in flight and the cycle its reply is due.
+type sbReply struct {
+	f   *mem.Fetch
+	due int64
 }
 
 func (m *sbMemory) inject(f *mem.Fetch) bool {
 	if f.Type.NeedsReply() {
-		f.ReplyCycle = m.c.now + 1 + int64(f.Addr>>7*2654435761%uint64(m.maxDelay))
-		m.inflight = append(m.inflight, f)
+		due := m.c.now + 1 + int64(f.Addr>>7*2654435761%uint64(m.maxDelay))
+		m.inflight = append(m.inflight, sbReply{f, due})
 	}
 	return true
 }
@@ -168,8 +174,8 @@ func (m *sbMemory) inject(f *mem.Fetch) bool {
 // nextDue is the cycle the next reply can be handed over.
 func (m *sbMemory) nextDue() int64 {
 	due := int64(math.MaxInt64)
-	for _, f := range m.inflight {
-		due = min(due, f.ReplyCycle)
+	for _, r := range m.inflight {
+		due = min(due, r.due)
 	}
 	return max(due, m.c.now+1)
 }
@@ -178,18 +184,17 @@ func (m *sbMemory) nextDue() int64 {
 // which consumes it, and returns it.
 func (m *sbMemory) deliver() *mem.Fetch {
 	best := -1
-	for i, f := range m.inflight {
-		if f.ReplyCycle <= m.c.now+1 && (best < 0 || f.ReplyCycle < m.inflight[best].ReplyCycle ||
-			f.ReplyCycle == m.inflight[best].ReplyCycle && f.ID < m.inflight[best].ID) {
+	for i, r := range m.inflight {
+		if r.due <= m.c.now+1 && (best < 0 || r.due < m.inflight[best].due ||
+			r.due == m.inflight[best].due && r.f.ID < m.inflight[best].f.ID) {
 			best = i
 		}
 	}
 	if best < 0 || !m.c.respFIFO.Empty() {
 		return nil
 	}
-	f := m.inflight[best]
+	f := m.inflight[best].f
 	m.inflight = append(m.inflight[:best], m.inflight[best+1:]...)
-	f.IsReply = true
 	m.c.AcceptResponse(f)
 	return f
 }

@@ -4,8 +4,6 @@
 // vectors (Figs. 7–9).
 package stats
 
-import "fmt"
-
 // OccupancyBuckets is the number of occupancy bands in the paper's queue
 // histograms: (0–25%), [25–50%), [50–75%), [75–100%), and exactly 100%.
 const OccupancyBuckets = 5
@@ -99,7 +97,6 @@ func (h *OccupancyHist) Merge(other *OccupancyHist) {
 type LatencySampler struct {
 	Count int64
 	Sum   int64
-	Max   int64
 }
 
 // Add records one latency sample.
@@ -109,9 +106,6 @@ func (s *LatencySampler) Add(lat int64) {
 	}
 	s.Count++
 	s.Sum += lat
-	if lat > s.Max {
-		s.Max = lat
-	}
 }
 
 // Mean returns the average sample, or 0 if none were recorded.
@@ -126,9 +120,6 @@ func (s *LatencySampler) Mean() float64 {
 func (s *LatencySampler) Merge(other *LatencySampler) {
 	s.Count += other.Count
 	s.Sum += other.Sum
-	if other.Max > s.Max {
-		s.Max = other.Max
-	}
 }
 
 // Ratio returns num/den, or 0 when den is 0. It keeps metric code free of
@@ -176,15 +167,4 @@ func (b *Breakdown) Fractions() []float64 {
 		out[i] = float64(c) / float64(t)
 	}
 	return out
-}
-
-// Merge adds other into b. The breakdowns must share the same labels.
-func (b *Breakdown) Merge(other *Breakdown) error {
-	if len(b.Counts) != len(other.Counts) {
-		return fmt.Errorf("stats: merging breakdowns of different arity (%d vs %d)", len(b.Counts), len(other.Counts))
-	}
-	for i := range b.Counts {
-		b.Counts[i] += other.Counts[i]
-	}
-	return nil
 }

