@@ -1,20 +1,21 @@
 // Command bwexplore runs custom design-space explorations over BOTH axes
 // of the simulator's design space: the architecture axis — whole memory
-// levels scaled by a factor (-levels/-factor), or the paper's Table III
-// mitigation knobs swept directly (-mshr, -missq, -l2banks, -dram-scale)
-// — and optionally the workload axis — coalescing degree, thread-level
-// parallelism, working-set size as spec variants derived from a named
-// benchmark. Every (config, workload) cell runs once on the experiment
-// engine's worker pool through the shared sweep API; the report shows
-// per-workload speedups over the baseline for every configuration column
-// plus the estimated area cost.
+// levels scaled by one or more factors (-levels/-factor), crossed with
+// named knobs swept directly (-knob path=v1,v2,…, any path `gpusim -set`
+// takes, such as the paper's Table III mitigation knobs) — and optionally
+// the workload axis — coalescing degree, thread-level parallelism,
+// working-set size as spec variants derived from a named benchmark. Every
+// (config, workload) cell runs once on the experiment engine's worker
+// pool through the shared sweep API; the report shows per-workload
+// speedups over the baseline for every configuration column plus the
+// estimated area cost.
 //
 // Usage:
 //
 //	bwexplore -levels l2 -factor 4
 //	bwexplore -levels l1,l2 -factor 2 -bench mm,sc,lbm -j 8
-//	bwexplore -mshr 64,128 -missq 32 -bench mm,sc
-//	bwexplore -l2banks 24,48 -dram-scale 2,4 -base mm -coalesce 1,8
+//	bwexplore -knob l1.mshr_entries=64,128 -knob l1.miss_queue_entries=32 -bench mm,sc
+//	bwexplore -knob l2.num_banks=24,48 -levels dram -factor 2,4 -base mm -coalesce 1,8
 //	bwexplore -levels l2 -factor 4 -base mm -coalesce 1,4,8 -tlp 6,24,48
 //	bwexplore -levels dram -factor 4 -base nn -ws 64,512,4096
 package main
@@ -34,12 +35,10 @@ import (
 )
 
 func main() {
-	levels := flag.String("levels", "l2", "comma-separated levels to scale: l1,l2,dram")
-	factor := flag.Int("factor", 4, "scaling factor for the selected levels")
-	mshr := flag.String("mshr", "", "comma-separated L1 MSHR entry counts to sweep (Table III mitigation)")
-	missq := flag.String("missq", "", "comma-separated L1+L2 miss-queue depths to sweep (Table III mitigation)")
-	l2banks := flag.String("l2banks", "", "comma-separated L2 bank counts to sweep (Table III mitigation)")
-	dramScale := flag.String("dram-scale", "", "comma-separated DRAM bandwidth scale factors to sweep (Table III mitigation)")
+	levels := flag.String("levels", "", "comma-separated levels to scale together: l1,l2,dram")
+	factors := flag.String("factor", "4", "comma-separated scaling factors for -levels, one column each")
+	var knobs cliutil.StringList
+	flag.Var(&knobs, "knob", "knob axis path=v1,v2,..., crossed with the other axes (repeatable)")
 	benches := flag.String("bench", "", "comma-separated benchmarks (default: all 19)")
 	base := flag.String("base", "", "benchmark whose spec seeds workload-axis variants")
 	coalesce := flag.String("coalesce", "", "comma-separated lines-per-access values to sweep (needs -base)")
@@ -48,6 +47,11 @@ func main() {
 	workers := flag.Int("j", 0, "simulation workers (default GOMAXPROCS)")
 	profiles := prof.AddFlags()
 	flag.Parse()
+	if *levels == "" && len(knobs) == 0 {
+		fmt.Fprintln(os.Stderr, "bwexplore: give -levels, -knob or both")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if err := exp.ValidateWorkers(*workers); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -60,22 +64,7 @@ func main() {
 	defer profiles.Stop()
 	defer profiles.ExitOnSignal(nil)()
 
-	hwAxes := *mshr != "" || *missq != "" || *l2banks != "" || *dramScale != ""
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if hwAxes && (explicit["levels"] || explicit["factor"]) {
-		fmt.Fprintln(os.Stderr, "bwexplore: -levels/-factor and the mitigation axes (-mshr/-missq/-l2banks/-dram-scale) are mutually exclusive")
-		profiles.Exit(2)
-	}
-
-	var cols []config.Config
-	var err error
-	if hwAxes {
-		cols, err = mitigationAxis(*mshr, *missq, *l2banks, *dramScale)
-	} else {
-		cols = make([]config.Config, 1)
-		cols[0], err = scaledConfig(*levels, *factor)
-	}
+	cols, err := configColumns(*levels, *factors, knobs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		profiles.Exit(2)
@@ -122,99 +111,55 @@ func main() {
 	}
 }
 
-// mitigationAxis expands the Table III mitigation knobs into config
-// columns: the cross product of the provided axes applied to the
-// baseline. -mshr scales L1 MSHR entries, -missq the L1 and L2 miss
-// queues together (the paper scales both levels' queues in one step),
-// -l2banks the L2 bank count (crossbar ports scale with it), and
-// -dram-scale the DRAM scheduler queue, banks and bus width by a factor.
-func mitigationAxis(mshr, missq, l2banks, dramScale string) ([]config.Config, error) {
-	parse := func(s, name string) ([]int, error) {
-		if s == "" {
-			return []int{0}, nil // 0 = axis unset, keep baseline
-		}
-		var vals []int
-		for _, p := range cliutil.SplitCSV(s) {
-			v, err := strconv.Atoi(p)
+// configColumns builds the configuration columns as one cross product:
+// each level point (the baseline with -levels scaled by one -factor, or the
+// plain baseline without -levels), then each -knob point applied on top of
+// it, in flag order. A column is named by its level part and its knob
+// assignments, joined by "/": "dram-2x/l2.num_banks=24".
+func configColumns(levels, factors string, knobs []string) ([]config.Config, error) {
+	points, err := cliutil.KnobPoints(knobs)
+	if err != nil {
+		return nil, fmt.Errorf("bwexplore: %w", err)
+	}
+	bases := []config.Config{gpumembw.Baseline()}
+	if levels != "" {
+		bases = bases[:0]
+		for _, f := range cliutil.SplitCSV(factors) {
+			factor, err := strconv.Atoi(f)
 			if err != nil {
-				return nil, fmt.Errorf("bwexplore: -%s: %w", name, err)
+				return nil, fmt.Errorf("bwexplore: -factor: %w", err)
 			}
-			if v <= 0 {
-				return nil, fmt.Errorf("bwexplore: -%s values must be positive, got %d", name, v)
-			}
-			vals = append(vals, v)
-		}
-		return vals, nil
-	}
-	mshrVals, err := parse(mshr, "mshr")
-	if err != nil {
-		return nil, err
-	}
-	missqVals, err := parse(missq, "missq")
-	if err != nil {
-		return nil, err
-	}
-	bankVals, err := parse(l2banks, "l2banks")
-	if err != nil {
-		return nil, err
-	}
-	dramVals, err := parse(dramScale, "dram-scale")
-	if err != nil {
-		return nil, err
-	}
-	var cols []config.Config
-	for _, m := range mshrVals {
-		for _, q := range missqVals {
-			for _, b := range bankVals {
-				for _, d := range dramVals {
-					cfg := gpumembw.Baseline()
-					var segs []string
-					if m > 0 {
-						cfg.L1.MSHREntries = m
-						segs = append(segs, fmt.Sprintf("mshr%d", m))
-					}
-					if q > 0 {
-						cfg.L1.MissQueueEntries = q
-						cfg.L2.MissQueueEntries = q
-						segs = append(segs, fmt.Sprintf("missq%d", q))
-					}
-					if b > 0 {
-						cfg.L2.NumBanks = b
-						segs = append(segs, fmt.Sprintf("l2b%d", b))
-					}
-					if d > 0 {
-						if err := config.Scale(&cfg, config.LevelDRAM, d); err != nil {
-							return nil, err
-						}
-						segs = append(segs, fmt.Sprintf("dram%dx", d))
-					}
-					if len(segs) == 0 {
-						continue // all axes unset for this combination
-					}
-					cfg.Name = strings.Join(segs, "/")
-					if err := cfg.Validate(); err != nil {
-						return nil, err
-					}
-					cols = append(cols, cfg)
+			cfg := gpumembw.Baseline()
+			cfg.Name = fmt.Sprintf("%s-%dx", levels, factor)
+			for _, level := range strings.Split(levels, ",") {
+				if err := config.Scale(&cfg, config.Level(strings.TrimSpace(level)), factor); err != nil {
+					return nil, err
 				}
 			}
+			bases = append(bases, cfg)
+		}
+		if len(bases) == 0 {
+			return nil, fmt.Errorf("bwexplore: -levels needs at least one -factor")
+		}
+	}
+	var cols []config.Config
+	for _, b := range bases {
+		for _, sets := range points {
+			cfg := b
+			if err := cfg.Set(sets...); err != nil {
+				return nil, err
+			}
+			if levels != "" {
+				sets = append([]string{b.Name}, sets...)
+			}
+			cfg.Name = strings.Join(sets, "/")
+			if err := cfg.Validate(); err != nil {
+				return nil, err
+			}
+			cols = append(cols, cfg)
 		}
 	}
 	return cols, nil
-}
-
-// scaledConfig derives the architecture-axis design point: the baseline
-// with the selected memory levels scaled by factor, validated and named
-// after the selection.
-func scaledConfig(levels string, factor int) (config.Config, error) {
-	cfg := gpumembw.Baseline()
-	cfg.Name = fmt.Sprintf("%s-%dx", levels, factor)
-	for _, level := range strings.Split(levels, ",") {
-		if err := config.Scale(&cfg, config.Level(strings.TrimSpace(level)), factor); err != nil {
-			return cfg, err
-		}
-	}
-	return cfg, cfg.Validate()
 }
 
 // workloadAxis expands the workload side of the grid. With -base set, it

@@ -17,7 +17,7 @@
 //	gpusimctl cancel <job-id>
 //	gpusimctl list [-state running] [-limit 100] [-page-token T]
 //	gpusimctl sweep -configs baseline,L2-4x -benches mm,sc -wait
-//	gpusimctl sweep -configs baseline -set l1.mshr_entries=128 -benches mm -wait
+//	gpusimctl sweep -configs baseline -knob l1.mshr_entries=64,128 -benches mm -wait
 //	gpusimctl sweep -configs baseline -config-file patch.json -benches mm -wait
 //	gpusimctl sweep -configs baseline -spec a.json -spec b.json -wait
 //	gpusimctl sweep-status <sweep-id> [-wait] [-json]
@@ -441,17 +441,17 @@ func cmdSweep(ctx context.Context, c *client.Client, args []string) {
 	configs := fs.String("configs", "", "comma-separated preset names")
 	var cfgFiles cliutil.StringList
 	fs.Var(&cfgFiles, "config-file", "path to a config or patch JSON to add to the config axis (repeatable)")
-	var sets cliutil.StringList
-	fs.Var(&sets, "set", "knob=value: add a patched variant of every -configs preset to the axis (repeatable)")
+	var knobs cliutil.StringList
+	fs.Var(&knobs, "knob", "knob axis path=v1,v2,...: add every -configs preset patched at each point of the knobs' cross product (repeatable)")
 	benches := fs.String("benches", "", "comma-separated benchmarks (default: all, unless -spec is given)")
 	var specs cliutil.StringList
 	fs.Var(&specs, "spec", "path to an inline workload spec JSON (repeatable)")
 	wait := fs.Bool("wait", false, "block until every job reaches a terminal state")
 	fs.Parse(args)
-	if *configs == "" && len(cfgFiles) == 0 {
-		fatal(fmt.Errorf("sweep: one of -configs or -config-file is required"))
-	}
 	req := client.SweepRequest{Configs: cliutil.SplitCSV(*configs)}
+	if len(req.Configs) == 0 && (len(cfgFiles) == 0 || len(knobs) > 0) {
+		fatal(fmt.Errorf("sweep: -configs is required, unless -config-file is given without -knob"))
+	}
 	for _, path := range cfgFiles {
 		cfg, patch, err := config.ReadConfigFile(path)
 		if err != nil {
@@ -463,18 +463,21 @@ func cmdSweep(ctx context.Context, c *client.Client, args []string) {
 			req.ConfigPatches = append(req.ConfigPatches, *patch)
 		}
 	}
-	if len(sets) > 0 {
-		// -set sweeps a mitigation delta against its unpatched bases: each
-		// -configs preset contributes a patched twin column.
-		if len(req.Configs) == 0 {
-			fatal(fmt.Errorf("sweep: -set needs -configs presets to patch"))
-		}
-		delta, err := config.DeltaFromSets(sets)
+	if len(knobs) > 0 {
+		// -knob sweeps mitigation deltas against their unpatched bases:
+		// each -configs preset contributes one patched column per knob point.
+		points, err := cliutil.KnobPoints(knobs)
 		if err != nil {
-			fatal(err)
+			fatal(fmt.Errorf("sweep: %w", err))
 		}
 		for _, base := range req.Configs {
-			req.ConfigPatches = append(req.ConfigPatches, client.ConfigPatch{Base: base, Delta: delta})
+			for _, sets := range points {
+				delta, err := config.DeltaFromSets(sets)
+				if err != nil {
+					fatal(err)
+				}
+				req.ConfigPatches = append(req.ConfigPatches, client.ConfigPatch{Base: base, Delta: delta})
+			}
 		}
 	}
 	for _, path := range specs {
@@ -719,12 +722,9 @@ func cmdExplore(ctx context.Context, c *client.Client, args []string) {
 		}
 		req.InlineSpecs = append(req.InlineSpecs, *wl)
 	}
-	for _, k := range knobs {
-		path, vals, ok := strings.Cut(k, "=")
-		if !ok {
-			fatal(fmt.Errorf("explore: -knob wants path=v1,v2,..., got %q", k))
-		}
-		req.Knobs = append(req.Knobs, client.ExploreKnob{Path: path, Values: cliutil.SplitCSV(vals)})
+	var err error
+	if req.Knobs, err = cliutil.ParseKnobs(knobs); err != nil {
+		fatal(fmt.Errorf("explore: %w", err))
 	}
 	ex, err := c.Explore(ctx, req)
 	if err != nil {

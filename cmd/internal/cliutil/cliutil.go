@@ -5,9 +5,11 @@ package cliutil
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
+	"gpumembw/internal/api"
 	"gpumembw/internal/config"
 	"gpumembw/internal/exp"
 )
@@ -58,7 +60,7 @@ func ParseBytes(s string) (int64, error) {
 }
 
 // StringList collects a repeatable string flag (flag.Value), e.g. the
-// -set and -spec flags of gpusim/gpusimctl.
+// -set, -spec and -knob flags.
 type StringList []string
 
 // String implements flag.Value.
@@ -66,6 +68,57 @@ func (l *StringList) String() string { return strings.Join(*l, ",") }
 
 // Set implements flag.Value.
 func (l *StringList) Set(v string) error { *l = append(*l, v); return nil }
+
+// ParseKnobs parses the -knob flags every sweeping command shares, each
+// "path=v1,v2,…", into knob axes in flag order: the knob's canonical path
+// and its values, each held by config.KnobOn to the parse and range one
+// -set of it meets. A missing "=", an empty value list, an unknown path
+// and a knob named twice are refused.
+func ParseKnobs(specs []string) ([]api.ExploreKnob, error) {
+	var axes []api.ExploreKnob
+	seen := map[string]bool{}
+	for _, s := range specs {
+		path, list, ok := strings.Cut(s, "=")
+		if !ok {
+			return nil, fmt.Errorf("-knob wants path=v1,v2,..., got %q", s)
+		}
+		vals := SplitCSV(list)
+		if len(vals) == 0 {
+			return nil, fmt.Errorf("-knob %s: needs at least one value", path)
+		}
+		k, err := config.KnobOn(config.Baseline(), path, vals...)
+		if err != nil {
+			return nil, fmt.Errorf("-knob %s: %w", s, err)
+		}
+		if seen[k.Path] {
+			return nil, fmt.Errorf("-knob %s: knob named twice", k.Path)
+		}
+		seen[k.Path] = true
+		axes = append(axes, api.ExploreKnob{Path: k.Path, Values: vals})
+	}
+	return axes, nil
+}
+
+// KnobPoints parses -knob flags (ParseKnobs) into their cross product: one
+// list of Set assignments ("path=value") per point, the first axis varying
+// slowest. No flags make one point with no assignments.
+func KnobPoints(specs []string) ([][]string, error) {
+	axes, err := ParseKnobs(specs)
+	if err != nil {
+		return nil, err
+	}
+	points := [][]string{nil}
+	for _, ax := range axes {
+		next := make([][]string, 0, len(points)*len(ax.Values))
+		for _, p := range points {
+			for _, v := range ax.Values {
+				next = append(next, append(slices.Clip(p), ax.Path+"="+v))
+			}
+		}
+		points = next
+	}
+	return points, nil
+}
 
 // ResolveConfigFlags resolves the -config/-config-file/-set flag trio
 // shared by gpusim and gpusimctl into exactly one configuration form —

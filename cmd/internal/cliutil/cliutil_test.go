@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"gpumembw/internal/api"
 	"gpumembw/internal/config"
 	"gpumembw/internal/exp"
 )
@@ -74,5 +76,64 @@ func TestResolveConfigFlagsSpellingsShareACell(t *testing.T) {
 	}
 	if ref, err := ResolveConfigFlags("baseline", "", []string{"bogus"}); err == nil {
 		t.Errorf("a malformed -set resolved to %+v", ref)
+	}
+}
+
+// TestParseKnobs: each -knob is one axis in flag order under the knob's
+// canonical path, and KnobPoints crosses the axes with the first varying
+// slowest.
+func TestParseKnobs(t *testing.T) {
+	axes, err := ParseKnobs([]string{"L2.NumBanks=24, 48", "l1.mshr_entries=64,128"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []api.ExploreKnob{
+		{Path: "l2.num_banks", Values: []string{"24", "48"}},
+		{Path: "l1.mshr_entries", Values: []string{"64", "128"}},
+	}
+	if !reflect.DeepEqual(axes, want) {
+		t.Errorf("axes %+v, want %+v", axes, want)
+	}
+	points, err := KnobPoints([]string{"L2.NumBanks=24, 48", "l1.mshr_entries=64,128"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPoints := [][]string{
+		{"l2.num_banks=24", "l1.mshr_entries=64"},
+		{"l2.num_banks=24", "l1.mshr_entries=128"},
+		{"l2.num_banks=48", "l1.mshr_entries=64"},
+		{"l2.num_banks=48", "l1.mshr_entries=128"},
+	}
+	if !reflect.DeepEqual(points, wantPoints) {
+		t.Errorf("points %q, want %q", points, wantPoints)
+	}
+	if got, err := KnobPoints(nil); err != nil || len(got) != 1 || len(got[0]) != 0 {
+		t.Errorf("no -knob flags make points %q, %v; want one empty point", got, err)
+	}
+	if axes, err := ParseKnobs(nil); err != nil || axes != nil {
+		t.Errorf("no -knob flags parse to %+v, %v; want nil, nil", axes, err)
+	}
+}
+
+// TestParseKnobsRefuses: a value out of the knob's range, an unknown
+// path, a missing "=", an empty value list and a knob named twice are
+// each refused.
+func TestParseKnobsRefuses(t *testing.T) {
+	for _, specs := range [][]string{
+		{"l1.mshr_entries=0"},
+		{"l1.mshr_entries=64,0"},
+		{"l1.mshr_entries=many"},
+		{"l1.nope=1"},
+		{"l1.mshr_entries"},
+		{"l1.mshr_entries="},
+		{"l1.mshr_entries= , "},
+		{"l1.mshr_entries=64", "L1.MSHREntries=128"},
+	} {
+		if axes, err := ParseKnobs(specs); err == nil {
+			t.Errorf("%q parsed to %+v", specs, axes)
+		}
+		if points, err := KnobPoints(specs); err == nil {
+			t.Errorf("%q crossed to %q", specs, points)
+		}
 	}
 }

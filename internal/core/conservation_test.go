@@ -50,9 +50,10 @@ func drainMemory(t *testing.T, name string, g *GPU) {
 // requests the L2 banks accepted and the replies they sent. It also holds
 // the run's metrics m and counters to the hardware's capacity: a ratio lies
 // in [0, 1], a histogram's buckets sum to its lifetime, an output port
-// moves at most one flit per crossbar cycle, and on each L2 cycle with a
+// moves at most one flit per crossbar cycle, on each L2 cycle with a
 // request queued a bank either serves its access-queue head or counts one
-// stall cycle.
+// stall cycle, and an FR-FCFS DRAM channel issues at most one ACTIVATE per
+// tRRD and one column command (read or write) per tCCD.
 func requireConserved(t *testing.T, name string, g *GPU, m Metrics) {
 	t.Helper()
 	for _, r := range []struct {
@@ -118,6 +119,24 @@ func requireConserved(t *testing.T, name string, g *GPU, m Metrics) {
 		if x.s.FlitsTransferred > x.s.Cycles*int64(x.outputs) {
 			t.Errorf("%s: the %s crossbar moved %d flits in %d cycles through %d outputs",
 				name, x.net, x.s.FlitsTransferred, x.s.Cycles, x.outputs)
+		}
+	}
+	if !g.cfg.DRAM.Infinite {
+		// The first command may issue on any tick, so n ticks hold at most
+		// n/gap + 1 commands a gap apart. A gap of 0 bounds nothing.
+		timing := g.cfg.DRAM.Timing
+		for i, p := range g.parts {
+			s := &p.DRAM.Stats
+			for _, r := range []struct {
+				cmds, gap string
+				n         int64
+				gapTicks  int
+			}{{"ACTIVATEs", "tRRD", s.Activates, timing.RRD}, {"reads and writes", "tCCD", s.Reads + s.Writes, timing.CCD}} {
+				if r.gapTicks > 0 && r.n > g.dram.tick/int64(r.gapTicks)+1 {
+					t.Errorf("%s: DRAM channel %d issued %d %s in %d ticks, one per %s = %d ticks at most",
+						name, i, r.n, r.cmds, g.dram.tick, r.gap, r.gapTicks)
+				}
+			}
 		}
 	}
 	if writes != stores {

@@ -198,6 +198,8 @@ func TestEngineParityFullSize(t *testing.T) {
 // leaves most of its banks parked. The fast crossbar (2,100 MHz over the
 // 1,400 MHz core) ticks the reply network more than once in some core
 // cycles, so two replies to one core can turn consumable between its ticks.
+// A 64-tick tCCD, sixteen bursts long, makes the column-command gap the
+// DRAM's limit, so the stores run up against requireConserved's tCCD bound.
 // Each runs at two cores and at full size.
 func TestEngineParityMemorySide(t *testing.T) {
 	fastXbar := []string{"icnt.clock_mhz=2100", "l2.clock_mhz=2100"}
@@ -218,6 +220,7 @@ func TestEngineParityMemorySide(t *testing.T) {
 		{"store-heavy@L2-4x", "L2-4x", storeHeavySpec, nil},
 		{"chase-2w@fast-xbar", "baseline", chaseSpec(2, 100), fastXbar},
 		{"store-heavy@fast-xbar", "baseline", storeHeavySpec, fastXbar},
+		{"store-heavy@slow-ccd", "baseline", storeHeavySpec, []string{"dram.timing.ccd=64"}},
 	}
 	for _, tc := range cases {
 		wl := mustBuild(t, tc.spec)

@@ -116,3 +116,52 @@ func TestL2HitLatencyByHand(t *testing.T) {
 		}
 	}
 }
+
+// TestAMLIsLittlesLaw holds Fig. 1's AML to Little's law, exactly: on every
+// core, the L1 MSHR occupancy summed over the core cycles equals the sum of
+// the core's AML samples. An MSHR entry is allocated in the cycle its miss
+// is stamped IssueCycle and released in the cycle the reply is consumed and
+// sampled, so read after each core's tick it is counted once per cycle of
+// that one sample's latency. The test steps runTick's loop by hand, as
+// drainMemory does, to read the occupancy after each core's tick; the event
+// engine is held to the same metrics by the parity tests. Each run is then
+// held to requireConserved.
+func TestAMLIsLittlesLaw(t *testing.T) {
+	wls := trace.Workloads()
+	for _, bench := range []string{"mm", "lbm", "bfs", "sc", "leukocyte", "nw"} {
+		for _, cfg := range []config.Config{config.Baseline(), config.InfiniteDRAM()} {
+			name := bench + "@" + cfg.Name
+			g, err := New(cfg, wls[bench], WithEngine(EngineTick))
+			if err != nil {
+				t.Fatal(err)
+			}
+			occ := make([]int64, len(g.cores))
+			for done := false; !done; {
+				if g.cycle++; g.cycle > 10_000_000 {
+					t.Fatalf("%s: not done after %d cycles", name, g.cycle)
+				}
+				g.tickMemory()
+				done = true
+				for i, c := range g.cores {
+					if c.CanAcceptResponse() {
+						if pkt, ok := g.reply.Pop(c.ID); ok {
+							c.AcceptResponse(pkt.Fetch)
+							g.reply.Release(pkt)
+						}
+					}
+					c.Tick()
+					n, _ := c.MSHROcc()
+					occ[i] += int64(n)
+					done = done && c.Done()
+				}
+			}
+			requireConserved(t, name, g, g.collect())
+			for i, c := range g.cores {
+				if s := c.Stats.AML; s.Count == 0 || occ[i] != s.Sum {
+					t.Errorf("%s core %d: MSHR occupancy sums to %d over %d cycles; %d AML samples sum to %d",
+						name, i, occ[i], g.cycle, s.Count, s.Sum)
+				}
+			}
+		}
+	}
+}

@@ -82,14 +82,12 @@ func Compile(req api.ExploreRequest) (*Plan, error) {
 	if len(req.Knobs) > maxAxes {
 		return nil, fmt.Errorf("explore: at most %d knobs, got %d", maxAxes, len(req.Knobs))
 	}
-	var axes []AxisSpec
 	for _, k := range req.Knobs {
 		if len(k.Values) > maxValuesPerAxis {
 			return nil, fmt.Errorf("explore: knob %s: at most %d values, got %d", k.Path, maxValuesPerAxis, len(k.Values))
 		}
-		axes = append(axes, AxisSpec{Path: k.Path, Values: k.Values})
 	}
-	space, err := NewSpace(base, baseCfg, axes)
+	space, err := NewSpace(base, baseCfg, req.Knobs)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 
+	"gpumembw/internal/api"
 	"gpumembw/internal/config"
 )
 
@@ -67,7 +68,7 @@ func (c Candidate) Key() string {
 // is inserted if absent).
 // Axes are sorted by path, so the lattice — and everything derived from
 // it — is independent of request spelling order.
-func NewSpace(baseName string, baseCfg config.Config, knobs []AxisSpec) (*Space, error) {
+func NewSpace(baseName string, baseCfg config.Config, knobs []api.ExploreKnob) (*Space, error) {
 	sp := &Space{BaseName: baseName, BaseCfg: baseCfg}
 	if len(knobs) == 0 {
 		base, ce := config.Baseline(), config.CostEffective16x48()
@@ -100,13 +101,6 @@ func NewSpace(baseName string, baseCfg config.Config, knobs []AxisSpec) (*Space,
 		return nil, fmt.Errorf("explore: base configuration %q is itself invalid", baseName)
 	}
 	return sp, nil
-}
-
-// AxisSpec is the request form of a custom axis: a knob path (any Set
-// spelling) and its explicit value ladder.
-type AxisSpec struct {
-	Path   string
-	Values []string
 }
 
 // defaultAxis is the Table III ladder of one knob: its value on baseCfg
@@ -153,7 +147,7 @@ func defaultAxis(baseCfg config.Config, path string, num, den int64) (Axis, erro
 	return ax, nil
 }
 
-func customAxis(baseCfg config.Config, ks AxisSpec) (Axis, error) {
+func customAxis(baseCfg config.Config, ks api.ExploreKnob) (Axis, error) {
 	vals := make([]string, len(ks.Values))
 	for i, v := range ks.Values {
 		vals[i] = strings.TrimSpace(v)
