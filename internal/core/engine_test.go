@@ -303,10 +303,11 @@ func TestEngineJumpsTheChase(t *testing.T) {
 
 // TestUnitTicksCeiling holds the event engine's work per simulated cycle —
 // unit ticks executed, core and memory side, over cycles — to a ceiling on
-// three cells: ii@baseline, where nearly every cycle has work, the ledger's
-// chase-1w@baseline, where the memory side wakes unit by unit, and
-// mm@fixed-lat-800, whose cores run one at a time on exactly the ticks the
-// shared wake array gave them. The counts repeat exactly, so each ceiling
+// four cells: ii@baseline, where nearly every cycle has work, lbm@baseline,
+// whose DRAM channels wake only on the ticks a command issues or a burst
+// retires, the ledger's chase-1w@baseline, where the memory side wakes unit
+// by unit, and mm@fixed-lat-800, whose cores run one at a time on exactly
+// the ticks the shared wake array gave them. The counts repeat exactly, so each ceiling
 // is the count the engine measures now: a change that adds a wake fails
 // here, and a change that removes ticks lowers the ceiling to its own count.
 func TestUnitTicksCeiling(t *testing.T) {
@@ -316,8 +317,9 @@ func TestUnitTicksCeiling(t *testing.T) {
 		wl            *smcore.Workload
 		cycles, ticks int64
 	}{
-		{"ii@baseline", config.Baseline(), trace.Workloads()["ii"], 67068, 1466732},
-		{"chase-1w@baseline", config.Baseline(), mustBuild(t, chaseSpec(1, 2000)), 496523, 652366},
+		{"ii@baseline", config.Baseline(), trace.Workloads()["ii"], 67068, 1414305},
+		{"lbm@baseline", config.Baseline(), trace.Workloads()["lbm"], 165012, 3597206},
+		{"chase-1w@baseline", config.Baseline(), mustBuild(t, chaseSpec(1, 2000)), 496523, 575935},
 		{"mm@fixed-lat-800", config.FixedL1MissLatency(800), trace.Workloads()["mm"], 49476, 574309},
 	}
 	for _, tc := range cases {

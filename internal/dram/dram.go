@@ -9,7 +9,6 @@
 package dram
 
 import (
-	"math"
 	"slices"
 
 	"gpumembw/internal/config"
@@ -63,8 +62,8 @@ type inflight struct {
 }
 
 // request is one scheduler-queue entry: the fetch with its DRAM coordinates
-// and direction beside it, so the FR-FCFS scans, which re-examine every
-// queued request every command cycle, read the queue and nothing else.
+// and direction beside it, so its gate, which each FR-FCFS scan works out
+// for every queued request, reads the queue and nothing else.
 type request struct {
 	fetch *mem.Fetch
 	row   int64
@@ -102,15 +101,13 @@ type Channel struct {
 
 	inflight []inflight
 
-	// scanIdleUntil memoizes a failed FR-FCFS scan: before this command
-	// cycle no queued request can newly become issuable, because the only
-	// things that change between cycles are the clock (scanWake collects
-	// the earliest cycle a blocking time gate opens) and external events —
-	// a Push or a response pop — which clear the memo. Issued commands
-	// re-scan the very next cycle (the memo is only set when nothing
-	// issues).
-	scanIdleUntil int64
-	scanWake      int64
+	// memo is the earliest command cycle at which a scan can issue: the
+	// least gate over the queue (sched.Never when empty) and never earlier
+	// than the tick after the last scan. Gates move only when a command
+	// issues, so the memo stays exact until then, except that a Push lowers
+	// it to the newcomer's gate and a pop that frees a slot of a full return
+	// queue, the one gate no command opens, resets it while requests wait.
+	memo int64
 
 	// Infinite mode (P_DRAM) state: responses release after a fixed delay.
 	infinite    bool
@@ -128,6 +125,7 @@ func NewChannel(id int, cfg *config.Config) *Channel {
 		cfg:   cfg,
 		amap:  NewAddrMap(cfg),
 		burst: int64(cfg.DRAMBurstCycles()),
+		memo:  sched.Never,
 	}
 	if cfg.DRAM.Infinite {
 		ch.infinite = true
@@ -174,46 +172,50 @@ func (c *Channel) Push(f *mem.Fetch) bool {
 		}
 		return true
 	}
-	c.scanIdleUntil = 0 // a new request may be issuable immediately
 	if c.Full() {
 		return false
 	}
 	bank, row := c.amap.BankRow(f.Addr)
-	c.sched = append(c.sched, request{fetch: f, row: row, bank: int32(bank), read: f.Type.NeedsReply()})
+	r := request{fetch: f, row: row, bank: int32(bank), read: f.Type.NeedsReply()}
+	c.sched = append(c.sched, r)
+	g, _ := c.gate(r)
+	c.memo = min(c.memo, g)
 	return true
 }
 
 // PopResponse removes the oldest completed read, if any.
 func (c *Channel) PopResponse() (*mem.Fetch, bool) {
-	c.scanIdleUntil = 0 // a freed return slot may unblock a read CAS
-	return c.ret.Pop()
+	full := c.retFull()
+	f, ok := c.ret.Pop()
+	if ok && full && len(c.sched) > 0 {
+		c.memo = 0 // the freed slot opens the gate of every queued read
+	}
+	return f, ok
+}
+
+// retFull reports whether every return-queue slot is taken or promised to
+// an in-flight read, so no read CAS may issue until a pop.
+func (c *Channel) retFull() bool {
+	return c.ret.Cap() > 0 && c.ret.Len()+c.retReserved >= c.ret.Cap()
 }
 
 // NextWake returns the earliest command-clock tick (the value now
 // reaches in that Tick) at which Tick can do anything but replay frozen
-// accounting: the oldest in-flight burst completing, the failed-scan memo
-// expiring (the very next tick when no memo stands), or the data bus
-// falling idle (BusBusy, which the profiler samples, flips there). It is
-// sched.Never when only a Push or a PopResponse can change anything — an
-// idle channel, or one whose every queued request waits on a return-queue
-// slot. Early is harmless, late never happens.
+// accounting: the next command issuing (the memo), the oldest in-flight
+// burst completing, or the data bus falling idle (BusBusy, which the
+// profiler samples, flips there). It is sched.Never when only a Push or a
+// PopResponse can change anything — an idle channel, or one whose every
+// queued request waits on a return-queue slot. Early is harmless, late
+// never happens.
 func (c *Channel) NextWake() int64 {
-	if len(c.sched) > 0 && c.scanIdleUntil <= c.now {
-		return c.now + 1 // no memo stands: the next tick must scan
-	}
-	wake := sched.Never
+	wake := c.memo // sched.Never in P_DRAM mode
 	if len(c.inflight) > 0 {
 		// Bursts complete in issue order: each CAS reserves the data bus
 		// after the one before it, and P_DRAM's delay is a constant.
-		wake = c.inflight[0].done
+		wake = min(wake, c.inflight[0].done)
 	}
-	if !c.infinite {
-		if len(c.sched) > 0 {
-			wake = min(wake, c.scanIdleUntil)
-		}
-		if c.busBusyUntil > c.now {
-			wake = min(wake, c.busBusyUntil)
-		}
+	if c.busBusyUntil > c.now {
+		wake = min(wake, c.busBusyUntil)
 	}
 	return max(wake, c.now+1)
 }
@@ -267,23 +269,14 @@ func (c *Channel) Tick() {
 	}
 	c.Stats.SchedOccupancy.Observe(len(c.sched), c.schedCap)
 
-	if len(c.sched) == 0 {
-		return
+	if c.now < c.memo {
+		return // no gate opens before the memo
 	}
-	if c.now < c.scanIdleUntil {
-		// A previous scan proved nothing can issue before scanIdleUntil.
-		return
+	if i, cas := c.scan(); i >= 0 {
+		c.issue(i, cas)
+		c.scan() // the command moved the gates: the memo is their new least
 	}
-	// FR-FCFS: first ready column access (row hit), else oldest request
-	// drives a row activation/precharge. One command per cycle.
-	c.scanWake = math.MaxInt64
-	if c.issueReadyCAS() {
-		return
-	}
-	if c.issueRowCommand() {
-		return
-	}
-	c.scanIdleUntil = c.scanWake
+	c.memo = max(c.memo, c.now+1)
 }
 
 // completeBursts retires the finished reads of either model into the
@@ -305,54 +298,66 @@ func (c *Channel) completeBursts() {
 	c.inflight = c.inflight[:n]
 }
 
-// issueReadyCAS scans the scheduler queue oldest-first for a request whose
-// row is open and whose column command can issue now. Returns true if a
-// command was issued.
-func (c *Channel) issueReadyCAS() bool {
-	if c.nextCAS > c.now {
-		c.wakeAt(c.nextCAS)
-		return false
-	}
+// gate returns the earliest command cycle at which request r's next
+// command clears every Table I gate, and whether that command is a column
+// access. A row hit needs tCCD, its bank's tRCD and the data bus free when
+// its burst starts; a read also needs tCDLR and a return-queue slot, which
+// only a pop can free (sched.Never until then). Any other request needs
+// its bank precharged (tRAS, tWR) or its row activated (tRC, tRRD).
+func (c *Channel) gate(r request) (int64, bool) {
 	t := &c.cfg.DRAM.Timing
+	b := &c.banks[r.bank]
+	switch {
+	case b.openRow == r.row && !r.read:
+		return max(c.nextCAS, b.casReady, c.busBusyUntil-int64(t.WL)), true
+	case b.openRow == r.row && c.retFull():
+		return sched.Never, true
+	case b.openRow == r.row:
+		return max(c.nextCAS, b.casReady, c.readAfter, c.busBusyUntil-int64(t.CL)), true
+	case b.openRow >= 0:
+		return b.preReady, false
+	}
+	return max(b.actReady, c.nextAct), false
+}
+
+// scan is FR-FCFS: it returns the queue index of the command that issues
+// now — the oldest row hit whose gate has opened, else the oldest request
+// whose row command's has — or -1, and leaves the least gate it saw in the
+// memo. A ready row hit ends the walk early; its gate keeps the memo due.
+func (c *Channel) scan() (pick int, cas bool) {
+	pick, c.memo = -1, sched.Never
 	for i, r := range c.sched {
-		b := &c.banks[r.bank]
-		if b.openRow != r.row {
-			continue // only a row command (an issue) can change this
-		}
-		if b.casReady > c.now {
-			c.wakeAt(b.casReady)
-			continue
-		}
-		if r.read {
-			if c.readAfter > c.now {
-				c.wakeAt(c.readAfter)
-				continue
-			}
-			// Reserve a return-queue slot so the completed burst can
-			// always retire. A full queue only frees on a response pop,
-			// which clears the scan memo.
-			if c.ret.Cap() > 0 && c.ret.Len()+c.retReserved >= c.ret.Cap() {
-				continue
+		g, hit := c.gate(r)
+		c.memo = min(c.memo, g)
+		if g <= c.now && (pick < 0 || hit) {
+			pick, cas = i, hit
+			if hit {
+				break
 			}
 		}
-		// Data bus must be free when this burst starts.
-		var dataStart int64
-		if r.read {
-			dataStart = c.now + int64(t.CL)
-		} else {
-			dataStart = c.now + int64(t.WL)
-		}
-		if c.busBusyUntil > dataStart {
-			c.wakeAt(c.busBusyUntil - (dataStart - c.now))
-			continue
-		}
+	}
+	return pick, cas
+}
+
+// issue applies the command scan picked for queue entry i: the column
+// access of a row hit, else a precharge of the bank's open row, else an
+// activation of the request's row.
+func (c *Channel) issue(i int, cas bool) {
+	t := &c.cfg.DRAM.Timing
+	r := c.sched[i]
+	b := &c.banks[r.bank]
+	switch {
+	case cas:
 		c.sched = slices.Delete(c.sched, i, i+1)
-		dataEnd := dataStart + c.burst
+		dataEnd := c.now + int64(t.WL) + c.burst
+		if r.read {
+			dataEnd = c.now + int64(t.CL) + c.burst
+		}
 		c.busBusyUntil = dataEnd
 		c.nextCAS = c.now + int64(t.CCD)
 		if r.read {
 			c.Stats.Reads++
-			c.retReserved++
+			c.retReserved++ // the burst always has a slot to retire into
 			// CtrlLatency models the controller/PHY pipeline between the
 			// burst completing and the fill reaching the L2.
 			c.inflight = append(c.inflight, inflight{fetch: r.fetch, done: dataEnd + int64(c.cfg.DRAM.CtrlLatency)})
@@ -362,49 +367,17 @@ func (c *Channel) issueReadyCAS() bool {
 			b.preReady = max(b.preReady, dataEnd+int64(t.WR))
 			c.pool.Put(r.fetch) // the write is absorbed; no response travels back
 		}
-		return true
-	}
-	return false
-}
-
-// issueRowCommand advances the oldest request that needs its row opened:
-// precharge a conflicting open row, or activate the needed row. It reports
-// whether a command was issued.
-func (c *Channel) issueRowCommand() bool {
-	t := &c.cfg.DRAM.Timing
-	for _, r := range c.sched {
-		b := &c.banks[r.bank]
-		if b.openRow == r.row {
-			continue // waiting on CAS timing only
-		}
-		if b.openRow >= 0 {
-			if b.preReady <= c.now {
-				b.openRow = -1
-				b.actReady = max(b.actReady, c.now+int64(t.RP))
-				c.Stats.Precharges++
-				return true
-			}
-			c.wakeAt(b.preReady)
-			continue
-		}
-		if b.actReady <= c.now && c.nextAct <= c.now {
-			b.openRow = r.row
-			b.casReady = c.now + int64(t.RCD)
-			b.preReady = c.now + int64(t.RAS)
-			b.actReady = c.now + int64(t.RC)
-			c.nextAct = c.now + int64(t.RRD)
-			c.Stats.Activates++
-			return true
-		}
-		c.wakeAt(max(b.actReady, c.nextAct))
-	}
-	return false
-}
-
-// wakeAt lowers the pending scan's earliest time-gate opening.
-func (c *Channel) wakeAt(cycle int64) {
-	if cycle < c.scanWake {
-		c.scanWake = cycle
+	case b.openRow >= 0:
+		b.openRow = -1
+		b.actReady = max(b.actReady, c.now+int64(t.RP))
+		c.Stats.Precharges++
+	default:
+		b.openRow = r.row
+		b.casReady = c.now + int64(t.RCD)
+		b.preReady = c.now + int64(t.RAS)
+		b.actReady = c.now + int64(t.RC)
+		c.nextAct = c.now + int64(t.RRD)
+		c.Stats.Activates++
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 // tick beyond the next one, the first channel replays the frozen span in
 // closed form (SkipTo, then the wake's Tick) and the second ticks
 // through it; they must stay identical in every field — statistics,
-// occupancy histograms, clock, bank timing and scan memo. The FR-FCFS
+// occupancy histograms, clock, bank timing and the memo. The FR-FCFS
 // channel runs with a two-entry return queue that is left undrained for
 // stretches, so reads wait on a full return queue; the P_DRAM channel
 // covers Infinite mode.
