@@ -1,13 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"gpumembw"
 	"gpumembw/internal/config"
+	"gpumembw/internal/trace"
 )
 
 func columns(t *testing.T, levels, factors string, knobs ...string) []config.Config {
@@ -132,5 +135,49 @@ func TestNoColumnAxisIsUsage(t *testing.T) {
 	out, err := exec.Command(bin, "-bench", "mm").CombinedOutput()
 	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(out), "-knob") {
 		t.Errorf("bwexplore -bench mm: %v, want exit 2 with usage\n%s", err, out)
+	}
+}
+
+// -base with workload axes derives one inline spec per point of the
+// axes' cross product: the named benchmark's spec with the swept fields
+// set, named by the axes actually swept.
+func TestWorkloadAxisDerivesSpecVariants(t *testing.T) {
+	refs, err := workloadAxis("mm", "", "1,8", "24", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []trace.Spec
+	for _, c := range []int{1, 8} {
+		spec, err := gpumembw.SpecByName("mm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Name = fmt.Sprintf("mm/c%d/t24", c)
+		spec.LinesPerAccess, spec.WarpsPerCore = c, 24
+		want = append(want, spec)
+	}
+	if len(refs) != len(want) {
+		t.Fatalf("got %d workloads, want %d", len(refs), len(want))
+	}
+	for i, ref := range refs {
+		if ref.Spec == nil || ref.Bench != "" || !reflect.DeepEqual(*ref.Spec, want[i]) {
+			t.Errorf("workload %d = %+v, want the spec %+v", i, ref, want[i])
+		}
+	}
+}
+
+// The workload axes are refused without -base, -base is refused beside
+// -bench, and -base is refused without an axis.
+func TestWorkloadAxisRefused(t *testing.T) {
+	for _, tc := range []struct{ base, benches, coalesce, tlp, ws string }{
+		{"", "", "1,8", "", ""},
+		{"", "", "", "24", ""},
+		{"", "", "", "", "64"},
+		{"mm", "mm", "1,8", "", ""},
+		{"mm", "", "", "", ""},
+	} {
+		if refs, err := workloadAxis(tc.base, tc.benches, tc.coalesce, tc.tlp, tc.ws); err == nil {
+			t.Errorf("%+v expanded to %d workloads", tc, len(refs))
+		}
 	}
 }

@@ -442,7 +442,7 @@ func cmdSweep(ctx context.Context, c *client.Client, args []string) {
 	var cfgFiles cliutil.StringList
 	fs.Var(&cfgFiles, "config-file", "path to a config or patch JSON to add to the config axis (repeatable)")
 	var knobs cliutil.StringList
-	fs.Var(&knobs, "knob", "knob axis path=v1,v2,...: add every -configs preset patched at each point of the knobs' cross product (repeatable)")
+	fs.Var(&knobs, "knob", "knob axis path=v1,v2,...: add every -configs preset set at each point of the knobs' cross product (repeatable)")
 	benches := fs.String("benches", "", "comma-separated benchmarks (default: all, unless -spec is given)")
 	var specs cliutil.StringList
 	fs.Var(&specs, "spec", "path to an inline workload spec JSON (repeatable)")
@@ -464,19 +464,19 @@ func cmdSweep(ctx context.Context, c *client.Client, args []string) {
 		}
 	}
 	if len(knobs) > 0 {
-		// -knob sweeps mitigation deltas against their unpatched bases:
-		// each -configs preset contributes one patched column per knob point.
+		// -knob sweeps mitigations against their unpatched bases: each
+		// -configs preset, set at each knob point, is one more column.
 		points, err := cliutil.KnobPoints(knobs)
 		if err != nil {
 			fatal(fmt.Errorf("sweep: %w", err))
 		}
 		for _, base := range req.Configs {
 			for _, sets := range points {
-				delta, err := config.DeltaFromSets(sets)
+				ref, err := cliutil.ResolveConfigFlags(base, "", sets)
 				if err != nil {
 					fatal(err)
 				}
-				req.ConfigPatches = append(req.ConfigPatches, client.ConfigPatch{Base: base, Delta: delta})
+				req.InlineConfigs = append(req.InlineConfigs, *ref.Config)
 			}
 		}
 	}

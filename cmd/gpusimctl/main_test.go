@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os/exec"
@@ -79,9 +80,9 @@ func TestListNextPageHintKeepsState(t *testing.T) {
 	}
 }
 
-// sweep -knob with one value per knob patches each -configs preset into the
-// very cell `sweep -set` patched it into: the request carries the same
-// delta, so it names the same job (cell ID). More values add one patch per
+// sweep -knob with one value per knob sets each -configs preset into the
+// very cell the handwritten patch of that knob names, under the patch's
+// label, and sends it as an inline config. More values add one config per
 // point of the knobs' cross product, preset by preset.
 func TestSweepKnobRequestsTheSetCell(t *testing.T) {
 	reqs := make(chan client.SweepRequest, 2)
@@ -96,20 +97,21 @@ func TestSweepKnobRequestsTheSetCell(t *testing.T) {
 	}))
 	defer srv.Close()
 	bin := buildCtl(t)
-	cell := func(p config.Patch) string {
-		return exp.Job{Config: exp.PatchRef(p), Workload: exp.BenchRef("mm")}.CellID()
+	cell := func(ref exp.ConfigRef) string {
+		return exp.Job{Config: ref, Workload: exp.BenchRef("mm")}.CellID()
 	}
 
 	runCtl(t, bin, srv.URL, 10*time.Second, "sweep", "-configs", "baseline", "-knob", "l1.mshr_entries=128", "-benches", "mm")
 	req := <-reqs
-	delta, err := config.DeltaFromSets([]string{"l1.mshr_entries=128"}) // what -set l1.mshr_entries=128 sent
-	if err != nil {
+	var hand config.Patch
+	if err := json.Unmarshal([]byte(`{"base":"baseline","L1":{"MSHREntries":128}}`), &hand); err != nil {
 		t.Fatal(err)
 	}
-	set := config.Patch{Base: "baseline", Delta: delta}
-	if len(req.ConfigPatches) != 1 || cell(req.ConfigPatches[0]) != cell(set) ||
-		string(req.ConfigPatches[0].Delta) != `{"L1":{"MSHREntries":128}}` {
-		t.Fatalf("sweep -knob requested patches %+v, want the one -set cell %s", req.ConfigPatches, cell(set))
+	if len(req.InlineConfigs) != 1 || len(req.ConfigPatches) != 0 ||
+		cell(exp.InlineConfig(req.InlineConfigs[0])) != cell(exp.PatchRef(hand)) ||
+		req.InlineConfigs[0].Name != "baseline-patched" {
+		t.Fatalf("sweep -knob requested configs %+v and patches %+v, want the one patch cell %s",
+			req.InlineConfigs, req.ConfigPatches, cell(exp.PatchRef(hand)))
 	}
 	if !reflect.DeepEqual(req.Configs, []string{"baseline"}) || !reflect.DeepEqual(req.Benches, []string{"mm"}) {
 		t.Errorf("sweep -knob requested configs %q and benches %q, want baseline and mm", req.Configs, req.Benches)
@@ -118,14 +120,14 @@ func TestSweepKnobRequestsTheSetCell(t *testing.T) {
 	runCtl(t, bin, srv.URL, 10*time.Second, "sweep", "-configs", "baseline,L2-4x", "-knob", "l1.mshr_entries=64,128", "-benches", "mm")
 	req = <-reqs
 	var got []string
-	for _, p := range req.ConfigPatches {
-		got = append(got, p.Base+" "+string(p.Delta))
+	for _, c := range req.InlineConfigs {
+		got = append(got, fmt.Sprintf("%s %d %d", c.Name, c.L2.NumBanks, c.L1.MSHREntries))
 	}
 	want := []string{
-		`baseline {"L1":{"MSHREntries":64}}`, `baseline {"L1":{"MSHREntries":128}}`,
-		`L2-4x {"L1":{"MSHREntries":64}}`, `L2-4x {"L1":{"MSHREntries":128}}`,
+		"baseline-patched 12 64", "baseline-patched 12 128",
+		"L2-4x-patched 48 64", "L2-4x-patched 48 128",
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("two presets × two knob values requested patches %q, want %q", got, want)
+		t.Errorf("two presets × two knob values requested configs %q, want %q", got, want)
 	}
 }

@@ -3,7 +3,6 @@
 package cliutil
 
 import (
-	"encoding/json"
 	"fmt"
 	"slices"
 	"strconv"
@@ -121,39 +120,36 @@ func KnobPoints(specs []string) ([][]string, error) {
 }
 
 // ResolveConfigFlags resolves the -config/-config-file/-set flag trio
-// shared by gpusim and gpusimctl into exactly one configuration form —
-// a preset name, a full inline config, or a patch — with ONE set of
-// semantics, so the two tools provably land every spelling on the same
-// simulation cell: a full config document takes the -set overrides
-// applied locally; a patch document, or a bare preset name with -set
-// knobs, stays a patch with the -set delta merged on top (base
-// resolution stays wherever the value is consumed — locally in gpusim,
-// daemon-side for gpusimctl). Callers reject -config/-config-file
-// conflicts before calling; file takes precedence here.
+// shared by gpusim and gpusimctl into one configuration form, so the two
+// tools land every spelling on the same cell. Without -set, the preset
+// name, full config document or patch document passes through. With
+// -set, the knobs are set on the document, on the patch applied to its
+// base, or on the preset (labelled "<base>-patched", as a patch of it
+// would be), and the result is an inline config. Callers reject
+// -config/-config-file conflicts before calling.
 func ResolveConfigFlags(name, file string, sets []string) (exp.ConfigRef, error) {
-	var setDelta json.RawMessage
-	if len(sets) > 0 {
+	var cfg *config.Config
+	patch := &config.Patch{Base: name}
+	if file != "" {
 		var err error
-		if setDelta, err = config.DeltaFromSets(sets); err != nil {
+		if cfg, patch, err = config.ReadConfigFile(file); err != nil {
 			return exp.ConfigRef{}, err
 		}
 	}
-	if file == "" {
-		if setDelta != nil {
-			return exp.PatchRef(config.Patch{Base: name, Delta: setDelta}), nil
-		}
-		return exp.PresetRef(name), nil
-	}
-	cfg, patch, err := config.ReadConfigFile(file)
 	switch {
-	case err != nil:
-	case cfg != nil:
-		err = config.ApplyDelta(cfg, setDelta)
-	case setDelta != nil:
-		patch.Delta, err = config.MergeDeltas(patch.Delta, setDelta)
+	case len(sets) == 0 && file == "":
+		return exp.PresetRef(name), nil
+	case len(sets) == 0:
+		return exp.ConfigRef{Config: cfg, Patch: patch}, nil // one of the two is nil
+	case patch != nil:
+		applied, err := patch.Apply()
+		if err != nil {
+			return exp.ConfigRef{}, err
+		}
+		cfg = &applied
 	}
-	if err != nil {
+	if err := cfg.Set(sets...); err != nil {
 		return exp.ConfigRef{}, err
 	}
-	return exp.ConfigRef{Config: cfg, Patch: patch}, nil // one of the two is nil
+	return exp.InlineConfig(*cfg), nil
 }

@@ -30,16 +30,10 @@ func TestResolveConfigFlagsSpellingsShareACell(t *testing.T) {
 		}
 		return path
 	}
-	patch := func(sets ...string) config.Patch {
-		delta, err := config.DeltaFromSets(sets)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return config.Patch{Base: "baseline", Delta: delta}
-	}
 	full := write("full.json", config.Baseline())
-	whole := write("whole.json", patch(sets...))
-	part := write("part.json", patch(sets[0]))
+	whole := write("whole.json", json.RawMessage(
+		`{"base":"baseline","L1":{"MSHREntries":128,"MissQueueEntries":32},"Core":{"MemPipelineWidth":40}}`))
+	part := write("part.json", json.RawMessage(`{"base":"baseline","L1":{"MSHREntries":128}}`))
 
 	want := exp.Job{Config: exp.PresetRef("L1-4x"), Workload: exp.BenchRef("mm")}.CellID()
 	for _, tc := range []struct {
@@ -48,10 +42,10 @@ func TestResolveConfigFlagsSpellingsShareACell(t *testing.T) {
 		form       string
 	}{
 		{"L1-4x", "", nil, "preset"},
-		{"baseline", "", sets, "patch"},
+		{"baseline", "", sets, "config"},
 		{"", full, sets, "config"},
 		{"", whole, nil, "patch"},
-		{"", part, sets[1:], "patch"},
+		{"", part, sets[1:], "config"},
 	} {
 		ref, err := ResolveConfigFlags(tc.name, tc.file, tc.sets)
 		if err != nil {
@@ -76,6 +70,59 @@ func TestResolveConfigFlagsSpellingsShareACell(t *testing.T) {
 	}
 	if ref, err := ResolveConfigFlags("baseline", "", []string{"bogus"}); err == nil {
 		t.Errorf("a malformed -set resolved to %+v", ref)
+	}
+}
+
+// TestResolveConfigFlagsSetMatchesHandwrittenPatch: -set on a preset
+// lands on the cell of the handwritten patch of the same knobs, under the
+// label that patch's Apply gives it — on every preset, for a renaming
+// name=, a mode=, and a knob the P-inf mode never reads.
+func TestResolveConfigFlagsSetMatchesHandwrittenPatch(t *testing.T) {
+	type setCase struct {
+		sets  []string
+		delta string
+	}
+	common := []setCase{
+		{[]string{"l1.mshr_entries=128"}, `"L1":{"MSHREntries":128}`},
+		{[]string{"L2.NumBanks=48", "dram.timing.rcd=14"}, `"L2":{"NumBanks":48},"DRAM":{"Timing":{"RCD":14}}`},
+		{[]string{"name=tuned", "l1.mshr_entries=64"}, `"Name":"tuned","L1":{"MSHREntries":64}`},
+		{[]string{"mode=infinite-bw"}, `"Mode":"infinite-bw"`},
+	}
+	cases := map[string][]setCase{
+		"P-inf": {{[]string{"l1.miss_queue_entries=-1"}, `"L1":{"MissQueueEntries":-1}`}},
+	}
+	for _, name := range config.Names() {
+		cases[name] = append(cases[name], common...)
+	}
+	for name, list := range cases {
+		for _, sc := range list {
+			var hand config.Patch
+			if err := json.Unmarshal([]byte(`{"base":"`+name+`",`+sc.delta+`}`), &hand); err != nil {
+				t.Fatal(err)
+			}
+			handJob := exp.Job{Config: exp.PatchRef(hand), Workload: exp.BenchRef("mm")}
+			applied, err := hand.Apply()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, sc.delta, err)
+			}
+			if _, err := handJob.Resolve(); err != nil {
+				t.Fatalf("%s %s: the handwritten patch does not resolve: %v", name, sc.delta, err)
+			}
+			ref, err := ResolveConfigFlags(name, "", sc.sets)
+			if err != nil {
+				t.Fatalf("%s -set %q: %v", name, sc.sets, err)
+			}
+			if ref.Config == nil {
+				t.Errorf("%s -set %q resolved to %+v, want an inline config", name, sc.sets, ref)
+				continue
+			}
+			if got, want := (exp.Job{Config: ref, Workload: exp.BenchRef("mm")}).CellID(), handJob.CellID(); got != want {
+				t.Errorf("%s -set %q lands on cell %s, the handwritten patch on %s", name, sc.sets, got, want)
+			}
+			if got := ref.Label(); got != applied.Name {
+				t.Errorf("%s -set %q is labelled %q, the handwritten patch %q", name, sc.sets, got, applied.Name)
+			}
+		}
 	}
 }
 

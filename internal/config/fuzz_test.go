@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzKnobSet drives the reflect-based -set knob path parser with
-// arbitrary assignments. Any input must either error or apply cleanly to
-// a baseline config — never panic inside the reflection walk.
+// FuzzKnobSet drives Set, which resolves each -set path through the knob
+// table, with arbitrary assignments. Any input must either be refused,
+// leaving the config unchanged, or set a config that survives its JSON
+// wire form and canonicalizes — never panic.
 func FuzzKnobSet(f *testing.F) {
 	seeds := []string{
 		"L2.HitLatency=42",
@@ -27,27 +28,27 @@ func FuzzKnobSet(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, assignment string) {
-		delta, err := DeltaFromSets([]string{assignment})
-		if err != nil {
-			return
-		}
+		// A refused list leaves the config as it was, even after an
+		// assignment that parsed.
 		cfg := Baseline()
-		if err := ApplyDelta(&cfg, delta); err != nil {
-			// DeltaFromSets accepted the path, so the delta is shaped like
-			// the config; value-range rejections are fine, panics are not.
+		if err := cfg.Set("l1.mshr_entries=7", assignment); err != nil {
+			if cfg != Baseline() {
+				t.Fatalf("refused %q changed the config", assignment)
+			}
 			return
 		}
-		// A config reached through the knob path must stay canonicalizable.
-		cfg.Canonical()
-
-		// The same assignment applied directly must agree with the delta
-		// route — the two spellings share one semantics.
-		direct := Baseline()
-		if err := direct.Set(assignment); err == nil {
-			if a, b := direct.Identity(), cfg.Identity(); a != b {
-				t.Errorf("Set and DeltaFromSets disagree for %q", assignment)
-			}
+		// An accepted value is finite, so the config survives its wire
+		// form (a name may lose invalid UTF-8, which ConfigID excludes),
+		// and stays canonicalizable.
+		wire, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("%q set a config that does not marshal: %v", assignment, err)
 		}
+		var back Config
+		if err := json.Unmarshal(wire, &back); err != nil || back.ConfigID() != cfg.ConfigID() {
+			t.Fatalf("%q: the config does not round-trip its JSON (%v)", assignment, err)
+		}
+		cfg.Canonical()
 	})
 }
 

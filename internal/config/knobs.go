@@ -43,7 +43,7 @@ type knob struct {
 }
 
 // knobTable is the knob table, bound to c: one row per Config leaf, in
-// declaration order. Validate, Canonical, Knobs, KnobOn and Scale are
+// declaration order. Validate, Canonical, Knobs, KnobOn, Set and Scale are
 // loops over it, and TableIII locates its knobs through it, so a knob's
 // path, range and liveness are each stated here and nowhere else. It is a
 // function returning an array rather than a package-level slice of
@@ -216,18 +216,6 @@ func Knobs() []Knob {
 	return out
 }
 
-// findKnob returns the row named by path, matching with Set's fuzzy
-// rules (case, underscores and dashes ignored).
-func findKnob(rows []knob, path string) (*knob, error) {
-	want := normalizeKnob(path)
-	for i := range rows {
-		if normalizeKnob(rows[i].path) == want {
-			return &rows[i], nil
-		}
-	}
-	return nil, fmt.Errorf("config: unknown knob %q", path)
-}
-
 // KnobOn returns the knob named by path (any Set spelling) as it stands
 // on cfg — its Baseline field holds cfg's value — after checking that
 // each of values is one Set accepts for it and lies in its range, so a
@@ -240,10 +228,10 @@ func KnobOn(cfg Config, path string, values ...string) (Knob, error) {
 	}
 	desc := k.describe()
 	for _, v := range values {
-		if err := cfg.Set(k.path + "=" + v); err != nil {
+		if err := k.parse(v); err != nil {
 			return Knob{}, err
 		}
-		if err := k.rangeErr(); err != nil { // k's field is cfg's
+		if err := k.rangeErr(); err != nil {
 			return Knob{}, err
 		}
 	}

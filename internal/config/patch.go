@@ -146,9 +146,7 @@ func ParseConfigDoc(name string, data []byte) (*Config, *Patch, error) {
 		return nil, &p, nil
 	}
 	var cfg Config
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := ApplyDelta(&cfg, data); err != nil {
 		return nil, nil, fmt.Errorf("parse %s: %w", name, err)
 	}
 	return &cfg, nil, nil

@@ -154,14 +154,23 @@ func TestSetRejectsBadKnobs(t *testing.T) {
 		"dram.infinite=perhaps",  // not a boolean
 		"mode=turbo",             // unknown mode name
 		"core.clockmhz=fast",     // not a number
+		"core.clock_mhz=NaN",     // not finite
+		"core.clock_mhz=Inf",
+		"core.clock_mhz=-Inf",
+		"core.clock_mhz=1e400", // overflows to Inf
 	} {
-		if err := cfg.Set(bad); err == nil {
+		// A refused list leaves the config as it was, even after an
+		// assignment that parsed.
+		if err := cfg.Set("l1.mshr_entries=7", bad); err == nil {
 			t.Errorf("%q: accepted", bad)
+		}
+		if cfg != Baseline() {
+			t.Fatalf("%q: a refused Set changed the config", bad)
 		}
 	}
 	// Errors must name the valid knobs at the failing level.
 	err := cfg.Set("l1.nope=1")
-	if err == nil || !strings.Contains(err.Error(), "MSHREntries") {
+	if err == nil || !strings.Contains(err.Error(), "l1.mshr_entries") {
 		t.Fatalf("err = %v, want the valid knob names", err)
 	}
 }
@@ -169,12 +178,8 @@ func TestSetRejectsBadKnobs(t *testing.T) {
 // TestSetEqualsPatchDelta: the -set path and a handwritten patch must
 // resolve to the same identity — the parity gpusim and gpusimctl rely on.
 func TestSetEqualsPatchDelta(t *testing.T) {
-	delta, err := DeltaFromSets([]string{"l1.mshr_entries=128", "l1.miss_queue_entries=32"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromSet, err := Patch{Base: "baseline", Delta: delta}.Apply()
-	if err != nil {
+	fromSet := Baseline()
+	if err := fromSet.Set("l1.mshr_entries=128", "l1.miss_queue_entries=32"); err != nil {
 		t.Fatal(err)
 	}
 	var hand Patch
@@ -186,23 +191,7 @@ func TestSetEqualsPatchDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fromSet.ConfigID() != fromDoc.ConfigID() {
-		t.Fatal("-set delta and handwritten patch diverge")
-	}
-}
-
-func TestMergeDeltas(t *testing.T) {
-	a := json.RawMessage(`{"L1":{"MSHREntries":64,"Ways":4},"MaxCycles":5000000}`)
-	b := json.RawMessage(`{"L1":{"MSHREntries":128},"Name":"merged"}`)
-	merged, err := MergeDeltas(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Baseline()
-	if err := ApplyDelta(&cfg, merged); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.L1.MSHREntries != 128 || cfg.L1.Ways != 4 || cfg.Name != "merged" || cfg.MaxCycles != 5_000_000 {
-		t.Fatalf("merged = mshr %d ways %d name %q max %d", cfg.L1.MSHREntries, cfg.L1.Ways, cfg.Name, cfg.MaxCycles)
+		t.Fatal("-set and handwritten patch diverge")
 	}
 }
 

@@ -1,185 +1,96 @@
 package config
 
 import (
-	"encoding/json"
 	"fmt"
-	"reflect"
-	"sort"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// Set applies knob=value assignments to the configuration — the engine
-// behind every CLI's -set flag. Paths are dotted Config field names,
-// matched case-insensitively with underscores and dashes ignored, so
-// "l1.mshr_entries=128", "L1.MSHREntries=128" and "l1.mshrentries=128"
-// all name the same knob. Values parse according to the field's type:
-// integers, floats, booleans, strings, and mode names for Mode
-// ("infinite-bw"). Unknown knobs list the valid names at that level.
+// Set applies knob=value assignments — the engine behind every CLI's -set
+// flag. A path is a knob table path (Knobs, GET /v1/knobs), matched
+// ignoring case, underscores and dashes ("L1.MSHREntries" names
+// l1.mshr_entries). Values parse by the knob's type: integers, finite
+// floats, booleans, strings, and mode names ("infinite-bw"). Set changes
+// c only if every assignment parses; Validate range-checks the result.
 //
 //	cfg := Baseline()
 //	err := cfg.Set("l1.mshr_entries=128", "dram.timing.rcd=14")
 func (c *Config) Set(assignments ...string) error {
-	delta, err := DeltaFromSets(assignments)
-	if err != nil {
-		return err
-	}
-	return ApplyDelta(c, delta)
-}
-
-// DeltaFromSets converts knob=value assignments into the sparse Delta
-// document of a Patch, using Config's canonical field names — the bridge
-// between a CLI's -set flags and the wire's configPatch form, so
-// `gpusimctl submit -config baseline -set l1.mshr_entries=128` ships the
-// exact patch a hand-written {"base":"baseline","L1":{"MSHREntries":128}}
-// would.
-func DeltaFromSets(assignments []string) (json.RawMessage, error) {
-	root := map[string]any{}
+	next := *c
+	rows := knobTable(&next)
 	for _, a := range assignments {
 		path, val, ok := strings.Cut(a, "=")
 		if !ok {
-			return nil, fmt.Errorf("config: -set %q: want knob=value", a)
+			return fmt.Errorf("config: -set %q: want knob=value", a)
 		}
-		if err := insertKnob(root, reflect.TypeOf(Config{}), strings.Split(path, "."), path, val); err != nil {
-			return nil, err
+		k, err := findKnob(rows[:], path)
+		if err != nil {
+			return err
+		}
+		if err := k.parse(val); err != nil {
+			return err
 		}
 	}
-	return json.Marshal(root)
-}
-
-// insertKnob resolves one dotted path against the Config type tree and
-// inserts the parsed value into the nested delta map.
-func insertKnob(m map[string]any, t reflect.Type, segs []string, path, val string) error {
-	field, ok := fieldByFuzzyName(t, segs[0])
-	if !ok {
-		return fmt.Errorf("config: unknown knob %q in path %q (known here: %s)", segs[0], path, fieldNames(t))
-	}
-	if len(segs) > 1 {
-		if field.Type.Kind() != reflect.Struct {
-			return fmt.Errorf("config: knob %q in path %q is not a group", field.Name, path)
-		}
-		sub, _ := m[field.Name].(map[string]any)
-		if sub == nil {
-			sub = map[string]any{}
-			m[field.Name] = sub
-		}
-		return insertKnob(sub, field.Type, segs[1:], path, val)
-	}
-	v, err := parseKnobValue(field.Type, val)
-	if err != nil {
-		return fmt.Errorf("config: knob %q: %w", path, err)
-	}
-	m[field.Name] = v
+	*c = next
 	return nil
 }
 
-// parseKnobValue converts a textual value to the JSON-marshalable form
-// matching the field's type.
-func parseKnobValue(t reflect.Type, val string) (any, error) {
-	if t == reflect.TypeOf(Mode(0)) {
-		m, err := ParseMode(val)
-		if err != nil {
-			return nil, err
+// parse stores val, in Set's textual form, in the row's field.
+func (k *knob) parse(val string) error {
+	var err error
+	switch p := k.field.(type) {
+	case *int:
+		*p, err = strconv.Atoi(val)
+	case *int64:
+		*p, err = strconv.ParseInt(val, 10, 64)
+	case *float64:
+		*p, err = strconv.ParseFloat(val, 64)
+		if err == nil && (math.IsNaN(*p) || math.IsInf(*p, 0)) {
+			err = fmt.Errorf("want a finite number, got %q", val)
 		}
-		return m.String(), nil // Mode's UnmarshalJSON accepts names
+	case *bool:
+		*p, err = strconv.ParseBool(val)
+	case *string:
+		*p = val
+	case *Mode:
+		*p, err = ParseMode(val)
 	}
-	switch t.Kind() {
-	case reflect.Int, reflect.Int64:
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("want an integer, got %q", val)
-		}
-		return n, nil
-	case reflect.Float64:
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil {
-			return nil, fmt.Errorf("want a number, got %q", val)
-		}
-		return f, nil
-	case reflect.Bool:
-		b, err := strconv.ParseBool(val)
-		if err != nil {
-			return nil, fmt.Errorf("want true or false, got %q", val)
-		}
-		return b, nil
-	case reflect.String:
-		return val, nil
-	case reflect.Struct:
-		return nil, fmt.Errorf("names a group, not a knob (members: %s)", fieldNames(t))
-	default:
-		return nil, fmt.Errorf("unsupported field kind %v", t.Kind())
+	if err != nil {
+		return fmt.Errorf("config: knob %q: %w", k.path, err)
 	}
+	return nil
 }
 
-// fieldByFuzzyName matches seg against t's exported fields, ignoring
-// case, underscores and dashes.
-func fieldByFuzzyName(t reflect.Type, seg string) (reflect.StructField, bool) {
-	want := normalizeKnob(seg)
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if f.IsExported() && normalizeKnob(f.Name) == want {
-			return f, true
+// findKnob returns the row path names, ignoring case, underscores and
+// dashes. A miss lists the knobs of path's group, or the top-level names.
+func findKnob(rows []knob, path string) (*knob, error) {
+	want := normalizeKnob(path)
+	for i := range rows {
+		if normalizeKnob(rows[i].path) == want {
+			return &rows[i], nil
 		}
 	}
-	return reflect.StructField{}, false
+	group := want[:max(strings.LastIndexByte(want, '.'), 0)]
+	var known []string
+	for i := range rows {
+		if strings.HasPrefix(normalizeKnob(rows[i].path), group+".") {
+			known = append(known, rows[i].path)
+		}
+	}
+	if len(known) == 0 {
+		for i := range rows {
+			top, _, _ := strings.Cut(rows[i].path, ".")
+			if n := len(known); n == 0 || known[n-1] != top {
+				known = append(known, top)
+			}
+		}
+	}
+	return nil, fmt.Errorf("config: unknown knob %q (known here: %s)", path, strings.Join(known, ", "))
 }
 
 func normalizeKnob(s string) string {
 	s = strings.ToLower(s)
 	s = strings.ReplaceAll(s, "_", "")
 	return strings.ReplaceAll(s, "-", "")
-}
-
-// fieldNames lists t's exported field names for error messages.
-func fieldNames(t reflect.Type) string {
-	var names []string
-	for i := 0; i < t.NumField(); i++ {
-		if f := t.Field(i); f.IsExported() {
-			names = append(names, f.Name)
-		}
-	}
-	sort.Strings(names)
-	return strings.Join(names, ", ")
-}
-
-// MergeDeltas overlays delta b onto delta a (a deep JSON-object merge:
-// nested objects merge field-wise, scalars from b win). CLIs use it to
-// layer -set assignments onto a -config-file patch without resolving the
-// base locally.
-func MergeDeltas(a, b json.RawMessage) (json.RawMessage, error) {
-	ma, err := decodeDelta(a)
-	if err != nil {
-		return nil, err
-	}
-	mb, err := decodeDelta(b)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(mergeMaps(ma, mb))
-}
-
-func decodeDelta(d json.RawMessage) (map[string]any, error) {
-	if len(d) == 0 {
-		return map[string]any{}, nil
-	}
-	dec := json.NewDecoder(strings.NewReader(string(d)))
-	dec.UseNumber() // keep int64-exactness through the merge
-	var m map[string]any
-	if err := dec.Decode(&m); err != nil {
-		return nil, fmt.Errorf("config: delta must be a JSON object: %w", err)
-	}
-	return m, nil
-}
-
-func mergeMaps(a, b map[string]any) map[string]any {
-	for k, bv := range b {
-		if bm, ok := bv.(map[string]any); ok {
-			if am, ok := a[k].(map[string]any); ok {
-				a[k] = mergeMaps(am, bm)
-				continue
-			}
-		}
-		a[k] = bv
-	}
-	return a
 }

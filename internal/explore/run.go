@@ -260,17 +260,15 @@ func Run(ctx context.Context, p *Plan, eval EvalBatch, onRound func(Status)) (*R
 }
 
 // configRef wires a candidate to its content-addressed cell: the base
-// preset itself for the zero deviation, a sparse patch otherwise.
+// preset itself for the zero deviation, else its config inline, labelled
+// "<base>-patched" as a patch of the base would be.
 func configRef(sp *Space, c Candidate) (exp.ConfigRef, error) {
-	sets := sp.Sets(c)
-	if len(sets) == 0 {
+	if len(sp.Sets(c)) == 0 {
 		return exp.PresetRef(sp.BaseName), nil
 	}
-	patch, err := sp.Patch(c)
-	if err != nil {
-		return exp.ConfigRef{}, err
-	}
-	return exp.PatchRef(patch), nil
+	cfg, err := sp.Config(c)
+	cfg.Name = sp.BaseName + "-patched"
+	return exp.InlineConfig(cfg), err
 }
 
 func point(sp *Space, s Scored) api.ExplorePoint {

@@ -242,17 +242,6 @@ func (sp *Space) Sets(c Candidate) []string {
 	return sets
 }
 
-// Patch returns the candidate as a sparse mitigation patch on the base
-// preset — the exact wire form a hand-written configPatch would use, so
-// the probe lands on the same content-addressed cell.
-func (sp *Space) Patch(c Candidate) (config.Patch, error) {
-	delta, err := config.DeltaFromSets(sp.Sets(c))
-	if err != nil {
-		return config.Patch{}, err
-	}
-	return config.Patch{Base: sp.BaseName, Delta: delta}, nil
-}
-
 // Config resolves the candidate to a concrete configuration.
 func (sp *Space) Config(c Candidate) (config.Config, error) {
 	cfg := sp.BaseCfg

@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"gpumembw/internal/smcore"
@@ -270,5 +272,48 @@ func TestPadCodeGrowsBody(t *testing.T) {
 	wl := spec.MustBuild()
 	if len(wl.Program.Body) < 102 {
 		t.Fatalf("body = %d insts, want ≥ 102", len(wl.Program.Body))
+	}
+}
+
+// A hot-shared spec with a hot fraction issues exactly the address stream
+// of its random-ws respelling: Build diverts the hot fraction for every
+// pattern, and indexes the rest of both patterns alike. Canonical merges
+// the two spellings only when SharedFrac is 0, so these twins still hash
+// to distinct cells; the merge waits for a SimVersion bump (ROADMAP 7(d)).
+func TestHotSharedIsRandomWSWithAHotFraction(t *testing.T) {
+	var names []string
+	for _, b := range Table() {
+		if b.Spec.Pattern != PatHotShared || b.Spec.SharedFrac == 0 {
+			continue
+		}
+		names = append(names, b.Spec.Name)
+		twin := b.Spec
+		twin.Pattern = PatRandomWS
+		hot, ws := b.Spec.MustBuild(), twin.MustBuild()
+		if !reflect.DeepEqual(hot.Program, ws.Program) || hot.WarpsPerCore != ws.WarpsPerCore {
+			t.Fatalf("%s: the random-ws respelling builds another program", b.Spec.Name)
+		}
+		var a, w []uint64
+		for inst, in := range hot.Program.Body {
+			if in.Kind != smcore.OpLoad && in.Kind != smcore.OpStore {
+				continue
+			}
+			for core := range 4 {
+				for warp := 0; warp < hot.WarpsPerCore; warp += 7 {
+					for iter := range 6 {
+						a = hot.Addr(a[:0], core, warp, iter, inst)
+						w = ws.Addr(w[:0], core, warp, iter, inst)
+						if !slices.Equal(a, w) {
+							t.Fatalf("%s: core %d warp %d iter %d inst %d: hot-shared %x, random-ws %x",
+								b.Spec.Name, core, warp, iter, inst, a, w)
+						}
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(names)
+	if want := []string{"ii", "lavaMD", "pvr", "ss"}; !slices.Equal(names, want) {
+		t.Errorf("hot-shared specs with a hot fraction are %q, want %q", names, want)
 	}
 }
